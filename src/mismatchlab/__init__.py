@@ -26,7 +26,6 @@ from .objective import (
     MaskingBounds,
     ObjectiveConfig,
     PromptGroup,
-    TokenRecord,
     group_advantages,
     mask,
     momentum_update,
@@ -91,7 +90,6 @@ __all__ = [
     "TaskSpec",
     "TickCapError",
     "TokenDistribution",
-    "TokenRecord",
     "Vocabulary",
     "compounding_experiment",
     "default_config",

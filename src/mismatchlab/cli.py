@@ -18,7 +18,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, config_from_dict, load_config
 from .discrepancy import BiasMode, compounding_experiment, make_probes, sensitivity_sweep
 from .errors import ConfigError, NumericError, TickCapError
 from .objective import Algo, MaskingBounds, ObjectiveConfig
@@ -33,24 +33,19 @@ EXIT_NUMERIC = 3
 EXIT_TICK_CAP = 4
 
 
-def _json_value(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, default=_json_value, allow_nan=False)
-
-
 def _sanitize(obj):
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
+
+
+def _dumps(obj) -> str:
+    """Strict JSON text of a document; non-finite floats are written as null."""
+    return json.dumps(_sanitize(obj), allow_nan=False)
 
 
 def _vocab(cfg: ExperimentConfig) -> Vocabulary:
@@ -95,7 +90,7 @@ def _metrics_row(cfg: ExperimentConfig, report, loss, sample) -> dict:
         "schema_version": METRICS_SCHEMA_VERSION,
         "iteration": report.iteration,
         "algo": cfg.objective.algo,
-        "reward_mean": _json_value(report.reward_mean),
+        "reward_mean": report.reward_mean,
         "grad_norm": loss.grad_norm,
         "delta": sample.delta,
         "max_token_gap": sample.max_token_gap,
@@ -172,7 +167,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def _schedule_one_seed(cfg_dict: dict, seed: int) -> dict:
     """Budget-partitioned vs baseline run on one shared seed (picklable)."""
-    cfg = load_config_dict(cfg_dict)
+    cfg = config_from_dict(cfg_dict)
     assert cfg.schedule is not None
     sch = cfg.schedule
     vocab = _vocab(cfg)
@@ -230,12 +225,6 @@ def _schedule_one_seed(cfg_dict: dict, seed: int) -> dict:
     }
 
 
-def load_config_dict(data: dict) -> ExperimentConfig:
-    from .config import config_from_dict
-
-    return config_from_dict(data)
-
-
 def cmd_schedule(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:
     if cfg.schedule is None:
         raise ConfigError("schedule command requires a schedule section (length-distribution spec)")
@@ -255,7 +244,7 @@ def cmd_schedule(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:
         "mean_speedup_end_to_end": sum(r["speedup_end_to_end"] for r in per_seed) / len(per_seed),
     }
     (out_dir / "schedule_report.json").write_text(
-        _dumps(_sanitize(report)) + "\n", encoding="utf-8"
+        _dumps(report) + "\n", encoding="utf-8"
     )
     return EXIT_OK
 
@@ -289,7 +278,7 @@ def cmd_compounding(cfg: ExperimentConfig, out_dir: Path) -> int:
     fit_doc = {
         "schema_version": METRICS_SCHEMA_VERSION,
         "config": cfg.to_dict(),
-        "fit": _sanitize(dataclasses.asdict(fit)),
+        "fit": dataclasses.asdict(fit),
     }
     (out_dir / "compounding_fit.json").write_text(_dumps(fit_doc) + "\n", encoding="utf-8")
     return EXIT_OK
@@ -318,7 +307,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     table = {
         "schema_version": METRICS_SCHEMA_VERSION,
         "config": cfg.to_dict(),
-        "settings": _sanitize(rows),
+        "settings": rows,
     }
     (out_dir / "sweep_table.json").write_text(_dumps(table) + "\n", encoding="utf-8")
     return EXIT_OK

@@ -18,15 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .policy import (
+    _FAULT_GAIN,
     Context,
     Engine,
     PolicyParams,
     Vocabulary,
     batched_log_softmax,
     batched_train_logits,
-    feature_rows,
-    noise_keys,
+    context_rows,
+    noise_components,
     perturb_logits,
+    perturbation,
+    train_engine,
+    weight_grad,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -102,26 +106,26 @@ def make_probes(n: int, vocab: Vocabulary, seed: int, max_len: int = 24) -> list
     return probes
 
 
-def _probe_feats_keys(
+def _probe_rows(
     params: PolicyParams, probes: list[Context], infer: Engine
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    feats = np.empty((len(probes), 4), dtype=np.intp)
-    keys_fixed = np.empty(len(probes), dtype=np.uint64)
-    keys_version = np.empty(len(probes), dtype=np.uint64)
-    for i, ctx in enumerate(probes):
-        prev, last = ctx.window()
-        feats[i] = feature_rows(ctx.prompt_id, prev, last, params.n_features)
-        keys_fixed[i], keys_version[i] = noise_keys(
-            infer, params.version_id, ctx.prompt_id, prev, last
-        )
-    return feats, keys_fixed, keys_version
+    """context_rows of the probe set."""
+    windows = [ctx.window() for ctx in probes]
+    return context_rows(
+        [ctx.prompt_id for ctx in probes],
+        [prev for prev, _ in windows],
+        [last for _, last in windows],
+        params.n_features,
+        infer,
+        params.version_id,
+    )
 
 
 def _probe_dist_rows(
     params: PolicyParams, probes: list[Context], infer: Engine, temperature: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(p_infer, p_train, log p_infer, log p_train) rows for all probes."""
-    feats, keys_fixed, keys_version = _probe_feats_keys(params, probes, infer)
+    feats, keys_fixed, keys_version = _probe_rows(params, probes, infer)
     train_logits = batched_train_logits(params, feats, temperature)
     infer_logits = perturb_logits(train_logits, keys_fixed, keys_version, infer.mismatch_scale)
     lp_inf, p_inf = batched_log_softmax(infer_logits)
@@ -177,14 +181,12 @@ def delta_gradient(
     accumulated on the probe's active feature rows, divided by the
     temperature and the probe count.
     """
-    feats, keys_fixed, keys_version = _probe_feats_keys(params, probes, infer)
+    feats, keys_fixed, keys_version = _probe_rows(params, probes, infer)
     train_logits = batched_train_logits(params, feats, temperature)
     if infer.mismatch_scale > 0.0:
-        from .policy import _FAULT_GAIN, noise_components, perturbation
-
-        err = perturbation(train_logits, keys_fixed, keys_version, infer.mismatch_scale)
-        infer_logits = train_logits + err
-        _, fault_noise, faults = noise_components(keys_fixed, keys_version, train_logits.shape[1])
+        noise = noise_components(keys_fixed, keys_version, train_logits.shape[1])
+        infer_logits = train_logits + perturbation(train_logits, noise, infer.mismatch_scale)
+        _, fault_noise, faults = noise
         local = 1.0 + infer.mismatch_scale * _FAULT_GAIN * faults * np.sign(train_logits) * fault_noise
     else:
         infer_logits = train_logits
@@ -195,10 +197,7 @@ def delta_gradient(
     delta_rows = (p_inf * ratio).sum(axis=1, keepdims=True)
     d_s = local * (p_inf * (ratio - delta_rows)) + p_tr - p_inf
     d_s /= temperature * len(probes)
-    grad = np.zeros_like(params.weights)
-    for j in range(4):
-        np.add.at(grad, feats[:, j], d_s)
-    return grad
+    return weight_grad(feats, d_s, params.n_features)
 
 
 def _exact_reward_gradient(
@@ -213,17 +212,11 @@ def _exact_reward_gradient(
     distribution, so the expected advantage is zero per probe and the
     per-probe gradient of E[reward] w.r.t. the scaled logits is q * A.
     """
-    feats = np.empty((len(probes), 4), dtype=np.intp)
-    for i, ctx in enumerate(probes):
-        prev, last = ctx.window()
-        feats[i] = feature_rows(ctx.prompt_id, prev, last, params.n_features)
+    feats, _, _ = _probe_rows(params, probes, train_engine())
     _, q = batched_log_softmax(batched_train_logits(params, feats, temperature))
     baseline = (q * reward_table).sum(axis=1, keepdims=True)
     d_s = q * (reward_table - baseline) / (temperature * len(probes))
-    grad = np.zeros_like(params.weights)
-    for j in range(4):
-        np.add.at(grad, feats[:, j], d_s)
-    return grad, float(baseline.mean())
+    return weight_grad(feats, d_s, params.n_features), float(baseline.mean())
 
 
 def compounding_experiment(

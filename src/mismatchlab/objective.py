@@ -30,7 +30,9 @@ from .policy import (
     PolicyParams,
     batched_log_softmax,
     batched_train_logits,
-    feature_rows,
+    context_rows,
+    train_engine,
+    weight_grad,
 )
 from .tasks import TaskSpec
 
@@ -80,27 +82,6 @@ class ObjectiveConfig:
             raise ValueError("group_size must be >= 2")
         if self.tis_cap <= 0.0:
             raise ValueError("tis_cap must be positive")
-
-
-@dataclass
-class TokenRecord:
-    """Per-token bookkeeping recorded at generation and refreshed at training.
-
-    logp_infer_old and logp_train_old are both evaluated at the token's
-    generating parameter version; logp_train_cur is rewritten with the
-    current parameters whenever the objective is evaluated.
-    """
-
-    token: int
-    logp_infer_old: float
-    logp_train_old: float
-    logp_train_cur: float
-    gen_version: int
-
-    def __post_init__(self) -> None:
-        for name in ("logp_infer_old", "logp_train_old", "logp_train_cur"):
-            if not math.isfinite(getattr(self, name)):
-                raise NumericError(f"TokenRecord.{name} is not finite")
 
 
 @dataclass
@@ -159,16 +140,6 @@ def group_advantages(rewards: list[float] | np.ndarray) -> np.ndarray:
     return (r - r.mean()) / max(std, 1e-6)
 
 
-def _rollout_feats(task: TaskSpec, tokens: list[TokenRecord], n_features: int) -> np.ndarray:
-    """(T, 4) active feature rows for every position of a rollout."""
-    feats = np.empty((len(tokens), 4), dtype=np.intp)
-    prev, last = -1, -1
-    for t, rec in enumerate(tokens):
-        feats[t] = feature_rows(task.prompt_id, prev, last, n_features)
-        prev, last = last, rec.token
-    return feats
-
-
 def objective_and_grad(
     groups: list[PromptGroup],
     theta: PolicyParams,
@@ -180,121 +151,117 @@ def objective_and_grad(
 ) -> LossBreakdown:
     """Objective value and its exact analytic gradient w.r.t. theta.
 
-    The current-train log probabilities are recomputed from theta (and
-    written back into each TokenRecord), so the value is a pure function
-    of theta given the recorded generation-time fields; that is what the
-    finite-difference checks differentiate. A calibration ratio that
+    The current-train log probabilities are recomputed from theta, so the
+    value is a pure function of theta given the generation-time fields
+    each rollout recorded; that is what the finite-difference checks
+    differentiate. The inputs are not modified. A calibration ratio that
     underflows to zero counts as outside any bounds (masked, or zero
-    weight in the unmasked modes).
+    weight in the unmasked modes). The KL to ref is evaluated only when
+    it enters the objective (kl_coeff > 0); kl_to_ref is nan otherwise.
+
+    Every token of every group is evaluated as one flat batch, with each
+    token weighted by 1 / (groups * group size * rollout length). The
+    reductions keep the per-rollout order (token sum per rollout, then
+    rollouts in group order, then groups), so results are bit-stable.
     """
     if not groups:
         raise ValueError("objective needs at least one prompt group")
     if theta_old.version_id > theta.version_id:
         raise ValueError("theta_old must not be newer than theta")
+    rollouts = [r for g in groups for r in g.rollouts]
+    if not all(g.rollouts for g in groups):
+        raise ValueError("empty prompt group")
+    if not all(r.tokens for r in rollouts):
+        raise ValueError("empty rollout in prompt group")
+    if any(v > theta_old.version_id for r in rollouts for v in r.versions):
+        raise ValueError("token generated by a version newer than theta_old")
 
-    grad = np.zeros_like(theta.weights)
-    kept_parts: list[np.ndarray] = []
-    surrogate_parts: list[np.ndarray] = []
-    calib_parts: list[np.ndarray] = []
-    entropy_parts: list[np.ndarray] = []
-    logp_parts: list[np.ndarray] = []
-    kl_parts: list[np.ndarray] = []
+    lengths = np.asarray([r.length for r in rollouts])
+    group_sizes = np.repeat([len(g.rollouts) for g in groups], [len(g.rollouts) for g in groups])
+    seg = np.repeat(np.arange(lengths.size), lengths)
+    tokens = np.fromiter((t for r in rollouts for t in r.tokens), np.int64, seg.size)
+    lp_old = np.fromiter((v for r in rollouts for v in r.lp_train), np.float64, seg.size)
+    lp_inf = np.fromiter((v for r in rollouts for v in r.lp_infer), np.float64, seg.size)
+    advantage = np.repeat([a for g in groups for a in g.advantages], lengths)
+    weight = 1.0 / (len(groups) * group_sizes * lengths)[seg]
+    # Window before each token: (prev, last) shift along the rollout,
+    # -1 where the rollout has not produced them yet.
+    pos = np.arange(seg.size) - (np.cumsum(lengths) - lengths)[seg]
+    last = np.where(pos >= 1, np.roll(tokens, 1), -1)
+    prev = np.where(pos >= 2, np.roll(tokens, 2), -1)
+    prompt_ids = np.repeat([r.task.prompt_id for r in rollouts], lengths)
+    feats, _, _ = context_rows(prompt_ids, prev, last, theta.n_features, train_engine(), theta.version_id)
 
+    log_probs, probs = batched_log_softmax(batched_train_logits(theta, feats, temperature))
+    rows = np.arange(seg.size)
+    lp_cur = log_probs[rows, tokens]
+    calib = np.exp(lp_old - lp_inf)
+    ratio = np.exp(lp_cur - lp_old)
+    bad = ~(np.isfinite(calib) & np.isfinite(ratio))
+    if bad.any():
+        # Report the first offending rollout, calibration before ratio.
+        in_first = seg == seg[bad.argmax()]
+        which = "calibration" if not np.isfinite(calib[in_first]).all() else "importance"
+        raise NumericError(f"{which} ratio overflow")
+    if cfg.algo is Algo.ICEPOP:
+        kept = (calib >= bounds.alpha) & (calib <= bounds.beta)
+        factor = np.where(kept, calib, 0.0)
+    elif cfg.algo is Algo.GRPO:
+        kept = np.ones(seg.size, dtype=bool)
+        factor = calib
+    else:
+        kept = np.ones(seg.size, dtype=bool)
+        factor = np.minimum(calib, cfg.tis_cap)
+
+    unclipped = ratio * advantage
+    clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * advantage
+    active = unclipped <= clipped
+    pg_values = factor * np.where(active, unclipped, clipped)
+
+    # Gradient w.r.t. the scaled logits, then scattered onto the four
+    # active feature rows per position (duplicates counted).
+    coeffs = np.where(active, weight * factor * ratio * advantage / temperature, 0.0)
+    grad_logits = -coeffs[:, None] * probs
+    grad_logits[rows, tokens] += coeffs
+
+    with_kl = ref is not None and cfg.kl_coeff > 0.0
+    kl_values = np.zeros(seg.size)
+    if with_kl:
+        ref_log_probs, _ = batched_log_softmax(batched_train_logits(ref, feats, temperature))
+        diff = log_probs - ref_log_probs
+        kl_values = (probs * diff).sum(axis=1)
+        kl_grad = (weight * cfg.kl_coeff / temperature)[:, None] * (probs * (diff - kl_values[:, None]))
+        grad_logits -= kl_grad
+    grad = weight_grad(feats, grad_logits, theta.n_features, lengths)
+
+    token_values = pg_values - cfg.kl_coeff * kl_values
     total = 0.0
+    end = 0
     for group in groups:
-        if not group.rollouts:
-            raise ValueError("empty prompt group")
         group_value = 0.0
-        for rollout, advantage in zip(group.rollouts, group.advantages):
-            tokens = rollout.tokens
-            if not tokens:
-                raise ValueError("empty rollout in prompt group")
-            if any(rec.gen_version > theta_old.version_id for rec in tokens):
-                raise ValueError("token generated by a version newer than theta_old")
-            n_tok = len(tokens)
-            weight = 1.0 / (len(groups) * len(group.rollouts) * n_tok)
-            token_ids = np.asarray([rec.token for rec in tokens])
-            lp_old = np.asarray([rec.logp_train_old for rec in tokens])
-            lp_inf = np.asarray([rec.logp_infer_old for rec in tokens])
-            pos = np.arange(n_tok)
-
-            feats = _rollout_feats(group.task, tokens, theta.n_features)
-            log_probs, probs = batched_log_softmax(batched_train_logits(theta, feats, temperature))
-            lp_cur = log_probs[pos, token_ids]
-            for rec, value in zip(tokens, lp_cur):
-                rec.logp_train_cur = float(value)
-
-            calib = np.exp(lp_old - lp_inf)
-            if not np.isfinite(calib).all():
-                raise NumericError("calibration ratio overflow")
-            if cfg.algo is Algo.ICEPOP:
-                kept = (calib >= bounds.alpha) & (calib <= bounds.beta)
-                factor = np.where(kept, calib, 0.0)
-            elif cfg.algo is Algo.GRPO:
-                kept = np.ones(n_tok, dtype=bool)
-                factor = calib
-            else:
-                kept = np.ones(n_tok, dtype=bool)
-                factor = np.minimum(calib, cfg.tis_cap)
-
-            ratio = np.exp(lp_cur - lp_old)
-            if not np.isfinite(ratio).all():
-                raise NumericError("importance ratio overflow")
-            unclipped = ratio * advantage
-            clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * advantage
-            active = unclipped <= clipped
-            pg_values = factor * np.where(active, unclipped, clipped)
-
-            # Gradient w.r.t. the scaled logits, then scattered onto the
-            # four active feature rows per position (duplicates counted).
-            coeffs = np.where(active, weight * factor * ratio * advantage / temperature, 0.0)
-            grad_logits = -coeffs[:, None] * probs
-            grad_logits[pos, token_ids] += coeffs
-
-            kl_values = np.zeros(n_tok)
-            if ref is not None:
-                ref_log_probs, _ = batched_log_softmax(batched_train_logits(ref, feats, temperature))
-                diff = log_probs - ref_log_probs
-                kl_values = (probs * diff).sum(axis=1)
-                if cfg.kl_coeff > 0.0:
-                    kl_grad = (weight * cfg.kl_coeff / temperature) * (
-                        probs * (diff - kl_values[:, None])
-                    )
-                    grad_logits -= kl_grad
-
-            for j in range(4):
-                np.add.at(grad, feats[:, j], grad_logits)
-
-            token_values = pg_values - cfg.kl_coeff * kl_values
-            group_value += float(token_values.sum()) / (len(group.rollouts) * n_tok)
-
-            kept_parts.append(kept)
-            surrogate_parts.append(pg_values)
-            calib_parts.append(calib)
-            entropy_parts.append(-(probs * log_probs).sum(axis=1))
-            logp_parts.append(lp_cur)
-            kl_parts.append(kl_values)
+        for rollout in group.rollouts:
+            start, end = end, end + rollout.length
+            group_value += float(token_values[start:end].sum()) / (len(group.rollouts) * rollout.length)
         total += group_value
     objective = total / len(groups)
     if not math.isfinite(objective) or not np.isfinite(grad).all():
         raise NumericError("objective or gradient is not finite")
 
-    kept_arr = np.concatenate(kept_parts)
-    entropy_arr = np.concatenate(entropy_parts)
-    n_clipped = int((~kept_arr).sum())
+    entropy = -(probs * log_probs).sum(axis=1)
+    n_clipped = int((~kept).sum())
     return LossBreakdown(
         objective_value=objective,
-        per_token_mask_kept=kept_arr,
-        clipped_fraction=n_clipped / kept_arr.size,
+        per_token_mask_kept=kept,
+        clipped_fraction=n_clipped / kept.size,
         grad=grad,
-        kl_to_ref=float(np.concatenate(kl_parts).mean()),
-        token_count=int(kept_arr.size),
-        mean_logp=float(np.concatenate(logp_parts).mean()),
-        entropy_all=float(entropy_arr.mean()),
-        entropy_clipped=float(entropy_arr[~kept_arr].mean()) if n_clipped else math.nan,
-        per_token_surrogate=np.concatenate(surrogate_parts),
-        per_token_calibration=np.concatenate(calib_parts),
-        per_token_entropy=entropy_arr,
+        kl_to_ref=float(kl_values.mean()) if with_kl else math.nan,
+        token_count=int(kept.size),
+        mean_logp=float(lp_cur.mean()),
+        entropy_all=float(entropy.mean()),
+        entropy_clipped=float(entropy[~kept].mean()) if n_clipped else math.nan,
+        per_token_surrogate=pg_values,
+        per_token_calibration=calib,
+        per_token_entropy=entropy,
     )
 
 

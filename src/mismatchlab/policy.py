@@ -9,9 +9,13 @@ standing in for the numerical disagreement between separate serving and
 training stacks. The perturbation is re-drawn per parameter version so
 the disagreement evolves with the parameters.
 
-Scalar entry points (distribution, log_prob, sample_token) define the
-contracts; batched helpers on (N, 4) feature-row matrices carry the hot
-paths and produce bit-identical results.
+Scalar entry points (distribution, log_prob, sample_token, and the
+feature_rows / noise_keys hashes) define the contracts. Every hot path
+goes through array kernels that reproduce them bit for bit:
+context_rows hashes a batch of contexts into (N, 4) feature rows and
+noise keys, noise_components draws all inference-noise blocks of a key
+batch at once, and weight_grad scatters logit gradients onto the
+feature rows.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -93,26 +96,6 @@ def _splitmix64_vec(x: np.ndarray) -> np.ndarray:
 _STRIDE_A = np.uint64(0xD1342543DE82EF95)
 _STRIDE_B = np.uint64(0x2545F4914F6CDD1D)
 _XOR_B = 0x9E6C63D0876A9A47
-
-
-def unit_noise_matrix(
-    keys: np.ndarray, width: int, tail_cut: int = _DENSE_TAIL_CUT, tail_gain: float = _DENSE_TAIL_GAIN
-) -> np.ndarray:
-    """Counter-based standard normals with a heavy tail, one row per key.
-
-    Deterministic in (key, column); no RNG state is consumed. Box-Muller
-    on splitmix64 streams keeps draws stable across processes; the tail
-    flag comes from spare low bits of the second stream.
-    """
-    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 1)
-    idx = np.arange(width, dtype=np.uint64).reshape(1, -1)
-    a = _splitmix64_vec(keys + idx * _STRIDE_A)
-    b = _splitmix64_vec((keys ^ np.uint64(_XOR_B)) + idx * _STRIDE_B)
-    u1 = ((a >> np.uint64(11)).astype(np.float64) + 1.0) / float(1 << 53)
-    u2 = (b >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-    normals = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-    heavy = (b & np.uint64(0x7FF)) < np.uint64(tail_cut)
-    return np.where(heavy, normals * tail_gain, normals)
 
 
 @dataclass(frozen=True)
@@ -226,26 +209,6 @@ class TokenDistribution:
             raise NumericError("token distribution is not normalized")
 
 
-@lru_cache(maxsize=None)
-def _bias_row(n_features: int) -> int:
-    return _mix(1) % n_features
-
-
-@lru_cache(maxsize=131072)
-def _unigram_row(prompt_id: int, last: int, n_features: int) -> int:
-    return _mix(3, prompt_id, last) % n_features
-
-
-@lru_cache(maxsize=131072)
-def _bigram_row(prompt_id: int, prev: int, last: int, n_features: int) -> int:
-    return _mix(4, prompt_id, prev, last) % n_features
-
-
-@lru_cache(maxsize=131072)
-def _bigram_row_b(prompt_id: int, prev: int, last: int, n_features: int) -> int:
-    return _mix(5, prompt_id, prev, last) % n_features
-
-
 def feature_rows(prompt_id: int, prev: int, last: int, n_features: int) -> tuple[int, int, int, int]:
     """Bias plus prompt-conditioned n-gram rows of the token window.
 
@@ -253,10 +216,10 @@ def feature_rows(prompt_id: int, prev: int, last: int, n_features: int) -> tuple
     bleed into another context's distribution except through the bias.
     """
     return (
-        _bias_row(n_features),
-        _unigram_row(prompt_id, last, n_features),
-        _bigram_row(prompt_id, prev, last, n_features),
-        _bigram_row_b(prompt_id, prev, last, n_features),
+        _mix(1) % n_features,
+        _mix(3, prompt_id, last) % n_features,
+        _mix(4, prompt_id, prev, last) % n_features,
+        _mix(5, prompt_id, prev, last) % n_features,
     )
 
 
@@ -276,6 +239,29 @@ def noise_keys(
     )
 
 
+def context_rows(
+    prompt_ids, prev, last, n_features: int, infer: Engine, version_id: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, 4) feature rows and (persistent, per-version) noise keys of N contexts.
+
+    Batched feature_rows and noise_keys, bit-identical to them on int64
+    inputs (-1 marks an empty window slot). The hash chains differ only
+    in a constant prefix and all end in (prompt, prev, last), so the four
+    non-bias chains run as one stacked (5, N) array: the unigram chain
+    (row 0) takes last where the others take prev, and stops there.
+    """
+    window = np.asarray((prompt_ids, prev, last), dtype=np.int64).view(np.uint64)
+    seed = infer.mismatch_seed
+    prefixes = [_mix(3), _mix(4), _mix(5), _mix(_NOISE_TAG, seed), _mix(_NOISE_VERSION_TAG, seed, version_id)]
+    h = _splitmix64_vec(np.asarray(prefixes, dtype=np.uint64)[:, None] ^ window[0])
+    h = _splitmix64_vec(h ^ window[[2, 1, 1, 1, 1]])
+    h[1:] = _splitmix64_vec(h[1:] ^ window[2])
+    feats = np.empty((window.shape[1], 4), dtype=np.intp)
+    feats[:, 0] = _mix(1) % n_features
+    feats[:, 1:] = (h[:3] % np.uint64(n_features)).T
+    return feats, h[3], h[4]
+
+
 def batched_train_logits(params: PolicyParams, feats: np.ndarray, temperature: float) -> np.ndarray:
     """(N, vocab) scaled training-engine logits for an (N, 4) feature-row batch."""
     if temperature <= 0:
@@ -289,52 +275,75 @@ def batched_train_logits(params: PolicyParams, feats: np.ndarray, temperature: f
     return logits
 
 
-def mixed_unit_noise(
-    keys_fixed: np.ndarray, keys_version: np.ndarray, width: int,
-    tail_cut: int = _DENSE_TAIL_CUT, tail_gain: float = _DENSE_TAIL_GAIN,
+def weight_grad(
+    feats: np.ndarray, grad_logits: np.ndarray, n_features: int, lengths: np.ndarray | None = None
 ) -> np.ndarray:
-    """Unit-variance noise rows mixing persistent and per-version components."""
-    return _PERSISTENT_WEIGHT * unit_noise_matrix(keys_fixed, width, tail_cut, tail_gain) + _VERSION_WEIGHT * unit_noise_matrix(keys_version, width, tail_cut, tail_gain)
+    """(n_features, vocab) weight gradient from per-row scaled-logit gradients.
 
-
-def fault_mask(keys_fixed: np.ndarray, width: int) -> np.ndarray:
-    """Persistent boolean fault lines per (context, token) entry."""
-    keys = np.asarray(keys_fixed, dtype=np.uint64).reshape(-1, 1) ^ np.uint64(_FAULT_XOR)
-    idx = np.arange(width, dtype=np.uint64).reshape(1, -1)
-    h = _splitmix64_vec(keys + idx * _STRIDE_A)
-    return (h & np.uint64(0x7FF)) < np.uint64(_FAULT_CUT)
+    Each row of grad_logits is added onto its four active feature rows
+    (duplicates counted). The rows form consecutive segments of the given
+    lengths (one segment by default), and the additions land segment by
+    segment, then feature slot by slot, then row by row: the order of
+    np.add.at over each slot column of each segment, so the float result
+    is bit-identical to that loop. np.bincount adds in input order.
+    """
+    n, width = grad_logits.shape
+    lengths = np.asarray([n] if lengths is None else lengths)
+    seg_len = np.repeat(lengths, lengths)
+    seg_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    # Row i, slot j is addition 4 * start + j * length + (i - start).
+    rank = (3 * seg_start + np.arange(n))[:, None] + np.arange(4) * seg_len[:, None]
+    pair_at = np.empty(4 * n, dtype=np.intp)
+    pair_at[rank.ravel()] = np.arange(4 * n)
+    idx = feats.ravel()[pair_at][:, None] * width + np.arange(width)
+    grad = np.bincount(idx.ravel(), weights=grad_logits[pair_at // 4].ravel(), minlength=n_features * width)
+    return grad.reshape(n_features, width)
 
 
 def noise_components(
     keys_fixed: np.ndarray, keys_version: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dense unit noise, fault unit noise, fault mask) for a key batch."""
+    """(dense unit noise, fault unit noise, fault mask) rows for a key batch.
+
+    Counter-based and deterministic in (key, column); no RNG state is
+    consumed. Each noise stream mixes a persistent and a per-version
+    block of heavy-tailed standard normals: Box-Muller on two splitmix64
+    streams, with the tail flag taken from spare low bits of the second.
+    The fault mask is a fifth, persistent block. All nine hash streams
+    run in one splitmix64 pass and all four normal blocks in one
+    Box-Muller step; each block keeps its own tail cut.
+    """
     kf = np.asarray(keys_fixed, dtype=np.uint64)
     kv = np.asarray(keys_version, dtype=np.uint64)
-    dense = mixed_unit_noise(kf, kv, width)
-    fault_noise = np.clip(
-        mixed_unit_noise(
-            kf ^ np.uint64(_SECOND_FIXED_XOR),
-            kv ^ np.uint64(_SECOND_VERSION_XOR),
-            width,
-            _FAULT_TAIL_CUT,
-            _FAULT_TAIL_GAIN,
-        ),
-        -_FAULT_NOISE_CLIP,
-        _FAULT_NOISE_CLIP,
-    )
-    return dense, fault_noise, fault_mask(kf, width)
+    keys = np.stack([
+        kf, kv, kf ^ np.uint64(_SECOND_FIXED_XOR), kv ^ np.uint64(_SECOND_VERSION_XOR), kf ^ np.uint64(_FAULT_XOR),
+    ])[:, :, None]
+    idx = np.arange(width, dtype=np.uint64)
+    h = _splitmix64_vec(np.concatenate([keys + idx * _STRIDE_A, (keys[:4] ^ np.uint64(_XOR_B)) + idx * _STRIDE_B]))
+    a, fault_bits, b = h[:4], h[4], h[5:]
+    u1 = ((a >> np.uint64(11)).astype(np.float64) + 1.0) / float(1 << 53)
+    u2 = (b >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+    normals = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    cuts = np.asarray([_DENSE_TAIL_CUT, _DENSE_TAIL_CUT, _FAULT_TAIL_CUT, _FAULT_TAIL_CUT], dtype=np.uint64)
+    gains = np.asarray([_DENSE_TAIL_GAIN, _DENSE_TAIL_GAIN, _FAULT_TAIL_GAIN, _FAULT_TAIL_GAIN])
+    heavy = (b & np.uint64(0x7FF)) < cuts[:, None, None]
+    normals = np.where(heavy, normals * gains[:, None, None], normals)
+    mixed = _PERSISTENT_WEIGHT * normals[0::2] + _VERSION_WEIGHT * normals[1::2]
+    faults = (fault_bits & np.uint64(0x7FF)) < np.uint64(_FAULT_CUT)
+    return mixed[0], np.clip(mixed[1], -_FAULT_NOISE_CLIP, _FAULT_NOISE_CLIP), faults
 
 
-def perturbation(logits: np.ndarray, keys_fixed: np.ndarray, keys_version: np.ndarray, scale: float) -> np.ndarray:
-    """Additive logit error of the inference engine.
+def perturbation(
+    logits: np.ndarray, noise: tuple[np.ndarray, np.ndarray, np.ndarray], scale: float
+) -> np.ndarray:
+    """Additive logit error of the inference engine, given noise_components.
 
     scale * (dense_weight * dense + fault_gain * fault * |logit| * fault_noise):
     a small additive disagreement everywhere plus sparse faults whose
     error is proportional to the logit magnitude (near-zero activations
     agree on both engines; large ones diverge).
     """
-    dense, fault_noise, faults = noise_components(keys_fixed, keys_version, logits.shape[1])
+    dense, fault_noise, faults = noise
     return scale * (_DENSE_WEIGHT * dense + _FAULT_GAIN * faults * np.abs(logits) * fault_noise)
 
 
@@ -344,7 +353,7 @@ def perturb_logits(
     """Inference-engine view of a logits batch."""
     if scale <= 0.0:
         return logits
-    return logits + perturbation(logits, keys_fixed, keys_version, scale)
+    return logits + perturbation(logits, noise_components(keys_fixed, keys_version, logits.shape[1]), scale)
 
 
 def batched_log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -355,23 +364,20 @@ def batched_log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return shifted - np.log(z), e / z
 
 
-def _context_batch(params: PolicyParams, ctx: Context, engine: Engine, temperature: float) -> np.ndarray:
+def _context_logits(
+    params: PolicyParams, ctx: Context, engine: Engine, temperature: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(train, engine) (1, vocab) scaled logits of one context."""
     prev, last = ctx.window()
-    feats = np.asarray([feature_rows(ctx.prompt_id, prev, last, params.n_features)])
-    logits = batched_train_logits(params, feats, temperature)
-    if engine.kind is EngineKind.INFER and engine.mismatch_scale > 0.0:
-        kf, kv = noise_keys(engine, params.version_id, ctx.prompt_id, prev, last)
-        logits = perturb_logits(
-            logits,
-            np.asarray([kf], dtype=np.uint64),
-            np.asarray([kv], dtype=np.uint64),
-            engine.mismatch_scale,
-        )
-    return logits
+    feats, kf, kv = context_rows([ctx.prompt_id], [prev], [last], params.n_features, engine, params.version_id)
+    train_logits = batched_train_logits(params, feats, temperature)
+    if engine.kind is EngineKind.TRAIN:
+        return train_logits, train_logits
+    return train_logits, perturb_logits(train_logits, kf, kv, engine.mismatch_scale)
 
 
 def _scaled_logits(params: PolicyParams, ctx: Context, engine: Engine, temperature: float) -> np.ndarray:
-    return _context_batch(params, ctx, engine, temperature)[0]
+    return _context_logits(params, ctx, engine, temperature)[1][0]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -422,19 +428,7 @@ def sample_with_logprobs(
     """
     if infer.kind is not EngineKind.INFER:
         raise ValueError("sampling engine must be the inference engine")
-    prev, last = ctx.window()
-    feats = np.asarray([feature_rows(ctx.prompt_id, prev, last, params.n_features)])
-    train_logits = batched_train_logits(params, feats, temperature)
-    if infer.mismatch_scale > 0.0:
-        kf, kv = noise_keys(infer, params.version_id, ctx.prompt_id, prev, last)
-        infer_logits = perturb_logits(
-            train_logits,
-            np.asarray([kf], dtype=np.uint64),
-            np.asarray([kv], dtype=np.uint64),
-            infer.mismatch_scale,
-        )
-    else:
-        infer_logits = train_logits
+    train_logits, infer_logits = _context_logits(params, ctx, infer, temperature)
     lp_inf_rows, probs = batched_log_softmax(infer_logits)
     u = stream.random()
     token = min(int(np.searchsorted(np.cumsum(probs[0]), u, side="right")), probs.shape[1] - 1)

@@ -31,7 +31,6 @@ from .objective import (
     MaskingBounds,
     ObjectiveConfig,
     PromptGroup,
-    TokenRecord,
     empty_breakdown,
     group_advantages,
     momentum_update,
@@ -46,8 +45,7 @@ from .policy import (
     Vocabulary,
     batched_log_softmax,
     batched_train_logits,
-    feature_rows,
-    noise_keys,
+    context_rows,
     perturb_logits,
 )
 from .tasks import TaskSpec, sample_prompt, verify
@@ -83,13 +81,21 @@ class BudgetConfig:
 
 @dataclass
 class Rollout:
-    """One trajectory with per-token engine log probs and an owned RNG stream."""
+    """One trajectory and its owned RNG stream.
+
+    Per generated token, in parallel lists: the token id, its log
+    probability under the inference and the training engine, both at the
+    generating parameters, and that parameter version.
+    """
 
     task: TaskSpec
     stream: np.random.Generator
     uid: int
     group_uid: int
-    tokens: list[TokenRecord] = field(default_factory=list)
+    tokens: list[int] = field(default_factory=list)
+    lp_infer: list[float] = field(default_factory=list)
+    lp_train: list[float] = field(default_factory=list)
+    versions: list[int] = field(default_factory=list)
     terminal: bool = False
     retention_period: int = 0
     target_len: int | None = None
@@ -99,11 +105,10 @@ class Rollout:
         return len(self.tokens)
 
     def token_ids(self) -> tuple[int, ...]:
-        return tuple(rec.token for rec in self.tokens)
+        return tuple(self.tokens)
 
     def context_now(self) -> Context:
-        window = tuple(rec.token for rec in self.tokens[-FEATURE_WINDOW:])
-        return Context(self.task.prompt_id, window)
+        return Context(self.task.prompt_id, tuple(self.tokens[-FEATURE_WINDOW:]))
 
 
 @dataclass
@@ -173,8 +178,6 @@ class ScriptedPromptSource:
 class _GroupSlot:
     task: TaskSpec
     members: list[Rollout]
-    purged: bool = False
-    emitted: bool = False
 
 
 @dataclass
@@ -190,7 +193,7 @@ class SchedulerState:
     infer_pool: list[Rollout] = field(default_factory=list)
     pending: deque[Rollout] = field(default_factory=deque)
     train_pool: list[Rollout] = field(default_factory=list)
-    groups: dict[int, _GroupSlot] = field(default_factory=dict)
+    groups: dict[int, _GroupSlot] = field(default_factory=dict)  # live groups, in uid order
     counter: int = 0
     iteration: int = 0
     tick_clock: int = 0
@@ -270,47 +273,40 @@ def _refill(state: SchedulerState, cfg: BudgetConfig, group_cfg: ObjectiveConfig
 def _is_terminal(rollout: Rollout, vocab: Vocabulary) -> bool:
     if rollout.target_len is not None:
         return rollout.length >= rollout.target_len
-    last = rollout.tokens[-1].token
+    last = rollout.tokens[-1]
     return last == vocab.eos_id or rollout.length >= rollout.task.max_len
 
 
 def _generate_tick(rollouts: list[Rollout], params: PolicyParams, state: SchedulerState) -> None:
     """One parallel token for every listed rollout, batched across the pool.
 
-    Each rollout samples from its own stream, so pool scheduling order
-    never perturbs another rollout's token sequence.
+    Each rollout samples from its own stream, exactly one uniform draw
+    per tick, so pool scheduling order never perturbs another rollout's
+    token sequence.
     """
     n = len(rollouts)
-    feats = np.empty((n, 4), dtype=np.intp)
-    keys_fixed = np.empty(n, dtype=np.uint64)
-    keys_version = np.empty(n, dtype=np.uint64)
-    infer = state.infer
-    for i, rollout in enumerate(rollouts):
-        toks = rollout.tokens
-        last = toks[-1].token if toks else -1
-        prev = toks[-2].token if len(toks) >= 2 else -1
-        feats[i] = feature_rows(rollout.task.prompt_id, prev, last, params.n_features)
-        keys_fixed[i], keys_version[i] = noise_keys(
-            infer, params.version_id, rollout.task.prompt_id, prev, last
-        )
+    prompt_ids = np.fromiter((r.task.prompt_id for r in rollouts), np.int64, n)
+    last = np.fromiter((r.tokens[-1] if r.tokens else -1 for r in rollouts), np.int64, n)
+    prev = np.fromiter((r.tokens[-2] if len(r.tokens) >= 2 else -1 for r in rollouts), np.int64, n)
+    feats, keys_fixed, keys_version = context_rows(
+        prompt_ids, prev, last, params.n_features, state.infer, params.version_id
+    )
     train_logits = batched_train_logits(params, feats, state.temperature)
-    infer_logits = perturb_logits(train_logits, keys_fixed, keys_version, infer.mismatch_scale)
+    infer_logits = perturb_logits(train_logits, keys_fixed, keys_version, state.infer.mismatch_scale)
     lp_inf_rows, probs = batched_log_softmax(infer_logits)
     lp_tr_rows, _ = batched_log_softmax(train_logits)
-    cdf = np.cumsum(probs, axis=1)
-    width = probs.shape[1]
-    for i, rollout in enumerate(rollouts):
-        u = rollout.stream.random()
-        token = min(int(np.searchsorted(cdf[i], u, side="right")), width - 1)
-        rollout.tokens.append(
-            TokenRecord(
-                token=token,
-                logp_infer_old=float(lp_inf_rows[i, token]),
-                logp_train_old=float(lp_tr_rows[i, token]),
-                logp_train_cur=float(lp_tr_rows[i, token]),
-                gen_version=params.version_id,
-            )
-        )
+    u = np.fromiter((r.stream.random() for r in rollouts), np.float64, n)
+    # Inverse CDF: the count of cdf entries <= u is searchsorted(side="right").
+    tokens = np.minimum((np.cumsum(probs, axis=1) <= u[:, None]).sum(axis=1), probs.shape[1] - 1)
+    rows = np.arange(n)
+    version = params.version_id
+    for rollout, token, lp_inf, lp_tr in zip(
+        rollouts, tokens.tolist(), lp_inf_rows[rows, tokens].tolist(), lp_tr_rows[rows, tokens].tolist()
+    ):
+        rollout.tokens.append(token)
+        rollout.lp_infer.append(lp_inf)
+        rollout.lp_train.append(lp_tr)
+        rollout.versions.append(version)
 
 
 def _purge_boundary(state: SchedulerState, cfg: BudgetConfig) -> int:
@@ -324,8 +320,7 @@ def _purge_boundary(state: SchedulerState, cfg: BudgetConfig) -> int:
         return 0
     purged = 0
     for group_uid in dead_groups:
-        slot = state.groups[group_uid]
-        slot.purged = True
+        slot = state.groups.pop(group_uid)
         for member in slot.members:
             state.purged_uids.add(member.uid)
             purged += 1
@@ -336,20 +331,16 @@ def _purge_boundary(state: SchedulerState, cfg: BudgetConfig) -> int:
 
 
 def _emit_groups(state: SchedulerState, params_version: int) -> tuple[list[PromptGroup], int, int]:
-    """Emit every group whose siblings are all terminal, in group order."""
-    ready: list[int] = []
-    for group_uid in sorted(state.groups):
-        slot = state.groups[group_uid]
-        if slot.emitted or slot.purged:
-            continue
-        if all(m.terminal for m in slot.members):
-            ready.append(group_uid)
+    """Emit every group whose siblings are all terminal, in group order.
+
+    Emitted groups leave state.groups, which keeps only live groups.
+    """
+    ready = [uid for uid, slot in state.groups.items() if all(m.terminal for m in slot.members)]
     emitted: list[PromptGroup] = []
     stale = 0
     total = 0
     for group_uid in ready:
-        slot = state.groups[group_uid]
-        slot.emitted = True
+        slot = state.groups.pop(group_uid)
         rewards = [verify(slot.task, m.token_ids(), state.vocab) for m in slot.members]
         advantages = group_advantages(rewards)
         emitted.append(
@@ -363,7 +354,7 @@ def _emit_groups(state: SchedulerState, params_version: int) -> tuple[list[Promp
         for member in slot.members:
             state.trained_uids.add(member.uid)
             total += member.length
-            stale += sum(1 for rec in member.tokens if rec.gen_version < params_version)
+            stale += sum(1 for v in member.versions if v < params_version)
     emitted_uids = {m.uid for g in emitted for m in g.rollouts}
     state.train_pool = [r for r in state.train_pool if r.uid not in emitted_uids]
     return emitted, total, stale

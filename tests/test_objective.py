@@ -19,7 +19,6 @@ from mismatchlab import (
     Rollout,
     SyntheticPromptSource,
     TaskSpec,
-    TokenRecord,
     Vocabulary,
     group_advantages,
     infer_engine,
@@ -33,7 +32,7 @@ from mismatchlab import (
     sgd_update,
     train_engine,
 )
-from mismatchlab.policy import feature_indices
+from mismatchlab.policy import batched_log_softmax, batched_train_logits, feature_indices, feature_rows
 from mismatchlab.tasks import TaskKind
 
 DEFAULT_BOUNDS = MaskingBounds(0.5, 5.0)
@@ -53,27 +52,26 @@ def make_batch(seed: int, scale: float, vocab_size: int = 8, max_len: int = 5, n
     return params, groups, cfg
 
 
+def single_token_rollout(task: TaskSpec, token: int, lp_infer: float, lp_train: float, version: int) -> Rollout:
+    return Rollout(
+        task=task, stream=np.random.default_rng(0), uid=0, group_uid=0, tokens=[token],
+        lp_infer=[lp_infer], lp_train=[lp_train], versions=[version], terminal=True,
+    )
+
+
 def manual_group(theta: PolicyParams, specs: list[tuple[int, float, float]], advantages: list[float]):
     """One group of single-token rollouts with crafted (token, calib, ratio).
 
-    logp_train_old is chosen so the importance ratio against theta comes
-    out at the requested value; logp_infer_old then fixes the
-    calibration ratio.
+    The recorded training log prob is chosen so the importance ratio
+    against theta comes out at the requested value; the recorded
+    inference log prob then fixes the calibration ratio.
     """
     task = TaskSpec(TaskKind.PARITY_MATCH, 100, 0, 4)
     rollouts = []
     for token, calib, ratio in specs:
         ctx = Context(task.prompt_id, ())
-        lp_cur = log_prob(theta, ctx, token, train_engine())
-        lp_old = lp_cur - math.log(ratio)
-        rec = TokenRecord(
-            token=token,
-            logp_infer_old=lp_old - math.log(calib),
-            logp_train_old=lp_old,
-            logp_train_cur=lp_cur,
-            gen_version=theta.version_id,
-        )
-        rollouts.append(Rollout(task=task, stream=np.random.default_rng(0), uid=0, group_uid=0, tokens=[rec], terminal=True))
+        lp_old = log_prob(theta, ctx, token, train_engine()) - math.log(ratio)
+        rollouts.append(single_token_rollout(task, token, lp_old - math.log(calib), lp_old, theta.version_id))
     return PromptGroup(task=task, rollouts=rollouts, rewards=[0.0] * len(specs), advantages=advantages)
 
 
@@ -208,8 +206,7 @@ def test_masked_tokens_contribute_exactly_zero_gradient() -> None:
         rollouts = []
         for task, ctx, token, calib in ((task_a, ctx_a, 1, 1.0), (task_b, ctx_b, 2, 0.2)):
             lp_cur = log_prob(theta_now, ctx, token, train_engine())
-            rec = TokenRecord(token, lp_cur - math.log(calib), lp_cur, lp_cur, theta_now.version_id)
-            rollouts.append(Rollout(task=task, stream=np.random.default_rng(0), uid=0, group_uid=0, tokens=[rec], terminal=True))
+            rollouts.append(single_token_rollout(task, token, lp_cur - math.log(calib), lp_cur, theta_now.version_id))
         # group pairs the kept rollout (task_a) with the masked one (task_b)
         return [PromptGroup(task=task_a, rollouts=rollouts, rewards=[1.0, 0.0], advantages=[1.0, -1.0])]
 
@@ -332,3 +329,111 @@ def test_objective_config_invariants() -> None:
         ObjectiveConfig(clip_eps=1.0)
     with pytest.raises(ValueError):
         ObjectiveConfig(kl_coeff=-0.1)
+
+
+def reference_objective(groups, theta, ref, cfg, bounds, temperature=1.0):
+    """Per-rollout loop that the flat objective must reproduce bit for bit.
+
+    Returns (value, grad, per-token arrays by LossBreakdown field, per-token KL).
+    """
+    grad = np.zeros_like(theta.weights)
+    parts: dict[str, list[np.ndarray]] = {k: [] for k in ("kept", "surrogate", "calib", "entropy", "logp", "kl")}
+    total = 0.0
+    for group in groups:
+        group_value = 0.0
+        for rollout, advantage in zip(group.rollouts, group.advantages):
+            n_tok = rollout.length
+            weight = 1.0 / (len(groups) * len(group.rollouts) * n_tok)
+            token_ids = np.asarray(rollout.tokens)
+            lp_old = np.asarray(rollout.lp_train)
+            lp_inf = np.asarray(rollout.lp_infer)
+            pos = np.arange(n_tok)
+            window = [-1, -1] + list(rollout.tokens)
+            feats = np.asarray(
+                [feature_rows(group.task.prompt_id, window[t], window[t + 1], theta.n_features) for t in range(n_tok)]
+            )
+            log_probs, probs = batched_log_softmax(batched_train_logits(theta, feats, temperature))
+            lp_cur = log_probs[pos, token_ids]
+            calib = np.exp(lp_old - lp_inf)
+            if cfg.algo is Algo.ICEPOP:
+                kept = (calib >= bounds.alpha) & (calib <= bounds.beta)
+                factor = np.where(kept, calib, 0.0)
+            elif cfg.algo is Algo.GRPO:
+                kept = np.ones(n_tok, dtype=bool)
+                factor = calib
+            else:
+                kept = np.ones(n_tok, dtype=bool)
+                factor = np.minimum(calib, cfg.tis_cap)
+            ratio = np.exp(lp_cur - lp_old)
+            unclipped = ratio * advantage
+            clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * advantage
+            active = unclipped <= clipped
+            pg_values = factor * np.where(active, unclipped, clipped)
+            coeffs = np.where(active, weight * factor * ratio * advantage / temperature, 0.0)
+            grad_logits = -coeffs[:, None] * probs
+            grad_logits[pos, token_ids] += coeffs
+            kl_values = np.zeros(n_tok)
+            if ref is not None:
+                ref_log_probs, _ = batched_log_softmax(batched_train_logits(ref, feats, temperature))
+                diff = log_probs - ref_log_probs
+                kl_values = (probs * diff).sum(axis=1)
+                if cfg.kl_coeff > 0.0:
+                    grad_logits -= (weight * cfg.kl_coeff / temperature) * (probs * (diff - kl_values[:, None]))
+            for j in range(4):
+                np.add.at(grad, feats[:, j], grad_logits)
+            token_values = pg_values - cfg.kl_coeff * kl_values
+            group_value += float(token_values.sum()) / (len(group.rollouts) * n_tok)
+            for key, value in (
+                ("kept", kept), ("surrogate", pg_values), ("calib", calib),
+                ("entropy", -(probs * log_probs).sum(axis=1)), ("logp", lp_cur), ("kl", kl_values),
+            ):
+                parts[key].append(value)
+        total += group_value
+    return total / len(groups), grad, {k: np.concatenate(v) for k, v in parts.items()}
+
+
+def carried_batch(seed: int):
+    """Groups from several iterations with carry-over, so rollouts mix versions.
+
+    Lognormal lengths with median 2 give many length-1 rollouts.
+    """
+    vocab = Vocabulary(size=6)
+    params = init_params(vocab, n_features=24, init_scale=0.7, seed=seed)
+    source = SyntheticPromptSource(vocab, max_len=9, length_model="lognormal", median=2.0, sigma=1.0)
+    state = make_state(seed, vocab, infer_engine(0.2, 7), source)
+    budget = BudgetConfig(token_budget=10, infer_capacity=6, retention_threshold=10, prompts_per_iteration=2)
+    cfg = ObjectiveConfig(group_size=3)
+    groups: list[PromptGroup] = []
+    shift = np.random.default_rng(seed).normal(0, 0.2, params.weights.shape)
+    for _ in range(8):
+        groups += run_iteration(state, params, budget, cfg)[1]
+        params = PolicyParams(params.weights + shift, version_id=params.version_id + 1)
+    return params, groups
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("algo,kl_coeff", [(Algo.ICEPOP, 0.0), (Algo.GRPO, 0.0), (Algo.TIS, 0.0), (Algo.ICEPOP, 0.3), (Algo.TIS, 0.3)])
+def test_flat_objective_matches_per_rollout_loop(seed: int, algo: Algo, kl_coeff: float) -> None:
+    theta_old, groups = carried_batch(seed)
+    rollouts = [r for g in groups for r in g.rollouts]
+    assert any(r.length == 1 for r in rollouts)
+    assert any(len(set(r.versions)) > 1 for r in rollouts)
+    theta = PolicyParams(theta_old.weights * 1.1, theta_old.version_id)
+    ref = init_params(Vocabulary(size=6), n_features=24, init_scale=0.5, seed=99)
+    cfg = ObjectiveConfig(algo=algo, kl_coeff=kl_coeff, group_size=3)
+    before = [(list(r.tokens), list(r.lp_infer), list(r.lp_train), list(r.versions)) for r in rollouts]
+
+    out = objective_and_grad(groups, theta, theta_old, ref, cfg, DEFAULT_BOUNDS)
+    value, grad, per_token = reference_objective(groups, theta, ref, cfg, DEFAULT_BOUNDS)
+    assert out.objective_value == value
+    assert out.grad.tobytes() == grad.tobytes()
+    assert out.mean_logp == float(per_token["logp"].mean())
+    assert out.per_token_mask_kept.tobytes() == per_token["kept"].tobytes()
+    assert out.per_token_surrogate.tobytes() == per_token["surrogate"].tobytes()
+    assert out.per_token_calibration.tobytes() == per_token["calib"].tobytes()
+    assert out.per_token_entropy.tobytes() == per_token["entropy"].tobytes()
+    if kl_coeff > 0.0:
+        assert out.kl_to_ref == float(per_token["kl"].mean())
+    else:
+        assert math.isnan(out.kl_to_ref)
+    assert [(r.tokens, r.lp_infer, r.lp_train, r.versions) for r in rollouts] == before

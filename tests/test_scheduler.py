@@ -287,8 +287,7 @@ def _run_fuzz_case(rng: np.random.Generator) -> None:
         # version monotonicity inside rollouts, purged rollouts never regenerate
         for group in groups:
             for rollout in group.rollouts:
-                versions = [rec.gen_version for rec in rollout.tokens]
-                assert versions == sorted(versions)
+                assert rollout.versions == sorted(rollout.versions)
         params = PolicyParams(params.weights, version_id=params.version_id + 1)
 
     # conservation: every spawned rollout is trained, purged, or still in flight
@@ -311,3 +310,21 @@ def test_budget_config_invariants() -> None:
         BudgetConfig(token_budget=1, infer_capacity=0)
     with pytest.raises(ValueError):
         BudgetConfig(token_budget=1, infer_capacity=1, retention_threshold=-1)
+
+
+def test_group_slots_hold_only_live_groups_after_a_run() -> None:
+    vocab = Vocabulary(size=8)
+    source = SyntheticPromptSource(vocab, max_len=64, length_model="lognormal", median=6.0, sigma=1.0)
+    state = make_state(5, vocab, infer_engine(0.2, 7), source)
+    params = init_params(vocab, n_features=64, init_scale=0.3, seed=5)
+    budget = BudgetConfig(token_budget=60, infer_capacity=12, retention_threshold=1, prompts_per_iteration=4)
+    train_loop(12, state, params, budget, ObjectiveConfig(group_size=4), MaskingBounds(), lr=1.0)
+
+    in_flight = {r.uid for pool in (state.infer_pool, state.pending, state.train_pool) for r in pool}
+    assert state.trained_uids and state.purged_uids and in_flight
+    assert {m.uid for slot in state.groups.values() for m in slot.members} == in_flight
+    assert list(state.groups) == sorted(state.groups)
+    assert state.trained_uids | state.purged_uids | in_flight == state.spawned_uids
+    assert not (state.trained_uids & state.purged_uids)
+    assert not (state.trained_uids & in_flight)
+    assert not (state.purged_uids & in_flight)
