@@ -303,6 +303,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         cfg.objective.learning_rate,
         max_len=cfg.tasks.max_len,
         temperature=cfg.policy.temperature,
+        n_probes=cfg.run.n_probes,
     )
     table = {
         "schema_version": METRICS_SCHEMA_VERSION,
@@ -324,9 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", required=True, help="output directory for metrics/reports")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--iterations", type=int, default=None, help="override run.n_iterations")
+        # Only the commands that read the overridden field take the flag;
+        # schedule draws its seeds from schedule.seeds.
+        if name != "schedule":
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name == "train":
+            p.add_argument("--iterations", type=int, default=None, help="override run.n_iterations")
             p.add_argument("--algo", choices=["icepop", "grpo", "tis"], default=None)
         if name == "schedule":
             p.add_argument("--jobs", type=int, default=1, help="parallel replicate seeds")
@@ -337,9 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             cfg.seed = args.seed
-        if args.iterations is not None:
+        if getattr(args, "iterations", None) is not None:
             if args.iterations < 0:
                 raise ConfigError("--iterations must be nonnegative")
             cfg.run.n_iterations = args.iterations

@@ -20,6 +20,7 @@ import numpy as np
 from .policy import (
     _FAULT_GAIN,
     Context,
+    ContextTable,
     Engine,
     PolicyParams,
     Vocabulary,
@@ -106,31 +107,26 @@ def make_probes(n: int, vocab: Vocabulary, seed: int, max_len: int = 24) -> list
     return probes
 
 
+def probe_windows(probes: list[Context]) -> np.ndarray:
+    """(3, N) int64 (prompt id, prev, last) of each probe context."""
+    windows = [ctx.window() for ctx in probes]
+    return np.asarray(
+        [[ctx.prompt_id for ctx in probes], [prev for prev, _ in windows], [last for _, last in windows]],
+        dtype=np.int64,
+    )
+
+
 def _probe_rows(
     params: PolicyParams, probes: list[Context], infer: Engine
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """context_rows of the probe set."""
-    windows = [ctx.window() for ctx in probes]
-    return context_rows(
-        [ctx.prompt_id for ctx in probes],
-        [prev for prev, _ in windows],
-        [last for _, last in windows],
-        params.n_features,
-        infer,
-        params.version_id,
-    )
+    return context_rows(*probe_windows(probes), params.n_features, infer, params.version_id)
 
 
-def _probe_dist_rows(
-    params: PolicyParams, probes: list[Context], infer: Engine, temperature: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(p_infer, p_train, log p_infer, log p_train) rows for all probes."""
-    feats, keys_fixed, keys_version = _probe_rows(params, probes, infer)
-    train_logits = batched_train_logits(params, feats, temperature)
-    infer_logits = perturb_logits(train_logits, keys_fixed, keys_version, infer.mismatch_scale)
-    lp_inf, p_inf = batched_log_softmax(infer_logits)
-    lp_tr, p_tr = batched_log_softmax(train_logits)
-    return p_inf, p_tr, lp_inf, lp_tr
+def _delta_and_gap_rows(p_inf, p_tr, lp_inf, lp_tr) -> tuple[float, float]:
+    per_probe = (p_inf * (lp_inf - lp_tr)).sum(axis=1)
+    gap = float(np.abs(p_inf - p_tr).max())
+    return float(per_probe.mean()), gap
 
 
 def delta_and_gap(
@@ -139,10 +135,12 @@ def delta_and_gap(
     """(mean KL(infer || train) over probes, max |p_infer - p_train|)."""
     if not probes:
         raise ValueError("probe set must be non-empty")
-    p_inf, p_tr, lp_inf, lp_tr = _probe_dist_rows(params, probes, infer, temperature)
-    per_probe = (p_inf * (lp_inf - lp_tr)).sum(axis=1)
-    gap = float(np.abs(p_inf - p_tr).max())
-    return float(per_probe.mean()), gap
+    feats, keys_fixed, keys_version = _probe_rows(params, probes, infer)
+    train_logits = batched_train_logits(params, feats, temperature)
+    infer_logits = perturb_logits(train_logits, keys_fixed, keys_version, infer.mismatch_scale)
+    lp_inf, p_inf = batched_log_softmax(infer_logits)
+    lp_tr, p_tr = batched_log_softmax(train_logits)
+    return _delta_and_gap_rows(p_inf, p_tr, lp_inf, lp_tr)
 
 
 def measure(
@@ -152,9 +150,29 @@ def measure(
     temperature: float = 1.0,
     step: int = 0,
     loss=None,
+    table: ContextTable | None = None,
+    rows: np.ndarray | None = None,
 ) -> DiscrepancySample:
-    """Probe-set discrepancy plus diagnostics from the latest loss breakdown."""
-    delta, gap = delta_and_gap(params, probes, infer, temperature)
+    """Probe-set discrepancy plus diagnostics from the latest loss breakdown.
+
+    With a context table (of infer at temperature, with the probes'
+    prompts registered), the distributions are gathered from its rows at
+    params: the same bits as delta_and_gap. rows, when given, are the
+    probes' rows (ContextTable.rows of probe_windows), built once by a
+    caller that measures the same probes every iteration.
+    """
+    if table is None:
+        delta, gap = delta_and_gap(params, probes, infer, temperature)
+    else:
+        if not probes:
+            raise ValueError("probe set must be non-empty")
+        if table.infer != infer or table.temperature != temperature:
+            raise ValueError("context table is of another engine or temperature")
+        if rows is None:
+            rows = table.rows(*probe_windows(probes))
+        table.load(params)
+        table.check(rows)
+        delta, gap = _delta_and_gap_rows(table.probs_infer[rows], table.probs_train[rows], table.lp_infer[rows], table.lp_train[rows])
     sample = DiscrepancySample(step=step, delta=delta, max_token_gap=gap)
     if loss is not None and loss.token_count:
         sample.mean_logp = loss.mean_logp
@@ -413,6 +431,7 @@ def sensitivity_sweep(
     lr: float,
     max_len: int = 24,
     temperature: float = 1.0,
+    n_probes: int = 256,
 ) -> list[dict]:
     """Run the training loop once per masking-bound setting on shared seeds.
 
@@ -434,7 +453,7 @@ def sensitivity_sweep(
         bounds = MaskingBounds(alpha=alpha, beta=beta)
         source = SyntheticPromptSource(vocab, max_len=max_len)
         state = make_state(seed, vocab, infer, source, temperature)
-        probes = make_probes(256, vocab, seed)
+        probes = make_probes(n_probes, vocab, seed)
         results, _ = train_loop(
             n_iterations, state, theta_0.copy(), budget, group_cfg, bounds, lr, probes=probes
         )

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import NumericError
 from .policy import (
+    ContextTable,
     PolicyParams,
     batched_log_softmax,
     batched_train_logits,
@@ -102,10 +103,16 @@ class PromptGroup:
 
 @dataclass
 class LossBreakdown:
+    """Objective value, gradient and per-token diagnostics of one batch.
+
+    grad_norm is fixed when the breakdown is built, so it stays when a
+    holder drops grad after applying it (train_loop sets it to None).
+    """
+
     objective_value: float
     per_token_mask_kept: np.ndarray
     clipped_fraction: float
-    grad: np.ndarray
+    grad: np.ndarray | None
     kl_to_ref: float
     token_count: int = 0
     mean_logp: float = 0.0
@@ -114,10 +121,10 @@ class LossBreakdown:
     per_token_surrogate: np.ndarray = field(default_factory=lambda: np.zeros(0))
     per_token_calibration: np.ndarray = field(default_factory=lambda: np.zeros(0))
     per_token_entropy: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    grad_norm: float = field(init=False)
 
-    @property
-    def grad_norm(self) -> float:
-        return float(np.linalg.norm(self.grad))
+    def __post_init__(self) -> None:
+        self.grad_norm = float(np.linalg.norm(self.grad))
 
 
 def empty_breakdown(params: PolicyParams) -> LossBreakdown:
@@ -148,6 +155,7 @@ def objective_and_grad(
     cfg: ObjectiveConfig,
     bounds: MaskingBounds,
     temperature: float = 1.0,
+    table: ContextTable | None = None,
 ) -> LossBreakdown:
     """Objective value and its exact analytic gradient w.r.t. theta.
 
@@ -163,6 +171,11 @@ def objective_and_grad(
     token weighted by 1 / (groups * group size * rollout length). The
     reductions keep the per-rollout order (token sum per rollout, then
     rollouts in group order, then groups), so results are bit-stable.
+
+    With a context table (at temperature, with every group's prompt
+    registered), the current-train feature rows, log probs and probs are
+    gathered from its rows at theta instead of evaluated; the values are
+    the same bits.
     """
     if not groups:
         raise ValueError("objective needs at least one prompt group")
@@ -190,9 +203,16 @@ def objective_and_grad(
     last = np.where(pos >= 1, np.roll(tokens, 1), -1)
     prev = np.where(pos >= 2, np.roll(tokens, 2), -1)
     prompt_ids = np.repeat([r.task.prompt_id for r in rollouts], lengths)
-    feats, _, _ = context_rows(prompt_ids, prev, last, theta.n_features, train_engine(), theta.version_id)
-
-    log_probs, probs = batched_log_softmax(batched_train_logits(theta, feats, temperature))
+    if table is None:
+        feats, _, _ = context_rows(prompt_ids, prev, last, theta.n_features, train_engine(), theta.version_id)
+        log_probs, probs = batched_log_softmax(batched_train_logits(theta, feats, temperature))
+    else:
+        if table.temperature != temperature:
+            raise ValueError("context table is at another temperature")
+        table.load(theta)
+        at = table.rows(prompt_ids, prev, last)
+        table.check(at)
+        feats, log_probs, probs = table.feats[at], table.lp_train[at], table.probs_train[at]
     rows = np.arange(seg.size)
     lp_cur = log_probs[rows, tokens]
     calib = np.exp(lp_old - lp_inf)

@@ -14,8 +14,19 @@ feature_rows / noise_keys hashes) define the contracts. Every hot path
 goes through array kernels that reproduce them bit for bit:
 context_rows hashes a batch of contexts into (N, 4) feature rows and
 noise keys, noise_components draws all inference-noise blocks of a key
-batch at once, and weight_grad scatters logit gradients onto the
-feature rows.
+batch at once (or its persistent and per-version halves apart), and
+weight_grad scatters logit gradients onto the feature rows.
+
+Two paths evaluate the engines. The direct path (context_rows ->
+batched_train_logits -> perturb_logits -> batched_log_softmax) evaluates
+the contexts it is given. The scalar entry points, delta_gradient, the
+compounding experiment (which moves weights within one version) and the
+tests' oracles use it. A training run instead keeps a ContextTable:
+every (prev, last) window of every prompt it has seen, with the
+version-independent half computed once per run and both engines
+evaluated once per parameter version. The rollout ticks, the objective
+and the probe measure gather its rows, which are bit-identical to the
+direct path.
 """
 
 from __future__ import annotations
@@ -262,16 +273,23 @@ def context_rows(
     return feats, h[3], h[4]
 
 
+_NON_FINITE_LOGITS = "non-finite logits (corrupted parameters)"
+
+
+def _scaled_train_logits(weights: np.ndarray, feats: np.ndarray, temperature: float) -> np.ndarray:
+    logits = weights[feats[:, 0]] + weights[feats[:, 1]] + weights[feats[:, 2]] + weights[feats[:, 3]]
+    if temperature != 1.0:
+        logits = logits / temperature
+    return logits
+
+
 def batched_train_logits(params: PolicyParams, feats: np.ndarray, temperature: float) -> np.ndarray:
     """(N, vocab) scaled training-engine logits for an (N, 4) feature-row batch."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    w = params.weights
-    logits = w[feats[:, 0]] + w[feats[:, 1]] + w[feats[:, 2]] + w[feats[:, 3]]
-    if temperature != 1.0:
-        logits = logits / temperature
+    logits = _scaled_train_logits(params.weights, feats, temperature)
     if not np.isfinite(logits).all():
-        raise NumericError("non-finite logits (corrupted parameters)")
+        raise NumericError(_NON_FINITE_LOGITS)
     return logits
 
 
@@ -300,6 +318,69 @@ def weight_grad(
     return grad.reshape(n_features, width)
 
 
+def _heavy_normals(keys: np.ndarray, width: int, cuts: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """(B, N, width) heavy-tailed standard normals of a (B, N) key block.
+
+    Box-Muller on two splitmix64 streams per key, with the tail flag
+    taken from spare low bits of the second; block b uses tail cut
+    cuts[b] and gain gains[b]. Counter-based: deterministic in (key,
+    column), element by element.
+    """
+    keys = keys[:, :, None]
+    idx = np.arange(width, dtype=np.uint64)
+    h = _splitmix64_vec(np.concatenate([keys + idx * _STRIDE_A, (keys ^ np.uint64(_XOR_B)) + idx * _STRIDE_B]))
+    a, b = h[: len(keys)], h[len(keys) :]
+    u1 = ((a >> np.uint64(11)).astype(np.float64) + 1.0) / float(1 << 53)
+    u2 = (b >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+    normals = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    heavy = (b & np.uint64(0x7FF)) < cuts
+    return np.where(heavy, normals * gains, normals)
+
+
+# Per (dense, fault) block pair, shaped to broadcast over (block, row, column).
+_TAIL_CUTS = np.asarray([_DENSE_TAIL_CUT, _FAULT_TAIL_CUT], dtype=np.uint64)[:, None, None]
+_TAIL_GAINS = np.asarray([_DENSE_TAIL_GAIN, _FAULT_TAIL_GAIN])[:, None, None]
+
+
+def _persistent_keys(keys_fixed: np.ndarray) -> np.ndarray:
+    kf = np.asarray(keys_fixed, dtype=np.uint64)
+    return np.stack([kf, kf ^ np.uint64(_SECOND_FIXED_XOR)])
+
+
+def _version_keys(keys_version: np.ndarray) -> np.ndarray:
+    kv = np.asarray(keys_version, dtype=np.uint64)
+    return np.stack([kv, kv ^ np.uint64(_SECOND_VERSION_XOR)])
+
+
+def _fault_mask(keys_fixed: np.ndarray, width: int) -> np.ndarray:
+    kf = np.asarray(keys_fixed, dtype=np.uint64)
+    bits = _splitmix64_vec((kf ^ np.uint64(_FAULT_XOR))[:, None] + np.arange(width, dtype=np.uint64) * _STRIDE_A)
+    return (bits & np.uint64(0x7FF)) < np.uint64(_FAULT_CUT)
+
+
+def persistent_noise(keys_fixed: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """((dense, fault) persistent normal blocks, fault mask) of a key batch.
+
+    The version-independent half of noise_components, fixed for a
+    context for the whole run.
+    """
+    return _heavy_normals(_persistent_keys(keys_fixed), width, _TAIL_CUTS, _TAIL_GAINS), _fault_mask(keys_fixed, width)
+
+
+def version_noise(keys_version: np.ndarray, width: int) -> np.ndarray:
+    """(dense, fault) per-version normal blocks of a key batch."""
+    return _heavy_normals(_version_keys(keys_version), width, _TAIL_CUTS, _TAIL_GAINS)
+
+
+def mix_noise(
+    persistent: tuple[np.ndarray, np.ndarray], version: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """noise_components from its persistent and per-version halves."""
+    normals, faults = persistent
+    mixed = _PERSISTENT_WEIGHT * normals + _VERSION_WEIGHT * version
+    return mixed[0], np.clip(mixed[1], -_FAULT_NOISE_CLIP, _FAULT_NOISE_CLIP), faults
+
+
 def noise_components(
     keys_fixed: np.ndarray, keys_version: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -307,30 +388,16 @@ def noise_components(
 
     Counter-based and deterministic in (key, column); no RNG state is
     consumed. Each noise stream mixes a persistent and a per-version
-    block of heavy-tailed standard normals: Box-Muller on two splitmix64
-    streams, with the tail flag taken from spare low bits of the second.
-    The fault mask is a fifth, persistent block. All nine hash streams
-    run in one splitmix64 pass and all four normal blocks in one
-    Box-Muller step; each block keeps its own tail cut.
+    block of heavy-tailed standard normals, each block with its own tail
+    cut; the fault mask is a fifth, persistent block. Every value is
+    computed element by element, so a context's noise does not depend on
+    the batch it is drawn in: mix_noise of persistent_noise (drawn once
+    per run) and version_noise (once per version) gives the same bits.
+    Here all four normal blocks share one Box-Muller step.
     """
-    kf = np.asarray(keys_fixed, dtype=np.uint64)
-    kv = np.asarray(keys_version, dtype=np.uint64)
-    keys = np.stack([
-        kf, kv, kf ^ np.uint64(_SECOND_FIXED_XOR), kv ^ np.uint64(_SECOND_VERSION_XOR), kf ^ np.uint64(_FAULT_XOR),
-    ])[:, :, None]
-    idx = np.arange(width, dtype=np.uint64)
-    h = _splitmix64_vec(np.concatenate([keys + idx * _STRIDE_A, (keys[:4] ^ np.uint64(_XOR_B)) + idx * _STRIDE_B]))
-    a, fault_bits, b = h[:4], h[4], h[5:]
-    u1 = ((a >> np.uint64(11)).astype(np.float64) + 1.0) / float(1 << 53)
-    u2 = (b >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-    normals = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-    cuts = np.asarray([_DENSE_TAIL_CUT, _DENSE_TAIL_CUT, _FAULT_TAIL_CUT, _FAULT_TAIL_CUT], dtype=np.uint64)
-    gains = np.asarray([_DENSE_TAIL_GAIN, _DENSE_TAIL_GAIN, _FAULT_TAIL_GAIN, _FAULT_TAIL_GAIN])
-    heavy = (b & np.uint64(0x7FF)) < cuts[:, None, None]
-    normals = np.where(heavy, normals * gains[:, None, None], normals)
-    mixed = _PERSISTENT_WEIGHT * normals[0::2] + _VERSION_WEIGHT * normals[1::2]
-    faults = (fault_bits & np.uint64(0x7FF)) < np.uint64(_FAULT_CUT)
-    return mixed[0], np.clip(mixed[1], -_FAULT_NOISE_CLIP, _FAULT_NOISE_CLIP), faults
+    keys = np.concatenate([_persistent_keys(keys_fixed), _version_keys(keys_version)])
+    normals = _heavy_normals(keys, width, np.concatenate([_TAIL_CUTS] * 2), np.concatenate([_TAIL_GAINS] * 2))
+    return mix_noise((normals[:2], _fault_mask(keys_fixed, width)), normals[2:])
 
 
 def perturbation(
@@ -362,6 +429,164 @@ def batched_log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.exp(shifted)
     z = e.sum(axis=1, keepdims=True)
     return shifted - np.log(z), e / z
+
+
+class ContextTable:
+    """Both engines at every context of the registered prompts, one parameter version at a time.
+
+    Within a parameter version the policy is a pure function of the
+    context (prompt, prev, last), and a window takes one of (V+1)^2
+    values (a token, or -1 for an empty slot). The table holds one row
+    per window of every registered prompt. The version-independent half
+    is computed once per run, when a prompt is registered (or at the
+    first load, which fixes the feature count): feature rows, persistent
+    noise blocks and the fault mask. load(params) evaluates both engines
+    on every row once per params object, drawing only the per-version
+    noise half: training and inference log-probs and probs, and the
+    inference CDF. Callers then gather rows instead of evaluating the
+    engines again.
+
+    Every value comes from the same row-wise arithmetic as the direct
+    path (context_rows, batched_train_logits, perturb_logits,
+    batched_log_softmax), so a gathered row is bit-identical to
+    evaluating its context directly. A row whose training logits are
+    non-finite is flagged, not raised on, so a context the run never
+    visits cannot fail it; check(rows) raises as the direct path would
+    for the rows a caller reads. A params object must not be modified in
+    place once loaded.
+    """
+
+    def __init__(self, vocab_size: int, infer: Engine, temperature: float) -> None:
+        if temperature <= 0:
+            raise ValueError("temperature must be positive")
+        self.vocab_size = vocab_size
+        self.infer = infer
+        self.temperature = temperature
+        self.side = vocab_size + 1
+        windows = np.arange(self.side * self.side)
+        self._windows = (windows // self.side - 1, windows % self.side - 1)
+        self._first_row: dict[int, int] = {}
+        self._sorted_ids = np.zeros(0, dtype=np.int64)
+        self._sorted_first = np.zeros(0, dtype=np.intp)
+        self.n_features: int | None = None
+        self.params: PolicyParams | None = None
+        # Fixed for the run, per row.
+        self._contexts = np.zeros((3, 0), dtype=np.int64)
+        self.feats = np.zeros((0, 4), dtype=np.intp)
+        self._normals = np.zeros((2, 0, vocab_size))
+        self._faults = np.zeros((0, vocab_size), dtype=bool)
+        # At the loaded params, per row: (lp_train, probs_train, lp_infer,
+        # probs_infer, cdf) and whether the training logits are finite.
+        self._dists = np.zeros((5, 0, vocab_size))
+        self.finite = np.zeros(0, dtype=bool)
+
+    @property
+    def lp_train(self) -> np.ndarray:
+        return self._dists[0]
+
+    @property
+    def probs_train(self) -> np.ndarray:
+        return self._dists[1]
+
+    @property
+    def lp_infer(self) -> np.ndarray:
+        return self._dists[2]
+
+    @property
+    def probs_infer(self) -> np.ndarray:
+        return self._dists[3]
+
+    @property
+    def cdf(self) -> np.ndarray:
+        return self._dists[4]
+
+    def add(self, prompt_ids) -> None:
+        """Register prompts: their rows are built now, or at the first load if none has happened."""
+        new = [p for p in dict.fromkeys(int(p) for p in prompt_ids) if p not in self._first_row]
+        if not new:
+            return
+        for p in new:
+            self._first_row[p] = len(self._first_row) * self.side * self.side
+        ids = np.fromiter(self._first_row, np.int64, len(self._first_row))
+        order = np.argsort(ids)
+        self._sorted_ids = ids[order]
+        self._sorted_first = np.fromiter(self._first_row.values(), np.intp, ids.size)[order]
+        if self.n_features is not None:
+            self._build(new)
+
+    def rows(self, prompt_ids, prev, last) -> np.ndarray:
+        """Row of each context (prompt, prev, last): registered prompt, -1 <= prev, last < V."""
+        pids = np.asarray(prompt_ids, dtype=np.int64)
+        prev = np.asarray(prev, dtype=np.int64)
+        last = np.asarray(last, dtype=np.int64)
+        at = np.searchsorted(self._sorted_ids, pids)
+        if (at >= self._sorted_ids.size).any() or (self._sorted_ids[at] != pids).any():
+            raise ValueError("context of a prompt the table has not registered")
+        if min(prev.min(initial=0), last.min(initial=0)) < -1 or max(prev.max(initial=0), last.max(initial=0)) >= self.vocab_size:
+            raise ValueError(f"context window outside [-1, {self.vocab_size})")
+        return self._sorted_first[at] + (prev + 1) * self.side + (last + 1)
+
+    def advance(self, rows: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        """Rows of the contexts at rows once each has generated its token."""
+        window = rows % (self.side * self.side)
+        return rows - window + (window % self.side) * self.side + tokens + 1
+
+    def load(self, params: PolicyParams) -> None:
+        """Evaluate both engines on every row at params; a no-op if params is already loaded."""
+        if params is self.params:
+            return
+        if params.vocab_size != self.vocab_size:
+            raise ValueError(f"params have vocabulary {params.vocab_size}, the table {self.vocab_size}")
+        if self.n_features is None:
+            self.n_features = params.n_features
+            self._build(list(self._first_row))
+        elif params.n_features != self.n_features:
+            raise ValueError(f"params have {params.n_features} features, the table {self.n_features}")
+        self.params = params
+        self._dists, self.finite = self._evaluate(slice(None))
+
+    def check(self, rows: np.ndarray) -> None:
+        """Raise the direct path's NumericError if a row's training logits are non-finite."""
+        if not self.finite[rows].all():
+            raise NumericError(_NON_FINITE_LOGITS)
+
+    def _build(self, prompt_ids: list[int]) -> None:
+        """Append the run-fixed rows of new prompts, and their rows at the loaded params."""
+        if not prompt_ids:
+            return
+        start = self.feats.shape[0]
+        n_windows = self.side * self.side
+        contexts = np.stack([
+            np.repeat(np.asarray(prompt_ids, dtype=np.int64), n_windows),
+            np.tile(self._windows[0], len(prompt_ids)),
+            np.tile(self._windows[1], len(prompt_ids)),
+        ])
+        feats, keys_fixed, _ = context_rows(*contexts, self.n_features, self.infer, 0)
+        normals, faults = persistent_noise(keys_fixed, self.vocab_size)
+        self._contexts = np.concatenate([self._contexts, contexts], axis=1)
+        self.feats = np.concatenate([self.feats, feats])
+        self._normals = np.concatenate([self._normals, normals], axis=1)
+        self._faults = np.concatenate([self._faults, faults])
+        if self.params is not None:
+            dists, finite = self._evaluate(slice(start, None))
+            self._dists = np.concatenate([self._dists, dists], axis=1)
+            self.finite = np.concatenate([self.finite, finite])
+
+    def _evaluate(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(stacked distributions, finite flags) of a slice of rows at the loaded params."""
+        params = self.params
+        scale = self.infer.mismatch_scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            train_logits = _scaled_train_logits(params.weights, self.feats[rows], self.temperature)
+            lp_train, probs_train = batched_log_softmax(train_logits)
+            if scale > 0.0:
+                _, _, keys_version = context_rows(*self._contexts[:, rows], params.n_features, self.infer, params.version_id)
+                noise = mix_noise((self._normals[:, rows], self._faults[rows]), version_noise(keys_version, self.vocab_size))
+                lp_infer, probs_infer = batched_log_softmax(train_logits + perturbation(train_logits, noise, scale))
+            else:
+                lp_infer, probs_infer = lp_train, probs_train
+            cdf = np.cumsum(probs_infer, axis=1)
+        return np.stack([lp_train, probs_train, lp_infer, probs_infer, cdf]), np.isfinite(train_logits).all(axis=1)
 
 
 def _context_logits(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrepancy import DiscrepancySample, make_probes, measure
+from .discrepancy import DiscrepancySample, make_probes, measure, probe_windows
 from .errors import TickCapError
 from .objective import (
     LossBreakdown,
@@ -39,14 +39,16 @@ from .objective import (
 )
 from .policy import (
     Context,
+    ContextTable,
     Engine,
     FEATURE_WINDOW,
     PolicyParams,
     Vocabulary,
-    batched_log_softmax,
-    batched_train_logits,
-    context_rows,
-    perturb_logits,
+    # The direct engine path, no longer called here: perfbench/child.py
+    # wraps these names where each layer binds them.
+    batched_log_softmax,  # noqa: F401
+    batched_train_logits,  # noqa: F401
+    perturb_logits,  # noqa: F401
 )
 from .tasks import TaskSpec, sample_prompt, verify
 
@@ -99,6 +101,7 @@ class Rollout:
     terminal: bool = False
     retention_period: int = 0
     target_len: int | None = None
+    row: int | None = None  # the current context's row in the state's table, from spawn on
 
     @property
     def length(self) -> int:
@@ -203,6 +206,10 @@ class SchedulerState:
     spawned_uids: set[int] = field(default_factory=set)
     purged_uids: set[int] = field(default_factory=set)
     trained_uids: set[int] = field(default_factory=set)
+    table: ContextTable = field(init=False)  # every spawned prompt's contexts
+
+    def __post_init__(self) -> None:
+        self.table = ContextTable(self.vocab.size, self.infer, self.temperature)
 
 
 def make_state(
@@ -223,8 +230,23 @@ def make_state(
     )
 
 
+def _seed_words(*values: int) -> np.ndarray:
+    """The uint32 words numpy's SeedSequence takes from a tuple of nonnegative ints.
+
+    Each value becomes its little-endian 32-bit words, at least one.
+    """
+    words = []
+    for v in values:
+        words.append(v & 0xFFFFFFFF)
+        while v > 0xFFFFFFFF:
+            v >>= 32
+            words.append(v & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
 def _rollout_stream(seed: int, uid: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed & _MASK64, 2, uid)))
+    """default_rng(SeedSequence((seed & MASK64, 2, uid))), built without its tuple coercion."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_seed_words(seed & _MASK64, 2, uid))))
 
 
 def _spawn_group(state: SchedulerState, group_cfg: ObjectiveConfig) -> bool:
@@ -235,6 +257,8 @@ def _spawn_group(state: SchedulerState, group_cfg: ObjectiveConfig) -> bool:
     task, lengths = drawn
     group_uid = state.next_group_uid
     state.next_group_uid += 1
+    state.table.add([task.prompt_id])
+    first_row = int(state.table.rows([task.prompt_id], [-1], [-1])[0])
     members: list[Rollout] = []
     for target in lengths:
         uid = state.next_uid
@@ -245,6 +269,7 @@ def _spawn_group(state: SchedulerState, group_cfg: ObjectiveConfig) -> bool:
             uid=uid,
             group_uid=group_uid,
             target_len=target,
+            row=first_row,
         )
         members.append(rollout)
         state.pending.append(rollout)
@@ -278,35 +303,34 @@ def _is_terminal(rollout: Rollout, vocab: Vocabulary) -> bool:
 
 
 def _generate_tick(rollouts: list[Rollout], params: PolicyParams, state: SchedulerState) -> None:
-    """One parallel token for every listed rollout, batched across the pool.
+    """One parallel token for every listed rollout, read from the state's context table.
 
-    Each rollout samples from its own stream, exactly one uniform draw
-    per tick, so pool scheduling order never perturbs another rollout's
+    The table is loaded for params on the first tick of a version. Each
+    rollout samples from its own stream, exactly one uniform draw per
+    tick, so pool scheduling order never perturbs another rollout's
     token sequence.
     """
+    table = state.table
+    table.load(params)
     n = len(rollouts)
-    prompt_ids = np.fromiter((r.task.prompt_id for r in rollouts), np.int64, n)
-    last = np.fromiter((r.tokens[-1] if r.tokens else -1 for r in rollouts), np.int64, n)
-    prev = np.fromiter((r.tokens[-2] if len(r.tokens) >= 2 else -1 for r in rollouts), np.int64, n)
-    feats, keys_fixed, keys_version = context_rows(
-        prompt_ids, prev, last, params.n_features, state.infer, params.version_id
-    )
-    train_logits = batched_train_logits(params, feats, state.temperature)
-    infer_logits = perturb_logits(train_logits, keys_fixed, keys_version, state.infer.mismatch_scale)
-    lp_inf_rows, probs = batched_log_softmax(infer_logits)
-    lp_tr_rows, _ = batched_log_softmax(train_logits)
+    rows = np.fromiter((r.row for r in rollouts), np.intp, n)
+    table.check(rows)
     u = np.fromiter((r.stream.random() for r in rollouts), np.float64, n)
     # Inverse CDF: the count of cdf entries <= u is searchsorted(side="right").
-    tokens = np.minimum((np.cumsum(probs, axis=1) <= u[:, None]).sum(axis=1), probs.shape[1] - 1)
-    rows = np.arange(n)
+    tokens = np.minimum((table.cdf[rows] <= u[:, None]).sum(axis=1), table.vocab_size - 1)
     version = params.version_id
-    for rollout, token, lp_inf, lp_tr in zip(
-        rollouts, tokens.tolist(), lp_inf_rows[rows, tokens].tolist(), lp_tr_rows[rows, tokens].tolist()
+    for rollout, token, row, lp_inf, lp_tr in zip(
+        rollouts,
+        tokens.tolist(),
+        table.advance(rows, tokens).tolist(),
+        table.lp_infer[rows, tokens].tolist(),
+        table.lp_train[rows, tokens].tolist(),
     ):
         rollout.tokens.append(token)
         rollout.lp_infer.append(lp_inf)
         rollout.lp_train.append(lp_tr)
         rollout.versions.append(version)
+        rollout.row = row
 
 
 def _purge_boundary(state: SchedulerState, cfg: BudgetConfig) -> int:
@@ -515,6 +539,11 @@ def train_loop(
     retain the version that generated them. on_step, when given, is
     called with (report, loss, sample) as each iteration lands so
     callers can flush metrics before a potential numeric failure.
+
+    The rollout ticks, the objective and the probe measure all read the
+    state's context table at the iteration's parameters, which the
+    table evaluates once. Each loss in the results keeps grad_norm but
+    drops grad once the update has applied it.
     """
     if optimizer not in ("sgd", "momentum"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
@@ -522,19 +551,22 @@ def train_loop(
         ref = params.copy()
     if probes is None:
         probes = make_probes(256, state.vocab, state.seed)
+    table = state.table
+    probe_contexts = probe_windows(probes)
+    table.add(probe_contexts[0])
+    probe_rows = table.rows(*probe_contexts)
     velocity = np.zeros_like(params.weights)
     results: list[tuple[StepReport, LossBreakdown, DiscrepancySample]] = []
     step = run_iteration_baseline if baseline else run_iteration
     for _ in range(n_iterations):
         report, groups = step(state, params, cfg, group_cfg)
         if groups:
-            loss = objective_and_grad(
-                groups, params, params, ref, group_cfg, bounds, state.temperature
-            )
+            loss = objective_and_grad(groups, params, params, ref, group_cfg, bounds, state.temperature, table)
         else:
             loss = empty_breakdown(params)
         sample = measure(
-            params, probes, state.infer, state.temperature, step=report.iteration, loss=loss
+            params, probes, state.infer, state.temperature, step=report.iteration, loss=loss,
+            table=table, rows=probe_rows,
         )
         results.append((report, loss, sample))
         if on_step is not None:
@@ -544,5 +576,6 @@ def train_loop(
                 params, velocity = momentum_update(params, loss.grad, velocity, lr, momentum_beta)
             else:
                 params = sgd_update(params, loss.grad, lr)
+        loss.grad = None
         state.tick_clock += cfg.sync_cost_ticks
     return results, params

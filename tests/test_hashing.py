@@ -28,8 +28,11 @@ from mismatchlab.policy import (
     _splitmix64_vec,
     context_rows,
     feature_rows,
+    mix_noise,
     noise_components,
     noise_keys,
+    persistent_noise,
+    version_noise,
     weight_grad,
 )
 
@@ -97,6 +100,21 @@ def test_fused_noise_matches_block_composition(rows: int, width: int) -> None:
     for got, want in zip(fused, oracle):
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", [2, 8, 33])
+def test_split_noise_recomposes_noise_components(width: int) -> None:
+    """Persistent half drawn once for all rows, version half per subset, as the context table draws them."""
+    rng = np.random.default_rng(width)
+    kf = rng.integers(0, 2**64, size=300, dtype=np.uint64)
+    normals, faults = persistent_noise(kf, width)
+    for version in range(3):
+        pick = rng.choice(kf.size, size=int(rng.integers(1, 60)))
+        kv = rng.integers(0, 2**64, size=pick.size, dtype=np.uint64)
+        split = mix_noise((normals[:, pick], faults[pick]), version_noise(kv, width))
+        for reference in (noise_components(kf[pick], kv, width), _block_noise_components(kf[pick], kv, width)):
+            for got, want in zip(split, reference):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

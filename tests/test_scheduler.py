@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mismatchlab import (
     Algo,
@@ -23,6 +25,7 @@ from mismatchlab import (
     train_loop,
 )
 from mismatchlab.errors import TickCapError
+from mismatchlab.scheduler import _rollout_stream
 from mismatchlab.tasks import TaskKind
 
 FIXTURE_LENGTHS = [2, 2, 3, 3, 5, 5, 9, 17]
@@ -328,3 +331,30 @@ def test_group_slots_hold_only_live_groups_after_a_run() -> None:
     assert not (state.trained_uids & state.purged_uids)
     assert not (state.trained_uids & in_flight)
     assert not (state.purged_uids & in_flight)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), -1, 0, 2**32 - 1, 2**32, 2**63 - 1])),
+    uid=st.one_of(st.integers(0, 2**70), st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64])),
+)
+def test_rollout_stream_is_the_tuple_seeded_stream(seed: int, uid: int) -> None:
+    want = np.random.default_rng(np.random.SeedSequence((seed & (2**64 - 1), 2, uid)))
+    got = _rollout_stream(seed, uid)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.random(3).tobytes() == want.random(3).tobytes()
+
+
+def test_train_loop_results_keep_grad_norm_but_not_grad() -> None:
+    vocab = Vocabulary(size=8)
+    state = make_state(11, vocab, infer_engine(0.2, 7), SyntheticPromptSource(vocab, max_len=6))
+    params = init_params(vocab, n_features=64, init_scale=0.3, seed=11)
+    budget = BudgetConfig(token_budget=60, infer_capacity=12, prompts_per_iteration=4)
+    seen = []
+    results, _ = train_loop(
+        4, state, params, budget, ObjectiveConfig(group_size=4), MaskingBounds(), lr=1.0,
+        on_step=lambda report, loss, sample: seen.append(float(np.linalg.norm(loss.grad))),
+    )
+    assert any(seen)
+    assert [loss.grad_norm for _, loss, _ in results] == seen
+    assert all(loss.grad is None for _, loss, _ in results)
