@@ -15,7 +15,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import ExperimentConfig, config_from_dict, load_config
@@ -232,6 +231,9 @@ def cmd_schedule(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:
     seeds = cfg.schedule.seeds
     cfg_dict = cfg.to_dict()
     if jobs > 1:
+        # Imported here: single-process runs skip its import time and memory.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_seed = list(pool.map(_schedule_one_seed, [cfg_dict] * len(seeds), seeds))
     else:

@@ -147,6 +147,14 @@ def group_advantages(rewards: list[float] | np.ndarray) -> np.ndarray:
     return (r - r.mean()) / max(std, 1e-6)
 
 
+def batch_group_advantages(rewards: np.ndarray) -> np.ndarray:
+    """group_advantages of every row of a (groups, group size) reward matrix, bit for bit."""
+    r = np.asarray(rewards, dtype=np.float64)
+    if r.ndim != 2 or r.shape[1] < 2:
+        raise ValueError("advantage normalization needs groups of >= 2 rewards")
+    return (r - r.mean(axis=1, keepdims=True)) / np.maximum(r.std(axis=1, keepdims=True), 1e-6)
+
+
 def objective_and_grad(
     groups: list[PromptGroup],
     theta: PolicyParams,

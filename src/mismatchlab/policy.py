@@ -514,6 +514,10 @@ class ContextTable:
         if self.n_features is not None:
             self._build(new)
 
+    def prompt_row(self, prompt_id: int) -> int:
+        """Row of a registered prompt's empty window (-1, -1), its first row."""
+        return self._first_row[prompt_id]
+
     def rows(self, prompt_ids, prev, last) -> np.ndarray:
         """Row of each context (prompt, prev, last): registered prompt, -1 <= prev, last < V."""
         pids = np.asarray(prompt_ids, dtype=np.int64)

@@ -14,6 +14,17 @@ every sibling is terminal, at which point the group is emitted for
 training; unfinished rollouts carry over and resume under the updated
 parameters, and a rollout that outlives the retention threshold takes
 its whole group with it (the group could never be trained otherwise).
+
+Each rollout samples from its own uniforms, one per token, so pool
+scheduling order never perturbs another rollout's token sequence. They
+are the first draws of the rollout's tuple-seeded stream,
+default_rng(SeedSequence((seed & MASK64, 2, uid))), and must stay equal
+to it bit for bit: that stream defines replay. They are derived in bulk
+instead. seed_sequence_states runs numpy's SeedSequence hash over a
+whole block of uids at once; RolloutUniforms keeps the current block of
+4,096 uids and one PCG64, sets it to each rollout's seeded state through
+the public state setter and draws all the uniforms the rollout can use
+in one call when it is spawned.
 """
 
 from __future__ import annotations
@@ -31,8 +42,8 @@ from .objective import (
     MaskingBounds,
     ObjectiveConfig,
     PromptGroup,
+    batch_group_advantages,
     empty_breakdown,
-    group_advantages,
     momentum_update,
     objective_and_grad,
     sgd_update,
@@ -83,15 +94,17 @@ class BudgetConfig:
 
 @dataclass
 class Rollout:
-    """One trajectory and its owned RNG stream.
+    """One trajectory and the uniforms it samples its tokens with.
 
-    Per generated token, in parallel lists: the token id, its log
-    probability under the inference and the training engine, both at the
-    generating parameters, and that parameter version.
+    uniforms[i] draws token i: the first draws of the rollout's own
+    stream, as many as it can generate. Per generated token, in parallel
+    lists: the token id, its log probability under the inference and the
+    training engine, both at the generating parameters, and that
+    parameter version.
     """
 
     task: TaskSpec
-    stream: np.random.Generator
+    uniforms: np.ndarray
     uid: int
     group_uid: int
     tokens: list[int] = field(default_factory=list)
@@ -207,9 +220,11 @@ class SchedulerState:
     purged_uids: set[int] = field(default_factory=set)
     trained_uids: set[int] = field(default_factory=set)
     table: ContextTable = field(init=False)  # every spawned prompt's contexts
+    rollout_uniforms: RolloutUniforms = field(init=False)
 
     def __post_init__(self) -> None:
         self.table = ContextTable(self.vocab.size, self.infer, self.temperature)
+        self.rollout_uniforms = RolloutUniforms(self.seed)
 
 
 def make_state(
@@ -244,9 +259,104 @@ def _seed_words(*values: int) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
-def _rollout_stream(seed: int, uid: int) -> np.random.Generator:
-    """default_rng(SeedSequence((seed & MASK64, 2, uid))), built without its tuple coercion."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_seed_words(seed & _MASK64, 2, uid))))
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_SS_INIT_A = 0x43B0D7E5
+_SS_MULT_A = 0x931E8875
+_SS_INIT_B = 0x8B51F9DD
+_SS_MULT_B = 0x58F38DED
+_SS_MIX_MULT_L = 0xCA01F9DD
+_SS_MIX_MULT_R = 0x4973F715
+_SS_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, np.uint64) for every row of an (n, k) uint32 matrix.
+
+    numpy's hashmix/mix over a 4-word pool, one column of rows at a time;
+    entropy longer than the pool is folded in by the extra-entropy loop.
+    The hash constant follows the same sequence for every row, so it
+    stays a Python int.
+    """
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    n, k = entropy.shape
+    hash_const = _SS_INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_SS_MIX_MULT_L) * x - np.uint32(_SS_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zeros = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < k else zeros) for i in range(_SS_POOL_SIZE)]
+    for src in range(_SS_POOL_SIZE):
+        for dst in range(_SS_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_SS_POOL_SIZE, k):
+        for dst in range(_SS_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    # generate_state(4, uint64) is 8 uint32 words read as little-endian pairs.
+    hash_const = _SS_INIT_B
+    words = np.empty((n, 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % _SS_POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        words[:, i] = value ^ (value >> np.uint32(16))
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG_DEFAULT_MULTIPLIER_128
+_UID_BLOCK = 4096  # divides 2**32, so only a uid's low word varies within a block
+
+
+class RolloutUniforms:
+    """The draws of each rollout's stream default_rng(SeedSequence((seed & MASK64, 2, uid))).
+
+    The seed states of one aligned block of uids come from a single
+    seed_sequence_states call; uids are issued in order, so only the
+    current block is kept. One PCG64 is reseeded per rollout with
+    pcg64_set_seed's arithmetic, through its public state setter.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self._bitgen = np.random.PCG64()
+        self._generator = np.random.Generator(self._bitgen)
+        self._block = -1
+        self._states = np.zeros((0, 4), dtype=np.uint64)
+
+    def draw(self, uid: int, count: int) -> np.ndarray:
+        """The first count uniforms of uid's stream, as Generator.random(count) gives them."""
+        block, offset = divmod(uid, _UID_BLOCK)
+        if block != self._block:
+            self._states = self._block_states(block)
+            self._block = block
+        w0, w1, w2, w3 = self._states[offset].tolist()
+        inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
+        state = ((((w0 << 64) | w1) + inc) * _PCG64_MULT + inc) & _MASK128
+        self._bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._generator.random(count)
+
+    def _block_states(self, block: int) -> np.ndarray:
+        head = _seed_words(self.seed & _MASK64, 2)
+        entropy = np.tile(np.concatenate([head, _seed_words(block * _UID_BLOCK)]), (_UID_BLOCK, 1))
+        entropy[:, head.size] += np.arange(_UID_BLOCK, dtype=np.uint32)
+        return seed_sequence_states(entropy)
 
 
 def _spawn_group(state: SchedulerState, group_cfg: ObjectiveConfig) -> bool:
@@ -258,14 +368,16 @@ def _spawn_group(state: SchedulerState, group_cfg: ObjectiveConfig) -> bool:
     group_uid = state.next_group_uid
     state.next_group_uid += 1
     state.table.add([task.prompt_id])
-    first_row = int(state.table.rows([task.prompt_id], [-1], [-1])[0])
+    first_row = state.table.prompt_row(task.prompt_id)
     members: list[Rollout] = []
     for target in lengths:
         uid = state.next_uid
         state.next_uid += 1
+        # The most tokens _is_terminal lets the rollout generate.
+        count = task.max_len if target is None else max(target, 1)
         rollout = Rollout(
             task=task,
-            stream=_rollout_stream(state.seed, uid),
+            uniforms=state.rollout_uniforms.draw(uid, count),
             uid=uid,
             group_uid=group_uid,
             target_len=target,
@@ -306,16 +418,14 @@ def _generate_tick(rollouts: list[Rollout], params: PolicyParams, state: Schedul
     """One parallel token for every listed rollout, read from the state's context table.
 
     The table is loaded for params on the first tick of a version. Each
-    rollout samples from its own stream, exactly one uniform draw per
-    tick, so pool scheduling order never perturbs another rollout's
-    token sequence.
+    rollout samples its next token with its own next uniform.
     """
     table = state.table
     table.load(params)
     n = len(rollouts)
     rows = np.fromiter((r.row for r in rollouts), np.intp, n)
     table.check(rows)
-    u = np.fromiter((r.stream.random() for r in rollouts), np.float64, n)
+    u = np.fromiter((r.uniforms[len(r.tokens)] for r in rollouts), np.float64, n)
     # Inverse CDF: the count of cdf entries <= u is searchsorted(side="right").
     tokens = np.minimum((table.cdf[rows] <= u[:, None]).sum(axis=1), table.vocab_size - 1)
     version = params.version_id
@@ -360,19 +470,24 @@ def _emit_groups(state: SchedulerState, params_version: int) -> tuple[list[Promp
     Emitted groups leave state.groups, which keeps only live groups.
     """
     ready = [uid for uid, slot in state.groups.items() if all(m.terminal for m in slot.members)]
+    if not ready:
+        return [], 0, 0
+    slots = [state.groups.pop(group_uid) for group_uid in ready]
+    rewards = np.array(
+        [[verify(slot.task, m.token_ids(), state.vocab) for m in slot.members] for slot in slots],
+        dtype=np.float64,
+    )
+    advantages = batch_group_advantages(rewards)
     emitted: list[PromptGroup] = []
     stale = 0
     total = 0
-    for group_uid in ready:
-        slot = state.groups.pop(group_uid)
-        rewards = [verify(slot.task, m.token_ids(), state.vocab) for m in slot.members]
-        advantages = group_advantages(rewards)
+    for slot, reward_row, advantage_row in zip(slots, rewards.tolist(), advantages.tolist()):
         emitted.append(
             PromptGroup(
                 task=slot.task,
                 rollouts=list(slot.members),
-                rewards=[float(r) for r in rewards],
-                advantages=[float(a) for a in advantages],
+                rewards=reward_row,
+                advantages=advantage_row,
             )
         )
         for member in slot.members:

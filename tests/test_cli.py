@@ -75,3 +75,16 @@ def test_schedule_jobs_do_not_change_the_report(tmp_path) -> None:
         assert main(["schedule", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
         reports.append((out / "schedule_report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_compounding_header_replay_is_byte_identical(tmp_path) -> None:
+    cfg = write_config(tmp_path, "compounding", compounding={"n_steps": 20})
+    first = tmp_path / "a"
+    assert main(["compounding", "--config", cfg, "--out", str(first), "--seed", "5"]) == 0
+    header = json.loads((first / "compounding_trace.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    assert header["kind"] == "header" and header["config"]["seed"] == 5
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(header["config"]), encoding="utf-8")
+    assert main(["compounding", "--config", str(replay), "--out", str(tmp_path / "b")]) == 0
+    for name in ("compounding_trace.jsonl", "compounding_fit.json"):
+        assert (first / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

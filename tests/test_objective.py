@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mismatchlab import (
     Algo,
@@ -32,6 +34,7 @@ from mismatchlab import (
     sgd_update,
     train_engine,
 )
+from mismatchlab.objective import batch_group_advantages
 from mismatchlab.policy import batched_log_softmax, batched_train_logits, feature_indices, feature_rows
 from mismatchlab.tasks import TaskKind
 
@@ -54,7 +57,7 @@ def make_batch(seed: int, scale: float, vocab_size: int = 8, max_len: int = 5, n
 
 def single_token_rollout(task: TaskSpec, token: int, lp_infer: float, lp_train: float, version: int) -> Rollout:
     return Rollout(
-        task=task, stream=np.random.default_rng(0), uid=0, group_uid=0, tokens=[token],
+        task=task, uniforms=np.zeros(1), uid=0, group_uid=0, tokens=[token],
         lp_infer=[lp_infer], lp_train=[lp_train], versions=[version], terminal=True,
     )
 
@@ -126,6 +129,35 @@ def test_group_advantages_std_floor() -> None:
 def test_group_advantages_requires_pair() -> None:
     with pytest.raises(ValueError):
         group_advantages([1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_groups=st.integers(1, 12),
+    group_size=st.integers(2, 40),
+    kind=st.sampled_from(["binary", "real", "tiny", "huge", "constant"]),
+)
+def test_batch_group_advantages_equal_the_per_group_calls(seed: int, n_groups: int, group_size: int, kind: str) -> None:
+    rng = np.random.default_rng(seed)
+    shape = (n_groups, group_size)
+    rewards = {
+        "binary": lambda: rng.integers(0, 2, shape).astype(np.float64),
+        "real": lambda: rng.normal(size=shape),
+        "tiny": lambda: rng.normal(scale=1e-7, size=shape),
+        "huge": lambda: rng.normal(scale=1e150, size=shape),
+        "constant": lambda: np.full(shape, rng.normal()),
+    }[kind]()
+    batch = batch_group_advantages(rewards)
+    assert batch.shape == shape
+    for row, got in zip(rewards.tolist(), batch):
+        assert got.tobytes() == group_advantages(row).tobytes()
+
+
+def test_batch_group_advantages_requires_pairs() -> None:
+    for bad in (np.zeros((3, 1)), np.zeros(4)):
+        with pytest.raises(ValueError):
+            batch_group_advantages(bad)
 
 
 def test_degenerate_case_all_algorithms_bit_identical() -> None:

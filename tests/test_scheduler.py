@@ -25,7 +25,8 @@ from mismatchlab import (
     train_loop,
 )
 from mismatchlab.errors import TickCapError
-from mismatchlab.scheduler import _rollout_stream
+from mismatchlab import objective, scheduler
+from mismatchlab.scheduler import RolloutUniforms, seed_sequence_states
 from mismatchlab.tasks import TaskKind
 
 FIXTURE_LENGTHS = [2, 2, 3, 3, 5, 5, 9, 17]
@@ -336,13 +337,82 @@ def test_group_slots_hold_only_live_groups_after_a_run() -> None:
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), -1, 0, 2**32 - 1, 2**32, 2**63 - 1])),
-    uid=st.one_of(st.integers(0, 2**70), st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64])),
+    uid=st.one_of(
+        st.integers(0, 2**70),
+        st.sampled_from([0, 1, 4095, 4096, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
+    ),
+    count=st.sampled_from([1, 8, 512]),
 )
-def test_rollout_stream_is_the_tuple_seeded_stream(seed: int, uid: int) -> None:
+def test_rollout_stream_is_the_tuple_seeded_stream(seed: int, uid: int, count: int) -> None:
     want = np.random.default_rng(np.random.SeedSequence((seed & (2**64 - 1), 2, uid)))
-    got = _rollout_stream(seed, uid)
-    assert got.bit_generator.state == want.bit_generator.state
-    assert got.random(3).tobytes() == want.random(3).tobytes()
+    got = RolloutUniforms(seed).draw(uid, count)
+    assert got.tobytes() == want.random(count).tobytes()
+
+
+def test_rollout_uniforms_across_block_edges_in_issue_order() -> None:
+    source = RolloutUniforms(-5)
+    for uid in [*range(4090, 4100), *range(2**32 - 3, 2**32 + 3), 2**40, 5]:
+        want = np.random.default_rng(np.random.SeedSequence((-5 & (2**64 - 1), 2, uid)))
+        assert source.draw(uid, 3).tobytes() == want.random(3).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_words=st.integers(1, 8), n_rows=st.integers(1, 6))
+def test_seed_sequence_states_match_numpy(data, n_words: int, n_rows: int) -> None:
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, 2**32 - 1), min_size=n_words, max_size=n_words), min_size=n_rows, max_size=n_rows,
+    ))
+    entropy = np.array(rows, dtype=np.uint32)
+    got = seed_sequence_states(entropy)
+    assert got.dtype == np.uint64 and got.shape == (n_rows, 4)
+    for words, state in zip(entropy, got):
+        assert state.tobytes() == np.random.SeedSequence(words).generate_state(4, np.uint64).tobytes()
+
+
+class _ScalarStream:
+    """A rollout's own tuple-seeded generator, one scalar draw per token, read in token order."""
+
+    def __init__(self, seed: int, uid: int) -> None:
+        self.stream = np.random.default_rng(np.random.SeedSequence((seed & (2**64 - 1), 2, uid)))
+        self.drawn = 0
+
+    def __getitem__(self, token_index: int) -> float:
+        assert token_index == self.drawn, "each token reads the next uniform, once"
+        self.drawn += 1
+        return self.stream.random()
+
+
+def _stream_oracle(self: RolloutUniforms, uid: int, count: int) -> _ScalarStream:
+    return _ScalarStream(self.seed, uid)
+
+
+def _trained_rollouts(monkeypatch, length_model: str, first_uid: int) -> list:
+    seen = []
+
+    def recording(groups, *args):
+        seen.extend((r.uid, r.token_ids(), r.lp_infer, r.lp_train, r.versions) for g in groups for r in g.rollouts)
+        return objective.objective_and_grad(groups, *args)
+
+    monkeypatch.setattr(scheduler, "objective_and_grad", recording)
+    vocab = Vocabulary(size=8)
+    source = SyntheticPromptSource(vocab, max_len=24, length_model=length_model, median=5.0, sigma=1.0)
+    state = make_state(17, vocab, infer_engine(0.2, 7), source)
+    state.next_uid = first_uid
+    params = init_params(vocab, n_features=64, init_scale=0.3, seed=17)
+    budget = BudgetConfig(token_budget=50, infer_capacity=10, retention_threshold=2, prompts_per_iteration=3)
+    train_loop(6, state, params, budget, ObjectiveConfig(group_size=4), MaskingBounds(), lr=2.0)
+    return seen
+
+
+@pytest.mark.parametrize("length_model", ["policy", "lognormal"])
+@pytest.mark.parametrize("first_uid", [0, 4090, 2**32 - 6])
+def test_train_loop_samples_each_rollout_from_its_own_stream(monkeypatch, length_model: str, first_uid: int) -> None:
+    bulk = _trained_rollouts(monkeypatch, length_model, first_uid)
+    with monkeypatch.context() as m:
+        m.setattr(RolloutUniforms, "draw", _stream_oracle)
+        oracle = _trained_rollouts(m, length_model, first_uid)
+    assert bulk and bulk == oracle
+    assert any(len(set(versions)) > 1 for *_, versions in bulk)
 
 
 def test_train_loop_results_keep_grad_norm_but_not_grad() -> None:

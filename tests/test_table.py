@@ -93,6 +93,14 @@ def test_rows_reject_unregistered_prompts_and_out_of_range_windows() -> None:
             table.rows([100], [prev], [last])
 
 
+def test_prompt_row_is_the_empty_window_row() -> None:
+    table = ContextTable(5, infer_engine(0.1, 7), 1.0)
+    table.add([9, 7])
+    table.add([-3, 7])
+    for pid in (9, 7, -3):
+        assert table.prompt_row(pid) == int(table.rows([pid], [-1], [-1])[0])
+
+
 def test_advance_moves_the_window() -> None:
     table = ContextTable(5, infer_engine(0.1, 7), 1.0)
     table.add([7, 9])
