@@ -116,8 +116,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
     bounds = MaskingBounds(cfg.objective.alpha, cfg.objective.beta)
 
     rows: list[dict] = []
-    status = "ok"
-    error_msg = None
+    failure: NumericError | TickCapError | None = None
     with metrics_path.open("w", encoding="utf-8") as fh:
         fh.write(_dumps(_resolved_header(cfg)) + "\n")
 
@@ -141,10 +140,13 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
                 momentum_beta=cfg.objective.momentum,
                 on_step=flush_row,
             )
-        except NumericError as exc:
-            status = "numeric_failure"
-            error_msg = str(exc)
+        except (NumericError, TickCapError) as exc:
+            failure = exc
 
+    if failure is None:
+        status = "ok"
+    else:
+        status = "numeric_failure" if isinstance(failure, NumericError) else "tick_cap_exceeded"
     summary = {
         "schema_version": METRICS_SCHEMA_VERSION,
         "status": status,
@@ -156,11 +158,10 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
         summary["final_version"] = params.version_id
         summary["tick_clock"] = state.tick_clock
     else:
-        summary["error"] = error_msg
+        summary["error"] = str(failure)
     summary_path.write_text(_dumps(summary) + "\n", encoding="utf-8")
-    if status != "ok":
-        print(f"numeric failure: {error_msg}", file=sys.stderr)
-        return EXIT_NUMERIC
+    if failure is not None:
+        raise failure  # main maps it to its message and exit code
     return EXIT_OK
 
 
@@ -234,7 +235,7 @@ def cmd_schedule(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:
         # Imported here: single-process runs skip its import time and memory.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
             per_seed = list(pool.map(_schedule_one_seed, [cfg_dict] * len(seeds), seeds))
     else:
         per_seed = [_schedule_one_seed(cfg_dict, seed) for seed in seeds]
@@ -349,6 +350,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.iterations < 0:
                 raise ConfigError("--iterations must be nonnegative")
             cfg.run.n_iterations = args.iterations
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError("--jobs must be >= 1")
         if getattr(args, "algo", None):
             cfg.objective.algo = args.algo
         out_dir = Path(args.out)

@@ -15,7 +15,10 @@ goes through array kernels that reproduce them bit for bit:
 context_rows hashes a batch of contexts into (N, 4) feature rows and
 noise keys, noise_components draws all inference-noise blocks of a key
 batch at once (or its persistent and per-version halves apart), and
-weight_grad scatters logit gradients onto the feature rows.
+weight_grad scatters logit gradients onto the feature rows. All noise
+normals come from one counter-based kernel over (key, column) entries,
+so a block, a subset of its entries, or a batch of blocks give the same
+bits entry by entry.
 
 Two paths evaluate the engines. The direct path (context_rows ->
 batched_train_logits -> perturb_logits -> batched_log_softmax) evaluates
@@ -24,9 +27,10 @@ compounding experiment (which moves weights within one version) and the
 tests' oracles use it. A training run instead keeps a ContextTable:
 every (prev, last) window of every prompt it has seen, with the
 version-independent half computed once per run and both engines
-evaluated once per parameter version. The rollout ticks, the objective
-and the probe measure gather its rows, which are bit-identical to the
-direct path.
+evaluated once per parameter version, drawing only the per-version
+noise that reaches the inference logits. The rollout ticks, the
+objective and the probe measure gather its rows, which are
+bit-identical to the direct path.
 """
 
 from __future__ import annotations
@@ -318,18 +322,18 @@ def weight_grad(
     return grad.reshape(n_features, width)
 
 
-def _heavy_normals(keys: np.ndarray, width: int, cuts: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """(B, N, width) heavy-tailed standard normals of a (B, N) key block.
+def _heavy_normals(keys: np.ndarray, cols: np.ndarray, cuts, gains) -> np.ndarray:
+    """Heavy-tailed standard normals at (key, column) entries.
 
-    Box-Muller on two splitmix64 streams per key, with the tail flag
-    taken from spare low bits of the second; block b uses tail cut
-    cuts[b] and gain gains[b]. Counter-based: deterministic in (key,
-    column), element by element.
+    keys, cols (uint64), tail cuts and gains broadcast against each
+    other, and the result takes their broadcast shape. Box-Muller on two
+    splitmix64 streams per entry, with the tail flag taken from spare low
+    bits of the second. Counter-based: deterministic in (key, column),
+    entry by entry, so a block and any subset of its entries give the
+    same bits.
     """
-    keys = keys[:, :, None]
-    idx = np.arange(width, dtype=np.uint64)
-    h = _splitmix64_vec(np.concatenate([keys + idx * _STRIDE_A, (keys ^ np.uint64(_XOR_B)) + idx * _STRIDE_B]))
-    a, b = h[: len(keys)], h[len(keys) :]
+    h = _splitmix64_vec(np.stack([keys + cols * _STRIDE_A, (keys ^ np.uint64(_XOR_B)) + cols * _STRIDE_B]))
+    a, b = h[0], h[1]
     u1 = ((a >> np.uint64(11)).astype(np.float64) + 1.0) / float(1 << 53)
     u2 = (b >> np.uint64(11)).astype(np.float64) / float(1 << 53)
     normals = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
@@ -344,17 +348,21 @@ _TAIL_GAINS = np.asarray([_DENSE_TAIL_GAIN, _FAULT_TAIL_GAIN])[:, None, None]
 
 def _persistent_keys(keys_fixed: np.ndarray) -> np.ndarray:
     kf = np.asarray(keys_fixed, dtype=np.uint64)
-    return np.stack([kf, kf ^ np.uint64(_SECOND_FIXED_XOR)])
+    return np.stack([kf, kf ^ np.uint64(_SECOND_FIXED_XOR)])[:, :, None]
 
 
 def _version_keys(keys_version: np.ndarray) -> np.ndarray:
     kv = np.asarray(keys_version, dtype=np.uint64)
-    return np.stack([kv, kv ^ np.uint64(_SECOND_VERSION_XOR)])
+    return np.stack([kv, kv ^ np.uint64(_SECOND_VERSION_XOR)])[:, :, None]
+
+
+def _columns(width: int) -> np.ndarray:
+    return np.arange(width, dtype=np.uint64)
 
 
 def _fault_mask(keys_fixed: np.ndarray, width: int) -> np.ndarray:
     kf = np.asarray(keys_fixed, dtype=np.uint64)
-    bits = _splitmix64_vec((kf ^ np.uint64(_FAULT_XOR))[:, None] + np.arange(width, dtype=np.uint64) * _STRIDE_A)
+    bits = _splitmix64_vec((kf ^ np.uint64(_FAULT_XOR))[:, None] + _columns(width) * _STRIDE_A)
     return (bits & np.uint64(0x7FF)) < np.uint64(_FAULT_CUT)
 
 
@@ -364,12 +372,16 @@ def persistent_noise(keys_fixed: np.ndarray, width: int) -> tuple[np.ndarray, np
     The version-independent half of noise_components, fixed for a
     context for the whole run.
     """
-    return _heavy_normals(_persistent_keys(keys_fixed), width, _TAIL_CUTS, _TAIL_GAINS), _fault_mask(keys_fixed, width)
+    return _heavy_normals(_persistent_keys(keys_fixed), _columns(width), _TAIL_CUTS, _TAIL_GAINS), _fault_mask(keys_fixed, width)
 
 
 def version_noise(keys_version: np.ndarray, width: int) -> np.ndarray:
-    """(dense, fault) per-version normal blocks of a key batch."""
-    return _heavy_normals(_version_keys(keys_version), width, _TAIL_CUTS, _TAIL_GAINS)
+    """(dense, fault) per-version normal blocks of a key batch.
+
+    The other half of noise_components. The context table draws only the
+    entries of these blocks that reach the inference logits.
+    """
+    return _heavy_normals(_version_keys(keys_version), _columns(width), _TAIL_CUTS, _TAIL_GAINS)
 
 
 def mix_noise(
@@ -396,7 +408,7 @@ def noise_components(
     Here all four normal blocks share one Box-Muller step.
     """
     keys = np.concatenate([_persistent_keys(keys_fixed), _version_keys(keys_version)])
-    normals = _heavy_normals(keys, width, np.concatenate([_TAIL_CUTS] * 2), np.concatenate([_TAIL_GAINS] * 2))
+    normals = _heavy_normals(keys, _columns(width), np.concatenate([_TAIL_CUTS] * 2), np.concatenate([_TAIL_GAINS] * 2))
     return mix_noise((normals[:2], _fault_mask(keys_fixed, width)), normals[2:])
 
 
@@ -439,14 +451,23 @@ class ContextTable:
     values (a token, or -1 for an empty slot). The table holds one row
     per window of every registered prompt. The version-independent half
     is computed once per run, when a prompt is registered (or at the
-    first load, which fixes the feature count): feature rows, persistent
-    noise blocks and the fault mask. load(params) evaluates both engines
-    on every row once per params object, drawing only the per-version
-    noise half: training and inference log-probs and probs, and the
-    inference CDF. Callers then gather rows instead of evaluating the
-    engines again.
+    first load, which fixes the feature count): feature rows, the
+    persistent dense noise block, the fault entries (flat indices of the
+    fault mask) and the persistent fault normals at them. load(params)
+    evaluates both engines on every row once per params object:
+    training and inference log-probs and probs, and the inference CDF.
+    Callers then gather rows instead of evaluating the engines again.
 
-    Every value comes from the same row-wise arithmetic as the direct
+    A load draws only the per-version noise the inference logits read.
+    It hashes the version keys alone (one three-pass chain over the
+    rows' (prompt, prev, last) words), draws the dense block at every
+    entry and the fault block only at the fault entries, and scatters
+    the fault term into the dense term. Elsewhere the direct path's
+    fault term is 0 * |logit| * noise = +-0, which leaves the dense term
+    unchanged unless that term is exactly zero (a Box-Muller radius of
+    exactly 0, probability about 2^-53 per entry).
+
+    Every value comes from the same entry-wise arithmetic as the direct
     path (context_rows, batched_train_logits, perturb_logits,
     batched_log_softmax), so a gathered row is bit-identical to
     evaluating its context directly. A row whose training logits are
@@ -470,11 +491,15 @@ class ContextTable:
         self._sorted_first = np.zeros(0, dtype=np.intp)
         self.n_features: int | None = None
         self.params: PolicyParams | None = None
-        # Fixed for the run, per row.
-        self._contexts = np.zeros((3, 0), dtype=np.int64)
+        # Fixed for the run: per row, the (prompt, prev, last) words,
+        # feature rows and persistent dense normals; per fault entry (a
+        # flat index into a (rows, vocab) block, ascending), the
+        # persistent fault normal.
+        self._contexts = np.zeros((3, 0), dtype=np.uint64)
         self.feats = np.zeros((0, 4), dtype=np.intp)
-        self._normals = np.zeros((2, 0, vocab_size))
-        self._faults = np.zeros((0, vocab_size), dtype=bool)
+        self._dense_normals = np.zeros((0, vocab_size))
+        self._fault_at = np.zeros(0, dtype=np.intp)
+        self._fault_normals = np.zeros(0)
         # At the loaded params, per row: (lp_train, probs_train, lp_infer,
         # probs_infer, cdf) and whether the training logits are finite.
         self._dists = np.zeros((5, 0, vocab_size))
@@ -547,7 +572,7 @@ class ContextTable:
         elif params.n_features != self.n_features:
             raise ValueError(f"params have {params.n_features} features, the table {self.n_features}")
         self.params = params
-        self._dists, self.finite = self._evaluate(slice(None))
+        self._dists, self.finite = self._evaluate(0)
 
     def check(self, rows: np.ndarray) -> None:
         """Raise the direct path's NumericError if a row's training logits are non-finite."""
@@ -566,31 +591,54 @@ class ContextTable:
             np.tile(self._windows[1], len(prompt_ids)),
         ])
         feats, keys_fixed, _ = context_rows(*contexts, self.n_features, self.infer, 0)
-        normals, faults = persistent_noise(keys_fixed, self.vocab_size)
-        self._contexts = np.concatenate([self._contexts, contexts], axis=1)
+        (dense, fault), faults = persistent_noise(keys_fixed, self.vocab_size)
+        self._contexts = np.concatenate([self._contexts, contexts.view(np.uint64)], axis=1)
         self.feats = np.concatenate([self.feats, feats])
-        self._normals = np.concatenate([self._normals, normals], axis=1)
-        self._faults = np.concatenate([self._faults, faults])
+        self._dense_normals = np.concatenate([self._dense_normals, dense])
+        self._fault_at = np.concatenate([self._fault_at, np.flatnonzero(faults) + start * self.vocab_size])
+        self._fault_normals = np.concatenate([self._fault_normals, fault[faults]])
         if self.params is not None:
-            dists, finite = self._evaluate(slice(start, None))
+            dists, finite = self._evaluate(start)
             self._dists = np.concatenate([self._dists, dists], axis=1)
             self.finite = np.concatenate([self.finite, finite])
 
-    def _evaluate(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        """(stacked distributions, finite flags) of a slice of rows at the loaded params."""
+    def _evaluate(self, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """(stacked distributions, finite flags) of the rows from start on, at the loaded params."""
         params = self.params
         scale = self.infer.mismatch_scale
         with np.errstate(over="ignore", invalid="ignore"):
-            train_logits = _scaled_train_logits(params.weights, self.feats[rows], self.temperature)
+            train_logits = _scaled_train_logits(params.weights, self.feats[start:], self.temperature)
             lp_train, probs_train = batched_log_softmax(train_logits)
             if scale > 0.0:
-                _, _, keys_version = context_rows(*self._contexts[:, rows], params.n_features, self.infer, params.version_id)
-                noise = mix_noise((self._normals[:, rows], self._faults[rows]), version_noise(keys_version, self.vocab_size))
-                lp_infer, probs_infer = batched_log_softmax(train_logits + perturbation(train_logits, noise, scale))
+                error = self._version_error(train_logits, start, params.version_id)
+                lp_infer, probs_infer = batched_log_softmax(train_logits + scale * error)
             else:
                 lp_infer, probs_infer = lp_train, probs_train
             cdf = np.cumsum(probs_infer, axis=1)
         return np.stack([lp_train, probs_train, lp_infer, probs_infer, cdf]), np.isfinite(train_logits).all(axis=1)
+
+    def _version_error(self, train_logits: np.ndarray, start: int, version_id: int) -> np.ndarray:
+        """perturbation / scale of the rows from start on at version_id, noise drawn where it is read."""
+        width = self.vocab_size
+        contexts = self._contexts[:, start:]
+        keys = np.full(contexts.shape[1], _mix(_NOISE_VERSION_TAG, self.infer.mismatch_seed, version_id), dtype=np.uint64)
+        for column in contexts:
+            keys = _splitmix64_vec(keys ^ column)
+        dense = _PERSISTENT_WEIGHT * self._dense_normals[start:] + _VERSION_WEIGHT * _heavy_normals(
+            keys[:, None], _columns(width), np.uint64(_DENSE_TAIL_CUT), _DENSE_TAIL_GAIN
+        )
+        first = np.searchsorted(self._fault_at, start * width)
+        at = self._fault_at[first:] - start * width
+        row, col = np.divmod(at, width)
+        version = _heavy_normals(
+            keys[row] ^ np.uint64(_SECOND_VERSION_XOR), col.astype(np.uint64), np.uint64(_FAULT_TAIL_CUT), _FAULT_TAIL_GAIN
+        )
+        fault_noise = np.clip(
+            _PERSISTENT_WEIGHT * self._fault_normals[first:] + _VERSION_WEIGHT * version, -_FAULT_NOISE_CLIP, _FAULT_NOISE_CLIP
+        )
+        error = _DENSE_WEIGHT * dense
+        error.ravel()[at] += _FAULT_GAIN * np.abs(train_logits.ravel()[at]) * fault_noise
+        return error
 
 
 def _context_logits(

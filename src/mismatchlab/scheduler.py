@@ -20,11 +20,13 @@ scheduling order never perturbs another rollout's token sequence. They
 are the first draws of the rollout's tuple-seeded stream,
 default_rng(SeedSequence((seed & MASK64, 2, uid))), and must stay equal
 to it bit for bit: that stream defines replay. They are derived in bulk
-instead. seed_sequence_states runs numpy's SeedSequence hash over a
-whole block of uids at once; RolloutUniforms keeps the current block of
-4,096 uids and one PCG64, sets it to each rollout's seeded state through
-the public state setter and draws all the uniforms the rollout can use
-in one call when it is spawned.
+instead, per block of 4,096 uids: seed_sequence_states runs numpy's
+SeedSequence hash over every uid of the block at once, and pcg64_block
+runs PCG64 over them at once (its 128-bit state held as uint64 hi/lo
+pairs) to draw the first 8 uniforms of every uid. A rollout takes the
+uniforms it can use when it is spawned: up to 8 from the block, and any
+further ones from one PCG64 set to the block's end state for its uid
+through the public state setter.
 """
 
 from __future__ import annotations
@@ -314,18 +316,68 @@ def seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
     return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG_DEFAULT_MULTIPLIER_128
 _UID_BLOCK = 4096  # divides 2**32, so only a uid's low word varies within a block
+# Uniforms of every uid that a block holds: the shipped tasks.max_len, so
+# every rollout of a policy-length run draws from the block alone.
+_BLOCK_DRAWS = 8
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG_DEFAULT_MULTIPLIER_128
+_MULT_HI = np.uint64(_PCG64_MULT >> 64)
+_MULT_LO = np.uint64(_PCG64_MULT & _MASK64)
+_MULT_LO_LIMBS = (np.uint64(_PCG64_MULT & _MASK32), np.uint64((_PCG64_MULT >> 32) & _MASK32))
+
+
+def _mulhi_mult_lo(x: np.ndarray) -> np.ndarray:
+    """High 64 bits of x * _MULT_LO for a uint64 array, from 32-bit limbs (no carry is lost)."""
+    x0, x1 = x & np.uint64(_MASK32), x >> np.uint64(32)
+    m0, m1 = _MULT_LO_LIMBS
+    t = x1 * m0 + ((x0 * m0) >> np.uint64(32))
+    u = x0 * m1 + (t & np.uint64(_MASK32))
+    return x1 * m1 + (t >> np.uint64(32)) + (u >> np.uint64(32))
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo).astype(np.uint64), lo
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """state * _PCG64_MULT + inc mod 2**128, the 128-bit state held as uint64 (hi, lo) pairs."""
+    return _add128(_mulhi_mult_lo(lo) + lo * _MULT_HI + hi * _MULT_LO, lo * _MULT_LO, inc_hi, inc_lo)
+
+
+def pcg64_block(seed_states: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first count uniforms of a PCG64 per row of (n, 4) seed words, and the state after them.
+
+    Row i draws what Generator(PCG64) seeded from SeedSequence words
+    seed_states[i] gives with random(count): pcg64_set_seed's
+    arithmetic, then per draw one step, the XSL-RR output and
+    (x >> 11) * 2**-53. The second array holds each row's (state hi,
+    state lo, inc hi, inc lo) words after the draws, from which the
+    PCG64 state setter continues the stream.
+    """
+    w0, w1, w2, w3 = np.asarray(seed_states, dtype=np.uint64).T
+    inc_hi = (w2 << np.uint64(1)) | (w3 >> np.uint64(63))
+    inc_lo = (w3 << np.uint64(1)) | np.uint64(1)
+    hi, lo = _pcg64_step(*_add128(w0, w1, inc_hi, inc_lo), inc_hi, inc_lo)
+    uniforms = np.empty((w0.size, count))
+    for k in range(count):
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        x = hi ^ lo
+        rot = hi >> np.uint64(58)
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        uniforms[:, k] = (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return uniforms, np.stack([hi, lo, inc_hi, inc_lo], axis=1)
 
 
 class RolloutUniforms:
     """The draws of each rollout's stream default_rng(SeedSequence((seed & MASK64, 2, uid))).
 
-    The seed states of one aligned block of uids come from a single
-    seed_sequence_states call; uids are issued in order, so only the
-    current block is kept. One PCG64 is reseeded per rollout with
-    pcg64_set_seed's arithmetic, through its public state setter.
+    uids are issued in order, so only the current aligned block of uids
+    is kept: its seed states from one seed_sequence_states call, and
+    from one pcg64_block call the first _BLOCK_DRAWS uniforms of every
+    uid and the PCG64 states after them. A rollout that needs more
+    continues its stream from there on one PCG64, set through its public
+    state setter.
     """
 
     def __init__(self, seed: int) -> None:
@@ -333,24 +385,25 @@ class RolloutUniforms:
         self._bitgen = np.random.PCG64()
         self._generator = np.random.Generator(self._bitgen)
         self._block = -1
-        self._states = np.zeros((0, 4), dtype=np.uint64)
+        self._uniforms = np.zeros((0, _BLOCK_DRAWS))
+        self._ends = np.zeros((0, 4), dtype=np.uint64)
 
     def draw(self, uid: int, count: int) -> np.ndarray:
         """The first count uniforms of uid's stream, as Generator.random(count) gives them."""
         block, offset = divmod(uid, _UID_BLOCK)
         if block != self._block:
-            self._states = self._block_states(block)
+            self._uniforms, self._ends = pcg64_block(self._block_states(block), _BLOCK_DRAWS)
             self._block = block
-        w0, w1, w2, w3 = self._states[offset].tolist()
-        inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
-        state = ((((w0 << 64) | w1) + inc) * _PCG64_MULT + inc) & _MASK128
+        if count <= _BLOCK_DRAWS:
+            return self._uniforms[offset, :count]
+        hi, lo, inc_hi, inc_lo = self._ends[offset].tolist()
         self._bitgen.state = {
             "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
+            "state": {"state": (hi << 64) | lo, "inc": (inc_hi << 64) | inc_lo},
             "has_uint32": 0,
             "uinteger": 0,
         }
-        return self._generator.random(count)
+        return np.concatenate([self._uniforms[offset], self._generator.random(count - _BLOCK_DRAWS)])
 
     def _block_states(self, block: int) -> np.ndarray:
         head = _seed_words(self.seed & _MASK64, 2)

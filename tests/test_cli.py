@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from mismatchlab import discrepancy
+from mismatchlab import discrepancy, scheduler
 from mismatchlab.cli import _dumps, main
+from mismatchlab.errors import NumericError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -77,6 +78,22 @@ def test_schedule_jobs_do_not_change_the_report(tmp_path) -> None:
     assert reports[0] == reports[1]
 
 
+def test_schedule_starts_no_more_workers_than_seeds(tmp_path, monkeypatch) -> None:
+    import concurrent.futures
+
+    workers = []
+    pool = concurrent.futures.ProcessPoolExecutor
+
+    def recording(max_workers):
+        workers.append(max_workers)
+        return pool(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    cfg = write_config(tmp_path, "schedule_longtail", schedule={"n_iterations": 1, "max_len": 16, "seeds": [11, 12]})
+    assert main(["schedule", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "3"]) == 0
+    assert workers == [2]
+
+
 def test_compounding_header_replay_is_byte_identical(tmp_path) -> None:
     cfg = write_config(tmp_path, "compounding", compounding={"n_steps": 20})
     first = tmp_path / "a"
@@ -88,3 +105,39 @@ def test_compounding_header_replay_is_byte_identical(tmp_path) -> None:
     assert main(["compounding", "--config", str(replay), "--out", str(tmp_path / "b")]) == 0
     for name in ("compounding_trace.jsonl", "compounding_fit.json"):
         assert (first / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_train_tick_cap_writes_a_summary_and_exits_4(tmp_path, capsys) -> None:
+    cfg = write_config(tmp_path, "train_icepop", budget={"tick_cap": 3})
+    out = tmp_path / "o"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 4
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["status"] == "tick_cap_exceeded"
+    assert summary["iterations_completed"] == 0 and summary["final"] is None
+    assert "3 ticks" in summary["error"]
+    assert len((out / "metrics.jsonl").read_text(encoding="utf-8").splitlines()) == 1
+    assert "tick cap exceeded" in capsys.readouterr().err
+
+
+def test_train_numeric_failure_writes_a_summary_and_exits_3(tmp_path, monkeypatch, capsys) -> None:
+    def failing_update(*args, **kwargs):
+        raise NumericError("parameter update produced non-finite weights")
+
+    monkeypatch.setattr(scheduler, "sgd_update", failing_update)
+    cfg = write_config(tmp_path, "train_icepop", run={"n_iterations": 3})
+    out = tmp_path / "o"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["status"] == "numeric_failure"
+    assert summary["error"] == "parameter update produced non-finite weights"
+    lines = (out / "metrics.jsonl").read_text(encoding="utf-8").splitlines()
+    assert summary["iterations_completed"] == len(lines) - 1 == 1
+    assert summary["final"] == json.loads(lines[-1])
+    assert "numeric failure: parameter update" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_schedule_rejects_fewer_than_one_job(tmp_path, jobs: str) -> None:
+    out = tmp_path / "o"
+    assert main(["schedule", "--config", str(CONFIGS / "schedule_longtail.json"), "--out", str(out), "--jobs", jobs]) == 2
+    assert not out.exists()

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mismatchlab import (
@@ -255,13 +255,25 @@ def test_masked_tokens_contribute_exactly_zero_gradient() -> None:
         assert np.all(out_p.grad[row, :] == 0.0)
 
 
-def test_wide_bounds_reduce_masked_variant_to_unmasked() -> None:
-    params, groups, _ = make_batch(seed=6, scale=0.2)
-    wide = MaskingBounds(alpha=1e-12, beta=1e12)
-    icepop = objective_and_grad(groups, params, params, None, ObjectiveConfig(algo=Algo.ICEPOP, group_size=2), wide)
-    grpo = objective_and_grad(groups, params, params, None, ObjectiveConfig(algo=Algo.GRPO, group_size=2), wide)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), scale=st.sampled_from([0.0, 0.05, 0.2, 0.8]), tight=st.booleans(), kl_coeff=st.sampled_from([0.0, 0.3]))
+@example(seed=6, scale=0.2, tight=False, kl_coeff=0.0)
+def test_wide_bounds_reduce_masked_variant_to_unmasked(seed: int, scale: float, tight: bool, kl_coeff: float) -> None:
+    """Bounds that keep every token make icepop grpo, bit for bit; tight bounds sit exactly on the extreme ratios."""
+    params, groups, _ = make_batch(seed=seed, scale=scale)
+    theta = PolicyParams(params.weights * 1.05, params.version_id)
+    ref = init_params(Vocabulary(size=8), n_features=24, init_scale=0.5, seed=99)
+    calib = objective_and_grad(groups, theta, params, None, ObjectiveConfig(algo=Algo.GRPO, group_size=2), DEFAULT_BOUNDS).per_token_calibration
+    wide = MaskingBounds(min(1.0, float(calib.min())), max(1.0, float(calib.max()))) if tight else MaskingBounds(1e-12, 1e12)
+    icepop, grpo = (
+        objective_and_grad(groups, theta, params, ref, ObjectiveConfig(algo=algo, kl_coeff=kl_coeff, group_size=2), wide)
+        for algo in (Algo.ICEPOP, Algo.GRPO)
+    )
+    assert icepop.per_token_mask_kept.all() and icepop.clipped_fraction == grpo.clipped_fraction == 0.0
     assert icepop.objective_value == grpo.objective_value
-    assert np.array_equal(icepop.grad, grpo.grad)
+    assert icepop.grad.tobytes() == grpo.grad.tobytes()
+    for name in ("per_token_mask_kept", "per_token_surrogate", "per_token_calibration", "per_token_entropy"):
+        assert getattr(icepop, name).tobytes() == getattr(grpo, name).tobytes()
 
 
 def test_clip_branch_zeroes_gradient_on_both_sides() -> None:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.random.bit_generator import ISeedSequence
 
 from mismatchlab import (
     Algo,
@@ -26,7 +27,7 @@ from mismatchlab import (
 )
 from mismatchlab.errors import TickCapError
 from mismatchlab import objective, scheduler
-from mismatchlab.scheduler import RolloutUniforms, seed_sequence_states
+from mismatchlab.scheduler import _BLOCK_DRAWS, RolloutUniforms, pcg64_block, seed_sequence_states
 from mismatchlab.tasks import TaskKind
 
 FIXTURE_LENGTHS = [2, 2, 3, 3, 5, 5, 9, 17]
@@ -307,6 +308,49 @@ def test_randomized_scheduler_fuzz() -> None:
         _run_fuzz_case(rng)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    token_budget=st.integers(1, 60),
+    infer_capacity=st.integers(1, 12),
+    retention_threshold=st.integers(0, 3),
+    prompts_per_iteration=st.integers(1, 4),
+    group_size=st.integers(2, 5),
+    max_len=st.integers(1, 9),
+    lognormal=st.booleans(),
+    iterations=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pool_stays_within_capacity_and_only_complete_groups_are_emitted(
+    token_budget, infer_capacity, retention_threshold, prompts_per_iteration, group_size, max_len, lognormal, iterations, seed
+) -> None:
+    vocab = Vocabulary(size=6)
+    model = "lognormal" if lognormal else "policy"
+    source = SyntheticPromptSource(vocab, max_len=max_len, length_model=model, median=3.0, sigma=1.0)
+    state = make_state(seed, vocab, infer_engine(0.2, 7), source)
+    params = init_params(vocab, n_features=16, init_scale=0.4, seed=seed)
+    budget = BudgetConfig(
+        token_budget=token_budget,
+        infer_capacity=infer_capacity,
+        retention_threshold=retention_threshold,
+        prompts_per_iteration=prompts_per_iteration,
+    )
+    cfg = ObjectiveConfig(group_size=group_size)
+    emitted: list = []
+    for _ in range(iterations):
+        trace: list[dict] = []
+        _, groups = run_iteration(state, params, budget, cfg, trace=trace)
+        assert all(row["active"] <= infer_capacity and row["pool_after"] <= infer_capacity for row in trace)
+        emitted += groups
+        params = PolicyParams(params.weights, version_id=params.version_id + 1)
+    in_flight = {r.uid for pool in (state.infer_pool, state.pending, state.train_pool) for r in pool}
+    for group in emitted:
+        uids = {r.uid for r in group.rollouts}
+        assert len(group.rollouts) == len(uids) == group_size
+        assert len({r.group_uid for r in group.rollouts}) == 1
+        assert all(r.terminal for r in group.rollouts)
+        assert not uids & state.purged_uids and not uids & in_flight
+
+
 def test_budget_config_invariants() -> None:
     with pytest.raises(ValueError):
         BudgetConfig(token_budget=0, infer_capacity=1)
@@ -341,7 +385,7 @@ def test_group_slots_hold_only_live_groups_after_a_run() -> None:
         st.integers(0, 2**70),
         st.sampled_from([0, 1, 4095, 4096, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
     ),
-    count=st.sampled_from([1, 8, 512]),
+    count=st.sampled_from([1, _BLOCK_DRAWS - 1, _BLOCK_DRAWS, _BLOCK_DRAWS + 1, 512]),
 )
 def test_rollout_stream_is_the_tuple_seeded_stream(seed: int, uid: int, count: int) -> None:
     want = np.random.default_rng(np.random.SeedSequence((seed & (2**64 - 1), 2, uid)))
@@ -354,6 +398,40 @@ def test_rollout_uniforms_across_block_edges_in_issue_order() -> None:
     for uid in [*range(4090, 4100), *range(2**32 - 3, 2**32 + 3), 2**40, 5]:
         want = np.random.default_rng(np.random.SeedSequence((-5 & (2**64 - 1), 2, uid)))
         assert source.draw(uid, 3).tobytes() == want.random(3).tobytes()
+
+
+class _FixedWords(ISeedSequence):
+    """Hands PCG64 the given seed words, so that numpy's own seeding runs on them."""
+
+    def __init__(self, words) -> None:
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert n_words == 4 and np.dtype(dtype) == np.uint64
+        return self.words.copy()
+
+
+WORD = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 1, 2**32 - 1, 2**63, 2**64 - 2, 2**64 - 1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(WORD, WORD, WORD, WORD), min_size=1, max_size=6), count=st.integers(1, 12), extra=st.integers(1, 5))
+@example(rows=[(2**64 - 1,) * 4, (0,) * 4, (2**64 - 1, 0, 2**64 - 1, 0)], count=_BLOCK_DRAWS, extra=3)
+def test_pcg64_block_matches_numpy_pcg64(rows, count: int, extra: int) -> None:
+    """First draws against numpy's seeding; the end states continue the stream through the state setter."""
+    uniforms, ends = pcg64_block(np.array(rows, dtype=np.uint64), count)
+    assert uniforms.shape == (len(rows), count) and ends.dtype == np.uint64
+    bitgen = np.random.PCG64()
+    for words, drawn, (hi, lo, inc_hi, inc_lo) in zip(rows, uniforms, ends.tolist()):
+        want = np.random.Generator(np.random.PCG64(_FixedWords(words)))
+        assert drawn.tobytes() == want.random(count).tobytes()
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": (hi << 64) | lo, "inc": (inc_hi << 64) | inc_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        assert np.random.Generator(bitgen).random(extra).tobytes() == want.random(extra).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -30,7 +30,11 @@ from mismatchlab.policy import (
     batched_log_softmax,
     batched_train_logits,
     context_rows,
+    mix_noise,
+    persistent_noise,
     perturb_logits,
+    perturbation,
+    version_noise,
 )
 from mismatchlab.tasks import COPY_PATTERN_POOL
 
@@ -80,6 +84,71 @@ def test_table_rows_equal_direct_path(
         table.check(rows)
         got = (table.feats[rows], table.lp_train[rows], table.probs_train[rows], table.lp_infer[rows], table.probs_infer[rows], table.cdf[rows])
         for g, want in zip(got, direct_rows(params, infer, temperature, pids, prev, last)):
+            assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+
+
+def full_block_rows(params, infer, temperature, pids, prev, last):
+    """(lp_train, probs_train, lp_infer, probs_infer, cdf) with every noise block drawn in full.
+
+    The composition a table load used to run: both per-version normal
+    blocks at every entry, mixed with both persistent blocks, and the
+    fault term masked, not scattered.
+    """
+    feats, keys_fixed, keys_version = context_rows(pids, prev, last, params.n_features, infer, params.version_id)
+    train_logits = batched_train_logits(params, feats, temperature)
+    lp_train, probs_train = batched_log_softmax(train_logits)
+    if infer.mismatch_scale > 0.0:
+        noise = mix_noise(persistent_noise(keys_fixed, params.vocab_size), version_noise(keys_version, params.vocab_size))
+        lp_infer, probs_infer = batched_log_softmax(train_logits + perturbation(train_logits, noise, infer.mismatch_scale))
+    else:
+        lp_infer, probs_infer = lp_train, probs_train
+    return lp_train, probs_train, lp_infer, probs_infer, np.cumsum(probs_infer, axis=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    prompts=st.lists(PROMPT_ID, min_size=1, max_size=3, unique=True),
+    late_prompt=PROMPT_ID,
+    vocab_size=st.integers(2, 9),
+    n_features=st.integers(1, 300),
+    scale=st.sampled_from([0.0, 0.05, 0.22, 1.5]),
+    mismatch_seed=st.integers(-(2**63), 2**63 - 1),
+    versions=st.lists(st.integers(0, 2**40), min_size=2, max_size=3),
+    overflow=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_restricted_load_equals_the_full_block_composition_on_every_finite_row(
+    prompts, late_prompt, vocab_size, n_features, scale, mismatch_seed, versions, overflow, seed
+) -> None:
+    rng = np.random.default_rng(seed)
+    infer = infer_engine(scale, mismatch_seed)
+    table = ContextTable(vocab_size, infer, 0.8)
+    table.add(prompts)
+    windows = np.arange(-1, vocab_size)
+    prev, last = (w.ravel() for w in np.meshgrid(windows, windows, indexing="ij"))
+    for i, version in enumerate(versions):
+        weights = rng.normal(size=(n_features, vocab_size)) * 10.0 ** rng.uniform(-2, 2)
+        if overflow:
+            weights[rng.integers(0, n_features, 2)] = 1e308
+        params = PolicyParams(weights, version)
+        table.load(params)
+        if i == 0:
+            table.add([late_prompt])  # registered while a version is loaded
+        known = list(dict.fromkeys(prompts + [late_prompt]))
+        pids = np.repeat(np.asarray(known, dtype=np.int64), prev.size)
+        every = (pids, np.tile(prev, len(known)), np.tile(last, len(known)))
+        rows = table.rows(*every)
+        assert sorted(rows.tolist()) == list(range(table.feats.shape[0]))
+        finite = table.finite[rows]
+        assert overflow or finite.all()
+        at = rows[finite]
+        got = (table.lp_train[at], table.probs_train[at], table.lp_infer[at], table.probs_infer[at], table.cdf[at])
+        with np.errstate(over="ignore", invalid="ignore"):  # a finite row's noise can still overflow
+            for not_finite in np.flatnonzero(~finite):
+                with pytest.raises(NumericError):
+                    batched_train_logits(params, table.feats[rows[not_finite]][None, :], 0.8)
+            oracle = full_block_rows(params, infer, 0.8, *(col[finite] for col in every))
+        for g, want in zip(got, oracle):
             assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
 
 
