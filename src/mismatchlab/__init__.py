@@ -23,7 +23,6 @@ from .errors import ConfigError, NumericError, TickCapError
 from .objective import (
     Algo,
     LossBreakdown,
-    MaskingBounds,
     ObjectiveConfig,
     PromptGroup,
     group_advantages,
@@ -76,7 +75,6 @@ __all__ = [
     "EngineKind",
     "ExperimentConfig",
     "LossBreakdown",
-    "MaskingBounds",
     "NumericError",
     "ObjectiveConfig",
     "PolicyParams",

@@ -18,11 +18,11 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, config_from_dict, load_config
-from .discrepancy import BiasMode, compounding_experiment, make_probes, sensitivity_sweep
+from .discrepancy import compounding_experiment, make_probes, sensitivity_sweep
 from .errors import ConfigError, NumericError, TickCapError
-from .objective import Algo, MaskingBounds, ObjectiveConfig
+from .objective import Algo
 from .policy import Vocabulary, infer_engine, init_params
-from .scheduler import BudgetConfig, SyntheticPromptSource, make_state, train_loop
+from .scheduler import SyntheticPromptSource, make_state, train_loop
 
 METRICS_SCHEMA_VERSION = 1
 
@@ -51,30 +51,6 @@ def _vocab(cfg: ExperimentConfig) -> Vocabulary:
     return Vocabulary(size=cfg.policy.vocab_size, eos_id=cfg.policy.eos_id)
 
 
-def _objective_cfg(cfg: ExperimentConfig) -> ObjectiveConfig:
-    return ObjectiveConfig(
-        algo=Algo(cfg.objective.algo),
-        clip_eps=cfg.objective.clip_eps,
-        kl_coeff=cfg.objective.kl_coeff,
-        group_size=cfg.objective.group_size,
-        tis_cap=cfg.objective.tis_cap,
-    )
-
-
-def _budget_cfg(cfg: ExperimentConfig) -> BudgetConfig:
-    b = cfg.budget
-    return BudgetConfig(
-        token_budget=b.token_budget,
-        infer_capacity=b.infer_capacity,
-        retention_threshold=b.retention_threshold,
-        train_capacity=b.train_capacity,
-        sync_cost_ticks=b.sync_cost_ticks,
-        prompts_per_iteration=b.prompts_per_iteration,
-        max_total_prompts=b.max_total_prompts,
-        tick_cap=b.tick_cap,
-    )
-
-
 def _resolved_header(cfg: ExperimentConfig) -> dict:
     return {
         "schema_version": METRICS_SCHEMA_VERSION,
@@ -88,7 +64,7 @@ def _metrics_row(cfg: ExperimentConfig, report, loss, sample) -> dict:
     return {
         "schema_version": METRICS_SCHEMA_VERSION,
         "iteration": report.iteration,
-        "algo": cfg.objective.algo,
+        "algo": cfg.objective.algo.value,
         "reward_mean": report.reward_mean,
         "grad_norm": loss.grad_norm,
         "delta": sample.delta,
@@ -111,9 +87,6 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
     source = SyntheticPromptSource(vocab, max_len=cfg.tasks.max_len)
     state = make_state(cfg.seed, vocab, infer, source, cfg.policy.temperature)
     probes = make_probes(cfg.run.n_probes, vocab, cfg.seed)
-    group_cfg = _objective_cfg(cfg)
-    budget = _budget_cfg(cfg)
-    bounds = MaskingBounds(cfg.objective.alpha, cfg.objective.beta)
 
     rows: list[dict] = []
     failure: NumericError | TickCapError | None = None
@@ -128,17 +101,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
 
         try:
             _, params = train_loop(
-                cfg.run.n_iterations,
-                state,
-                params,
-                budget,
-                group_cfg,
-                bounds,
-                cfg.objective.learning_rate,
-                probes=probes,
-                optimizer=cfg.objective.optimizer,
-                momentum_beta=cfg.objective.momentum,
-                on_step=flush_row,
+                cfg.run.n_iterations, state, params, cfg.budget, cfg.objective, probes, on_step=flush_row
             )
         except (NumericError, TickCapError) as exc:
             failure = exc
@@ -172,9 +135,6 @@ def _schedule_one_seed(cfg_dict: dict, seed: int) -> dict:
     sch = cfg.schedule
     vocab = _vocab(cfg)
     infer = infer_engine(cfg.mismatch.scale, cfg.mismatch.seed)
-    group_cfg = _objective_cfg(cfg)
-    budget = _budget_cfg(cfg)
-    bounds = MaskingBounds(cfg.objective.alpha, cfg.objective.beta)
     probes = make_probes(cfg.run.n_probes, vocab, seed)
 
     totals = {}
@@ -189,15 +149,7 @@ def _schedule_one_seed(cfg_dict: dict, seed: int) -> dict:
         state = make_state(seed, vocab, infer, source, cfg.policy.temperature)
         params = init_params(vocab, cfg.policy.n_features, cfg.policy.init_scale, seed)
         results, _ = train_loop(
-            sch.n_iterations,
-            state,
-            params,
-            budget,
-            group_cfg,
-            bounds,
-            cfg.objective.learning_rate,
-            probes=probes,
-            baseline=(mode == "baseline"),
+            sch.n_iterations, state, params, cfg.budget, cfg.objective, probes, baseline=(mode == "baseline")
         )
         rollout_ticks = sum(r[0].rollout_ticks for r in results)
         trained = sum(r[0].trained_tokens for r in results)
@@ -265,14 +217,17 @@ def cmd_compounding(cfg: ExperimentConfig, out_dir: Path) -> int:
         params,
         comp.mu,
         comp.n_steps,
-        BiasMode(comp.bias_mode),
+        comp.bias_mode,
         vocab,
         infer,
         probes,
         temperature=cfg.policy.temperature,
         align_target=comp.align_target,
         reward_seed=comp.reward_seed,
-        rl_options={"seed": cfg.seed, "max_len": cfg.tasks.max_len},
+        objective=cfg.objective,
+        budget=cfg.budget,
+        seed=cfg.seed,
+        max_len=cfg.tasks.max_len,
     )
     with (out_dir / "compounding_trace.jsonl").open("w", encoding="utf-8") as fh:
         fh.write(_dumps(_resolved_header(cfg)) + "\n")
@@ -301,9 +256,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         infer,
         params,
         cfg.sweep.n_iterations,
-        _budget_cfg(cfg),
-        _objective_cfg(cfg),
-        cfg.objective.learning_rate,
+        cfg.budget,
+        cfg.objective,
         max_len=cfg.tasks.max_len,
         temperature=cfg.policy.temperature,
         n_probes=cfg.run.n_probes,
@@ -344,16 +298,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        # Overrides rebuild the sections, so the sections' own checks apply to them.
         if getattr(args, "seed", None) is not None:
-            cfg.seed = args.seed
+            cfg = dataclasses.replace(cfg, seed=args.seed)
         if getattr(args, "iterations", None) is not None:
-            if args.iterations < 0:
-                raise ConfigError("--iterations must be nonnegative")
-            cfg.run.n_iterations = args.iterations
+            cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, n_iterations=args.iterations))
+        if getattr(args, "algo", None):
+            cfg = dataclasses.replace(cfg, objective=dataclasses.replace(cfg.objective, algo=Algo(args.algo)))
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError("--jobs must be >= 1")
-        if getattr(args, "algo", None):
-            cfg.objective.algo = args.algo
         out_dir = Path(args.out)
         if args.command == "train":
             return cmd_train(cfg, out_dir)

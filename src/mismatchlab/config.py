@@ -1,23 +1,33 @@
 """Experiment configuration: a single strict JSON document.
 
 Unknown keys are rejected rather than ignored so typos fail fast, and a
-schema_version field is required. The resolved document round-trips
-losslessly, which is what lets a metrics file regenerate byte-identically
-from its embedded header.
+schema_version field is required. Each section is a frozen dataclass
+that checks its own invariants when it is built; the objective and
+budget sections are the engine's ObjectiveConfig and BudgetConfig. One
+parser reads every section from its field annotations. The resolved
+document round-trips losslessly, which is what lets a metrics file
+regenerate byte-identically from its embedded header.
 """
 
 from __future__ import annotations
 
+import enum
+import functools
 import json
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
+from .discrepancy import BiasMode
 from .errors import ConfigError
+from .objective import ObjectiveConfig, check_bounds
+from .scheduler import BudgetConfig
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicySection:
     vocab_size: int = 8
     eos_id: int = 0
@@ -25,51 +35,49 @@ class PolicySection:
     init_scale: float = 0.3
     temperature: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.vocab_size < 2:
+            raise ConfigError("policy.vocab_size: must be >= 2")
+        if not 0 <= self.eos_id < self.vocab_size:
+            raise ConfigError("policy.eos_id: out of vocabulary range")
+        if self.n_features < 1:
+            raise ConfigError("policy.n_features: must be >= 1")
+        if self.temperature <= 0:
+            raise ConfigError("policy.temperature: must be positive")
 
-@dataclass
+
+@dataclass(frozen=True)
 class MismatchSection:
     scale: float = 0.22
     seed: int = 7
 
-
-@dataclass
-class ObjectiveSection:
-    algo: str = "icepop"
-    alpha: float = 0.5
-    beta: float = 5.0
-    clip_eps: float = 0.2
-    kl_coeff: float = 0.0
-    group_size: int = 8
-    tis_cap: float = 2.0
-    learning_rate: float = 24.0
-    optimizer: str = "sgd"
-    momentum: float = 0.9
+    def __post_init__(self) -> None:
+        if self.scale < 0:
+            raise ConfigError("mismatch.scale: must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TasksSection:
     max_len: int = 8
 
-
-@dataclass
-class BudgetSection:
-    token_budget: int = 440
-    infer_capacity: int = 48
-    retention_threshold: int = 3
-    train_capacity: int | None = None
-    sync_cost_ticks: int = 8
-    prompts_per_iteration: int = 12
-    max_total_prompts: int | None = None
-    tick_cap: int = 1_000_000
+    def __post_init__(self) -> None:
+        if self.max_len < 1:
+            raise ConfigError("tasks.max_len: must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSection:
     n_iterations: int = 200
     n_probes: int = 256
 
+    def __post_init__(self) -> None:
+        if self.n_iterations < 0:
+            raise ConfigError("run.n_iterations: must be nonnegative")
+        if self.n_probes < 1:
+            raise ConfigError("run.n_probes: must be >= 1")
 
-@dataclass
+
+@dataclass(frozen=True)
 class ScheduleSection:
     length_model: str = "lognormal"
     median: float = 32.0
@@ -78,216 +86,119 @@ class ScheduleSection:
     n_iterations: int = 6
     seeds: list[int] = field(default_factory=lambda: [11, 12, 13, 14, 15])
 
+    def __post_init__(self) -> None:
+        if self.length_model not in ("policy", "lognormal"):
+            raise ConfigError(f"schedule.length_model: unknown model {self.length_model!r}")
+        if self.median <= 0 or self.sigma < 0:
+            raise ConfigError("schedule.median must be positive and schedule.sigma nonnegative")
+        if self.max_len < 1:
+            raise ConfigError("schedule.max_len: must be >= 1")
+        if self.n_iterations < 1:
+            raise ConfigError("schedule.n_iterations: must be >= 1")
+        if not self.seeds:
+            raise ConfigError("schedule.seeds: must be non-empty")
 
-@dataclass
+
+@dataclass(frozen=True)
 class CompoundingSection:
     mu: float = 0.01
     n_steps: int = 100
-    bias_mode: str = "theorem_aligned"
+    bias_mode: BiasMode = BiasMode.THEOREM_ALIGNED
     align_target: float = 1.0
     reward_seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.mu <= 0:
+            raise ConfigError("compounding.mu: must be positive")
+        if self.n_steps < 1:
+            raise ConfigError("compounding.n_steps: must be >= 1")
 
-@dataclass
+
+@dataclass(frozen=True)
 class SweepSection:
     bounds: list[list[float]] = field(
         default_factory=lambda: [[0.5, 5.0], [0.5, 2.0], [0.4, 5.0]]
     )
     n_iterations: int = 80
 
+    def __post_init__(self) -> None:
+        if len(self.bounds) < 2:
+            raise ConfigError("sweep.bounds: need at least two settings")
+        for pair in self.bounds:
+            if len(pair) != 2:
+                raise ConfigError("sweep.bounds: expected a list of [alpha, beta] pairs")
+            check_bounds(*pair, "sweep.bounds")
+        if self.n_iterations < 1:
+            raise ConfigError("sweep.n_iterations: must be >= 1")
 
-@dataclass
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
     seed: int = 1234
     policy: PolicySection = field(default_factory=PolicySection)
     mismatch: MismatchSection = field(default_factory=MismatchSection)
-    objective: ObjectiveSection = field(default_factory=ObjectiveSection)
+    objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
     tasks: TasksSection = field(default_factory=TasksSection)
-    budget: BudgetSection = field(default_factory=BudgetSection)
+    budget: BudgetConfig = field(default_factory=BudgetConfig)
     run: RunSection = field(default_factory=RunSection)
     schedule: ScheduleSection | None = None
     compounding: CompoundingSection | None = None
     sweep: SweepSection | None = None
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        """The resolved document: every field, enums as their values, absent sections left out."""
+        out = asdict(
+            self, dict_factory=lambda items: {k: v.value if isinstance(v, enum.Enum) else v for k, v in items}
+        )
         return {k: v for k, v in out.items() if v is not None}
 
 
-_SECTION_TYPES = {
-    "policy": PolicySection,
-    "mismatch": MismatchSection,
-    "objective": ObjectiveSection,
-    "tasks": TasksSection,
-    "budget": BudgetSection,
-    "run": RunSection,
-    "schedule": ScheduleSection,
-    "compounding": CompoundingSection,
-    "sweep": SweepSection,
-}
-
-_OPTIONAL_SECTIONS = ("schedule", "compounding", "sweep")
-
-# Fields where null/int/float flexibility is allowed.
-_NULLABLE_INT_FIELDS = {"train_capacity", "max_total_prompts"}
+_SCALARS = {int: ("integer", int), float: ("number", (int, float)), str: ("string", str)}
+_type_hints = functools.cache(typing.get_type_hints)  # evaluating the annotations is most of a parse
 
 
-def _check_scalar(section: str, key: str, value, annotation) -> object:
-    if key in _NULLABLE_INT_FIELDS:
+def _parse(tp, value, where: str):
+    """value read as annotation tp; a dataclass is built from an object that has no unknown keys."""
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected an object, got {value!r}")
+        hints = _type_hints(tp)
+        unknown = set(value) - set(hints)
+        if unknown:
+            raise ConfigError(f"{where or 'top level'}: unknown key(s) {sorted(unknown)}")
+        return tp(**{k: _parse(hints[k], v, f"{where}.{k}" if where else k) for k, v in value.items()})
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is types.UnionType:
         if value is None:
             return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{section}.{key}: expected integer or null, got {value!r}")
-        return value
-    if annotation is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{section}.{key}: expected integer, got {value!r}")
-        return value
-    if annotation is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{section}.{key}: expected number, got {value!r}")
-        return float(value)
-    if annotation is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{section}.{key}: expected string, got {value!r}")
-        return value
-    return value
-
-
-def _parse_section(name: str, cls, data: dict):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{name}: expected an object, got {data!r}")
-    defaults = cls()
-    fields = {f: type(getattr(defaults, f)) for f in defaults.__dataclass_fields__}
-    unknown = set(data) - set(fields)
-    if unknown:
-        raise ConfigError(f"{name}: unknown key(s) {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if key == "seeds":
-            if not isinstance(value, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in value
-            ):
-                raise ConfigError(f"{name}.seeds: expected a list of integers")
-            kwargs[key] = list(value)
-        elif key == "bounds":
-            ok = isinstance(value, list) and all(
-                isinstance(b, list)
-                and len(b) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in b)
-                for b in value
-            )
-            if not ok:
-                raise ConfigError(f"{name}.bounds: expected a list of [alpha, beta] pairs")
-            kwargs[key] = [[float(b[0]), float(b[1])] for b in value]
-        else:
-            kwargs[key] = _check_scalar(name, key, value, fields[key])
-    return cls(**kwargs)
+        (tp,) = [a for a in args if a is not type(None)]
+        return _parse(tp, value, where)
+    if typing.get_origin(tp) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return [_parse(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if isinstance(tp, enum.EnumMeta):
+        values = [m.value for m in tp]
+        if value not in values:
+            raise ConfigError(f"{where}: expected one of {values}, got {value!r}")
+        return tp(value)
+    name, accepted = _SCALARS[tp]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{where}: expected {name}, got {value!r}")
+    return tp(value)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
-    known = {"schema_version", "seed"} | set(_SECTION_TYPES)
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s) {sorted(unknown)}")
     if "schema_version" not in data:
         raise ConfigError("missing required key schema_version")
     if data["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {data['schema_version']!r}; expected {SCHEMA_VERSION}"
         )
-    seed = data.get("seed", 1234)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed: expected integer, got {seed!r}")
-    kwargs: dict = {"schema_version": SCHEMA_VERSION, "seed": seed}
-    for name, cls in _SECTION_TYPES.items():
-        if name in data:
-            kwargs[name] = _parse_section(name, cls, data[name])
-        elif name not in _OPTIONAL_SECTIONS:
-            kwargs[name] = cls()
-    cfg = ExperimentConfig(**kwargs)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    pol, obj = cfg.policy, cfg.objective
-    if pol.vocab_size < 2:
-        raise ConfigError("policy.vocab_size: must be >= 2")
-    if not 0 <= pol.eos_id < pol.vocab_size:
-        raise ConfigError("policy.eos_id: out of vocabulary range")
-    if pol.n_features < 1:
-        raise ConfigError("policy.n_features: must be >= 1")
-    if pol.temperature <= 0:
-        raise ConfigError("policy.temperature: must be positive")
-    if cfg.mismatch.scale < 0:
-        raise ConfigError("mismatch.scale: must be nonnegative")
-    if obj.algo not in ("icepop", "grpo", "tis"):
-        raise ConfigError(f"objective.algo: unknown algorithm {obj.algo!r}")
-    if not 0 < obj.alpha <= 1 <= obj.beta:
-        raise ConfigError("objective bounds must satisfy 0 < alpha <= 1 <= beta")
-    if not 0 < obj.clip_eps < 1:
-        raise ConfigError("objective.clip_eps: must be in (0, 1)")
-    if obj.kl_coeff < 0:
-        raise ConfigError("objective.kl_coeff: must be nonnegative")
-    if obj.group_size < 2:
-        raise ConfigError("objective.group_size: must be >= 2")
-    if obj.tis_cap <= 0:
-        raise ConfigError("objective.tis_cap: must be positive")
-    if obj.learning_rate <= 0:
-        raise ConfigError("objective.learning_rate: must be positive")
-    if obj.optimizer not in ("sgd", "momentum"):
-        raise ConfigError(f"objective.optimizer: unknown optimizer {obj.optimizer!r}")
-    if cfg.tasks.max_len < 1:
-        raise ConfigError("tasks.max_len: must be >= 1")
-    bud = cfg.budget
-    if bud.token_budget < 1:
-        raise ConfigError("budget.token_budget: must be >= 1")
-    if bud.infer_capacity < 1:
-        raise ConfigError("budget.infer_capacity: must be >= 1")
-    if bud.retention_threshold < 0:
-        raise ConfigError("budget.retention_threshold: must be nonnegative")
-    if bud.sync_cost_ticks < 0:
-        raise ConfigError("budget.sync_cost_ticks: must be nonnegative")
-    if bud.prompts_per_iteration < 1:
-        raise ConfigError("budget.prompts_per_iteration: must be >= 1")
-    if bud.tick_cap < 1:
-        raise ConfigError("budget.tick_cap: must be >= 1")
-    if cfg.run.n_iterations < 0:
-        raise ConfigError("run.n_iterations: must be nonnegative")
-    if cfg.run.n_probes < 1:
-        raise ConfigError("run.n_probes: must be >= 1")
-    if cfg.schedule is not None:
-        sch = cfg.schedule
-        if sch.length_model not in ("policy", "lognormal"):
-            raise ConfigError(f"schedule.length_model: unknown model {sch.length_model!r}")
-        if sch.median <= 0 or sch.sigma < 0:
-            raise ConfigError("schedule.median must be positive and schedule.sigma nonnegative")
-        if sch.max_len < 1:
-            raise ConfigError("schedule.max_len: must be >= 1")
-        if sch.n_iterations < 1:
-            raise ConfigError("schedule.n_iterations: must be >= 1")
-        if not sch.seeds:
-            raise ConfigError("schedule.seeds: must be non-empty")
-    if cfg.compounding is not None:
-        cmp_ = cfg.compounding
-        if cmp_.mu <= 0:
-            raise ConfigError("compounding.mu: must be positive")
-        if cmp_.n_steps < 1:
-            raise ConfigError("compounding.n_steps: must be >= 1")
-        if cmp_.bias_mode not in ("theorem_aligned", "rl_loop"):
-            raise ConfigError(f"compounding.bias_mode: unknown mode {cmp_.bias_mode!r}")
-    if cfg.sweep is not None:
-        if len(cfg.sweep.bounds) < 2:
-            raise ConfigError("sweep.bounds: need at least two settings")
-        for pair in cfg.sweep.bounds:
-            if not 0 < pair[0] <= 1 <= pair[1]:
-                raise ConfigError(f"sweep.bounds: invalid pair {pair}")
-        if cfg.sweep.n_iterations < 1:
-            raise ConfigError("sweep.n_iterations: must be >= 1")
+    return _parse(ExperimentConfig, data, "")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,6 +34,10 @@ from .policy import (
     train_engine,
     weight_grad,
 )
+
+if TYPE_CHECKING:
+    from .objective import ObjectiveConfig
+    from .scheduler import BudgetConfig
 
 _MASK64 = (1 << 64) - 1
 
@@ -248,7 +253,10 @@ def compounding_experiment(
     temperature: float = 1.0,
     align_target: float = 1.0,
     reward_seed: int = 0,
-    rl_options: dict | None = None,
+    objective: ObjectiveConfig | None = None,
+    budget: BudgetConfig | None = None,
+    seed: int = 0,
+    max_len: int = 8,
 ) -> tuple[list[DiscrepancySample], DiscrepancyFit]:
     """Run the discrepancy-growth dynamics experiment.
 
@@ -257,13 +265,18 @@ def compounding_experiment(
     gradient (inner product equal to align_target * delta_t), holding
     the parameter version fixed so the engine-noise map stays smooth.
     Constants are fitted from the same trace; the growth bound is then a
-    literal per-step assertion. RL_LOOP runs the actual unmasked group
-    loop and fits the affine recursion delta_{t+1} = a delta_t + b.
+    literal per-step assertion. RL_LOOP runs the training loop with the
+    objective and budget configs, which it requires, on prompts of up to
+    max_len tokens from a scheduler seeded with seed, and fits the affine
+    recursion delta_{t+1} = a delta_t + b. Its step size is mu, not the
+    objective's learning rate, because the fit divides by it.
     """
     if mu <= 0:
         raise ValueError("step size mu must be positive")
     if bias_mode is BiasMode.RL_LOOP:
-        return _rl_loop_fit(theta_0, mu, n_steps, vocab, infer, probes, temperature, rl_options)
+        if objective is None or budget is None:
+            raise ValueError("the rl_loop mode needs the objective and budget configs")
+        return _rl_loop_fit(theta_0, mu, n_steps, vocab, infer, probes, temperature, objective, budget, seed, max_len)
 
     rng = np.random.default_rng(np.random.SeedSequence((reward_seed & _MASK64, 4)))
     reward_table = rng.uniform(-1.0, 1.0, size=(len(probes), vocab.size))
@@ -357,30 +370,16 @@ def _rl_loop_fit(
     infer: Engine,
     probes: list[Context],
     temperature: float,
-    rl_options: dict | None,
+    objective: ObjectiveConfig,
+    budget: BudgetConfig,
+    seed: int,
+    max_len: int,
 ) -> tuple[list[DiscrepancySample], DiscrepancyFit]:
-    from .objective import Algo, MaskingBounds, ObjectiveConfig
-    from .scheduler import BudgetConfig, SyntheticPromptSource, make_state, train_loop
+    from .scheduler import SyntheticPromptSource, make_state, train_loop
 
-    opts = dict(rl_options or {})
-    group_cfg = opts.get(
-        "group_cfg", ObjectiveConfig(algo=Algo.GRPO, group_size=opts.get("group_size", 8))
-    )
-    budget = opts.get(
-        "budget",
-        BudgetConfig(
-            token_budget=opts.get("token_budget", 800),
-            infer_capacity=opts.get("infer_capacity", 48),
-            retention_threshold=opts.get("retention_threshold", 3),
-            prompts_per_iteration=opts.get("prompts_per_iteration", 12),
-        ),
-    )
-    bounds = opts.get("bounds", MaskingBounds())
-    source = SyntheticPromptSource(vocab, max_len=opts.get("max_len", 24))
-    state = make_state(opts.get("seed", 0), vocab, infer, source, temperature)
-    results, _ = train_loop(
-        n_steps, state, theta_0.copy(), budget, group_cfg, bounds, lr=mu, probes=probes
-    )
+    state = make_state(seed, vocab, infer, SyntheticPromptSource(vocab, max_len=max_len), temperature)
+    objective = replace(objective, learning_rate=mu)
+    results, _ = train_loop(n_steps, state, theta_0.copy(), budget, objective, probes)
     samples = [r[2] for r in results]
     deltas = np.asarray([s.delta for s in samples])
     grad_norms = [r[1].grad_norm for r in results]
@@ -426,9 +425,8 @@ def sensitivity_sweep(
     infer: Engine,
     theta_0: PolicyParams,
     n_iterations: int,
-    budget,
-    group_cfg,
-    lr: float,
+    budget: BudgetConfig,
+    objective: ObjectiveConfig,
     max_len: int = 24,
     temperature: float = 1.0,
     n_probes: int = 256,
@@ -440,9 +438,8 @@ def sensitivity_sweep(
     additionally evaluated counterfactually on the first setting's
     trajectory (clipped_fraction_shared): on shared batches, the tokens
     clipped by a narrower range are a strict superset of those clipped
-    by a wider one.
+    by a wider one. Each setting replaces the objective's bounds.
     """
-    from .objective import MaskingBounds
     from .scheduler import SyntheticPromptSource, make_state, train_loop
 
     if len(bounds_list) < 2:
@@ -450,13 +447,11 @@ def sensitivity_sweep(
     reference_calibrations: list[np.ndarray] = []
     rows = []
     for idx, (alpha, beta) in enumerate(bounds_list):
-        bounds = MaskingBounds(alpha=alpha, beta=beta)
+        setting = replace(objective, alpha=alpha, beta=beta)
         source = SyntheticPromptSource(vocab, max_len=max_len)
         state = make_state(seed, vocab, infer, source, temperature)
         probes = make_probes(n_probes, vocab, seed)
-        results, _ = train_loop(
-            n_iterations, state, theta_0.copy(), budget, group_cfg, bounds, lr, probes=probes
-        )
+        results, _ = train_loop(n_iterations, state, theta_0.copy(), budget, setting, probes)
         if idx == 0:
             reference_calibrations = [r[1].per_token_calibration for r in results]
         final_reward = math.nan

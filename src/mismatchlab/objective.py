@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .policy import (
     ContextTable,
     PolicyParams,
@@ -47,42 +47,55 @@ class Algo(enum.Enum):
     TIS = "tis"
 
 
-@dataclass(frozen=True)
-class MaskingBounds:
-    """Inclusive lower/upper limits for the calibration ratio."""
-
-    alpha: float = 0.5
-    beta: float = 5.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0 <= self.beta):
-            raise ValueError(f"bounds must satisfy 0 < alpha <= 1 <= beta, got [{self.alpha}, {self.beta}]")
-
-
-def mask(k: float, bounds: MaskingBounds) -> float:
-    """k if alpha <= k <= beta (inclusive), else 0."""
-    if not math.isfinite(k) or k <= 0.0:
-        raise ValueError(f"mask argument must be a finite positive ratio, got {k}")
-    return k if bounds.alpha <= k <= bounds.beta else 0.0
+def check_bounds(alpha: float, beta: float, where: str) -> None:
+    """Raise ConfigError unless the calibration-ratio bounds satisfy 0 < alpha <= 1 <= beta."""
+    if not 0.0 < alpha <= 1.0 <= beta:
+        raise ConfigError(f"{where}: bounds must satisfy 0 < alpha <= 1 <= beta, got [{alpha}, {beta}]")
 
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
+    """The surrogate objective and the update that applies its gradient.
+
+    [alpha, beta] are the inclusive limits of the calibration ratio that
+    the masked variant keeps. Also the experiment config's objective
+    section, so the field order is the document's.
+    """
+
     algo: Algo = Algo.ICEPOP
+    alpha: float = 0.5
+    beta: float = 5.0
     clip_eps: float = 0.2
     kl_coeff: float = 0.0
     group_size: int = 8
     tis_cap: float = 2.0
+    learning_rate: float = 24.0
+    optimizer: str = "sgd"
+    momentum: float = 0.9
 
     def __post_init__(self) -> None:
+        check_bounds(self.alpha, self.beta, "objective")
         if not 0.0 < self.clip_eps < 1.0:
-            raise ValueError("clip_eps must be in (0, 1)")
+            raise ConfigError("objective.clip_eps: must be in (0, 1)")
         if self.kl_coeff < 0.0:
-            raise ValueError("kl_coeff must be nonnegative")
+            raise ConfigError("objective.kl_coeff: must be nonnegative")
         if self.group_size < 2:
-            raise ValueError("group_size must be >= 2")
+            raise ConfigError("objective.group_size: must be >= 2")
         if self.tis_cap <= 0.0:
-            raise ValueError("tis_cap must be positive")
+            raise ConfigError("objective.tis_cap: must be positive")
+        if not self.learning_rate > 0.0:
+            raise ConfigError("objective.learning_rate: must be positive")
+        if self.optimizer not in ("sgd", "momentum"):
+            raise ConfigError(f"objective.optimizer: unknown optimizer {self.optimizer!r}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError("objective.momentum: must be in [0, 1)")
+
+
+def mask(k: float, cfg: ObjectiveConfig) -> float:
+    """k if cfg.alpha <= k <= cfg.beta (inclusive), else 0."""
+    if not math.isfinite(k) or k <= 0.0:
+        raise ValueError(f"mask argument must be a finite positive ratio, got {k}")
+    return k if cfg.alpha <= k <= cfg.beta else 0.0
 
 
 @dataclass
@@ -161,7 +174,6 @@ def objective_and_grad(
     theta_old: PolicyParams,
     ref: PolicyParams | None,
     cfg: ObjectiveConfig,
-    bounds: MaskingBounds,
     temperature: float = 1.0,
     table: ContextTable | None = None,
 ) -> LossBreakdown:
@@ -232,7 +244,7 @@ def objective_and_grad(
         which = "calibration" if not np.isfinite(calib[in_first]).all() else "importance"
         raise NumericError(f"{which} ratio overflow")
     if cfg.algo is Algo.ICEPOP:
-        kept = (calib >= bounds.alpha) & (calib <= bounds.beta)
+        kept = (calib >= cfg.alpha) & (calib <= cfg.beta)
         factor = np.where(kept, calib, 0.0)
     elif cfg.algo is Algo.GRPO:
         kept = np.ones(seg.size, dtype=bool)
@@ -294,9 +306,7 @@ def objective_and_grad(
 
 
 def sgd_update(theta: PolicyParams, grad: np.ndarray, lr: float) -> PolicyParams:
-    """Gradient ascent step; increments the parameter version."""
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
+    """Gradient ascent step at a positive lr; increments the parameter version."""
     if grad.shape != theta.weights.shape:
         raise ValueError("gradient shape does not match parameters")
     with np.errstate(over="ignore"):
@@ -313,9 +323,7 @@ def momentum_update(
     lr: float,
     beta: float = 0.9,
 ) -> tuple[PolicyParams, np.ndarray]:
-    """Optional moment-based ascent variant; same contract as sgd_update."""
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("momentum beta must be in [0, 1)")
+    """Moment-based ascent variant, with beta in [0, 1); same contract as sgd_update."""
     new_velocity = beta * velocity + grad
     params = sgd_update(theta, new_velocity, lr)
     return params, new_velocity

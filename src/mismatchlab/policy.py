@@ -278,6 +278,7 @@ def context_rows(
 
 
 _NON_FINITE_LOGITS = "non-finite logits (corrupted parameters)"
+_NON_FINITE_INFER_LOGITS = "non-finite inference engine logits (mismatch noise overflowed)"
 
 
 def _scaled_train_logits(weights: np.ndarray, feats: np.ndarray, temperature: float) -> np.ndarray:
@@ -470,11 +471,11 @@ class ContextTable:
     Every value comes from the same entry-wise arithmetic as the direct
     path (context_rows, batched_train_logits, perturb_logits,
     batched_log_softmax), so a gathered row is bit-identical to
-    evaluating its context directly. A row whose training logits are
-    non-finite is flagged, not raised on, so a context the run never
-    visits cannot fail it; check(rows) raises as the direct path would
-    for the rows a caller reads. A params object must not be modified in
-    place once loaded.
+    evaluating its context directly. A row whose training or inference
+    logits are non-finite is flagged, not raised on, so a context the run
+    never visits cannot fail it; check(rows) raises for the rows a caller
+    reads, with the direct path's message for the training logits. A
+    params object must not be modified in place once loaded.
     """
 
     def __init__(self, vocab_size: int, infer: Engine, temperature: float) -> None:
@@ -501,9 +502,16 @@ class ContextTable:
         self._fault_at = np.zeros(0, dtype=np.intp)
         self._fault_normals = np.zeros(0)
         # At the loaded params, per row: (lp_train, probs_train, lp_infer,
-        # probs_infer, cdf) and whether the training logits are finite.
+        # probs_infer, cdf), and how many engines have non-finite logits:
+        # 0, 1 (the inference engine) or 2 (both; an inference row reads
+        # the training logits, so it is non-finite when they are).
         self._dists = np.zeros((5, 0, vocab_size))
-        self.finite = np.zeros(0, dtype=bool)
+        self._nonfinite = np.zeros(0, dtype=np.int8)
+
+    @property
+    def finite(self) -> np.ndarray:
+        """Per row, whether the training logits at the loaded params are finite."""
+        return self._nonfinite < 2
 
     @property
     def lp_train(self) -> np.ndarray:
@@ -572,12 +580,16 @@ class ContextTable:
         elif params.n_features != self.n_features:
             raise ValueError(f"params have {params.n_features} features, the table {self.n_features}")
         self.params = params
-        self._dists, self.finite = self._evaluate(0)
+        self._dists, self._nonfinite = self._evaluate(0)
 
     def check(self, rows: np.ndarray) -> None:
-        """Raise the direct path's NumericError if a row's training logits are non-finite."""
-        if not self.finite[rows].all():
-            raise NumericError(_NON_FINITE_LOGITS)
+        """Raise NumericError if a row's training logits, or else its inference logits, are non-finite.
+
+        The training message is the direct path's; the inference one names that engine.
+        """
+        nonfinite = self._nonfinite[rows]
+        if nonfinite.any():
+            raise NumericError(_NON_FINITE_LOGITS if nonfinite.max() == 2 else _NON_FINITE_INFER_LOGITS)
 
     def _build(self, prompt_ids: list[int]) -> None:
         """Append the run-fixed rows of new prompts, and their rows at the loaded params."""
@@ -598,24 +610,26 @@ class ContextTable:
         self._fault_at = np.concatenate([self._fault_at, np.flatnonzero(faults) + start * self.vocab_size])
         self._fault_normals = np.concatenate([self._fault_normals, fault[faults]])
         if self.params is not None:
-            dists, finite = self._evaluate(start)
+            dists, nonfinite = self._evaluate(start)
             self._dists = np.concatenate([self._dists, dists], axis=1)
-            self.finite = np.concatenate([self.finite, finite])
+            self._nonfinite = np.concatenate([self._nonfinite, nonfinite])
 
     def _evaluate(self, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """(stacked distributions, finite flags) of the rows from start on, at the loaded params."""
+        """(stacked distributions, non-finite engine counts) of the rows from start on, at the loaded params."""
         params = self.params
         scale = self.infer.mismatch_scale
         with np.errstate(over="ignore", invalid="ignore"):
             train_logits = _scaled_train_logits(params.weights, self.feats[start:], self.temperature)
             lp_train, probs_train = batched_log_softmax(train_logits)
+            infer_logits = train_logits
             if scale > 0.0:
-                error = self._version_error(train_logits, start, params.version_id)
-                lp_infer, probs_infer = batched_log_softmax(train_logits + scale * error)
+                infer_logits = train_logits + scale * self._version_error(train_logits, start, params.version_id)
+                lp_infer, probs_infer = batched_log_softmax(infer_logits)
             else:
                 lp_infer, probs_infer = lp_train, probs_train
             cdf = np.cumsum(probs_infer, axis=1)
-        return np.stack([lp_train, probs_train, lp_infer, probs_infer, cdf]), np.isfinite(train_logits).all(axis=1)
+        nonfinite = (~np.isfinite(train_logits).all(axis=1)).astype(np.int8) + ~np.isfinite(infer_logits).all(axis=1)
+        return np.stack([lp_train, probs_train, lp_infer, probs_infer, cdf]), nonfinite
 
     def _version_error(self, train_logits: np.ndarray, start: int, version_id: int) -> np.ndarray:
         """perturbation / scale of the rows from start on at version_id, noise drawn where it is read."""

@@ -37,11 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrepancy import DiscrepancySample, make_probes, measure, probe_windows
-from .errors import TickCapError
+from .discrepancy import DiscrepancySample, measure, probe_windows
+from .errors import ConfigError, TickCapError
 from .objective import (
     LossBreakdown,
-    MaskingBounds,
     ObjectiveConfig,
     PromptGroup,
     batch_group_advantages,
@@ -70,28 +69,29 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class BudgetConfig:
-    """Inputs of the budget-partitioned generation loop."""
+    """Inputs of the budget-partitioned generation loop; also the experiment config's budget section."""
 
-    token_budget: int
-    infer_capacity: int
+    token_budget: int = 440
+    infer_capacity: int = 48
     retention_threshold: int = 3
-    train_capacity: int | None = None  # recorded, deliberately unenforced
-    sync_cost_ticks: int = 0
+    sync_cost_ticks: int = 8
     prompts_per_iteration: int = 12
     max_total_prompts: int | None = None
     tick_cap: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.token_budget < 1:
-            raise ValueError("token_budget must be >= 1")
+            raise ConfigError("budget.token_budget: must be >= 1")
         if self.infer_capacity < 1:
-            raise ValueError("infer_capacity must be >= 1")
+            raise ConfigError("budget.infer_capacity: must be >= 1")
         if self.retention_threshold < 0:
-            raise ValueError("retention_threshold must be nonnegative")
+            raise ConfigError("budget.retention_threshold: must be nonnegative")
         if self.sync_cost_ticks < 0:
-            raise ValueError("sync_cost_ticks must be nonnegative")
+            raise ConfigError("budget.sync_cost_ticks: must be nonnegative")
         if self.prompts_per_iteration < 1:
-            raise ValueError("prompts_per_iteration must be >= 1")
+            raise ConfigError("budget.prompts_per_iteration: must be >= 1")
+        if self.tick_cap < 1:
+            raise ConfigError("budget.tick_cap: must be >= 1")
 
 
 @dataclass
@@ -691,34 +691,28 @@ def train_loop(
     state: SchedulerState,
     params: PolicyParams,
     cfg: BudgetConfig,
-    group_cfg: ObjectiveConfig,
-    bounds: MaskingBounds,
-    lr: float,
+    objective: ObjectiveConfig,
+    probes: list[Context],
     ref: PolicyParams | None = None,
-    probes: list[Context] | None = None,
     baseline: bool = False,
-    optimizer: str = "sgd",
-    momentum_beta: float = 0.9,
     on_step=None,
 ) -> tuple[list[tuple[StepReport, LossBreakdown, DiscrepancySample]], PolicyParams]:
     """Alternate rollout generation, objective/gradient, update, weight sync.
 
-    Resumed rollouts keep their recorded token history, so stale tokens
-    retain the version that generated them. on_step, when given, is
-    called with (report, loss, sample) as each iteration lands so
-    callers can flush metrics before a potential numeric failure.
+    The objective config gives the masking bounds, the learning rate,
+    the optimizer and its momentum. Resumed rollouts keep their recorded
+    token history, so stale tokens retain the version that generated
+    them. on_step, when given, is called with (report, loss, sample) as
+    each iteration lands so callers can flush metrics before a potential
+    numeric failure.
 
     The rollout ticks, the objective and the probe measure all read the
     state's context table at the iteration's parameters, which the
     table evaluates once. Each loss in the results keeps grad_norm but
     drops grad once the update has applied it.
     """
-    if optimizer not in ("sgd", "momentum"):
-        raise ValueError(f"unknown optimizer {optimizer!r}")
     if ref is None:
         ref = params.copy()
-    if probes is None:
-        probes = make_probes(256, state.vocab, state.seed)
     table = state.table
     probe_contexts = probe_windows(probes)
     table.add(probe_contexts[0])
@@ -727,9 +721,9 @@ def train_loop(
     results: list[tuple[StepReport, LossBreakdown, DiscrepancySample]] = []
     step = run_iteration_baseline if baseline else run_iteration
     for _ in range(n_iterations):
-        report, groups = step(state, params, cfg, group_cfg)
+        report, groups = step(state, params, cfg, objective)
         if groups:
-            loss = objective_and_grad(groups, params, params, ref, group_cfg, bounds, state.temperature, table)
+            loss = objective_and_grad(groups, params, params, ref, objective, state.temperature, table)
         else:
             loss = empty_breakdown(params)
         sample = measure(
@@ -740,10 +734,12 @@ def train_loop(
         if on_step is not None:
             on_step(report, loss, sample)
         if groups:
-            if optimizer == "momentum":
-                params, velocity = momentum_update(params, loss.grad, velocity, lr, momentum_beta)
+            if objective.optimizer == "momentum":
+                params, velocity = momentum_update(
+                    params, loss.grad, velocity, objective.learning_rate, objective.momentum
+                )
             else:
-                params = sgd_update(params, loss.grad, lr)
+                params = sgd_update(params, loss.grad, objective.learning_rate)
         loss.grad = None
         state.tick_clock += cfg.sync_cost_ticks
     return results, params

@@ -19,6 +19,7 @@ def write_config(tmp_path: Path, name: str, **sections) -> str:
     cfg = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
     for section, values in sections.items():
         cfg[section].update(values)
+    tmp_path.mkdir(parents=True, exist_ok=True)
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return str(path)
@@ -141,3 +142,45 @@ def test_schedule_rejects_fewer_than_one_job(tmp_path, jobs: str) -> None:
     out = tmp_path / "o"
     assert main(["schedule", "--config", str(CONFIGS / "schedule_longtail.json"), "--out", str(out), "--jobs", jobs]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,name,report,key,overrides",
+    [
+        ("sweep", "sweep", "sweep_table.json", "settings", {"sweep": {"n_iterations": 4}}),
+        (
+            "schedule", "schedule_longtail", "schedule_report.json", "per_seed",
+            {"schedule": {"length_model": "policy", "n_iterations": 3, "max_len": 8, "seeds": [11]}},
+        ),
+    ],
+)
+def test_momentum_optimizer_changes_the_output(tmp_path, command, name, report, key, overrides) -> None:
+    # The first momentum step equals the sgd step, so the runs differ from the third iteration on.
+    # schedule uses policy lengths: lognormal target lengths do not depend on the parameters.
+    outputs = []
+    for optimizer in ("sgd", "momentum"):
+        cfg = write_config(tmp_path / optimizer, name, objective={"optimizer": optimizer}, **overrides)
+        out = tmp_path / optimizer / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        outputs.append(json.dumps(json.loads((out / report).read_text(encoding="utf-8"))[key]))
+    assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("key,value", [("momentum", 1.5), ("learning_rate", 0)])
+def test_invalid_objective_values_exit_2_before_any_output(tmp_path, capsys, key: str, value: float) -> None:
+    cfg = write_config(tmp_path, "train_icepop", objective={key: value})
+    out = tmp_path / "o"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"objective.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,values", [("objective", {"algo": "grpo"}), ("budget", {"token_budget": 200})])
+def test_rl_loop_compounding_reads_the_objective_and_budget(tmp_path, section: str, values: dict) -> None:
+    traces = []
+    for name, changed in (("base", {}), ("changed", {section: values})):
+        cfg = write_config(tmp_path / name, "compounding", compounding={"bias_mode": "rl_loop", "n_steps": 3}, **changed)
+        out = tmp_path / name / "o"
+        assert main(["compounding", "--config", cfg, "--out", str(out)]) == 0
+        traces.append((out / "compounding_trace.jsonl").read_text(encoding="utf-8").splitlines()[1:])
+    assert traces[0] != traces[1]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from mismatchlab import (
     BiasMode,
     BudgetConfig,
     Context,
-    MaskingBounds,
     ObjectiveConfig,
     PolicyParams,
     SyntheticPromptSource,
@@ -68,7 +68,7 @@ def test_measure_carries_loss_diagnostics() -> None:
     budget = BudgetConfig(token_budget=60, infer_capacity=16)
     cfg = ObjectiveConfig(group_size=4)
     _, groups = run_iteration(state, params, budget, cfg)
-    loss = objective_and_grad(groups, params, params, params.copy(), cfg, MaskingBounds())
+    loss = objective_and_grad(groups, params, params, params.copy(), cfg)
     probes = make_probes(32, vocab, 3)
     sample = measure(params, probes, engine, step=5, loss=loss)
     assert sample.step == 5
@@ -155,7 +155,12 @@ def test_rl_loop_mode_fits_affine_recursion() -> None:
         vocab,
         engine,
         probes,
-        rl_options={"seed": 2, "max_len": 8, "token_budget": 200, "infer_capacity": 24},
+        objective=ObjectiveConfig(algo=Algo.GRPO, group_size=8),
+        budget=BudgetConfig(
+            token_budget=200, infer_capacity=24, retention_threshold=3, sync_cost_ticks=0, prompts_per_iteration=12
+        ),
+        seed=2,
+        max_len=8,
     )
     assert len(samples) == 25
     assert fit.step_size == 5.0
@@ -170,8 +175,8 @@ def test_mask_set_monotonicity_on_shared_batch() -> None:
     source = SyntheticPromptSource(vocab, max_len=6)
     state = make_state(9, vocab, engine, source)
     _, groups = run_iteration(state, params, BudgetConfig(token_budget=120, infer_capacity=16), ObjectiveConfig(group_size=4))
-    wide = objective_and_grad(groups, params, params, None, ObjectiveConfig(group_size=4), MaskingBounds(0.5, 5.0))
-    narrow = objective_and_grad(groups, params, params, None, ObjectiveConfig(group_size=4), MaskingBounds(0.5, 2.0))
+    wide = objective_and_grad(groups, params, params, None, ObjectiveConfig(alpha=0.5, beta=5.0, group_size=4))
+    narrow = objective_and_grad(groups, params, params, None, ObjectiveConfig(alpha=0.5, beta=2.0, group_size=4))
     clipped_wide = ~wide.per_token_mask_kept
     clipped_narrow = ~narrow.per_token_mask_kept
     assert np.all(clipped_narrow[clipped_wide])  # wide-clipped subset of narrow-clipped
@@ -183,13 +188,13 @@ def sweep_setup():
     engine = infer_engine(0.15, 7)
     params = init_params(vocab, n_features=512, init_scale=2.0, seed=1234)
     budget = BudgetConfig(token_budget=200, infer_capacity=24, retention_threshold=3, sync_cost_ticks=8)
-    return vocab, engine, params, budget, ObjectiveConfig(group_size=8)
+    return vocab, engine, params, budget, ObjectiveConfig(group_size=8, learning_rate=5.0)
 
 
 def test_sensitivity_sweep_emits_populated_rows() -> None:
     vocab, engine, params, budget, cfg = sweep_setup()
     rows = sensitivity_sweep(
-        [(0.5, 5.0), (0.5, 2.0), (0.4, 5.0)], 1234, vocab, engine, params, 12, budget, cfg, lr=5.0, max_len=8
+        [(0.5, 5.0), (0.5, 2.0), (0.4, 5.0)], 1234, vocab, engine, params, 12, budget, cfg, max_len=8
     )
     assert [(r["alpha"], r["beta"]) for r in rows] == [(0.5, 5.0), (0.5, 2.0), (0.4, 5.0)]
     for row in rows:
@@ -201,23 +206,30 @@ def test_sensitivity_sweep_emits_populated_rows() -> None:
 
 def test_sensitivity_sweep_duplicate_setting_is_identical() -> None:
     vocab, engine, params, budget, cfg = sweep_setup()
-    rows = sensitivity_sweep([(0.5, 5.0), (0.5, 5.0)], 1234, vocab, engine, params, 8, budget, cfg, lr=5.0, max_len=8)
+    rows = sensitivity_sweep([(0.5, 5.0), (0.5, 5.0)], 1234, vocab, engine, params, 8, budget, cfg, max_len=8)
     assert rows[0] == rows[1]
 
 
 def test_sensitivity_sweep_shared_clipping_dominance() -> None:
     vocab, engine, params, budget, cfg = sweep_setup()
     rows = sensitivity_sweep(
-        [(0.5, 5.0), (0.5, 2.0)], 1234, vocab, engine, params, 15, budget, cfg, lr=5.0, max_len=8
+        [(0.5, 5.0), (0.5, 2.0)], 1234, vocab, engine, params, 15, budget, cfg, max_len=8
     )
     default, narrow = rows
     assert all(n >= d for n, d in zip(narrow["clipped_fraction_shared"], default["clipped_fraction_shared"]))
 
 
+def test_sensitivity_sweep_trains_each_setting_with_its_bounds() -> None:
+    vocab, engine, params, budget, cfg = sweep_setup()
+    default, narrow = sensitivity_sweep([(0.5, 5.0), (0.5, 2.0)], 1234, vocab, engine, params, 2, budget, cfg, max_len=8)
+    # The first iteration trains every setting on the same batch, which the shared column re-masks.
+    assert narrow["clipped_fraction"][0] == narrow["clipped_fraction_shared"][0] > default["clipped_fraction"][0]
+
+
 def test_sensitivity_sweep_needs_two_settings() -> None:
     vocab, engine, params, budget, cfg = sweep_setup()
     with pytest.raises(ValueError):
-        sensitivity_sweep([(0.5, 5.0)], 1, vocab, engine, params, 4, budget, cfg, lr=1.0)
+        sensitivity_sweep([(0.5, 5.0)], 1, vocab, engine, params, 4, budget, dataclasses.replace(cfg, learning_rate=1.0))
 
 
 def test_clipped_token_entropy_reported_as_tendency() -> None:
@@ -230,10 +242,10 @@ def test_clipped_token_entropy_reported_as_tendency() -> None:
     source = SyntheticPromptSource(vocab, max_len=8)
     state = make_state(1234, vocab, engine, source)
     budget = BudgetConfig(token_budget=440, infer_capacity=48, retention_threshold=3, sync_cost_ticks=8)
-    cfg = ObjectiveConfig(group_size=8)
+    cfg = ObjectiveConfig(group_size=8, learning_rate=24.0)
     from mismatchlab import train_loop
 
-    results, _ = train_loop(60, state, params, budget, cfg, MaskingBounds(), lr=24.0)
+    results, _ = train_loop(60, state, params, budget, cfg, make_probes(256, vocab, 1234))
     ent_clipped: list[float] = []
     ent_all: list[float] = []
     for _, loss, _ in results:

@@ -13,7 +13,6 @@ from mismatchlab import (
     Algo,
     BudgetConfig,
     Context,
-    MaskingBounds,
     NumericError,
     ObjectiveConfig,
     PolicyParams,
@@ -38,7 +37,7 @@ from mismatchlab.objective import batch_group_advantages
 from mismatchlab.policy import batched_log_softmax, batched_train_logits, feature_indices, feature_rows
 from mismatchlab.tasks import TaskKind
 
-DEFAULT_BOUNDS = MaskingBounds(0.5, 5.0)
+DEFAULT_BOUNDS = ObjectiveConfig(alpha=0.5, beta=5.0)
 
 
 def make_batch(seed: int, scale: float, vocab_size: int = 8, max_len: int = 5, n_features: int = 24):
@@ -98,9 +97,9 @@ def test_mask_rejects_nonpositive_and_non_finite() -> None:
 
 def test_masking_bounds_invariant() -> None:
     with pytest.raises(ValueError):
-        MaskingBounds(alpha=1.5, beta=5.0)
+        ObjectiveConfig(alpha=1.5, beta=5.0)
     with pytest.raises(ValueError):
-        MaskingBounds(alpha=0.5, beta=0.9)
+        ObjectiveConfig(alpha=0.5, beta=0.9)
 
 
 def test_group_advantages_zero_variance() -> None:
@@ -166,7 +165,7 @@ def test_degenerate_case_all_algorithms_bit_identical() -> None:
     results = {}
     for algo in Algo:
         cfg = ObjectiveConfig(algo=algo, group_size=2)
-        results[algo] = objective_and_grad(groups, params, params, ref, cfg, DEFAULT_BOUNDS)
+        results[algo] = objective_and_grad(groups, params, params, ref, cfg)
     base = results[Algo.ICEPOP]
     assert base.clipped_fraction == 0.0
     for algo in (Algo.GRPO, Algo.TIS):
@@ -180,12 +179,12 @@ def test_zero_advantages_give_zero_objective_and_gradient() -> None:
     params, groups, cfg = make_batch(seed=4, scale=0.1)
     for group in groups:
         group.advantages = [0.0] * len(group.advantages)
-    out = objective_and_grad(groups, params, params, None, cfg, DEFAULT_BOUNDS)
+    out = objective_and_grad(groups, params, params, None, cfg)
     assert out.objective_value == 0.0
     assert np.all(out.grad == 0.0)
 
 
-def finite_difference_grad(groups, theta, theta_old, ref, cfg, bounds, h=1e-6):
+def finite_difference_grad(groups, theta, theta_old, ref, cfg, h=1e-6):
     fd = np.zeros_like(theta.weights)
     for i in range(theta.weights.shape[0]):
         for j in range(theta.weights.shape[1]):
@@ -193,8 +192,8 @@ def finite_difference_grad(groups, theta, theta_old, ref, cfg, bounds, h=1e-6):
             wp[i, j] += h
             wm = theta.weights.copy()
             wm[i, j] -= h
-            up = objective_and_grad(groups, PolicyParams(wp, theta.version_id), theta_old, ref, cfg, bounds)
-            dn = objective_and_grad(groups, PolicyParams(wm, theta.version_id), theta_old, ref, cfg, bounds)
+            up = objective_and_grad(groups, PolicyParams(wp, theta.version_id), theta_old, ref, cfg)
+            dn = objective_and_grad(groups, PolicyParams(wm, theta.version_id), theta_old, ref, cfg)
             fd[i, j] = (up.objective_value - dn.objective_value) / (2 * h)
     return fd
 
@@ -206,8 +205,8 @@ def test_gradient_matches_finite_differences(algo: Algo, kl_coeff: float) -> Non
     rng = np.random.default_rng(1)
     theta = PolicyParams(params.weights + rng.normal(0, 0.05, params.weights.shape), params.version_id)
     ref = init_params(Vocabulary(size=6), n_features=10, init_scale=0.5, seed=99)
-    out = objective_and_grad(groups, theta, params, ref, cfg, DEFAULT_BOUNDS)
-    fd = finite_difference_grad(groups, theta, params, ref, cfg, DEFAULT_BOUNDS)
+    out = objective_and_grad(groups, theta, params, ref, cfg)
+    fd = finite_difference_grad(groups, theta, params, ref, cfg)
     rel = np.abs(out.grad - fd) / np.maximum(1.0, np.abs(out.grad))
     assert rel.max() < 1e-5
 
@@ -218,7 +217,7 @@ def test_masked_tokens_contribute_exactly_zero_gradient() -> None:
     cfg = ObjectiveConfig(group_size=2)
     # kept token (calib 1) and masked token (calib 0.2 < alpha), both unit ratio
     group = manual_group(theta, [(1, 1.0, 1.0), (2, 0.2, 1.0)], advantages=[1.0, -1.0])
-    out = objective_and_grad([group], theta, theta, None, cfg, DEFAULT_BOUNDS)
+    out = objective_and_grad([group], theta, theta, None, cfg)
     assert list(out.per_token_mask_kept) == [True, False]
     assert out.clipped_fraction == 0.5
 
@@ -243,12 +242,12 @@ def test_masked_tokens_contribute_exactly_zero_gradient() -> None:
         return [PromptGroup(task=task_a, rollouts=rollouts, rewards=[1.0, 0.0], advantages=[1.0, -1.0])]
 
     base_groups = build(theta)
-    base = objective_and_grad(base_groups, theta, theta, None, cfg, DEFAULT_BOUNDS)
+    base = objective_and_grad(base_groups, theta, theta, None, cfg)
     perturbed = theta.weights.copy()
     for row in private_b:
         perturbed[row, :] += 0.37
     theta_p = PolicyParams(perturbed, theta.version_id)
-    out_p = objective_and_grad(base_groups, theta_p, theta, None, cfg, DEFAULT_BOUNDS)
+    out_p = objective_and_grad(base_groups, theta_p, theta, None, cfg)
     assert abs(out_p.objective_value - base.objective_value) < 1e-12
     for row in private_b:
         assert np.all(base.grad[row, :] == 0.0)
@@ -263,10 +262,10 @@ def test_wide_bounds_reduce_masked_variant_to_unmasked(seed: int, scale: float, 
     params, groups, _ = make_batch(seed=seed, scale=scale)
     theta = PolicyParams(params.weights * 1.05, params.version_id)
     ref = init_params(Vocabulary(size=8), n_features=24, init_scale=0.5, seed=99)
-    calib = objective_and_grad(groups, theta, params, None, ObjectiveConfig(algo=Algo.GRPO, group_size=2), DEFAULT_BOUNDS).per_token_calibration
-    wide = MaskingBounds(min(1.0, float(calib.min())), max(1.0, float(calib.max()))) if tight else MaskingBounds(1e-12, 1e12)
+    calib = objective_and_grad(groups, theta, params, None, ObjectiveConfig(algo=Algo.GRPO, group_size=2)).per_token_calibration
+    alpha, beta = (min(1.0, float(calib.min())), max(1.0, float(calib.max()))) if tight else (1e-12, 1e12)
     icepop, grpo = (
-        objective_and_grad(groups, theta, params, ref, ObjectiveConfig(algo=algo, kl_coeff=kl_coeff, group_size=2), wide)
+        objective_and_grad(groups, theta, params, ref, ObjectiveConfig(algo=algo, alpha=alpha, beta=beta, kl_coeff=kl_coeff, group_size=2))
         for algo in (Algo.ICEPOP, Algo.GRPO)
     )
     assert icepop.per_token_mask_kept.all() and icepop.clipped_fraction == grpo.clipped_fraction == 0.0
@@ -282,7 +281,7 @@ def test_clip_branch_zeroes_gradient_on_both_sides() -> None:
     cfg = ObjectiveConfig(group_size=2, clip_eps=0.2)
     # positive advantage with ratio above 1+eps, negative with ratio below 1-eps
     group = manual_group(theta, [(1, 1.0, 1.35), (2, 1.0, 0.7)], advantages=[1.0, -1.0])
-    out = objective_and_grad([group], theta, theta, None, cfg, DEFAULT_BOUNDS)
+    out = objective_and_grad([group], theta, theta, None, cfg)
     assert np.all(out.grad == 0.0)
     # surrogate values take the clipped constants
     assert out.per_token_surrogate == pytest.approx([1.2 * 1.0, 0.8 * -1.0])
@@ -294,8 +293,8 @@ def test_truncated_variant_agrees_with_masked_inside_common_region() -> None:
     specs = [(1, 0.3, 1.0), (2, 0.7, 1.1), (3, 1.9, 0.95), (4, 2.6, 1.0), (5, 6.0, 1.0)]
     group_a = manual_group(theta, specs, advantages=[1.0, -0.5, 0.5, 1.0, -1.0])
     group_b = manual_group(theta, specs, advantages=[1.0, -0.5, 0.5, 1.0, -1.0])
-    ice = objective_and_grad([group_a], theta, theta, None, ObjectiveConfig(algo=Algo.ICEPOP, group_size=2), DEFAULT_BOUNDS)
-    tis = objective_and_grad([group_b], theta, theta, None, ObjectiveConfig(algo=Algo.TIS, group_size=2, tis_cap=2.0), DEFAULT_BOUNDS)
+    ice = objective_and_grad([group_a], theta, theta, None, ObjectiveConfig(algo=Algo.ICEPOP, group_size=2))
+    tis = objective_and_grad([group_b], theta, theta, None, ObjectiveConfig(algo=Algo.TIS, group_size=2, tis_cap=2.0))
     calib = ice.per_token_calibration
     common = (calib >= 0.5) & (calib <= 2.0)  # [alpha, min(beta, cap)]
     assert common.sum() == 2
@@ -306,7 +305,7 @@ def test_clipped_fraction_counts_masked_tokens() -> None:
     vocab = Vocabulary(size=6)
     theta = init_params(vocab, n_features=16, init_scale=0.4, seed=13)
     group = manual_group(theta, [(1, 0.2, 1.0), (2, 1.0, 1.0), (3, 9.0, 1.0), (4, 1.2, 1.0)], advantages=[1.0, -1.0, 0.5, -0.5])
-    out = objective_and_grad([group], theta, theta, None, ObjectiveConfig(group_size=2), DEFAULT_BOUNDS)
+    out = objective_and_grad([group], theta, theta, None, ObjectiveConfig(group_size=2))
     assert out.clipped_fraction == pytest.approx(2 / 4)
     assert out.token_count == 4
 
@@ -315,11 +314,11 @@ def test_empty_group_and_empty_rollout_fail() -> None:
     vocab = Vocabulary(size=6)
     theta = init_params(vocab, n_features=16, init_scale=0.4, seed=1)
     with pytest.raises(ValueError):
-        objective_and_grad([], theta, theta, None, ObjectiveConfig(group_size=2), DEFAULT_BOUNDS)
+        objective_and_grad([], theta, theta, None, ObjectiveConfig(group_size=2))
     group = manual_group(theta, [(1, 1.0, 1.0)], advantages=[0.0])
     group.rollouts[0].tokens = []
     with pytest.raises(ValueError):
-        objective_and_grad([group], theta, theta, None, ObjectiveConfig(group_size=2), DEFAULT_BOUNDS)
+        objective_and_grad([group], theta, theta, None, ObjectiveConfig(group_size=2))
 
 
 def test_sgd_update_identity_and_basis_vector() -> None:
@@ -375,7 +374,7 @@ def test_objective_config_invariants() -> None:
         ObjectiveConfig(kl_coeff=-0.1)
 
 
-def reference_objective(groups, theta, ref, cfg, bounds, temperature=1.0):
+def reference_objective(groups, theta, ref, cfg, temperature=1.0):
     """Per-rollout loop that the flat objective must reproduce bit for bit.
 
     Returns (value, grad, per-token arrays by LossBreakdown field, per-token KL).
@@ -400,7 +399,7 @@ def reference_objective(groups, theta, ref, cfg, bounds, temperature=1.0):
             lp_cur = log_probs[pos, token_ids]
             calib = np.exp(lp_old - lp_inf)
             if cfg.algo is Algo.ICEPOP:
-                kept = (calib >= bounds.alpha) & (calib <= bounds.beta)
+                kept = (calib >= cfg.alpha) & (calib <= cfg.beta)
                 factor = np.where(kept, calib, 0.0)
             elif cfg.algo is Algo.GRPO:
                 kept = np.ones(n_tok, dtype=bool)
@@ -467,8 +466,8 @@ def test_flat_objective_matches_per_rollout_loop(seed: int, algo: Algo, kl_coeff
     cfg = ObjectiveConfig(algo=algo, kl_coeff=kl_coeff, group_size=3)
     before = [(list(r.tokens), list(r.lp_infer), list(r.lp_train), list(r.versions)) for r in rollouts]
 
-    out = objective_and_grad(groups, theta, theta_old, ref, cfg, DEFAULT_BOUNDS)
-    value, grad, per_token = reference_objective(groups, theta, ref, cfg, DEFAULT_BOUNDS)
+    out = objective_and_grad(groups, theta, theta_old, ref, cfg)
+    value, grad, per_token = reference_objective(groups, theta, ref, cfg)
     assert out.objective_value == value
     assert out.grad.tobytes() == grad.tobytes()
     assert out.mean_logp == float(per_token["logp"].mean())

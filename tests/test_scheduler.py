@@ -11,7 +11,6 @@ from numpy.random.bit_generator import ISeedSequence
 from mismatchlab import (
     Algo,
     BudgetConfig,
-    MaskingBounds,
     ObjectiveConfig,
     PolicyParams,
     ScriptedPromptSource,
@@ -20,6 +19,7 @@ from mismatchlab import (
     Vocabulary,
     infer_engine,
     init_params,
+    make_probes,
     make_state,
     run_iteration,
     run_iteration_baseline,
@@ -188,7 +188,8 @@ def test_train_loop_zero_iterations_is_identity() -> None:
     state = make_state(3, vocab, infer_engine(0.1, 7), source)
     params = default_params()
     results, final = train_loop(
-        0, state, params, BudgetConfig(token_budget=10, infer_capacity=4), ObjectiveConfig(group_size=2), MaskingBounds(), lr=1.0
+        0, state, params, BudgetConfig(token_budget=10, infer_capacity=4), ObjectiveConfig(group_size=2, learning_rate=1.0),
+        make_probes(256, vocab, 3),
     )
     assert results == []
     assert final is params
@@ -200,7 +201,9 @@ def test_train_loop_smoke_thirty_iterations() -> None:
     state = make_state(1234, vocab, infer_engine(0.22, 7), source)
     params = init_params(vocab, n_features=512, init_scale=0.3, seed=1234)
     budget = BudgetConfig(token_budget=440, infer_capacity=48, retention_threshold=3, sync_cost_ticks=8)
-    results, final = train_loop(30, state, params, budget, ObjectiveConfig(group_size=8), MaskingBounds(), lr=24.0)
+    results, final = train_loop(
+        30, state, params, budget, ObjectiveConfig(group_size=8, learning_rate=24.0), make_probes(256, vocab, 1234)
+    )
     assert len(results) == 30
     assert final.version_id > 0
     for report, loss, sample in results:
@@ -226,11 +229,12 @@ def test_partitioned_and_baseline_match_on_shared_seed_without_budget_pressure()
         )
         return state, params, budget
 
-    cfg = ObjectiveConfig(group_size=4)
+    cfg = ObjectiveConfig(group_size=4, learning_rate=5.0)
+    probes = make_probes(256, Vocabulary(size=8), 42)
     state_a, params_a, budget = build(42)
-    res_a, fin_a = train_loop(5, state_a, params_a, budget, cfg, MaskingBounds(), lr=5.0)
+    res_a, fin_a = train_loop(5, state_a, params_a, budget, cfg, probes)
     state_b, params_b, _ = build(42)
-    res_b, fin_b = train_loop(5, state_b, params_b, budget, cfg, MaskingBounds(), lr=5.0, baseline=True)
+    res_b, fin_b = train_loop(5, state_b, params_b, budget, cfg, probes, baseline=True)
     rewards_a = [r[0].reward_mean for r in res_a]
     rewards_b = [r[0].reward_mean for r in res_b]
     assert rewards_a == rewards_b
@@ -244,7 +248,9 @@ def test_train_loop_replay_is_bit_identical() -> None:
         state = make_state(7, vocab, infer_engine(0.22, 7), source)
         params = init_params(vocab, n_features=128, init_scale=0.3, seed=7)
         budget = BudgetConfig(token_budget=200, infer_capacity=24, retention_threshold=3, sync_cost_ticks=8)
-        results, final = train_loop(12, state, params, budget, ObjectiveConfig(group_size=4), MaskingBounds(), lr=10.0)
+        results, final = train_loop(
+            12, state, params, budget, ObjectiveConfig(group_size=4, learning_rate=10.0), make_probes(256, vocab, 7)
+        )
         return [r[2].delta for r in results], final.weights
 
     d1, w1 = run_once()
@@ -366,7 +372,7 @@ def test_group_slots_hold_only_live_groups_after_a_run() -> None:
     state = make_state(5, vocab, infer_engine(0.2, 7), source)
     params = init_params(vocab, n_features=64, init_scale=0.3, seed=5)
     budget = BudgetConfig(token_budget=60, infer_capacity=12, retention_threshold=1, prompts_per_iteration=4)
-    train_loop(12, state, params, budget, ObjectiveConfig(group_size=4), MaskingBounds(), lr=1.0)
+    train_loop(12, state, params, budget, ObjectiveConfig(group_size=4, learning_rate=1.0), make_probes(256, vocab, 5))
 
     in_flight = {r.uid for pool in (state.infer_pool, state.pending, state.train_pool) for r in pool}
     assert state.trained_uids and state.purged_uids and in_flight
@@ -478,7 +484,7 @@ def _trained_rollouts(monkeypatch, length_model: str, first_uid: int) -> list:
     state.next_uid = first_uid
     params = init_params(vocab, n_features=64, init_scale=0.3, seed=17)
     budget = BudgetConfig(token_budget=50, infer_capacity=10, retention_threshold=2, prompts_per_iteration=3)
-    train_loop(6, state, params, budget, ObjectiveConfig(group_size=4), MaskingBounds(), lr=2.0)
+    train_loop(6, state, params, budget, ObjectiveConfig(group_size=4, learning_rate=2.0), make_probes(256, vocab, 17))
     return seen
 
 
@@ -500,7 +506,7 @@ def test_train_loop_results_keep_grad_norm_but_not_grad() -> None:
     budget = BudgetConfig(token_budget=60, infer_capacity=12, prompts_per_iteration=4)
     seen = []
     results, _ = train_loop(
-        4, state, params, budget, ObjectiveConfig(group_size=4), MaskingBounds(), lr=1.0,
+        4, state, params, budget, ObjectiveConfig(group_size=4, learning_rate=1.0), make_probes(256, vocab, 11),
         on_step=lambda report, loss, sample: seen.append(float(np.linalg.norm(loss.grad))),
     )
     assert any(seen)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from mismatchlab import (
     BudgetConfig,
-    MaskingBounds,
     NumericError,
     ObjectiveConfig,
     PolicyParams,
@@ -192,8 +191,8 @@ def test_objective_and_measure_through_the_table_match_the_direct_path(scale: fl
     _, groups = run_iteration(state, params, budget, cfg)
     assert groups
     ref = init_params(vocab, n_features=40, init_scale=0.5, seed=9)
-    direct = objective_and_grad(groups, params, params, ref, cfg, MaskingBounds(), temperature)
-    tabled = objective_and_grad(groups, params, params, ref, cfg, MaskingBounds(), temperature, state.table)
+    direct = objective_and_grad(groups, params, params, ref, cfg, temperature)
+    tabled = objective_and_grad(groups, params, params, ref, cfg, temperature, state.table)
     for field in ("objective_value", "clipped_fraction", "kl_to_ref", "token_count", "mean_logp", "entropy_all", "grad_norm"):
         assert getattr(tabled, field) == getattr(direct, field)
     for field in ("grad", "per_token_mask_kept", "per_token_surrogate", "per_token_calibration", "per_token_entropy"):
@@ -236,7 +235,7 @@ def test_overflow_at_a_context_the_run_never_visits_does_not_fail_it() -> None:
 
     state = make_state(3, vocab, infer, SyntheticPromptSource(vocab, max_len=6))
     budget = BudgetConfig(token_budget=40, infer_capacity=8, prompts_per_iteration=3)
-    results, _ = train_loop(3, state, params, budget, ObjectiveConfig(group_size=2), MaskingBounds(), lr=0.5, probes=make_probes(32, vocab, 3))
+    results, _ = train_loop(3, state, params, budget, ObjectiveConfig(group_size=2, learning_rate=0.5), make_probes(32, vocab, 3))
     assert len(results) == 3
     assert not state.table.finite[state.table.rows([100], [prev], [-1])].any()
 
@@ -270,7 +269,7 @@ def test_visited_overflow_raises_the_direct_message_from_objective_and_measure()
     messages = []
     for table in (None, state.table):
         with pytest.raises(NumericError) as objective:
-            objective_and_grad(groups, bad, bad, None, cfg, MaskingBounds(), 1.0, table)
+            objective_and_grad(groups, bad, bad, None, cfg, 1.0, table)
         messages.append(str(objective.value))
     probes = make_probes(16, vocab, 6)
     windows = probe_windows(probes)
@@ -281,3 +280,18 @@ def test_visited_overflow_raises_the_direct_message_from_objective_and_measure()
         measure(bad, probes, state.infer, table=state.table, rows=state.table.rows(*windows))
     messages += [str(direct.value), str(tabled.value)]
     assert messages == [direct_message(bad)] * 4
+
+
+def test_check_raises_on_rows_whose_inference_logits_overflow() -> None:
+    """Large but finite training logits can overflow the inference engine's fault term."""
+    vocab = Vocabulary(size=6)
+    params = init_params(vocab, n_features=32, init_scale=0.5, seed=3)
+    params.weights[:, 0] = 1e307
+    table = ContextTable(vocab.size, infer_engine(0.22, 7), 1.0)
+    table.add([100, 205, 311])
+    table.load(params)
+    infer_finite = np.isfinite(table.lp_infer).all(axis=1)
+    assert table.finite.all() and not infer_finite.all()
+    with pytest.raises(NumericError, match="inference engine"):
+        table.check(np.flatnonzero(~infer_finite))
+    table.check(np.flatnonzero(infer_finite))
