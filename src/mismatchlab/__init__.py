@@ -34,7 +34,6 @@ from .objective import (
 from .policy import (
     Context,
     Engine,
-    EngineKind,
     PolicyParams,
     TokenDistribution,
     Vocabulary,
@@ -72,7 +71,6 @@ __all__ = [
     "DiscrepancyFit",
     "DiscrepancySample",
     "Engine",
-    "EngineKind",
     "ExperimentConfig",
     "LossBreakdown",
     "NumericError",

@@ -27,10 +27,11 @@ from .policy import (
     Vocabulary,
     batched_log_softmax,
     batched_train_logits,
+    check_inference_logits,
     context_rows,
-    noise_components,
+    fixed_noise,
+    inference_error,
     perturb_logits,
-    perturbation,
     train_engine,
     weight_grad,
 )
@@ -188,37 +189,52 @@ def measure(
     return sample
 
 
+def _infer_logits_and_slope(
+    train_logits: np.ndarray, keys_fixed: np.ndarray, keys_version: np.ndarray, scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(inference logits, their slope in the training logits s), entry by entry.
+
+    Only the fault term scale * gain * |s_j| * noise_j of the error moves
+    with s, so the slope is 1 + scale * gain * sign(s_j) * noise_j at the
+    fault entries and 1 elsewhere. Raises NumericError, as perturb_logits
+    does, if the inference logits overflow.
+    """
+    slope = np.ones_like(train_logits)
+    if scale <= 0.0:
+        return train_logits, slope
+    fixed = fixed_noise(keys_fixed, train_logits.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        error, fault_noise = inference_error(train_logits, fixed, keys_version)
+        infer_logits = train_logits + scale * error
+    check_inference_logits(infer_logits)
+    slope.ravel()[fixed.fault_at] += scale * _FAULT_GAIN * np.sign(train_logits.ravel()[fixed.fault_at]) * fault_noise
+    return infer_logits, slope
+
+
 def delta_gradient(
     params: PolicyParams, probes: list[Context], infer: Engine, temperature: float = 1.0
 ) -> np.ndarray:
     """Exact gradient of the probe-averaged KL w.r.t. the weights.
 
     Per probe, with p the inference and q the training distribution over
-    the shared scaled logits s: the inference logits are s + e(s) where
-    only the fault part of the error tracks |s|, so a unit change of s_j
-    moves the inference logit by a_j = 1 + de_j/ds_j while the training
-    logit moves plainly. With delta = sum_k p_k (lp_k - lq_k):
+    the shared scaled logits s, a unit change of s_j moves the inference
+    logit by the slope a_j of _infer_logits_and_slope and the training
+    logit plainly. With delta = sum_k p_k (lp_k - lq_k):
 
         d delta / d s_j = a_j p_j (lp_j - lq_j - delta) + q_j - p_j
 
     accumulated on the probe's active feature rows, divided by the
-    temperature and the probe count.
+    temperature and the probe count. Raises NumericError, as
+    delta_and_gap does, if the inference logits overflow.
     """
     feats, keys_fixed, keys_version = _probe_rows(params, probes, infer)
     train_logits = batched_train_logits(params, feats, temperature)
-    if infer.mismatch_scale > 0.0:
-        noise = noise_components(keys_fixed, keys_version, train_logits.shape[1])
-        infer_logits = train_logits + perturbation(train_logits, noise, infer.mismatch_scale)
-        _, fault_noise, faults = noise
-        local = 1.0 + infer.mismatch_scale * _FAULT_GAIN * faults * np.sign(train_logits) * fault_noise
-    else:
-        infer_logits = train_logits
-        local = np.ones_like(train_logits)
+    infer_logits, slope = _infer_logits_and_slope(train_logits, keys_fixed, keys_version, infer.mismatch_scale)
     lp_inf, p_inf = batched_log_softmax(infer_logits)
     lp_tr, p_tr = batched_log_softmax(train_logits)
     ratio = lp_inf - lp_tr
     delta_rows = (p_inf * ratio).sum(axis=1, keepdims=True)
-    d_s = local * (p_inf * (ratio - delta_rows)) + p_tr - p_inf
+    d_s = slope * (p_inf * (ratio - delta_rows)) + p_tr - p_inf
     d_s /= temperature * len(probes)
     return weight_grad(feats, d_s, params.n_features)
 
@@ -290,8 +306,9 @@ def compounding_experiment(
     resid_ls: list[float] = []
     samples: list[DiscrepancySample] = []
 
+    # Each parameter state is measured once: a step's delta_next is the next step's delta_t.
+    delta_t, gap_t = delta_and_gap(params, probes, infer, temperature)
     for t in range(n_steps):
-        delta_t, gap_t = delta_and_gap(params, probes, infer, temperature)
         grad_delta = delta_gradient(params, probes, infer, temperature)
         g_star, _ = _exact_reward_gradient(params, probes, reward_table, temperature)
         norm_sq = float((grad_delta * grad_delta).sum())
@@ -311,14 +328,14 @@ def compounding_experiment(
         new_weights = params.weights + mu * g_total
         dot_total = float((grad_delta * g_total).sum())
         params = PolicyParams(new_weights, version_id=params.version_id)
-        delta_next, _ = delta_and_gap(params, probes, infer, temperature)
+        delta_next, gap_next = delta_and_gap(params, probes, infer, temperature)
         g_sq = grad_norms[-1] ** 2
         if g_sq > 1e-30:
             resid_ls.append(2.0 * abs(delta_next - delta_t - mu * dot_total) / (mu * mu * g_sq))
+        delta_t, gap_t = delta_next, gap_next
 
-    delta_final, gap_final = delta_and_gap(params, probes, infer, temperature)
-    deltas.append(delta_final)
-    samples.append(DiscrepancySample(step=n_steps, delta=delta_final, max_token_gap=gap_final))
+    deltas.append(delta_t)
+    samples.append(DiscrepancySample(step=n_steps, delta=delta_t, max_token_gap=gap_t))
 
     if max(deltas) <= 1e-15:
         return samples, DiscrepancyFit(

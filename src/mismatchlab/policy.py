@@ -9,35 +9,32 @@ standing in for the numerical disagreement between separate serving and
 training stacks. The perturbation is re-drawn per parameter version so
 the disagreement evolves with the parameters.
 
-Scalar entry points (distribution, log_prob, sample_token, and the
-feature_rows / noise_keys hashes) define the contracts. Every hot path
-goes through array kernels that reproduce them bit for bit:
-context_rows hashes a batch of contexts into (N, 4) feature rows and
-noise keys, noise_components draws all inference-noise blocks of a key
-batch at once (or its persistent and per-version halves apart), and
-weight_grad scatters logit gradients onto the feature rows. All noise
-normals come from one counter-based kernel over (key, column) entries,
-so a block, a subset of its entries, or a batch of blocks give the same
-bits entry by entry.
+The inference error has one composition, inference_error: a dense term
+everywhere plus, at sparse fault entries, a clipped term proportional
+to |logit|. Its noise mixes a run-fixed draw per context (fixed_noise)
+with one re-drawn per parameter version. All normals come from one
+counter-based kernel over (key, column) entries, so a block and any
+subset of its entries give the same bits entry by entry.
 
-Two paths evaluate the engines. The direct path (context_rows ->
-batched_train_logits -> perturb_logits -> batched_log_softmax) evaluates
-the contexts it is given. The scalar entry points, delta_gradient, the
-compounding experiment (which moves weights within one version) and the
-tests' oracles use it. A training run instead keeps a ContextTable:
-every (prev, last) window of every prompt it has seen, with the
-version-independent half computed once per run and both engines
-evaluated once per parameter version, drawing only the per-version
-noise that reaches the inference logits. The rollout ticks, the
+Scalar entry points (distribution, log_prob, sample_token, and the
+feature_rows / noise_keys hashes) define the contracts; context_rows
+hashes a batch of contexts into feature rows and noise keys bit for
+bit. Two paths evaluate the engines. The direct path (context_rows ->
+batched_train_logits -> perturb_logits -> batched_log_softmax) serves
+the scalar entry points and the compounding experiment, which moves
+weights within one version. A training run keeps a ContextTable
+instead: both engines at every (prev, last) window of every prompt it
+has seen, evaluated once per parameter version. Rollout ticks, the
 objective and the probe measure gather its rows, which are
-bit-identical to the direct path.
+bit-identical to the direct path. Both paths raise NumericError on
+non-finite logits that a caller reads.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,9 +42,6 @@ from .errors import NumericError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-# Last-n token window feeding the hashed features.
-FEATURE_WINDOW = 2
 
 # Heavy-tail mixtures: the dense stream keeps a fatter tail than the
 # fault stream; a fault tail mostly manufactures implausible boosts of
@@ -165,21 +159,14 @@ def init_params(
     return PolicyParams(weights=weights, version_id=0)
 
 
-class EngineKind(enum.Enum):
-    TRAIN = "train"
-    INFER = "infer"
-
-
 @dataclass(frozen=True)
 class Engine:
-    """One of the two evaluation engines.
+    """An evaluation engine: the training engine plus a seeded logit error of mismatch_scale.
 
-    mismatch_scale and mismatch_seed only matter for INFER; at
-    mismatch_scale == 0 the inference engine is bit-identical to the
-    training engine.
+    At mismatch_scale == 0 the engine is the training engine, bit for
+    bit; train_engine() is that engine.
     """
 
-    kind: EngineKind
     mismatch_scale: float = 0.0
     mismatch_seed: int = 0
 
@@ -189,11 +176,11 @@ class Engine:
 
 
 def train_engine() -> Engine:
-    return Engine(EngineKind.TRAIN)
+    return Engine()
 
 
 def infer_engine(mismatch_scale: float = 0.0, mismatch_seed: int = 0) -> Engine:
-    return Engine(EngineKind.INFER, mismatch_scale, mismatch_seed)
+    return Engine(mismatch_scale, mismatch_seed)
 
 
 @dataclass(frozen=True)
@@ -342,98 +329,74 @@ def _heavy_normals(keys: np.ndarray, cols: np.ndarray, cuts, gains) -> np.ndarra
     return np.where(heavy, normals * gains, normals)
 
 
-# Per (dense, fault) block pair, shaped to broadcast over (block, row, column).
-_TAIL_CUTS = np.asarray([_DENSE_TAIL_CUT, _FAULT_TAIL_CUT], dtype=np.uint64)[:, None, None]
-_TAIL_GAINS = np.asarray([_DENSE_TAIL_GAIN, _FAULT_TAIL_GAIN])[:, None, None]
+class FixedNoise(NamedTuple):
+    """The run-fixed mismatch noise of a key batch, drawn where the error reads it.
+
+    fault_at holds the fault entries as ascending flat indices into a
+    (rows, width) block (about 40% of the entries), dense the persistent
+    dense normals of every entry, and fault the persistent fault normals
+    at the fault entries only.
+    """
+
+    fault_at: np.ndarray
+    dense: np.ndarray
+    fault: np.ndarray
 
 
-def _persistent_keys(keys_fixed: np.ndarray) -> np.ndarray:
+def _stream_normals(keys: np.ndarray, fault_at: np.ndarray, width: int, fault_xor: int) -> tuple[np.ndarray, np.ndarray]:
+    """(dense normals of keys at every entry, fault normals of keys ^ fault_xor at the fault entries)."""
+    dense = _heavy_normals(keys[:, None], np.arange(width, dtype=np.uint64), np.uint64(_DENSE_TAIL_CUT), _DENSE_TAIL_GAIN)
+    row, col = np.divmod(fault_at, width)
+    fault = _heavy_normals(keys[row] ^ np.uint64(fault_xor), col.astype(np.uint64), np.uint64(_FAULT_TAIL_CUT), _FAULT_TAIL_GAIN)
+    return dense, fault
+
+
+def fixed_noise(keys_fixed: np.ndarray, width: int) -> FixedNoise:
+    """FixedNoise of the persistent keys of a batch of contexts."""
     kf = np.asarray(keys_fixed, dtype=np.uint64)
-    return np.stack([kf, kf ^ np.uint64(_SECOND_FIXED_XOR)])[:, :, None]
+    bits = _splitmix64_vec((kf ^ np.uint64(_FAULT_XOR))[:, None] + np.arange(width, dtype=np.uint64) * _STRIDE_A)
+    fault_at = np.flatnonzero((bits & np.uint64(0x7FF)) < np.uint64(_FAULT_CUT))
+    return FixedNoise(fault_at, *_stream_normals(kf, fault_at, width, _SECOND_FIXED_XOR))
 
 
-def _version_keys(keys_version: np.ndarray) -> np.ndarray:
-    kv = np.asarray(keys_version, dtype=np.uint64)
-    return np.stack([kv, kv ^ np.uint64(_SECOND_VERSION_XOR)])[:, :, None]
+def inference_error(train_logits: np.ndarray, fixed: FixedNoise, keys_version: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(error, fault noise): the inference engine's logit error per unit mismatch scale.
 
-
-def _columns(width: int) -> np.ndarray:
-    return np.arange(width, dtype=np.uint64)
-
-
-def _fault_mask(keys_fixed: np.ndarray, width: int) -> np.ndarray:
-    kf = np.asarray(keys_fixed, dtype=np.uint64)
-    bits = _splitmix64_vec((kf ^ np.uint64(_FAULT_XOR))[:, None] + _columns(width) * _STRIDE_A)
-    return (bits & np.uint64(0x7FF)) < np.uint64(_FAULT_CUT)
-
-
-def persistent_noise(keys_fixed: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """((dense, fault) persistent normal blocks, fault mask) of a key batch.
-
-    The version-independent half of noise_components, fixed for a
-    context for the whole run.
+    The inference logits are train_logits + scale * error. Each noise
+    stream mixes the fixed normals with the per-version normals of
+    keys_version, the fault stream at the fault entries only. The error
+    is dense_weight * dense noise everywhere, plus fault_gain * |logit| *
+    fault noise at the fault entries; the fault noise is clipped and
+    returned too, in fault_at order.
     """
-    return _heavy_normals(_persistent_keys(keys_fixed), _columns(width), _TAIL_CUTS, _TAIL_GAINS), _fault_mask(keys_fixed, width)
+    dense, fault = _stream_normals(np.asarray(keys_version, dtype=np.uint64), fixed.fault_at, train_logits.shape[1], _SECOND_VERSION_XOR)
+    dense = _PERSISTENT_WEIGHT * fixed.dense + _VERSION_WEIGHT * dense
+    fault_noise = np.clip(_PERSISTENT_WEIGHT * fixed.fault + _VERSION_WEIGHT * fault, -_FAULT_NOISE_CLIP, _FAULT_NOISE_CLIP)
+    error = _DENSE_WEIGHT * dense
+    error.ravel()[fixed.fault_at] += _FAULT_GAIN * np.abs(train_logits.ravel()[fixed.fault_at]) * fault_noise
+    return error, fault_noise
 
 
-def version_noise(keys_version: np.ndarray, width: int) -> np.ndarray:
-    """(dense, fault) per-version normal blocks of a key batch.
-
-    The other half of noise_components. The context table draws only the
-    entries of these blocks that reach the inference logits.
-    """
-    return _heavy_normals(_version_keys(keys_version), _columns(width), _TAIL_CUTS, _TAIL_GAINS)
-
-
-def mix_noise(
-    persistent: tuple[np.ndarray, np.ndarray], version: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """noise_components from its persistent and per-version halves."""
-    normals, faults = persistent
-    mixed = _PERSISTENT_WEIGHT * normals + _VERSION_WEIGHT * version
-    return mixed[0], np.clip(mixed[1], -_FAULT_NOISE_CLIP, _FAULT_NOISE_CLIP), faults
-
-
-def noise_components(
-    keys_fixed: np.ndarray, keys_version: np.ndarray, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dense unit noise, fault unit noise, fault mask) rows for a key batch.
-
-    Counter-based and deterministic in (key, column); no RNG state is
-    consumed. Each noise stream mixes a persistent and a per-version
-    block of heavy-tailed standard normals, each block with its own tail
-    cut; the fault mask is a fifth, persistent block. Every value is
-    computed element by element, so a context's noise does not depend on
-    the batch it is drawn in: mix_noise of persistent_noise (drawn once
-    per run) and version_noise (once per version) gives the same bits.
-    Here all four normal blocks share one Box-Muller step.
-    """
-    keys = np.concatenate([_persistent_keys(keys_fixed), _version_keys(keys_version)])
-    normals = _heavy_normals(keys, _columns(width), np.concatenate([_TAIL_CUTS] * 2), np.concatenate([_TAIL_GAINS] * 2))
-    return mix_noise((normals[:2], _fault_mask(keys_fixed, width)), normals[2:])
-
-
-def perturbation(
-    logits: np.ndarray, noise: tuple[np.ndarray, np.ndarray, np.ndarray], scale: float
-) -> np.ndarray:
-    """Additive logit error of the inference engine, given noise_components.
-
-    scale * (dense_weight * dense + fault_gain * fault * |logit| * fault_noise):
-    a small additive disagreement everywhere plus sparse faults whose
-    error is proportional to the logit magnitude (near-zero activations
-    agree on both engines; large ones diverge).
-    """
-    dense, fault_noise, faults = noise
-    return scale * (_DENSE_WEIGHT * dense + _FAULT_GAIN * faults * np.abs(logits) * fault_noise)
+def check_inference_logits(infer_logits: np.ndarray) -> None:
+    """Raise NumericError if the inference logits are non-finite (the mismatch noise overflowed)."""
+    if not np.isfinite(infer_logits).all():
+        raise NumericError(_NON_FINITE_INFER_LOGITS)
 
 
 def perturb_logits(
     logits: np.ndarray, keys_fixed: np.ndarray, keys_version: np.ndarray, scale: float
 ) -> np.ndarray:
-    """Inference-engine view of a logits batch."""
+    """Inference-engine view of a batch of finite training logits.
+
+    Raises NumericError if the error overflows the inference logits.
+    """
     if scale <= 0.0:
         return logits
-    return logits + perturbation(logits, noise_components(keys_fixed, keys_version, logits.shape[1]), scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        error, _ = inference_error(logits, fixed_noise(keys_fixed, logits.shape[1]), keys_version)
+        infer_logits = logits + scale * error
+    check_inference_logits(infer_logits)
+    return infer_logits
 
 
 def batched_log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -452,30 +415,21 @@ class ContextTable:
     values (a token, or -1 for an empty slot). The table holds one row
     per window of every registered prompt. The version-independent half
     is computed once per run, when a prompt is registered (or at the
-    first load, which fixes the feature count): feature rows, the
-    persistent dense noise block, the fault entries (flat indices of the
-    fault mask) and the persistent fault normals at them. load(params)
-    evaluates both engines on every row once per params object:
-    training and inference log-probs and probs, and the inference CDF.
-    Callers then gather rows instead of evaluating the engines again.
+    first load, which fixes the feature count): the rows' feature rows
+    and their FixedNoise. load(params) evaluates both engines on every
+    row once per params object: training and inference log-probs and
+    probs, and the inference CDF. It hashes the version keys alone (one
+    three-pass chain over the rows' (prompt, prev, last) words) and
+    hands them to inference_error, the kernel the direct path's
+    perturb_logits runs too. Callers then gather rows instead of
+    evaluating the engines again; a gathered row is bit-identical to
+    evaluating its context directly.
 
-    A load draws only the per-version noise the inference logits read.
-    It hashes the version keys alone (one three-pass chain over the
-    rows' (prompt, prev, last) words), draws the dense block at every
-    entry and the fault block only at the fault entries, and scatters
-    the fault term into the dense term. Elsewhere the direct path's
-    fault term is 0 * |logit| * noise = +-0, which leaves the dense term
-    unchanged unless that term is exactly zero (a Box-Muller radius of
-    exactly 0, probability about 2^-53 per entry).
-
-    Every value comes from the same entry-wise arithmetic as the direct
-    path (context_rows, batched_train_logits, perturb_logits,
-    batched_log_softmax), so a gathered row is bit-identical to
-    evaluating its context directly. A row whose training or inference
-    logits are non-finite is flagged, not raised on, so a context the run
-    never visits cannot fail it; check(rows) raises for the rows a caller
-    reads, with the direct path's message for the training logits. A
-    params object must not be modified in place once loaded.
+    A row whose training or inference logits are non-finite is flagged,
+    not raised on, so a context the run never visits cannot fail it;
+    check(rows) raises for the rows a caller reads, with the direct
+    path's messages. A params object must not be modified in place once
+    loaded.
     """
 
     def __init__(self, vocab_size: int, infer: Engine, temperature: float) -> None:
@@ -492,15 +446,11 @@ class ContextTable:
         self._sorted_first = np.zeros(0, dtype=np.intp)
         self.n_features: int | None = None
         self.params: PolicyParams | None = None
-        # Fixed for the run: per row, the (prompt, prev, last) words,
-        # feature rows and persistent dense normals; per fault entry (a
-        # flat index into a (rows, vocab) block, ascending), the
-        # persistent fault normal.
+        # Fixed for the run: per row, the (prompt, prev, last) words and
+        # feature rows, and the rows' fixed noise.
         self._contexts = np.zeros((3, 0), dtype=np.uint64)
         self.feats = np.zeros((0, 4), dtype=np.intp)
-        self._dense_normals = np.zeros((0, vocab_size))
-        self._fault_at = np.zeros(0, dtype=np.intp)
-        self._fault_normals = np.zeros(0)
+        self._noise = FixedNoise(np.zeros(0, dtype=np.intp), np.zeros((0, vocab_size)), np.zeros(0))
         # At the loaded params, per row: (lp_train, probs_train, lp_infer,
         # probs_infer, cdf), and how many engines have non-finite logits:
         # 0, 1 (the inference engine) or 2 (both; an inference row reads
@@ -603,12 +553,14 @@ class ContextTable:
             np.tile(self._windows[1], len(prompt_ids)),
         ])
         feats, keys_fixed, _ = context_rows(*contexts, self.n_features, self.infer, 0)
-        (dense, fault), faults = persistent_noise(keys_fixed, self.vocab_size)
+        new = fixed_noise(keys_fixed, self.vocab_size)
         self._contexts = np.concatenate([self._contexts, contexts.view(np.uint64)], axis=1)
         self.feats = np.concatenate([self.feats, feats])
-        self._dense_normals = np.concatenate([self._dense_normals, dense])
-        self._fault_at = np.concatenate([self._fault_at, np.flatnonzero(faults) + start * self.vocab_size])
-        self._fault_normals = np.concatenate([self._fault_normals, fault[faults]])
+        self._noise = FixedNoise(
+            np.concatenate([self._noise.fault_at, new.fault_at + start * self.vocab_size]),
+            np.concatenate([self._noise.dense, new.dense]),
+            np.concatenate([self._noise.fault, new.fault]),
+        )
         if self.params is not None:
             dists, nonfinite = self._evaluate(start)
             self._dists = np.concatenate([self._dists, dists], axis=1)
@@ -623,7 +575,8 @@ class ContextTable:
             lp_train, probs_train = batched_log_softmax(train_logits)
             infer_logits = train_logits
             if scale > 0.0:
-                infer_logits = train_logits + scale * self._version_error(train_logits, start, params.version_id)
+                error, _ = inference_error(train_logits, self._fixed_noise(start), self._version_keys(start, params.version_id))
+                infer_logits = train_logits + scale * error
                 lp_infer, probs_infer = batched_log_softmax(infer_logits)
             else:
                 lp_infer, probs_infer = lp_train, probs_train
@@ -631,28 +584,18 @@ class ContextTable:
         nonfinite = (~np.isfinite(train_logits).all(axis=1)).astype(np.int8) + ~np.isfinite(infer_logits).all(axis=1)
         return np.stack([lp_train, probs_train, lp_infer, probs_infer, cdf]), nonfinite
 
-    def _version_error(self, train_logits: np.ndarray, start: int, version_id: int) -> np.ndarray:
-        """perturbation / scale of the rows from start on at version_id, noise drawn where it is read."""
+    def _fixed_noise(self, start: int) -> FixedNoise:
+        """The fixed noise of the rows from start on."""
         width = self.vocab_size
-        contexts = self._contexts[:, start:]
-        keys = np.full(contexts.shape[1], _mix(_NOISE_VERSION_TAG, self.infer.mismatch_seed, version_id), dtype=np.uint64)
-        for column in contexts:
+        first = np.searchsorted(self._noise.fault_at, start * width)
+        return FixedNoise(self._noise.fault_at[first:] - start * width, self._noise.dense[start:], self._noise.fault[first:])
+
+    def _version_keys(self, start: int, version_id: int) -> np.ndarray:
+        """context_rows' per-version noise keys of the rows from start on, without the other chains."""
+        keys = np.full(self._contexts.shape[1] - start, _mix(_NOISE_VERSION_TAG, self.infer.mismatch_seed, version_id), dtype=np.uint64)
+        for column in self._contexts[:, start:]:
             keys = _splitmix64_vec(keys ^ column)
-        dense = _PERSISTENT_WEIGHT * self._dense_normals[start:] + _VERSION_WEIGHT * _heavy_normals(
-            keys[:, None], _columns(width), np.uint64(_DENSE_TAIL_CUT), _DENSE_TAIL_GAIN
-        )
-        first = np.searchsorted(self._fault_at, start * width)
-        at = self._fault_at[first:] - start * width
-        row, col = np.divmod(at, width)
-        version = _heavy_normals(
-            keys[row] ^ np.uint64(_SECOND_VERSION_XOR), col.astype(np.uint64), np.uint64(_FAULT_TAIL_CUT), _FAULT_TAIL_GAIN
-        )
-        fault_noise = np.clip(
-            _PERSISTENT_WEIGHT * self._fault_normals[first:] + _VERSION_WEIGHT * version, -_FAULT_NOISE_CLIP, _FAULT_NOISE_CLIP
-        )
-        error = _DENSE_WEIGHT * dense
-        error.ravel()[at] += _FAULT_GAIN * np.abs(train_logits.ravel()[at]) * fault_noise
-        return error
+        return keys
 
 
 def _context_logits(
@@ -662,8 +605,6 @@ def _context_logits(
     prev, last = ctx.window()
     feats, kf, kv = context_rows([ctx.prompt_id], [prev], [last], params.n_features, engine, params.version_id)
     train_logits = batched_train_logits(params, feats, temperature)
-    if engine.kind is EngineKind.TRAIN:
-        return train_logits, train_logits
     return train_logits, perturb_logits(train_logits, kf, kv, engine.mismatch_scale)
 
 
@@ -717,8 +658,6 @@ def sample_with_logprobs(
     Returns (token, log pi_infer(token), log pi_train(token)); the stream
     advances by exactly one uniform draw, matching sample_token.
     """
-    if infer.kind is not EngineKind.INFER:
-        raise ValueError("sampling engine must be the inference engine")
     train_logits, infer_logits = _context_logits(params, ctx, infer, temperature)
     lp_inf_rows, probs = batched_log_softmax(infer_logits)
     u = stream.random()

@@ -53,7 +53,6 @@ from .policy import (
     Context,
     ContextTable,
     Engine,
-    FEATURE_WINDOW,
     PolicyParams,
     Vocabulary,
     # The direct engine path, no longer called here: perfbench/child.py
@@ -124,9 +123,6 @@ class Rollout:
 
     def token_ids(self) -> tuple[int, ...]:
         return tuple(self.tokens)
-
-    def context_now(self) -> Context:
-        return Context(self.task.prompt_id, tuple(self.tokens[-FEATURE_WINDOW:]))
 
 
 @dataclass

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from mismatchlab import (
     BiasMode,
     BudgetConfig,
     Context,
+    DiscrepancyFit,
+    DiscrepancySample,
+    NumericError,
     ObjectiveConfig,
     PolicyParams,
     SyntheticPromptSource,
@@ -20,16 +24,23 @@ from mismatchlab import (
     compounding_experiment,
     delta_and_gap,
     delta_gradient,
+    distribution,
     infer_engine,
     init_params,
     kl_categorical,
+    log_prob,
     make_probes,
     make_state,
     measure,
     objective_and_grad,
     run_iteration,
+    sample_with_logprobs,
     sensitivity_sweep,
+    train_engine,
 )
+from mismatchlab import discrepancy
+from mismatchlab.discrepancy import _exact_reward_gradient
+from mismatchlab.policy import batched_train_logits, context_rows
 
 
 def test_zero_scale_gives_exactly_zero_delta() -> None:
@@ -106,6 +117,30 @@ def test_delta_gradient_matches_finite_differences() -> None:
     assert rel.max() < 1e-5
 
 
+def test_direct_path_raises_when_the_inference_logits_overflow() -> None:
+    """Finite but large training logits: the fault term overflows the inference logits."""
+    vocab = Vocabulary(size=6)
+    infer = infer_engine(0.22, 7)
+    params = init_params(vocab, n_features=32, init_scale=0.5, seed=3)
+    params.weights[:, 0] = 1e307
+    probes = make_probes(64, vocab, 3)
+    feats, _, _ = context_rows(*discrepancy.probe_windows(probes), params.n_features, infer, params.version_id)
+    batched_train_logits(params, feats, 1.0)  # the training engine stays finite
+    assert delta_and_gap(params, probes, train_engine()) == (0.0, 0.0)
+    stream = np.random.default_rng(0)
+    calls = [
+        lambda: delta_and_gap(params, probes, infer),
+        lambda: measure(params, probes, infer),
+        lambda: delta_gradient(params, probes, infer),
+        lambda: [distribution(params, ctx, infer) for ctx in probes],
+        lambda: [log_prob(params, ctx, 1, infer) for ctx in probes],
+        lambda: [sample_with_logprobs(params, ctx, infer, 1.0, stream) for ctx in probes],
+    ]
+    for call in calls:
+        with pytest.raises(NumericError, match=r"^non-finite inference engine logits \(mismatch noise overflowed\)$"):
+            call()
+
+
 def theorem_setup(scale: float = 0.22, seed: int = 11):
     vocab = Vocabulary(size=8)
     engine = infer_engine(scale, 7)
@@ -128,6 +163,78 @@ def test_theorem_aligned_trace_satisfies_growth_bound() -> None:
     for t in range(60):
         if deltas[t] >= fit.delta_c:
             assert deltas[t + 1] >= (1 + 0.5 * fit.eta_hat * 0.01) * deltas[t] - 1e-12
+
+
+def reference_theorem_aligned(theta_0, mu, n_steps, vocab, infer, probes, temperature=1.0, align_target=1.0, reward_seed=0):
+    """The theorem-aligned loop measuring each parameter state anew at every use, as it first did."""
+    rng = np.random.default_rng(np.random.SeedSequence((reward_seed & ((1 << 64) - 1), 4)))
+    reward_table = rng.uniform(-1.0, 1.0, size=(len(probes), vocab.size))
+    params = theta_0.copy()
+    deltas, dots_bias, dots_drift, grad_norms, resid_ls, samples = [], [], [], [], [], []
+    for t in range(n_steps):
+        delta_t, gap_t = delta_and_gap(params, probes, infer, temperature)
+        grad_delta = delta_gradient(params, probes, infer, temperature)
+        g_star, _ = _exact_reward_gradient(params, probes, reward_table, temperature)
+        norm_sq = float((grad_delta * grad_delta).sum())
+        if delta_t > 0.0 and norm_sq > 1e-30:
+            bias = (align_target * delta_t / norm_sq) * grad_delta
+        else:
+            bias = np.zeros_like(grad_delta)
+        g_total = g_star + bias
+        deltas.append(delta_t)
+        dots_bias.append(float((grad_delta * bias).sum()))
+        dots_drift.append(float((grad_delta * g_star).sum()))
+        grad_norms.append(float(np.linalg.norm(g_total)))
+        samples.append(DiscrepancySample(step=t, delta=delta_t, max_token_gap=gap_t))
+        dot_total = float((grad_delta * g_total).sum())
+        params = PolicyParams(params.weights + mu * g_total, version_id=params.version_id)
+        delta_next, _ = delta_and_gap(params, probes, infer, temperature)
+        g_sq = grad_norms[-1] ** 2
+        if g_sq > 1e-30:
+            resid_ls.append(2.0 * abs(delta_next - delta_t - mu * dot_total) / (mu * mu * g_sq))
+    delta_final, gap_final = delta_and_gap(params, probes, infer, temperature)
+    deltas.append(delta_final)
+    samples.append(DiscrepancySample(step=n_steps, delta=delta_final, max_token_gap=gap_final))
+    align_const = min(dots_bias[t] / deltas[t] for t in range(n_steps) if deltas[t] > 1e-15)
+    grad_bound = max(grad_norms)
+    smoothness = max(resid_ls) if resid_ls else 0.0
+    kappa_hat = max(abs(d) for d in dots_drift) + 0.5 * smoothness * mu * grad_bound**2
+    delta_c = 2.0 * kappa_hat / align_const if align_const > 0 else math.inf
+    growth_holds = all(
+        deltas[t + 1] >= (1.0 + 0.5 * align_const * mu) * deltas[t] - 1e-12 for t in range(n_steps) if deltas[t] >= delta_c
+    )
+    fit = DiscrepancyFit(
+        eta_hat=align_const,
+        kappa_hat=kappa_hat,
+        delta_c=delta_c,
+        growth_holds=growth_holds,
+        step_size=mu,
+        grad_bound=grad_bound,
+        drift_bound=max(abs(d) for d in dots_drift),
+        smoothness=smoothness,
+        align_const=align_const,
+    )
+    return samples, fit
+
+
+def bits(record) -> tuple:
+    """A dataclass's fields, floats as their IEEE-754 bytes."""
+    return tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in dataclasses.astuple(record))
+
+
+def test_theorem_aligned_trace_equals_the_reference_loop_bit_for_bit(monkeypatch) -> None:
+    vocab, engine, params, probes = theorem_setup()
+    want_samples, want_fit = reference_theorem_aligned(params, 0.01, 5, vocab, engine, probes, align_target=1.0, reward_seed=3)
+    calls = []
+    measured = discrepancy.delta_and_gap
+    monkeypatch.setattr(discrepancy, "delta_and_gap", lambda *args: calls.append(1) or measured(*args))
+    samples, fit = compounding_experiment(
+        params, 0.01, 5, BiasMode.THEOREM_ALIGNED, vocab, engine, probes, align_target=1.0, reward_seed=3
+    )
+    assert len(calls) == 5 + 1  # each parameter state once
+    assert [bits(s) for s in samples] == [bits(s) for s in want_samples]
+    assert bits(fit) == bits(want_fit)
+    assert not fit.vacuous and all(s.delta > 0.0 for s in samples)
 
 
 def test_theorem_aligned_zero_scale_is_vacuous() -> None:

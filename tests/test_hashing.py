@@ -2,39 +2,24 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mismatchlab import infer_engine
+from mismatchlab import NumericError, infer_engine
+from mismatchlab.discrepancy import _infer_logits_and_slope
 from mismatchlab.policy import (
-    _DENSE_TAIL_CUT,
-    _DENSE_TAIL_GAIN,
-    _FAULT_CUT,
-    _FAULT_NOISE_CLIP,
-    _FAULT_TAIL_CUT,
-    _FAULT_TAIL_GAIN,
-    _FAULT_XOR,
-    _PERSISTENT_WEIGHT,
-    _SECOND_FIXED_XOR,
-    _SECOND_VERSION_XOR,
-    _STRIDE_A,
-    _STRIDE_B,
-    _VERSION_WEIGHT,
-    _XOR_B,
-    _splitmix64_vec,
+    FixedNoise,
     context_rows,
     feature_rows,
-    mix_noise,
-    noise_components,
+    fixed_noise,
+    inference_error,
     noise_keys,
-    persistent_noise,
-    version_noise,
+    perturb_logits,
     weight_grad,
 )
+from oracles import block_error, block_inference_logits, block_noise_components, block_slope
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
 EDGE = st.sampled_from([-(2**63), -(2**63) + 1, -2, -1, 0, 1, 2**63 - 2, 2**63 - 1])
@@ -58,63 +43,82 @@ def test_context_rows_match_scalar_hashes(contexts, n_features, mismatch_seed, v
         assert (int(keys_fixed[i]), int(keys_version[i])) == noise_keys(engine, version_id, pid, prev, last)
 
 
-def _unit_noise_matrix(keys, width, tail_cut, tail_gain):
-    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 1)
-    idx = np.arange(width, dtype=np.uint64).reshape(1, -1)
-    a = _splitmix64_vec(keys + idx * _STRIDE_A)
-    b = _splitmix64_vec((keys ^ np.uint64(_XOR_B)) + idx * _STRIDE_B)
-    u1 = ((a >> np.uint64(11)).astype(np.float64) + 1.0) / float(1 << 53)
-    u2 = (b >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-    normals = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-    heavy = (b & np.uint64(0x7FF)) < np.uint64(tail_cut)
-    return np.where(heavy, normals * tail_gain, normals)
-
-
-def _mixed_unit_noise(keys_fixed, keys_version, width, tail_cut, tail_gain):
-    return _PERSISTENT_WEIGHT * _unit_noise_matrix(keys_fixed, width, tail_cut, tail_gain) + _VERSION_WEIGHT * _unit_noise_matrix(keys_version, width, tail_cut, tail_gain)
-
-
-def _block_noise_components(kf, kv, width):
-    """One block at a time: the composition the fused kernel replaces."""
-    dense = _mixed_unit_noise(kf, kv, width, _DENSE_TAIL_CUT, _DENSE_TAIL_GAIN)
-    fault_noise = np.clip(
-        _mixed_unit_noise(
-            kf ^ np.uint64(_SECOND_FIXED_XOR), kv ^ np.uint64(_SECOND_VERSION_XOR), width, _FAULT_TAIL_CUT, _FAULT_TAIL_GAIN
-        ),
-        -_FAULT_NOISE_CLIP,
-        _FAULT_NOISE_CLIP,
-    )
-    idx = np.arange(width, dtype=np.uint64).reshape(1, -1)
-    faults = (_splitmix64_vec((kf.reshape(-1, 1) ^ np.uint64(_FAULT_XOR)) + idx * _STRIDE_A) & np.uint64(0x7FF)) < np.uint64(_FAULT_CUT)
-    return dense, fault_noise, faults
-
-
 @pytest.mark.parametrize("rows", [1, 13, 48, 256])
 @pytest.mark.parametrize("width", [8, 32])
 def test_fused_noise_matches_block_composition(rows: int, width: int) -> None:
+    """The one kernel: fault entries, error and fault noise against every block drawn in full."""
     rng = np.random.default_rng(rows * 1000 + width)
     kf = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
     kv = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
-    fused = noise_components(kf, kv, width)
-    oracle = _block_noise_components(kf, kv, width)
-    for got, want in zip(fused, oracle):
+    logits = rng.normal(size=(rows, width)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1))
+    fixed = fixed_noise(kf, width)
+    error, fault_noise = inference_error(logits, fixed, kv)
+    oracle = block_noise_components(kf, kv, width)
+    assert fixed.fault_at.tolist() == np.flatnonzero(oracle[2]).tolist()
+    for got, want in ((error, block_error(logits, oracle)), (fault_noise, oracle[1][oracle[2]])):
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
 
+def subset_rows(fixed: FixedNoise, width: int, pick: np.ndarray) -> FixedNoise:
+    """The fixed noise of rows pick (repeats allowed), gathered from a batch's."""
+    faults = np.zeros(fixed.dense.shape, dtype=bool)
+    fault = np.zeros(fixed.dense.shape)
+    faults.ravel()[fixed.fault_at] = True
+    fault.ravel()[fixed.fault_at] = fixed.fault
+    return FixedNoise(np.flatnonzero(faults[pick]), fixed.dense[pick], fault[pick][faults[pick]])
+
+
 @pytest.mark.parametrize("width", [2, 8, 33])
 def test_split_noise_recomposes_noise_components(width: int) -> None:
-    """Persistent half drawn once for all rows, version half per subset, as the context table draws them."""
+    """Fixed noise drawn once for all rows, version keys per subset, as the context table draws them."""
     rng = np.random.default_rng(width)
     kf = rng.integers(0, 2**64, size=300, dtype=np.uint64)
-    normals, faults = persistent_noise(kf, width)
+    fixed = fixed_noise(kf, width)
     for version in range(3):
         pick = rng.choice(kf.size, size=int(rng.integers(1, 60)))
         kv = rng.integers(0, 2**64, size=pick.size, dtype=np.uint64)
-        split = mix_noise((normals[:, pick], faults[pick]), version_noise(kv, width))
-        for reference in (noise_components(kf[pick], kv, width), _block_noise_components(kf[pick], kv, width)):
+        logits = rng.normal(size=(pick.size, width)) * 10.0 ** rng.uniform(-3, 3, size=(pick.size, 1))
+        split = inference_error(logits, subset_rows(fixed, width, pick), kv)
+        oracle = block_noise_components(kf[pick], kv, width)
+        for reference in (inference_error(logits, fixed_noise(kf[pick], width), kv), (block_error(logits, oracle), oracle[1][oracle[2]])):
             for got, want in zip(split, reference):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 256),
+    width=st.integers(2, 33),
+    max_exponent=st.floats(-3, 300),
+    scale=st.sampled_from([0.05, 0.22, 1.5]),
+    overflow=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_direct_inference_logits_and_slope_match_the_block_oracle(rows, width, max_exponent, scale, overflow, seed) -> None:
+    """perturb_logits and delta_gradient's slope: finite rows bit for bit, overflowing rows raise."""
+    rng = np.random.default_rng(seed)
+    kf = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
+    kv = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
+    logits = rng.normal(size=(rows, width)) * 10.0 ** rng.uniform(-3, max(-3.0, max_exponent), size=(rows, 1))
+    if overflow:
+        hit = rng.random(rows) < 0.5
+        logits[hit, rng.integers(0, width)] = 1e307 * rng.choice([-1.0, 1.0, 4.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = block_inference_logits(logits, kf, kv, scale)
+        want_slope = block_slope(logits, kf, kv, scale)
+    finite = np.isfinite(want).all(axis=1)
+    assert overflow or finite.all()
+    if finite.any():
+        at = np.flatnonzero(finite)
+        got = perturb_logits(logits[at], kf[at], kv[at], scale)
+        got_logits, got_slope = _infer_logits_and_slope(logits[at], kf[at], kv[at], scale)
+        for g, w in ((got, want[at]), (got_logits, want[at]), (got_slope, want_slope[at])):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    for row in np.flatnonzero(~finite):
+        for direct in (perturb_logits, _infer_logits_and_slope):
+            with pytest.raises(NumericError, match="non-finite inference engine logits"):
+                direct(logits[row : row + 1], kf[row : row + 1], kv[row : row + 1], scale)
 
 
 @settings(max_examples=100, deadline=None)

@@ -29,13 +29,10 @@ from mismatchlab.policy import (
     batched_log_softmax,
     batched_train_logits,
     context_rows,
-    mix_noise,
-    persistent_noise,
     perturb_logits,
-    perturbation,
-    version_noise,
 )
 from mismatchlab.tasks import COPY_PATTERN_POOL
+from oracles import block_inference_logits
 
 PROMPT_ID = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), -1, 0, 100, 2**63 - 1]))
 
@@ -89,16 +86,15 @@ def test_table_rows_equal_direct_path(
 def full_block_rows(params, infer, temperature, pids, prev, last):
     """(lp_train, probs_train, lp_infer, probs_infer, cdf) with every noise block drawn in full.
 
-    The composition a table load used to run: both per-version normal
-    blocks at every entry, mixed with both persistent blocks, and the
-    fault term masked, not scattered.
+    The oracles' composition: both per-version normal blocks at every
+    entry, mixed with both persistent blocks, and the fault term masked,
+    not scattered.
     """
     feats, keys_fixed, keys_version = context_rows(pids, prev, last, params.n_features, infer, params.version_id)
     train_logits = batched_train_logits(params, feats, temperature)
     lp_train, probs_train = batched_log_softmax(train_logits)
     if infer.mismatch_scale > 0.0:
-        noise = mix_noise(persistent_noise(keys_fixed, params.vocab_size), version_noise(keys_version, params.vocab_size))
-        lp_infer, probs_infer = batched_log_softmax(train_logits + perturbation(train_logits, noise, infer.mismatch_scale))
+        lp_infer, probs_infer = batched_log_softmax(block_inference_logits(train_logits, keys_fixed, keys_version, infer.mismatch_scale))
     else:
         lp_infer, probs_infer = lp_train, probs_train
     return lp_train, probs_train, lp_infer, probs_infer, np.cumsum(probs_infer, axis=1)
