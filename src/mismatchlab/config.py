@@ -1,12 +1,13 @@
 """Experiment configuration: a single strict JSON document.
 
 Unknown keys are rejected rather than ignored so typos fail fast, and a
-schema_version field is required. Each section is a frozen dataclass
-that checks its own invariants when it is built; the objective and
-budget sections are the engine's ObjectiveConfig and BudgetConfig. One
-parser reads every section from its field annotations. The resolved
-document round-trips losslessly, which is what lets a metrics file
-regenerate byte-identically from its embedded header.
+schema_version field is required; the current schema is 3. Each section
+is a frozen dataclass that checks its own invariants when it is built;
+the objective and budget sections are the engine's ObjectiveConfig and
+BudgetConfig. One parser reads every section from its field
+annotations. The resolved document round-trips losslessly, which is
+what lets a metrics file regenerate byte-identically from its embedded
+header.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import ConfigError
 from .objective import ObjectiveConfig, check_bounds
 from .scheduler import BudgetConfig
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)

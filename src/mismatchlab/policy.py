@@ -207,6 +207,8 @@ class TokenDistribution:
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=np.float64)
         object.__setattr__(self, "probs", p)
+        if not np.isfinite(p).all():
+            raise NumericError("token distribution has non-finite entries")
         if (p < 0).any() or abs(float(p.sum()) - 1.0) > 1e-12:
             raise NumericError("token distribution is not normalized")
 

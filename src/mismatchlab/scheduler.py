@@ -9,11 +9,15 @@ until the completed-token counter reaches the token budget, refilling
 the inference pool from a pending queue and fresh prompts whenever
 occupancy drops. Each sampled prompt spawns a full sibling group whose
 members are admitted individually as capacity frees, so the pool never
-exceeds its capacity. Completed rollouts wait in the training pool until
-every sibling is terminal, at which point the group is emitted for
-training; unfinished rollouts carry over and resume under the updated
+exceeds its capacity. The tick ends the rollouts it advances: one that
+reaches its token limit, or a policy-length one that samples EOS, turns
+terminal and leaves the pool. The training pool is the terminal members
+of live groups; a group is emitted for training once every sibling is
+terminal. Unfinished rollouts carry over and resume under the updated
 parameters, and a rollout that outlives the retention threshold takes
 its whole group with it (the group could never be trained otherwise).
+Both iteration loops, budget-partitioned and baseline, close the same
+way: emit the complete groups, report, advance the iteration.
 
 Each rollout samples from its own uniforms, one per token, so pool
 scheduling order never perturbs another rollout's token sequence. They
@@ -68,14 +72,17 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class BudgetConfig:
-    """Inputs of the budget-partitioned generation loop; also the experiment config's budget section."""
+    """Inputs of the budget-partitioned generation loop; also the experiment config's budget section.
+
+    Spawning stops at prompts_per_iteration prompts per iteration, or
+    when the prompt source runs out.
+    """
 
     token_budget: int = 440
     infer_capacity: int = 48
     retention_threshold: int = 3
     sync_cost_ticks: int = 8
     prompts_per_iteration: int = 12
-    max_total_prompts: int | None = None
     tick_cap: int = 1_000_000
 
     def __post_init__(self) -> None:
@@ -97,17 +104,21 @@ class BudgetConfig:
 class Rollout:
     """One trajectory and the uniforms it samples its tokens with.
 
-    uniforms[i] draws token i: the first draws of the rollout's own
-    stream, as many as it can generate. Per generated token, in parallel
-    lists: the token id, its log probability under the inference and the
-    training engine, both at the generating parameters, and that
-    parameter version.
+    limit is the most tokens the rollout generates: its target length
+    when one was drawn, else its task's max_len. uniforms[i] draws token
+    i, the first limit draws of the rollout's own stream. A rollout is
+    terminal once it holds limit tokens or, without a target length,
+    once it samples EOS. Per generated token, in parallel lists: the
+    token id, its log probability under the inference and the training
+    engine, both at the generating parameters, and that parameter
+    version.
     """
 
     task: TaskSpec
     uniforms: np.ndarray
     uid: int
     group_uid: int
+    limit: int
     tokens: list[int] = field(default_factory=list)
     lp_infer: list[float] = field(default_factory=list)
     lp_train: list[float] = field(default_factory=list)
@@ -120,9 +131,6 @@ class Rollout:
     @property
     def length(self) -> int:
         return len(self.tokens)
-
-    def token_ids(self) -> tuple[int, ...]:
-        return tuple(self.tokens)
 
 
 @dataclass
@@ -189,14 +197,12 @@ class ScriptedPromptSource:
 
 
 @dataclass
-class _GroupSlot:
-    task: TaskSpec
-    members: list[Rollout]
-
-
-@dataclass
 class SchedulerState:
-    """Inference pool, pending queue, training pool, and audit bookkeeping."""
+    """Inference pool, pending queue, live groups, and audit bookkeeping.
+
+    groups maps each live group's uid to its members, in uid order; its
+    terminal members are the rollouts waiting to train.
+    """
 
     vocab: Vocabulary
     infer: Engine
@@ -206,14 +212,11 @@ class SchedulerState:
     seed: int
     infer_pool: list[Rollout] = field(default_factory=list)
     pending: deque[Rollout] = field(default_factory=deque)
-    train_pool: list[Rollout] = field(default_factory=list)
-    groups: dict[int, _GroupSlot] = field(default_factory=dict)  # live groups, in uid order
-    counter: int = 0
+    groups: dict[int, list[Rollout]] = field(default_factory=dict)
     iteration: int = 0
     tick_clock: int = 0
     next_uid: int = 0
     next_group_uid: int = 0
-    prompts_sampled: int = 0
     spawned_uids: set[int] = field(default_factory=set)
     purged_uids: set[int] = field(default_factory=set)
     trained_uids: set[int] = field(default_factory=set)
@@ -422,21 +425,20 @@ def _spawn_group(state: SchedulerState, group_cfg: ObjectiveConfig) -> bool:
     for target in lengths:
         uid = state.next_uid
         state.next_uid += 1
-        # The most tokens _is_terminal lets the rollout generate.
-        count = task.max_len if target is None else max(target, 1)
+        limit = task.max_len if target is None else max(target, 1)
         rollout = Rollout(
             task=task,
-            uniforms=state.rollout_uniforms.draw(uid, count),
+            uniforms=state.rollout_uniforms.draw(uid, limit),
             uid=uid,
             group_uid=group_uid,
+            limit=limit,
             target_len=target,
             row=first_row,
         )
         members.append(rollout)
         state.pending.append(rollout)
         state.spawned_uids.add(uid)
-    state.groups[group_uid] = _GroupSlot(task=task, members=members)
-    state.prompts_sampled += 1
+    state.groups[group_uid] = members
     return True
 
 
@@ -446,28 +448,18 @@ def _refill(state: SchedulerState, cfg: BudgetConfig, group_cfg: ObjectiveConfig
         if state.pending:
             state.infer_pool.append(state.pending.popleft())
             continue
-        if sampled_this_iter >= cfg.prompts_per_iteration:
-            break
-        if cfg.max_total_prompts is not None and state.prompts_sampled >= cfg.max_total_prompts:
-            break
-        if not _spawn_group(state, group_cfg):
+        if sampled_this_iter >= cfg.prompts_per_iteration or not _spawn_group(state, group_cfg):
             break
         sampled_this_iter += 1
     return sampled_this_iter
 
 
-def _is_terminal(rollout: Rollout, vocab: Vocabulary) -> bool:
-    if rollout.target_len is not None:
-        return rollout.length >= rollout.target_len
-    last = rollout.tokens[-1]
-    return last == vocab.eos_id or rollout.length >= rollout.task.max_len
-
-
-def _generate_tick(rollouts: list[Rollout], params: PolicyParams, state: SchedulerState) -> None:
+def _generate_tick(rollouts: list[Rollout], params: PolicyParams, state: SchedulerState) -> list[Rollout]:
     """One parallel token for every listed rollout, read from the state's context table.
 
     The table is loaded for params on the first tick of a version. Each
-    rollout samples its next token with its own next uniform.
+    rollout samples its next token with its own next uniform. Returns the
+    rollouts this token made terminal, in list order.
     """
     table = state.table
     table.load(params)
@@ -478,6 +470,8 @@ def _generate_tick(rollouts: list[Rollout], params: PolicyParams, state: Schedul
     # Inverse CDF: the count of cdf entries <= u is searchsorted(side="right").
     tokens = np.minimum((table.cdf[rows] <= u[:, None]).sum(axis=1), table.vocab_size - 1)
     version = params.version_id
+    eos = state.vocab.eos_id
+    finished: list[Rollout] = []
     for rollout, token, row, lp_inf, lp_tr in zip(
         rollouts,
         tokens.tolist(),
@@ -490,6 +484,10 @@ def _generate_tick(rollouts: list[Rollout], params: PolicyParams, state: Schedul
         rollout.lp_train.append(lp_tr)
         rollout.versions.append(version)
         rollout.row = row
+        if len(rollout.tokens) >= rollout.limit or (token == eos and rollout.target_len is None):
+            rollout.terminal = True
+            finished.append(rollout)
+    return finished
 
 
 def _purge_boundary(state: SchedulerState, cfg: BudgetConfig) -> int:
@@ -501,51 +499,59 @@ def _purge_boundary(state: SchedulerState, cfg: BudgetConfig) -> int:
     }
     if not dead_groups:
         return 0
-    purged = 0
-    for group_uid in dead_groups:
-        slot = state.groups.pop(group_uid)
-        for member in slot.members:
-            state.purged_uids.add(member.uid)
-            purged += 1
+    purged = [m.uid for group_uid in dead_groups for m in state.groups.pop(group_uid)]
+    state.purged_uids.update(purged)
     state.infer_pool = [r for r in state.infer_pool if r.group_uid not in dead_groups]
     state.pending = deque(r for r in state.pending if r.group_uid not in dead_groups)
-    state.train_pool = [r for r in state.train_pool if r.group_uid not in dead_groups]
-    return purged
+    return len(purged)
 
 
-def _emit_groups(state: SchedulerState, params_version: int) -> tuple[list[PromptGroup], int, int]:
-    """Emit every group whose siblings are all terminal, in group order.
+def _close_iteration(
+    state: SchedulerState,
+    params_version: int,
+    ticks: int,
+    trained_tokens: int,
+    completed: int,
+    purged: int = 0,
+    resumed: int = 0,
+) -> tuple[StepReport, list[PromptGroup]]:
+    """The close of both iteration loops: emit, report, advance the iteration.
 
-    Emitted groups leave state.groups, which keeps only live groups.
+    Every group whose siblings are all terminal is emitted, in group
+    order, and leaves state.groups, which keeps only live groups.
     """
-    ready = [uid for uid, slot in state.groups.items() if all(m.terminal for m in slot.members)]
-    if not ready:
-        return [], 0, 0
-    slots = [state.groups.pop(group_uid) for group_uid in ready]
-    rewards = np.array(
-        [[verify(slot.task, m.token_ids(), state.vocab) for m in slot.members] for slot in slots],
-        dtype=np.float64,
-    )
-    advantages = batch_group_advantages(rewards)
-    emitted: list[PromptGroup] = []
-    stale = 0
-    total = 0
-    for slot, reward_row, advantage_row in zip(slots, rewards.tolist(), advantages.tolist()):
-        emitted.append(
-            PromptGroup(
-                task=slot.task,
-                rollouts=list(slot.members),
-                rewards=reward_row,
-                advantages=advantage_row,
-            )
+    ready = [(uid, members) for uid, members in state.groups.items() if all(m.terminal for m in members)]
+    groups: list[PromptGroup] = []
+    emitted = stale = 0
+    if ready:
+        rewards = np.array(
+            [[verify(m.task, m.tokens, state.vocab) for m in members] for _, members in ready],
+            dtype=np.float64,
         )
-        for member in slot.members:
-            state.trained_uids.add(member.uid)
-            total += member.length
-            stale += sum(1 for v in member.versions if v < params_version)
-    emitted_uids = {m.uid for g in emitted for m in g.rollouts}
-    state.train_pool = [r for r in state.train_pool if r.uid not in emitted_uids]
-    return emitted, total, stale
+        advantages = batch_group_advantages(rewards)
+        for (uid, members), reward_row, advantage_row in zip(ready, rewards.tolist(), advantages.tolist()):
+            del state.groups[uid]
+            groups.append(
+                PromptGroup(task=members[0].task, rollouts=members, rewards=reward_row, advantages=advantage_row)
+            )
+            for member in members:
+                state.trained_uids.add(member.uid)
+                emitted += member.length
+                stale += sum(1 for v in member.versions if v < params_version)
+    report = StepReport(
+        iteration=state.iteration,
+        rollout_ticks=ticks,
+        trained_tokens=trained_tokens,
+        purged_rollouts=purged,
+        resumed_rollouts=resumed,
+        completed_rollouts=completed,
+        stale_token_fraction=stale / emitted if emitted else 0.0,
+        emitted_groups=len(groups),
+        emitted_tokens=emitted,
+        reward_mean=float(np.mean(rewards)) if ready else math.nan,
+    )
+    state.iteration += 1
+    return report, groups
 
 
 def run_iteration(
@@ -559,11 +565,11 @@ def run_iteration(
     purged = _purge_boundary(state, cfg)
     resumed = sum(1 for r in state.infer_pool if r.tokens)
 
-    state.counter = 0
+    counter = 0
     ticks = 0
     completed = 0
     sampled_this_iter = 0
-    while state.counter < cfg.token_budget:
+    while counter < cfg.token_budget:
         sampled_this_iter = _refill(state, cfg, group_cfg, sampled_this_iter)
         if not state.infer_pool:
             break
@@ -572,20 +578,11 @@ def run_iteration(
                 f"budget {cfg.token_budget} unreachable within {cfg.tick_cap} ticks"
             )
         active = len(state.infer_pool)
-        _generate_tick(state.infer_pool, params_t, state)
-        finished_this_tick: list[Rollout] = []
-        survivors: list[Rollout] = []
-        for rollout in state.infer_pool:
-            if _is_terminal(rollout, state.vocab):
-                rollout.terminal = True
-                finished_this_tick.append(rollout)
-            else:
-                survivors.append(rollout)
-        state.infer_pool = survivors
-        for rollout in finished_this_tick:
-            state.counter += rollout.length
-            state.train_pool.append(rollout)
-            completed += 1
+        finished = _generate_tick(state.infer_pool, params_t, state)
+        if finished:
+            state.infer_pool = [r for r in state.infer_pool if not r.terminal]
+            counter += sum(r.length for r in finished)
+            completed += len(finished)
         ticks += 1
         state.tick_clock += 1
         if trace is not None:
@@ -593,32 +590,12 @@ def run_iteration(
                 {
                     "tick": state.tick_clock,
                     "active": active,
-                    "completed": len(finished_this_tick),
-                    "counter": state.counter,
+                    "completed": len(finished),
+                    "counter": counter,
                     "pool_after": len(state.infer_pool),
                 }
             )
-
-    groups, emitted_tokens, stale_tokens = _emit_groups(state, params_t.version_id)
-    report = StepReport(
-        iteration=state.iteration,
-        rollout_ticks=ticks,
-        trained_tokens=state.counter,
-        purged_rollouts=purged,
-        resumed_rollouts=resumed,
-        completed_rollouts=completed,
-        stale_token_fraction=stale_tokens / emitted_tokens if emitted_tokens else 0.0,
-        emitted_groups=len(groups),
-        emitted_tokens=emitted_tokens,
-        reward_mean=_groups_reward_mean(groups),
-    )
-    state.iteration += 1
-    return report, groups
-
-
-def _groups_reward_mean(groups: list[PromptGroup]) -> float:
-    rewards = [r for g in groups for r in g.rewards]
-    return float(np.mean(rewards)) if rewards else math.nan
+    return _close_iteration(state, params_t.version_id, ticks, counter, completed, purged, resumed)
 
 
 def run_iteration_baseline(
@@ -632,54 +609,28 @@ def run_iteration_baseline(
     No budget cut and no carry-over; the rollout phase costs the maximum
     rollout length of each capacity-sized wave.
     """
-    batch: list[Rollout] = []
     for _ in range(cfg.prompts_per_iteration):
-        if cfg.max_total_prompts is not None and state.prompts_sampled >= cfg.max_total_prompts:
-            break
         if not _spawn_group(state, group_cfg):
             break
-        while state.pending:
-            batch.append(state.pending.popleft())
+    batch = list(state.pending)
+    state.pending.clear()
     if not batch:
         raise ValueError("baseline iteration has an empty prompt set")
 
     ticks = 0
     for start in range(0, len(batch), cfg.infer_capacity):
-        wave = [r for r in batch[start : start + cfg.infer_capacity]]
+        active = batch[start : start + cfg.infer_capacity]
         wave_len = 0
-        active = list(wave)
         while active:
             if wave_len >= cfg.tick_cap:
                 raise TickCapError("baseline rollout exceeded the tick cap")
-            _generate_tick(active, params_t, state)
-            still = []
-            for rollout in active:
-                if _is_terminal(rollout, state.vocab):
-                    rollout.terminal = True
-                else:
-                    still.append(rollout)
-            active = still
+            if _generate_tick(active, params_t, state):
+                active = [r for r in active if not r.terminal]
             wave_len += 1
         ticks += wave_len
 
-    state.counter = sum(r.length for r in batch)
-    state.train_pool.extend(batch)
     state.tick_clock += ticks
-    groups, emitted_tokens, stale_tokens = _emit_groups(state, params_t.version_id)
-    report = StepReport(
-        iteration=state.iteration,
-        rollout_ticks=ticks,
-        trained_tokens=state.counter,
-        purged_rollouts=0,
-        resumed_rollouts=0,
-        completed_rollouts=len(batch),
-        stale_token_fraction=stale_tokens / emitted_tokens if emitted_tokens else 0.0,
-        emitted_groups=len(groups),
-        emitted_tokens=emitted_tokens,
-        reward_mean=_groups_reward_mean(groups),
-    )
-    state.iteration += 1
-    return report, groups
+    return _close_iteration(state, params_t.version_id, ticks, sum(r.length for r in batch), len(batch))
 
 
 def train_loop(

@@ -36,8 +36,8 @@ def rejected(data: dict) -> str:
         (doc(objective={"optimizer": 1}), "objective.optimizer: expected string, got 1"),
         (doc(objective={"algo": "ppo"}), "objective.algo: expected one of ['icepop', 'grpo', 'tis'], got 'ppo'"),
         (doc(compounding={"bias_mode": None}), "compounding.bias_mode: expected one of"),
-        (doc(budget={"max_total_prompts": "5"}), "budget.max_total_prompts: expected integer, got '5'"),
-        (doc(budget={"max_total_prompts": True}), "budget.max_total_prompts: expected integer, got True"),
+        (doc(budget={"tick_cap": "5"}), "budget.tick_cap: expected integer, got '5'"),
+        (doc(budget={"tick_cap": True}), "budget.tick_cap: expected integer, got True"),
         (doc(policy=[8]), "policy: expected an object, got [8]"),
         (doc(schedule={"seeds": 11}), "schedule.seeds: expected a list, got 11"),
         (doc(schedule={"seeds": [11, "12"]}), "schedule.seeds[1]: expected integer, got '12'"),
@@ -53,15 +53,16 @@ def test_each_annotation_kind_rejects_a_wrong_type(data: dict, message: str) -> 
 
 
 def test_null_is_read_as_none_only_where_the_annotation_allows_it() -> None:
-    cfg = config_from_dict(doc(budget={"max_total_prompts": None}, sweep=None))
-    assert cfg.budget.max_total_prompts is None and cfg.sweep is None
-    assert config_from_dict(doc(budget={"max_total_prompts": 3})).budget.max_total_prompts == 3
+    assert config_from_dict(doc(sweep=None)).sweep is None
+    assert config_from_dict(doc(sweep={"n_iterations": 3})).sweep.n_iterations == 3
     assert rejected(doc(run={"n_probes": None})) == "run.n_probes: expected integer, got None"
 
 
 def test_unknown_keys_are_rejected_at_both_levels() -> None:
     assert rejected(doc(polcy={})) == "top level: unknown key(s) ['polcy']"
-    assert rejected(doc(budget={"train_capacity": None, "tick_cap": 5})) == "budget: unknown key(s) ['train_capacity']"
+    assert rejected(doc(budget={"train_capacity": None, "max_total_prompts": None, "tick_cap": 5})) == (
+        "budget: unknown key(s) ['max_total_prompts', 'train_capacity']"
+    )
 
 
 def test_document_shape_and_version_are_checked_first() -> None:
@@ -70,7 +71,12 @@ def test_document_shape_and_version_are_checked_first() -> None:
     v1 = json.loads((CONFIGS / "train_icepop.json").read_text(encoding="utf-8"))
     v1["schema_version"] = 1
     v1["budget"]["train_capacity"] = None
+    v1["budget"]["max_total_prompts"] = None
     assert rejected(v1) == f"unsupported schema_version 1; expected {SCHEMA_VERSION}"
+    v2 = json.loads((CONFIGS / "train_icepop.json").read_text(encoding="utf-8"))
+    v2["schema_version"] = 2
+    v2["budget"]["max_total_prompts"] = None
+    assert rejected(v2) == f"unsupported schema_version 2; expected {SCHEMA_VERSION}"
 
 
 @pytest.mark.parametrize(
@@ -119,7 +125,7 @@ def test_every_omitted_field_takes_its_default() -> None:
     cfg = config_from_dict(doc(schedule={}, compounding={}, sweep={}))
     assert cfg == default_config()
     assert cfg.to_dict() == {
-        "schema_version": 2,
+        "schema_version": 3,
         "seed": 1234,
         "policy": {"vocab_size": 8, "eos_id": 0, "n_features": 512, "init_scale": 0.3, "temperature": 1.0},
         "mismatch": {"scale": 0.22, "seed": 7},
@@ -130,7 +136,7 @@ def test_every_omitted_field_takes_its_default() -> None:
         "tasks": {"max_len": 8},
         "budget": {
             "token_budget": 440, "infer_capacity": 48, "retention_threshold": 3, "sync_cost_ticks": 8,
-            "prompts_per_iteration": 12, "max_total_prompts": None, "tick_cap": 1_000_000,
+            "prompts_per_iteration": 12, "tick_cap": 1_000_000,
         },
         "run": {"n_iterations": 200, "n_probes": 256},
         "schedule": {"length_model": "lognormal", "median": 32.0, "sigma": 1.0, "max_len": 512, "n_iterations": 6, "seeds": [11, 12, 13, 14, 15]},

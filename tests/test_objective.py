@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -56,7 +57,7 @@ def make_batch(seed: int, scale: float, vocab_size: int = 8, max_len: int = 5, n
 
 def single_token_rollout(task: TaskSpec, token: int, lp_infer: float, lp_train: float, version: int) -> Rollout:
     return Rollout(
-        task=task, uniforms=np.zeros(1), uid=0, group_uid=0, tokens=[token],
+        task=task, uniforms=np.zeros(1), uid=0, group_uid=0, limit=1, tokens=[token],
         lp_infer=[lp_infer], lp_train=[lp_train], versions=[version], terminal=True,
     )
 
@@ -199,10 +200,14 @@ def finite_difference_grad(groups, theta, theta_old, ref, cfg, h=1e-6):
 
 
 @pytest.mark.parametrize("algo,kl_coeff", [(Algo.ICEPOP, 0.0), (Algo.GRPO, 0.0), (Algo.TIS, 0.0), (Algo.ICEPOP, 0.4)])
-def test_gradient_matches_finite_differences(algo: Algo, kl_coeff: float) -> None:
-    params, groups, _ = make_batch(seed=11, scale=0.12, vocab_size=6, max_len=4, n_features=10)
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**16), scale=st.floats(0.0, 0.5))
+@example(seed=11, scale=0.12)
+def test_gradient_matches_finite_differences(algo: Algo, kl_coeff: float, seed: int, scale: float) -> None:
+    """Each algorithm, with and without the KL term, on random batches and weights."""
+    params, groups, _ = make_batch(seed=seed, scale=scale, vocab_size=6, max_len=4, n_features=10)
     cfg = ObjectiveConfig(algo=algo, kl_coeff=kl_coeff, group_size=2)
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(seed)
     theta = PolicyParams(params.weights + rng.normal(0, 0.05, params.weights.shape), params.version_id)
     ref = init_params(Vocabulary(size=6), n_features=10, init_scale=0.5, seed=99)
     out = objective_and_grad(groups, theta, params, ref, cfg)
@@ -211,7 +216,15 @@ def test_gradient_matches_finite_differences(algo: Algo, kl_coeff: float) -> Non
     assert rel.max() < 1e-5
 
 
-def test_masked_tokens_contribute_exactly_zero_gradient() -> None:
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    scale=st.floats(0.0, 0.8),
+    alpha=st.floats(0.1, 1.0),
+    beta=st.floats(1.0, 8.0),
+    data=st.data(),
+)
+def test_masked_tokens_contribute_exactly_zero_gradient(seed: int, scale: float, alpha: float, beta: float, data) -> None:
     vocab = Vocabulary(size=6)
     theta = init_params(vocab, n_features=64, init_scale=0.5, seed=8)
     cfg = ObjectiveConfig(group_size=2)
@@ -252,6 +265,38 @@ def test_masked_tokens_contribute_exactly_zero_gradient() -> None:
     for row in private_b:
         assert np.all(base.grad[row, :] == 0.0)
         assert np.all(out_p.grad[row, :] == 0.0)
+
+    # On a random batch, force some tokens outside [alpha, beta], then move
+    # every masked token's calibration ratio to another value outside the
+    # bounds: the ICEPOP objective and gradient keep every bit.
+    params, groups, _ = make_batch(seed=seed, scale=scale)
+    cfg = ObjectiveConfig(alpha=alpha, beta=beta, group_size=2)
+    outside = st.one_of(st.floats(1e-4, 0.95 * alpha), st.floats(1.05 * beta, 1e4))
+
+    def with_calibration(calibration: dict[int, float]) -> list[PromptGroup]:
+        """The batch with the calibration ratio of each flat token index in calibration set to its value."""
+        out, k = [], 0
+        for g in groups:
+            rollouts = []
+            for r in g.rollouts:
+                lp_infer = [lp_old - math.log(calibration[k + i]) if k + i in calibration else lp_inf
+                            for i, (lp_old, lp_inf) in enumerate(zip(r.lp_train, r.lp_infer))]
+                rollouts.append(dataclasses.replace(r, lp_infer=lp_infer))
+                k += r.length
+            out.append(PromptGroup(task=g.task, rollouts=rollouts, rewards=g.rewards, advantages=g.advantages))
+        return out
+
+    n_tokens = sum(r.length for g in groups for r in g.rollouts)
+    forced = data.draw(st.sets(st.integers(0, n_tokens - 1), min_size=1))
+    before = objective_and_grad(with_calibration({k: data.draw(outside) for k in forced}), params, params, None, cfg)
+    masked = np.flatnonzero(~before.per_token_mask_kept).tolist()
+    assert forced <= set(masked)
+    moved = {k: data.draw(outside) for k in masked}
+    after = objective_and_grad(with_calibration(moved), params, params, None, cfg)
+    assert np.allclose(after.per_token_calibration[masked], list(moved.values()), rtol=1e-9)
+    assert np.array_equal(after.per_token_mask_kept, before.per_token_mask_kept)
+    assert after.objective_value == before.objective_value
+    assert after.grad.tobytes() == before.grad.tobytes()
 
 
 @settings(max_examples=30, deadline=None)

@@ -212,8 +212,11 @@ def test_non_finite_weights_raise() -> None:
 
 
 def test_token_distribution_validates_normalization() -> None:
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="not normalized"):
         TokenDistribution(np.asarray([0.5, 0.6]))
+    for probs in ([math.nan, math.nan], [math.inf, 0.0]):
+        with pytest.raises(NumericError, match="non-finite"):
+            TokenDistribution(np.asarray(probs))
 
 
 def test_vocabulary_invariants() -> None:

@@ -40,6 +40,11 @@ def scripted_state(lengths: list[int], seed: int = 99):
     return make_state(seed, vocab, infer_engine(0.0, 7), source)
 
 
+def waiting_to_train(state) -> list:
+    """The training pool: the terminal members of live groups."""
+    return [m for members in state.groups.values() for m in members if m.terminal]
+
+
 def default_params(seed: int = 0, vocab_size: int = 8) -> PolicyParams:
     return init_params(Vocabulary(size=vocab_size), n_features=32, init_scale=0.3, seed=seed)
 
@@ -134,7 +139,7 @@ def test_purge_abandons_whole_group() -> None:
     assert report2.purged_rollouts == 2
     assert not groups2
     assert state.purged_uids == {0, 1}
-    assert not state.train_pool
+    assert not waiting_to_train(state)
 
 
 def test_baseline_fixture_runs_single_wave() -> None:
@@ -302,7 +307,7 @@ def _run_fuzz_case(rng: np.random.Generator) -> None:
         params = PolicyParams(params.weights, version_id=params.version_id + 1)
 
     # conservation: every spawned rollout is trained, purged, or still in flight
-    in_flight = {r.uid for r in state.infer_pool} | {r.uid for r in state.pending} | {r.uid for r in state.train_pool}
+    in_flight = {r.uid for pool in (state.infer_pool, state.pending, waiting_to_train(state)) for r in pool}
     accounted = state.trained_uids | state.purged_uids | in_flight
     assert accounted == state.spawned_uids
     assert not (state.trained_uids & state.purged_uids)
@@ -348,13 +353,22 @@ def test_pool_stays_within_capacity_and_only_complete_groups_are_emitted(
         assert all(row["active"] <= infer_capacity and row["pool_after"] <= infer_capacity for row in trace)
         emitted += groups
         params = PolicyParams(params.weights, version_id=params.version_id + 1)
-    in_flight = {r.uid for pool in (state.infer_pool, state.pending, state.train_pool) for r in pool}
+    in_flight = {r.uid for pool in (state.infer_pool, state.pending, waiting_to_train(state)) for r in pool}
     for group in emitted:
         uids = {r.uid for r in group.rollouts}
         assert len(group.rollouts) == len(uids) == group_size
         assert len({r.group_uid for r in group.rollouts}) == 1
         assert all(r.terminal for r in group.rollouts)
         assert not uids & state.purged_uids and not uids & in_flight
+        for r in group.rollouts:
+            # The end rule: a drawn target length is generated exactly; without
+            # one, the rollout stops at its first EOS or at the task's max_len.
+            if lognormal:
+                assert r.target_len is not None and r.length == r.target_len
+            else:
+                assert r.target_len is None and vocab.eos_id not in r.tokens[:-1]
+                assert r.tokens[-1] == vocab.eos_id or r.length == max_len
+                assert r.length <= max_len
 
 
 def test_budget_config_invariants() -> None:
@@ -374,9 +388,10 @@ def test_group_slots_hold_only_live_groups_after_a_run() -> None:
     budget = BudgetConfig(token_budget=60, infer_capacity=12, retention_threshold=1, prompts_per_iteration=4)
     train_loop(12, state, params, budget, ObjectiveConfig(group_size=4, learning_rate=1.0), make_probes(256, vocab, 5))
 
-    in_flight = {r.uid for pool in (state.infer_pool, state.pending, state.train_pool) for r in pool}
+    in_flight = {r.uid for pool in (state.infer_pool, state.pending, waiting_to_train(state)) for r in pool}
     assert state.trained_uids and state.purged_uids and in_flight
-    assert {m.uid for slot in state.groups.values() for m in slot.members} == in_flight
+    assert {m.uid for members in state.groups.values() for m in members} == in_flight
+    assert not any(r.terminal for pool in (state.infer_pool, state.pending) for r in pool)
     assert list(state.groups) == sorted(state.groups)
     assert state.trained_uids | state.purged_uids | in_flight == state.spawned_uids
     assert not (state.trained_uids & state.purged_uids)
@@ -474,7 +489,7 @@ def _trained_rollouts(monkeypatch, length_model: str, first_uid: int) -> list:
     seen = []
 
     def recording(groups, *args):
-        seen.extend((r.uid, r.token_ids(), r.lp_infer, r.lp_train, r.versions) for g in groups for r in g.rollouts)
+        seen.extend((r.uid, tuple(r.tokens), r.lp_infer, r.lp_train, r.versions) for g in groups for r in g.rollouts)
         return objective.objective_and_grad(groups, *args)
 
     monkeypatch.setattr(scheduler, "objective_and_grad", recording)
