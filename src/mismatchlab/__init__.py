@@ -17,7 +17,6 @@ from .discrepancy import (
     kl_categorical,
     make_probes,
     measure,
-    sensitivity_sweep,
 )
 from .errors import ConfigError, NumericError, TickCapError
 from .objective import (
@@ -111,7 +110,6 @@ __all__ = [
     "sample_prompt",
     "sample_token",
     "sample_with_logprobs",
-    "sensitivity_sweep",
     "sgd_update",
     "train_engine",
     "train_loop",

@@ -4,8 +4,12 @@ Commands are non-interactive and fully seeded: train writes one JSONL
 metrics row per iteration plus a summary document, schedule compares the
 budget-partitioned scheduler against the single-pass baseline on shared
 seeds, compounding runs the discrepancy-growth dynamics experiment, and
-sweep compares masking-bound settings. Exit codes: 0 success, 2 config
-error, 3 numeric failure, 4 tick cap exceeded.
+sweep compares masking-bound settings. Every training run, including the
+sweep's settings and compounding's rl_loop mode, is set up from its
+config by one helper, _train_run; a command derives that config with
+dataclasses.replace, so the sections check their own invariants again.
+Exit codes: 0 success, 2 config error, 3 numeric failure, 4 tick cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, config_from_dict, load_config
-from .discrepancy import compounding_experiment, make_probes, sensitivity_sweep
+from .discrepancy import BiasMode, compounding_experiment, fit_affine_trace, make_probes
 from .errors import ConfigError, NumericError, TickCapError
 from .objective import Algo
-from .policy import Vocabulary, infer_engine, init_params
+from .policy import PolicyParams, Vocabulary, infer_engine, init_params
 from .scheduler import SyntheticPromptSource, make_state, train_loop
 
 METRICS_SCHEMA_VERSION = 1
@@ -59,6 +63,29 @@ def _resolved_header(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _train_run(
+    cfg: ExperimentConfig, source: SyntheticPromptSource | None = None, baseline: bool = False, on_step=None
+) -> tuple[list, PolicyParams, int]:
+    """Train run.n_iterations iterations as cfg sets them up, all seeded by cfg.seed.
+
+    The prompts come from source, by default the task distribution up to
+    tasks.max_len. Returns train_loop's results and final parameters, and
+    the tick clock at the end; the scheduler state, which holds the run's
+    context table, is freed on return.
+    """
+    vocab = _vocab(cfg)
+    infer = infer_engine(cfg.mismatch.scale, cfg.mismatch.seed)
+    params = init_params(vocab, cfg.policy.n_features, cfg.policy.init_scale, cfg.seed)
+    if source is None:
+        source = SyntheticPromptSource(vocab, max_len=cfg.tasks.max_len)
+    state = make_state(cfg.seed, vocab, infer, source, cfg.policy.temperature)
+    probes = make_probes(cfg.run.n_probes, vocab, cfg.seed)
+    results, params = train_loop(
+        cfg.run.n_iterations, state, params, cfg.budget, cfg.objective, probes, baseline=baseline, on_step=on_step
+    )
+    return results, params, state.tick_clock
+
+
 def _metrics_row(cfg: ExperimentConfig, report, loss, sample) -> dict:
     wall_ticks = report.rollout_ticks + cfg.budget.sync_cost_ticks
     return {
@@ -81,13 +108,6 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.jsonl"
     summary_path = out_dir / "summary.json"
-    vocab = _vocab(cfg)
-    infer = infer_engine(cfg.mismatch.scale, cfg.mismatch.seed)
-    params = init_params(vocab, cfg.policy.n_features, cfg.policy.init_scale, cfg.seed)
-    source = SyntheticPromptSource(vocab, max_len=cfg.tasks.max_len)
-    state = make_state(cfg.seed, vocab, infer, source, cfg.policy.temperature)
-    probes = make_probes(cfg.run.n_probes, vocab, cfg.seed)
-
     rows: list[dict] = []
     failure: NumericError | TickCapError | None = None
     with metrics_path.open("w", encoding="utf-8") as fh:
@@ -100,9 +120,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
             fh.flush()
 
         try:
-            _, params = train_loop(
-                cfg.run.n_iterations, state, params, cfg.budget, cfg.objective, probes, on_step=flush_row
-            )
+            _, params, tick_clock = _train_run(cfg, on_step=flush_row)
         except (NumericError, TickCapError) as exc:
             failure = exc
 
@@ -119,7 +137,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
     }
     if status == "ok":
         summary["final_version"] = params.version_id
-        summary["tick_clock"] = state.tick_clock
+        summary["tick_clock"] = tick_clock
     else:
         summary["error"] = str(failure)
     summary_path.write_text(_dumps(summary) + "\n", encoding="utf-8")
@@ -133,24 +151,18 @@ def _schedule_one_seed(cfg_dict: dict, seed: int) -> dict:
     cfg = config_from_dict(cfg_dict)
     assert cfg.schedule is not None
     sch = cfg.schedule
-    vocab = _vocab(cfg)
-    infer = infer_engine(cfg.mismatch.scale, cfg.mismatch.seed)
-    probes = make_probes(cfg.run.n_probes, vocab, seed)
+    cfg = dataclasses.replace(cfg, seed=seed, run=dataclasses.replace(cfg.run, n_iterations=sch.n_iterations))
 
     totals = {}
     for mode in ("budget", "baseline"):
         source = SyntheticPromptSource(
-            vocab,
+            _vocab(cfg),
             max_len=sch.max_len,
             length_model=sch.length_model,
             median=sch.median,
             sigma=sch.sigma,
         )
-        state = make_state(seed, vocab, infer, source, cfg.policy.temperature)
-        params = init_params(vocab, cfg.policy.n_features, cfg.policy.init_scale, seed)
-        results, _ = train_loop(
-            sch.n_iterations, state, params, cfg.budget, cfg.objective, probes, baseline=(mode == "baseline")
-        )
+        results, _, _ = _train_run(cfg, source, baseline=(mode == "baseline"))
         rollout_ticks = sum(r[0].rollout_ticks for r in results)
         trained = sum(r[0].trained_tokens for r in results)
         totals[mode] = {
@@ -209,26 +221,29 @@ def cmd_compounding(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError("compounding command requires a compounding section")
     out_dir.mkdir(parents=True, exist_ok=True)
     comp = cfg.compounding
-    vocab = _vocab(cfg)
-    infer = infer_engine(cfg.mismatch.scale, cfg.mismatch.seed)
-    params = init_params(vocab, cfg.policy.n_features, cfg.policy.init_scale, cfg.seed)
-    probes = make_probes(cfg.run.n_probes, vocab, cfg.seed)
-    samples, fit = compounding_experiment(
-        params,
-        comp.mu,
-        comp.n_steps,
-        comp.bias_mode,
-        vocab,
-        infer,
-        probes,
-        temperature=cfg.policy.temperature,
-        align_target=comp.align_target,
-        reward_seed=comp.reward_seed,
-        objective=cfg.objective,
-        budget=cfg.budget,
-        seed=cfg.seed,
-        max_len=cfg.tasks.max_len,
-    )
+    if comp.bias_mode is BiasMode.RL_LOOP:
+        # The run's step size is mu, not the objective's learning rate, because the fit divides by it.
+        objective = dataclasses.replace(cfg.objective, learning_rate=comp.mu)
+        run = dataclasses.replace(cfg.run, n_iterations=comp.n_steps)
+        results, _, _ = _train_run(dataclasses.replace(cfg, objective=objective, run=run))
+        samples = [sample for _, _, sample in results]
+        fit = fit_affine_trace([s.delta for s in samples], [loss.grad_norm for _, loss, _ in results], comp.mu)
+    else:
+        vocab = _vocab(cfg)
+        infer = infer_engine(cfg.mismatch.scale, cfg.mismatch.seed)
+        params = init_params(vocab, cfg.policy.n_features, cfg.policy.init_scale, cfg.seed)
+        probes = make_probes(cfg.run.n_probes, vocab, cfg.seed)
+        samples, fit = compounding_experiment(
+            params,
+            comp.mu,
+            comp.n_steps,
+            vocab,
+            infer,
+            probes,
+            temperature=cfg.policy.temperature,
+            align_target=comp.align_target,
+            reward_seed=comp.reward_seed,
+        )
     with (out_dir / "compounding_trace.jsonl").open("w", encoding="utf-8") as fh:
         fh.write(_dumps(_resolved_header(cfg)) + "\n")
         for s in samples:
@@ -243,25 +258,42 @@ def cmd_compounding(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
+    """Train once per masking-bound setting of sweep.bounds, on shared seeds.
+
+    Each row carries the setting's own training trajectory. Because
+    independently trained runs diverge, per-step mask-set comparisons are
+    additionally evaluated counterfactually on the first setting's
+    trajectory (clipped_fraction_shared): on shared batches, the tokens
+    clipped by a narrower range are a strict superset of those clipped
+    by a wider one. Each setting replaces the objective's bounds.
+    """
     if cfg.sweep is None:
         raise ConfigError("sweep command requires a sweep section")
     out_dir.mkdir(parents=True, exist_ok=True)
-    vocab = _vocab(cfg)
-    infer = infer_engine(cfg.mismatch.scale, cfg.mismatch.seed)
-    params = init_params(vocab, cfg.policy.n_features, cfg.policy.init_scale, cfg.seed)
-    rows = sensitivity_sweep(
-        [tuple(b) for b in cfg.sweep.bounds],
-        cfg.seed,
-        vocab,
-        infer,
-        params,
-        cfg.sweep.n_iterations,
-        cfg.budget,
-        cfg.objective,
-        max_len=cfg.tasks.max_len,
-        temperature=cfg.policy.temperature,
-        n_probes=cfg.run.n_probes,
-    )
+    run = dataclasses.replace(cfg.run, n_iterations=cfg.sweep.n_iterations)
+    reference_calibrations = []
+    rows = []
+    for alpha, beta in cfg.sweep.bounds:
+        objective = dataclasses.replace(cfg.objective, alpha=alpha, beta=beta)
+        results, _, _ = _train_run(dataclasses.replace(cfg, objective=objective, run=run))
+        if not rows:
+            reference_calibrations = [loss.per_token_calibration for _, loss, _ in results]
+        final_reward = next((report.reward_mean for report, _, _ in reversed(results) if report.emitted_groups), math.nan)
+        rows.append(
+            {
+                "alpha": alpha,
+                "beta": beta,
+                "delta": [sample.delta for _, _, sample in results],
+                "grad_norm": [loss.grad_norm for _, loss, _ in results],
+                "clipped_fraction": [loss.clipped_fraction for _, loss, _ in results],
+                "clipped_fraction_shared": [
+                    float(((c < alpha) | (c > beta)).mean()) if c.size else 0.0 for c in reference_calibrations
+                ],
+                "mean_logp": [loss.mean_logp for _, loss, _ in results],
+                "final_delta": results[-1][2].delta if results else 0.0,
+                "final_reward_mean": final_reward,
+            }
+        )
     table = {
         "schema_version": METRICS_SCHEMA_VERSION,
         "config": cfg.to_dict(),

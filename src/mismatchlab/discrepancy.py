@@ -1,20 +1,21 @@
-"""Engine-discrepancy measurement and dynamics experiments.
+"""Engine-discrepancy measurement, its gradient, and the growth fits.
 
 The headline quantity is delta(theta): the exact categorical KL from the
 inference engine's distribution to the training engine's, averaged over
 a fixed probe context set. Because the toy policy's KL is available in
-closed form, so is its gradient, which lets the dynamics experiment
-construct update bias that provably satisfies the alignment assumption
-and then check the fitted geometric growth bound step by step instead of
-assuming it.
+closed form, so is its gradient, which lets the theorem-aligned dynamics
+experiment construct update bias that provably satisfies the alignment
+assumption and then check the fitted geometric growth bound step by
+step instead of assuming it. fit_affine_trace fits the same growth
+constants to the delta trace of a training run; the runs themselves
+are set up by the CLI.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,25 +37,16 @@ from .policy import (
     weight_grad,
 )
 
-if TYPE_CHECKING:
-    from .objective import ObjectiveConfig
-    from .scheduler import BudgetConfig
-
 _MASK64 = (1 << 64) - 1
 
 
 @dataclass
 class DiscrepancySample:
-    """Per-step discrepancy and training diagnostics."""
+    """Probe-set discrepancy at one step."""
 
     step: int
     delta: float
     max_token_gap: float
-    mean_logp: float = 0.0
-    grad_norm: float = 0.0
-    clipped_fraction: float = 0.0
-    entropy_all: float = 0.0
-    entropy_clipped: float = math.nan
 
 
 @dataclass
@@ -155,11 +147,10 @@ def measure(
     infer: Engine,
     temperature: float = 1.0,
     step: int = 0,
-    loss=None,
     table: ContextTable | None = None,
     rows: np.ndarray | None = None,
 ) -> DiscrepancySample:
-    """Probe-set discrepancy plus diagnostics from the latest loss breakdown.
+    """Probe-set discrepancy of params, recorded as step.
 
     With a context table (of infer at temperature, with the probes'
     prompts registered), the distributions are gathered from its rows at
@@ -179,14 +170,7 @@ def measure(
         table.load(params)
         table.check(rows)
         delta, gap = _delta_and_gap_rows(table.probs_infer[rows], table.probs_train[rows], table.lp_infer[rows], table.lp_train[rows])
-    sample = DiscrepancySample(step=step, delta=delta, max_token_gap=gap)
-    if loss is not None and loss.token_count:
-        sample.mean_logp = loss.mean_logp
-        sample.grad_norm = loss.grad_norm
-        sample.clipped_fraction = loss.clipped_fraction
-        sample.entropy_all = loss.entropy_all
-        sample.entropy_clipped = loss.entropy_clipped
-    return sample
+    return DiscrepancySample(step=step, delta=delta, max_token_gap=gap)
 
 
 def _infer_logits_and_slope(
@@ -262,38 +246,26 @@ def compounding_experiment(
     theta_0: PolicyParams,
     mu: float,
     n_steps: int,
-    bias_mode: BiasMode,
     vocab: Vocabulary,
     infer: Engine,
     probes: list[Context],
     temperature: float = 1.0,
     align_target: float = 1.0,
     reward_seed: int = 0,
-    objective: ObjectiveConfig | None = None,
-    budget: BudgetConfig | None = None,
-    seed: int = 0,
-    max_len: int = 8,
 ) -> tuple[list[DiscrepancySample], DiscrepancyFit]:
-    """Run the discrepancy-growth dynamics experiment.
+    """The theorem-aligned discrepancy-growth experiment: n_steps updates of step size mu from theta_0.
 
-    THEOREM_ALIGNED constructs each update as an exact on-policy reward
-    gradient plus a bias component aligned with the exact discrepancy
-    gradient (inner product equal to align_target * delta_t), holding
-    the parameter version fixed so the engine-noise map stays smooth.
-    Constants are fitted from the same trace; the growth bound is then a
-    literal per-step assertion. RL_LOOP runs the training loop with the
-    objective and budget configs, which it requires, on prompts of up to
-    max_len tokens from a scheduler seeded with seed, and fits the affine
-    recursion delta_{t+1} = a delta_t + b. Its step size is mu, not the
-    objective's learning rate, because the fit divides by it.
+    Each update is the exact on-policy gradient of a fixed synthetic
+    reward (drawn from reward_seed over the probes) plus a bias
+    component aligned with the exact discrepancy gradient, with inner
+    product align_target * delta_t. The parameter version stays fixed,
+    so the engine-noise map stays smooth. The constants are fitted from
+    the same trace, and the growth bound is then checked step by step.
+    Returns the n_steps + 1 samples, one per parameter state, and the
+    fit; a trace whose delta never leaves zero gives a vacuous fit.
     """
     if mu <= 0:
         raise ValueError("step size mu must be positive")
-    if bias_mode is BiasMode.RL_LOOP:
-        if objective is None or budget is None:
-            raise ValueError("the rl_loop mode needs the objective and budget configs")
-        return _rl_loop_fit(theta_0, mu, n_steps, vocab, infer, probes, temperature, objective, budget, seed, max_len)
-
     rng = np.random.default_rng(np.random.SeedSequence((reward_seed & _MASK64, 4)))
     reward_table = rng.uniform(-1.0, 1.0, size=(len(probes), vocab.size))
 
@@ -379,118 +351,42 @@ def compounding_experiment(
     return samples, fit
 
 
-def _rl_loop_fit(
-    theta_0: PolicyParams,
-    mu: float,
-    n_steps: int,
-    vocab: Vocabulary,
-    infer: Engine,
-    probes: list[Context],
-    temperature: float,
-    objective: ObjectiveConfig,
-    budget: BudgetConfig,
-    seed: int,
-    max_len: int,
-) -> tuple[list[DiscrepancySample], DiscrepancyFit]:
-    from .scheduler import SyntheticPromptSource, make_state, train_loop
+def fit_affine_trace(deltas, grad_norms, mu: float) -> DiscrepancyFit:
+    """Fit delta_{t+1} = a delta_t + b to a training run's delta trace.
 
-    state = make_state(seed, vocab, infer, SyntheticPromptSource(vocab, max_len=max_len), temperature)
-    objective = replace(objective, learning_rate=mu)
-    results, _ = train_loop(n_steps, state, theta_0.copy(), budget, objective, probes)
-    samples = [r[2] for r in results]
-    deltas = np.asarray([s.delta for s in samples])
-    grad_norms = [r[1].grad_norm for r in results]
-
+    The run's step size mu turns the slope and intercept into the growth
+    constants: eta_hat = (a - 1) / mu and kappa_hat = -b / mu.
+    growth_holds records a > 1, and grad_bound is the largest of the
+    run's gradient norms. A trace shorter than three steps, or one whose
+    delta never leaves zero, gives a vacuous fit.
+    """
+    deltas = np.asarray(deltas, dtype=np.float64)
+    grad_bound = max(grad_norms) if grad_norms else 0.0
     if deltas.max(initial=0.0) <= 1e-15 or len(deltas) < 3:
-        return samples, DiscrepancyFit(
+        return DiscrepancyFit(
             eta_hat=0.0,
             kappa_hat=0.0,
             delta_c=0.0,
             growth_holds=True,
             step_size=mu,
-            grad_bound=max(grad_norms) if grad_norms else 0.0,
+            grad_bound=grad_bound,
             drift_bound=math.nan,
             smoothness=math.nan,
             align_const=math.nan,
             vacuous=True,
         )
 
-    x = deltas[:-1]
-    y = deltas[1:]
-    a, b = np.polyfit(x, y, 1)
+    a, b = np.polyfit(deltas[:-1], deltas[1:], 1)
     eta_hat = (float(a) - 1.0) / mu
     kappa_hat = -float(b) / mu
-    delta_c = 2.0 * kappa_hat / eta_hat if eta_hat > 0 else math.inf
-    fit = DiscrepancyFit(
+    return DiscrepancyFit(
         eta_hat=eta_hat,
         kappa_hat=kappa_hat,
-        delta_c=delta_c,
+        delta_c=2.0 * kappa_hat / eta_hat if eta_hat > 0 else math.inf,
         growth_holds=float(a) > 1.0,
         step_size=mu,
-        grad_bound=max(grad_norms) if grad_norms else 0.0,
+        grad_bound=grad_bound,
         drift_bound=math.nan,
         smoothness=math.nan,
         align_const=math.nan,
     )
-    return samples, fit
-
-
-def sensitivity_sweep(
-    bounds_list: list,
-    seed: int,
-    vocab: Vocabulary,
-    infer: Engine,
-    theta_0: PolicyParams,
-    n_iterations: int,
-    budget: BudgetConfig,
-    objective: ObjectiveConfig,
-    max_len: int = 24,
-    temperature: float = 1.0,
-    n_probes: int = 256,
-) -> list[dict]:
-    """Run the training loop once per masking-bound setting on shared seeds.
-
-    Each row carries the setting's own training trajectory. Because
-    independently trained runs diverge, per-step mask-set comparisons are
-    additionally evaluated counterfactually on the first setting's
-    trajectory (clipped_fraction_shared): on shared batches, the tokens
-    clipped by a narrower range are a strict superset of those clipped
-    by a wider one. Each setting replaces the objective's bounds.
-    """
-    from .scheduler import SyntheticPromptSource, make_state, train_loop
-
-    if len(bounds_list) < 2:
-        raise ValueError("sensitivity sweep needs at least two bound settings")
-    reference_calibrations: list[np.ndarray] = []
-    rows = []
-    for idx, (alpha, beta) in enumerate(bounds_list):
-        setting = replace(objective, alpha=alpha, beta=beta)
-        source = SyntheticPromptSource(vocab, max_len=max_len)
-        state = make_state(seed, vocab, infer, source, temperature)
-        probes = make_probes(n_probes, vocab, seed)
-        results, _ = train_loop(n_iterations, state, theta_0.copy(), budget, setting, probes)
-        if idx == 0:
-            reference_calibrations = [r[1].per_token_calibration for r in results]
-        final_reward = math.nan
-        for report, _, _ in reversed(results):
-            if report.emitted_groups:
-                final_reward = report.reward_mean
-                break
-        shared = [
-            float(((c < alpha) | (c > beta)).mean()) if c.size else 0.0
-            for c in reference_calibrations
-        ]
-        rows.append(
-            {
-                "alpha": alpha,
-                "beta": beta,
-                "delta": [r[2].delta for r in results],
-                "grad_norm": [r[1].grad_norm for r in results],
-                "clipped_fraction": [r[1].clipped_fraction for r in results],
-                "clipped_fraction_shared": shared,
-                "mean_logp": [r[1].mean_logp for r in results],
-                "final_delta": results[-1][2].delta if results else 0.0,
-                "final_reward_mean": final_reward,
-            }
-        )
-    return rows

@@ -173,7 +173,8 @@ class SyntheticPromptSource:
         if self.length_model == "policy":
             return task, [None] * group_size
         draws = stream.lognormal(math.log(self.median), self.sigma, size=group_size)
-        lengths = [int(min(max(round(x), 1), self.max_len)) for x in draws]
+        # Clamped before rounding: a wide sigma can draw inf, which round() cannot convert.
+        lengths = [int(round(min(max(x, 1.0), self.max_len))) for x in draws]
         return task, lengths
 
 
@@ -198,7 +199,7 @@ class ScriptedPromptSource:
 
 @dataclass
 class SchedulerState:
-    """Inference pool, pending queue, live groups, and audit bookkeeping.
+    """Inference pool, pending queue, live groups, and the run's counters.
 
     groups maps each live group's uid to its members, in uid order; its
     terminal members are the rollouts waiting to train.
@@ -217,9 +218,6 @@ class SchedulerState:
     tick_clock: int = 0
     next_uid: int = 0
     next_group_uid: int = 0
-    spawned_uids: set[int] = field(default_factory=set)
-    purged_uids: set[int] = field(default_factory=set)
-    trained_uids: set[int] = field(default_factory=set)
     table: ContextTable = field(init=False)  # every spawned prompt's contexts
     rollout_uniforms: RolloutUniforms = field(init=False)
 
@@ -437,7 +435,6 @@ def _spawn_group(state: SchedulerState, group_cfg: ObjectiveConfig) -> bool:
         )
         members.append(rollout)
         state.pending.append(rollout)
-        state.spawned_uids.add(uid)
     state.groups[group_uid] = members
     return True
 
@@ -499,11 +496,10 @@ def _purge_boundary(state: SchedulerState, cfg: BudgetConfig) -> int:
     }
     if not dead_groups:
         return 0
-    purged = [m.uid for group_uid in dead_groups for m in state.groups.pop(group_uid)]
-    state.purged_uids.update(purged)
+    purged = sum(len(state.groups.pop(group_uid)) for group_uid in dead_groups)
     state.infer_pool = [r for r in state.infer_pool if r.group_uid not in dead_groups]
     state.pending = deque(r for r in state.pending if r.group_uid not in dead_groups)
-    return len(purged)
+    return purged
 
 
 def _close_iteration(
@@ -535,7 +531,6 @@ def _close_iteration(
                 PromptGroup(task=members[0].task, rollouts=members, rewards=reward_row, advantages=advantage_row)
             )
             for member in members:
-                state.trained_uids.add(member.uid)
                 emitted += member.length
                 stale += sum(1 for v in member.versions if v < params_version)
     report = StepReport(
@@ -640,7 +635,6 @@ def train_loop(
     cfg: BudgetConfig,
     objective: ObjectiveConfig,
     probes: list[Context],
-    ref: PolicyParams | None = None,
     baseline: bool = False,
     on_step=None,
 ) -> tuple[list[tuple[StepReport, LossBreakdown, DiscrepancySample]], PolicyParams]:
@@ -655,11 +649,11 @@ def train_loop(
 
     The rollout ticks, the objective and the probe measure all read the
     state's context table at the iteration's parameters, which the
-    table evaluates once. Each loss in the results keeps grad_norm but
-    drops grad once the update has applied it.
+    table evaluates once. The KL reference is the run's initial
+    parameters. Each loss in the results keeps grad_norm but drops grad
+    once the update has applied it.
     """
-    if ref is None:
-        ref = params.copy()
+    ref = params.copy()
     table = state.table
     probe_contexts = probe_windows(probes)
     table.add(probe_contexts[0])
@@ -673,10 +667,7 @@ def train_loop(
             loss = objective_and_grad(groups, params, params, ref, objective, state.temperature, table)
         else:
             loss = empty_breakdown(params)
-        sample = measure(
-            params, probes, state.infer, state.temperature, step=report.iteration, loss=loss,
-            table=table, rows=probe_rows,
-        )
+        sample = measure(params, probes, state.infer, state.temperature, step=report.iteration, table=table, rows=probe_rows)
         results.append((report, loss, sample))
         if on_step is not None:
             on_step(report, loss, sample)

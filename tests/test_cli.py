@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mismatchlab import discrepancy, scheduler
+from mismatchlab import cli, scheduler
 from mismatchlab.cli import _dumps, main
 from mismatchlab.errors import NumericError
 
@@ -57,13 +57,13 @@ def test_train_seed_and_iterations_flags_reach_the_run(tmp_path) -> None:
 
 def test_sweep_measures_run_n_probes_probes(tmp_path, monkeypatch) -> None:
     sizes = []
-    make_probes = discrepancy.make_probes
+    make_probes = cli.make_probes
 
     def recording(n, *args, **kwargs):
         sizes.append(n)
         return make_probes(n, *args, **kwargs)
 
-    monkeypatch.setattr(discrepancy, "make_probes", recording)
+    monkeypatch.setattr(cli, "make_probes", recording)
     cfg = write_config(tmp_path, "sweep", run={"n_probes": 17}, sweep={"n_iterations": 1})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert sizes and set(sizes) == {17}
@@ -93,6 +93,15 @@ def test_schedule_starts_no_more_workers_than_seeds(tmp_path, monkeypatch) -> No
     cfg = write_config(tmp_path, "schedule_longtail", schedule={"n_iterations": 1, "max_len": 16, "seeds": [11, 12]})
     assert main(["schedule", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "3"]) == 0
     assert workers == [2]
+
+
+def test_schedule_runs_on_lognormal_lengths_of_any_valid_sigma(tmp_path) -> None:
+    # sigma 800 draws infinite lengths, which are clamped to schedule.max_len.
+    cfg = write_config(tmp_path, "schedule_longtail", schedule={"sigma": 800.0, "max_len": 16, "n_iterations": 2, "seeds": [11]})
+    out = tmp_path / "o"
+    assert main(["schedule", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "schedule_report.json").read_text(encoding="utf-8"))
+    assert report["per_seed"][0]["budget"]["trained_tokens"] > 0
 
 
 def test_compounding_header_replay_is_byte_identical(tmp_path) -> None:

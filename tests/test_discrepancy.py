@@ -1,8 +1,9 @@
-"""Discrepancy lab: KL measurement, exact gradients, dynamics experiments."""
+"""Discrepancy lab: KL measurement, exact gradients, dynamics experiments and fits."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import struct
 
@@ -11,7 +12,6 @@ import pytest
 
 from mismatchlab import (
     Algo,
-    BiasMode,
     BudgetConfig,
     Context,
     DiscrepancyFit,
@@ -35,11 +35,20 @@ from mismatchlab import (
     objective_and_grad,
     run_iteration,
     sample_with_logprobs,
-    sensitivity_sweep,
     train_engine,
 )
 from mismatchlab import discrepancy
-from mismatchlab.discrepancy import _exact_reward_gradient
+from mismatchlab.cli import cmd_compounding, cmd_sweep
+from mismatchlab.config import (
+    CompoundingSection,
+    ExperimentConfig,
+    MismatchSection,
+    PolicySection,
+    RunSection,
+    SweepSection,
+    TasksSection,
+)
+from mismatchlab.discrepancy import _exact_reward_gradient, fit_affine_trace
 from mismatchlab.policy import batched_train_logits, context_rows
 
 
@@ -71,22 +80,15 @@ def test_kl_nonnegative_on_random_draws() -> None:
 
 
 def test_measure_carries_loss_diagnostics() -> None:
+    # The loss diagnostics left the sample; what remains is the step and the discrepancy.
     vocab = Vocabulary(size=8)
     engine = infer_engine(0.2, 7)
     params = init_params(vocab, n_features=64, init_scale=0.5, seed=3)
-    source = SyntheticPromptSource(vocab, max_len=6)
-    state = make_state(3, vocab, engine, source)
-    budget = BudgetConfig(token_budget=60, infer_capacity=16)
-    cfg = ObjectiveConfig(group_size=4)
-    _, groups = run_iteration(state, params, budget, cfg)
-    loss = objective_and_grad(groups, params, params, params.copy(), cfg)
     probes = make_probes(32, vocab, 3)
-    sample = measure(params, probes, engine, step=5, loss=loss)
+    sample = measure(params, probes, engine, step=5)
     assert sample.step == 5
-    assert sample.grad_norm == loss.grad_norm
-    assert sample.clipped_fraction == loss.clipped_fraction
-    assert sample.mean_logp == loss.mean_logp
     assert sample.delta > 0.0
+    assert (sample.delta, sample.max_token_gap) == delta_and_gap(params, probes, engine)
 
 
 def test_measure_requires_probes() -> None:
@@ -152,7 +154,7 @@ def theorem_setup(scale: float = 0.22, seed: int = 11):
 def test_theorem_aligned_trace_satisfies_growth_bound() -> None:
     vocab, engine, params, probes = theorem_setup()
     samples, fit = compounding_experiment(
-        params, 0.01, 60, BiasMode.THEOREM_ALIGNED, vocab, engine, probes, align_target=1.0, reward_seed=3
+        params, 0.01, 60, vocab, engine, probes, align_target=1.0, reward_seed=3
     )
     deltas = [s.delta for s in samples]
     assert not fit.vacuous
@@ -229,7 +231,7 @@ def test_theorem_aligned_trace_equals_the_reference_loop_bit_for_bit(monkeypatch
     measured = discrepancy.delta_and_gap
     monkeypatch.setattr(discrepancy, "delta_and_gap", lambda *args: calls.append(1) or measured(*args))
     samples, fit = compounding_experiment(
-        params, 0.01, 5, BiasMode.THEOREM_ALIGNED, vocab, engine, probes, align_target=1.0, reward_seed=3
+        params, 0.01, 5, vocab, engine, probes, align_target=1.0, reward_seed=3
     )
     assert len(calls) == 5 + 1  # each parameter state once
     assert [bits(s) for s in samples] == [bits(s) for s in want_samples]
@@ -240,7 +242,7 @@ def test_theorem_aligned_trace_equals_the_reference_loop_bit_for_bit(monkeypatch
 def test_theorem_aligned_zero_scale_is_vacuous() -> None:
     vocab, _, params, probes = theorem_setup(scale=0.0)
     _, fit = compounding_experiment(
-        params, 0.01, 20, BiasMode.THEOREM_ALIGNED, vocab, infer_engine(0.0, 7), probes
+        params, 0.01, 20, vocab, infer_engine(0.0, 7), probes
     )
     assert fit.vacuous
     assert fit.growth_holds
@@ -249,30 +251,54 @@ def test_theorem_aligned_zero_scale_is_vacuous() -> None:
 def test_theorem_rejects_nonpositive_step_size() -> None:
     vocab, engine, params, probes = theorem_setup()
     with pytest.raises(ValueError):
-        compounding_experiment(params, 0.0, 10, BiasMode.THEOREM_ALIGNED, vocab, engine, probes)
+        compounding_experiment(params, 0.0, 10, vocab, engine, probes)
 
 
-def test_rl_loop_mode_fits_affine_recursion() -> None:
-    vocab, engine, params, probes = theorem_setup()
-    samples, fit = compounding_experiment(
-        params,
-        5.0,
-        25,
-        BiasMode.RL_LOOP,
-        vocab,
-        engine,
-        probes,
+def test_rl_loop_mode_fits_affine_recursion(tmp_path) -> None:
+    cfg = ExperimentConfig(
+        seed=2,
+        policy=PolicySection(n_features=64, init_scale=0.5),
+        mismatch=MismatchSection(scale=0.22, seed=7),
         objective=ObjectiveConfig(algo=Algo.GRPO, group_size=8),
+        tasks=TasksSection(max_len=8),
         budget=BudgetConfig(
             token_budget=200, infer_capacity=24, retention_threshold=3, sync_cost_ticks=0, prompts_per_iteration=12
         ),
-        seed=2,
-        max_len=8,
+        run=RunSection(n_probes=64),
+        compounding=CompoundingSection(mu=5.0, n_steps=25, bias_mode=discrepancy.BiasMode.RL_LOOP),
     )
+    assert cmd_compounding(cfg, tmp_path) == 0
+    samples = (tmp_path / "compounding_trace.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+    fit = json.loads((tmp_path / "compounding_fit.json").read_text(encoding="utf-8"))["fit"]
     assert len(samples) == 25
-    assert fit.step_size == 5.0
-    assert math.isfinite(fit.eta_hat)
-    assert isinstance(fit.growth_holds, bool)
+    assert fit["step_size"] == 5.0
+    assert fit["eta_hat"] is not None and math.isfinite(fit["eta_hat"])
+    assert isinstance(fit["growth_holds"], bool)
+
+
+@pytest.mark.parametrize("a,b", [(1.05, -0.002), (0.9, 0.01)])
+def test_trace_fit_recovers_the_affine_recursion(a: float, b: float) -> None:
+    deltas = [0.3]  # off both recursions' fixed points, so the trace moves
+    for _ in range(30):
+        deltas.append(a * deltas[-1] + b)
+    mu = 0.5
+    fit = fit_affine_trace(deltas, [0.25, 2.0, 1.0], mu)
+    assert not fit.vacuous
+    assert fit.eta_hat == pytest.approx((a - 1.0) / mu, rel=1e-8)
+    assert fit.kappa_hat == pytest.approx(-b / mu, rel=1e-8)
+    assert fit.growth_holds is (a > 1.0)
+    if a > 1.0:
+        assert fit.delta_c == pytest.approx(2.0 * fit.kappa_hat / fit.eta_hat)
+    else:
+        assert fit.delta_c == math.inf
+    assert fit.step_size == mu and fit.grad_bound == 2.0
+
+
+@pytest.mark.parametrize("deltas", [[0.3, 0.4], [0.0] * 10])
+def test_trace_fit_is_vacuous_on_short_or_zero_traces(deltas: list) -> None:
+    fit = fit_affine_trace(deltas, [], 0.5)
+    assert fit.vacuous and fit.growth_holds
+    assert fit.eta_hat == fit.kappa_hat == fit.delta_c == fit.grad_bound == 0.0
 
 
 def test_mask_set_monotonicity_on_shared_batch() -> None:
@@ -290,19 +316,24 @@ def test_mask_set_monotonicity_on_shared_batch() -> None:
     assert clipped_narrow.mean() >= clipped_wide.mean()
 
 
-def sweep_setup():
-    vocab = Vocabulary(size=8)
-    engine = infer_engine(0.15, 7)
-    params = init_params(vocab, n_features=512, init_scale=2.0, seed=1234)
-    budget = BudgetConfig(token_budget=200, infer_capacity=24, retention_threshold=3, sync_cost_ticks=8)
-    return vocab, engine, params, budget, ObjectiveConfig(group_size=8, learning_rate=5.0)
-
-
-def test_sensitivity_sweep_emits_populated_rows() -> None:
-    vocab, engine, params, budget, cfg = sweep_setup()
-    rows = sensitivity_sweep(
-        [(0.5, 5.0), (0.5, 2.0), (0.4, 5.0)], 1234, vocab, engine, params, 12, budget, cfg, max_len=8
+def sweep_rows(tmp_path, bounds: list, n_iterations: int, learning_rate: float = 5.0) -> list[dict]:
+    """The settings cmd_sweep writes for bounds, on a small-budget run of the shipped sweep's policy."""
+    cfg = ExperimentConfig(
+        seed=1234,
+        policy=PolicySection(n_features=512, init_scale=2.0),
+        mismatch=MismatchSection(scale=0.15, seed=7),
+        objective=ObjectiveConfig(group_size=8, learning_rate=learning_rate),
+        tasks=TasksSection(max_len=8),
+        budget=BudgetConfig(token_budget=200, infer_capacity=24, retention_threshold=3, sync_cost_ticks=8),
+        run=RunSection(n_probes=256),
+        sweep=SweepSection(bounds=[list(b) for b in bounds], n_iterations=n_iterations),
     )
+    assert cmd_sweep(cfg, tmp_path) == 0
+    return json.loads((tmp_path / "sweep_table.json").read_text(encoding="utf-8"))["settings"]
+
+
+def test_sensitivity_sweep_emits_populated_rows(tmp_path) -> None:
+    rows = sweep_rows(tmp_path, [(0.5, 5.0), (0.5, 2.0), (0.4, 5.0)], 12)
     assert [(r["alpha"], r["beta"]) for r in rows] == [(0.5, 5.0), (0.5, 2.0), (0.4, 5.0)]
     for row in rows:
         assert len(row["delta"]) == 12
@@ -311,32 +342,26 @@ def test_sensitivity_sweep_emits_populated_rows() -> None:
         assert math.isfinite(row["final_delta"])
 
 
-def test_sensitivity_sweep_duplicate_setting_is_identical() -> None:
-    vocab, engine, params, budget, cfg = sweep_setup()
-    rows = sensitivity_sweep([(0.5, 5.0), (0.5, 5.0)], 1234, vocab, engine, params, 8, budget, cfg, max_len=8)
+def test_sensitivity_sweep_duplicate_setting_is_identical(tmp_path) -> None:
+    rows = sweep_rows(tmp_path, [(0.5, 5.0), (0.5, 5.0)], 8)
     assert rows[0] == rows[1]
 
 
-def test_sensitivity_sweep_shared_clipping_dominance() -> None:
-    vocab, engine, params, budget, cfg = sweep_setup()
-    rows = sensitivity_sweep(
-        [(0.5, 5.0), (0.5, 2.0)], 1234, vocab, engine, params, 15, budget, cfg, max_len=8
-    )
-    default, narrow = rows
+def test_sensitivity_sweep_shared_clipping_dominance(tmp_path) -> None:
+    default, narrow = sweep_rows(tmp_path, [(0.5, 5.0), (0.5, 2.0)], 15)
     assert all(n >= d for n, d in zip(narrow["clipped_fraction_shared"], default["clipped_fraction_shared"]))
 
 
-def test_sensitivity_sweep_trains_each_setting_with_its_bounds() -> None:
-    vocab, engine, params, budget, cfg = sweep_setup()
-    default, narrow = sensitivity_sweep([(0.5, 5.0), (0.5, 2.0)], 1234, vocab, engine, params, 2, budget, cfg, max_len=8)
+def test_sensitivity_sweep_trains_each_setting_with_its_bounds(tmp_path) -> None:
+    default, narrow = sweep_rows(tmp_path, [(0.5, 5.0), (0.5, 2.0)], 2)
     # The first iteration trains every setting on the same batch, which the shared column re-masks.
     assert narrow["clipped_fraction"][0] == narrow["clipped_fraction_shared"][0] > default["clipped_fraction"][0]
 
 
-def test_sensitivity_sweep_needs_two_settings() -> None:
-    vocab, engine, params, budget, cfg = sweep_setup()
+def test_sensitivity_sweep_needs_two_settings(tmp_path) -> None:
     with pytest.raises(ValueError):
-        sensitivity_sweep([(0.5, 5.0)], 1, vocab, engine, params, 4, budget, dataclasses.replace(cfg, learning_rate=1.0))
+        sweep_rows(tmp_path, [(0.5, 5.0)], 4, learning_rate=1.0)
+    assert not (tmp_path / "sweep_table.json").exists()
 
 
 def test_clipped_token_entropy_reported_as_tendency() -> None:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -43,6 +46,46 @@ def scripted_state(lengths: list[int], seed: int = 99):
 def waiting_to_train(state) -> list:
     """The training pool: the terminal members of live groups."""
     return [m for members in state.groups.values() for m in members if m.terminal]
+
+
+def live_uids(state) -> set[int]:
+    return {m.uid for members in state.groups.values() for m in members}
+
+
+def in_flight_uids(state) -> set[int]:
+    return {r.uid for pool in (state.infer_pool, state.pending, waiting_to_train(state)) for r in pool}
+
+
+@contextlib.contextmanager
+def uid_audit():
+    """Record the uids a run purges and trains, read off the scheduler's purge and close.
+
+    Purged uids are the members that each _purge_boundary call takes out
+    of the live groups, which must match the count it reports; trained
+    uids are the members of the groups each _close_iteration emits.
+    Spawned uids are range(state.next_uid).
+    """
+    audit = SimpleNamespace(purged=set(), trained=set())
+    purge, close = scheduler._purge_boundary, scheduler._close_iteration
+
+    def recording_purge(state, cfg):
+        before = live_uids(state)
+        count = purge(state, cfg)
+        gone = before - live_uids(state)
+        assert count == len(gone)
+        audit.purged |= gone
+        return count
+
+    def recording_close(*args, **kwargs):
+        report, groups = close(*args, **kwargs)
+        audit.trained |= {r.uid for group in groups for r in group.rollouts}
+        return report, groups
+
+    scheduler._purge_boundary, scheduler._close_iteration = recording_purge, recording_close
+    try:
+        yield audit
+    finally:
+        scheduler._purge_boundary, scheduler._close_iteration = purge, close
 
 
 def default_params(seed: int = 0, vocab_size: int = 8) -> PolicyParams:
@@ -133,12 +176,13 @@ def test_purge_abandons_whole_group() -> None:
     budget = BudgetConfig(token_budget=1, infer_capacity=2, retention_threshold=0, prompts_per_iteration=1)
     cfg = ObjectiveConfig(group_size=2)
     params = default_params()
-    report1, groups1 = run_iteration(state, params, budget, cfg)
-    assert report1.completed_rollouts == 1 and not groups1
-    report2, groups2 = run_iteration(state, params, budget, cfg)
+    with uid_audit() as audit:
+        report1, groups1 = run_iteration(state, params, budget, cfg)
+        assert report1.completed_rollouts == 1 and not groups1
+        report2, groups2 = run_iteration(state, params, budget, cfg)
     assert report2.purged_rollouts == 2
     assert not groups2
-    assert state.purged_uids == {0, 1}
+    assert audit.purged == {0, 1}
     assert not waiting_to_train(state)
 
 
@@ -281,36 +325,37 @@ def _run_fuzz_case(rng: np.random.Generator) -> None:
     state = make_state(seed, vocab, infer_engine(float(rng.uniform(0, 0.3)), 7), source)
     params = init_params(vocab, n_features=16, init_scale=0.4, seed=seed)
 
-    for iteration in range(int(rng.integers(1, 4))):
-        trace: list[dict] = []
-        report, groups = run_iteration(state, params, budget, cfg, trace=trace)
-        # pool capacity at every tick, budget stop at the first crossing
-        for i, row in enumerate(trace):
-            assert row["active"] <= budget.infer_capacity
-            if i < len(trace) - 1:
-                assert row["counter"] < budget.token_budget or row is trace[-1]
-        for row in trace[:-1]:
-            assert row["counter"] < budget.token_budget
-        if trace:
-            final_row = trace[-1]
-            if report.trained_tokens >= budget.token_budget:
-                # overshoot bounded by the final tick's completions
-                prev = trace[-2]["counter"] if len(trace) > 1 else 0
-                assert prev < budget.token_budget
-                if final_row["completed"] == 1:
-                    longest = report.trained_tokens - prev
-                    assert report.trained_tokens - budget.token_budget < longest
-        # version monotonicity inside rollouts, purged rollouts never regenerate
-        for group in groups:
-            for rollout in group.rollouts:
-                assert rollout.versions == sorted(rollout.versions)
-        params = PolicyParams(params.weights, version_id=params.version_id + 1)
+    with uid_audit() as audit:
+        for iteration in range(int(rng.integers(1, 4))):
+            trace: list[dict] = []
+            report, groups = run_iteration(state, params, budget, cfg, trace=trace)
+            # pool capacity at every tick, budget stop at the first crossing
+            for i, row in enumerate(trace):
+                assert row["active"] <= budget.infer_capacity
+                if i < len(trace) - 1:
+                    assert row["counter"] < budget.token_budget or row is trace[-1]
+            for row in trace[:-1]:
+                assert row["counter"] < budget.token_budget
+            if trace:
+                final_row = trace[-1]
+                if report.trained_tokens >= budget.token_budget:
+                    # overshoot bounded by the final tick's completions
+                    prev = trace[-2]["counter"] if len(trace) > 1 else 0
+                    assert prev < budget.token_budget
+                    if final_row["completed"] == 1:
+                        longest = report.trained_tokens - prev
+                        assert report.trained_tokens - budget.token_budget < longest
+            # version monotonicity inside rollouts, purged rollouts never regenerate
+            for group in groups:
+                for rollout in group.rollouts:
+                    assert rollout.versions == sorted(rollout.versions)
+            params = PolicyParams(params.weights, version_id=params.version_id + 1)
 
     # conservation: every spawned rollout is trained, purged, or still in flight
-    in_flight = {r.uid for pool in (state.infer_pool, state.pending, waiting_to_train(state)) for r in pool}
-    accounted = state.trained_uids | state.purged_uids | in_flight
-    assert accounted == state.spawned_uids
-    assert not (state.trained_uids & state.purged_uids)
+    in_flight = in_flight_uids(state)
+    accounted = audit.trained | audit.purged | in_flight
+    assert accounted == set(range(state.next_uid))
+    assert not (audit.trained & audit.purged)
 
 
 def test_randomized_scheduler_fuzz() -> None:
@@ -347,19 +392,20 @@ def test_pool_stays_within_capacity_and_only_complete_groups_are_emitted(
     )
     cfg = ObjectiveConfig(group_size=group_size)
     emitted: list = []
-    for _ in range(iterations):
-        trace: list[dict] = []
-        _, groups = run_iteration(state, params, budget, cfg, trace=trace)
-        assert all(row["active"] <= infer_capacity and row["pool_after"] <= infer_capacity for row in trace)
-        emitted += groups
-        params = PolicyParams(params.weights, version_id=params.version_id + 1)
-    in_flight = {r.uid for pool in (state.infer_pool, state.pending, waiting_to_train(state)) for r in pool}
+    with uid_audit() as audit:
+        for _ in range(iterations):
+            trace: list[dict] = []
+            _, groups = run_iteration(state, params, budget, cfg, trace=trace)
+            assert all(row["active"] <= infer_capacity and row["pool_after"] <= infer_capacity for row in trace)
+            emitted += groups
+            params = PolicyParams(params.weights, version_id=params.version_id + 1)
+    in_flight = in_flight_uids(state)
     for group in emitted:
         uids = {r.uid for r in group.rollouts}
         assert len(group.rollouts) == len(uids) == group_size
         assert len({r.group_uid for r in group.rollouts}) == 1
         assert all(r.terminal for r in group.rollouts)
-        assert not uids & state.purged_uids and not uids & in_flight
+        assert not uids & audit.purged and not uids & in_flight
         for r in group.rollouts:
             # The end rule: a drawn target length is generated exactly; without
             # one, the rollout stops at its first EOS or at the task's max_len.
@@ -369,6 +415,16 @@ def test_pool_stays_within_capacity_and_only_complete_groups_are_emitted(
                 assert r.target_len is None and vocab.eos_id not in r.tokens[:-1]
                 assert r.tokens[-1] == vocab.eos_id or r.length == max_len
                 assert r.length <= max_len
+
+
+def test_lognormal_lengths_stay_in_range_for_any_valid_sigma() -> None:
+    # sigma 800 draws lengths of 0 and inf; each is clamped into [1, max_len].
+    vocab = Vocabulary(size=8)
+    source = SyntheticPromptSource(vocab, max_len=16, length_model="lognormal", median=32.0, sigma=800.0)
+    stream = np.random.default_rng(5)
+    lengths = [n for _ in range(200) for n in source.next_prompt(stream, 8)[1]]
+    assert all(type(n) is int and 1 <= n <= 16 for n in lengths)
+    assert {1, 16} <= set(lengths)
 
 
 def test_budget_config_invariants() -> None:
@@ -386,17 +442,18 @@ def test_group_slots_hold_only_live_groups_after_a_run() -> None:
     state = make_state(5, vocab, infer_engine(0.2, 7), source)
     params = init_params(vocab, n_features=64, init_scale=0.3, seed=5)
     budget = BudgetConfig(token_budget=60, infer_capacity=12, retention_threshold=1, prompts_per_iteration=4)
-    train_loop(12, state, params, budget, ObjectiveConfig(group_size=4, learning_rate=1.0), make_probes(256, vocab, 5))
+    with uid_audit() as audit:
+        train_loop(12, state, params, budget, ObjectiveConfig(group_size=4, learning_rate=1.0), make_probes(256, vocab, 5))
 
-    in_flight = {r.uid for pool in (state.infer_pool, state.pending, waiting_to_train(state)) for r in pool}
-    assert state.trained_uids and state.purged_uids and in_flight
-    assert {m.uid for members in state.groups.values() for m in members} == in_flight
+    in_flight = in_flight_uids(state)
+    assert audit.trained and audit.purged and in_flight
+    assert live_uids(state) == in_flight
     assert not any(r.terminal for pool in (state.infer_pool, state.pending) for r in pool)
     assert list(state.groups) == sorted(state.groups)
-    assert state.trained_uids | state.purged_uids | in_flight == state.spawned_uids
-    assert not (state.trained_uids & state.purged_uids)
-    assert not (state.trained_uids & in_flight)
-    assert not (state.purged_uids & in_flight)
+    assert audit.trained | audit.purged | in_flight == set(range(state.next_uid))
+    assert not (audit.trained & audit.purged)
+    assert not (audit.trained & in_flight)
+    assert not (audit.purged & in_flight)
 
 
 @settings(max_examples=300, deadline=None)
