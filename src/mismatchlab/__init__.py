@@ -14,7 +14,6 @@ from .discrepancy import (
     compounding_experiment,
     delta_and_gap,
     delta_gradient,
-    kl_categorical,
     make_probes,
     measure,
 )
@@ -25,7 +24,6 @@ from .objective import (
     ObjectiveConfig,
     PromptGroup,
     group_advantages,
-    mask,
     momentum_update,
     objective_and_grad,
     sgd_update,
@@ -34,15 +32,9 @@ from .policy import (
     Context,
     Engine,
     PolicyParams,
-    TokenDistribution,
     Vocabulary,
-    distribution,
-    feature_indices,
     infer_engine,
     init_params,
-    log_prob,
-    sample_token,
-    sample_with_logprobs,
     train_engine,
 )
 from .scheduler import (
@@ -84,23 +76,17 @@ __all__ = [
     "TaskKind",
     "TaskSpec",
     "TickCapError",
-    "TokenDistribution",
     "Vocabulary",
     "compounding_experiment",
     "default_config",
     "delta_and_gap",
     "delta_gradient",
-    "distribution",
-    "feature_indices",
     "group_advantages",
     "infer_engine",
     "init_params",
-    "kl_categorical",
     "load_config",
-    "log_prob",
     "make_probes",
     "make_state",
-    "mask",
     "measure",
     "momentum_update",
     "objective_and_grad",
@@ -108,8 +94,6 @@ __all__ = [
     "run_iteration",
     "run_iteration_baseline",
     "sample_prompt",
-    "sample_token",
-    "sample_with_logprobs",
     "sgd_update",
     "train_engine",
     "train_loop",

@@ -21,7 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, config_from_dict, load_config
+from .config import ExperimentConfig, load_config
 from .discrepancy import BiasMode, compounding_experiment, fit_affine_trace, make_probes
 from .errors import ConfigError, NumericError, TickCapError
 from .objective import Algo
@@ -146,9 +146,8 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _schedule_one_seed(cfg_dict: dict, seed: int) -> dict:
-    """Budget-partitioned vs baseline run on one shared seed (picklable)."""
-    cfg = config_from_dict(cfg_dict)
+def _schedule_one_seed(cfg: ExperimentConfig, seed: int) -> dict:
+    """Budget-partitioned vs baseline run on one shared seed (picklable, as is cfg)."""
     assert cfg.schedule is not None
     sch = cfg.schedule
     cfg = dataclasses.replace(cfg, seed=seed, run=dataclasses.replace(cfg.run, n_iterations=sch.n_iterations))
@@ -194,18 +193,17 @@ def cmd_schedule(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:
         raise ConfigError("schedule command requires a schedule section (length-distribution spec)")
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = cfg.schedule.seeds
-    cfg_dict = cfg.to_dict()
     if jobs > 1:
         # Imported here: single-process runs skip its import time and memory.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
-            per_seed = list(pool.map(_schedule_one_seed, [cfg_dict] * len(seeds), seeds))
+            per_seed = list(pool.map(_schedule_one_seed, [cfg] * len(seeds), seeds))
     else:
-        per_seed = [_schedule_one_seed(cfg_dict, seed) for seed in seeds]
+        per_seed = [_schedule_one_seed(cfg, seed) for seed in seeds]
     report = {
         "schema_version": METRICS_SCHEMA_VERSION,
-        "config": cfg_dict,
+        "config": cfg.to_dict(),
         "per_seed": per_seed,
         "mean_speedup_rollout": sum(r["speedup_rollout"] for r in per_seed) / len(per_seed),
         "mean_speedup_end_to_end": sum(r["speedup_end_to_end"] for r in per_seed) / len(per_seed),

@@ -75,16 +75,6 @@ class BiasMode(enum.Enum):
     RL_LOOP = "rl_loop"
 
 
-def kl_categorical(p: np.ndarray, q: np.ndarray) -> float:
-    """Exact KL(p || q) in nats; p-zero terms contribute nothing."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    mask = p > 0.0
-    with np.errstate(divide="ignore"):
-        terms = p[mask] * (np.log(p[mask]) - np.log(q[mask]))
-    return float(terms.sum())
-
-
 def make_probes(n: int, vocab: Vocabulary, seed: int, max_len: int = 24) -> list[Context]:
     """Fixed probe context set, sampled once per run seed.
 
@@ -376,7 +366,12 @@ def fit_affine_trace(deltas, grad_norms, mu: float) -> DiscrepancyFit:
             vacuous=True,
         )
 
-    a, b = np.polyfit(deltas[:-1], deltas[1:], 1)
+    # Fitted on the trace scaled by a power of two, which is exact:
+    # polyfit squares its columns, which overflows above about 1e154.
+    k = int(np.frexp(deltas.max())[1])
+    scaled = np.ldexp(deltas, -k)
+    a, b = np.polyfit(scaled[:-1], scaled[1:], 1)
+    b = np.ldexp(b, k)
     eta_hat = (float(a) - 1.0) / mu
     kappa_hat = -float(b) / mu
     return DiscrepancyFit(

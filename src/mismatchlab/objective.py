@@ -91,13 +91,6 @@ class ObjectiveConfig:
             raise ConfigError("objective.momentum: must be in [0, 1)")
 
 
-def mask(k: float, cfg: ObjectiveConfig) -> float:
-    """k if cfg.alpha <= k <= cfg.beta (inclusive), else 0."""
-    if not math.isfinite(k) or k <= 0.0:
-        raise ValueError(f"mask argument must be a finite positive ratio, got {k}")
-    return k if cfg.alpha <= k <= cfg.beta else 0.0
-
-
 @dataclass
 class PromptGroup:
     """A prompt with its sibling rollouts, rewards, and group advantages."""
@@ -235,8 +228,9 @@ def objective_and_grad(
         feats, log_probs, probs = table.feats[at], table.lp_train[at], table.probs_train[at]
     rows = np.arange(seg.size)
     lp_cur = log_probs[rows, tokens]
-    calib = np.exp(lp_old - lp_inf)
-    ratio = np.exp(lp_cur - lp_old)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite ratios raise just below
+        calib = np.exp(lp_old - lp_inf)
+        ratio = np.exp(lp_cur - lp_old)
     bad = ~(np.isfinite(calib) & np.isfinite(ratio))
     if bad.any():
         # Report the first offending rollout, calibration before ratio.

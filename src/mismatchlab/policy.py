@@ -16,18 +16,19 @@ with one re-drawn per parameter version. All normals come from one
 counter-based kernel over (key, column) entries, so a block and any
 subset of its entries give the same bits entry by entry.
 
-Scalar entry points (distribution, log_prob, sample_token, and the
-feature_rows / noise_keys hashes) define the contracts; context_rows
-hashes a batch of contexts into feature rows and noise keys bit for
-bit. Two paths evaluate the engines. The direct path (context_rows ->
-batched_train_logits -> perturb_logits -> batched_log_softmax) serves
-the scalar entry points and the compounding experiment, which moves
+The softmax, inverse-CDF sampling and the context hashes each have one
+batched implementation. context_rows hashes a batch of contexts into
+feature rows and noise keys; feature_rows and noise_keys, the same
+hashes of one context in plain integer arithmetic, are its bitwise
+reference. Two paths evaluate the engines. The direct path
+(context_rows -> batched_train_logits -> perturb_logits ->
+batched_log_softmax) serves the compounding experiment, which moves
 weights within one version. A training run keeps a ContextTable
 instead: both engines at every (prev, last) window of every prompt it
-has seen, evaluated once per parameter version. Rollout ticks, the
-objective and the probe measure gather its rows, which are
-bit-identical to the direct path. Both paths raise NumericError on
-non-finite logits that a caller reads.
+has seen, evaluated once per parameter version. Rollout ticks (which
+sample by inverse CDF on the table's rows), the objective and the probe
+measure gather its rows, which are bit-identical to the direct path.
+Both paths raise NumericError on non-finite logits that a caller reads.
 """
 
 from __future__ import annotations
@@ -198,21 +199,6 @@ class Context:
         return prev, last
 
 
-@dataclass(frozen=True)
-class TokenDistribution:
-    """Normalized categorical distribution over the vocabulary."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", p)
-        if not np.isfinite(p).all():
-            raise NumericError("token distribution has non-finite entries")
-        if (p < 0).any() or abs(float(p.sum()) - 1.0) > 1e-12:
-            raise NumericError("token distribution is not normalized")
-
-
 def feature_rows(prompt_id: int, prev: int, last: int, n_features: int) -> tuple[int, int, int, int]:
     """Bias plus prompt-conditioned n-gram rows of the token window.
 
@@ -225,12 +211,6 @@ def feature_rows(prompt_id: int, prev: int, last: int, n_features: int) -> tuple
         _mix(4, prompt_id, prev, last) % n_features,
         _mix(5, prompt_id, prev, last) % n_features,
     )
-
-
-def feature_indices(ctx: Context, n_features: int) -> tuple[int, int, int, int]:
-    """Active feature rows for a context: bias, prompt, unigram, bigram."""
-    prev, last = ctx.window()
-    return feature_rows(ctx.prompt_id, prev, last, n_features)
 
 
 def noise_keys(
@@ -281,7 +261,8 @@ def batched_train_logits(params: PolicyParams, feats: np.ndarray, temperature: f
     """(N, vocab) scaled training-engine logits for an (N, 4) feature-row batch."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    logits = _scaled_train_logits(params.weights, feats, temperature)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = _scaled_train_logits(params.weights, feats, temperature)
     if not np.isfinite(logits).all():
         raise NumericError(_NON_FINITE_LOGITS)
     return logits
@@ -416,16 +397,17 @@ class ContextTable:
     context (prompt, prev, last), and a window takes one of (V+1)^2
     values (a token, or -1 for an empty slot). The table holds one row
     per window of every registered prompt. The version-independent half
-    is computed once per run, when a prompt is registered (or at the
-    first load, which fixes the feature count): the rows' feature rows
-    and their FixedNoise. load(params) evaluates both engines on every
-    row once per params object: training and inference log-probs and
-    probs, and the inference CDF. It hashes the version keys alone (one
-    three-pass chain over the rows' (prompt, prev, last) words) and
-    hands them to inference_error, the kernel the direct path's
-    perturb_logits runs too. Callers then gather rows instead of
-    evaluating the engines again; a gathered row is bit-identical to
-    evaluating its context directly.
+    of a row, its feature rows and FixedNoise, is built once per run, by
+    the first load after its prompt is registered (the first load fixes
+    the feature count). load(params) builds the unbuilt rows, then
+    evaluates both engines on every row once per params object:
+    training and inference log-probs and probs, and the inference CDF.
+    A prompt registered while params are loaded loads them again. Each
+    load hashes the version keys alone (one three-pass chain over the
+    rows' (prompt, prev, last) words) and hands them to inference_error,
+    the kernel the direct path's perturb_logits runs too. Callers then
+    gather rows instead of evaluating the engines again; a gathered row
+    is bit-identical to evaluating its context directly.
 
     A row whose training or inference logits are non-finite is flagged,
     not raised on, so a context the run never visits cannot fail it;
@@ -486,7 +468,7 @@ class ContextTable:
         return self._dists[4]
 
     def add(self, prompt_ids) -> None:
-        """Register prompts: their rows are built now, or at the first load if none has happened."""
+        """Register prompts; their rows are built by the next load, at once if params are loaded."""
         new = [p for p in dict.fromkeys(int(p) for p in prompt_ids) if p not in self._first_row]
         if not new:
             return
@@ -496,8 +478,9 @@ class ContextTable:
         order = np.argsort(ids)
         self._sorted_ids = ids[order]
         self._sorted_first = np.fromiter(self._first_row.values(), np.intp, ids.size)[order]
-        if self.n_features is not None:
-            self._build(new)
+        params, self.params = self.params, None
+        if params is not None:
+            self.load(params)
 
     def prompt_row(self, prompt_id: int) -> int:
         """Row of a registered prompt's empty window (-1, -1), its first row."""
@@ -521,18 +504,18 @@ class ContextTable:
         return rows - window + (window % self.side) * self.side + tokens + 1
 
     def load(self, params: PolicyParams) -> None:
-        """Evaluate both engines on every row at params; a no-op if params is already loaded."""
+        """Build the unbuilt rows and evaluate both engines on every row at params; a no-op if params is already loaded."""
         if params is self.params:
             return
         if params.vocab_size != self.vocab_size:
             raise ValueError(f"params have vocabulary {params.vocab_size}, the table {self.vocab_size}")
         if self.n_features is None:
             self.n_features = params.n_features
-            self._build(list(self._first_row))
         elif params.n_features != self.n_features:
             raise ValueError(f"params have {params.n_features} features, the table {self.n_features}")
+        self._build(list(self._first_row)[self.feats.shape[0] // (self.side * self.side):])
         self.params = params
-        self._dists, self._nonfinite = self._evaluate(0)
+        self._dists, self._nonfinite = self._evaluate()
 
     def check(self, rows: np.ndarray) -> None:
         """Raise NumericError if a row's training logits, or else its inference logits, are non-finite.
@@ -544,7 +527,7 @@ class ContextTable:
             raise NumericError(_NON_FINITE_LOGITS if nonfinite.max() == 2 else _NON_FINITE_INFER_LOGITS)
 
     def _build(self, prompt_ids: list[int]) -> None:
-        """Append the run-fixed rows of new prompts, and their rows at the loaded params."""
+        """Append the run-fixed rows of new prompts."""
         if not prompt_ids:
             return
         start = self.feats.shape[0]
@@ -563,21 +546,17 @@ class ContextTable:
             np.concatenate([self._noise.dense, new.dense]),
             np.concatenate([self._noise.fault, new.fault]),
         )
-        if self.params is not None:
-            dists, nonfinite = self._evaluate(start)
-            self._dists = np.concatenate([self._dists, dists], axis=1)
-            self._nonfinite = np.concatenate([self._nonfinite, nonfinite])
 
-    def _evaluate(self, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """(stacked distributions, non-finite engine counts) of the rows from start on, at the loaded params."""
+    def _evaluate(self) -> tuple[np.ndarray, np.ndarray]:
+        """(stacked distributions, non-finite engine counts) of every row, at the loaded params."""
         params = self.params
         scale = self.infer.mismatch_scale
         with np.errstate(over="ignore", invalid="ignore"):
-            train_logits = _scaled_train_logits(params.weights, self.feats[start:], self.temperature)
+            train_logits = _scaled_train_logits(params.weights, self.feats, self.temperature)
             lp_train, probs_train = batched_log_softmax(train_logits)
             infer_logits = train_logits
             if scale > 0.0:
-                error, _ = inference_error(train_logits, self._fixed_noise(start), self._version_keys(start, params.version_id))
+                error, _ = inference_error(train_logits, self._noise, self._version_keys(params.version_id))
                 infer_logits = train_logits + scale * error
                 lp_infer, probs_infer = batched_log_softmax(infer_logits)
             else:
@@ -586,83 +565,9 @@ class ContextTable:
         nonfinite = (~np.isfinite(train_logits).all(axis=1)).astype(np.int8) + ~np.isfinite(infer_logits).all(axis=1)
         return np.stack([lp_train, probs_train, lp_infer, probs_infer, cdf]), nonfinite
 
-    def _fixed_noise(self, start: int) -> FixedNoise:
-        """The fixed noise of the rows from start on."""
-        width = self.vocab_size
-        first = np.searchsorted(self._noise.fault_at, start * width)
-        return FixedNoise(self._noise.fault_at[first:] - start * width, self._noise.dense[start:], self._noise.fault[first:])
-
-    def _version_keys(self, start: int, version_id: int) -> np.ndarray:
-        """context_rows' per-version noise keys of the rows from start on, without the other chains."""
-        keys = np.full(self._contexts.shape[1] - start, _mix(_NOISE_VERSION_TAG, self.infer.mismatch_seed, version_id), dtype=np.uint64)
-        for column in self._contexts[:, start:]:
+    def _version_keys(self, version_id: int) -> np.ndarray:
+        """context_rows' per-version noise keys of every row, without the other chains."""
+        keys = np.full(self._contexts.shape[1], _mix(_NOISE_VERSION_TAG, self.infer.mismatch_seed, version_id), dtype=np.uint64)
+        for column in self._contexts:
             keys = _splitmix64_vec(keys ^ column)
         return keys
-
-
-def _context_logits(
-    params: PolicyParams, ctx: Context, engine: Engine, temperature: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(train, engine) (1, vocab) scaled logits of one context."""
-    prev, last = ctx.window()
-    feats, kf, kv = context_rows([ctx.prompt_id], [prev], [last], params.n_features, engine, params.version_id)
-    train_logits = batched_train_logits(params, feats, temperature)
-    return train_logits, perturb_logits(train_logits, kf, kv, engine.mismatch_scale)
-
-
-def _scaled_logits(params: PolicyParams, ctx: Context, engine: Engine, temperature: float) -> np.ndarray:
-    return _context_logits(params, ctx, engine, temperature)[1][0]
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def distribution(params: PolicyParams, ctx: Context, engine: Engine, temperature: float = 1.0) -> TokenDistribution:
-    """Softmax of the feature-dot-weight logits divided by temperature."""
-    return TokenDistribution(_softmax(_scaled_logits(params, ctx, engine, temperature)))
-
-
-def log_prob(params: PolicyParams, ctx: Context, token: int, engine: Engine, temperature: float = 1.0) -> float:
-    """Exact log probability via log-sum-exp; no probability flooring."""
-    if not 0 <= token < params.vocab_size:
-        raise ValueError(f"token {token} outside vocabulary of size {params.vocab_size}")
-    logits = _scaled_logits(params, ctx, engine, temperature)
-    m = float(logits.max())
-    return float(logits[token] - m - math.log(np.exp(logits - m).sum()))
-
-
-def sample_token(
-    params: PolicyParams,
-    ctx: Context,
-    engine: Engine,
-    temperature: float,
-    stream: np.random.Generator,
-) -> int:
-    """Inverse-CDF sample: one uniform draw from the stream per token."""
-    probs = distribution(params, ctx, engine, temperature).probs
-    u = stream.random()
-    token = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    return min(token, probs.size - 1)
-
-
-def sample_with_logprobs(
-    params: PolicyParams,
-    ctx: Context,
-    infer: Engine,
-    temperature: float,
-    stream: np.random.Generator,
-) -> tuple[int, float, float]:
-    """Sample one token from the inference engine and record both engines' log probs.
-
-    Returns (token, log pi_infer(token), log pi_train(token)); the stream
-    advances by exactly one uniform draw, matching sample_token.
-    """
-    train_logits, infer_logits = _context_logits(params, ctx, infer, temperature)
-    lp_inf_rows, probs = batched_log_softmax(infer_logits)
-    u = stream.random()
-    token = min(int(np.searchsorted(np.cumsum(probs[0]), u, side="right")), probs.shape[1] - 1)
-    lp_tr_rows, _ = batched_log_softmax(train_logits)
-    return token, float(lp_inf_rows[0, token]), float(lp_tr_rows[0, token])

@@ -24,17 +24,13 @@ from mismatchlab import (
     compounding_experiment,
     delta_and_gap,
     delta_gradient,
-    distribution,
     infer_engine,
     init_params,
-    kl_categorical,
-    log_prob,
     make_probes,
     make_state,
     measure,
     objective_and_grad,
     run_iteration,
-    sample_with_logprobs,
     train_engine,
 )
 from mismatchlab import discrepancy
@@ -48,7 +44,7 @@ from mismatchlab.config import (
     SweepSection,
     TasksSection,
 )
-from mismatchlab.discrepancy import _exact_reward_gradient, fit_affine_trace
+from mismatchlab.discrepancy import _delta_and_gap_rows, _exact_reward_gradient, fit_affine_trace
 from mismatchlab.policy import batched_train_logits, context_rows
 
 
@@ -62,10 +58,13 @@ def test_zero_scale_gives_exactly_zero_delta() -> None:
 
 
 def test_kl_closed_form_pair() -> None:
-    p = np.asarray([0.5, 0.5])
-    q = np.asarray([0.9, 0.1])
+    """The probe KL(infer || train) and token gap that delta_and_gap and measure compute."""
+    p = np.asarray([[0.5, 0.5]])  # inference engine
+    q = np.asarray([[0.9, 0.1]])  # training engine
     expected = 0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1)
-    assert kl_categorical(p, q) == pytest.approx(expected, abs=1e-15)
+    delta, gap = _delta_and_gap_rows(p, q, np.log(p), np.log(q))
+    assert delta == pytest.approx(expected, abs=1e-15)
+    assert gap == pytest.approx(0.4, abs=1e-15)
 
 
 def test_kl_nonnegative_on_random_draws() -> None:
@@ -129,14 +128,10 @@ def test_direct_path_raises_when_the_inference_logits_overflow() -> None:
     feats, _, _ = context_rows(*discrepancy.probe_windows(probes), params.n_features, infer, params.version_id)
     batched_train_logits(params, feats, 1.0)  # the training engine stays finite
     assert delta_and_gap(params, probes, train_engine()) == (0.0, 0.0)
-    stream = np.random.default_rng(0)
     calls = [
         lambda: delta_and_gap(params, probes, infer),
         lambda: measure(params, probes, infer),
         lambda: delta_gradient(params, probes, infer),
-        lambda: [distribution(params, ctx, infer) for ctx in probes],
-        lambda: [log_prob(params, ctx, 1, infer) for ctx in probes],
-        lambda: [sample_with_logprobs(params, ctx, infer, 1.0, stream) for ctx in probes],
     ]
     for call in calls:
         with pytest.raises(NumericError, match=r"^non-finite inference engine logits \(mismatch noise overflowed\)$"):
@@ -292,6 +287,20 @@ def test_trace_fit_recovers_the_affine_recursion(a: float, b: float) -> None:
     else:
         assert fit.delta_c == math.inf
     assert fit.step_size == mu and fit.grad_bound == 2.0
+
+
+def test_trace_fit_holds_on_traces_too_large_to_square() -> None:
+    """Deltas near 1e298 overflow when squared; the fit is the small trace's, scaled by the power of two."""
+    deltas = [2.3e298]
+    for _ in range(39):
+        deltas.append(1.01 * deltas[-1] - 1e295)
+    mu = 1e300
+    fit = fit_affine_trace(deltas, [1.0], mu)
+    assert fit.growth_holds
+    assert fit.eta_hat * mu + 1.0 == pytest.approx(1.01, rel=1e-12)
+    assert fit.kappa_hat * mu == pytest.approx(1e295, rel=1e-9)
+    small = fit_affine_trace(np.ldexp(deltas, -990), [1.0], mu)
+    assert (small.eta_hat, small.kappa_hat) == (fit.eta_hat, math.ldexp(fit.kappa_hat, -990))
 
 
 @pytest.mark.parametrize("deltas", [[0.3, 0.4], [0.0] * 10])

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from mismatchlab import (
     Algo,
     BudgetConfig,
-    Context,
     NumericError,
     ObjectiveConfig,
     PolicyParams,
@@ -25,9 +24,7 @@ from mismatchlab import (
     group_advantages,
     infer_engine,
     init_params,
-    log_prob,
     make_state,
-    mask,
     momentum_update,
     objective_and_grad,
     run_iteration,
@@ -35,7 +32,7 @@ from mismatchlab import (
     train_engine,
 )
 from mismatchlab.objective import batch_group_advantages
-from mismatchlab.policy import batched_log_softmax, batched_train_logits, feature_indices, feature_rows
+from mismatchlab.policy import batched_log_softmax, batched_train_logits, context_rows, feature_rows
 from mismatchlab.tasks import TaskKind
 
 DEFAULT_BOUNDS = ObjectiveConfig(alpha=0.5, beta=5.0)
@@ -62,6 +59,12 @@ def single_token_rollout(task: TaskSpec, token: int, lp_infer: float, lp_train: 
     )
 
 
+def first_token_log_probs(theta: PolicyParams, prompt_id: int) -> np.ndarray:
+    """Training-engine log probs at a prompt's empty window, on the batched path."""
+    feats, _, _ = context_rows([prompt_id], [-1], [-1], theta.n_features, train_engine(), theta.version_id)
+    return batched_log_softmax(batched_train_logits(theta, feats, 1.0))[0][0]
+
+
 def manual_group(theta: PolicyParams, specs: list[tuple[int, float, float]], advantages: list[float]):
     """One group of single-token rollouts with crafted (token, calib, ratio).
 
@@ -70,30 +73,57 @@ def manual_group(theta: PolicyParams, specs: list[tuple[int, float, float]], adv
     inference log prob then fixes the calibration ratio.
     """
     task = TaskSpec(TaskKind.PARITY_MATCH, 100, 0, 4)
+    log_probs = first_token_log_probs(theta, task.prompt_id)
     rollouts = []
     for token, calib, ratio in specs:
-        ctx = Context(task.prompt_id, ())
-        lp_old = log_prob(theta, ctx, token, train_engine()) - math.log(ratio)
+        lp_old = float(log_probs[token]) - math.log(ratio)
         rollouts.append(single_token_rollout(task, token, lp_old - math.log(calib), lp_old, theta.version_id))
     return PromptGroup(task=task, rollouts=rollouts, rewards=[0.0] * len(specs), advantages=advantages)
 
 
+def masked_by_objective(log_calibrations: list[float], cfg: ObjectiveConfig = DEFAULT_BOUNDS):
+    """The objective on single-token rollouts whose calibration ratios are exp(log_calibrations)."""
+    theta = init_params(Vocabulary(size=6), n_features=16, init_scale=0.4, seed=7)
+    task = TaskSpec(TaskKind.PARITY_MATCH, 100, 0, 4)
+    # A recorded training log prob of 0 makes the calibration ratio exp(0 - lp_infer).
+    rollouts = [single_token_rollout(task, 1, -x, 0.0, theta.version_id) for x in log_calibrations]
+    advantages = [1.0 if i % 2 else -1.0 for i in range(len(rollouts))]
+    group = PromptGroup(task=task, rollouts=rollouts, rewards=[0.0] * len(rollouts), advantages=advantages)
+    return objective_and_grad([group], theta, theta, None, cfg)
+
+
 def test_mask_paper_default_bounds() -> None:
-    assert mask(1.0, DEFAULT_BOUNDS) == 1.0
-    assert mask(0.3, DEFAULT_BOUNDS) == 0.0
+    out = masked_by_objective([math.log(1.0), math.log(0.3)])
+    assert out.per_token_calibration.tolist() == [1.0, 0.3]
+    assert out.per_token_mask_kept.tolist() == [True, False]
+    assert out.per_token_surrogate[0] != 0.0
+    assert out.per_token_surrogate[1] == 0.0
 
 
 def test_mask_boundary_sweep_inclusive() -> None:
-    assert mask(0.5, DEFAULT_BOUNDS) == 0.5
-    assert mask(0.4999, DEFAULT_BOUNDS) == 0.0
-    assert mask(5.0, DEFAULT_BOUNDS) == 5.0
-    assert mask(5.0001, DEFAULT_BOUNDS) == 0.0
+    # 5.0 is no exp output: exp(log(5.0)) and the next one up bracket it.
+    below_5, above_5 = math.log(5.0), math.nextafter(math.log(5.0), math.inf)
+    out = masked_by_objective([math.log(0.5), math.log(0.4999), below_5, above_5, math.log(5.0001)])
+    calibration = out.per_token_calibration
+    assert calibration[[0, 1, 4]].tolist() == [0.5, 0.4999, 5.0001]
+    assert calibration[2] < 5.0 < calibration[3]
+    assert out.per_token_mask_kept.tolist() == [True, False, True, False, False]
+    assert (out.per_token_surrogate[~out.per_token_mask_kept] == 0.0).all()
+    # The upper bound is inclusive too.
+    at_beta = masked_by_objective([math.log(5.0001)], ObjectiveConfig(alpha=0.5, beta=5.0001))
+    assert at_beta.per_token_mask_kept.tolist() == [True]
 
 
 def test_mask_rejects_nonpositive_and_non_finite() -> None:
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            mask(bad, DEFAULT_BOUNDS)
+    # A calibration ratio that underflows to 0 lies outside any bounds: masked.
+    out = masked_by_objective([-800.0, 0.0])
+    assert out.per_token_calibration.tolist() == [0.0, 1.0]
+    assert out.per_token_mask_kept.tolist() == [False, True]
+    assert out.per_token_surrogate[0] == 0.0
+    # A non-finite one fails the batch, whether exp overflows or its input is not finite.
+    for log_calibration in (800.0, math.inf, math.nan):
+        with pytest.raises(NumericError, match="^calibration ratio overflow$"):
+            masked_by_objective([0.0, log_calibration])
 
 
 def test_masking_bounds_invariant() -> None:
@@ -239,17 +269,15 @@ def test_masked_tokens_contribute_exactly_zero_gradient(seed: int, scale: float,
     # moving the masked token's own column through a disjoint-context pair.
     task_a = TaskSpec(TaskKind.PARITY_MATCH, 100, 0, 4)
     task_b = TaskSpec(TaskKind.TARGET_SUM, 205, 5, 4)
-    ctx_a = Context(task_a.prompt_id, ())
-    ctx_b = Context(task_b.prompt_id, ())
-    rows_a = set(feature_indices(ctx_a, theta.n_features))
-    rows_b = set(feature_indices(ctx_b, theta.n_features))
+    rows_a = set(feature_rows(task_a.prompt_id, -1, -1, theta.n_features))
+    rows_b = set(feature_rows(task_b.prompt_id, -1, -1, theta.n_features))
     private_b = rows_b - rows_a
     assert private_b, "fixture prompts must not share every feature row"
 
     def build(theta_now: PolicyParams) -> list[PromptGroup]:
         rollouts = []
-        for task, ctx, token, calib in ((task_a, ctx_a, 1, 1.0), (task_b, ctx_b, 2, 0.2)):
-            lp_cur = log_prob(theta_now, ctx, token, train_engine())
+        for task, token, calib in ((task_a, 1, 1.0), (task_b, 2, 0.2)):
+            lp_cur = float(first_token_log_probs(theta_now, task.prompt_id)[token])
             rollouts.append(single_token_rollout(task, token, lp_cur - math.log(calib), lp_cur, theta_now.version_id))
         # group pairs the kept rollout (task_a) with the masked one (task_b)
         return [PromptGroup(task=task_a, rollouts=rollouts, rewards=[1.0, 0.0], advantages=[1.0, -1.0])]

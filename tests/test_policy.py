@@ -1,4 +1,9 @@
-"""Policy core: distributions, log probs, sampling, engine mismatch."""
+"""Policy core: the softmax of both engines, inverse-CDF sampling in the tick, engine mismatch.
+
+Every rule is checked on the batched code the runs execute: one context
+is evaluated on the direct path, and sampling runs through the
+scheduler's tick on the context table.
+"""
 
 from __future__ import annotations
 
@@ -11,18 +16,34 @@ from mismatchlab import (
     Context,
     NumericError,
     PolicyParams,
-    TokenDistribution,
+    Rollout,
+    ScriptedPromptSource,
+    TaskSpec,
     Vocabulary,
-    distribution,
-    feature_indices,
+    delta_and_gap,
     infer_engine,
     init_params,
-    kl_categorical,
-    log_prob,
-    sample_token,
-    sample_with_logprobs,
+    make_state,
     train_engine,
 )
+from mismatchlab import scheduler
+from mismatchlab.policy import (
+    batched_log_softmax,
+    batched_train_logits,
+    context_rows,
+    feature_rows,
+    perturb_logits,
+)
+from mismatchlab.tasks import TaskKind
+
+
+def evaluate(params: PolicyParams, ctx: Context, engine, temperature: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(log probs, probs) of engine at one context, on the direct path."""
+    prev, last = ctx.window()
+    feats, keys_fixed, keys_version = context_rows([ctx.prompt_id], [prev], [last], params.n_features, engine, params.version_id)
+    logits = perturb_logits(batched_train_logits(params, feats, temperature), keys_fixed, keys_version, engine.mismatch_scale)
+    log_probs, probs = batched_log_softmax(logits)
+    return log_probs[0], probs[0]
 
 
 def one_hot_fixture() -> tuple[PolicyParams, Context]:
@@ -35,7 +56,7 @@ def one_hot_fixture() -> tuple[PolicyParams, Context]:
 
 def straight_line_softmax(params: PolicyParams, ctx: Context, temperature: float = 1.0) -> list[float]:
     """Independent oracle: plain-math softmax over the summed feature rows."""
-    rows = feature_indices(ctx, params.n_features)
+    rows = feature_rows(ctx.prompt_id, *ctx.window(), params.n_features)
     logits = [sum(params.weights[r][k] for r in rows) / temperature for k in range(params.vocab_size)]
     mx = max(logits)
     exps = [math.exp(z - mx) for z in logits]
@@ -43,10 +64,26 @@ def straight_line_softmax(params: PolicyParams, ctx: Context, temperature: float
     return [e / total for e in exps]
 
 
+def tick_tokens(params: PolicyParams, ctx: Context, engine, uniforms) -> list[Rollout]:
+    """One scheduler tick over single-token rollouts at ctx, rollout i drawing with uniforms[i]."""
+    state = make_state(0, Vocabulary(size=params.vocab_size), engine, ScriptedPromptSource([]))
+    state.table.add([ctx.prompt_id])
+    prev, last = ctx.window()
+    row = int(state.table.rows([ctx.prompt_id], [prev], [last])[0])
+    task = TaskSpec(TaskKind.PARITY_MATCH, ctx.prompt_id, 0, 1)
+    rollouts = [
+        Rollout(task=task, uniforms=np.array([u]), uid=i, group_uid=0, limit=1, row=row)
+        for i, u in enumerate(uniforms)
+    ]
+    finished = scheduler._generate_tick(rollouts, params, state)
+    assert len(finished) == len(rollouts) and all(a is b for a, b in zip(finished, rollouts))
+    return rollouts
+
+
 def test_zero_weights_give_uniform_distribution() -> None:
     vocab = Vocabulary(size=32)
     params = PolicyParams(np.zeros((16, vocab.size)))
-    probs = distribution(params, Context(3, (1,)), train_engine()).probs
+    _, probs = evaluate(params, Context(3, (1,)), train_engine())
     assert np.all(probs == 1.0 / 32)
 
 
@@ -56,15 +93,16 @@ def test_zero_mismatch_scale_matches_train_engine_bitwise() -> None:
     rng = np.random.default_rng(5)
     for _ in range(100):
         ctx = Context(int(rng.integers(0, 1000)), tuple(int(t) for t in rng.integers(0, 32, size=rng.integers(0, 3))))
-        p_train = distribution(params, ctx, train_engine()).probs
-        p_infer = distribution(params, ctx, infer_engine(0.0, 7)).probs
+        lp_train, p_train = evaluate(params, ctx, train_engine())
+        lp_infer, p_infer = evaluate(params, ctx, infer_engine(0.0, 7))
         assert np.array_equal(p_train, p_infer)
+        assert np.array_equal(lp_train, lp_infer)
 
 
 def test_distribution_matches_straight_line_oracle() -> None:
     params, ctx = one_hot_fixture()
     oracle = straight_line_softmax(params, ctx)
-    probs = distribution(params, ctx, train_engine()).probs
+    _, probs = evaluate(params, ctx, train_engine())
     assert np.allclose(probs, oracle, rtol=0, atol=1e-15)
     # frozen values computed from the oracle at fixture freeze time
     assert probs == pytest.approx(
@@ -80,13 +118,14 @@ def test_distribution_oracle_holds_for_random_weights_and_temperatures() -> None
         ctx = Context(int(rng.integers(0, 50)), tuple(int(t) for t in rng.integers(0, 6, size=2)))
         temperature = float(rng.uniform(0.3, 3.0))
         oracle = straight_line_softmax(params, ctx, temperature)
-        probs = distribution(params, ctx, train_engine(), temperature).probs
+        _, probs = evaluate(params, ctx, train_engine(), temperature)
         assert np.allclose(probs, oracle, rtol=0, atol=1e-14)
 
 
 def test_log_prob_uniform_case() -> None:
     params = PolicyParams(np.zeros((8, 32)))
-    assert log_prob(params, Context(0), 5, train_engine()) == pytest.approx(math.log(1 / 32), abs=1e-15)
+    log_probs, _ = evaluate(params, Context(0), train_engine())
+    assert log_probs[5] == pytest.approx(math.log(1 / 32), abs=1e-15)
 
 
 def test_log_prob_exponentiates_back_to_distribution() -> None:
@@ -94,22 +133,16 @@ def test_log_prob_exponentiates_back_to_distribution() -> None:
     for _ in range(50):
         params = PolicyParams(rng.normal(0, 1.0, size=(10, 5)))
         ctx = Context(int(rng.integers(0, 40)), tuple(int(t) for t in rng.integers(0, 5, size=1)))
-        token = int(rng.integers(0, 5))
         engine = infer_engine(0.1, 3) if rng.random() < 0.5 else train_engine()
-        p = distribution(params, ctx, engine).probs[token]
-        assert abs(math.exp(log_prob(params, ctx, token, engine)) - p) < 1e-12
+        log_probs, probs = evaluate(params, ctx, engine)
+        assert np.abs(np.exp(log_probs) - probs).max() < 1e-12
 
 
 def test_log_prob_matches_oracle_on_fixture() -> None:
     params, ctx = one_hot_fixture()
     oracle = straight_line_softmax(params, ctx)
-    assert log_prob(params, ctx, 2, train_engine()) == pytest.approx(math.log(oracle[2]), abs=1e-12)
-
-
-def test_log_prob_rejects_out_of_vocabulary_token() -> None:
-    params, ctx = one_hot_fixture()
-    with pytest.raises(ValueError):
-        log_prob(params, ctx, 4, train_engine())
+    log_probs, _ = evaluate(params, ctx, train_engine())
+    assert log_probs[2] == pytest.approx(math.log(oracle[2]), abs=1e-12)
 
 
 def test_sample_token_degenerate_distribution() -> None:
@@ -117,46 +150,49 @@ def test_sample_token_degenerate_distribution() -> None:
     weights = np.zeros((8, 4))
     weights[:, 2] = 250.0
     params = PolicyParams(weights)
-    stream = np.random.default_rng(0)
-    ctx = Context(1, ())
-    assert all(sample_token(params, ctx, train_engine(), 1.0, stream) == 2 for _ in range(200))
+    uniforms = np.concatenate([[0.0, 1.0 - 2.0**-53], np.random.default_rng(0).random(198)])
+    rollouts = tick_tokens(params, Context(1, ()), train_engine(), uniforms)
+    assert all(r.tokens == [2] for r in rollouts)
 
 
 def test_sample_token_replays_inverse_cdf_oracle() -> None:
     params, ctx = one_hot_fixture()
-    probs = distribution(params, ctx, train_engine()).probs
+    _, probs = evaluate(params, ctx, train_engine())
     cdf = np.cumsum(probs)
-    stream = np.random.default_rng(1234)
-    oracle_stream = np.random.default_rng(1234)
-    tokens = [sample_token(params, ctx, train_engine(), 1.0, stream) for _ in range(50)]
-    oracle = [min(int(np.searchsorted(cdf, oracle_stream.random(), side="right")), 3) for _ in range(50)]
+    uniforms = np.random.default_rng(1234).random(50)
+    tokens = [r.tokens[0] for r in tick_tokens(params, ctx, train_engine(), uniforms)]
+    oracle = [min(int(np.searchsorted(cdf, u, side="right")), 3) for u in uniforms]
     assert tokens == oracle
     assert tokens[:12] == [3, 2, 3, 1, 2, 1, 1, 2, 3, 1, 2, 2]
 
 
 def test_sample_token_frequencies_within_three_sigma() -> None:
     params, ctx = one_hot_fixture()
-    probs = distribution(params, ctx, train_engine()).probs
+    _, probs = evaluate(params, ctx, train_engine())
     n = 100_000
     u = np.random.default_rng(77).random(n)
-    # The tick's inverse-CDF rule, which the oracle test above ties sample_token to.
+    # The tick's inverse-CDF rule, which the oracle test above ties the tick to.
     tokens = np.minimum((np.cumsum(probs) <= u[:, None]).sum(axis=1), probs.size - 1)
     freqs = np.bincount(tokens, minlength=probs.size) / n
     bound = 3 * np.sqrt(probs * (1 - probs) / n)
     assert np.all(np.abs(freqs - probs) <= bound)
 
 
-def test_sample_with_logprobs_agrees_with_scalar_ops() -> None:
+def test_tick_records_both_engines_log_probs_of_its_token() -> None:
     vocab = Vocabulary(size=8)
     params = init_params(vocab, n_features=32, init_scale=0.8, seed=4)
     engine = infer_engine(0.15, 7)
     ctx = Context(11, (2, 5))
-    s1 = np.random.default_rng(42)
-    s2 = np.random.default_rng(42)
-    token, lp_inf, lp_tr = sample_with_logprobs(params, ctx, engine, 1.0, s1)
-    assert token == sample_token(params, ctx, engine, 1.0, s2)
-    assert lp_inf == pytest.approx(log_prob(params, ctx, token, engine), abs=0)
-    assert lp_tr == pytest.approx(log_prob(params, ctx, token, train_engine()), abs=0)
+    lp_infer, probs_infer = evaluate(params, ctx, engine)
+    lp_train, _ = evaluate(params, ctx, train_engine())
+    uniforms = np.random.default_rng(42).random(20)
+    cdf = np.cumsum(probs_infer)
+    for u, rollout in zip(uniforms, tick_tokens(params, ctx, engine, uniforms)):
+        token = rollout.tokens[0]
+        assert token == min(int(np.searchsorted(cdf, u, side="right")), vocab.size - 1)
+        assert rollout.lp_infer == [lp_infer[token]]
+        assert rollout.lp_train == [lp_train[token]]
+        assert rollout.versions == [params.version_id]
 
 
 def test_distribution_normalization_invariant() -> None:
@@ -165,7 +201,7 @@ def test_distribution_normalization_invariant() -> None:
         params = PolicyParams(rng.normal(0, 2.0, size=(16, 8)))
         ctx = Context(int(rng.integers(0, 100)), tuple(int(t) for t in rng.integers(0, 8, size=rng.integers(0, 3))))
         engine = infer_engine(float(rng.uniform(0, 0.3)), 7)
-        probs = distribution(params, ctx, engine, float(rng.uniform(0.2, 4))).probs
+        _, probs = evaluate(params, ctx, engine, float(rng.uniform(0.2, 4)))
         assert abs(float(probs.sum()) - 1.0) <= 1e-12
         assert (probs >= 0).all()
 
@@ -178,16 +214,7 @@ def test_mismatch_kl_nondecreasing_in_scale() -> None:
         Context(int(rng.integers(0, 400)), tuple(int(t) for t in rng.integers(0, 16, size=2)))
         for _ in range(60)
     ]
-    means = []
-    for scale in (0.0, 0.01, 0.05, 0.1, 0.2):
-        engine = infer_engine(scale, 7)
-        kls = [
-            kl_categorical(
-                distribution(params, c, engine).probs, distribution(params, c, train_engine()).probs
-            )
-            for c in contexts
-        ]
-        means.append(float(np.mean(kls)))
+    means = [delta_and_gap(params, contexts, infer_engine(scale, 7))[0] for scale in (0.0, 0.01, 0.05, 0.1, 0.2)]
     assert all(b >= a for a, b in zip(means, means[1:]))
     assert means[0] == 0.0
 
@@ -197,11 +224,11 @@ def test_infer_noise_is_deterministic_and_version_dependent() -> None:
     params = init_params(vocab, n_features=32, init_scale=1.0, seed=2)
     engine = infer_engine(0.2, 9)
     ctx = Context(4, (1,))
-    first = distribution(params, ctx, engine).probs
-    second = distribution(params, ctx, engine).probs
+    _, first = evaluate(params, ctx, engine)
+    _, second = evaluate(params, ctx, engine)
     assert np.array_equal(first, second)
     bumped = PolicyParams(params.weights.copy(), version_id=params.version_id + 1)
-    assert not np.array_equal(distribution(bumped, ctx, engine).probs, first)
+    assert not np.array_equal(evaluate(bumped, ctx, engine)[1], first)
 
 
 def test_non_finite_weights_raise() -> None:
@@ -209,14 +236,6 @@ def test_non_finite_weights_raise() -> None:
     weights[1, 2] = np.inf
     with pytest.raises(NumericError):
         PolicyParams(weights)
-
-
-def test_token_distribution_validates_normalization() -> None:
-    with pytest.raises(NumericError, match="not normalized"):
-        TokenDistribution(np.asarray([0.5, 0.6]))
-    for probs in ([math.nan, math.nan], [math.inf, 0.0]):
-        with pytest.raises(NumericError, match="non-finite"):
-            TokenDistribution(np.asarray(probs))
 
 
 def test_vocabulary_invariants() -> None:
