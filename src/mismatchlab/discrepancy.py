@@ -235,8 +235,6 @@ def compounding_experiment(
     Returns the n_steps + 1 samples, one per parameter state, and the
     fit; a trace whose delta never leaves zero gives a vacuous fit.
     """
-    if mu <= 0:
-        raise ValueError("step size mu must be positive")
     rng = np.random.default_rng(np.random.SeedSequence((reward_seed & _MASK64, 4)))
     reward_table = rng.uniform(-1.0, 1.0, size=(len(probes), vocab.size))
 

@@ -25,10 +25,10 @@ reference. Two paths evaluate the engines. The direct path
 (context_rows -> batched_train_logits -> perturb_logits ->
 batched_log_softmax) serves the compounding experiment, which moves
 weights within one version. A training run keeps a ContextTable
-instead: both engines at every (prev, last) window of every prompt it
-has seen, evaluated once per parameter version. Rollout ticks (which
-sample by inverse CDF on the table's rows), the objective and the probe
-measure gather its rows, which are bit-identical to the direct path.
+instead: both engines at the (prev, last) windows of the prompts it has
+seen, evaluated per parameter version on the rows it can read. Rollout
+ticks (which sample by inverse CDF on the table's rows), the objective
+and the probe measure gather its rows, bit-identical to the direct path.
 Both paths raise NumericError on non-finite logits that a caller reads.
 """
 
@@ -96,12 +96,15 @@ def _mix(*values: int) -> int:
 
 
 def _splitmix64_vec(x: np.ndarray) -> np.ndarray:
+    """splitmix64 of every entry of a uint64 array, into one new array (plus one scratch array)."""
     x = x + np.uint64(_GOLDEN)
-    x ^= x >> np.uint64(30)
+    shifted = x >> np.uint64(30)
+    x ^= shifted
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=shifted)
     x *= np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    x ^= np.right_shift(x, np.uint64(31), out=shifted)
+    return x
 
 
 _STRIDE_A = np.uint64(0xD1342543DE82EF95)
@@ -252,16 +255,16 @@ _NON_FINITE_INFER_LOGITS = "non-finite inference engine logits (mismatch noise o
 
 
 def _scaled_train_logits(weights: np.ndarray, feats: np.ndarray, temperature: float) -> np.ndarray:
-    logits = weights[feats[:, 0]] + weights[feats[:, 1]] + weights[feats[:, 2]] + weights[feats[:, 3]]
+    logits = weights.take(feats[:, 0], axis=0)
+    for slot in (1, 2, 3):
+        logits += weights.take(feats[:, slot], axis=0)
     if temperature != 1.0:
-        logits = logits / temperature
+        logits /= temperature
     return logits
 
 
 def batched_train_logits(params: PolicyParams, feats: np.ndarray, temperature: float) -> np.ndarray:
     """(N, vocab) scaled training-engine logits for an (N, 4) feature-row batch."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
         logits = _scaled_train_logits(params.weights, feats, temperature)
     if not np.isfinite(logits).all():
@@ -302,15 +305,24 @@ def _heavy_normals(keys: np.ndarray, cols: np.ndarray, cuts, gains) -> np.ndarra
     splitmix64 streams per entry, with the tail flag taken from spare low
     bits of the second. Counter-based: deterministic in (key, column),
     entry by entry, so a block and any subset of its entries give the
-    same bits.
+    same bits. Computed in place, in the operations of sqrt(-2 log(u1)) *
+    cos(2 pi u2); scaling by 2**-53 is exact, as dividing by 2**53 is.
     """
-    h = _splitmix64_vec(np.stack([keys + cols * _STRIDE_A, (keys ^ np.uint64(_XOR_B)) + cols * _STRIDE_B]))
-    a, b = h[0], h[1]
-    u1 = ((a >> np.uint64(11)).astype(np.float64) + 1.0) / float(1 << 53)
-    u2 = (b >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-    normals = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-    heavy = (b & np.uint64(0x7FF)) < cuts
-    return np.where(heavy, normals * gains, normals)
+    a = _splitmix64_vec(keys + cols * _STRIDE_A)
+    b = _splitmix64_vec((keys ^ np.uint64(_XOR_B)) + cols * _STRIDE_B)
+    a >>= np.uint64(11)
+    normals = a.astype(np.float64)
+    normals += 1.0
+    normals *= 2.0**-53
+    np.log(normals, out=normals)
+    normals *= -2.0
+    np.sqrt(normals, out=normals)
+    angle = (b >> np.uint64(11)).astype(np.float64)
+    angle *= 2.0**-53
+    angle *= 2.0 * math.pi
+    normals *= np.cos(angle, out=angle)
+    b &= np.uint64(0x7FF)
+    return np.multiply(normals, gains, out=normals, where=b < cuts)
 
 
 class FixedNoise(NamedTuple):
@@ -352,10 +364,14 @@ def inference_error(train_logits: np.ndarray, fixed: FixedNoise, keys_version: n
     |logit| * fault noise at the fault entries; the fault noise is
     clipped and returned too, in fault_at order.
     """
-    dense, fault = _stream_normals(np.asarray(keys_version, dtype=np.uint64), fixed.fault_at, train_logits.shape[1], _SECOND_VERSION_XOR)
-    dense = _PERSISTENT_WEIGHT * fixed.dense + _VERSION_WEIGHT * dense
-    fault_noise = np.clip(_PERSISTENT_WEIGHT * fixed.fault + _VERSION_WEIGHT * fault, -_FAULT_NOISE_CLIP, _FAULT_NOISE_CLIP)
-    error = _DENSE_WEIGHT * dense
+    error, fault_noise = _stream_normals(np.asarray(keys_version, dtype=np.uint64), fixed.fault_at, train_logits.shape[1], _SECOND_VERSION_XOR)
+    # In place: each sum is the persistent term plus the version term (addition commutes bit for bit).
+    error *= _VERSION_WEIGHT
+    error += _PERSISTENT_WEIGHT * fixed.dense
+    error *= _DENSE_WEIGHT
+    fault_noise *= _VERSION_WEIGHT
+    fault_noise += _PERSISTENT_WEIGHT * fixed.fault
+    np.clip(fault_noise, -_FAULT_NOISE_CLIP, _FAULT_NOISE_CLIP, out=fault_noise)
     error.ravel()[fixed.fault_at] += _FAULT_GAIN * np.abs(train_logits.ravel()[fixed.fault_at]) * fault_noise
     return error, fault_noise
 
@@ -371,7 +387,9 @@ def inference_logits(train_logits: np.ndarray, fixed: FixedNoise, keys_version: 
         return train_logits, np.zeros(fixed.fault_at.size)
     with np.errstate(over="ignore", invalid="ignore"):
         error, fault_noise = inference_error(train_logits, fixed, keys_version)
-        return train_logits + scale * error, fault_noise
+        error *= scale
+        error += train_logits
+    return error, fault_noise
 
 
 def inference_slope(train_logits: np.ndarray, fixed: FixedNoise, fault_noise: np.ndarray, scale: float) -> np.ndarray:
@@ -402,43 +420,53 @@ def perturb_logits(logits: np.ndarray, keys_fixed: np.ndarray, keys_version: np.
     return infer_logits
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=1, keepdims=True) bit for bit, column by column (numpy reduces short rows slowly);
+    rows whose maximum is a zero (+0.0 ties -0.0) or a NaN take max(axis=1) itself."""
+    top = x[:, 0].copy()
+    for column in range(1, x.shape[1]):
+        np.maximum(top, x[:, column], out=top)
+    tied = (top == 0.0) | np.isnan(top)
+    if tied.any():
+        top[tied] = x[tied].max(axis=1)
+    return top[:, None]
+
+
 def batched_log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log_probs, probs) rows; exact log-sum-exp, no flooring."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    z = e.sum(axis=1, keepdims=True)
-    return shifted - np.log(z), e / z
+    """(log_probs, probs) rows; exact log-sum-exp, no flooring; a non-finite row warns of nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = logits - _row_max(logits)
+        probs = np.exp(shifted)
+        z = probs.sum(axis=1, keepdims=True)
+        probs /= z
+        shifted -= np.log(z, out=z)
+    return shifted, probs
 
 
 class ContextTable:
-    """Both engines at every context of the registered prompts, one parameter version at a time.
+    """Both engines at the contexts of the registered prompts, one parameter version at a time.
 
     Within a parameter version the policy is a pure function of the
     context (prompt, prev, last), and a window takes one of (V+1)^2
     values (a token, or -1 for an empty slot). The table holds one row
-    per window of every registered prompt. The version-independent half
-    of a row, its feature rows and FixedNoise, is built once per run, by
-    the first load after its prompt is registered (the first load fixes
-    the feature count). load(params) builds the unbuilt rows, then
-    evaluates both engines on every row once per params object:
-    training and inference log-probs and probs, and the inference CDF.
-    A prompt registered while params are loaded loads them again. Each
-    load hashes the version keys alone (one three-pass chain over the
-    rows' (prompt, prev, last) words) and hands them to inference_logits,
-    the composition the direct path's perturb_logits runs too. Callers then
-    gather rows instead of evaluating the engines again; a gathered row
-    is bit-identical to evaluating its context directly.
+    per window of every registered prompt; a row's run-fixed half, its
+    feature rows and fixed noise, is built once params are loaded.
 
-    A row whose training or inference logits are non-finite is flagged,
-    not raised on, so a context the run never visits cannot fail it;
-    check(rows) raises for the rows a caller reads, with the direct
-    path's messages. A params object must not be modified in place once
-    loaded.
+    A per-row marker says whether a row holds both engines' log-probs and
+    probs and the inference CDF at the loaded params. load(params, rows)
+    loads params, clearing every marker, and evaluates rows in one pass:
+    the rollout loop passes every row the version can read. check(rows),
+    the one read gate, evaluates the requested rows a pass missed, in one
+    more pass, then raises NumericError with the direct path's messages
+    if a row's training or inference logits are non-finite; a context
+    the run never reads cannot fail it. A row is bit-identical to its
+    context on the direct path, whichever pass evaluates it. Not a
+    first-touch table: a pass costs a few hundred microseconds however
+    few its rows, which one pass per version pays once and first-touch
+    evaluation pays on most reads. Loaded params must not change in place.
     """
 
     def __init__(self, vocab_size: int, infer: Engine, temperature: float) -> None:
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
         self.vocab_size = vocab_size
         self.infer = infer
         self.temperature = temperature
@@ -450,45 +478,40 @@ class ContextTable:
         self._sorted_first = np.zeros(0, dtype=np.intp)
         self.n_features: int | None = None
         self.params: PolicyParams | None = None
-        # Fixed for the run: per row, the (prompt, prev, last) words and
-        # feature rows, and the rows' fixed noise.
+        # Fixed for the run, per built row: the (prompt, prev, last) words, the feature rows,
+        # the fault entries, and the fixed (dense normals, fault normals there, else 0).
         self._contexts = np.zeros((3, 0), dtype=np.uint64)
         self.feats = np.zeros((0, 4), dtype=np.intp)
-        self._noise = FixedNoise(np.zeros(0, dtype=np.intp), np.zeros((0, vocab_size)), np.zeros(0))
-        # At the loaded params, per row: (lp_train, probs_train, lp_infer,
-        # probs_infer, cdf), and how many engines have non-finite logits:
-        # 0, 1 (the inference engine) or 2 (both; an inference row reads
-        # the training logits, so it is non-finite when they are).
-        self._dists = np.zeros((5, 0, vocab_size))
-        self._nonfinite = np.zeros(0, dtype=np.int8)
-
-    @property
-    def finite(self) -> np.ndarray:
-        """Per row, whether the training logits at the loaded params are finite."""
-        return self._nonfinite < 2
+        self._fault = np.zeros((0, vocab_size), dtype=bool)
+        self._fixed = np.zeros((0, 2, vocab_size))
+        # Per built row, at the loaded params: (lp_train, lp_infer, probs_train,
+        # probs_infer, cdf), and its marker: -1 until evaluated, then how many engines
+        # have non-finite logits: 0, 1 (inference) or 2 (both; inference reads training).
+        self._dists = np.zeros((0, 5, vocab_size))
+        self._status = np.zeros(0, dtype=np.int8)
 
     @property
     def lp_train(self) -> np.ndarray:
-        return self._dists[0]
-
-    @property
-    def probs_train(self) -> np.ndarray:
-        return self._dists[1]
+        return self._dists[:, 0]
 
     @property
     def lp_infer(self) -> np.ndarray:
-        return self._dists[2]
+        return self._dists[:, 1]
+
+    @property
+    def probs_train(self) -> np.ndarray:
+        return self._dists[:, 2]
 
     @property
     def probs_infer(self) -> np.ndarray:
-        return self._dists[3]
+        return self._dists[:, 3]
 
     @property
     def cdf(self) -> np.ndarray:
-        return self._dists[4]
+        return self._dists[:, 4]
 
     def add(self, prompt_ids) -> None:
-        """Register prompts; their rows are built by the next load, at once if params are loaded."""
+        """Register prompts, their rows unevaluated; they are built at once if params have been loaded."""
         new = [p for p in dict.fromkeys(int(p) for p in prompt_ids) if p not in self._first_row]
         if not new:
             return
@@ -498,13 +521,17 @@ class ContextTable:
         order = np.argsort(ids)
         self._sorted_ids = ids[order]
         self._sorted_first = np.fromiter(self._first_row.values(), np.intp, ids.size)[order]
-        params, self.params = self.params, None
-        if params is not None:
-            self.load(params)
+        if self.n_features is not None:
+            self._build(new)
 
     def prompt_row(self, prompt_id: int) -> int:
         """Row of a registered prompt's empty window (-1, -1), its first row."""
         return self._first_row[prompt_id]
+
+    def rows_of(self, prompt_ids) -> np.ndarray:
+        """Every row of each registered prompt: all its windows."""
+        first = np.fromiter((self._first_row[p] for p in prompt_ids), np.intp)
+        return (first[:, None] + np.arange(self.side * self.side)).ravel()
 
     def rows(self, prompt_ids, prev, last) -> np.ndarray:
         """Row of each context (prompt, prev, last): registered prompt, -1 <= prev, last < V."""
@@ -523,34 +550,40 @@ class ContextTable:
         window = rows % (self.side * self.side)
         return rows - window + (window % self.side) * self.side + tokens + 1
 
-    def load(self, params: PolicyParams) -> None:
-        """Build the unbuilt rows and evaluate both engines on every row at params; a no-op if params is already loaded."""
-        if params is self.params:
-            return
-        if params.vocab_size != self.vocab_size:
-            raise ValueError(f"params have vocabulary {params.vocab_size}, the table {self.vocab_size}")
-        if self.n_features is None:
-            self.n_features = params.n_features
-        elif params.n_features != self.n_features:
-            raise ValueError(f"params have {params.n_features} features, the table {self.n_features}")
-        self._build(list(self._first_row)[self.feats.shape[0] // (self.side * self.side):])
-        self.params = params
-        self._dists, self._nonfinite = self._evaluate()
+    def load(self, params: PolicyParams, rows=()) -> None:
+        """Load params, unless they are loaded, then evaluate those of rows not yet evaluated, in one pass."""
+        if params is not self.params:
+            if params.vocab_size != self.vocab_size:
+                raise ValueError(f"params have vocabulary {params.vocab_size}, the table {self.vocab_size}")
+            if self.n_features is None:
+                self.n_features = params.n_features
+                self._build(list(self._first_row))
+            elif params.n_features != self.n_features:
+                raise ValueError(f"params have {params.n_features} features, the table {self.n_features}")
+            self.params = params
+            self._status.fill(-1)
+        if len(rows):
+            missing = np.zeros(self._status.size, dtype=bool)
+            missing[np.asarray(rows, dtype=np.intp)] = True
+            missing &= self._status < 0
+            if missing.any():
+                self._evaluate(np.flatnonzero(missing))
 
     def check(self, rows: np.ndarray) -> None:
-        """Raise NumericError if a row's training logits, or else its inference logits, are non-finite.
-
-        The training message is the direct path's; the inference one names that engine.
-        """
-        nonfinite = self._nonfinite[rows]
-        if nonfinite.any():
-            raise NumericError(_NON_FINITE_LOGITS if nonfinite.max() == 2 else _NON_FINITE_INFER_LOGITS)
+        """Evaluate the rows not yet evaluated, in one pass, then raise NumericError if a row's training
+        logits (the direct path's message), or else its inference logits, are non-finite."""
+        status = self._status[rows]
+        if status.any():
+            if (status < 0).any():
+                self.load(self.params, rows)
+                status = self._status[rows]
+            if status.any():
+                raise NumericError(_NON_FINITE_LOGITS if status.max() == 2 else _NON_FINITE_INFER_LOGITS)
 
     def _build(self, prompt_ids: list[int]) -> None:
         """Append the run-fixed rows of new prompts."""
         if not prompt_ids:
             return
-        start = self.feats.shape[0]
         n_windows = self.side * self.side
         contexts = np.stack([
             np.repeat(np.asarray(prompt_ids, dtype=np.int64), n_windows),
@@ -558,31 +591,40 @@ class ContextTable:
             np.tile(self._windows[1], len(prompt_ids)),
         ])
         feats, keys_fixed, _ = context_rows(*contexts, self.n_features, self.infer, 0)
-        new = fixed_noise(keys_fixed, self.vocab_size)
+        noise = fixed_noise(keys_fixed, self.vocab_size)
+        fault = np.zeros(noise.dense.shape, dtype=bool)
+        fault.ravel()[noise.fault_at] = True
+        fixed = np.stack([noise.dense, np.zeros(noise.dense.shape)], axis=1)
+        fixed[:, 1][fault] = noise.fault
         self._contexts = np.concatenate([self._contexts, contexts.view(np.uint64)], axis=1)
         self.feats = np.concatenate([self.feats, feats])
-        self._noise = FixedNoise(
-            np.concatenate([self._noise.fault_at, new.fault_at + start * self.vocab_size]),
-            np.concatenate([self._noise.dense, new.dense]),
-            np.concatenate([self._noise.fault, new.fault]),
-        )
+        self._fault = np.concatenate([self._fault, fault])
+        self._fixed = np.concatenate([self._fixed, fixed])
+        self._dists = np.concatenate([self._dists, np.zeros((feats.shape[0], 5, self.vocab_size))])
+        self._status = np.concatenate([self._status, np.full(feats.shape[0], -1, dtype=np.int8)])
 
-    def _evaluate(self) -> tuple[np.ndarray, np.ndarray]:
-        """(stacked distributions, non-finite engine counts) of every row, at the loaded params."""
+    def _evaluate(self, rows: np.ndarray) -> None:
+        """One pass: both engines at the loaded params on distinct rows, written into the table."""
         params = self.params
+        fault_at = np.flatnonzero(self._fault[rows])
+        fixed = self._fixed[rows]
+        noise = FixedNoise(fault_at, fixed[:, 0], fixed[:, 1].ravel()[fault_at])
+        # Each row's two engines side by side, so one softmax call covers both.
+        logits = np.empty((rows.size, 2, self.vocab_size))
         with np.errstate(over="ignore", invalid="ignore"):
-            train_logits = _scaled_train_logits(params.weights, self.feats, self.temperature)
-            lp_train, probs_train = batched_log_softmax(train_logits)
-            keys = self._version_keys(params.version_id)
-            infer_logits, _ = inference_logits(train_logits, self._noise, keys, self.infer.mismatch_scale)
-            lp_infer, probs_infer = batched_log_softmax(infer_logits)
-            cdf = np.cumsum(probs_infer, axis=1)
-        nonfinite = (~np.isfinite(train_logits).all(axis=1)).astype(np.int8) + ~np.isfinite(infer_logits).all(axis=1)
-        return np.stack([lp_train, probs_train, lp_infer, probs_infer, cdf]), nonfinite
+            train_logits = _scaled_train_logits(params.weights, self.feats[rows], self.temperature)
+            keys = self._version_keys(params.version_id, rows)
+            logits[:, 0] = train_logits
+            logits[:, 1] = inference_logits(train_logits, noise, keys, self.infer.mismatch_scale)[0]
+        log_probs, probs = (a.reshape(logits.shape) for a in batched_log_softmax(logits.reshape(2 * rows.size, -1)))
+        self._dists[rows] = np.concatenate([log_probs, probs, np.cumsum(probs[:, 1:], axis=2)], axis=1)
+        finite = np.isfinite(logits)
+        finite = np.ones((rows.size, 2), dtype=bool) if finite.all() else finite.all(axis=2)
+        self._status[rows] = (~finite[:, 0]).astype(np.int8) + ~finite[:, 1]
 
-    def _version_keys(self, version_id: int) -> np.ndarray:
-        """context_rows' per-version noise keys of every row, without the other chains."""
-        keys = np.full(self._contexts.shape[1], _mix(_NOISE_VERSION_TAG, self.infer.mismatch_seed, version_id), dtype=np.uint64)
-        for column in self._contexts:
+    def _version_keys(self, version_id: int, rows: np.ndarray) -> np.ndarray:
+        """context_rows' per-version noise keys of the given rows, without the other chains."""
+        keys = np.full(rows.size, _mix(_NOISE_VERSION_TAG, self.infer.mismatch_seed, version_id), dtype=np.uint64)
+        for column in self._contexts[:, rows]:
             keys = _splitmix64_vec(keys ^ column)
         return keys

@@ -32,6 +32,13 @@ pairs) to draw the first 8 uniforms of every uid. A rollout takes the
 uniforms it can use when it is spawned: up to 8 from the block, and any
 further ones from one PCG64 set to the block's end state for its uid
 through the public state setter.
+
+Ticks, the objective and the probe measure read both engines from the
+state's ContextTable. An iteration first draws its prompts into a
+lookahead, up to prompts_per_iteration, in the source's order; the
+table then evaluates, in one pass, every row readable at the version:
+the windows of the prompts in the pool, the pending queue and the
+lookahead, and train_loop's probe rows.
 """
 
 from __future__ import annotations
@@ -162,8 +169,6 @@ class SyntheticPromptSource:
         median: float = 32.0,
         sigma: float = 1.0,
     ) -> None:
-        if length_model not in ("policy", "lognormal"):
-            raise ValueError(f"unknown length model {length_model!r}")
         self.vocab = vocab
         self.max_len = max_len
         self.length_model = length_model
@@ -203,10 +208,11 @@ class ScriptedPromptSource:
 
 @dataclass
 class SchedulerState:
-    """Inference pool, pending queue, live groups, and the run's counters.
+    """Inference pool, pending queue, prompt lookahead, live groups, and the run's counters.
 
     groups maps each live group's uid to its members, in uid order; its
-    terminal members are the rollouts waiting to train.
+    terminal members are the rollouts waiting to train. lookahead holds
+    drawn prompts not yet spawned; probe_rows, train_loop's probe rows.
     """
 
     vocab: Vocabulary
@@ -217,6 +223,8 @@ class SchedulerState:
     seed: int
     infer_pool: list[Rollout] = field(default_factory=list)
     pending: deque[Rollout] = field(default_factory=deque)
+    lookahead: deque[tuple[TaskSpec, list[int | None]]] = field(default_factory=deque)
+    probe_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     groups: dict[int, list[Rollout]] = field(default_factory=dict)
     iteration: int = 0
     tick_clock: int = 0
@@ -414,8 +422,8 @@ class RolloutUniforms:
 
 
 def _spawn_group(state: SchedulerState, group_cfg: ObjectiveConfig) -> bool:
-    """Sample one prompt and queue its sibling rollouts; False when exhausted."""
-    drawn = state.source.next_prompt(state.prompt_stream, group_cfg.group_size)
+    """Queue the sibling rollouts of the next prompt, from the lookahead, else the source; False when exhausted."""
+    drawn = state.lookahead.popleft() if state.lookahead else state.source.next_prompt(state.prompt_stream, group_cfg.group_size)
     if drawn is None:
         return False
     task, lengths = drawn
@@ -455,12 +463,27 @@ def _refill(state: SchedulerState, cfg: BudgetConfig, group_cfg: ObjectiveConfig
     return sampled_this_iter
 
 
+def _load_version(state: SchedulerState, params: PolicyParams, cfg: BudgetConfig, group_cfg: ObjectiveConfig) -> None:
+    """Fill the prompt lookahead, then evaluate in one table pass every row readable at params:
+    all windows of the prompts in the pool, the pending queue and the lookahead, and the probe rows."""
+    while len(state.lookahead) < cfg.prompts_per_iteration:
+        drawn = state.source.next_prompt(state.prompt_stream, group_cfg.group_size)
+        if drawn is None:
+            break
+        state.lookahead.append(drawn)
+    live = dict.fromkeys(r.task.prompt_id for queue in (state.infer_pool, state.pending) for r in queue)
+    live.update(dict.fromkeys(task.prompt_id for task, _ in state.lookahead))
+    state.table.add(live)
+    state.table.load(params, np.concatenate([state.table.rows_of(live), state.probe_rows]))
+
+
 def _generate_tick(rollouts: list[Rollout], params: PolicyParams, state: SchedulerState) -> list[Rollout]:
     """One parallel token for every listed rollout, read from the state's context table.
 
-    The table is loaded for params on the first tick of a version. Each
-    rollout samples its next token with its own next uniform. Returns the
-    rollouts this token made terminal, in list order.
+    The rows are read after the table's check, which evaluates any row
+    the version's pass missed. Each rollout samples its next token with
+    its own next uniform. Returns the rollouts this token made terminal,
+    in list order.
     """
     table = state.table
     table.load(params)
@@ -566,6 +589,7 @@ def _rollout_loop(state, params_t, cfg, group_cfg, trace, baseline: bool) -> tup
     """
     purged = _purge_boundary(state, cfg)
     resumed = sum(1 for r in state.infer_pool if r.tokens)
+    _load_version(state, params_t, cfg, group_cfg)
 
     counter = ticks = completed = sampled_this_iter = 0
     while baseline or counter < cfg.token_budget:
@@ -641,7 +665,7 @@ def train_loop(
     table = state.table
     probe_contexts = probe_windows(probes)
     table.add(probe_contexts[0])
-    probe_rows = table.rows(*probe_contexts)
+    probe_rows = state.probe_rows = table.rows(*probe_contexts)
     velocity = np.zeros_like(params.weights)
     results: list[tuple[StepReport, LossBreakdown, DiscrepancySample]] = []
     step = run_iteration_baseline if baseline else run_iteration

@@ -243,12 +243,6 @@ def test_theorem_aligned_zero_scale_is_vacuous() -> None:
     assert fit.growth_holds
 
 
-def test_theorem_rejects_nonpositive_step_size() -> None:
-    vocab, engine, params, probes = theorem_setup()
-    with pytest.raises(ValueError):
-        compounding_experiment(params, 0.0, 10, vocab, engine, probes)
-
-
 def test_rl_loop_mode_fits_affine_recursion(tmp_path) -> None:
     cfg = ExperimentConfig(
         seed=2,

@@ -28,6 +28,7 @@ from mismatchlab import (
 )
 from mismatchlab import scheduler
 from mismatchlab.policy import (
+    _row_max,
     batched_log_softmax,
     batched_train_logits,
     context_rows,
@@ -193,6 +194,31 @@ def test_tick_records_both_engines_log_probs_of_its_token() -> None:
         assert rollout.lp_infer == [lp_infer[token]]
         assert rollout.lp_train == [lp_train[token]]
         assert rollout.versions == [params.version_id]
+
+
+def max_axis_log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The softmax with numpy's row reduction for the max, the reference of the column-by-column one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        z = e.sum(axis=1, keepdims=True)
+        return shifted - np.log(z), e / z
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 9, 17])
+def test_log_softmax_equals_the_row_max_reference_on_signed_zeros_infinities_and_nan(width: int) -> None:
+    rng = np.random.default_rng(width)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.0])  # NaNs of both signs
+    logits = rng.normal(size=(600, width)) * 3.0
+    pick = rng.random(logits.shape) < rng.uniform(0.2, 1.0, size=(600, 1))
+    logits[pick] = specials[rng.integers(0, specials.size, int(pick.sum()))]
+    logits[:4] = [[0.0], [-0.0], [np.nan], [-np.inf]]  # whole rows of one value
+    logits[4, :] = -0.0
+    logits[4, -1] = 0.0  # +0.0 after -0.0 ties; the reference picks its own zero
+    assert _row_max(logits).tobytes() == logits.max(axis=1, keepdims=True).tobytes()
+    got, want = batched_log_softmax(logits), max_axis_log_softmax(logits)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def test_distribution_normalization_invariant() -> None:

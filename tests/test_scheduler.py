@@ -231,6 +231,35 @@ def test_an_exhausted_source_gives_an_empty_iteration_in_both_modes() -> None:
         assert state.tick_clock == 0 and state.iteration == 1
 
 
+def test_prompts_drawn_for_an_iteration_that_ends_early_spawn_first_in_the_next(monkeypatch) -> None:
+    """The lookahead keeps the source's order and each iteration's cap on spawned prompts."""
+    prompts = [(TaskSpec(TaskKind.PARITY_MATCH, 900 + k, 0, 2), [1, 1]) for k in range(12)]
+    state = make_state(3, Vocabulary(size=8), infer_engine(0.0, 7), ScriptedPromptSource(prompts))
+    spawned: list[tuple[int, int]] = []  # (iteration, prompt id) of each spawned group
+    spawn = scheduler._spawn_group
+
+    def recording(state, group_cfg):
+        queued = spawn(state, group_cfg)
+        if queued:
+            spawned.append((state.iteration, state.groups[state.next_group_uid - 1][0].task.prompt_id))
+        return queued
+
+    monkeypatch.setattr(scheduler, "_spawn_group", recording)
+    params = default_params()
+    left_drawn = []
+    # A budget of 2 tokens ends an iteration after one group, of 3 after two; 100 lets the cap of 3 end it.
+    for token_budget in (2, 100, 3, 100):
+        budget = BudgetConfig(token_budget=token_budget, infer_capacity=2, prompts_per_iteration=3)
+        run_iteration(state, params, budget, ObjectiveConfig(group_size=2))
+        left_drawn.append([task.prompt_id for task, _ in state.lookahead])
+        params = PolicyParams(params.weights, params.version_id + 1)
+    assert [p for _, p in spawned] == list(range(900, 909))
+    assert [sum(1 for it, _ in spawned if it == i) for i in range(4)] == [1, 3, 2, 3]
+    assert left_drawn == [[901, 902], [], [906], []]
+    firsts = [next(p for it, p in spawned if it == i) for i in range(4)]
+    assert firsts == [900, 901, 904, 906]
+
+
 def test_baseline_tick_cap_counts_the_ticks_of_the_iteration() -> None:
     # Waves of 4 and 6 ticks: each fits a cap of 8, the iteration's 10 do not.
     budget = BudgetConfig(token_budget=10, infer_capacity=2, prompts_per_iteration=1, tick_cap=8)

@@ -100,6 +100,24 @@ def full_block_rows(params, infer, temperature, pids, prev, last):
     return lp_train, probs_train, lp_infer, probs_infer, np.cumsum(probs_infer, axis=1)
 
 
+def read_gate(table: ContextTable, rows: np.ndarray, rng) -> list:
+    """Per row, the message check raises on it alone, or None; rows go through check in random chunks first."""
+    order = rng.permutation(rows.size)
+    for chunk in np.array_split(order, rng.integers(1, 6)):
+        try:
+            table.check(rows[chunk])
+        except NumericError:
+            pass
+    messages = []
+    for row in rows:
+        try:
+            table.check(np.asarray([row]))
+            messages.append(None)
+        except NumericError as exc:
+            messages.append(str(exc))
+    return messages
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     prompts=st.lists(PROMPT_ID, min_size=1, max_size=3, unique=True),
@@ -115,6 +133,12 @@ def full_block_rows(params, infer, temperature, pids, prev, last):
 def test_restricted_load_equals_the_full_block_composition_on_every_finite_row(
     prompts, late_prompt, vocab_size, n_features, scale, mismatch_seed, versions, overflow, seed
 ) -> None:
+    """Every row equals the oracle at the version last loaded, whichever pass evaluated it.
+
+    Per version, a random share of the rows is evaluated by the load's
+    pass and the rest through check, in random chunks; a prompt
+    registered while a version is loaded is evaluated through check only.
+    """
     rng = np.random.default_rng(seed)
     infer = infer_engine(scale, mismatch_seed)
     table = ContextTable(vocab_size, infer, 0.8)
@@ -126,7 +150,8 @@ def test_restricted_load_equals_the_full_block_composition_on_every_finite_row(
         if overflow:
             weights[rng.integers(0, n_features, 2)] = 1e308
         params = PolicyParams(weights, version)
-        table.load(params)
+        n_rows = table.feats.shape[0] if i else len(prompts) * prev.size
+        table.load(params, np.flatnonzero(rng.random(n_rows) < rng.uniform()))
         if i == 0:
             table.add([late_prompt])  # registered while a version is loaded
         known = list(dict.fromkeys(prompts + [late_prompt]))
@@ -134,8 +159,9 @@ def test_restricted_load_equals_the_full_block_composition_on_every_finite_row(
         every = (pids, np.tile(prev, len(known)), np.tile(last, len(known)))
         rows = table.rows(*every)
         assert sorted(rows.tolist()) == list(range(table.feats.shape[0]))
-        finite = table.finite[rows]
-        assert overflow or finite.all()
+        messages = read_gate(table, rows, rng)
+        assert overflow or not any(messages)
+        finite = np.asarray([m != TRAINING_MESSAGE for m in messages])
         at = rows[finite]
         got = (table.lp_train[at], table.probs_train[at], table.lp_infer[at], table.probs_infer[at], table.cdf[at])
         with np.errstate(over="ignore", invalid="ignore"):  # a finite row's noise can still overflow
@@ -233,7 +259,10 @@ def test_overflow_at_a_context_the_run_never_visits_does_not_fail_it() -> None:
     budget = BudgetConfig(token_budget=40, infer_capacity=8, prompts_per_iteration=3)
     results, _ = train_loop(3, state, params, budget, ObjectiveConfig(group_size=2, learning_rate=0.5), make_probes(32, vocab, 3))
     assert len(results) == 3
-    assert not state.table.finite[state.table.rows([100], [prev], [-1])].any()
+    # The row was never read, so it did not fail the run; checked now, it raises.
+    with pytest.raises(NumericError) as checked:
+        state.table.check(state.table.rows([100], [prev], [-1]))
+    assert str(checked.value) == TRAINING_MESSAGE
 
 
 def overflowing(params: PolicyParams) -> PolicyParams:
@@ -247,6 +276,10 @@ def direct_message(params: PolicyParams) -> str:
     with pytest.raises(NumericError) as direct:
         batched_train_logits(params, np.zeros((1, 4), dtype=np.intp), 1.0)
     return str(direct.value)
+
+
+# The direct path's message for non-finite training logits.
+TRAINING_MESSAGE = direct_message(PolicyParams(np.full((1, 2), 1e308)))
 
 
 def test_visited_overflow_raises_the_direct_message_from_the_tick() -> None:
@@ -286,8 +319,27 @@ def test_check_raises_on_rows_whose_inference_logits_overflow() -> None:
     table = ContextTable(vocab.size, infer_engine(0.22, 7), 1.0)
     table.add([100, 205, 311])
     table.load(params)
+    # Every row's training logits are finite: the whole table raises the inference message.
+    with pytest.raises(NumericError, match="inference engine"):
+        table.check(np.arange(table.feats.shape[0]))
     infer_finite = np.isfinite(table.lp_infer).all(axis=1)
-    assert table.finite.all() and not infer_finite.all()
+    assert not infer_finite.all()
     with pytest.raises(NumericError, match="inference engine"):
         table.check(np.flatnonzero(~infer_finite))
     table.check(np.flatnonzero(infer_finite))
+
+
+def test_train_loop_evaluates_each_version_in_one_pass_over_the_rows_it_can_read(monkeypatch) -> None:
+    vocab, params, state, budget = trained_state(8, 0.2)
+    passes = []
+    evaluate = ContextTable._evaluate
+
+    def recording(table, rows):
+        passes.append((table.params.version_id, rows.size, table.feats.shape[0]))
+        return evaluate(table, rows)
+
+    monkeypatch.setattr(ContextTable, "_evaluate", recording)
+    n_iterations = 6
+    train_loop(n_iterations, state, params, budget, ObjectiveConfig(group_size=2, learning_rate=0.5), make_probes(32, vocab, 8))
+    assert [version for version, _, _ in passes] == list(range(n_iterations))
+    assert all(rows < table_rows for _, rows, table_rows in passes)
