@@ -12,8 +12,6 @@ from .discrepancy import (
     DiscrepancyFit,
     DiscrepancySample,
     compounding_experiment,
-    delta_and_gap,
-    delta_gradient,
     make_probes,
     measure,
 )
@@ -79,8 +77,6 @@ __all__ = [
     "Vocabulary",
     "compounding_experiment",
     "default_config",
-    "delta_and_gap",
-    "delta_gradient",
     "group_advantages",
     "infer_engine",
     "init_params",

@@ -6,9 +6,11 @@ a fixed probe context set. Because the toy policy's KL is available in
 closed form, so is its gradient, which lets the theorem-aligned dynamics
 experiment construct update bias that provably satisfies the alignment
 assumption and then check the fitted geometric growth bound step by
-step instead of assuming it. fit_affine_trace fits the same growth
-constants to the delta trace of a training run; the runs themselves
-are set up by the CLI.
+step instead of assuming it. The probes are hashed once (probe_set),
+and each parameter state is evaluated once (evaluate_probes, through
+policy.engine_pair); delta, its gradient and the reward gradient read
+that evaluation. fit_affine_trace fits the same growth constants to the
+delta trace of a training run; the runs themselves are set up by the CLI.
 """
 
 from __future__ import annotations
@@ -16,24 +18,26 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NumericError
 from .policy import (
+    _NON_FINITE_INFER_LOGITS,
     Context,
     ContextTable,
     Engine,
+    FixedNoise,
     PolicyParams,
     Vocabulary,
-    batched_log_softmax,
+    batched_log_softmax,  # noqa: F401  (uncalled: perfbench/child.py wraps the name where discrepancy binds it)
     batched_train_logits,
-    check_inference_logits,
     context_rows,
+    engine_pair,
     fixed_noise,
-    inference_logits,
     inference_slope,
-    perturb_logits,
-    train_engine,
+    perturb_logits,  # noqa: F401  (the same)
     weight_grad,
 )
 
@@ -104,11 +108,49 @@ def probe_windows(probes: list[Context]) -> np.ndarray:
     )
 
 
-def _probe_rows(
-    params: PolicyParams, probes: list[Context], infer: Engine
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """context_rows of the probe set."""
-    return context_rows(*probe_windows(probes), params.n_features, infer, params.version_id)
+class ProbeSet(NamedTuple):
+    """A probe set hashed once (context_rows, fixed_noise) for one engine and temperature, and for params of
+    one shape and version only: the rows of another feature count, or the keys of another version, would be wrong."""
+
+    feats: np.ndarray
+    fixed: FixedNoise
+    keys_version: np.ndarray
+    scale: float
+    temperature: float
+    shape: tuple[int, int]
+    version_id: int
+
+
+def probe_set(probes: list[Context], params: PolicyParams, infer: Engine, temperature: float = 1.0) -> ProbeSet:
+    """The ProbeSet of probes for infer at temperature, at params' shape and version."""
+    if not probes:
+        raise ValueError("probe set must be non-empty")
+    feats, keys_fixed, keys_version = context_rows(*probe_windows(probes), params.n_features, infer, params.version_id)
+    fixed = fixed_noise(keys_fixed, params.vocab_size)
+    return ProbeSet(feats, fixed, keys_version, infer.mismatch_scale, temperature, params.weights.shape, params.version_id)
+
+
+class ProbeEvaluation(NamedTuple):
+    """Both engines at a probe set at one params, which delta_and_gap, delta_gradient and
+    _exact_reward_gradient read: engine_pair's outputs, its finite flags checked."""
+
+    probes: ProbeSet
+    train_logits: np.ndarray
+    log_probs: np.ndarray
+    probs: np.ndarray
+    fault_noise: np.ndarray
+
+
+def evaluate_probes(probes: ProbeSet, params: PolicyParams) -> ProbeEvaluation:
+    """Both engines at the probes at params, once; raises ValueError on params of another shape or
+    version, and NumericError, with the direct path's messages, on non-finite logits."""
+    if (params.weights.shape, params.version_id) != (probes.shape, probes.version_id):
+        raise ValueError(f"params {params.weights.shape} at version {params.version_id}, probes {probes.shape} at {probes.version_id}")
+    train_logits = batched_train_logits(params, probes.feats, probes.temperature)
+    log_probs, probs, fault_noise, finite = engine_pair(train_logits, probes.fixed, probes.keys_version, probes.scale)
+    if not finite.all():  # the training engine is finite: batched_train_logits raised otherwise
+        raise NumericError(_NON_FINITE_INFER_LOGITS)
+    return ProbeEvaluation(probes, train_logits, log_probs, probs, fault_noise)
 
 
 def _delta_and_gap_rows(p_inf, p_tr, lp_inf, lp_tr) -> tuple[float, float]:
@@ -117,18 +159,10 @@ def _delta_and_gap_rows(p_inf, p_tr, lp_inf, lp_tr) -> tuple[float, float]:
     return float(per_probe.mean()), gap
 
 
-def delta_and_gap(
-    params: PolicyParams, probes: list[Context], infer: Engine, temperature: float = 1.0
-) -> tuple[float, float]:
+def delta_and_gap(evaluation: ProbeEvaluation) -> tuple[float, float]:
     """(mean KL(infer || train) over probes, max |p_infer - p_train|)."""
-    if not probes:
-        raise ValueError("probe set must be non-empty")
-    feats, keys_fixed, keys_version = _probe_rows(params, probes, infer)
-    train_logits = batched_train_logits(params, feats, temperature)
-    infer_logits = perturb_logits(train_logits, keys_fixed, keys_version, infer.mismatch_scale)
-    lp_inf, p_inf = batched_log_softmax(infer_logits)
-    lp_tr, p_tr = batched_log_softmax(train_logits)
-    return _delta_and_gap_rows(p_inf, p_tr, lp_inf, lp_tr)
+    lp, p = evaluation.log_probs, evaluation.probs
+    return _delta_and_gap_rows(p[:, 1], p[:, 0], lp[:, 1], lp[:, 0])
 
 
 def measure(
@@ -140,16 +174,12 @@ def measure(
     table: ContextTable | None = None,
     rows: np.ndarray | None = None,
 ) -> DiscrepancySample:
-    """Probe-set discrepancy of params, recorded as step.
-
-    With a context table (of infer at temperature, with the probes'
-    prompts registered), the distributions are gathered from its rows at
-    params: the same bits as delta_and_gap. rows, when given, are the
-    probes' rows (ContextTable.rows of probe_windows), built once by a
-    caller that measures the same probes every iteration.
-    """
+    """Probe-set discrepancy of params, recorded as step: evaluated as the compounding experiment evaluates
+    it, or, with a context table (of infer at temperature, with the probes' prompts registered), gathered
+    from its rows at params, the same bits. rows, when given, are the probes' rows (ContextTable.rows of
+    probe_windows), built once by a caller that measures the same probes every iteration."""
     if table is None:
-        delta, gap = delta_and_gap(params, probes, infer, temperature)
+        delta, gap = delta_and_gap(evaluate_probes(probe_set(probes, params, infer, temperature), params))
     else:
         if not probes:
             raise ValueError("probe set must be non-empty")
@@ -163,9 +193,7 @@ def measure(
     return DiscrepancySample(step=step, delta=delta, max_token_gap=gap)
 
 
-def delta_gradient(
-    params: PolicyParams, probes: list[Context], infer: Engine, temperature: float = 1.0
-) -> np.ndarray:
+def delta_gradient(evaluation: ProbeEvaluation) -> np.ndarray:
     """Exact gradient of the probe-averaged KL w.r.t. the weights.
 
     Per probe, with p the inference and q the training distribution over
@@ -176,41 +204,30 @@ def delta_gradient(
         d delta / d s_j = a_j p_j (lp_j - lq_j - delta) + q_j - p_j
 
     accumulated on the probe's active feature rows, divided by the
-    temperature and the probe count. Raises NumericError, as
-    delta_and_gap does, if the inference logits overflow.
+    temperature and the probe count.
     """
-    feats, keys_fixed, keys_version = _probe_rows(params, probes, infer)
-    train_logits = batched_train_logits(params, feats, temperature)
-    fixed = fixed_noise(keys_fixed, train_logits.shape[1])
-    infer_logits, fault_noise = inference_logits(train_logits, fixed, keys_version, infer.mismatch_scale)
-    check_inference_logits(infer_logits)
-    slope = inference_slope(train_logits, fixed, fault_noise, infer.mismatch_scale)
-    lp_inf, p_inf = batched_log_softmax(infer_logits)
-    lp_tr, p_tr = batched_log_softmax(train_logits)
+    probes = evaluation.probes
+    slope = inference_slope(evaluation.train_logits, probes.fixed, evaluation.fault_noise, probes.scale)
+    lp_tr, lp_inf = evaluation.log_probs[:, 0], evaluation.log_probs[:, 1]
+    p_tr, p_inf = evaluation.probs[:, 0], evaluation.probs[:, 1]
     ratio = lp_inf - lp_tr
     delta_rows = (p_inf * ratio).sum(axis=1, keepdims=True)
     d_s = slope * (p_inf * (ratio - delta_rows)) + p_tr - p_inf
-    d_s /= temperature * len(probes)
-    return weight_grad(feats, d_s, params.n_features)
+    d_s /= probes.temperature * len(probes.feats)
+    return weight_grad(probes.feats, d_s, probes.shape[0])
 
 
-def _exact_reward_gradient(
-    params: PolicyParams,
-    probes: list[Context],
-    reward_table: np.ndarray,
-    temperature: float,
-) -> tuple[np.ndarray, float]:
+def _exact_reward_gradient(evaluation: ProbeEvaluation, reward_table: np.ndarray) -> np.ndarray:
     """On-policy policy gradient of a fixed synthetic reward, in closed form.
 
     Advantages are the rewards centered under the current training
     distribution, so the expected advantage is zero per probe and the
     per-probe gradient of E[reward] w.r.t. the scaled logits is q * A.
     """
-    feats, _, _ = _probe_rows(params, probes, train_engine())
-    _, q = batched_log_softmax(batched_train_logits(params, feats, temperature))
+    probes, q = evaluation.probes, evaluation.probs[:, 0]
     baseline = (q * reward_table).sum(axis=1, keepdims=True)
-    d_s = q * (reward_table - baseline) / (temperature * len(probes))
-    return weight_grad(feats, d_s, params.n_features), float(baseline.mean())
+    d_s = q * (reward_table - baseline) / (probes.temperature * len(probes.feats))
+    return weight_grad(probes.feats, d_s, probes.shape[0])
 
 
 def compounding_experiment(
@@ -239,19 +256,20 @@ def compounding_experiment(
     reward_table = rng.uniform(-1.0, 1.0, size=(len(probes), vocab.size))
 
     params = theta_0.copy()
-    deltas: list[float] = []
-    gaps: list[float] = []
     dots_bias: list[float] = []
     dots_drift: list[float] = []
     grad_norms: list[float] = []
     resid_ls: list[float] = []
     samples: list[DiscrepancySample] = []
 
-    # Each parameter state is measured once: a step's delta_next is the next step's delta_t.
-    delta_t, gap_t = delta_and_gap(params, probes, infer, temperature)
+    # The probes are hashed once, and each parameter state is evaluated once:
+    # a step's delta_next is the next step's delta_t.
+    hashed_probes = probe_set(probes, params, infer, temperature)
+    evaluation = evaluate_probes(hashed_probes, params)
+    delta_t, gap_t = delta_and_gap(evaluation)
     for t in range(n_steps):
-        grad_delta = delta_gradient(params, probes, infer, temperature)
-        g_star, _ = _exact_reward_gradient(params, probes, reward_table, temperature)
+        grad_delta = delta_gradient(evaluation)
+        g_star = _exact_reward_gradient(evaluation, reward_table)
         norm_sq = float((grad_delta * grad_delta).sum())
         if delta_t > 0.0 and norm_sq > 1e-30:
             bias = (align_target * delta_t / norm_sq) * grad_delta
@@ -259,42 +277,30 @@ def compounding_experiment(
             bias = np.zeros_like(grad_delta)
         g_total = g_star + bias
 
-        deltas.append(delta_t)
-        gaps.append(gap_t)
         dots_bias.append(float((grad_delta * bias).sum()))
         dots_drift.append(float((grad_delta * g_star).sum()))
         grad_norms.append(float(np.linalg.norm(g_total)))
         samples.append(DiscrepancySample(step=t, delta=delta_t, max_token_gap=gap_t))
 
-        new_weights = params.weights + mu * g_total
         dot_total = float((grad_delta * g_total).sum())
-        params = PolicyParams(new_weights, version_id=params.version_id)
-        delta_next, gap_next = delta_and_gap(params, probes, infer, temperature)
+        params = PolicyParams(params.weights + mu * g_total, version_id=params.version_id)
+        evaluation = evaluate_probes(hashed_probes, params)
+        delta_next, gap_next = delta_and_gap(evaluation)
         g_sq = grad_norms[-1] ** 2
         if g_sq > 1e-30:
             resid_ls.append(2.0 * abs(delta_next - delta_t - mu * dot_total) / (mu * mu * g_sq))
         delta_t, gap_t = delta_next, gap_next
 
-    deltas.append(delta_t)
     samples.append(DiscrepancySample(step=n_steps, delta=delta_t, max_token_gap=gap_t))
+    deltas = [s.delta for s in samples]
 
     if max(deltas) <= 1e-15:
         return samples, DiscrepancyFit(
-            eta_hat=0.0,
-            kappa_hat=0.0,
-            delta_c=0.0,
-            growth_holds=True,
-            step_size=mu,
-            grad_bound=max(grad_norms) if grad_norms else 0.0,
-            drift_bound=0.0,
-            smoothness=0.0,
-            align_const=0.0,
-            vacuous=True,
+            eta_hat=0.0, kappa_hat=0.0, delta_c=0.0, growth_holds=True, step_size=mu, grad_bound=max(grad_norms, default=0.0),
+            drift_bound=0.0, smoothness=0.0, align_const=0.0, vacuous=True,
         )
 
-    align_const = min(
-        dots_bias[t] / deltas[t] for t in range(n_steps) if deltas[t] > 1e-15
-    )
+    align_const = min(dots_bias[t] / deltas[t] for t in range(n_steps) if deltas[t] > 1e-15)
     drift_bound = max(abs(d) for d in dots_drift)
     grad_bound = max(grad_norms)
     smoothness = max(resid_ls) if resid_ls else 0.0

@@ -21,15 +21,16 @@ The softmax, inverse-CDF sampling and the context hashes each have one
 batched implementation. context_rows hashes a batch of contexts into
 feature rows and noise keys; feature_rows and noise_keys, the same
 hashes of one context in plain integer arithmetic, are its bitwise
-reference. Two paths evaluate the engines. The direct path
-(context_rows -> batched_train_logits -> perturb_logits ->
-batched_log_softmax) serves the compounding experiment, which moves
-weights within one version. A training run keeps a ContextTable
-instead: both engines at the (prev, last) windows of the prompts it has
-seen, evaluated per parameter version on the rows it can read. Rollout
-ticks (which sample by inverse CDF on the table's rows), the objective
-and the probe measure gather its rows, bit-identical to the direct path.
-Both paths raise NumericError on non-finite logits that a caller reads.
+reference. engine_pair evaluates both engines from a batch's training
+logits, in one softmax call. A training run feeds it a ContextTable's
+rows: the (prev, last) windows of the prompts it has seen, per parameter
+version the rows it can read; ticks (inverse-CDF sampling), the objective
+and the probe measure gather them. The compounding experiment, which
+moves weights within one version, feeds it a probe set hashed once
+(discrepancy.ProbeSet). Both raise NumericError on non-finite logits that
+a caller reads. The direct path (context_rows -> batched_train_logits ->
+perturb_logits -> a softmax per engine) is kept as the tests' reference
+and the benchmark's kernel: both equal it bit for bit, with its messages.
 """
 
 from __future__ import annotations
@@ -119,12 +120,6 @@ class Vocabulary:
     size: int = 32
     eos_id: int = 0
 
-    def __post_init__(self) -> None:
-        if self.size < 2:
-            raise ValueError(f"vocabulary size must be >= 2, got {self.size}")
-        if not 0 <= self.eos_id < self.size:
-            raise ValueError(f"eos_id {self.eos_id} out of range for size {self.size}")
-
 
 @dataclass
 class PolicyParams:
@@ -174,10 +169,6 @@ class Engine:
 
     mismatch_scale: float = 0.0
     mismatch_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mismatch_scale < 0:
-            raise ValueError("mismatch_scale must be nonnegative")
 
 
 def train_engine() -> Engine:
@@ -411,10 +402,8 @@ def check_inference_logits(infer_logits: np.ndarray) -> None:
 
 
 def perturb_logits(logits: np.ndarray, keys_fixed: np.ndarray, keys_version: np.ndarray, scale: float) -> np.ndarray:
-    """Inference-engine view of a batch of finite training logits.
-
-    Raises NumericError if the error overflows the inference logits.
-    """
+    """Inference-engine view of a batch of finite training logits: the tests' reference path and the
+    benchmark's kernel, beside engine_pair. Raises NumericError if the error overflows the inference logits."""
     infer_logits, _ = inference_logits(logits, fixed_noise(keys_fixed, logits.shape[1]), keys_version, scale)
     check_inference_logits(infer_logits)
     return infer_logits
@@ -441,6 +430,20 @@ def batched_log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         probs /= z
         shifted -= np.log(z, out=z)
     return shifted, probs
+
+
+def engine_pair(train_logits: np.ndarray, fixed: FixedNoise, keys_version: np.ndarray, scale: float):
+    """Both engines from the scaled training logits, in one softmax call; checks nothing. Returns (rows, 2, V)
+    log_probs and probs, training engine first; inference_logits' clipped fault noise, which inference_slope
+    reads; and (rows, 2) flags of each engine's finite logits."""
+    # Each row's two engines side by side, so one softmax call covers both.
+    logits = np.empty((train_logits.shape[0], 2, train_logits.shape[1]))
+    logits[:, 0] = train_logits
+    logits[:, 1], fault_noise = inference_logits(train_logits, fixed, keys_version, scale)
+    log_probs, probs = (a.reshape(logits.shape) for a in batched_log_softmax(logits.reshape(-1, logits.shape[2])))
+    finite = np.isfinite(logits)
+    finite = np.ones(logits.shape[:2], dtype=bool) if finite.all() else finite.all(axis=2)
+    return log_probs, probs, fault_noise, finite
 
 
 class ContextTable:
@@ -609,17 +612,11 @@ class ContextTable:
         fault_at = np.flatnonzero(self._fault[rows])
         fixed = self._fixed[rows]
         noise = FixedNoise(fault_at, fixed[:, 0], fixed[:, 1].ravel()[fault_at])
-        # Each row's two engines side by side, so one softmax call covers both.
-        logits = np.empty((rows.size, 2, self.vocab_size))
         with np.errstate(over="ignore", invalid="ignore"):
             train_logits = _scaled_train_logits(params.weights, self.feats[rows], self.temperature)
-            keys = self._version_keys(params.version_id, rows)
-            logits[:, 0] = train_logits
-            logits[:, 1] = inference_logits(train_logits, noise, keys, self.infer.mismatch_scale)[0]
-        log_probs, probs = (a.reshape(logits.shape) for a in batched_log_softmax(logits.reshape(2 * rows.size, -1)))
+        keys = self._version_keys(params.version_id, rows)
+        log_probs, probs, _, finite = engine_pair(train_logits, noise, keys, self.infer.mismatch_scale)
         self._dists[rows] = np.concatenate([log_probs, probs, np.cumsum(probs[:, 1:], axis=2)], axis=1)
-        finite = np.isfinite(logits)
-        finite = np.ones((rows.size, 2), dtype=bool) if finite.all() else finite.all(axis=2)
         self._status[rows] = (~finite[:, 0]).astype(np.int8) + ~finite[:, 1]
 
     def _version_keys(self, version_id: int, rows: np.ndarray) -> np.ndarray:

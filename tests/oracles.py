@@ -10,6 +10,12 @@ about 2^-53 per entry), so the two agree bit for bit.
 
 The single-pass baseline as its own wave loop, which the scheduler runs
 as its one rollout loop refilling only an empty pool.
+
+The probe discrepancy, its gradient and the reward gradient on the
+direct path, each state evaluated anew per call: the probes hashed by
+context_rows, the inference logits by perturb_logits or
+inference_logits, and a separate softmax per engine. The package
+evaluates a probe set hashed once through engine_pair instead.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import math
 
 import numpy as np
 
+from mismatchlab.discrepancy import _delta_and_gap_rows, probe_windows
 from mismatchlab.policy import (
     _DENSE_TAIL_CUT,
     _DENSE_TAIL_GAIN,
@@ -35,7 +42,20 @@ from mismatchlab.policy import (
     _STRIDE_B,
     _VERSION_WEIGHT,
     _XOR_B,
+    Context,
+    Engine,
+    PolicyParams,
     _splitmix64_vec,
+    batched_log_softmax,
+    batched_train_logits,
+    check_inference_logits,
+    context_rows,
+    fixed_noise,
+    inference_logits,
+    inference_slope,
+    perturb_logits,
+    train_engine,
+    weight_grad,
 )
 from mismatchlab.scheduler import _close_iteration, _generate_tick, _spawn_group
 
@@ -110,3 +130,74 @@ def baseline_wave_loop(state, params_t, cfg, group_cfg):
             ticks += 1
     state.tick_clock += ticks
     return _close_iteration(state, params_t.version_id, ticks, sum(r.length for r in batch), len(batch), 0, 0)
+
+
+def _probe_rows(
+    params: PolicyParams, probes: list[Context], infer: Engine
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """context_rows of the probe set."""
+    return context_rows(*probe_windows(probes), params.n_features, infer, params.version_id)
+
+
+def delta_and_gap(
+    params: PolicyParams, probes: list[Context], infer: Engine, temperature: float = 1.0
+) -> tuple[float, float]:
+    """(mean KL(infer || train) over probes, max |p_infer - p_train|)."""
+    if not probes:
+        raise ValueError("probe set must be non-empty")
+    feats, keys_fixed, keys_version = _probe_rows(params, probes, infer)
+    train_logits = batched_train_logits(params, feats, temperature)
+    infer_logits = perturb_logits(train_logits, keys_fixed, keys_version, infer.mismatch_scale)
+    lp_inf, p_inf = batched_log_softmax(infer_logits)
+    lp_tr, p_tr = batched_log_softmax(train_logits)
+    return _delta_and_gap_rows(p_inf, p_tr, lp_inf, lp_tr)
+
+
+def delta_gradient(
+    params: PolicyParams, probes: list[Context], infer: Engine, temperature: float = 1.0
+) -> np.ndarray:
+    """Exact gradient of the probe-averaged KL w.r.t. the weights.
+
+    Per probe, with p the inference and q the training distribution over
+    the shared scaled logits s, a unit change of s_j moves the inference
+    logit by the slope a_j of policy.inference_slope and the training
+    logit plainly. With delta = sum_k p_k (lp_k - lq_k):
+
+        d delta / d s_j = a_j p_j (lp_j - lq_j - delta) + q_j - p_j
+
+    accumulated on the probe's active feature rows, divided by the
+    temperature and the probe count. Raises NumericError, as
+    delta_and_gap does, if the inference logits overflow.
+    """
+    feats, keys_fixed, keys_version = _probe_rows(params, probes, infer)
+    train_logits = batched_train_logits(params, feats, temperature)
+    fixed = fixed_noise(keys_fixed, train_logits.shape[1])
+    infer_logits, fault_noise = inference_logits(train_logits, fixed, keys_version, infer.mismatch_scale)
+    check_inference_logits(infer_logits)
+    slope = inference_slope(train_logits, fixed, fault_noise, infer.mismatch_scale)
+    lp_inf, p_inf = batched_log_softmax(infer_logits)
+    lp_tr, p_tr = batched_log_softmax(train_logits)
+    ratio = lp_inf - lp_tr
+    delta_rows = (p_inf * ratio).sum(axis=1, keepdims=True)
+    d_s = slope * (p_inf * (ratio - delta_rows)) + p_tr - p_inf
+    d_s /= temperature * len(probes)
+    return weight_grad(feats, d_s, params.n_features)
+
+
+def _exact_reward_gradient(
+    params: PolicyParams,
+    probes: list[Context],
+    reward_table: np.ndarray,
+    temperature: float,
+) -> tuple[np.ndarray, float]:
+    """On-policy policy gradient of a fixed synthetic reward, in closed form.
+
+    Advantages are the rewards centered under the current training
+    distribution, so the expected advantage is zero per probe and the
+    per-probe gradient of E[reward] w.r.t. the scaled logits is q * A.
+    """
+    feats, _, _ = _probe_rows(params, probes, train_engine())
+    _, q = batched_log_softmax(batched_train_logits(params, feats, temperature))
+    baseline = (q * reward_table).sum(axis=1, keepdims=True)
+    d_s = q * (reward_table - baseline) / (temperature * len(probes))
+    return weight_grad(feats, d_s, params.n_features), float(baseline.mean())

@@ -22,8 +22,6 @@ from mismatchlab import (
     SyntheticPromptSource,
     Vocabulary,
     compounding_experiment,
-    delta_and_gap,
-    delta_gradient,
     infer_engine,
     init_params,
     make_probes,
@@ -44,15 +42,30 @@ from mismatchlab.config import (
     SweepSection,
     TasksSection,
 )
-from mismatchlab.discrepancy import _delta_and_gap_rows, _exact_reward_gradient, fit_affine_trace
+from mismatchlab.discrepancy import (
+    _delta_and_gap_rows,
+    _exact_reward_gradient,
+    delta_and_gap,
+    delta_gradient,
+    evaluate_probes,
+    fit_affine_trace,
+    probe_set,
+)
 from mismatchlab.policy import batched_train_logits, context_rows
+
+import oracles
+
+
+def evaluation(params, probes, infer, temperature=1.0):
+    """The package's one evaluation of the probes at params, hashed for params' shape and version."""
+    return evaluate_probes(probe_set(probes, params, infer, temperature), params)
 
 
 def test_zero_scale_gives_exactly_zero_delta() -> None:
     vocab = Vocabulary(size=8)
     params = init_params(vocab, n_features=32, init_scale=1.0, seed=4)
     probes = make_probes(64, vocab, 4)
-    delta, gap = delta_and_gap(params, probes, infer_engine(0.0, 7))
+    delta, gap = delta_and_gap(evaluation(params, probes, infer_engine(0.0, 7)))
     assert delta == 0.0
     assert gap == 0.0
 
@@ -74,7 +87,7 @@ def test_kl_nonnegative_on_random_draws() -> None:
     for _ in range(250):
         params = PolicyParams(rng.normal(0, 1.5, size=(16, 8)))
         scale = float(rng.uniform(0, 0.4))
-        delta, _ = delta_and_gap(params, probes, infer_engine(scale, int(rng.integers(0, 100))))
+        delta, _ = delta_and_gap(evaluation(params, probes, infer_engine(scale, int(rng.integers(0, 100)))))
         assert delta >= 0.0
 
 
@@ -87,14 +100,14 @@ def test_measure_carries_loss_diagnostics() -> None:
     sample = measure(params, probes, engine, step=5)
     assert sample.step == 5
     assert sample.delta > 0.0
-    assert (sample.delta, sample.max_token_gap) == delta_and_gap(params, probes, engine)
+    assert (sample.delta, sample.max_token_gap) == oracles.delta_and_gap(params, probes, engine)
 
 
 def test_measure_requires_probes() -> None:
     vocab = Vocabulary(size=8)
     params = init_params(vocab, n_features=16, init_scale=0.5, seed=1)
     with pytest.raises(ValueError):
-        delta_and_gap(params, [], infer_engine(0.1, 7))
+        measure(params, [], infer_engine(0.1, 7))
 
 
 def test_delta_gradient_matches_finite_differences() -> None:
@@ -102,7 +115,7 @@ def test_delta_gradient_matches_finite_differences() -> None:
     engine = infer_engine(0.12, 11)
     params = init_params(vocab, n_features=16, init_scale=0.9, seed=5)
     probes = make_probes(12, vocab, 99)
-    grad = delta_gradient(params, probes, engine)
+    grad = delta_gradient(evaluation(params, probes, engine))
     h = 1e-6
     fd = np.zeros_like(grad)
     for i in range(params.weights.shape[0]):
@@ -111,8 +124,8 @@ def test_delta_gradient_matches_finite_differences() -> None:
             wp[i, j] += h
             wm = params.weights.copy()
             wm[i, j] -= h
-            up, _ = delta_and_gap(PolicyParams(wp, params.version_id), probes, engine)
-            dn, _ = delta_and_gap(PolicyParams(wm, params.version_id), probes, engine)
+            up, _ = delta_and_gap(evaluation(PolicyParams(wp, params.version_id), probes, engine))
+            dn, _ = delta_and_gap(evaluation(PolicyParams(wm, params.version_id), probes, engine))
             fd[i, j] = (up - dn) / (2 * h)
     rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(grad))
     assert rel.max() < 1e-5
@@ -127,11 +140,11 @@ def test_direct_path_raises_when_the_inference_logits_overflow() -> None:
     probes = make_probes(64, vocab, 3)
     feats, _, _ = context_rows(*discrepancy.probe_windows(probes), params.n_features, infer, params.version_id)
     batched_train_logits(params, feats, 1.0)  # the training engine stays finite
-    assert delta_and_gap(params, probes, train_engine()) == (0.0, 0.0)
+    assert delta_and_gap(evaluation(params, probes, train_engine())) == (0.0, 0.0)
     calls = [
-        lambda: delta_and_gap(params, probes, infer),
+        lambda: delta_and_gap(evaluation(params, probes, infer)),
         lambda: measure(params, probes, infer),
-        lambda: delta_gradient(params, probes, infer),
+        lambda: delta_gradient(evaluation(params, probes, infer)),
     ]
     for call in calls:
         with pytest.raises(NumericError, match=r"^non-finite inference engine logits \(mismatch noise overflowed\)$"):
@@ -163,15 +176,15 @@ def test_theorem_aligned_trace_satisfies_growth_bound() -> None:
 
 
 def reference_theorem_aligned(theta_0, mu, n_steps, vocab, infer, probes, temperature=1.0, align_target=1.0, reward_seed=0):
-    """The theorem-aligned loop measuring each parameter state anew at every use, as it first did."""
+    """The theorem-aligned loop on the direct-path oracles, evaluating each parameter state anew at every use."""
     rng = np.random.default_rng(np.random.SeedSequence((reward_seed & ((1 << 64) - 1), 4)))
     reward_table = rng.uniform(-1.0, 1.0, size=(len(probes), vocab.size))
     params = theta_0.copy()
     deltas, dots_bias, dots_drift, grad_norms, resid_ls, samples = [], [], [], [], [], []
     for t in range(n_steps):
-        delta_t, gap_t = delta_and_gap(params, probes, infer, temperature)
-        grad_delta = delta_gradient(params, probes, infer, temperature)
-        g_star, _ = _exact_reward_gradient(params, probes, reward_table, temperature)
+        delta_t, gap_t = oracles.delta_and_gap(params, probes, infer, temperature)
+        grad_delta = oracles.delta_gradient(params, probes, infer, temperature)
+        g_star, _ = oracles._exact_reward_gradient(params, probes, reward_table, temperature)
         norm_sq = float((grad_delta * grad_delta).sum())
         if delta_t > 0.0 and norm_sq > 1e-30:
             bias = (align_target * delta_t / norm_sq) * grad_delta
@@ -185,11 +198,11 @@ def reference_theorem_aligned(theta_0, mu, n_steps, vocab, infer, probes, temper
         samples.append(DiscrepancySample(step=t, delta=delta_t, max_token_gap=gap_t))
         dot_total = float((grad_delta * g_total).sum())
         params = PolicyParams(params.weights + mu * g_total, version_id=params.version_id)
-        delta_next, _ = delta_and_gap(params, probes, infer, temperature)
+        delta_next, _ = oracles.delta_and_gap(params, probes, infer, temperature)
         g_sq = grad_norms[-1] ** 2
         if g_sq > 1e-30:
             resid_ls.append(2.0 * abs(delta_next - delta_t - mu * dot_total) / (mu * mu * g_sq))
-    delta_final, gap_final = delta_and_gap(params, probes, infer, temperature)
+    delta_final, gap_final = oracles.delta_and_gap(params, probes, infer, temperature)
     deltas.append(delta_final)
     samples.append(DiscrepancySample(step=n_steps, delta=delta_final, max_token_gap=gap_final))
     align_const = min(dots_bias[t] / deltas[t] for t in range(n_steps) if deltas[t] > 1e-15)
@@ -232,6 +245,53 @@ def test_theorem_aligned_trace_equals_the_reference_loop_bit_for_bit(monkeypatch
     assert [bits(s) for s in samples] == [bits(s) for s in want_samples]
     assert bits(fit) == bits(want_fit)
     assert not fit.vacuous and all(s.delta > 0.0 for s in samples)
+
+
+def test_compounding_hashes_its_probes_once_and_evaluates_each_state_once(monkeypatch) -> None:
+    vocab, engine, params, probes = theorem_setup()
+    calls = {"context_rows": 0, "fixed_noise": 0, "batched_train_logits": 0}
+    for name in calls:
+        wrapped = getattr(discrepancy, name)
+
+        def counted(*args, _name=name, _wrapped=wrapped):
+            calls[_name] += 1
+            return _wrapped(*args)
+
+        monkeypatch.setattr(discrepancy, name, counted)
+    compounding_experiment(params, 0.01, 5, vocab, engine, probes, align_target=1.0, reward_seed=3)
+    assert calls == {"context_rows": 1, "fixed_noise": 1, "batched_train_logits": 5 + 1}
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.37])
+@pytest.mark.parametrize("scale", [0.0, 0.22])
+def test_probe_evaluation_equals_the_direct_path_oracles_bit_for_bit(temperature: float, scale: float) -> None:
+    vocab, engine, params, probes = theorem_setup(scale)
+    reward_table = np.random.default_rng(5).uniform(-1.0, 1.0, size=(len(probes), vocab.size))
+    ev = evaluation(params, probes, engine, temperature)
+    got = delta_and_gap(ev)
+    want = oracles.delta_and_gap(params, probes, engine, temperature)
+    assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
+    assert (scale == 0.0) == (got == (0.0, 0.0))
+    pairs = [
+        (delta_gradient(ev), oracles.delta_gradient(params, probes, engine, temperature)),
+        (_exact_reward_gradient(ev, reward_table), oracles._exact_reward_gradient(params, probes, reward_table, temperature)[0]),
+    ]
+    for g, w in pairs:
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_probe_set_refuses_params_of_another_version_or_shape() -> None:
+    vocab, engine, params, probes = theorem_setup()
+    hashed = probe_set(probes, params, engine)
+    evaluate_probes(hashed, PolicyParams(params.weights + 1.0, params.version_id))
+    others = [
+        PolicyParams(params.weights, params.version_id + 1),
+        PolicyParams(params.weights[:-1], params.version_id),
+        PolicyParams(params.weights[:, :-1], params.version_id),
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="probes"):
+            evaluate_probes(hashed, other)
 
 
 def test_theorem_aligned_zero_scale_is_vacuous() -> None:

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from mismatchlab import NumericError, infer_engine
 from mismatchlab.policy import (
     FixedNoise,
-    check_inference_logits,
+    batched_log_softmax,
     context_rows,
+    engine_pair,
     feature_rows,
     fixed_noise,
     inference_error,
@@ -98,13 +99,15 @@ def test_split_noise_recomposes_noise_components(width: int) -> None:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_direct_inference_logits_and_slope_match_the_block_oracle(rows, width, max_exponent, scale, overflow, seed) -> None:
-    """perturb_logits and delta_gradient's checked logits and slope: finite rows bit for bit, overflowing rows raise."""
+    """perturb_logits, and delta_gradient's inference log-probs and slope: finite rows bit for bit, overflowing rows raise."""
 
     def logits_and_slope(logits, kf, kv, scale):
+        """engine_pair's inference log-probs and the slope of its fault noise, checked as evaluate_probes checks them."""
         fixed = fixed_noise(kf, logits.shape[1])
-        infer_logits, fault_noise = inference_logits(logits, fixed, kv, scale)
-        check_inference_logits(infer_logits)
-        return infer_logits, inference_slope(logits, fixed, fault_noise, scale)
+        log_probs, _, fault_noise, finite = engine_pair(logits, fixed, kv, scale)
+        if not finite.all():
+            raise NumericError("non-finite inference engine logits (mismatch noise overflowed)")
+        return log_probs[:, 1], inference_slope(logits, fixed, fault_noise, scale)
 
     rng = np.random.default_rng(seed)
     kf = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
@@ -122,12 +125,44 @@ def test_direct_inference_logits_and_slope_match_the_block_oracle(rows, width, m
         at = np.flatnonzero(finite)
         got = perturb_logits(logits[at], kf[at], kv[at], scale)
         got_logits, got_slope = logits_and_slope(logits[at], kf[at], kv[at], scale)
-        for g, w in ((got, want[at]), (got_logits, want[at]), (got_slope, want_slope[at])):
+        want_log_probs, _ = batched_log_softmax(want[at])
+        for g, w in ((got, want[at]), (got_logits, want_log_probs), (got_slope, want_slope[at])):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     for row in np.flatnonzero(~finite):
         for direct in (perturb_logits, logits_and_slope):
             with pytest.raises(NumericError, match="non-finite inference engine logits"):
                 direct(logits[row : row + 1], kf[row : row + 1], kv[row : row + 1], scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 64),
+    width=st.integers(2, 33),
+    scale=st.sampled_from([0.0, 0.05, 0.22, 1.5]),
+    overflow=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_engine_pair_equals_inference_logits_and_a_softmax_per_engine(rows, width, scale, overflow, seed) -> None:
+    """One softmax call over both engines gives each engine's own softmax, bit for bit, and its finite flags."""
+    rng = np.random.default_rng(seed)
+    kf = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
+    kv = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
+    logits = rng.normal(size=(rows, width)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1))
+    if overflow:
+        # Huge finite training logits overflow the inference engine; infinite ones overflow both.
+        hit = rng.random(rows) < 0.5
+        logits[hit, rng.integers(0, width)] = rng.choice([-1e307, 1e307, 4e307, np.inf, -np.inf], size=int(hit.sum()))
+    fixed = fixed_noise(kf, width)
+    log_probs, probs, fault_noise, finite = engine_pair(logits, fixed, kv, scale)
+    infer_logits, want_fault_noise = inference_logits(logits, fixed, kv, scale)
+    assert fault_noise.tobytes() == want_fault_noise.tobytes()
+    for engine, engine_logits in enumerate((logits, infer_logits)):
+        want_log_probs, want_probs = batched_log_softmax(engine_logits)
+        for got, want in ((log_probs[:, engine], want_log_probs), (probs[:, engine], want_probs)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert finite[:, engine].tolist() == np.isfinite(engine_logits).all(axis=1).tolist()
+    assert overflow or finite.all()
 
 
 @settings(max_examples=100, deadline=None)

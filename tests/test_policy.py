@@ -20,13 +20,13 @@ from mismatchlab import (
     ScriptedPromptSource,
     TaskSpec,
     Vocabulary,
-    delta_and_gap,
     infer_engine,
     init_params,
     make_state,
     train_engine,
 )
 from mismatchlab import scheduler
+from mismatchlab.discrepancy import delta_and_gap, evaluate_probes, probe_set
 from mismatchlab.policy import (
     _row_max,
     batched_log_softmax,
@@ -240,7 +240,10 @@ def test_mismatch_kl_nondecreasing_in_scale() -> None:
         Context(int(rng.integers(0, 400)), tuple(int(t) for t in rng.integers(0, 16, size=2)))
         for _ in range(60)
     ]
-    means = [delta_and_gap(params, contexts, infer_engine(scale, 7))[0] for scale in (0.0, 0.01, 0.05, 0.1, 0.2)]
+    means = [
+        delta_and_gap(evaluate_probes(probe_set(contexts, params, infer_engine(scale, 7)), params))[0]
+        for scale in (0.0, 0.01, 0.05, 0.1, 0.2)
+    ]
     assert all(b >= a for a, b in zip(means, means[1:]))
     assert means[0] == 0.0
 
@@ -263,9 +266,3 @@ def test_non_finite_weights_raise() -> None:
     with pytest.raises(NumericError):
         PolicyParams(weights)
 
-
-def test_vocabulary_invariants() -> None:
-    with pytest.raises(ValueError):
-        Vocabulary(size=1)
-    with pytest.raises(ValueError):
-        Vocabulary(size=4, eos_id=4)
