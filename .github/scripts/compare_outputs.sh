@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Byte-identity report: run the shipped-config commands, plus two compounding
-# configs derived from compounding.json, at a base commit and in the working
+# configs derived from compounding.json and a policy-length schedule config
+# derived from schedule_longtail.json, at a base commit and in the working
 # tree, then compare every output file.
 #
 # Usage: .github/scripts/compare_outputs.sh BASE_REV
@@ -20,7 +21,7 @@ if ! git -C "$head_dir" archive "$base_rev" | tar -x -C "$work/base"; then
   exit 0
 fi
 
-# run_side TREE OUT: the eight commands of the CI end-to-end step, with TREE's code and configs.
+# run_side TREE OUT: the nine commands of the CI end-to-end step, with TREE's code and configs.
 run_side() {
   local tree="$1" out="$2" run cmd path cfg
   mkdir -p "$out"
@@ -30,9 +31,13 @@ run_side() {
   # No shipped compounding config divides by a temperature (in delta_gradient and the reward gradient), so one is derived.
   python -c 'import json, sys; c = json.load(open(sys.argv[1])); c["policy"]["temperature"] = 0.7; print(json.dumps(c))' \
     "$tree/configs/compounding.json" > "$out/compounding_t07.json"
+  # No shipped config runs policy-length (EOS-ended) rollouts through both schedule modes at 512 tokens, so one is derived.
+  python -c 'import json, sys; c = json.load(open(sys.argv[1])); c["schedule"]["length_model"] = "policy"; print(json.dumps(c))' \
+    "$tree/configs/schedule_longtail.json" > "$out/schedule_policy_length.json"
   for run in train:configs/train_icepop.json train:configs/train_grpo.json schedule:configs/schedule_longtail.json \
       schedule:configs/schedule_uniform.json compounding:configs/compounding.json sweep:configs/sweep.json \
-      compounding:"$out/compounding_rl_loop.json" compounding:"$out/compounding_t07.json"; do
+      compounding:"$out/compounding_rl_loop.json" compounding:"$out/compounding_t07.json" \
+      schedule:"$out/schedule_policy_length.json"; do
     cmd="${run%%:*}" path="${run#*:}"
     case "$path" in /*) ;; *) path="$tree/$path" ;; esac
     cfg="$(basename "$path" .json)"

@@ -20,8 +20,7 @@ from .objective import (
     Algo,
     LossBreakdown,
     ObjectiveConfig,
-    PromptGroup,
-    group_advantages,
+    RolloutBatch,
     momentum_update,
     objective_and_grad,
     sgd_update,
@@ -37,9 +36,7 @@ from .policy import (
 )
 from .scheduler import (
     BudgetConfig,
-    Rollout,
     SchedulerState,
-    ScriptedPromptSource,
     StepReport,
     SyntheticPromptSource,
     make_state,
@@ -65,10 +62,8 @@ __all__ = [
     "NumericError",
     "ObjectiveConfig",
     "PolicyParams",
-    "PromptGroup",
-    "Rollout",
+    "RolloutBatch",
     "SchedulerState",
-    "ScriptedPromptSource",
     "StepReport",
     "SyntheticPromptSource",
     "TaskKind",
@@ -77,7 +72,6 @@ __all__ = [
     "Vocabulary",
     "compounding_experiment",
     "default_config",
-    "group_advantages",
     "infer_engine",
     "init_params",
     "load_config",

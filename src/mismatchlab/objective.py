@@ -12,8 +12,9 @@ importance ratio r_t = pi_train(theta) / pi_train(old). The mode decides
 m_t: the masked variant keeps c_t inside [alpha, beta] and zeroes it
 outside; the unmasked variant uses c_t as-is; the truncated variant caps
 it at a constant. m_t and the advantage are treated as constants in the
-gradient. Aggregation is token-mean within a rollout, mean over the
-group, mean over groups, in that fixed order so results are bit-stable.
+gradient. It reads a RolloutBatch, the emitted rollouts as flat arrays.
+Aggregation is token-mean within a rollout, mean over the group, mean
+over groups, in that fixed order so results are bit-stable.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,10 +35,6 @@ from .policy import (
     train_engine,
     weight_grad,
 )
-from .tasks import TaskSpec
-
-if TYPE_CHECKING:
-    from .scheduler import Rollout
 
 
 class Algo(enum.Enum):
@@ -91,20 +87,29 @@ class ObjectiveConfig:
             raise ConfigError("objective.momentum: must be in [0, 1)")
 
 
-@dataclass
-class PromptGroup:
-    """A prompt with its sibling rollouts, rewards, and group advantages."""
+@dataclass(frozen=True, eq=False)
+class RolloutBatch:
+    """Trainable rollouts as flat arrays, in groups of group_size consecutive rollouts; len() counts groups.
 
-    task: TaskSpec
-    rollouts: list["Rollout"]
-    rewards: list[float]
-    advantages: list[float]
+    Per rollout: its length, prompt id, reward, group advantage and uid.
+    Per token, each rollout's in order: the token id, its log probability
+    under the training and the inference engine at the generating
+    parameters, and that parameter version.
+    """
 
-    def __post_init__(self) -> None:
-        if not (len(self.rollouts) == len(self.rewards) == len(self.advantages)):
-            raise ValueError("rollouts, rewards, and advantages must have equal length")
-        if not all(math.isfinite(a) for a in self.advantages):
-            raise NumericError("group advantages contain non-finite values")
+    group_size: int
+    lengths: np.ndarray
+    prompt_ids: np.ndarray
+    rewards: np.ndarray
+    advantages: np.ndarray
+    uids: np.ndarray
+    tokens: np.ndarray
+    lp_train: np.ndarray
+    lp_infer: np.ndarray
+    versions: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lengths.size // self.group_size
 
 
 @dataclass
@@ -144,17 +149,14 @@ def empty_breakdown(params: PolicyParams) -> LossBreakdown:
     )
 
 
-def group_advantages(rewards: list[float] | np.ndarray) -> np.ndarray:
-    """Group z-scores with a 1e-6 std floor; zero-variance groups get zeros."""
-    r = np.asarray(rewards, dtype=np.float64)
-    if r.size < 2:
-        raise ValueError("advantage normalization needs a group of >= 2 rewards")
-    std = float(r.std())
-    return (r - r.mean()) / max(std, 1e-6)
+def spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices of the ranges [starts[i], starts[i] + lengths[i]), concatenated in order."""
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(int(lengths.sum()))
 
 
 def batch_group_advantages(rewards: np.ndarray) -> np.ndarray:
-    """group_advantages of every row of a (groups, group size) reward matrix, bit for bit."""
+    """Group z-scores of every row of a (groups, group size) reward matrix, with a 1e-6 std floor;
+    zero-variance groups get zeros."""
     r = np.asarray(rewards, dtype=np.float64)
     if r.ndim != 2 or r.shape[1] < 2:
         raise ValueError("advantage normalization needs groups of >= 2 rewards")
@@ -162,7 +164,7 @@ def batch_group_advantages(rewards: np.ndarray) -> np.ndarray:
 
 
 def objective_and_grad(
-    groups: list[PromptGroup],
+    batch: RolloutBatch,
     theta: PolicyParams,
     theta_old: PolicyParams,
     ref: PolicyParams | None,
@@ -174,48 +176,46 @@ def objective_and_grad(
 
     The current-train log probabilities are recomputed from theta, so the
     value is a pure function of theta given the generation-time fields
-    each rollout recorded; that is what the finite-difference checks
+    the batch recorded; that is what the finite-difference checks
     differentiate. The inputs are not modified. A calibration ratio that
     underflows to zero counts as outside any bounds (masked, or zero
     weight in the unmasked modes). The KL to ref is evaluated only when
     it enters the objective (kl_coeff > 0); kl_to_ref is nan otherwise.
 
-    Every token of every group is evaluated as one flat batch, with each
-    token weighted by 1 / (groups * group size * rollout length). The
-    reductions keep the per-rollout order (token sum per rollout, then
-    rollouts in group order, then groups), so results are bit-stable.
-
-    With a context table (at temperature, with every group's prompt
-    registered), the current-train feature rows, log probs and probs are
-    gathered from its rows at theta instead of evaluated; the values are
-    the same bits.
+    Every token of the batch is evaluated at once, each weighted by
+    1 / (groups * group size * rollout length). The value keeps the
+    per-rollout order (each rollout's pairwise token sum, then rollouts
+    in group order, then groups), so results are bit-stable. With a
+    context table (at temperature, with the batch's prompts registered),
+    the current-train feature rows, log probs and probs are gathered from
+    its rows at theta instead of evaluated: the same bits.
     """
-    if not groups:
+    lengths, group_size = batch.lengths, batch.group_size
+    if not lengths.size:
         raise ValueError("objective needs at least one prompt group")
     if theta_old.version_id > theta.version_id:
         raise ValueError("theta_old must not be newer than theta")
-    rollouts = [r for g in groups for r in g.rollouts]
-    if not all(g.rollouts for g in groups):
-        raise ValueError("empty prompt group")
-    if not all(r.tokens for r in rollouts):
+    if group_size < 1 or lengths.size % group_size:
+        raise ValueError("the batch's rollouts do not form whole groups")
+    if (lengths < 1).any():
         raise ValueError("empty rollout in prompt group")
-    if any(v > theta_old.version_id for r in rollouts for v in r.versions):
+    if (batch.versions > theta_old.version_id).any():
         raise ValueError("token generated by a version newer than theta_old")
+    if not np.isfinite(batch.advantages).all():
+        raise NumericError("group advantages contain non-finite values")
 
-    lengths = np.asarray([r.length for r in rollouts])
-    group_sizes = np.repeat([len(g.rollouts) for g in groups], [len(g.rollouts) for g in groups])
+    n_groups, tokens, lp_old, lp_inf = len(batch), batch.tokens, batch.lp_train, batch.lp_infer
     seg = np.repeat(np.arange(lengths.size), lengths)
-    tokens = np.fromiter((t for r in rollouts for t in r.tokens), np.int64, seg.size)
-    lp_old = np.fromiter((v for r in rollouts for v in r.lp_train), np.float64, seg.size)
-    lp_inf = np.fromiter((v for r in rollouts for v in r.lp_infer), np.float64, seg.size)
-    advantage = np.repeat([a for g in groups for a in g.advantages], lengths)
-    weight = 1.0 / (len(groups) * group_sizes * lengths)[seg]
+    advantage = np.repeat(batch.advantages, lengths)
+    weight = 1.0 / (n_groups * group_size * lengths)[seg]
     # Window before each token: (prev, last) shift along the rollout,
     # -1 where the rollout has not produced them yet.
-    pos = np.arange(seg.size) - (np.cumsum(lengths) - lengths)[seg]
-    last = np.where(pos >= 1, np.roll(tokens, 1), -1)
-    prev = np.where(pos >= 2, np.roll(tokens, 2), -1)
-    prompt_ids = np.repeat([r.task.prompt_id for r in rollouts], lengths)
+    starts = np.cumsum(lengths) - lengths
+    pos = np.arange(seg.size) - starts[seg]
+    shifted = np.concatenate([[-1, -1], tokens])
+    last = np.where(pos >= 1, shifted[1:-1], -1)
+    prev = np.where(pos >= 2, shifted[:-2], -1)
+    prompt_ids = np.repeat(batch.prompt_ids, lengths)
     if table is None:
         feats, _, _ = context_rows(prompt_ids, prev, last, theta.n_features, train_engine(), theta.version_id)
         log_probs, probs = batched_log_softmax(batched_train_logits(theta, feats, temperature))
@@ -269,15 +269,22 @@ def objective_and_grad(
     grad = weight_grad(feats, grad_logits, theta.n_features, lengths)
 
     token_values = pg_values - cfg.kl_coeff * kl_values
-    total = 0.0
-    end = 0
-    for group in groups:
-        group_value = 0.0
-        for rollout in group.rollouts:
-            start, end = end, end + rollout.length
-            group_value += float(token_values[start:end].sum()) / (len(group.rollouts) * rollout.length)
-        total += group_value
-    objective = total / len(groups)
+    # Each rollout's token sum is numpy's pairwise .sum() of its tokens. With the rollouts sorted by
+    # length, each length class is a C-contiguous matrix, whose row sums equal those, bit for bit.
+    order = np.argsort(lengths, kind="stable")
+    by_length, counts = token_values[spans(starts[order], lengths[order])], np.bincount(lengths)
+    class_sums, end = [], 0
+    for length in np.flatnonzero(counts).tolist():
+        class_sums.append(by_length[end : end + counts[length] * length].reshape(-1, length).sum(axis=1))
+        end += counts[length] * length
+    rollout_values = np.empty(lengths.size)
+    rollout_values[order] = np.concatenate(class_sums)
+    rollout_values /= group_size * lengths
+    group_values = np.zeros(n_groups)
+    for member in rollout_values.reshape(n_groups, group_size).T:
+        group_values += member
+    # cumsum adds in order, as a running total over the groups would.
+    objective = float(np.cumsum(group_values)[-1]) / n_groups
     if not math.isfinite(objective) or not np.isfinite(grad).all():
         raise NumericError("objective or gradient is not finite")
 

@@ -6,39 +6,35 @@ in ticks and weight sync adds a fixed tick cost per iteration.
 
 One loop, _rollout_loop, runs both kinds of iteration. Each sampled
 prompt spawns a full sibling group into a pending queue, whose members
-the pool admits one by one up to its capacity. The tick ends the
-rollouts it advances: one that reaches its token limit, or a
-policy-length one that samples EOS, turns terminal and leaves the pool.
-A group is emitted for training once every sibling is terminal. The two
-kinds differ in two rules: when the pool is refilled, and whether a
-token budget ends the iteration. Budget-partitioned (C3PO++-style)
-refills before every tick and stops once the completed tokens reach the
+the pool admits in order up to its capacity. A tick ends a rollout that
+reaches its token limit, or a policy-length one that samples EOS; it
+turns terminal and leaves the pool. A group is emitted for training once
+every sibling is terminal. Budget-partitioned (C3PO++-style) iterations
+refill before every tick and stop once the completed tokens reach the
 token budget; unfinished rollouts carry over under the updated
 parameters, and one that outlives the retention threshold is purged
 with its whole group. The single-pass baseline refills only an empty
-pool and stops when a refill leaves it empty: capacity-sized waves,
-each costing its longest rollout, and nothing carries over. In both,
-budget.tick_cap bounds the ticks of one iteration.
+pool and stops when a refill leaves it empty: capacity-sized waves, and
+nothing carries over. In both, budget.tick_cap bounds an iteration.
 
-Each rollout samples from its own uniforms, one per token, so pool
-scheduling order never perturbs another rollout's token sequence. They
-are the first draws of the rollout's tuple-seeded stream,
-default_rng(SeedSequence((seed & MASK64, 2, uid))), and must stay equal
-to it bit for bit: that stream defines replay. They are derived in bulk
-instead, per block of 4,096 uids: seed_sequence_states runs numpy's
-SeedSequence hash over every uid of the block at once, and pcg64_block
-runs PCG64 over them at once (its 128-bit state held as uint64 hi/lo
-pairs) to draw the first 8 uniforms of every uid. A rollout takes the
-uniforms it can use when it is spawned: up to 8 from the block, and any
-further ones from one PCG64 set to the block's end state for its uid
-through the public state setter.
+Live rollouts are columns of one int64 matrix, and their tokens slots of
+flat per-token arrays, one block of slots per rollout. So a tick is a
+few array operations whatever the pool's width, spawn writes a block of
+rollouts, the close finds complete groups with a bincount and verifies
+each task kind once, and the emitted groups reach the objective as a
+flat RolloutBatch. Ticks, the objective and the probe measure read both
+engines from the state's ContextTable, which evaluates in one pass per
+version every row readable then: the windows of the prompts in the
+pool, the pending queue and the prompt lookahead, and the probe rows.
 
-Ticks, the objective and the probe measure read both engines from the
-state's ContextTable. An iteration first draws its prompts into a
-lookahead, up to prompts_per_iteration, in the source's order; the
-table then evaluates, in one pass, every row readable at the version:
-the windows of the prompts in the pool, the pending queue and the
-lookahead, and train_loop's probe rows.
+Each rollout samples with its own uniforms, one per token, so the pool's
+order never perturbs another rollout's tokens. They are the first draws
+of its stream default_rng(SeedSequence((seed & MASK64, 2, uid))), bit
+for bit, which defines replay, derived in bulk per block of 4,096 uids:
+seed_sequence_states runs numpy's SeedSequence hash over the block, and
+pcg64_block runs PCG64 over it (128-bit states as uint64 hi/lo pairs) for
+the first 8 uniforms of every uid. Draws past 8 continue from the block's
+end state through PCG64's public state setter.
 """
 
 from __future__ import annotations
@@ -54,12 +50,13 @@ from .errors import ConfigError, TickCapError
 from .objective import (
     LossBreakdown,
     ObjectiveConfig,
-    PromptGroup,
+    RolloutBatch,
     batch_group_advantages,
     empty_breakdown,
     momentum_update,
     objective_and_grad,
     sgd_update,
+    spans,
 )
 from .policy import (
     Context,
@@ -73,7 +70,7 @@ from .policy import (
     batched_train_logits,  # noqa: F401
     perturb_logits,  # noqa: F401
 )
-from .tasks import TaskSpec, sample_prompt, verify
+from .tasks import TaskKind, TaskSpec, sample_prompt, verify
 
 _MASK64 = (1 << 64) - 1
 
@@ -109,39 +106,6 @@ class BudgetConfig:
             raise ConfigError("budget.prompts_per_iteration: must be >= 1")
         if self.tick_cap < 1:
             raise ConfigError("budget.tick_cap: must be >= 1")
-
-
-@dataclass
-class Rollout:
-    """One trajectory and the uniforms it samples its tokens with.
-
-    limit is the most tokens the rollout generates: its target length
-    when one was drawn, else its task's max_len. uniforms[i] draws token
-    i, the first limit draws of the rollout's own stream. A rollout is
-    terminal once it holds limit tokens or, without a target length,
-    once it samples EOS. Per generated token, in parallel lists: the
-    token id, its log probability under the inference and the training
-    engine, both at the generating parameters, and that parameter
-    version.
-    """
-
-    task: TaskSpec
-    uniforms: np.ndarray
-    uid: int
-    group_uid: int
-    limit: int
-    tokens: list[int] = field(default_factory=list)
-    lp_infer: list[float] = field(default_factory=list)
-    lp_train: list[float] = field(default_factory=list)
-    versions: list[int] = field(default_factory=list)
-    terminal: bool = False
-    retention_period: int = 0
-    target_len: int | None = None
-    row: int | None = None  # the current context's row in the state's table, from spawn on
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass
@@ -187,45 +151,44 @@ class SyntheticPromptSource:
         return task, lengths
 
 
-class ScriptedPromptSource:
-    """Finite list of (task, per-sibling target lengths) pairs, for fixtures."""
-
-    def __init__(self, prompts: list[tuple[TaskSpec, list[int]]]) -> None:
-        self.prompts = list(prompts)
-        self.cursor = 0
-
-    def next_prompt(
-        self, stream: np.random.Generator, group_size: int
-    ) -> tuple[TaskSpec, list[int | None]] | None:
-        if self.cursor >= len(self.prompts):
-            return None
-        task, lengths = self.prompts[self.cursor]
-        self.cursor += 1
-        if len(lengths) != group_size:
-            raise ValueError("scripted prompt must provide one target length per sibling")
-        return task, list(lengths)
+# The columns of SchedulerState.rollouts, one int64 entry per live rollout: its uid and group uid; its
+# task's prompt id, TaskKind code, target and max_len; its context's table row; the start of its block
+# of limit token slots, its length and limit; the token that ends it (EOS without a target length,
+# else -1); its retention period; 1 once terminal; and how many of its tokens have their log probs
+# and version recorded.
+_N_COLUMNS = 14
+(_UID, _GROUP, _PROMPT, _KIND, _TARGET, _MAX_LEN, _ROW, _START, _LENGTH, _LIMIT, _END_TOKEN, _RETENTION,
+ _TERMINAL, _RECORDED) = range(_N_COLUMNS)
+_KIND_CODE = {kind: code for code, kind in enumerate(TaskKind)}
+# The arrays of SchedulerState.slots, one entry per token slot: its uniform, and once generated the token,
+# the table row of its context, its log probs under both engines and its parameter version.
+_SLOTS = {"uniform": np.float64, "token": np.int64, "context": np.intp, "lp_train": np.float64, "lp_infer": np.float64,
+          "version": np.int64}
 
 
 @dataclass
 class SchedulerState:
-    """Inference pool, pending queue, prompt lookahead, live groups, and the run's counters.
+    """The live rollouts as arrays, the prompt lookahead, and the run's counters.
 
-    groups maps each live group's uid to its members, in uid order; its
-    terminal members are the rollouts waiting to train. lookahead holds
-    drawn prompts not yet spawned; probe_rows, train_loop's probe rows.
+    rollouts holds each live rollout as one column, in uid order: the
+    inference pool (the admitted non-terminal ones), the terminal ones
+    waiting for their group, and, as the last n_pending, the pending
+    queue. Each owns a block of limit slots in slots, in the same order
+    from slot 0. lookahead holds drawn prompts not yet spawned;
+    probe_rows, train_loop's probe rows.
     """
 
     vocab: Vocabulary
     infer: Engine
     temperature: float
-    source: SyntheticPromptSource | ScriptedPromptSource
+    source: SyntheticPromptSource
     prompt_stream: np.random.Generator
     seed: int
-    infer_pool: list[Rollout] = field(default_factory=list)
-    pending: deque[Rollout] = field(default_factory=deque)
+    rollouts: np.ndarray = field(default_factory=lambda: np.zeros((_N_COLUMNS, 0), dtype=np.int64))
+    n_pending: int = 0
+    slots: dict[str, np.ndarray] = field(default_factory=lambda: {name: np.zeros(0, dtype) for name, dtype in _SLOTS.items()})
     lookahead: deque[tuple[TaskSpec, list[int | None]]] = field(default_factory=deque)
     probe_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
-    groups: dict[int, list[Rollout]] = field(default_factory=dict)
     iteration: int = 0
     tick_clock: int = 0
     next_uid: int = 0
@@ -242,7 +205,7 @@ def make_state(
     seed: int,
     vocab: Vocabulary,
     infer: Engine,
-    source: SyntheticPromptSource | ScriptedPromptSource,
+    source: SyntheticPromptSource,
     temperature: float = 1.0,
 ) -> SchedulerState:
     prompt_stream = np.random.default_rng(np.random.SeedSequence((seed & _MASK64, 1)))
@@ -397,21 +360,29 @@ class RolloutUniforms:
         self._uniforms = np.zeros((0, _BLOCK_DRAWS))
         self._ends = np.zeros((0, 4), dtype=np.uint64)
 
-    def draw(self, uid: int, count: int) -> np.ndarray:
-        """The first count uniforms of uid's stream, as Generator.random(count) gives them."""
-        block, offset = divmod(uid, _UID_BLOCK)
+    def draw(self, first_uid: int, counts) -> np.ndarray:
+        """The first counts[i] uniforms of uid first_uid + i's stream, as Generator.random gives them,
+        concatenated in uid order."""
+        counts = np.asarray(counts, dtype=np.intp)
+        block, offset = divmod(first_uid, _UID_BLOCK)
+        if offset + counts.size > _UID_BLOCK:  # the uids run into the next block
+            split = _UID_BLOCK - offset
+            return np.concatenate([self.draw(first_uid, counts[:split]), self.draw(first_uid + split, counts[split:])])
         if block != self._block:
             self._uniforms, self._ends = pcg64_block(self._block_states(block), _BLOCK_DRAWS)
             self._block = block
+        heads = self._uniforms[offset : offset + counts.size]
+        if counts.max(initial=0) <= _BLOCK_DRAWS:
+            return heads[np.arange(_BLOCK_DRAWS) < counts[:, None]]
+        return np.concatenate([self._stream(offset + i, count) for i, count in enumerate(counts.tolist())])
+
+    def _stream(self, offset: int, count: int) -> np.ndarray:
+        """The first count uniforms of the stream at offset in the current block."""
         if count <= _BLOCK_DRAWS:
             return self._uniforms[offset, :count]
         hi, lo, inc_hi, inc_lo = self._ends[offset].tolist()
-        self._bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": (hi << 64) | lo, "inc": (inc_hi << 64) | inc_lo},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        state = {"state": (hi << 64) | lo, "inc": (inc_hi << 64) | inc_lo}
+        self._bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
         return np.concatenate([self._uniforms[offset], self._generator.random(count - _BLOCK_DRAWS)])
 
     def _block_states(self, block: int) -> np.ndarray:
@@ -421,46 +392,80 @@ class RolloutUniforms:
         return seed_sequence_states(entropy)
 
 
-def _spawn_group(state: SchedulerState, group_cfg: ObjectiveConfig) -> bool:
-    """Queue the sibling rollouts of the next prompt, from the lookahead, else the source; False when exhausted."""
-    drawn = state.lookahead.popleft() if state.lookahead else state.source.next_prompt(state.prompt_stream, group_cfg.group_size)
-    if drawn is None:
-        return False
-    task, lengths = drawn
-    group_uid = state.next_group_uid
-    state.next_group_uid += 1
-    state.table.add([task.prompt_id])
-    first_row = state.table.prompt_row(task.prompt_id)
-    members: list[Rollout] = []
-    for target in lengths:
-        uid = state.next_uid
-        state.next_uid += 1
-        limit = task.max_len if target is None else max(target, 1)
-        rollout = Rollout(
-            task=task,
-            uniforms=state.rollout_uniforms.draw(uid, limit),
-            uid=uid,
-            group_uid=group_uid,
-            limit=limit,
-            target_len=target,
-            row=first_row,
-        )
-        members.append(rollout)
-        state.pending.append(rollout)
-    state.groups[group_uid] = members
-    return True
+def _keep(state: SchedulerState, keep: np.ndarray) -> None:
+    """Keep only the rollouts where keep is set, their slot blocks packed in order."""
+    rollouts = state.rollouts[:, keep]
+    at = spans(rollouts[_START], rollouts[_LIMIT])
+    for column in state.slots.values():
+        column[: at.size] = column[at]
+    rollouts[_START] = np.cumsum(rollouts[_LIMIT]) - rollouts[_LIMIT]
+    state.rollouts = rollouts
 
 
-def _refill(state: SchedulerState, cfg: BudgetConfig, group_cfg: ObjectiveConfig, sampled_this_iter: int) -> int:
-    """Admit pending rollouts and sample new prompts while capacity allows."""
-    while len(state.infer_pool) < cfg.infer_capacity:
-        if state.pending:
-            state.infer_pool.append(state.pending.popleft())
+def _spawn_groups(state: SchedulerState, group_cfg: ObjectiveConfig, wanted: int) -> int:
+    """Queue the sibling rollouts of up to wanted next prompts, from the lookahead, else the source, as one
+    block of pending rollouts whose slots take their uniforms in one draw; returns how many were spawned."""
+    groups, lengths = [], []
+    while len(groups) < wanted:
+        if state.lookahead:  # its prompts are registered in the table
+            task, targets = state.lookahead.popleft()
+        else:
+            drawn = state.source.next_prompt(state.prompt_stream, group_cfg.group_size)
+            if drawn is None:
+                break
+            task, targets = drawn
+            state.table.add([task.prompt_id])
+        groups.append((0, state.next_group_uid + len(groups), task.prompt_id, _KIND_CODE[task.kind], task.target, task.max_len,
+                       state.table.prompt_row(task.prompt_id), 0, 0, task.max_len, state.vocab.eos_id, 0, 0, 0))
+        lengths.append(targets)
+    if not groups:
+        return 0
+    target = np.array(lengths, dtype=np.float64).ravel()  # a missing target length is nan
+    has_target = ~np.isnan(target)
+    block = np.repeat(np.array(groups, dtype=np.int64).T, target.size // len(groups), axis=1)
+    block[_UID] = np.arange(state.next_uid, state.next_uid + target.size)
+    block[_LIMIT][has_target] = np.maximum(target[has_target], 1)
+    block[_END_TOKEN][has_target] = -1
+    end = int(state.rollouts[_START, -1] + state.rollouts[_LIMIT, -1]) if state.rollouts.shape[1] else 0
+    block[_START] = end + np.cumsum(block[_LIMIT]) - block[_LIMIT]
+    new_end = int(block[_START, -1] + block[_LIMIT, -1])
+    if new_end > state.slots["uniform"].size:
+        grown = max(new_end, 2 * state.slots["uniform"].size)
+        state.slots = {name: np.concatenate([column[:end], np.zeros(grown - end, column.dtype)]) for name, column in state.slots.items()}
+    state.slots["uniform"][end:new_end] = state.rollout_uniforms.draw(state.next_uid, block[_LIMIT])
+    state.rollouts = np.concatenate([state.rollouts, block], axis=1)
+    state.n_pending += target.size
+    state.next_uid += target.size
+    state.next_group_uid += len(groups)
+    return len(groups)
+
+
+def _refill(
+    state: SchedulerState, cfg: BudgetConfig, group_cfg: ObjectiveConfig, sampled_this_iter: int, pool: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """Admit pending rollouts, in queue order, and sample new prompts while capacity allows; returns the
+    prompts sampled so far and the refilled pool (its columns of state.rollouts). The prompts the free
+    capacity takes spawn as one block, as spawning each after admitting the last one's group would."""
+    while pool.size < cfg.infer_capacity:
+        if state.n_pending:
+            first = state.rollouts.shape[1] - state.n_pending
+            admitted = min(cfg.infer_capacity - pool.size, state.n_pending)
+            pool = np.concatenate([pool, np.arange(first, first + admitted)])
+            state.n_pending -= admitted
             continue
-        if sampled_this_iter >= cfg.prompts_per_iteration or not _spawn_group(state, group_cfg):
+        wanted = min(-(-(cfg.infer_capacity - pool.size) // group_cfg.group_size), cfg.prompts_per_iteration - sampled_this_iter)
+        spawned = _spawn_groups(state, group_cfg, wanted) if wanted > 0 else 0
+        if not spawned:
             break
-        sampled_this_iter += 1
-    return sampled_this_iter
+        sampled_this_iter += spawned
+    return sampled_this_iter, pool
+
+
+def _in_pool(state: SchedulerState) -> np.ndarray:
+    """Mask of the rollouts in the inference pool: admitted and not terminal."""
+    in_pool = state.rollouts[_TERMINAL] == 0
+    in_pool[state.rollouts.shape[1] - state.n_pending :] = False
+    return in_pool
 
 
 def _load_version(state: SchedulerState, params: PolicyParams, cfg: BudgetConfig, group_cfg: ObjectiveConfig) -> None:
@@ -471,113 +476,100 @@ def _load_version(state: SchedulerState, params: PolicyParams, cfg: BudgetConfig
         if drawn is None:
             break
         state.lookahead.append(drawn)
-    live = dict.fromkeys(r.task.prompt_id for queue in (state.infer_pool, state.pending) for r in queue)
-    live.update(dict.fromkeys(task.prompt_id for task, _ in state.lookahead))
-    state.table.add(live)
+    drawn_ids = [task.prompt_id for task, _ in state.lookahead]
+    state.table.add(drawn_ids)
+    live = dict.fromkeys(state.rollouts[_PROMPT][state.rollouts[_TERMINAL] == 0].tolist() + drawn_ids)
     state.table.load(params, np.concatenate([state.table.rows_of(live), state.probe_rows]))
 
 
-def _generate_tick(rollouts: list[Rollout], params: PolicyParams, state: SchedulerState) -> list[Rollout]:
-    """One parallel token for every listed rollout, read from the state's context table.
-
-    The rows are read after the table's check, which evaluates any row
-    the version's pass missed. Each rollout samples its next token with
-    its own next uniform. Returns the rollouts this token made terminal,
-    in list order.
-    """
-    table = state.table
+def _generate_tick(state: SchedulerState, pool: np.ndarray, params: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
+    """One parallel token for every rollout of the pool, each sampled with the next uniform of its slots from
+    the state's context table, read after the table's check (which evaluates any row the version's pass
+    missed). Returns the pool without the rollouts this token made terminal, and their lengths."""
+    table, rollouts, slots = state.table, state.rollouts, state.slots
     table.load(params)
-    n = len(rollouts)
-    rows = np.fromiter((r.row for r in rollouts), np.intp, n)
+    row_of, length_of = rollouts[_ROW], rollouts[_LENGTH]
+    rows = row_of[pool]
     table.check(rows)
-    u = np.fromiter((r.uniforms[len(r.tokens)] for r in rollouts), np.float64, n)
-    # Inverse CDF: the count of cdf entries <= u is searchsorted(side="right").
-    tokens = np.minimum((table.cdf[rows] <= u[:, None]).sum(axis=1), table.vocab_size - 1)
-    version = params.version_id
-    eos = state.vocab.eos_id
-    finished: list[Rollout] = []
-    for rollout, token, row, lp_inf, lp_tr in zip(
-        rollouts,
-        tokens.tolist(),
-        table.advance(rows, tokens).tolist(),
-        table.lp_infer[rows, tokens].tolist(),
-        table.lp_train[rows, tokens].tolist(),
-    ):
-        rollout.tokens.append(token)
-        rollout.lp_infer.append(lp_inf)
-        rollout.lp_train.append(lp_tr)
-        rollout.versions.append(version)
-        rollout.row = row
-        if len(rollout.tokens) >= rollout.limit or (token == eos and rollout.target_len is None):
-            rollout.terminal = True
-            finished.append(rollout)
-    return finished
+    length = length_of[pool]
+    at = rollouts[_START][pool] + length
+    # Inverse CDF: the count of cdf entries <= u is searchsorted(side="right"), clamped at V - 1;
+    # the cdf rises, so counting among its first V - 1 entries clamps it.
+    tokens = (table.cdf[:, :-1][rows] <= slots["uniform"][at][:, None]).sum(axis=1)
+    slots["token"][at] = tokens
+    slots["context"][at] = rows
+    row_of[pool] = table.advance(rows, tokens)
+    length += 1
+    length_of[pool] = length
+    ended = (length >= rollouts[_LIMIT][pool]) | (tokens == rollouts[_END_TOKEN][pool])
+    if not ended.any():
+        return pool, length[:0]
+    rollouts[_TERMINAL][pool[ended]] = 1
+    return pool[~ended], length[ended]
 
 
 def _purge_boundary(state: SchedulerState, cfg: BudgetConfig) -> int:
     """Age carried-over rollouts, purge overextended ones with their groups."""
-    for rollout in state.infer_pool:
-        rollout.retention_period += 1
-    dead_groups = {
-        r.group_uid for r in state.infer_pool if r.retention_period > cfg.retention_threshold
-    }
-    if not dead_groups:
+    rollouts = state.rollouts
+    in_pool = _in_pool(state)
+    rollouts[_RETENTION][in_pool] += 1
+    dead_groups = rollouts[_GROUP][in_pool & (rollouts[_RETENTION] > cfg.retention_threshold)]
+    if not dead_groups.size:
         return 0
-    purged = sum(len(state.groups.pop(group_uid)) for group_uid in dead_groups)
-    state.infer_pool = [r for r in state.infer_pool if r.group_uid not in dead_groups]
-    state.pending = deque(r for r in state.pending if r.group_uid not in dead_groups)
-    return purged
+    dead = np.isin(rollouts[_GROUP], dead_groups)
+    state.n_pending -= int(dead[rollouts.shape[1] - state.n_pending :].sum())
+    _keep(state, ~dead)
+    return int(dead.sum())
 
 
 def _close_iteration(
-    state: SchedulerState,
-    params_version: int,
-    ticks: int,
-    trained_tokens: int,
-    completed: int,
-    purged: int,
+    state: SchedulerState, group_size: int, params_version: int, ticks: int, trained_tokens: int, completed: int, purged: int,
     resumed: int,
-) -> tuple[StepReport, list[PromptGroup]]:
-    """The close of an iteration: emit, report, advance the iteration.
+) -> tuple[StepReport, RolloutBatch]:
+    """The close of an iteration: record, emit, report, advance the iteration.
 
-    Every group whose siblings are all terminal is emitted, in group
-    order, and leaves state.groups, which keeps only live groups.
+    First the log probs and the version of every token generated since
+    the last close are read from the table, which holds the generating
+    version until the next load. Then every group whose siblings are all
+    terminal is emitted, in group order, and leaves state.rollouts.
     """
-    ready = [(uid, members) for uid, members in state.groups.items() if all(m.terminal for m in members)]
-    groups: list[PromptGroup] = []
-    emitted = stale = 0
-    if ready:
-        rewards = np.array(
-            [[verify(m.task, m.tokens, state.vocab) for m in members] for _, members in ready],
-            dtype=np.float64,
-        )
-        advantages = batch_group_advantages(rewards)
-        for (uid, members), reward_row, advantage_row in zip(ready, rewards.tolist(), advantages.tolist()):
-            del state.groups[uid]
-            groups.append(
-                PromptGroup(task=members[0].task, rollouts=members, rewards=reward_row, advantages=advantage_row)
-            )
-            for member in members:
-                emitted += member.length
-                stale += sum(1 for v in member.versions if v < params_version)
+    rollouts, slots = state.rollouts, state.slots
+    at = spans(rollouts[_START] + rollouts[_RECORDED], rollouts[_LENGTH] - rollouts[_RECORDED])
+    for engine in ("lp_train", "lp_infer"):
+        slots[engine][at] = getattr(state.table, engine)[slots["context"][at], slots["token"][at]]
+    slots["version"][at] = params_version
+    rollouts[_RECORDED] = rollouts[_LENGTH]
+
+    group = rollouts[_GROUP] - rollouts[_GROUP, :1].sum()  # group uids from 0; they rise along the rollouts
+    ready = (np.bincount(group, weights=rollouts[_TERMINAL]) == np.bincount(group))[group]
+    emitted = rollouts[:, ready]
+    lengths = emitted[_LENGTH]
+    at = spans(emitted[_START], lengths)
+    tokens = slots["token"][at]
+    rewards = np.zeros(lengths.size)
+    for kind, code in _KIND_CODE.items():
+        of_kind = emitted[_KIND] == code
+        if of_kind.any():
+            rewards[of_kind] = verify(kind, emitted[_TARGET][of_kind], emitted[_MAX_LEN][of_kind],
+                                      tokens[np.repeat(of_kind, lengths)], lengths[of_kind], state.vocab)
+    rewards = rewards.reshape(-1, group_size)
+    batch = RolloutBatch(group_size, lengths, emitted[_PROMPT], rewards.ravel(), batch_group_advantages(rewards).ravel(),
+                         emitted[_UID], tokens, slots["lp_train"][at], slots["lp_infer"][at], slots["version"][at])
+    if lengths.size:
+        _keep(state, ~ready)
+    emitted_tokens = int(lengths.sum())
     report = StepReport(
-        iteration=state.iteration,
-        rollout_ticks=ticks,
-        trained_tokens=trained_tokens,
-        purged_rollouts=purged,
-        resumed_rollouts=resumed,
-        completed_rollouts=completed,
-        stale_token_fraction=stale / emitted if emitted else 0.0,
-        emitted_groups=len(groups),
-        emitted_tokens=emitted,
-        reward_mean=float(np.mean(rewards)) if ready else math.nan,
+        iteration=state.iteration, rollout_ticks=ticks, trained_tokens=trained_tokens, purged_rollouts=purged,
+        resumed_rollouts=resumed, completed_rollouts=completed, emitted_groups=len(batch), emitted_tokens=emitted_tokens,
+        stale_token_fraction=int((batch.versions < params_version).sum()) / emitted_tokens if emitted_tokens else 0.0,
+        reward_mean=float(np.mean(rewards)) if lengths.size else math.nan,
     )
     state.iteration += 1
-    return report, groups
+    return report, batch
 
 
-def _rollout_loop(state, params_t, cfg, group_cfg, trace, baseline: bool) -> tuple[StepReport, list[PromptGroup]]:
-    """The one rollout loop of both kinds of iteration; returns the report and the emitted groups.
+def _rollout_loop(state, params_t, cfg, group_cfg, trace, baseline: bool) -> tuple[StepReport, RolloutBatch]:
+    """The one rollout loop of both kinds of iteration; returns the report and the emitted batch.
 
     Budget-partitioned: refill the pool before every tick, and stop once
     the completed tokens reach cfg.token_budget or no rollout is left.
@@ -588,31 +580,29 @@ def _rollout_loop(state, params_t, cfg, group_cfg, trace, baseline: bool) -> tup
     times an iteration under one span.
     """
     purged = _purge_boundary(state, cfg)
-    resumed = sum(1 for r in state.infer_pool if r.tokens)
+    pool = np.flatnonzero(_in_pool(state))
+    resumed = int(np.count_nonzero(state.rollouts[_LENGTH][pool]))
     _load_version(state, params_t, cfg, group_cfg)
 
     counter = ticks = completed = sampled_this_iter = 0
     while baseline or counter < cfg.token_budget:
-        if not (baseline and state.infer_pool):
-            sampled_this_iter = _refill(state, cfg, group_cfg, sampled_this_iter)
-        if not state.infer_pool:
+        if not (baseline and pool.size):
+            sampled_this_iter, pool = _refill(state, cfg, group_cfg, sampled_this_iter, pool)
+        if not pool.size:
             break
         if ticks >= cfg.tick_cap:
             raise TickCapError(f"iteration {state.iteration} did not end within budget.tick_cap = {cfg.tick_cap} ticks")
-        active = len(state.infer_pool)
-        finished = _generate_tick(state.infer_pool, params_t, state)
-        if finished:
-            state.infer_pool = [r for r in state.infer_pool if not r.terminal]
-            counter += sum(r.length for r in finished)
-            completed += len(finished)
+        n_active = pool.size
+        pool, ended = _generate_tick(state, pool, params_t)
+        if ended.size:
+            counter += int(ended.sum())
+            completed += ended.size
         ticks += 1
         state.tick_clock += 1
         if trace is not None:
-            trace.append(
-                {"tick": state.tick_clock, "active": active, "completed": len(finished),
-                 "counter": counter, "pool_after": len(state.infer_pool)}
-            )
-    return _close_iteration(state, params_t.version_id, ticks, counter, completed, purged, resumed)
+            trace.append({"tick": state.tick_clock, "active": n_active, "completed": ended.size, "counter": counter,
+                          "pool_after": pool.size})
+    return _close_iteration(state, group_cfg.group_size, params_t.version_id, ticks, counter, completed, purged, resumed)
 
 
 def run_iteration(
@@ -621,7 +611,7 @@ def run_iteration(
     cfg: BudgetConfig,
     group_cfg: ObjectiveConfig,
     trace: list | None = None,
-) -> tuple[StepReport, list[PromptGroup]]:
+) -> tuple[StepReport, RolloutBatch]:
     """One budget-partitioned iteration; trace, when given, gets one row per tick."""
     return _rollout_loop(state, params_t, cfg, group_cfg, trace, baseline=False)
 
@@ -631,7 +621,7 @@ def run_iteration_baseline(
     params_t: PolicyParams,
     cfg: BudgetConfig,
     group_cfg: ObjectiveConfig,
-) -> tuple[StepReport, list[PromptGroup]]:
+) -> tuple[StepReport, RolloutBatch]:
     """One single-pass iteration: its prompt batch run to termination, nothing carried over."""
     return _rollout_loop(state, params_t, cfg, group_cfg, None, baseline=True)
 
@@ -670,16 +660,16 @@ def train_loop(
     results: list[tuple[StepReport, LossBreakdown, DiscrepancySample]] = []
     step = run_iteration_baseline if baseline else run_iteration
     for _ in range(n_iterations):
-        report, groups = step(state, params, cfg, objective)
-        if groups:
-            loss = objective_and_grad(groups, params, params, ref, objective, state.temperature, table)
+        report, batch = step(state, params, cfg, objective)
+        if batch:
+            loss = objective_and_grad(batch, params, params, ref, objective, state.temperature, table)
         else:
             loss = empty_breakdown(params)
         sample = measure(params, probes, state.infer, state.temperature, step=report.iteration, table=table, rows=probe_rows)
         results.append((report, loss, sample))
         if on_step is not None:
             on_step(report, loss, sample)
-        if groups:
+        if batch:
             if objective.optimizer == "momentum":
                 params, velocity = momentum_update(
                     params, loss.grad, velocity, objective.learning_rate, objective.momentum

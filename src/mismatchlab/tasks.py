@@ -3,7 +3,8 @@
 Three binary-reward task kinds keep reward variance alive across groups:
 parity of the non-EOS token count, token-id sum modulo the vocabulary
 size, and copying a prescribed short prefix. Each kind has both
-satisfying and non-satisfying completions within any max_len.
+satisfying and non-satisfying completions within any max_len; verify
+checks a batch of completions of one kind at once.
 """
 
 from __future__ import annotations
@@ -101,17 +102,25 @@ def sample_prompt(stream: np.random.Generator, vocab: Vocabulary, max_len: int) 
     )
 
 
-def verify(task: TaskSpec, completion: tuple[int, ...] | list[int], vocab: Vocabulary) -> float:
-    """Binary reward: 1.0 iff the completion satisfies the task predicate."""
-    tokens = tuple(completion)
-    for t in tokens:
-        if not 0 <= t < vocab.size:
-            raise ValueError(f"completion token {t} outside vocabulary")
-    if task.kind is TaskKind.PARITY_MATCH:
-        count = sum(1 for t in tokens if t != vocab.eos_id)
-        return 1.0 if count % 2 == task.target else 0.0
-    if task.kind is TaskKind.TARGET_SUM:
-        return 1.0 if sum(tokens) % vocab.size == task.target else 0.0
-    pattern = prefix_pattern(task, vocab)
-    k = len(pattern)
-    return 1.0 if len(tokens) >= k and tokens[:k] == pattern else 0.0
+def verify(kind: TaskKind, targets: np.ndarray, max_lens: np.ndarray, tokens: np.ndarray, lengths: np.ndarray,
+           vocab: Vocabulary) -> np.ndarray:
+    """Binary rewards of completions of one task kind, given flat with their lengths, and their tasks'
+    targets and max_lens: 1.0 where a completion satisfies its task. Raises ValueError on the first
+    token, in that order, outside the vocabulary."""
+    outside = (tokens < 0) | (tokens >= vocab.size)
+    if outside.any():
+        raise ValueError(f"completion token {tokens[outside.argmax()]} outside vocabulary")
+    completion = np.repeat(np.arange(lengths.size), lengths)
+    if kind is TaskKind.PARITY_MATCH:
+        count = np.bincount(completion, weights=tokens != vocab.eos_id, minlength=lengths.size)
+        return (count % 2 == targets).astype(np.float64)
+    if kind is TaskKind.TARGET_SUM:
+        total = np.bincount(completion, weights=tokens, minlength=lengths.size)
+        return (total % vocab.size == targets).astype(np.float64)
+    # prefix_pattern's digits, one prefix position at a time; the padding keeps every read in range.
+    k, starts, padded = np.minimum(2, max_lens), np.cumsum(lengths) - lengths, np.concatenate([tokens, [-1, -1]])
+    match = lengths >= k
+    for i in range(2):
+        digit = targets // (vocab.size - 1) ** i % (vocab.size - 1)
+        match &= (i >= k) | (padded[starts + i] == np.where(digit < vocab.eos_id, digit, digit + 1))
+    return match.astype(np.float64)

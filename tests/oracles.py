@@ -8,8 +8,14 @@ the fault term instead. Off the fault entries the masked term is
 that term is exactly zero (a Box-Muller radius of exactly 0, probability
 about 2^-53 per entry), so the two agree bit for bit.
 
-The single-pass baseline as its own wave loop, which the scheduler runs
-as its one rollout loop refilling only an empty pool.
+The rollout loop over one Rollout object per rollout, with token lists,
+a list pool, a pending deque and a dict of groups: the scheduler keeps
+the same rollouts as columns of arrays, and must equal it bit for bit.
+With it, the scalar verify (the oracle of the batched one), the group
+z-score of one group (of batch_group_advantages), and a scripted prompt
+source for fixtures. The single-pass baseline as its own wave loop,
+which the scheduler runs as its one rollout loop refilling only an empty
+pool.
 
 The probe discrepancy, its gradient and the reward gradient on the
 direct path, each state evaluated anew per call: the probes hashed by
@@ -21,10 +27,14 @@ evaluates a probe set hashed once through engine_pair instead.
 from __future__ import annotations
 
 import math
+from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from mismatchlab.discrepancy import _delta_and_gap_rows, probe_windows
+from mismatchlab.errors import NumericError, TickCapError
+from mismatchlab.objective import ObjectiveConfig, batch_group_advantages
 from mismatchlab.policy import (
     _DENSE_TAIL_CUT,
     _DENSE_TAIL_GAIN,
@@ -43,8 +53,10 @@ from mismatchlab.policy import (
     _VERSION_WEIGHT,
     _XOR_B,
     Context,
+    ContextTable,
     Engine,
     PolicyParams,
+    Vocabulary,
     _splitmix64_vec,
     batched_log_softmax,
     batched_train_logits,
@@ -57,7 +69,8 @@ from mismatchlab.policy import (
     train_engine,
     weight_grad,
 )
-from mismatchlab.scheduler import _close_iteration, _generate_tick, _spawn_group
+from mismatchlab.scheduler import BudgetConfig, StepReport, SyntheticPromptSource
+from mismatchlab.tasks import TaskKind, TaskSpec, prefix_pattern
 
 
 def _unit_noise_matrix(keys, width, tail_cut, tail_gain):
@@ -110,7 +123,359 @@ def block_slope(train_logits, kf, kv, scale):
     return 1.0 + scale * _FAULT_GAIN * faults * np.sign(train_logits) * fault_noise
 
 
-def baseline_wave_loop(state, params_t, cfg, group_cfg):
+_MASK64 = (1 << 64) - 1
+
+
+class UidStreams:
+    """Each rollout's uniforms drawn from its own stream default_rng(SeedSequence((seed & MASK64, 2, uid))),
+    the definition the scheduler's bulk draws reproduce."""
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+
+    def draw(self, uid: int, count: int) -> np.ndarray:
+        return np.random.default_rng(np.random.SeedSequence((self.seed & _MASK64, 2, uid))).random(count)
+
+
+def verify(task: TaskSpec, completion: tuple[int, ...] | list[int], vocab: Vocabulary) -> float:
+    """Binary reward: 1.0 iff the completion satisfies the task predicate."""
+    tokens = tuple(completion)
+    for t in tokens:
+        if not 0 <= t < vocab.size:
+            raise ValueError(f"completion token {t} outside vocabulary")
+    if task.kind is TaskKind.PARITY_MATCH:
+        count = sum(1 for t in tokens if t != vocab.eos_id)
+        return 1.0 if count % 2 == task.target else 0.0
+    if task.kind is TaskKind.TARGET_SUM:
+        return 1.0 if sum(tokens) % vocab.size == task.target else 0.0
+    pattern = prefix_pattern(task, vocab)
+    k = len(pattern)
+    return 1.0 if len(tokens) >= k and tokens[:k] == pattern else 0.0
+
+
+def group_advantages(rewards: list[float] | np.ndarray) -> np.ndarray:
+    """Group z-scores with a 1e-6 std floor; zero-variance groups get zeros."""
+    r = np.asarray(rewards, dtype=np.float64)
+    if r.size < 2:
+        raise ValueError("advantage normalization needs a group of >= 2 rewards")
+    std = float(r.std())
+    return (r - r.mean()) / max(std, 1e-6)
+
+
+@dataclass
+class PromptGroup:
+    """A prompt with its sibling rollouts, rewards, and group advantages."""
+
+    task: TaskSpec
+    rollouts: list["Rollout"]
+    rewards: list[float]
+    advantages: list[float]
+
+    def __post_init__(self) -> None:
+        if not (len(self.rollouts) == len(self.rewards) == len(self.advantages)):
+            raise ValueError("rollouts, rewards, and advantages must have equal length")
+        if not all(math.isfinite(a) for a in self.advantages):
+            raise NumericError("group advantages contain non-finite values")
+
+
+@dataclass
+class Rollout:
+    """One trajectory and the uniforms it samples its tokens with.
+
+    limit is the most tokens the rollout generates: its target length
+    when one was drawn, else its task's max_len. uniforms[i] draws token
+    i, the first limit draws of the rollout's own stream. A rollout is
+    terminal once it holds limit tokens or, without a target length,
+    once it samples EOS. Per generated token, in parallel lists: the
+    token id, its log probability under the inference and the training
+    engine, both at the generating parameters, and that parameter
+    version.
+    """
+
+    task: TaskSpec
+    uniforms: np.ndarray
+    uid: int
+    group_uid: int
+    limit: int
+    tokens: list[int] = field(default_factory=list)
+    lp_infer: list[float] = field(default_factory=list)
+    lp_train: list[float] = field(default_factory=list)
+    versions: list[int] = field(default_factory=list)
+    terminal: bool = False
+    retention_period: int = 0
+    target_len: int | None = None
+    row: int | None = None  # the current context's row in the state's table, from spawn on
+
+    @property
+    def length(self) -> int:
+        return len(self.tokens)
+
+
+class ScriptedPromptSource:
+    """Finite list of (task, per-sibling target lengths) pairs, for fixtures."""
+
+    def __init__(self, prompts: list[tuple[TaskSpec, list[int]]]) -> None:
+        self.prompts = list(prompts)
+        self.cursor = 0
+
+    def next_prompt(
+        self, stream: np.random.Generator, group_size: int
+    ) -> tuple[TaskSpec, list[int | None]] | None:
+        if self.cursor >= len(self.prompts):
+            return None
+        task, lengths = self.prompts[self.cursor]
+        self.cursor += 1
+        if len(lengths) != group_size:
+            raise ValueError("scripted prompt must provide one target length per sibling")
+        return task, list(lengths)
+
+
+@dataclass
+class OracleState:
+    """Inference pool, pending queue, prompt lookahead, live groups, and the run's counters.
+
+    groups maps each live group's uid to its members, in uid order; its
+    terminal members are the rollouts waiting to train. lookahead holds
+    drawn prompts not yet spawned; probe_rows, train_loop's probe rows.
+    """
+
+    vocab: Vocabulary
+    infer: Engine
+    temperature: float
+    source: SyntheticPromptSource | ScriptedPromptSource
+    prompt_stream: np.random.Generator
+    seed: int
+    infer_pool: list[Rollout] = field(default_factory=list)
+    pending: deque[Rollout] = field(default_factory=deque)
+    lookahead: deque[tuple[TaskSpec, list[int | None]]] = field(default_factory=deque)
+    probe_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    groups: dict[int, list[Rollout]] = field(default_factory=dict)
+    iteration: int = 0
+    tick_clock: int = 0
+    next_uid: int = 0
+    next_group_uid: int = 0
+    table: ContextTable = field(init=False)  # every spawned prompt's contexts
+    rollout_uniforms: UidStreams = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.table = ContextTable(self.vocab.size, self.infer, self.temperature)
+        self.rollout_uniforms = UidStreams(self.seed)
+
+
+def oracle_state(
+    seed: int,
+    vocab: Vocabulary,
+    infer: Engine,
+    source: SyntheticPromptSource | ScriptedPromptSource,
+    temperature: float = 1.0,
+) -> OracleState:
+    """make_state's inputs, as an OracleState."""
+    prompt_stream = np.random.default_rng(np.random.SeedSequence((seed & _MASK64, 1)))
+    return OracleState(
+        vocab=vocab,
+        infer=infer,
+        temperature=temperature,
+        source=source,
+        prompt_stream=prompt_stream,
+        seed=seed,
+    )
+
+
+def _spawn_group(state: OracleState, group_cfg: ObjectiveConfig) -> bool:
+    """Queue the sibling rollouts of the next prompt, from the lookahead, else the source; False when exhausted."""
+    drawn = state.lookahead.popleft() if state.lookahead else state.source.next_prompt(state.prompt_stream, group_cfg.group_size)
+    if drawn is None:
+        return False
+    task, lengths = drawn
+    group_uid = state.next_group_uid
+    state.next_group_uid += 1
+    state.table.add([task.prompt_id])
+    first_row = state.table.prompt_row(task.prompt_id)
+    members: list[Rollout] = []
+    for target in lengths:
+        uid = state.next_uid
+        state.next_uid += 1
+        limit = task.max_len if target is None else max(target, 1)
+        rollout = Rollout(
+            task=task,
+            uniforms=state.rollout_uniforms.draw(uid, limit),
+            uid=uid,
+            group_uid=group_uid,
+            limit=limit,
+            target_len=target,
+            row=first_row,
+        )
+        members.append(rollout)
+        state.pending.append(rollout)
+    state.groups[group_uid] = members
+    return True
+
+
+def _refill(state: OracleState, cfg: BudgetConfig, group_cfg: ObjectiveConfig, sampled_this_iter: int) -> int:
+    """Admit pending rollouts and sample new prompts while capacity allows."""
+    while len(state.infer_pool) < cfg.infer_capacity:
+        if state.pending:
+            state.infer_pool.append(state.pending.popleft())
+            continue
+        if sampled_this_iter >= cfg.prompts_per_iteration or not _spawn_group(state, group_cfg):
+            break
+        sampled_this_iter += 1
+    return sampled_this_iter
+
+
+def _load_version(state: OracleState, params: PolicyParams, cfg: BudgetConfig, group_cfg: ObjectiveConfig) -> None:
+    """Fill the prompt lookahead, then evaluate in one table pass every row readable at params:
+    all windows of the prompts in the pool, the pending queue and the lookahead, and the probe rows."""
+    while len(state.lookahead) < cfg.prompts_per_iteration:
+        drawn = state.source.next_prompt(state.prompt_stream, group_cfg.group_size)
+        if drawn is None:
+            break
+        state.lookahead.append(drawn)
+    live = dict.fromkeys(r.task.prompt_id for queue in (state.infer_pool, state.pending) for r in queue)
+    live.update(dict.fromkeys(task.prompt_id for task, _ in state.lookahead))
+    state.table.add(live)
+    state.table.load(params, np.concatenate([state.table.rows_of(live), state.probe_rows]))
+
+
+def _generate_tick(rollouts: list[Rollout], params: PolicyParams, state: OracleState) -> list[Rollout]:
+    """One parallel token for every listed rollout, read from the state's context table.
+
+    The rows are read after the table's check, which evaluates any row
+    the version's pass missed. Each rollout samples its next token with
+    its own next uniform. Returns the rollouts this token made terminal,
+    in list order.
+    """
+    table = state.table
+    table.load(params)
+    n = len(rollouts)
+    rows = np.fromiter((r.row for r in rollouts), np.intp, n)
+    table.check(rows)
+    u = np.fromiter((r.uniforms[len(r.tokens)] for r in rollouts), np.float64, n)
+    # Inverse CDF: the count of cdf entries <= u is searchsorted(side="right").
+    tokens = np.minimum((table.cdf[rows] <= u[:, None]).sum(axis=1), table.vocab_size - 1)
+    version = params.version_id
+    eos = state.vocab.eos_id
+    finished: list[Rollout] = []
+    for rollout, token, row, lp_inf, lp_tr in zip(
+        rollouts,
+        tokens.tolist(),
+        table.advance(rows, tokens).tolist(),
+        table.lp_infer[rows, tokens].tolist(),
+        table.lp_train[rows, tokens].tolist(),
+    ):
+        rollout.tokens.append(token)
+        rollout.lp_infer.append(lp_inf)
+        rollout.lp_train.append(lp_tr)
+        rollout.versions.append(version)
+        rollout.row = row
+        if len(rollout.tokens) >= rollout.limit or (token == eos and rollout.target_len is None):
+            rollout.terminal = True
+            finished.append(rollout)
+    return finished
+
+
+def _purge_boundary(state: OracleState, cfg: BudgetConfig) -> int:
+    """Age carried-over rollouts, purge overextended ones with their groups."""
+    for rollout in state.infer_pool:
+        rollout.retention_period += 1
+    dead_groups = {
+        r.group_uid for r in state.infer_pool if r.retention_period > cfg.retention_threshold
+    }
+    if not dead_groups:
+        return 0
+    purged = sum(len(state.groups.pop(group_uid)) for group_uid in dead_groups)
+    state.infer_pool = [r for r in state.infer_pool if r.group_uid not in dead_groups]
+    state.pending = deque(r for r in state.pending if r.group_uid not in dead_groups)
+    return purged
+
+
+def _close_iteration(
+    state: OracleState,
+    params_version: int,
+    ticks: int,
+    trained_tokens: int,
+    completed: int,
+    purged: int,
+    resumed: int,
+) -> tuple[StepReport, list[PromptGroup]]:
+    """The close of an iteration: emit, report, advance the iteration.
+
+    Every group whose siblings are all terminal is emitted, in group
+    order, and leaves state.groups, which keeps only live groups.
+    """
+    ready = [(uid, members) for uid, members in state.groups.items() if all(m.terminal for m in members)]
+    groups: list[PromptGroup] = []
+    emitted = stale = 0
+    if ready:
+        rewards = np.array(
+            [[verify(m.task, m.tokens, state.vocab) for m in members] for _, members in ready],
+            dtype=np.float64,
+        )
+        advantages = batch_group_advantages(rewards)
+        for (uid, members), reward_row, advantage_row in zip(ready, rewards.tolist(), advantages.tolist()):
+            del state.groups[uid]
+            groups.append(
+                PromptGroup(task=members[0].task, rollouts=members, rewards=reward_row, advantages=advantage_row)
+            )
+            for member in members:
+                emitted += member.length
+                stale += sum(1 for v in member.versions if v < params_version)
+    report = StepReport(
+        iteration=state.iteration,
+        rollout_ticks=ticks,
+        trained_tokens=trained_tokens,
+        purged_rollouts=purged,
+        resumed_rollouts=resumed,
+        completed_rollouts=completed,
+        stale_token_fraction=stale / emitted if emitted else 0.0,
+        emitted_groups=len(groups),
+        emitted_tokens=emitted,
+        reward_mean=float(np.mean(rewards)) if ready else math.nan,
+    )
+    state.iteration += 1
+    return report, groups
+
+
+def _rollout_loop(state, params_t, cfg, group_cfg, trace, baseline: bool) -> tuple[StepReport, list[PromptGroup]]:
+    """The one rollout loop of both kinds of iteration; returns the report and the emitted groups.
+
+    Budget-partitioned: refill the pool before every tick, and stop once
+    the completed tokens reach cfg.token_budget or no rollout is left.
+    Baseline: refill only an empty pool, and stop when a refill leaves
+    it empty; it starts with an empty pool, so purges and resumes nothing.
+    Raises TickCapError on a tick beyond cfg.tick_cap in the iteration.
+    Each entry point calls it directly, so a traced run (perfbench/child.py)
+    times an iteration under one span.
+    """
+    purged = _purge_boundary(state, cfg)
+    resumed = sum(1 for r in state.infer_pool if r.tokens)
+    _load_version(state, params_t, cfg, group_cfg)
+
+    counter = ticks = completed = sampled_this_iter = 0
+    while baseline or counter < cfg.token_budget:
+        if not (baseline and state.infer_pool):
+            sampled_this_iter = _refill(state, cfg, group_cfg, sampled_this_iter)
+        if not state.infer_pool:
+            break
+        if ticks >= cfg.tick_cap:
+            raise TickCapError(f"iteration {state.iteration} did not end within budget.tick_cap = {cfg.tick_cap} ticks")
+        active = len(state.infer_pool)
+        finished = _generate_tick(state.infer_pool, params_t, state)
+        if finished:
+            state.infer_pool = [r for r in state.infer_pool if not r.terminal]
+            counter += sum(r.length for r in finished)
+            completed += len(finished)
+        ticks += 1
+        state.tick_clock += 1
+        if trace is not None:
+            trace.append(
+                {"tick": state.tick_clock, "active": active, "completed": len(finished),
+                 "counter": counter, "pool_after": len(state.infer_pool)}
+            )
+    return _close_iteration(state, params_t.version_id, ticks, counter, completed, purged, resumed)
+
+
+def baseline_wave_loop(state: OracleState, params_t, cfg, group_cfg):
     """One baseline iteration: spawn the whole prompt batch, then run it to termination in capacity-sized waves.
 
     Each wave ticks until its longest rollout ends. An empty batch is an

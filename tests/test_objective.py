@@ -16,12 +16,10 @@ from mismatchlab import (
     NumericError,
     ObjectiveConfig,
     PolicyParams,
-    PromptGroup,
-    Rollout,
+    RolloutBatch,
     SyntheticPromptSource,
     TaskSpec,
     Vocabulary,
-    group_advantages,
     infer_engine,
     init_params,
     make_state,
@@ -34,6 +32,7 @@ from mismatchlab import (
 from mismatchlab.objective import batch_group_advantages
 from mismatchlab.policy import batched_log_softmax, batched_train_logits, context_rows, feature_rows
 from mismatchlab.tasks import TaskKind
+from oracles import group_advantages
 
 DEFAULT_BOUNDS = ObjectiveConfig(alpha=0.5, beta=5.0)
 
@@ -47,16 +46,45 @@ def make_batch(seed: int, scale: float, vocab_size: int = 8, max_len: int = 5, n
     state = make_state(seed, vocab, engine, source)
     budget = BudgetConfig(token_budget=30, infer_capacity=8, prompts_per_iteration=3)
     cfg = ObjectiveConfig(group_size=2)
-    _, groups = run_iteration(state, params, budget, cfg)
-    assert groups
-    return params, groups, cfg
+    _, batch = run_iteration(state, params, budget, cfg)
+    assert batch
+    return params, batch, cfg
 
 
-def single_token_rollout(task: TaskSpec, token: int, lp_infer: float, lp_train: float, version: int) -> Rollout:
-    return Rollout(
-        task=task, uniforms=np.zeros(1), uid=0, group_uid=0, limit=1, tokens=[token],
-        lp_infer=[lp_infer], lp_train=[lp_train], versions=[version], terminal=True,
+def batch_of(rollouts: list[tuple], advantages, group_size: int) -> RolloutBatch:
+    """A batch of (prompt id, tokens, lp_infer, lp_train, versions) rollouts, in group order."""
+
+    def flat(k: int, dtype) -> np.ndarray:
+        return np.array([v for r in rollouts for v in r[k]], dtype=dtype)
+
+    return RolloutBatch(
+        group_size=group_size,
+        lengths=np.array([len(r[1]) for r in rollouts], dtype=np.intp),
+        prompt_ids=np.array([r[0] for r in rollouts], dtype=np.int64),
+        rewards=np.zeros(len(rollouts)),
+        advantages=np.array(advantages, dtype=np.float64),
+        uids=np.arange(len(rollouts)),
+        tokens=flat(1, np.int64),
+        lp_train=flat(3, np.float64),
+        lp_infer=flat(2, np.float64),
+        versions=flat(4, np.int64),
     )
+
+
+def concat_batches(batches: list[RolloutBatch]) -> RolloutBatch:
+    """Batches of one group size, one after another."""
+    return RolloutBatch(batches[0].group_size, *(
+        np.concatenate([getattr(b, f.name) for b in batches]) for f in dataclasses.fields(RolloutBatch)[1:]
+    ))
+
+
+def per_rollout(batch: RolloutBatch, name: str) -> list[list]:
+    """A per-token field of the batch, split into its rollouts."""
+    return [part.tolist() for part in np.split(getattr(batch, name), np.cumsum(batch.lengths)[:-1])]
+
+
+def single_token_rollout(task: TaskSpec, token: int, lp_infer: float, lp_train: float, version: int) -> tuple:
+    return (task.prompt_id, [token], [lp_infer], [lp_train], [version])
 
 
 def first_token_log_probs(theta: PolicyParams, prompt_id: int) -> np.ndarray:
@@ -78,7 +106,7 @@ def manual_group(theta: PolicyParams, specs: list[tuple[int, float, float]], adv
     for token, calib, ratio in specs:
         lp_old = float(log_probs[token]) - math.log(ratio)
         rollouts.append(single_token_rollout(task, token, lp_old - math.log(calib), lp_old, theta.version_id))
-    return PromptGroup(task=task, rollouts=rollouts, rewards=[0.0] * len(specs), advantages=advantages)
+    return batch_of(rollouts, advantages, group_size=len(specs))
 
 
 def masked_by_objective(log_calibrations: list[float], cfg: ObjectiveConfig = DEFAULT_BOUNDS):
@@ -88,8 +116,8 @@ def masked_by_objective(log_calibrations: list[float], cfg: ObjectiveConfig = DE
     # A recorded training log prob of 0 makes the calibration ratio exp(0 - lp_infer).
     rollouts = [single_token_rollout(task, 1, -x, 0.0, theta.version_id) for x in log_calibrations]
     advantages = [1.0 if i % 2 else -1.0 for i in range(len(rollouts))]
-    group = PromptGroup(task=task, rollouts=rollouts, rewards=[0.0] * len(rollouts), advantages=advantages)
-    return objective_and_grad([group], theta, theta, None, cfg)
+    group = batch_of(rollouts, advantages, group_size=len(rollouts))
+    return objective_and_grad(group, theta, theta, None, cfg)
 
 
 def test_mask_paper_default_bounds() -> None:
@@ -191,12 +219,12 @@ def test_batch_group_advantages_requires_pairs() -> None:
 
 
 def test_degenerate_case_all_algorithms_bit_identical() -> None:
-    params, groups, _ = make_batch(seed=3, scale=0.0)
+    params, batch, _ = make_batch(seed=3, scale=0.0)
     ref = params.copy()
     results = {}
     for algo in Algo:
         cfg = ObjectiveConfig(algo=algo, group_size=2)
-        results[algo] = objective_and_grad(groups, params, params, ref, cfg)
+        results[algo] = objective_and_grad(batch, params, params, ref, cfg)
     base = results[Algo.ICEPOP]
     assert base.clipped_fraction == 0.0
     for algo in (Algo.GRPO, Algo.TIS):
@@ -207,15 +235,14 @@ def test_degenerate_case_all_algorithms_bit_identical() -> None:
 
 
 def test_zero_advantages_give_zero_objective_and_gradient() -> None:
-    params, groups, cfg = make_batch(seed=4, scale=0.1)
-    for group in groups:
-        group.advantages = [0.0] * len(group.advantages)
-    out = objective_and_grad(groups, params, params, None, cfg)
+    params, batch, cfg = make_batch(seed=4, scale=0.1)
+    batch = dataclasses.replace(batch, advantages=np.zeros_like(batch.advantages))
+    out = objective_and_grad(batch, params, params, None, cfg)
     assert out.objective_value == 0.0
     assert np.all(out.grad == 0.0)
 
 
-def finite_difference_grad(groups, theta, theta_old, ref, cfg, h=1e-6):
+def finite_difference_grad(batch, theta, theta_old, ref, cfg, h=1e-6):
     fd = np.zeros_like(theta.weights)
     for i in range(theta.weights.shape[0]):
         for j in range(theta.weights.shape[1]):
@@ -223,8 +250,8 @@ def finite_difference_grad(groups, theta, theta_old, ref, cfg, h=1e-6):
             wp[i, j] += h
             wm = theta.weights.copy()
             wm[i, j] -= h
-            up = objective_and_grad(groups, PolicyParams(wp, theta.version_id), theta_old, ref, cfg)
-            dn = objective_and_grad(groups, PolicyParams(wm, theta.version_id), theta_old, ref, cfg)
+            up = objective_and_grad(batch, PolicyParams(wp, theta.version_id), theta_old, ref, cfg)
+            dn = objective_and_grad(batch, PolicyParams(wm, theta.version_id), theta_old, ref, cfg)
             fd[i, j] = (up.objective_value - dn.objective_value) / (2 * h)
     return fd
 
@@ -235,13 +262,13 @@ def finite_difference_grad(groups, theta, theta_old, ref, cfg, h=1e-6):
 @example(seed=11, scale=0.12)
 def test_gradient_matches_finite_differences(algo: Algo, kl_coeff: float, seed: int, scale: float) -> None:
     """Each algorithm, with and without the KL term, on random batches and weights."""
-    params, groups, _ = make_batch(seed=seed, scale=scale, vocab_size=6, max_len=4, n_features=10)
+    params, batch, _ = make_batch(seed=seed, scale=scale, vocab_size=6, max_len=4, n_features=10)
     cfg = ObjectiveConfig(algo=algo, kl_coeff=kl_coeff, group_size=2)
     rng = np.random.default_rng(seed)
     theta = PolicyParams(params.weights + rng.normal(0, 0.05, params.weights.shape), params.version_id)
     ref = init_params(Vocabulary(size=6), n_features=10, init_scale=0.5, seed=99)
-    out = objective_and_grad(groups, theta, params, ref, cfg)
-    fd = finite_difference_grad(groups, theta, params, ref, cfg)
+    out = objective_and_grad(batch, theta, params, ref, cfg)
+    fd = finite_difference_grad(batch, theta, params, ref, cfg)
     rel = np.abs(out.grad - fd) / np.maximum(1.0, np.abs(out.grad))
     assert rel.max() < 1e-5
 
@@ -260,7 +287,7 @@ def test_masked_tokens_contribute_exactly_zero_gradient(seed: int, scale: float,
     cfg = ObjectiveConfig(group_size=2)
     # kept token (calib 1) and masked token (calib 0.2 < alpha), both unit ratio
     group = manual_group(theta, [(1, 1.0, 1.0), (2, 0.2, 1.0)], advantages=[1.0, -1.0])
-    out = objective_and_grad([group], theta, theta, None, cfg)
+    out = objective_and_grad(group, theta, theta, None, cfg)
     assert list(out.per_token_mask_kept) == [True, False]
     assert out.clipped_fraction == 0.5
 
@@ -274,13 +301,13 @@ def test_masked_tokens_contribute_exactly_zero_gradient(seed: int, scale: float,
     private_b = rows_b - rows_a
     assert private_b, "fixture prompts must not share every feature row"
 
-    def build(theta_now: PolicyParams) -> list[PromptGroup]:
+    def build(theta_now: PolicyParams) -> RolloutBatch:
         rollouts = []
         for task, token, calib in ((task_a, 1, 1.0), (task_b, 2, 0.2)):
             lp_cur = float(first_token_log_probs(theta_now, task.prompt_id)[token])
             rollouts.append(single_token_rollout(task, token, lp_cur - math.log(calib), lp_cur, theta_now.version_id))
         # group pairs the kept rollout (task_a) with the masked one (task_b)
-        return [PromptGroup(task=task_a, rollouts=rollouts, rewards=[1.0, 0.0], advantages=[1.0, -1.0])]
+        return batch_of(rollouts, [1.0, -1.0], group_size=2)
 
     base_groups = build(theta)
     base = objective_and_grad(base_groups, theta, theta, None, cfg)
@@ -297,24 +324,18 @@ def test_masked_tokens_contribute_exactly_zero_gradient(seed: int, scale: float,
     # On a random batch, force some tokens outside [alpha, beta], then move
     # every masked token's calibration ratio to another value outside the
     # bounds: the ICEPOP objective and gradient keep every bit.
-    params, groups, _ = make_batch(seed=seed, scale=scale)
+    params, batch, _ = make_batch(seed=seed, scale=scale)
     cfg = ObjectiveConfig(alpha=alpha, beta=beta, group_size=2)
     outside = st.one_of(st.floats(1e-4, 0.95 * alpha), st.floats(1.05 * beta, 1e4))
 
-    def with_calibration(calibration: dict[int, float]) -> list[PromptGroup]:
+    def with_calibration(calibration: dict[int, float]) -> RolloutBatch:
         """The batch with the calibration ratio of each flat token index in calibration set to its value."""
-        out, k = [], 0
-        for g in groups:
-            rollouts = []
-            for r in g.rollouts:
-                lp_infer = [lp_old - math.log(calibration[k + i]) if k + i in calibration else lp_inf
-                            for i, (lp_old, lp_inf) in enumerate(zip(r.lp_train, r.lp_infer))]
-                rollouts.append(dataclasses.replace(r, lp_infer=lp_infer))
-                k += r.length
-            out.append(PromptGroup(task=g.task, rollouts=rollouts, rewards=g.rewards, advantages=g.advantages))
-        return out
+        lp_infer = batch.lp_infer.copy()
+        for k, value in calibration.items():
+            lp_infer[k] = batch.lp_train[k] - math.log(value)
+        return dataclasses.replace(batch, lp_infer=lp_infer)
 
-    n_tokens = sum(r.length for g in groups for r in g.rollouts)
+    n_tokens = batch.tokens.size
     forced = data.draw(st.sets(st.integers(0, n_tokens - 1), min_size=1))
     before = objective_and_grad(with_calibration({k: data.draw(outside) for k in forced}), params, params, None, cfg)
     masked = np.flatnonzero(~before.per_token_mask_kept).tolist()
@@ -332,13 +353,13 @@ def test_masked_tokens_contribute_exactly_zero_gradient(seed: int, scale: float,
 @example(seed=6, scale=0.2, tight=False, kl_coeff=0.0)
 def test_wide_bounds_reduce_masked_variant_to_unmasked(seed: int, scale: float, tight: bool, kl_coeff: float) -> None:
     """Bounds that keep every token make icepop grpo, bit for bit; tight bounds sit exactly on the extreme ratios."""
-    params, groups, _ = make_batch(seed=seed, scale=scale)
+    params, batch, _ = make_batch(seed=seed, scale=scale)
     theta = PolicyParams(params.weights * 1.05, params.version_id)
     ref = init_params(Vocabulary(size=8), n_features=24, init_scale=0.5, seed=99)
-    calib = objective_and_grad(groups, theta, params, None, ObjectiveConfig(algo=Algo.GRPO, group_size=2)).per_token_calibration
+    calib = objective_and_grad(batch, theta, params, None, ObjectiveConfig(algo=Algo.GRPO, group_size=2)).per_token_calibration
     alpha, beta = (min(1.0, float(calib.min())), max(1.0, float(calib.max()))) if tight else (1e-12, 1e12)
     icepop, grpo = (
-        objective_and_grad(groups, theta, params, ref, ObjectiveConfig(algo=algo, alpha=alpha, beta=beta, kl_coeff=kl_coeff, group_size=2))
+        objective_and_grad(batch, theta, params, ref, ObjectiveConfig(algo=algo, alpha=alpha, beta=beta, kl_coeff=kl_coeff, group_size=2))
         for algo in (Algo.ICEPOP, Algo.GRPO)
     )
     assert icepop.per_token_mask_kept.all() and icepop.clipped_fraction == grpo.clipped_fraction == 0.0
@@ -354,7 +375,7 @@ def test_clip_branch_zeroes_gradient_on_both_sides() -> None:
     cfg = ObjectiveConfig(group_size=2, clip_eps=0.2)
     # positive advantage with ratio above 1+eps, negative with ratio below 1-eps
     group = manual_group(theta, [(1, 1.0, 1.35), (2, 1.0, 0.7)], advantages=[1.0, -1.0])
-    out = objective_and_grad([group], theta, theta, None, cfg)
+    out = objective_and_grad(group, theta, theta, None, cfg)
     assert np.all(out.grad == 0.0)
     # surrogate values take the clipped constants
     assert out.per_token_surrogate == pytest.approx([1.2 * 1.0, 0.8 * -1.0])
@@ -366,8 +387,8 @@ def test_truncated_variant_agrees_with_masked_inside_common_region() -> None:
     specs = [(1, 0.3, 1.0), (2, 0.7, 1.1), (3, 1.9, 0.95), (4, 2.6, 1.0), (5, 6.0, 1.0)]
     group_a = manual_group(theta, specs, advantages=[1.0, -0.5, 0.5, 1.0, -1.0])
     group_b = manual_group(theta, specs, advantages=[1.0, -0.5, 0.5, 1.0, -1.0])
-    ice = objective_and_grad([group_a], theta, theta, None, ObjectiveConfig(algo=Algo.ICEPOP, group_size=2))
-    tis = objective_and_grad([group_b], theta, theta, None, ObjectiveConfig(algo=Algo.TIS, group_size=2, tis_cap=2.0))
+    ice = objective_and_grad(group_a, theta, theta, None, ObjectiveConfig(algo=Algo.ICEPOP, group_size=2))
+    tis = objective_and_grad(group_b, theta, theta, None, ObjectiveConfig(algo=Algo.TIS, group_size=2, tis_cap=2.0))
     calib = ice.per_token_calibration
     common = (calib >= 0.5) & (calib <= 2.0)  # [alpha, min(beta, cap)]
     assert common.sum() == 2
@@ -378,7 +399,7 @@ def test_clipped_fraction_counts_masked_tokens() -> None:
     vocab = Vocabulary(size=6)
     theta = init_params(vocab, n_features=16, init_scale=0.4, seed=13)
     group = manual_group(theta, [(1, 0.2, 1.0), (2, 1.0, 1.0), (3, 9.0, 1.0), (4, 1.2, 1.0)], advantages=[1.0, -1.0, 0.5, -0.5])
-    out = objective_and_grad([group], theta, theta, None, ObjectiveConfig(group_size=2))
+    out = objective_and_grad(group, theta, theta, None, ObjectiveConfig(group_size=2))
     assert out.clipped_fraction == pytest.approx(2 / 4)
     assert out.token_count == 4
 
@@ -387,11 +408,13 @@ def test_empty_group_and_empty_rollout_fail() -> None:
     vocab = Vocabulary(size=6)
     theta = init_params(vocab, n_features=16, init_scale=0.4, seed=1)
     with pytest.raises(ValueError):
-        objective_and_grad([], theta, theta, None, ObjectiveConfig(group_size=2))
+        objective_and_grad(batch_of([], [], group_size=2), theta, theta, None, ObjectiveConfig(group_size=2))
     group = manual_group(theta, [(1, 1.0, 1.0)], advantages=[0.0])
-    group.rollouts[0].tokens = []
+    empty = np.zeros(0)
+    group = dataclasses.replace(group, lengths=np.zeros(1, dtype=np.intp), tokens=empty.astype(np.int64), lp_train=empty,
+                                lp_infer=empty, versions=empty.astype(np.int64))
     with pytest.raises(ValueError):
-        objective_and_grad([group], theta, theta, None, ObjectiveConfig(group_size=2))
+        objective_and_grad(group, theta, theta, None, ObjectiveConfig(group_size=2))
 
 
 def test_sgd_update_identity_and_basis_vector() -> None:
@@ -447,7 +470,7 @@ def test_objective_config_invariants() -> None:
         ObjectiveConfig(kl_coeff=-0.1)
 
 
-def reference_objective(groups, theta, ref, cfg, temperature=1.0):
+def reference_objective(batch, theta, ref, cfg, temperature=1.0):
     """Per-rollout loop that the flat objective must reproduce bit for bit.
 
     Returns (value, grad, per-token arrays by LossBreakdown field, per-token KL).
@@ -455,18 +478,21 @@ def reference_objective(groups, theta, ref, cfg, temperature=1.0):
     grad = np.zeros_like(theta.weights)
     parts: dict[str, list[np.ndarray]] = {k: [] for k in ("kept", "surrogate", "calib", "entropy", "logp", "kl")}
     total = 0.0
-    for group in groups:
+    n_groups, group_size = len(batch), batch.group_size
+    tokens, lp_trains, lp_infers = (per_rollout(batch, name) for name in ("tokens", "lp_train", "lp_infer"))
+    for g in range(n_groups):
         group_value = 0.0
-        for rollout, advantage in zip(group.rollouts, group.advantages):
-            n_tok = rollout.length
-            weight = 1.0 / (len(groups) * len(group.rollouts) * n_tok)
-            token_ids = np.asarray(rollout.tokens)
-            lp_old = np.asarray(rollout.lp_train)
-            lp_inf = np.asarray(rollout.lp_infer)
+        for i in range(g * group_size, (g + 1) * group_size):
+            advantage = float(batch.advantages[i])
+            n_tok = int(batch.lengths[i])
+            weight = 1.0 / (n_groups * group_size * n_tok)
+            token_ids = np.asarray(tokens[i])
+            lp_old = np.asarray(lp_trains[i])
+            lp_inf = np.asarray(lp_infers[i])
             pos = np.arange(n_tok)
-            window = [-1, -1] + list(rollout.tokens)
+            window = [-1, -1] + tokens[i]
             feats = np.asarray(
-                [feature_rows(group.task.prompt_id, window[t], window[t + 1], theta.n_features) for t in range(n_tok)]
+                [feature_rows(int(batch.prompt_ids[i]), window[t], window[t + 1], theta.n_features) for t in range(n_tok)]
             )
             log_probs, probs = batched_log_softmax(batched_train_logits(theta, feats, temperature))
             lp_cur = log_probs[pos, token_ids]
@@ -498,14 +524,14 @@ def reference_objective(groups, theta, ref, cfg, temperature=1.0):
             for j in range(4):
                 np.add.at(grad, feats[:, j], grad_logits)
             token_values = pg_values - cfg.kl_coeff * kl_values
-            group_value += float(token_values.sum()) / (len(group.rollouts) * n_tok)
+            group_value += float(token_values.sum()) / (group_size * n_tok)
             for key, value in (
                 ("kept", kept), ("surrogate", pg_values), ("calib", calib),
                 ("entropy", -(probs * log_probs).sum(axis=1)), ("logp", lp_cur), ("kl", kl_values),
             ):
                 parts[key].append(value)
         total += group_value
-    return total / len(groups), grad, {k: np.concatenate(v) for k, v in parts.items()}
+    return total / n_groups, grad, {k: np.concatenate(v) for k, v in parts.items()}
 
 
 def carried_batch(seed: int):
@@ -519,28 +545,27 @@ def carried_batch(seed: int):
     state = make_state(seed, vocab, infer_engine(0.2, 7), source)
     budget = BudgetConfig(token_budget=10, infer_capacity=6, retention_threshold=10, prompts_per_iteration=2)
     cfg = ObjectiveConfig(group_size=3)
-    groups: list[PromptGroup] = []
+    batches = []
     shift = np.random.default_rng(seed).normal(0, 0.2, params.weights.shape)
     for _ in range(8):
-        groups += run_iteration(state, params, budget, cfg)[1]
+        batches.append(run_iteration(state, params, budget, cfg)[1])
         params = PolicyParams(params.weights + shift, version_id=params.version_id + 1)
-    return params, groups
+    return params, concat_batches(batches)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("algo,kl_coeff", [(Algo.ICEPOP, 0.0), (Algo.GRPO, 0.0), (Algo.TIS, 0.0), (Algo.ICEPOP, 0.3), (Algo.TIS, 0.3)])
 def test_flat_objective_matches_per_rollout_loop(seed: int, algo: Algo, kl_coeff: float) -> None:
-    theta_old, groups = carried_batch(seed)
-    rollouts = [r for g in groups for r in g.rollouts]
-    assert any(r.length == 1 for r in rollouts)
-    assert any(len(set(r.versions)) > 1 for r in rollouts)
+    theta_old, batch = carried_batch(seed)
+    assert (batch.lengths == 1).any()
+    assert any(len(set(versions)) > 1 for versions in per_rollout(batch, "versions"))
     theta = PolicyParams(theta_old.weights * 1.1, theta_old.version_id)
     ref = init_params(Vocabulary(size=6), n_features=24, init_scale=0.5, seed=99)
     cfg = ObjectiveConfig(algo=algo, kl_coeff=kl_coeff, group_size=3)
-    before = [(list(r.tokens), list(r.lp_infer), list(r.lp_train), list(r.versions)) for r in rollouts]
+    before = [getattr(batch, f.name).copy() for f in dataclasses.fields(RolloutBatch)[1:]]
 
-    out = objective_and_grad(groups, theta, theta_old, ref, cfg)
-    value, grad, per_token = reference_objective(groups, theta, ref, cfg)
+    out = objective_and_grad(batch, theta, theta_old, ref, cfg)
+    value, grad, per_token = reference_objective(batch, theta, ref, cfg)
     assert out.objective_value == value
     assert out.grad.tobytes() == grad.tobytes()
     assert out.mean_logp == float(per_token["logp"].mean())
@@ -552,4 +577,32 @@ def test_flat_objective_matches_per_rollout_loop(seed: int, algo: Algo, kl_coeff
         assert out.kl_to_ref == float(per_token["kl"].mean())
     else:
         assert math.isnan(out.kl_to_ref)
-    assert [(r.tokens, r.lp_infer, r.lp_train, r.versions) for r in rollouts] == before
+    assert all(getattr(batch, f.name).tobytes() == was.tobytes() for f, was in zip(dataclasses.fields(RolloutBatch)[1:], before))
+
+
+def test_length_class_sums_equal_each_rollouts_own_sum() -> None:
+    """Lengths 1 to 600, several rollouts at 8, 9, 128, 129 and 512: the value folds each rollout's own .sum().
+
+    With kl_coeff 0 the token values are the per-token surrogates, so the
+    objective must be the per-rollout fold of their 1-D sums, bit for bit.
+    One group per batch, of four lengths, and unmasked calibration ratios
+    over a few orders of magnitude, so that another summation order shows.
+    """
+    vocab = Vocabulary(size=6)
+    theta = init_params(vocab, n_features=24, init_scale=0.7, seed=5)
+    rng = np.random.default_rng(5)
+    lengths = [*range(1, 601), 8, 9, 128, 129, 512, 8, 9, 128, 129, 512]
+    lengths = [int(n) for n in rng.permutation(lengths)] + [8, 512]  # 612 rollouts
+    cfg = ObjectiveConfig(algo=Algo.GRPO, group_size=4)
+    for g in range(0, len(lengths), 4):
+        rollouts = []
+        for n in lengths[g : g + 4]:
+            lp_train = rng.normal(-1.5, 0.3, n)
+            rollouts.append((int(rng.integers(100, 104)), rng.integers(0, 6, n).tolist(), (lp_train - rng.normal(0, 2, n)).tolist(),
+                             lp_train.tolist(), [0] * n))
+        out = objective_and_grad(batch_of(rollouts, rng.normal(size=4), group_size=4), theta, theta, None, cfg)
+        group_value, end = 0.0, 0
+        for n in lengths[g : g + 4]:
+            group_value += float(out.per_token_surrogate[end : end + n].sum()) / (4 * n)
+            end += n
+        assert out.objective_value == group_value

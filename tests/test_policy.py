@@ -8,16 +8,18 @@ scheduler's tick on the context table.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mismatchlab import (
     Context,
     NumericError,
+    ObjectiveConfig,
     PolicyParams,
-    Rollout,
-    ScriptedPromptSource,
     TaskSpec,
     Vocabulary,
     infer_engine,
@@ -36,6 +38,7 @@ from mismatchlab.policy import (
     perturb_logits,
 )
 from mismatchlab.tasks import TaskKind
+from oracles import ScriptedPromptSource
 
 
 def evaluate(params: PolicyParams, ctx: Context, engine, temperature: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -65,20 +68,25 @@ def straight_line_softmax(params: PolicyParams, ctx: Context, temperature: float
     return [e / total for e in exps]
 
 
-def tick_tokens(params: PolicyParams, ctx: Context, engine, uniforms) -> list[Rollout]:
-    """One scheduler tick over single-token rollouts at ctx, rollout i drawing with uniforms[i]."""
-    state = make_state(0, Vocabulary(size=params.vocab_size), engine, ScriptedPromptSource([]))
-    state.table.add([ctx.prompt_id])
-    prev, last = ctx.window()
-    row = int(state.table.rows([ctx.prompt_id], [prev], [last])[0])
+def tick_tokens(params: PolicyParams, ctx: Context, engine, uniforms) -> list[SimpleNamespace]:
+    """One scheduler tick over single-token rollouts at ctx, rollout i drawing with uniforms[i].
+
+    Returns each rollout's tokens and, as the iteration's close records
+    them, their log probs under both engines and their versions.
+    """
     task = TaskSpec(TaskKind.PARITY_MATCH, ctx.prompt_id, 0, 1)
-    rollouts = [
-        Rollout(task=task, uniforms=np.array([u]), uid=i, group_uid=0, limit=1, row=row)
-        for i, u in enumerate(uniforms)
+    state = make_state(0, Vocabulary(size=params.vocab_size), engine, ScriptedPromptSource([(task, [1] * len(uniforms))]))
+    assert scheduler._spawn_groups(state, ObjectiveConfig(group_size=len(uniforms)), 1) == 1
+    prev, last = ctx.window()
+    state.rollouts[scheduler._ROW] = state.table.rows([ctx.prompt_id], [prev], [last])[0]
+    state.slots["uniform"][: len(uniforms)] = uniforms
+    active, ended = scheduler._generate_tick(state, np.arange(len(uniforms)), params)
+    assert active.size == 0 and ended.tolist() == [1] * len(uniforms)
+    _, batch = scheduler._close_iteration(state, len(uniforms), params.version_id, 1, len(uniforms), len(uniforms), 0, 0)
+    return [
+        SimpleNamespace(tokens=[token], lp_infer=[lp_infer], lp_train=[lp_train], versions=[version])
+        for token, lp_infer, lp_train, version in zip(*(getattr(batch, name).tolist() for name in ("tokens", "lp_infer", "lp_train", "versions")))
     ]
-    finished = scheduler._generate_tick(rollouts, params, state)
-    assert len(finished) == len(rollouts) and all(a is b for a, b in zip(finished, rollouts))
-    return rollouts
 
 
 def test_zero_weights_give_uniform_distribution() -> None:
@@ -165,6 +173,26 @@ def test_sample_token_replays_inverse_cdf_oracle() -> None:
     oracle = [min(int(np.searchsorted(cdf, u, side="right")), 3) for u in uniforms]
     assert tokens == oracle
     assert tokens[:12] == [3, 2, 3, 1, 2, 1, 1, 2, 3, 1, 2, 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vocab_size=st.integers(2, 9), scale=st.sampled_from([0.0, 0.3, 1.5]))
+def test_tick_count_is_the_cdf_entries_at_or_below_u_clamped(seed: int, vocab_size: int, scale: float) -> None:
+    """The tick's token is min((cdf <= u).sum(), V - 1) of the row's inference CDF, ties and u >= cdf[-1] included."""
+    rng = np.random.default_rng(seed)
+    params = PolicyParams(rng.normal(0, 2.0, (16, vocab_size)))
+    engine = infer_engine(scale, 7)
+    ctx = Context(int(rng.integers(0, 50)), tuple(int(t) for t in rng.integers(0, vocab_size, size=int(rng.integers(0, 3)))))
+    state = make_state(0, Vocabulary(size=vocab_size), engine, ScriptedPromptSource([]))
+    state.table.add([ctx.prompt_id])
+    state.table.load(params)
+    row = state.table.rows([ctx.prompt_id], *([v] for v in ctx.window()))
+    state.table.check(row)
+    cdf = state.table.cdf[row[0]]
+    uniforms = np.concatenate([[0.0, 1.0 - 2.0**-53, 1.0, cdf[-1], np.nextafter(cdf[-1], 0.0)], cdf, rng.random(20)])
+    tokens = [r.tokens[0] for r in tick_tokens(params, ctx, engine, uniforms)]
+    assert tokens == [min(int((cdf <= u).sum()), vocab_size - 1) for u in uniforms]
+    assert vocab_size - 1 in tokens
 
 
 def test_sample_token_frequencies_within_three_sigma() -> None:

@@ -18,7 +18,6 @@ from mismatchlab import (
     BudgetConfig,
     ObjectiveConfig,
     PolicyParams,
-    ScriptedPromptSource,
     SyntheticPromptSource,
     TaskSpec,
     Vocabulary,
@@ -32,9 +31,18 @@ from mismatchlab import (
 )
 from mismatchlab.errors import TickCapError
 from mismatchlab import objective, scheduler
-from mismatchlab.scheduler import _BLOCK_DRAWS, RolloutUniforms, pcg64_block, seed_sequence_states
+from mismatchlab.scheduler import (
+    _BLOCK_DRAWS,
+    _GROUP,
+    _PROMPT,
+    _TERMINAL,
+    _UID,
+    RolloutUniforms,
+    pcg64_block,
+    seed_sequence_states,
+)
 from mismatchlab.tasks import TaskKind, sample_prompt
-from oracles import baseline_wave_loop
+from oracles import ScriptedPromptSource, _rollout_loop, baseline_wave_loop, oracle_state
 
 FIXTURE_LENGTHS = [2, 2, 3, 3, 5, 5, 9, 17]
 
@@ -46,17 +54,38 @@ def scripted_state(lengths: list[int], seed: int = 99):
     return make_state(seed, vocab, infer_engine(0.0, 7), source)
 
 
-def waiting_to_train(state) -> list:
+def uids_where(state, mask) -> set[int]:
+    return set(state.rollouts[_UID][mask].tolist())
+
+
+def pending_mask(state) -> np.ndarray:
+    """The pending queue: the last n_pending live rollouts."""
+    mask = np.zeros(state.rollouts.shape[1], dtype=bool)
+    mask[state.rollouts.shape[1] - state.n_pending :] = True
+    return mask
+
+
+def pool_mask(state) -> np.ndarray:
+    """The inference pool: the admitted live rollouts that are not terminal."""
+    return ~pending_mask(state) & (state.rollouts[_TERMINAL] == 0)
+
+
+def waiting_to_train(state) -> set[int]:
     """The training pool: the terminal members of live groups."""
-    return [m for members in state.groups.values() for m in members if m.terminal]
+    return uids_where(state, state.rollouts[_TERMINAL] == 1)
 
 
 def live_uids(state) -> set[int]:
-    return {m.uid for members in state.groups.values() for m in members}
+    return uids_where(state, slice(None))
 
 
 def in_flight_uids(state) -> set[int]:
-    return {r.uid for pool in (state.infer_pool, state.pending, waiting_to_train(state)) for r in pool}
+    return uids_where(state, pool_mask(state)) | uids_where(state, pending_mask(state)) | waiting_to_train(state)
+
+
+def split(batch, name: str) -> list[list]:
+    """A per-token field of an emitted batch, split into its rollouts."""
+    return [part.tolist() for part in np.split(getattr(batch, name), np.cumsum(batch.lengths)[:-1])]
 
 
 @contextlib.contextmanager
@@ -80,9 +109,9 @@ def uid_audit():
         return count
 
     def recording_close(*args, **kwargs):
-        report, groups = close(*args, **kwargs)
-        audit.trained |= {r.uid for group in groups for r in group.rollouts}
-        return report, groups
+        report, batch = close(*args, **kwargs)
+        audit.trained |= set(batch.uids.tolist())
+        return report, batch
 
     scheduler._purge_boundary, scheduler._close_iteration = recording_purge, recording_close
     try:
@@ -134,7 +163,7 @@ def test_fixture_trace_matches_hand_simulation() -> None:
     assert report1.completed_rollouts == 6
     assert report1.resumed_rollouts == 0
     assert report1.purged_rollouts == 0
-    assert report1.emitted_groups == 0 and groups1 == []
+    assert report1.emitted_groups == 0 and len(groups1) == 0
 
     params2 = PolicyParams(params.weights, version_id=1)
     trace2: list[dict] = []
@@ -146,7 +175,7 @@ def test_fixture_trace_matches_hand_simulation() -> None:
     assert report2.emitted_groups == 1
     assert report2.emitted_tokens == sum(FIXTURE_LENGTHS)
     assert report2.stale_token_fraction == pytest.approx(30 / 46)
-    assert sorted(r.length for r in groups2[0].rollouts) == sorted(FIXTURE_LENGTHS)
+    assert len(groups2) == 1 and sorted(groups2.lengths.tolist()) == sorted(FIXTURE_LENGTHS)
 
 
 def test_smallest_instance_single_token_rollout() -> None:
@@ -226,7 +255,7 @@ def test_an_exhausted_source_gives_an_empty_iteration_in_both_modes() -> None:
         state.source.cursor = 1  # exhausted
         report, groups = step(state, default_params(), budget, ObjectiveConfig(group_size=2))
         assert report.rollout_ticks == report.trained_tokens == report.completed_rollouts == 0
-        assert groups == [] and report.emitted_groups == 0
+        assert len(groups) == 0 and report.emitted_groups == 0
         assert math.isnan(report.reward_mean)
         assert state.tick_clock == 0 and state.iteration == 1
 
@@ -236,15 +265,17 @@ def test_prompts_drawn_for_an_iteration_that_ends_early_spawn_first_in_the_next(
     prompts = [(TaskSpec(TaskKind.PARITY_MATCH, 900 + k, 0, 2), [1, 1]) for k in range(12)]
     state = make_state(3, Vocabulary(size=8), infer_engine(0.0, 7), ScriptedPromptSource(prompts))
     spawned: list[tuple[int, int]] = []  # (iteration, prompt id) of each spawned group
-    spawn = scheduler._spawn_group
+    spawn = scheduler._spawn_groups
 
-    def recording(state, group_cfg):
-        queued = spawn(state, group_cfg)
-        if queued:
-            spawned.append((state.iteration, state.groups[state.next_group_uid - 1][0].task.prompt_id))
+    def recording(state, group_cfg, wanted):
+        first = state.next_group_uid
+        queued = spawn(state, group_cfg, wanted)
+        for group_uid in range(first, state.next_group_uid):
+            prompt_id = state.rollouts[_PROMPT][state.rollouts[_GROUP] == group_uid][0]
+            spawned.append((state.iteration, int(prompt_id)))
         return queued
 
-    monkeypatch.setattr(scheduler, "_spawn_group", recording)
+    monkeypatch.setattr(scheduler, "_spawn_groups", recording)
     params = default_params()
     left_drawn = []
     # A budget of 2 tokens ends an iteration after one group, of 3 after two; 100 lets the cap of 3 end it.
@@ -286,7 +317,7 @@ def test_baseline_matches_the_wave_loop_oracle(lengths, group_size, infer_capaci
     prompts = [(sample_prompt(rng, vocab, 40), row[:group_size]) for row in lengths]
     budget = BudgetConfig(token_budget=1, infer_capacity=infer_capacity, prompts_per_iteration=prompts_per_iteration)
     cfg = ObjectiveConfig(group_size=group_size)
-    states = [make_state(seed, vocab, infer_engine(0.2, 7), ScriptedPromptSource(prompts)) for _ in range(2)]
+    states = [make(seed, vocab, infer_engine(0.2, 7), ScriptedPromptSource(prompts)) for make in (make_state, oracle_state)]
     params = init_params(vocab, n_features=16, init_scale=0.4, seed=seed)
     for _ in range(iterations):
         got_report, got_groups = run_iteration_baseline(states[0], params, budget, cfg)
@@ -295,10 +326,108 @@ def test_baseline_matches_the_wave_loop_oracle(lengths, group_size, infer_capaci
         got_reward, want_reward = got.pop("reward_mean"), want.pop("reward_mean")
         assert got == want
         assert got_reward == want_reward or (math.isnan(got_reward) and math.isnan(want_reward))
-        for got_group, want_group in zip(got_groups, want_groups, strict=True):
-            assert [(r.uid, r.tokens) for r in got_group.rollouts] == [(r.uid, r.tokens) for r in want_group.rollouts]
+        want = [(r.uid, r.tokens) for group in want_groups for r in group.rollouts]
+        assert len(got_groups) == len(want_groups)
+        assert list(zip(got_groups.uids.tolist(), split(got_groups, "tokens"))) == want
         assert states[0].tick_clock == states[1].tick_clock
         params = PolicyParams(params.weights, version_id=params.version_id + 1)
+
+
+def _oracle_batch(groups) -> dict:
+    """The oracle's emitted groups as the flat fields of an emitted batch."""
+    rollouts = [r for g in groups for r in g.rollouts]
+    return {
+        "uids": [r.uid for r in rollouts],
+        "lengths": [r.length for r in rollouts],
+        "tokens": [t for r in rollouts for t in r.tokens],
+        "lp_train": np.array([v for r in rollouts for v in r.lp_train]).tobytes(),
+        "lp_infer": np.array([v for r in rollouts for v in r.lp_infer]).tobytes(),
+        "versions": [v for r in rollouts for v in r.versions],
+        "rewards": np.array([v for g in groups for v in g.rewards]).tobytes(),
+        "advantages": np.array([v for g in groups for v in g.advantages]).tobytes(),
+    }
+
+
+def _pool_batch(batch) -> dict:
+    return {
+        "uids": batch.uids.tolist(),
+        "lengths": batch.lengths.tolist(),
+        "tokens": batch.tokens.tolist(),
+        "lp_train": batch.lp_train.astype(np.float64).tobytes(),
+        "lp_infer": batch.lp_infer.astype(np.float64).tobytes(),
+        "versions": batch.versions.tolist(),
+        "rewards": batch.rewards.astype(np.float64).tobytes(),
+        "advantages": batch.advantages.astype(np.float64).tobytes(),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    baseline=st.booleans(),
+    lognormal=st.booleans(),
+    token_budget=st.integers(1, 60),
+    infer_capacity=st.integers(1, 20),
+    retention_threshold=st.integers(0, 3),
+    prompts_per_iteration=st.integers(1, 5),
+    group_size=st.integers(2, 5),
+    max_len=st.integers(1, 14),
+    tick_cap=st.sampled_from([3, 40, 10**6, 10**6, 10**6]),
+    first_uid=st.sampled_from([0, 4090]),
+    iterations=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_array_pool_equals_the_rollout_object_loop(
+    baseline, lognormal, token_budget, infer_capacity, retention_threshold, prompts_per_iteration, group_size, max_len,
+    tick_cap, first_uid, iterations, seed,
+) -> None:
+    """Iteration by iteration, the pool and the parent's Rollout-object loop (tests/oracles.py) agree bit for bit.
+
+    Reports, emitted batches, tick traces, next_uid, tick_clock and the
+    lookahead are equal after every iteration, and a tick cap raises the
+    same TickCapError at the same tick.
+    """
+    vocab = Vocabulary(size=6)
+    model = "lognormal" if lognormal else "policy"
+    states = [
+        make(seed, vocab, infer_engine(0.2, 7), SyntheticPromptSource(vocab, max_len=max_len, length_model=model, median=3.0))
+        for make in (make_state, oracle_state)
+    ]
+    for state in states:
+        state.next_uid = first_uid
+    budget = BudgetConfig(
+        token_budget=token_budget,
+        infer_capacity=infer_capacity,
+        retention_threshold=retention_threshold,
+        prompts_per_iteration=prompts_per_iteration,
+        tick_cap=tick_cap,
+    )
+    cfg = ObjectiveConfig(group_size=group_size)
+    params = init_params(vocab, n_features=16, init_scale=0.6, seed=seed)
+    shift = np.random.default_rng(seed).normal(0, 0.3, params.weights.shape)
+    for _ in range(iterations):
+        outcomes = []
+        for state, loop in zip(states, (scheduler._rollout_loop, _rollout_loop)):
+            trace: list[dict] = []
+            try:
+                outcomes.append((loop(state, params, budget, cfg, trace, baseline), trace))
+            except TickCapError as exc:
+                outcomes.append((str(exc), trace))
+        (got, got_trace), (want, want_trace) = outcomes
+        assert got_trace == want_trace
+        if isinstance(want, str):
+            assert got == want
+            return
+        (got_report, got_batch), (want_report, want_groups) = got, want
+        got_fields, want_fields = dataclasses.asdict(got_report), dataclasses.asdict(want_report)
+        got_reward, want_reward = got_fields.pop("reward_mean"), want_fields.pop("reward_mean")
+        assert got_fields == want_fields
+        assert got_reward == want_reward or (math.isnan(got_reward) and math.isnan(want_reward))
+        assert _pool_batch(got_batch) == _oracle_batch(want_groups)
+        assert len(got_batch) == len(want_groups) and got_batch.group_size == group_size
+        for name in ("next_uid", "next_group_uid", "tick_clock", "iteration"):
+            assert getattr(states[0], name) == getattr(states[1], name)
+        assert list(states[0].lookahead) == list(states[1].lookahead)
+        params = PolicyParams(params.weights + shift, version_id=params.version_id + 1)
 
 
 def test_unreachable_budget_hits_tick_cap() -> None:
@@ -423,9 +552,8 @@ def _run_fuzz_case(rng: np.random.Generator) -> None:
                         longest = report.trained_tokens - prev
                         assert report.trained_tokens - budget.token_budget < longest
             # version monotonicity inside rollouts, purged rollouts never regenerate
-            for group in groups:
-                for rollout in group.rollouts:
-                    assert rollout.versions == sorted(rollout.versions)
+            for versions in split(groups, "versions"):
+                assert versions == sorted(versions)
             params = PolicyParams(params.weights, version_id=params.version_id + 1)
 
     # conservation: every spawned rollout is trained, purged, or still in flight
@@ -468,30 +596,41 @@ def test_pool_stays_within_capacity_and_only_complete_groups_are_emitted(
         prompts_per_iteration=prompts_per_iteration,
     )
     cfg = ObjectiveConfig(group_size=group_size)
+    drawn: list[int | None] = []  # each drawn prompt's target lengths, in draw order: the order of uids
+    next_prompt = source.next_prompt
+
+    def recording(stream, size):
+        prompt = next_prompt(stream, size)
+        drawn.extend(prompt[1])
+        return prompt
+
+    source.next_prompt = recording
     emitted: list = []
     with uid_audit() as audit:
         for _ in range(iterations):
             trace: list[dict] = []
             _, groups = run_iteration(state, params, budget, cfg, trace=trace)
             assert all(row["active"] <= infer_capacity and row["pool_after"] <= infer_capacity for row in trace)
-            emitted += groups
+            emitted.append(groups)
             params = PolicyParams(params.weights, version_id=params.version_id + 1)
     in_flight = in_flight_uids(state)
-    for group in emitted:
-        uids = {r.uid for r in group.rollouts}
-        assert len(group.rollouts) == len(uids) == group_size
-        assert len({r.group_uid for r in group.rollouts}) == 1
-        assert all(r.terminal for r in group.rollouts)
-        assert not uids & audit.purged and not uids & in_flight
-        for r in group.rollouts:
-            # The end rule: a drawn target length is generated exactly; without
-            # one, the rollout stops at its first EOS or at the task's max_len.
-            if lognormal:
-                assert r.target_len is not None and r.length == r.target_len
-            else:
-                assert r.target_len is None and vocab.eos_id not in r.tokens[:-1]
-                assert r.tokens[-1] == vocab.eos_id or r.length == max_len
-                assert r.length <= max_len
+    for batch in emitted:
+        assert batch.group_size == group_size and batch.uids.size == len(batch) * group_size
+        tokens = split(batch, "tokens")
+        for g, uids in enumerate(batch.uids.reshape(-1, group_size).tolist()):
+            # One group: a spawn gives the group_size siblings of each prompt the next uids, from 0.
+            assert len(set(uids)) == group_size and uids == list(range(uids[0], uids[0] + group_size))
+            assert uids[0] % group_size == 0
+            assert not set(uids) & audit.purged and not set(uids) & in_flight
+            for uid, r in zip(uids, tokens[g * group_size : (g + 1) * group_size]):
+                # Terminal by the end rule: a drawn target length is generated exactly; without
+                # one, the rollout stops at its first EOS or at the task's max_len.
+                if lognormal:
+                    assert drawn[uid] is not None and len(r) == drawn[uid]
+                else:
+                    assert drawn[uid] is None and vocab.eos_id not in r[:-1]
+                    assert r[-1] == vocab.eos_id or len(r) == max_len
+                    assert len(r) <= max_len
 
 
 def test_lognormal_lengths_stay_in_range_for_any_valid_sigma() -> None:
@@ -525,8 +664,8 @@ def test_group_slots_hold_only_live_groups_after_a_run() -> None:
     in_flight = in_flight_uids(state)
     assert audit.trained and audit.purged and in_flight
     assert live_uids(state) == in_flight
-    assert not any(r.terminal for pool in (state.infer_pool, state.pending) for r in pool)
-    assert list(state.groups) == sorted(state.groups)
+    assert not (state.rollouts[_TERMINAL][pool_mask(state) | pending_mask(state)]).any()
+    assert (np.diff(state.rollouts[_GROUP]) >= 0).all() and (np.diff(state.rollouts[_UID]) > 0).all()
     assert audit.trained | audit.purged | in_flight == set(range(state.next_uid))
     assert not (audit.trained & audit.purged)
     assert not (audit.trained & in_flight)
@@ -544,7 +683,7 @@ def test_group_slots_hold_only_live_groups_after_a_run() -> None:
 )
 def test_rollout_stream_is_the_tuple_seeded_stream(seed: int, uid: int, count: int) -> None:
     want = np.random.default_rng(np.random.SeedSequence((seed & (2**64 - 1), 2, uid)))
-    got = RolloutUniforms(seed).draw(uid, count)
+    got = RolloutUniforms(seed).draw(uid, [count])
     assert got.tobytes() == want.random(count).tobytes()
 
 
@@ -552,7 +691,7 @@ def test_rollout_uniforms_across_block_edges_in_issue_order() -> None:
     source = RolloutUniforms(-5)
     for uid in [*range(4090, 4100), *range(2**32 - 3, 2**32 + 3), 2**40, 5]:
         want = np.random.default_rng(np.random.SeedSequence((-5 & (2**64 - 1), 2, uid)))
-        assert source.draw(uid, 3).tobytes() == want.random(3).tobytes()
+        assert source.draw(uid, [3]).tobytes() == want.random(3).tobytes()
 
 
 class _FixedWords(ISeedSequence):
@@ -602,29 +741,21 @@ def test_seed_sequence_states_match_numpy(data, n_words: int, n_rows: int) -> No
         assert state.tobytes() == np.random.SeedSequence(words).generate_state(4, np.uint64).tobytes()
 
 
-class _ScalarStream:
-    """A rollout's own tuple-seeded generator, one scalar draw per token, read in token order."""
-
-    def __init__(self, seed: int, uid: int) -> None:
-        self.stream = np.random.default_rng(np.random.SeedSequence((seed & (2**64 - 1), 2, uid)))
-        self.drawn = 0
-
-    def __getitem__(self, token_index: int) -> float:
-        assert token_index == self.drawn, "each token reads the next uniform, once"
-        self.drawn += 1
-        return self.stream.random()
-
-
-def _stream_oracle(self: RolloutUniforms, uid: int, count: int) -> _ScalarStream:
-    return _ScalarStream(self.seed, uid)
+def _stream_oracle(self: RolloutUniforms, first_uid: int, counts) -> np.ndarray:
+    """Each rollout's uniforms drawn alone from its own tuple-seeded generator."""
+    return np.concatenate([
+        np.random.default_rng(np.random.SeedSequence((self.seed & (2**64 - 1), 2, first_uid + i))).random(count)
+        for i, count in enumerate(np.asarray(counts).tolist())
+    ])
 
 
 def _trained_rollouts(monkeypatch, length_model: str, first_uid: int) -> list:
     seen = []
 
-    def recording(groups, *args):
-        seen.extend((r.uid, tuple(r.tokens), r.lp_infer, r.lp_train, r.versions) for g in groups for r in g.rollouts)
-        return objective.objective_and_grad(groups, *args)
+    def recording(batch, *args):
+        seen.extend(zip(batch.uids.tolist(), map(tuple, split(batch, "tokens")), split(batch, "lp_infer"),
+                        split(batch, "lp_train"), split(batch, "versions")))
+        return objective.objective_and_grad(batch, *args)
 
     monkeypatch.setattr(scheduler, "objective_and_grad", recording)
     vocab = Vocabulary(size=8)

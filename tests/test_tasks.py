@@ -4,9 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mismatchlab import TaskKind, TaskSpec, Vocabulary, prefix_pattern, sample_prompt, verify
+from mismatchlab import TaskKind, TaskSpec, Vocabulary, prefix_pattern, sample_prompt
 from mismatchlab.tasks import copy_target_range, prefix_length, prompt_id_for
+from mismatchlab.tasks import verify as batched_verify
+from oracles import verify as scalar_verify
+
+
+def verify(task: TaskSpec, completion, vocab: Vocabulary) -> float:
+    """The batched verify on one completion."""
+    rewards = batched_verify(task.kind, np.array([task.target]), np.array([task.max_len]), np.array(completion, dtype=np.int64),
+                             np.array([len(completion)]), vocab)
+    assert rewards.shape == (1,) and rewards.dtype == np.float64
+    return float(rewards[0])
 
 
 def replay_oracle(stream: np.random.Generator, vocab: Vocabulary, max_len: int) -> TaskSpec:
@@ -140,3 +152,56 @@ def test_verify_rejects_out_of_vocabulary_tokens() -> None:
     task = TaskSpec(TaskKind.PARITY_MATCH, 100, 0, 8)
     with pytest.raises(ValueError):
         verify(task, (9,), vocab)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    vocab_size=st.integers(2, 12),
+    eos_id=st.integers(0, 11),
+    max_len=st.sampled_from([1, 2, 3, 8, 40]),
+    n=st.integers(1, 30),
+    eos_rate=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_batched_verify_equals_the_scalar_oracle(seed, vocab_size, eos_id, max_len, n, eos_rate) -> None:
+    """Random completions of every kind, lengths 1 to max_len, EOS anywhere: rewards equal completion by completion."""
+    vocab = Vocabulary(size=vocab_size, eos_id=eos_id % vocab_size)
+    rng = np.random.default_rng(seed)
+    tasks = [sample_prompt(rng, vocab, max_len) for _ in range(n)]
+    completions = []
+    for _ in tasks:
+        tokens = rng.integers(0, vocab.size, size=int(rng.integers(1, max_len + 1)))
+        tokens[rng.random(tokens.size) < eos_rate] = vocab.eos_id
+        completions.append(tokens.tolist())
+    for kind in TaskKind:
+        chosen = [i for i, task in enumerate(tasks) if task.kind is kind]
+        got = batched_verify(
+            kind, np.array([tasks[i].target for i in chosen], dtype=np.int64), np.full(len(chosen), max_len),
+            np.array([t for i in chosen for t in completions[i]], dtype=np.int64), np.array([len(completions[i]) for i in chosen], dtype=np.intp), vocab,
+        )
+        assert got.tolist() == [scalar_verify(tasks[i], completions[i], vocab) for i in chosen]
+
+
+def test_batched_verify_reads_eos_at_every_position() -> None:
+    vocab = Vocabulary(size=5, eos_id=2)
+    for max_len in (1, 2, 3, 6):
+        tasks = [TaskSpec(kind, prompt_id_for(kind, target), target, max_len) for kind in TaskKind for target in range(4)]
+        for length in range(1, max_len + 1):
+            for at in range(length):
+                completion = [(3 * k + 1) % 5 for k in range(length)]
+                completion[at] = vocab.eos_id
+                for task in tasks:
+                    assert verify(task, completion, vocab) == scalar_verify(task, completion, vocab)
+
+
+def test_batched_verify_raises_the_scalar_error_on_the_first_token_outside_the_vocabulary() -> None:
+    vocab = Vocabulary(size=8)
+    completions = [[1, 2], [3, -1, 9], [12]]
+    task = TaskSpec(TaskKind.TARGET_SUM, 203, 3, 8)
+    with pytest.raises(ValueError) as want:
+        for completion in completions:
+            scalar_verify(task, completion, vocab)
+    for kind in TaskKind:
+        with pytest.raises(ValueError) as got:
+            batched_verify(kind, np.full(3, 3), np.full(3, 8), np.array([t for c in completions for t in c]), np.array([2, 3, 1]), vocab)
+        assert str(got.value) == str(want.value) == "completion token -1 outside vocabulary"
