@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# Byte-identity report: run the shipped-config commands, plus two compounding
-# configs derived from compounding.json and a policy-length schedule config
-# derived from schedule_longtail.json, at a base commit and in the working
-# tree, then compare every output file.
+# Byte-identity report: run the replay set (tests/replay_set.json: the shipped
+# configs, and the configs its patches derive from them) at a base commit and
+# in the working tree, then compare every output file.
 #
 # Usage: .github/scripts/compare_outputs.sh BASE_REV
 #
 # Prints a Markdown table, one row per output file: identical, differing, or
-# missing on one side. Each side runs its own configs from its own src/. The
-# report never fails: outputs may change on purpose, so it always exits 0.
+# missing on one side. Both sides run the working tree's replay set, each on
+# its own configs and its own src/. The report never fails: outputs may change
+# on purpose, so it always exits 0.
 set -u
 
 base_rev="$1"
@@ -21,30 +21,16 @@ if ! git -C "$head_dir" archive "$base_rev" | tar -x -C "$work/base"; then
   exit 0
 fi
 
-# run_side TREE OUT: the nine commands of the CI end-to-end step, with TREE's code and configs.
+# run_side TREE OUT: the working tree's replay set, with TREE's code and configs.
 run_side() {
-  local tree="$1" out="$2" run cmd path cfg
+  local tree="$1" out="$2" cmd path cfg
   mkdir -p "$out"
-  # compounding's rl_loop mode is in no shipped config, so one is derived from compounding.json.
-  python -c 'import json, sys; c = json.load(open(sys.argv[1])); c["compounding"].update(bias_mode="rl_loop", n_steps=40); print(json.dumps(c))' \
-    "$tree/configs/compounding.json" > "$out/compounding_rl_loop.json"
-  # No shipped compounding config divides by a temperature (in delta_gradient and the reward gradient), so one is derived.
-  python -c 'import json, sys; c = json.load(open(sys.argv[1])); c["policy"]["temperature"] = 0.7; print(json.dumps(c))' \
-    "$tree/configs/compounding.json" > "$out/compounding_t07.json"
-  # No shipped config runs policy-length (EOS-ended) rollouts through both schedule modes at 512 tokens, so one is derived.
-  python -c 'import json, sys; c = json.load(open(sys.argv[1])); c["schedule"]["length_model"] = "policy"; print(json.dumps(c))' \
-    "$tree/configs/schedule_longtail.json" > "$out/schedule_policy_length.json"
-  for run in train:configs/train_icepop.json train:configs/train_grpo.json schedule:configs/schedule_longtail.json \
-      schedule:configs/schedule_uniform.json compounding:configs/compounding.json sweep:configs/sweep.json \
-      compounding:"$out/compounding_rl_loop.json" compounding:"$out/compounding_t07.json" \
-      schedule:"$out/schedule_policy_length.json"; do
-    cmd="${run%%:*}" path="${run#*:}"
-    case "$path" in /*) ;; *) path="$tree/$path" ;; esac
-    cfg="$(basename "$path" .json)"
+  python "$head_dir/tests/replay.py" configs "$tree" "$out" > "$out/runs.txt"
+  while read -r cmd path cfg; do
     if ! (cd "$tree" && PYTHONPATH=src python -m mismatchlab "$cmd" --config "$path" --out "$out/$cfg" > /dev/null 2>&1); then
       echo "$cfg" >> "$out/failed"
     fi
-  done
+  done < "$out/runs.txt"
 }
 
 run_side "$work/base" "$work/base_out"

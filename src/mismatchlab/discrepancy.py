@@ -270,20 +270,20 @@ def compounding_experiment(
     for t in range(n_steps):
         grad_delta = delta_gradient(evaluation)
         g_star = _exact_reward_gradient(evaluation, reward_table)
-        norm_sq = float((grad_delta * grad_delta).sum())
-        if delta_t > 0.0 and norm_sq > 1e-30:
-            bias = (align_target * delta_t / norm_sq) * grad_delta
-        else:
-            bias = np.zeros_like(grad_delta)
-        g_total = g_star + bias
-
-        dots_bias.append(float((grad_delta * bias).sum()))
-        dots_drift.append(float((grad_delta * g_star).sum()))
-        grad_norms.append(float(np.linalg.norm(g_total)))
         samples.append(DiscrepancySample(step=t, delta=delta_t, max_token_gap=gap_t))
-
-        dot_total = float((grad_delta * g_total).sum())
-        params = PolicyParams(params.weights + mu * g_total, version_id=params.version_id)
+        # A step that overflows the weights raises NumericError in PolicyParams, as sgd_update does.
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm_sq = float((grad_delta * grad_delta).sum())
+            if delta_t > 0.0 and norm_sq > 1e-30:
+                bias = (align_target * delta_t / norm_sq) * grad_delta
+            else:
+                bias = np.zeros_like(grad_delta)
+            g_total = g_star + bias
+            dots_bias.append(float((grad_delta * bias).sum()))
+            dots_drift.append(float((grad_delta * g_star).sum()))
+            grad_norms.append(float(np.linalg.norm(g_total)))
+            dot_total = float((grad_delta * g_total).sum())
+            params = PolicyParams(params.weights + mu * g_total, version_id=params.version_id)
         evaluation = evaluate_probes(hashed_probes, params)
         delta_next, gap_next = delta_and_gap(evaluation)
         g_sq = grad_norms[-1] ** 2

@@ -12,7 +12,8 @@ importance ratio r_t = pi_train(theta) / pi_train(old). The mode decides
 m_t: the masked variant keeps c_t inside [alpha, beta] and zeroes it
 outside; the unmasked variant uses c_t as-is; the truncated variant caps
 it at a constant. m_t and the advantage are treated as constants in the
-gradient. It reads a RolloutBatch, the emitted rollouts as flat arrays.
+gradient. It reads a RolloutBatch, the emitted rollouts as flat arrays,
+and pi_train(theta) from the ContextTable row each token was sampled at.
 Aggregation is token-mean within a rollout, mean over the group, mean
 over groups, in that fixed order so results are bit-stable.
 """
@@ -31,8 +32,6 @@ from .policy import (
     PolicyParams,
     batched_log_softmax,
     batched_train_logits,
-    context_rows,
-    train_engine,
     weight_grad,
 )
 
@@ -92,9 +91,10 @@ class RolloutBatch:
     """Trainable rollouts as flat arrays, in groups of group_size consecutive rollouts; len() counts groups.
 
     Per rollout: its length, prompt id, reward, group advantage and uid.
-    Per token, each rollout's in order: the token id, its log probability
-    under the training and the inference engine at the generating
-    parameters, and that parameter version.
+    Per token, each rollout's in order: the token id, the ContextTable row
+    of the context it was sampled at, its log probability under the
+    training and the inference engine at the generating parameters, and
+    that parameter version.
     """
 
     group_size: int
@@ -104,6 +104,7 @@ class RolloutBatch:
     advantages: np.ndarray
     uids: np.ndarray
     tokens: np.ndarray
+    rows: np.ndarray
     lp_train: np.ndarray
     lp_infer: np.ndarray
     versions: np.ndarray
@@ -166,18 +167,19 @@ def batch_group_advantages(rewards: np.ndarray) -> np.ndarray:
 def objective_and_grad(
     batch: RolloutBatch,
     theta: PolicyParams,
-    theta_old: PolicyParams,
     ref: PolicyParams | None,
     cfg: ObjectiveConfig,
-    temperature: float = 1.0,
-    table: ContextTable | None = None,
+    table: ContextTable,
 ) -> LossBreakdown:
     """Objective value and its exact analytic gradient w.r.t. theta.
 
-    The current-train log probabilities are recomputed from theta, so the
-    value is a pure function of theta given the generation-time fields
-    the batch recorded; that is what the finite-difference checks
-    differentiate. The inputs are not modified. A calibration ratio that
+    The current-train feature rows, log probs and probs of every token
+    are gathered from the table at theta, by the table row the batch
+    recorded for it, at the table's temperature; the table must hold
+    the batch's prompts. So the value is a pure function of theta given
+    the generation-time fields the batch recorded; that is what the
+    finite-difference checks differentiate. The inputs are not modified
+    (the table only evaluates rows at theta). A calibration ratio that
     underflows to zero counts as outside any bounds (masked, or zero
     weight in the unmasked modes). The KL to ref is evaluated only when
     it enters the objective (kl_coeff > 0); kl_to_ref is nan otherwise.
@@ -185,49 +187,30 @@ def objective_and_grad(
     Every token of the batch is evaluated at once, each weighted by
     1 / (groups * group size * rollout length). The value keeps the
     per-rollout order (each rollout's pairwise token sum, then rollouts
-    in group order, then groups), so results are bit-stable. With a
-    context table (at temperature, with the batch's prompts registered),
-    the current-train feature rows, log probs and probs are gathered from
-    its rows at theta instead of evaluated: the same bits.
+    in group order, then groups), so results are bit-stable.
     """
     lengths, group_size = batch.lengths, batch.group_size
     if not lengths.size:
         raise ValueError("objective needs at least one prompt group")
-    if theta_old.version_id > theta.version_id:
-        raise ValueError("theta_old must not be newer than theta")
     if group_size < 1 or lengths.size % group_size:
         raise ValueError("the batch's rollouts do not form whole groups")
     if (lengths < 1).any():
         raise ValueError("empty rollout in prompt group")
-    if (batch.versions > theta_old.version_id).any():
-        raise ValueError("token generated by a version newer than theta_old")
+    if (batch.versions > theta.version_id).any():
+        raise ValueError("token generated by a version newer than theta")
     if not np.isfinite(batch.advantages).all():
         raise NumericError("group advantages contain non-finite values")
 
     n_groups, tokens, lp_old, lp_inf = len(batch), batch.tokens, batch.lp_train, batch.lp_infer
+    temperature = table.temperature
     seg = np.repeat(np.arange(lengths.size), lengths)
     advantage = np.repeat(batch.advantages, lengths)
     weight = 1.0 / (n_groups * group_size * lengths)[seg]
-    # Window before each token: (prev, last) shift along the rollout,
-    # -1 where the rollout has not produced them yet.
-    starts = np.cumsum(lengths) - lengths
-    pos = np.arange(seg.size) - starts[seg]
-    shifted = np.concatenate([[-1, -1], tokens])
-    last = np.where(pos >= 1, shifted[1:-1], -1)
-    prev = np.where(pos >= 2, shifted[:-2], -1)
-    prompt_ids = np.repeat(batch.prompt_ids, lengths)
-    if table is None:
-        feats, _, _ = context_rows(prompt_ids, prev, last, theta.n_features, train_engine(), theta.version_id)
-        log_probs, probs = batched_log_softmax(batched_train_logits(theta, feats, temperature))
-    else:
-        if table.temperature != temperature:
-            raise ValueError("context table is at another temperature")
-        table.load(theta)
-        at = table.rows(prompt_ids, prev, last)
-        table.check(at)
-        feats, log_probs, probs = table.feats[at], table.lp_train[at], table.probs_train[at]
-    rows = np.arange(seg.size)
-    lp_cur = log_probs[rows, tokens]
+    table.load(theta)
+    table.check(batch.rows)
+    feats, log_probs, probs = table.feats[batch.rows], table.lp_train[batch.rows], table.probs_train[batch.rows]
+    flat = np.arange(seg.size)
+    lp_cur = log_probs[flat, tokens]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite ratios raise just below
         calib = np.exp(lp_old - lp_inf)
         ratio = np.exp(lp_cur - lp_old)
@@ -256,7 +239,7 @@ def objective_and_grad(
     # active feature rows per position (duplicates counted).
     coeffs = np.where(active, weight * factor * ratio * advantage / temperature, 0.0)
     grad_logits = -coeffs[:, None] * probs
-    grad_logits[rows, tokens] += coeffs
+    grad_logits[flat, tokens] += coeffs
 
     with_kl = ref is not None and cfg.kl_coeff > 0.0
     kl_values = np.zeros(seg.size)
@@ -272,6 +255,7 @@ def objective_and_grad(
     # Each rollout's token sum is numpy's pairwise .sum() of its tokens. With the rollouts sorted by
     # length, each length class is a C-contiguous matrix, whose row sums equal those, bit for bit.
     order = np.argsort(lengths, kind="stable")
+    starts = np.cumsum(lengths) - lengths
     by_length, counts = token_values[spans(starts[order], lengths[order])], np.bincount(lengths)
     class_sums, end = [], 0
     for length in np.flatnonzero(counts).tolist():

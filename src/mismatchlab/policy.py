@@ -452,8 +452,10 @@ class ContextTable:
     Within a parameter version the policy is a pure function of the
     context (prompt, prev, last), and a window takes one of (V+1)^2
     values (a token, or -1 for an empty slot). The table holds one row
-    per window of every registered prompt; a row's run-fixed half, its
-    feature rows and fixed noise, is built once params are loaded.
+    per window of every registered prompt, in a block per prompt that a
+    dict indexes by prompt id; a row's run-fixed half, its feature rows
+    and fixed noise, is built once params are loaded. The tick records
+    the row each token is sampled at, and the objective gathers by it.
 
     A per-row marker says whether a row holds both engines' log-probs and
     probs and the inference CDF at the loaded params. load(params, rows)
@@ -477,8 +479,6 @@ class ContextTable:
         windows = np.arange(self.side * self.side)
         self._windows = (windows // self.side - 1, windows % self.side - 1)
         self._first_row: dict[int, int] = {}
-        self._sorted_ids = np.zeros(0, dtype=np.int64)
-        self._sorted_first = np.zeros(0, dtype=np.intp)
         self.n_features: int | None = None
         self.params: PolicyParams | None = None
         # Fixed for the run, per built row: the (prompt, prev, last) words, the feature rows,
@@ -520,10 +520,6 @@ class ContextTable:
             return
         for p in new:
             self._first_row[p] = len(self._first_row) * self.side * self.side
-        ids = np.fromiter(self._first_row, np.int64, len(self._first_row))
-        order = np.argsort(ids)
-        self._sorted_ids = ids[order]
-        self._sorted_first = np.fromiter(self._first_row.values(), np.intp, ids.size)[order]
         if self.n_features is not None:
             self._build(new)
 
@@ -541,12 +537,12 @@ class ContextTable:
         pids = np.asarray(prompt_ids, dtype=np.int64)
         prev = np.asarray(prev, dtype=np.int64)
         last = np.asarray(last, dtype=np.int64)
-        at = np.searchsorted(self._sorted_ids, pids)
-        if (at >= self._sorted_ids.size).any() or (self._sorted_ids[at] != pids).any():
+        first = np.fromiter((self._first_row.get(p, -1) for p in pids.tolist()), np.intp, pids.size)
+        if (first < 0).any():
             raise ValueError("context of a prompt the table has not registered")
         if min(prev.min(initial=0), last.min(initial=0)) < -1 or max(prev.max(initial=0), last.max(initial=0)) >= self.vocab_size:
             raise ValueError(f"context window outside [-1, {self.vocab_size})")
-        return self._sorted_first[at] + (prev + 1) * self.side + (last + 1)
+        return first + (prev + 1) * self.side + (last + 1)
 
     def advance(self, rows: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         """Rows of the contexts at rows once each has generated its token."""

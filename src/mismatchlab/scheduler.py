@@ -22,10 +22,11 @@ flat per-token arrays, one block of slots per rollout. So a tick is a
 few array operations whatever the pool's width, spawn writes a block of
 rollouts, the close finds complete groups with a bincount and verifies
 each task kind once, and the emitted groups reach the objective as a
-flat RolloutBatch. Ticks, the objective and the probe measure read both
-engines from the state's ContextTable, which evaluates in one pass per
-version every row readable then: the windows of the prompts in the
-pool, the pending queue and the prompt lookahead, and the probe rows.
+flat RolloutBatch that carries each token's table row. Ticks, the
+objective and the probe measure read both engines from the state's
+ContextTable, which evaluates in one pass per version every row readable
+then: the windows of the prompts in the pool, the pending queue and the
+prompt lookahead (the only prompts spawn takes), and the probe rows.
 
 Each rollout samples with its own uniforms, one per token, so the pool's
 order never perturbs another rollout's tokens. They are the first draws
@@ -402,19 +403,13 @@ def _keep(state: SchedulerState, keep: np.ndarray) -> None:
     state.rollouts = rollouts
 
 
-def _spawn_groups(state: SchedulerState, group_cfg: ObjectiveConfig, wanted: int) -> int:
-    """Queue the sibling rollouts of up to wanted next prompts, from the lookahead, else the source, as one
-    block of pending rollouts whose slots take their uniforms in one draw; returns how many were spawned."""
+def _spawn_groups(state: SchedulerState, wanted: int) -> int:
+    """Queue the sibling rollouts of up to wanted next prompts of the lookahead (which _load_version has registered,
+    evaluated and filled to the most an iteration spawns) as one block of pending rollouts whose slots take their
+    uniforms in one draw; returns how many were spawned, fewer only once the prompt source has run out."""
     groups, lengths = [], []
-    while len(groups) < wanted:
-        if state.lookahead:  # its prompts are registered in the table
-            task, targets = state.lookahead.popleft()
-        else:
-            drawn = state.source.next_prompt(state.prompt_stream, group_cfg.group_size)
-            if drawn is None:
-                break
-            task, targets = drawn
-            state.table.add([task.prompt_id])
+    while state.lookahead and len(groups) < wanted:
+        task, targets = state.lookahead.popleft()
         groups.append((0, state.next_group_uid + len(groups), task.prompt_id, _KIND_CODE[task.kind], task.target, task.max_len,
                        state.table.prompt_row(task.prompt_id), 0, 0, task.max_len, state.vocab.eos_id, 0, 0, 0))
         lengths.append(targets)
@@ -454,7 +449,7 @@ def _refill(
             state.n_pending -= admitted
             continue
         wanted = min(-(-(cfg.infer_capacity - pool.size) // group_cfg.group_size), cfg.prompts_per_iteration - sampled_this_iter)
-        spawned = _spawn_groups(state, group_cfg, wanted) if wanted > 0 else 0
+        spawned = _spawn_groups(state, wanted) if wanted > 0 else 0
         if not spawned:
             break
         sampled_this_iter += spawned
@@ -554,7 +549,7 @@ def _close_iteration(
                                       tokens[np.repeat(of_kind, lengths)], lengths[of_kind], state.vocab)
     rewards = rewards.reshape(-1, group_size)
     batch = RolloutBatch(group_size, lengths, emitted[_PROMPT], rewards.ravel(), batch_group_advantages(rewards).ravel(),
-                         emitted[_UID], tokens, slots["lp_train"][at], slots["lp_infer"][at], slots["version"][at])
+                         emitted[_UID], tokens, *(slots[name][at] for name in ("context", "lp_train", "lp_infer", "version")))
     if lengths.size:
         _keep(state, ~ready)
     emitted_tokens = int(lengths.sum())
@@ -662,7 +657,7 @@ def train_loop(
     for _ in range(n_iterations):
         report, batch = step(state, params, cfg, objective)
         if batch:
-            loss = objective_and_grad(batch, params, params, ref, objective, state.temperature, table)
+            loss = objective_and_grad(batch, params, ref, objective, table)
         else:
             loss = empty_breakdown(params)
         sample = measure(params, probes, state.infer, state.temperature, step=report.iteration, table=table, rows=probe_rows)

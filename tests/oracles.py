@@ -17,6 +17,11 @@ source for fixtures. The single-pass baseline as its own wave loop,
 which the scheduler runs as its one rollout loop refilling only an empty
 pool.
 
+The objective as a loop over rollouts, each token's feature rows hashed
+on the direct path (the package gathers them, and the policy at theta,
+from the context table), and each token's table row from its rollout's
+(prev, last) shift (the package records it at the tick).
+
 The probe discrepancy, its gradient and the reward gradient on the
 direct path, each state evaluated anew per call: the probes hashed by
 context_rows, the inference logits by perturb_logits or
@@ -34,7 +39,7 @@ import numpy as np
 
 from mismatchlab.discrepancy import _delta_and_gap_rows, probe_windows
 from mismatchlab.errors import NumericError, TickCapError
-from mismatchlab.objective import ObjectiveConfig, batch_group_advantages
+from mismatchlab.objective import Algo, ObjectiveConfig, batch_group_advantages
 from mismatchlab.policy import (
     _DENSE_TAIL_CUT,
     _DENSE_TAIL_GAIN,
@@ -62,6 +67,7 @@ from mismatchlab.policy import (
     batched_train_logits,
     check_inference_logits,
     context_rows,
+    feature_rows,
     fixed_noise,
     inference_logits,
     inference_slope,
@@ -160,6 +166,82 @@ def group_advantages(rewards: list[float] | np.ndarray) -> np.ndarray:
         raise ValueError("advantage normalization needs a group of >= 2 rewards")
     std = float(r.std())
     return (r - r.mean()) / max(std, 1e-6)
+
+
+def shifted_rows(table: ContextTable, lengths, prompt_ids, tokens) -> np.ndarray:
+    """Each token's table row, from its rollout's (prev, last) shift: the two tokens before it, -1 before the start."""
+    prompts, prev, last = [], [], []
+    for prompt_id, part in zip(np.asarray(prompt_ids).tolist(), np.split(np.asarray(tokens), np.cumsum(lengths)[:-1])):
+        window = [-1, -1] + part.tolist()
+        prompts += [prompt_id] * part.size
+        prev += window[:-2]
+        last += window[1:-1]
+    return table.rows(prompts, prev, last)
+
+
+def reference_objective(batch, theta, ref, cfg, temperature=1.0):
+    """Per-rollout loop that the flat objective must reproduce bit for bit.
+
+    Returns (value, grad, per-token arrays by LossBreakdown field, per-token KL).
+    """
+    grad = np.zeros_like(theta.weights)
+    parts: dict[str, list[np.ndarray]] = {k: [] for k in ("kept", "surrogate", "calib", "entropy", "logp", "kl")}
+    total = 0.0
+    n_groups, group_size = len(batch), batch.group_size
+    tokens, lp_trains, lp_infers = ([part.tolist() for part in np.split(getattr(batch, name), np.cumsum(batch.lengths)[:-1])]
+                                    for name in ("tokens", "lp_train", "lp_infer"))
+    for g in range(n_groups):
+        group_value = 0.0
+        for i in range(g * group_size, (g + 1) * group_size):
+            advantage = float(batch.advantages[i])
+            n_tok = int(batch.lengths[i])
+            weight = 1.0 / (n_groups * group_size * n_tok)
+            token_ids = np.asarray(tokens[i])
+            lp_old = np.asarray(lp_trains[i])
+            lp_inf = np.asarray(lp_infers[i])
+            pos = np.arange(n_tok)
+            window = [-1, -1] + tokens[i]
+            feats = np.asarray(
+                [feature_rows(int(batch.prompt_ids[i]), window[t], window[t + 1], theta.n_features) for t in range(n_tok)]
+            )
+            log_probs, probs = batched_log_softmax(batched_train_logits(theta, feats, temperature))
+            lp_cur = log_probs[pos, token_ids]
+            calib = np.exp(lp_old - lp_inf)
+            if cfg.algo is Algo.ICEPOP:
+                kept = (calib >= cfg.alpha) & (calib <= cfg.beta)
+                factor = np.where(kept, calib, 0.0)
+            elif cfg.algo is Algo.GRPO:
+                kept = np.ones(n_tok, dtype=bool)
+                factor = calib
+            else:
+                kept = np.ones(n_tok, dtype=bool)
+                factor = np.minimum(calib, cfg.tis_cap)
+            ratio = np.exp(lp_cur - lp_old)
+            unclipped = ratio * advantage
+            clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * advantage
+            active = unclipped <= clipped
+            pg_values = factor * np.where(active, unclipped, clipped)
+            coeffs = np.where(active, weight * factor * ratio * advantage / temperature, 0.0)
+            grad_logits = -coeffs[:, None] * probs
+            grad_logits[pos, token_ids] += coeffs
+            kl_values = np.zeros(n_tok)
+            if ref is not None:
+                ref_log_probs, _ = batched_log_softmax(batched_train_logits(ref, feats, temperature))
+                diff = log_probs - ref_log_probs
+                kl_values = (probs * diff).sum(axis=1)
+                if cfg.kl_coeff > 0.0:
+                    grad_logits -= (weight * cfg.kl_coeff / temperature) * (probs * (diff - kl_values[:, None]))
+            for j in range(4):
+                np.add.at(grad, feats[:, j], grad_logits)
+            token_values = pg_values - cfg.kl_coeff * kl_values
+            group_value += float(token_values.sum()) / (group_size * n_tok)
+            for key, value in (
+                ("kept", kept), ("surrogate", pg_values), ("calib", calib),
+                ("entropy", -(probs * log_probs).sum(axis=1)), ("logp", lp_cur), ("kl", kl_values),
+            ):
+                parts[key].append(value)
+        total += group_value
+    return total / n_groups, grad, {k: np.concatenate(v) for k, v in parts.items()}
 
 
 @dataclass

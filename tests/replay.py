@@ -1,0 +1,96 @@
+"""The replay set: runs whose every output byte tier-1 pins, keyed by a float-kernel fingerprint.
+
+replay_set.json lists the runs. Each is a command, a shipped config, and
+an optional patch that derives a config from it: each patch key names a
+config section, and its fields overwrite that section's. The manifest
+maps a float-kernel fingerprint to the SHA-256 of every output file of
+the set, by "run/file". numpy's CPU dispatch changes the last bits of
+its float kernels, and so the output bytes, which is why the hashes are
+keyed by the fingerprint: a host whose fingerprint the manifest does not
+hold has no pinned bytes.
+
+Usage, from the repository root:
+
+    python tests/replay.py configs TREE OUT
+        writes each run's config, read from TREE's configs/ and patched,
+        to OUT/<run>.json, and prints one "<command> <config> <run>" line
+        per run.
+    python tests/replay.py record [TREE]
+        runs the set in-process with TREE's src/ (default: this checkout)
+        and prints {fingerprint: {"run/file": sha256}} as JSON: a manifest
+        entry. NPY_DISABLE_CPU_FEATURES in the environment selects
+        another dispatch, and so records another fingerprint.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SET_PATH = Path(__file__).with_name("replay_set.json")
+
+
+def fingerprint() -> str:
+    """SHA-256 of np.exp, np.log, np.sqrt and np.cos over a fixed float64 vector."""
+    import numpy as np
+
+    x = np.linspace(0.01, 40.0, 4096)
+    digest = hashlib.sha256()
+    for kernel in (np.exp, np.log, np.sqrt, np.cos):
+        digest.update(kernel(x).tobytes())
+    return digest.hexdigest()
+
+
+def load_set() -> dict:
+    return json.loads(SET_PATH.read_text(encoding="utf-8"))
+
+
+def write_config(run: dict, tree: Path, out: Path) -> Path:
+    """The run's config, read from tree and patched, written to out/<run>.json."""
+    config = json.loads((tree / run["config"]).read_text(encoding="utf-8"))
+    for section, fields in run.get("patch", {}).items():
+        config[section].update(fields)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{run['name']}.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+def run_hashes(run: dict, tree: Path, out: Path) -> dict[str, str]:
+    """Run one entry of the set in-process through cli.main; the SHA-256 of each output file by "run/file"."""
+    from mismatchlab import cli
+
+    path = write_config(run, tree, out)
+    code = cli.main([run["command"], "--config", str(path), "--out", str(out / run["name"])])
+    if code != 0:
+        raise RuntimeError(f"{run['name']}: {run['command']} exited {code}")
+    return {
+        f"{run['name']}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted((out / run["name"]).iterdir())
+    }
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "configs":
+        for run in load_set()["runs"]:
+            print(run["command"], write_config(run, Path(argv[1]), Path(argv[2])), run["name"])
+        return 0
+    if 1 <= len(argv) <= 2 and argv[0] == "record":
+        tree = Path(argv[1]).resolve() if len(argv) == 2 else ROOT
+        sys.path.insert(0, str(tree / "src"))
+        hashes = {}
+        with tempfile.TemporaryDirectory() as out:
+            for run in load_set()["runs"]:
+                hashes.update(run_hashes(run, tree, Path(out)))
+        print(json.dumps({fingerprint(): hashes}, indent=2))
+        return 0
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -146,6 +146,13 @@ def test_train_numeric_failure_writes_a_summary_and_exits_3(tmp_path, monkeypatc
     assert "numeric failure: parameter update" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_compounding_step_overflow_exits_3_without_a_warning(tmp_path, capsys) -> None:
+    path = write_config(tmp_path, "compounding", compounding={"mu": 1e300})
+    assert main(["compounding", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "numeric failure: policy weights contain non-finite values\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_schedule_rejects_fewer_than_one_job(tmp_path, jobs: str) -> None:
     out = tmp_path / "o"

@@ -371,8 +371,8 @@ def test_mask_set_monotonicity_on_shared_batch() -> None:
     source = SyntheticPromptSource(vocab, max_len=6)
     state = make_state(9, vocab, engine, source)
     _, groups = run_iteration(state, params, BudgetConfig(token_budget=120, infer_capacity=16), ObjectiveConfig(group_size=4))
-    wide = objective_and_grad(groups, params, params, None, ObjectiveConfig(alpha=0.5, beta=5.0, group_size=4))
-    narrow = objective_and_grad(groups, params, params, None, ObjectiveConfig(alpha=0.5, beta=2.0, group_size=4))
+    wide = objective_and_grad(groups, params, None, ObjectiveConfig(alpha=0.5, beta=5.0, group_size=4), state.table)
+    narrow = objective_and_grad(groups, params, None, ObjectiveConfig(alpha=0.5, beta=2.0, group_size=4), state.table)
     clipped_wide = ~wide.per_token_mask_kept
     clipped_narrow = ~narrow.per_token_mask_kept
     assert np.all(clipped_narrow[clipped_wide])  # wide-clipped subset of narrow-clipped

@@ -30,15 +30,15 @@ from mismatchlab import (
     train_engine,
 )
 from mismatchlab.objective import batch_group_advantages
-from mismatchlab.policy import batched_log_softmax, batched_train_logits, context_rows, feature_rows
+from mismatchlab.policy import ContextTable, batched_log_softmax, batched_train_logits, context_rows, feature_rows
 from mismatchlab.tasks import TaskKind
-from oracles import group_advantages
+from oracles import group_advantages, reference_objective, shifted_rows
 
 DEFAULT_BOUNDS = ObjectiveConfig(alpha=0.5, beta=5.0)
 
 
 def make_batch(seed: int, scale: float, vocab_size: int = 8, max_len: int = 5, n_features: int = 24):
-    """Generate a small prompt-group batch through the real rollout path."""
+    """Generate a small prompt-group batch through the real rollout path; with the state's context table."""
     vocab = Vocabulary(size=vocab_size)
     engine = infer_engine(scale, 7)
     params = init_params(vocab, n_features=n_features, init_scale=0.7, seed=seed)
@@ -48,23 +48,37 @@ def make_batch(seed: int, scale: float, vocab_size: int = 8, max_len: int = 5, n
     cfg = ObjectiveConfig(group_size=2)
     _, batch = run_iteration(state, params, budget, cfg)
     assert batch
-    return params, batch, cfg
+    return params, batch, cfg, state.table
 
 
-def batch_of(rollouts: list[tuple], advantages, group_size: int) -> RolloutBatch:
-    """A batch of (prompt id, tokens, lp_infer, lp_train, versions) rollouts, in group order."""
+def new_table(theta: PolicyParams) -> ContextTable:
+    """An empty context table for theta's vocabulary, at temperature 1."""
+    return ContextTable(theta.vocab_size, infer_engine(0.0, 7), 1.0)
+
+
+def batch_of(rollouts: list[tuple], advantages, group_size: int, table: ContextTable) -> RolloutBatch:
+    """A batch of (prompt id, tokens, lp_infer, lp_train, versions) rollouts, in group order.
+
+    Their prompts are registered in table, and each token's row is that
+    of its rollout's (prev, last) shift.
+    """
 
     def flat(k: int, dtype) -> np.ndarray:
         return np.array([v for r in rollouts for v in r[k]], dtype=dtype)
 
+    lengths = np.array([len(r[1]) for r in rollouts], dtype=np.intp)
+    prompt_ids = np.array([r[0] for r in rollouts], dtype=np.int64)
+    tokens = flat(1, np.int64)
+    table.add(prompt_ids)
     return RolloutBatch(
         group_size=group_size,
-        lengths=np.array([len(r[1]) for r in rollouts], dtype=np.intp),
-        prompt_ids=np.array([r[0] for r in rollouts], dtype=np.int64),
+        lengths=lengths,
+        prompt_ids=prompt_ids,
         rewards=np.zeros(len(rollouts)),
         advantages=np.array(advantages, dtype=np.float64),
         uids=np.arange(len(rollouts)),
-        tokens=flat(1, np.int64),
+        tokens=tokens,
+        rows=shifted_rows(table, lengths, prompt_ids, tokens),
         lp_train=flat(3, np.float64),
         lp_infer=flat(2, np.float64),
         versions=flat(4, np.int64),
@@ -94,7 +108,7 @@ def first_token_log_probs(theta: PolicyParams, prompt_id: int) -> np.ndarray:
 
 
 def manual_group(theta: PolicyParams, specs: list[tuple[int, float, float]], advantages: list[float]):
-    """One group of single-token rollouts with crafted (token, calib, ratio).
+    """One group of single-token rollouts with crafted (token, calib, ratio), and its context table.
 
     The recorded training log prob is chosen so the importance ratio
     against theta comes out at the requested value; the recorded
@@ -106,7 +120,8 @@ def manual_group(theta: PolicyParams, specs: list[tuple[int, float, float]], adv
     for token, calib, ratio in specs:
         lp_old = float(log_probs[token]) - math.log(ratio)
         rollouts.append(single_token_rollout(task, token, lp_old - math.log(calib), lp_old, theta.version_id))
-    return batch_of(rollouts, advantages, group_size=len(specs))
+    table = new_table(theta)
+    return batch_of(rollouts, advantages, len(specs), table), table
 
 
 def masked_by_objective(log_calibrations: list[float], cfg: ObjectiveConfig = DEFAULT_BOUNDS):
@@ -116,8 +131,9 @@ def masked_by_objective(log_calibrations: list[float], cfg: ObjectiveConfig = DE
     # A recorded training log prob of 0 makes the calibration ratio exp(0 - lp_infer).
     rollouts = [single_token_rollout(task, 1, -x, 0.0, theta.version_id) for x in log_calibrations]
     advantages = [1.0 if i % 2 else -1.0 for i in range(len(rollouts))]
-    group = batch_of(rollouts, advantages, group_size=len(rollouts))
-    return objective_and_grad(group, theta, theta, None, cfg)
+    table = new_table(theta)
+    group = batch_of(rollouts, advantages, len(rollouts), table)
+    return objective_and_grad(group, theta, None, cfg, table)
 
 
 def test_mask_paper_default_bounds() -> None:
@@ -219,12 +235,12 @@ def test_batch_group_advantages_requires_pairs() -> None:
 
 
 def test_degenerate_case_all_algorithms_bit_identical() -> None:
-    params, batch, _ = make_batch(seed=3, scale=0.0)
+    params, batch, _, table = make_batch(seed=3, scale=0.0)
     ref = params.copy()
     results = {}
     for algo in Algo:
         cfg = ObjectiveConfig(algo=algo, group_size=2)
-        results[algo] = objective_and_grad(batch, params, params, ref, cfg)
+        results[algo] = objective_and_grad(batch, params, ref, cfg, table)
     base = results[Algo.ICEPOP]
     assert base.clipped_fraction == 0.0
     for algo in (Algo.GRPO, Algo.TIS):
@@ -235,14 +251,14 @@ def test_degenerate_case_all_algorithms_bit_identical() -> None:
 
 
 def test_zero_advantages_give_zero_objective_and_gradient() -> None:
-    params, batch, cfg = make_batch(seed=4, scale=0.1)
+    params, batch, cfg, table = make_batch(seed=4, scale=0.1)
     batch = dataclasses.replace(batch, advantages=np.zeros_like(batch.advantages))
-    out = objective_and_grad(batch, params, params, None, cfg)
+    out = objective_and_grad(batch, params, None, cfg, table)
     assert out.objective_value == 0.0
     assert np.all(out.grad == 0.0)
 
 
-def finite_difference_grad(batch, theta, theta_old, ref, cfg, h=1e-6):
+def finite_difference_grad(batch, theta, ref, cfg, table, h=1e-6):
     fd = np.zeros_like(theta.weights)
     for i in range(theta.weights.shape[0]):
         for j in range(theta.weights.shape[1]):
@@ -250,8 +266,8 @@ def finite_difference_grad(batch, theta, theta_old, ref, cfg, h=1e-6):
             wp[i, j] += h
             wm = theta.weights.copy()
             wm[i, j] -= h
-            up = objective_and_grad(batch, PolicyParams(wp, theta.version_id), theta_old, ref, cfg)
-            dn = objective_and_grad(batch, PolicyParams(wm, theta.version_id), theta_old, ref, cfg)
+            up = objective_and_grad(batch, PolicyParams(wp, theta.version_id), ref, cfg, table)
+            dn = objective_and_grad(batch, PolicyParams(wm, theta.version_id), ref, cfg, table)
             fd[i, j] = (up.objective_value - dn.objective_value) / (2 * h)
     return fd
 
@@ -262,13 +278,13 @@ def finite_difference_grad(batch, theta, theta_old, ref, cfg, h=1e-6):
 @example(seed=11, scale=0.12)
 def test_gradient_matches_finite_differences(algo: Algo, kl_coeff: float, seed: int, scale: float) -> None:
     """Each algorithm, with and without the KL term, on random batches and weights."""
-    params, batch, _ = make_batch(seed=seed, scale=scale, vocab_size=6, max_len=4, n_features=10)
+    params, batch, _, table = make_batch(seed=seed, scale=scale, vocab_size=6, max_len=4, n_features=10)
     cfg = ObjectiveConfig(algo=algo, kl_coeff=kl_coeff, group_size=2)
     rng = np.random.default_rng(seed)
     theta = PolicyParams(params.weights + rng.normal(0, 0.05, params.weights.shape), params.version_id)
     ref = init_params(Vocabulary(size=6), n_features=10, init_scale=0.5, seed=99)
-    out = objective_and_grad(batch, theta, params, ref, cfg)
-    fd = finite_difference_grad(batch, theta, params, ref, cfg)
+    out = objective_and_grad(batch, theta, ref, cfg, table)
+    fd = finite_difference_grad(batch, theta, ref, cfg, table)
     rel = np.abs(out.grad - fd) / np.maximum(1.0, np.abs(out.grad))
     assert rel.max() < 1e-5
 
@@ -286,8 +302,8 @@ def test_masked_tokens_contribute_exactly_zero_gradient(seed: int, scale: float,
     theta = init_params(vocab, n_features=64, init_scale=0.5, seed=8)
     cfg = ObjectiveConfig(group_size=2)
     # kept token (calib 1) and masked token (calib 0.2 < alpha), both unit ratio
-    group = manual_group(theta, [(1, 1.0, 1.0), (2, 0.2, 1.0)], advantages=[1.0, -1.0])
-    out = objective_and_grad(group, theta, theta, None, cfg)
+    group, table = manual_group(theta, [(1, 1.0, 1.0), (2, 0.2, 1.0)], advantages=[1.0, -1.0])
+    out = objective_and_grad(group, theta, None, cfg, table)
     assert list(out.per_token_mask_kept) == [True, False]
     assert out.clipped_fraction == 0.5
 
@@ -307,15 +323,15 @@ def test_masked_tokens_contribute_exactly_zero_gradient(seed: int, scale: float,
             lp_cur = float(first_token_log_probs(theta_now, task.prompt_id)[token])
             rollouts.append(single_token_rollout(task, token, lp_cur - math.log(calib), lp_cur, theta_now.version_id))
         # group pairs the kept rollout (task_a) with the masked one (task_b)
-        return batch_of(rollouts, [1.0, -1.0], group_size=2)
+        return batch_of(rollouts, [1.0, -1.0], 2, table)
 
     base_groups = build(theta)
-    base = objective_and_grad(base_groups, theta, theta, None, cfg)
+    base = objective_and_grad(base_groups, theta, None, cfg, table)
     perturbed = theta.weights.copy()
     for row in private_b:
         perturbed[row, :] += 0.37
     theta_p = PolicyParams(perturbed, theta.version_id)
-    out_p = objective_and_grad(base_groups, theta_p, theta, None, cfg)
+    out_p = objective_and_grad(base_groups, theta_p, None, cfg, table)
     assert abs(out_p.objective_value - base.objective_value) < 1e-12
     for row in private_b:
         assert np.all(base.grad[row, :] == 0.0)
@@ -324,7 +340,7 @@ def test_masked_tokens_contribute_exactly_zero_gradient(seed: int, scale: float,
     # On a random batch, force some tokens outside [alpha, beta], then move
     # every masked token's calibration ratio to another value outside the
     # bounds: the ICEPOP objective and gradient keep every bit.
-    params, batch, _ = make_batch(seed=seed, scale=scale)
+    params, batch, _, table = make_batch(seed=seed, scale=scale)
     cfg = ObjectiveConfig(alpha=alpha, beta=beta, group_size=2)
     outside = st.one_of(st.floats(1e-4, 0.95 * alpha), st.floats(1.05 * beta, 1e4))
 
@@ -337,11 +353,11 @@ def test_masked_tokens_contribute_exactly_zero_gradient(seed: int, scale: float,
 
     n_tokens = batch.tokens.size
     forced = data.draw(st.sets(st.integers(0, n_tokens - 1), min_size=1))
-    before = objective_and_grad(with_calibration({k: data.draw(outside) for k in forced}), params, params, None, cfg)
+    before = objective_and_grad(with_calibration({k: data.draw(outside) for k in forced}), params, None, cfg, table)
     masked = np.flatnonzero(~before.per_token_mask_kept).tolist()
     assert forced <= set(masked)
     moved = {k: data.draw(outside) for k in masked}
-    after = objective_and_grad(with_calibration(moved), params, params, None, cfg)
+    after = objective_and_grad(with_calibration(moved), params, None, cfg, table)
     assert np.allclose(after.per_token_calibration[masked], list(moved.values()), rtol=1e-9)
     assert np.array_equal(after.per_token_mask_kept, before.per_token_mask_kept)
     assert after.objective_value == before.objective_value
@@ -353,13 +369,13 @@ def test_masked_tokens_contribute_exactly_zero_gradient(seed: int, scale: float,
 @example(seed=6, scale=0.2, tight=False, kl_coeff=0.0)
 def test_wide_bounds_reduce_masked_variant_to_unmasked(seed: int, scale: float, tight: bool, kl_coeff: float) -> None:
     """Bounds that keep every token make icepop grpo, bit for bit; tight bounds sit exactly on the extreme ratios."""
-    params, batch, _ = make_batch(seed=seed, scale=scale)
+    params, batch, _, table = make_batch(seed=seed, scale=scale)
     theta = PolicyParams(params.weights * 1.05, params.version_id)
     ref = init_params(Vocabulary(size=8), n_features=24, init_scale=0.5, seed=99)
-    calib = objective_and_grad(batch, theta, params, None, ObjectiveConfig(algo=Algo.GRPO, group_size=2)).per_token_calibration
+    calib = objective_and_grad(batch, theta, None, ObjectiveConfig(algo=Algo.GRPO, group_size=2), table).per_token_calibration
     alpha, beta = (min(1.0, float(calib.min())), max(1.0, float(calib.max()))) if tight else (1e-12, 1e12)
     icepop, grpo = (
-        objective_and_grad(batch, theta, params, ref, ObjectiveConfig(algo=algo, alpha=alpha, beta=beta, kl_coeff=kl_coeff, group_size=2))
+        objective_and_grad(batch, theta, ref, ObjectiveConfig(algo=algo, alpha=alpha, beta=beta, kl_coeff=kl_coeff, group_size=2), table)
         for algo in (Algo.ICEPOP, Algo.GRPO)
     )
     assert icepop.per_token_mask_kept.all() and icepop.clipped_fraction == grpo.clipped_fraction == 0.0
@@ -374,8 +390,8 @@ def test_clip_branch_zeroes_gradient_on_both_sides() -> None:
     theta = init_params(vocab, n_features=16, init_scale=0.4, seed=10)
     cfg = ObjectiveConfig(group_size=2, clip_eps=0.2)
     # positive advantage with ratio above 1+eps, negative with ratio below 1-eps
-    group = manual_group(theta, [(1, 1.0, 1.35), (2, 1.0, 0.7)], advantages=[1.0, -1.0])
-    out = objective_and_grad(group, theta, theta, None, cfg)
+    group, table = manual_group(theta, [(1, 1.0, 1.35), (2, 1.0, 0.7)], advantages=[1.0, -1.0])
+    out = objective_and_grad(group, theta, None, cfg, table)
     assert np.all(out.grad == 0.0)
     # surrogate values take the clipped constants
     assert out.per_token_surrogate == pytest.approx([1.2 * 1.0, 0.8 * -1.0])
@@ -385,10 +401,10 @@ def test_truncated_variant_agrees_with_masked_inside_common_region() -> None:
     vocab = Vocabulary(size=6)
     theta = init_params(vocab, n_features=16, init_scale=0.4, seed=12)
     specs = [(1, 0.3, 1.0), (2, 0.7, 1.1), (3, 1.9, 0.95), (4, 2.6, 1.0), (5, 6.0, 1.0)]
-    group_a = manual_group(theta, specs, advantages=[1.0, -0.5, 0.5, 1.0, -1.0])
-    group_b = manual_group(theta, specs, advantages=[1.0, -0.5, 0.5, 1.0, -1.0])
-    ice = objective_and_grad(group_a, theta, theta, None, ObjectiveConfig(algo=Algo.ICEPOP, group_size=2))
-    tis = objective_and_grad(group_b, theta, theta, None, ObjectiveConfig(algo=Algo.TIS, group_size=2, tis_cap=2.0))
+    group_a, table_a = manual_group(theta, specs, advantages=[1.0, -0.5, 0.5, 1.0, -1.0])
+    group_b, table_b = manual_group(theta, specs, advantages=[1.0, -0.5, 0.5, 1.0, -1.0])
+    ice = objective_and_grad(group_a, theta, None, ObjectiveConfig(algo=Algo.ICEPOP, group_size=2), table_a)
+    tis = objective_and_grad(group_b, theta, None, ObjectiveConfig(algo=Algo.TIS, group_size=2, tis_cap=2.0), table_b)
     calib = ice.per_token_calibration
     common = (calib >= 0.5) & (calib <= 2.0)  # [alpha, min(beta, cap)]
     assert common.sum() == 2
@@ -398,8 +414,8 @@ def test_truncated_variant_agrees_with_masked_inside_common_region() -> None:
 def test_clipped_fraction_counts_masked_tokens() -> None:
     vocab = Vocabulary(size=6)
     theta = init_params(vocab, n_features=16, init_scale=0.4, seed=13)
-    group = manual_group(theta, [(1, 0.2, 1.0), (2, 1.0, 1.0), (3, 9.0, 1.0), (4, 1.2, 1.0)], advantages=[1.0, -1.0, 0.5, -0.5])
-    out = objective_and_grad(group, theta, theta, None, ObjectiveConfig(group_size=2))
+    group, table = manual_group(theta, [(1, 0.2, 1.0), (2, 1.0, 1.0), (3, 9.0, 1.0), (4, 1.2, 1.0)], advantages=[1.0, -1.0, 0.5, -0.5])
+    out = objective_and_grad(group, theta, None, ObjectiveConfig(group_size=2), table)
     assert out.clipped_fraction == pytest.approx(2 / 4)
     assert out.token_count == 4
 
@@ -407,14 +423,15 @@ def test_clipped_fraction_counts_masked_tokens() -> None:
 def test_empty_group_and_empty_rollout_fail() -> None:
     vocab = Vocabulary(size=6)
     theta = init_params(vocab, n_features=16, init_scale=0.4, seed=1)
+    table = new_table(theta)
     with pytest.raises(ValueError):
-        objective_and_grad(batch_of([], [], group_size=2), theta, theta, None, ObjectiveConfig(group_size=2))
-    group = manual_group(theta, [(1, 1.0, 1.0)], advantages=[0.0])
+        objective_and_grad(batch_of([], [], 2, table), theta, None, ObjectiveConfig(group_size=2), table)
+    group, table = manual_group(theta, [(1, 1.0, 1.0)], advantages=[0.0])
     empty = np.zeros(0)
-    group = dataclasses.replace(group, lengths=np.zeros(1, dtype=np.intp), tokens=empty.astype(np.int64), lp_train=empty,
-                                lp_infer=empty, versions=empty.astype(np.int64))
+    group = dataclasses.replace(group, lengths=np.zeros(1, dtype=np.intp), tokens=empty.astype(np.int64), rows=empty.astype(np.intp),
+                                lp_train=empty, lp_infer=empty, versions=empty.astype(np.int64))
     with pytest.raises(ValueError):
-        objective_and_grad(group, theta, theta, None, ObjectiveConfig(group_size=2))
+        objective_and_grad(group, theta, None, ObjectiveConfig(group_size=2), table)
 
 
 def test_sgd_update_identity_and_basis_vector() -> None:
@@ -470,72 +487,8 @@ def test_objective_config_invariants() -> None:
         ObjectiveConfig(kl_coeff=-0.1)
 
 
-def reference_objective(batch, theta, ref, cfg, temperature=1.0):
-    """Per-rollout loop that the flat objective must reproduce bit for bit.
-
-    Returns (value, grad, per-token arrays by LossBreakdown field, per-token KL).
-    """
-    grad = np.zeros_like(theta.weights)
-    parts: dict[str, list[np.ndarray]] = {k: [] for k in ("kept", "surrogate", "calib", "entropy", "logp", "kl")}
-    total = 0.0
-    n_groups, group_size = len(batch), batch.group_size
-    tokens, lp_trains, lp_infers = (per_rollout(batch, name) for name in ("tokens", "lp_train", "lp_infer"))
-    for g in range(n_groups):
-        group_value = 0.0
-        for i in range(g * group_size, (g + 1) * group_size):
-            advantage = float(batch.advantages[i])
-            n_tok = int(batch.lengths[i])
-            weight = 1.0 / (n_groups * group_size * n_tok)
-            token_ids = np.asarray(tokens[i])
-            lp_old = np.asarray(lp_trains[i])
-            lp_inf = np.asarray(lp_infers[i])
-            pos = np.arange(n_tok)
-            window = [-1, -1] + tokens[i]
-            feats = np.asarray(
-                [feature_rows(int(batch.prompt_ids[i]), window[t], window[t + 1], theta.n_features) for t in range(n_tok)]
-            )
-            log_probs, probs = batched_log_softmax(batched_train_logits(theta, feats, temperature))
-            lp_cur = log_probs[pos, token_ids]
-            calib = np.exp(lp_old - lp_inf)
-            if cfg.algo is Algo.ICEPOP:
-                kept = (calib >= cfg.alpha) & (calib <= cfg.beta)
-                factor = np.where(kept, calib, 0.0)
-            elif cfg.algo is Algo.GRPO:
-                kept = np.ones(n_tok, dtype=bool)
-                factor = calib
-            else:
-                kept = np.ones(n_tok, dtype=bool)
-                factor = np.minimum(calib, cfg.tis_cap)
-            ratio = np.exp(lp_cur - lp_old)
-            unclipped = ratio * advantage
-            clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * advantage
-            active = unclipped <= clipped
-            pg_values = factor * np.where(active, unclipped, clipped)
-            coeffs = np.where(active, weight * factor * ratio * advantage / temperature, 0.0)
-            grad_logits = -coeffs[:, None] * probs
-            grad_logits[pos, token_ids] += coeffs
-            kl_values = np.zeros(n_tok)
-            if ref is not None:
-                ref_log_probs, _ = batched_log_softmax(batched_train_logits(ref, feats, temperature))
-                diff = log_probs - ref_log_probs
-                kl_values = (probs * diff).sum(axis=1)
-                if cfg.kl_coeff > 0.0:
-                    grad_logits -= (weight * cfg.kl_coeff / temperature) * (probs * (diff - kl_values[:, None]))
-            for j in range(4):
-                np.add.at(grad, feats[:, j], grad_logits)
-            token_values = pg_values - cfg.kl_coeff * kl_values
-            group_value += float(token_values.sum()) / (group_size * n_tok)
-            for key, value in (
-                ("kept", kept), ("surrogate", pg_values), ("calib", calib),
-                ("entropy", -(probs * log_probs).sum(axis=1)), ("logp", lp_cur), ("kl", kl_values),
-            ):
-                parts[key].append(value)
-        total += group_value
-    return total / n_groups, grad, {k: np.concatenate(v) for k, v in parts.items()}
-
-
 def carried_batch(seed: int):
-    """Groups from several iterations with carry-over, so rollouts mix versions.
+    """Groups from several iterations with carry-over, so rollouts mix versions; with the state's context table.
 
     Lognormal lengths with median 2 give many length-1 rollouts.
     """
@@ -550,13 +503,13 @@ def carried_batch(seed: int):
     for _ in range(8):
         batches.append(run_iteration(state, params, budget, cfg)[1])
         params = PolicyParams(params.weights + shift, version_id=params.version_id + 1)
-    return params, concat_batches(batches)
+    return params, concat_batches(batches), state.table
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("algo,kl_coeff", [(Algo.ICEPOP, 0.0), (Algo.GRPO, 0.0), (Algo.TIS, 0.0), (Algo.ICEPOP, 0.3), (Algo.TIS, 0.3)])
 def test_flat_objective_matches_per_rollout_loop(seed: int, algo: Algo, kl_coeff: float) -> None:
-    theta_old, batch = carried_batch(seed)
+    theta_old, batch, table = carried_batch(seed)
     assert (batch.lengths == 1).any()
     assert any(len(set(versions)) > 1 for versions in per_rollout(batch, "versions"))
     theta = PolicyParams(theta_old.weights * 1.1, theta_old.version_id)
@@ -564,7 +517,7 @@ def test_flat_objective_matches_per_rollout_loop(seed: int, algo: Algo, kl_coeff
     cfg = ObjectiveConfig(algo=algo, kl_coeff=kl_coeff, group_size=3)
     before = [getattr(batch, f.name).copy() for f in dataclasses.fields(RolloutBatch)[1:]]
 
-    out = objective_and_grad(batch, theta, theta_old, ref, cfg)
+    out = objective_and_grad(batch, theta, ref, cfg, table)
     value, grad, per_token = reference_objective(batch, theta, ref, cfg)
     assert out.objective_value == value
     assert out.grad.tobytes() == grad.tobytes()
@@ -594,13 +547,14 @@ def test_length_class_sums_equal_each_rollouts_own_sum() -> None:
     lengths = [*range(1, 601), 8, 9, 128, 129, 512, 8, 9, 128, 129, 512]
     lengths = [int(n) for n in rng.permutation(lengths)] + [8, 512]  # 612 rollouts
     cfg = ObjectiveConfig(algo=Algo.GRPO, group_size=4)
+    table = new_table(theta)
     for g in range(0, len(lengths), 4):
         rollouts = []
         for n in lengths[g : g + 4]:
             lp_train = rng.normal(-1.5, 0.3, n)
             rollouts.append((int(rng.integers(100, 104)), rng.integers(0, 6, n).tolist(), (lp_train - rng.normal(0, 2, n)).tolist(),
                              lp_train.tolist(), [0] * n))
-        out = objective_and_grad(batch_of(rollouts, rng.normal(size=4), group_size=4), theta, theta, None, cfg)
+        out = objective_and_grad(batch_of(rollouts, rng.normal(size=4), 4, table), theta, None, cfg, table)
         group_value, end = 0.0, 0
         for n in lengths[g : g + 4]:
             group_value += float(out.per_token_surrogate[end : end + n].sum()) / (4 * n)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mismatchlab import (
+    BudgetConfig,
     Context,
     NumericError,
     ObjectiveConfig,
@@ -76,7 +77,8 @@ def tick_tokens(params: PolicyParams, ctx: Context, engine, uniforms) -> list[Si
     """
     task = TaskSpec(TaskKind.PARITY_MATCH, ctx.prompt_id, 0, 1)
     state = make_state(0, Vocabulary(size=params.vocab_size), engine, ScriptedPromptSource([(task, [1] * len(uniforms))]))
-    assert scheduler._spawn_groups(state, ObjectiveConfig(group_size=len(uniforms)), 1) == 1
+    scheduler._load_version(state, params, BudgetConfig(prompts_per_iteration=1), ObjectiveConfig(group_size=len(uniforms)))
+    assert scheduler._spawn_groups(state, 1) == 1
     prev, last = ctx.window()
     state.rollouts[scheduler._ROW] = state.table.rows([ctx.prompt_id], [prev], [last])[0]
     state.slots["uniform"][: len(uniforms)] = uniforms

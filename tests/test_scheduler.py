@@ -42,7 +42,7 @@ from mismatchlab.scheduler import (
     seed_sequence_states,
 )
 from mismatchlab.tasks import TaskKind, sample_prompt
-from oracles import ScriptedPromptSource, _rollout_loop, baseline_wave_loop, oracle_state
+from oracles import ScriptedPromptSource, _rollout_loop, baseline_wave_loop, oracle_state, shifted_rows
 
 FIXTURE_LENGTHS = [2, 2, 3, 3, 5, 5, 9, 17]
 
@@ -267,9 +267,9 @@ def test_prompts_drawn_for_an_iteration_that_ends_early_spawn_first_in_the_next(
     spawned: list[tuple[int, int]] = []  # (iteration, prompt id) of each spawned group
     spawn = scheduler._spawn_groups
 
-    def recording(state, group_cfg, wanted):
+    def recording(state, wanted):
         first = state.next_group_uid
-        queued = spawn(state, group_cfg, wanted)
+        queued = spawn(state, wanted)
         for group_uid in range(first, state.next_group_uid):
             prompt_id = state.rollouts[_PROMPT][state.rollouts[_GROUP] == group_uid][0]
             spawned.append((state.iteration, int(prompt_id)))
@@ -428,6 +428,27 @@ def test_array_pool_equals_the_rollout_object_loop(
             assert getattr(states[0], name) == getattr(states[1], name)
         assert list(states[0].lookahead) == list(states[1].lookahead)
         params = PolicyParams(params.weights + shift, version_id=params.version_id + 1)
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+@pytest.mark.parametrize("length_model", ["policy", "lognormal"])
+def test_batch_rows_are_the_table_rows_of_each_rollouts_shift(baseline: bool, length_model: str) -> None:
+    """The objective gathers by each token's recorded row: the table row of its rollout's (prev, last) window."""
+    vocab = Vocabulary(size=6)
+    params = init_params(vocab, n_features=24, init_scale=0.7, seed=3)
+    source = SyntheticPromptSource(vocab, max_len=9, length_model=length_model, median=3.0, sigma=1.0)
+    state = make_state(3, vocab, infer_engine(0.2, 7), source)
+    budget = BudgetConfig(token_budget=10, infer_capacity=6, retention_threshold=10, prompts_per_iteration=2)
+    step = run_iteration_baseline if baseline else run_iteration
+    resumed = emitted = 0
+    for _ in range(8):
+        report, batch = step(state, params, budget, ObjectiveConfig(group_size=3))
+        resumed += report.resumed_rollouts
+        emitted += len(batch)
+        assert batch.rows.tolist() == shifted_rows(state.table, batch.lengths, batch.prompt_ids, batch.tokens).tolist()
+        params = PolicyParams(params.weights, params.version_id + 1)
+    assert emitted > 0
+    assert (resumed > 0) is not baseline  # only the budget-partitioned mode carries rollouts over
 
 
 def test_unreachable_budget_hits_tick_cap() -> None:

@@ -32,7 +32,7 @@ from mismatchlab.policy import (
     perturb_logits,
 )
 from mismatchlab.tasks import COPY_PATTERN_POOL
-from oracles import block_inference_logits
+from oracles import block_inference_logits, reference_objective
 
 PROMPT_ID = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), -1, 0, 100, 2**63 - 1]))
 
@@ -213,12 +213,19 @@ def test_objective_and_measure_through_the_table_match_the_direct_path(scale: fl
     _, groups = run_iteration(state, params, budget, cfg)
     assert groups
     ref = init_params(vocab, n_features=40, init_scale=0.5, seed=9)
-    direct = objective_and_grad(groups, params, params, ref, cfg, temperature)
-    tabled = objective_and_grad(groups, params, params, ref, cfg, temperature, state.table)
-    for field in ("objective_value", "clipped_fraction", "kl_to_ref", "token_count", "mean_logp", "entropy_all", "grad_norm"):
-        assert getattr(tabled, field) == getattr(direct, field)
-    for field in ("grad", "per_token_mask_kept", "per_token_surrogate", "per_token_calibration", "per_token_entropy"):
-        assert getattr(tabled, field).tobytes() == getattr(direct, field).tobytes()
+    tabled = objective_and_grad(groups, params, ref, cfg, state.table)
+    value, grad, per_token = reference_objective(groups, params, ref, cfg, temperature)
+    kept = per_token["kept"]
+    direct = {
+        "objective_value": value, "clipped_fraction": int((~kept).sum()) / kept.size, "kl_to_ref": float(per_token["kl"].mean()),
+        "token_count": kept.size, "mean_logp": float(per_token["logp"].mean()), "entropy_all": float(per_token["entropy"].mean()),
+        "grad_norm": float(np.linalg.norm(grad)),
+    }
+    for field, expected in direct.items():
+        assert getattr(tabled, field) == expected
+    for field, key in (("grad", None), ("per_token_mask_kept", "kept"), ("per_token_surrogate", "surrogate"),
+                       ("per_token_calibration", "calib"), ("per_token_entropy", "entropy")):
+        assert getattr(tabled, field).tobytes() == (grad if key is None else per_token[key]).tobytes()
 
     probes = make_probes(64, vocab, 4)
     windows = probe_windows(probes)
@@ -295,11 +302,9 @@ def test_visited_overflow_raises_the_direct_message_from_objective_and_measure()
     cfg = ObjectiveConfig(group_size=2)
     _, groups = run_iteration(state, params, budget, cfg)
     bad = overflowing(params)
-    messages = []
-    for table in (None, state.table):
-        with pytest.raises(NumericError) as objective:
-            objective_and_grad(groups, bad, bad, None, cfg, 1.0, table)
-        messages.append(str(objective.value))
+    with pytest.raises(NumericError) as objective:
+        objective_and_grad(groups, bad, None, cfg, state.table)
+    messages = [str(objective.value)]
     probes = make_probes(16, vocab, 6)
     windows = probe_windows(probes)
     state.table.add(windows[0])
@@ -308,7 +313,7 @@ def test_visited_overflow_raises_the_direct_message_from_objective_and_measure()
     with pytest.raises(NumericError) as tabled:
         measure(bad, probes, state.infer, table=state.table, rows=state.table.rows(*windows))
     messages += [str(direct.value), str(tabled.value)]
-    assert messages == [direct_message(bad)] * 4
+    assert messages == [direct_message(bad)] * 3
 
 
 def test_check_raises_on_rows_whose_inference_logits_overflow() -> None:
