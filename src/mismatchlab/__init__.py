@@ -39,7 +39,6 @@ from .scheduler import (
     SchedulerState,
     StepReport,
     SyntheticPromptSource,
-    make_state,
     run_iteration,
     run_iteration_baseline,
     train_loop,
@@ -76,7 +75,6 @@ __all__ = [
     "init_params",
     "load_config",
     "make_probes",
-    "make_state",
     "measure",
     "momentum_update",
     "objective_and_grad",

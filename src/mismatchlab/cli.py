@@ -26,7 +26,7 @@ from .discrepancy import BiasMode, compounding_experiment, fit_affine_trace, mak
 from .errors import ConfigError, NumericError, TickCapError
 from .objective import Algo
 from .policy import PolicyParams, Vocabulary, infer_engine, init_params
-from .scheduler import SyntheticPromptSource, make_state, train_loop
+from .scheduler import SchedulerState, SyntheticPromptSource, train_loop
 
 METRICS_SCHEMA_VERSION = 1
 
@@ -49,6 +49,14 @@ def _sanitize(obj):
 def _dumps(obj) -> str:
     """Strict JSON text of a document; non-finite floats are written as null."""
     return json.dumps(_sanitize(obj), allow_nan=False)
+
+
+def _make_out_dir(out_dir: Path) -> None:
+    """Create the output directory and its parents; ConfigError if out_dir cannot be a directory."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot create directory {out_dir}: {exc}") from exc
 
 
 def _vocab(cfg: ExperimentConfig) -> Vocabulary:
@@ -78,7 +86,7 @@ def _train_run(
     params = init_params(vocab, cfg.policy.n_features, cfg.policy.init_scale, cfg.seed)
     if source is None:
         source = SyntheticPromptSource(vocab, max_len=cfg.tasks.max_len)
-    state = make_state(cfg.seed, vocab, infer, source, cfg.policy.temperature)
+    state = SchedulerState(vocab, source, cfg.seed, cfg.policy.n_features, infer, cfg.policy.temperature)
     probes = make_probes(cfg.run.n_probes, vocab, cfg.seed)
     results, params = train_loop(
         cfg.run.n_iterations, state, params, cfg.budget, cfg.objective, probes, baseline=baseline, on_step=on_step
@@ -105,7 +113,7 @@ def _metrics_row(cfg: ExperimentConfig, report, loss, sample) -> dict:
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     metrics_path = out_dir / "metrics.jsonl"
     summary_path = out_dir / "summary.json"
     rows: list[dict] = []
@@ -191,7 +199,7 @@ def _schedule_one_seed(cfg: ExperimentConfig, seed: int) -> dict:
 def cmd_schedule(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:
     if cfg.schedule is None:
         raise ConfigError("schedule command requires a schedule section (length-distribution spec)")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     seeds = cfg.schedule.seeds
     if jobs > 1:
         # Imported here: single-process runs skip its import time and memory.
@@ -217,7 +225,7 @@ def cmd_schedule(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:
 def cmd_compounding(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.compounding is None:
         raise ConfigError("compounding command requires a compounding section")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     comp = cfg.compounding
     if comp.bias_mode is BiasMode.RL_LOOP:
         # The run's step size is mu, not the objective's learning rate, because the fit divides by it.
@@ -267,7 +275,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     """
     if cfg.sweep is None:
         raise ConfigError("sweep command requires a sweep section")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     run = dataclasses.replace(cfg.run, n_iterations=cfg.sweep.n_iterations)
     reference_calibrations = []
     rows = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import sys
 import types
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
@@ -43,6 +44,8 @@ class PolicySection:
             raise ConfigError("policy.eos_id: out of vocabulary range")
         if self.n_features < 1:
             raise ConfigError("policy.n_features: must be >= 1")
+        if self.init_scale < 0:
+            raise ConfigError("policy.init_scale: must be nonnegative")
         if self.temperature <= 0:
             raise ConfigError("policy.temperature: must be positive")
 
@@ -187,6 +190,9 @@ def _parse(tp, value, where: str):
     name, accepted = _SCALARS[tp]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{where}: expected {name}, got {value!r}")
+    # json.loads reads NaN and Infinity, and an integer too large for a float; none is a finite number.
+    if tp is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return tp(value)
 
 

@@ -175,8 +175,8 @@ def measure(
     rows: np.ndarray | None = None,
 ) -> DiscrepancySample:
     """Probe-set discrepancy of params, recorded as step: evaluated as the compounding experiment evaluates
-    it, or, with a context table (of infer at temperature, with the probes' prompts registered), gathered
-    from its rows at params, the same bits. rows, when given, are the probes' rows (ContextTable.rows of
+    it, or, with a context table (of infer at temperature, holding the probes' prompts), gathered from its
+    rows at params, the same bits. rows, when given, are the probes' rows (ContextTable.rows of
     probe_windows), built once by a caller that measures the same probes every iteration."""
     if table is None:
         delta, gap = delta_and_gap(evaluate_probes(probe_set(probes, params, infer, temperature), params))

@@ -23,10 +23,10 @@ feature rows and noise keys; feature_rows and noise_keys, the same
 hashes of one context in plain integer arithmetic, are its bitwise
 reference. engine_pair evaluates both engines from a batch's training
 logits, in one softmax call. A training run feeds it a ContextTable's
-rows: the (prev, last) windows of the prompts it has seen, per parameter
-version the rows it can read; ticks (inverse-CDF sampling), the objective
-and the probe measure gather them. The compounding experiment, which
-moves weights within one version, feeds it a probe set hashed once
+rows: the (prev, last) windows of every prompt the run can draw, per
+parameter version the rows it can read; ticks (inverse-CDF sampling), the
+objective and the probe measure gather them. The compounding experiment,
+which moves weights within one version, feeds it a probe set hashed once
 (discrepancy.ProbeSet). Both raise NumericError on non-finite logits that
 a caller reads. The direct path (context_rows -> batched_train_logits ->
 perturb_logits -> a softmax per engine) is kept as the tests' reference
@@ -447,15 +447,16 @@ def engine_pair(train_logits: np.ndarray, fixed: FixedNoise, keys_version: np.nd
 
 
 class ContextTable:
-    """Both engines at the contexts of the registered prompts, one parameter version at a time.
+    """Both engines at every context of a fixed prompt list, one parameter version at a time.
 
     Within a parameter version the policy is a pure function of the
     context (prompt, prev, last), and a window takes one of (V+1)^2
     values (a token, or -1 for an empty slot). The table holds one row
-    per window of every registered prompt, in a block per prompt that a
-    dict indexes by prompt id; a row's run-fixed half, its feature rows
-    and fixed noise, is built once params are loaded. The tick records
-    the row each token is sampled at, and the objective gathers by it.
+    per window of every prompt it is built over, in a block per prompt
+    that a dict indexes by prompt id; the constructor builds every row's
+    run-fixed half, its feature rows and fixed noise, so the table keeps
+    one shape for the run. The tick records the row each token is
+    sampled at, and the objective gathers by it.
 
     A per-row marker says whether a row holds both engines' log-probs and
     probs and the inference CDF at the loaded params. load(params, rows)
@@ -465,33 +466,43 @@ class ContextTable:
     more pass, then raises NumericError with the direct path's messages
     if a row's training or inference logits are non-finite; a context
     the run never reads cannot fail it. A row is bit-identical to its
-    context on the direct path, whichever pass evaluates it. Not a
-    first-touch table: a pass costs a few hundred microseconds however
-    few its rows, which one pass per version pays once and first-touch
-    evaluation pays on most reads. Loaded params must not change in place.
+    context on the direct path, whichever pass evaluates it and wherever
+    it sits in the table. Not a first-touch table: a pass costs a few
+    hundred microseconds however few its rows, which one pass per
+    version pays once and first-touch evaluation pays on most reads.
+    Loaded params must not change in place.
     """
 
-    def __init__(self, vocab_size: int, infer: Engine, temperature: float) -> None:
+    def __init__(self, prompt_ids, n_features: int, vocab_size: int, infer: Engine, temperature: float) -> None:
+        self.n_features = n_features
         self.vocab_size = vocab_size
         self.infer = infer
         self.temperature = temperature
         self.side = vocab_size + 1
-        windows = np.arange(self.side * self.side)
-        self._windows = (windows // self.side - 1, windows % self.side - 1)
-        self._first_row: dict[int, int] = {}
-        self.n_features: int | None = None
+        n_windows = self.side * self.side
+        prompts = list(dict.fromkeys(int(p) for p in prompt_ids))
+        self._first_row = {p: i * n_windows for i, p in enumerate(prompts)}
         self.params: PolicyParams | None = None
-        # Fixed for the run, per built row: the (prompt, prev, last) words, the feature rows,
+        windows = np.arange(n_windows)
+        contexts = np.stack([
+            np.repeat(np.asarray(prompts, dtype=np.int64), n_windows),
+            np.tile(windows // self.side - 1, len(prompts)),
+            np.tile(windows % self.side - 1, len(prompts)),
+        ])
+        # Fixed for the run, per row: the (prompt, prev, last) words, the feature rows,
         # the fault entries, and the fixed (dense normals, fault normals there, else 0).
-        self._contexts = np.zeros((3, 0), dtype=np.uint64)
-        self.feats = np.zeros((0, 4), dtype=np.intp)
-        self._fault = np.zeros((0, vocab_size), dtype=bool)
-        self._fixed = np.zeros((0, 2, vocab_size))
-        # Per built row, at the loaded params: (lp_train, lp_infer, probs_train,
-        # probs_infer, cdf), and its marker: -1 until evaluated, then how many engines
-        # have non-finite logits: 0, 1 (inference) or 2 (both; inference reads training).
-        self._dists = np.zeros((0, 5, vocab_size))
-        self._status = np.zeros(0, dtype=np.int8)
+        self._contexts = contexts.view(np.uint64)
+        self.feats, keys_fixed, _ = context_rows(*contexts, n_features, infer, 0)
+        noise = fixed_noise(keys_fixed, vocab_size)
+        self._fault = np.zeros(noise.dense.shape, dtype=bool)
+        self._fault.ravel()[noise.fault_at] = True
+        self._fixed = np.stack([noise.dense, np.zeros(noise.dense.shape)], axis=1)
+        self._fixed[:, 1][self._fault] = noise.fault
+        # Per row, at the loaded params: (lp_train, lp_infer, probs_train, probs_infer,
+        # cdf), and its marker: -1 until evaluated, then how many engines have
+        # non-finite logits: 0, 1 (inference) or 2 (both; inference reads training).
+        self._dists = np.zeros((self.feats.shape[0], 5, vocab_size))
+        self._status = np.full(self.feats.shape[0], -1, dtype=np.int8)
 
     @property
     def lp_train(self) -> np.ndarray:
@@ -513,33 +524,23 @@ class ContextTable:
     def cdf(self) -> np.ndarray:
         return self._dists[:, 4]
 
-    def add(self, prompt_ids) -> None:
-        """Register prompts, their rows unevaluated; they are built at once if params have been loaded."""
-        new = [p for p in dict.fromkeys(int(p) for p in prompt_ids) if p not in self._first_row]
-        if not new:
-            return
-        for p in new:
-            self._first_row[p] = len(self._first_row) * self.side * self.side
-        if self.n_features is not None:
-            self._build(new)
-
     def prompt_row(self, prompt_id: int) -> int:
-        """Row of a registered prompt's empty window (-1, -1), its first row."""
+        """Row of a prompt's empty window (-1, -1), its first row."""
         return self._first_row[prompt_id]
 
     def rows_of(self, prompt_ids) -> np.ndarray:
-        """Every row of each registered prompt: all its windows."""
+        """Every row of each given prompt: all its windows."""
         first = np.fromiter((self._first_row[p] for p in prompt_ids), np.intp)
         return (first[:, None] + np.arange(self.side * self.side)).ravel()
 
     def rows(self, prompt_ids, prev, last) -> np.ndarray:
-        """Row of each context (prompt, prev, last): registered prompt, -1 <= prev, last < V."""
+        """Row of each context (prompt, prev, last): a prompt of the table, -1 <= prev, last < V."""
         pids = np.asarray(prompt_ids, dtype=np.int64)
         prev = np.asarray(prev, dtype=np.int64)
         last = np.asarray(last, dtype=np.int64)
         first = np.fromiter((self._first_row.get(p, -1) for p in pids.tolist()), np.intp, pids.size)
         if (first < 0).any():
-            raise ValueError("context of a prompt the table has not registered")
+            raise ValueError("context of a prompt outside the table")
         if min(prev.min(initial=0), last.min(initial=0)) < -1 or max(prev.max(initial=0), last.max(initial=0)) >= self.vocab_size:
             raise ValueError(f"context window outside [-1, {self.vocab_size})")
         return first + (prev + 1) * self.side + (last + 1)
@@ -554,10 +555,7 @@ class ContextTable:
         if params is not self.params:
             if params.vocab_size != self.vocab_size:
                 raise ValueError(f"params have vocabulary {params.vocab_size}, the table {self.vocab_size}")
-            if self.n_features is None:
-                self.n_features = params.n_features
-                self._build(list(self._first_row))
-            elif params.n_features != self.n_features:
+            if params.n_features != self.n_features:
                 raise ValueError(f"params have {params.n_features} features, the table {self.n_features}")
             self.params = params
             self._status.fill(-1)
@@ -578,29 +576,6 @@ class ContextTable:
                 status = self._status[rows]
             if status.any():
                 raise NumericError(_NON_FINITE_LOGITS if status.max() == 2 else _NON_FINITE_INFER_LOGITS)
-
-    def _build(self, prompt_ids: list[int]) -> None:
-        """Append the run-fixed rows of new prompts."""
-        if not prompt_ids:
-            return
-        n_windows = self.side * self.side
-        contexts = np.stack([
-            np.repeat(np.asarray(prompt_ids, dtype=np.int64), n_windows),
-            np.tile(self._windows[0], len(prompt_ids)),
-            np.tile(self._windows[1], len(prompt_ids)),
-        ])
-        feats, keys_fixed, _ = context_rows(*contexts, self.n_features, self.infer, 0)
-        noise = fixed_noise(keys_fixed, self.vocab_size)
-        fault = np.zeros(noise.dense.shape, dtype=bool)
-        fault.ravel()[noise.fault_at] = True
-        fixed = np.stack([noise.dense, np.zeros(noise.dense.shape)], axis=1)
-        fixed[:, 1][fault] = noise.fault
-        self._contexts = np.concatenate([self._contexts, contexts.view(np.uint64)], axis=1)
-        self.feats = np.concatenate([self.feats, feats])
-        self._fault = np.concatenate([self._fault, fault])
-        self._fixed = np.concatenate([self._fixed, fixed])
-        self._dists = np.concatenate([self._dists, np.zeros((feats.shape[0], 5, self.vocab_size))])
-        self._status = np.concatenate([self._status, np.full(feats.shape[0], -1, dtype=np.int8)])
 
     def _evaluate(self, rows: np.ndarray) -> None:
         """One pass: both engines at the loaded params on distinct rows, written into the table."""

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -71,7 +71,7 @@ from .policy import (
     batched_train_logits,  # noqa: F401
     perturb_logits,  # noqa: F401
 )
-from .tasks import TaskKind, TaskSpec, sample_prompt, verify
+from .tasks import TaskKind, TaskSpec, all_prompt_ids, sample_prompt, verify
 
 _MASK64 = (1 << 64) - 1
 
@@ -176,15 +176,18 @@ class SchedulerState:
     waiting for their group, and, as the last n_pending, the pending
     queue. Each owns a block of limit slots in slots, in the same order
     from slot 0. lookahead holds drawn prompts not yet spawned;
-    probe_rows, train_loop's probe rows.
+    probe_rows, train_loop's probe rows. The prompt stream is
+    default_rng(SeedSequence((seed & MASK64, 1))), and the context table,
+    of infer at temperature over n_features, holds every prompt the task
+    distribution can draw.
     """
 
     vocab: Vocabulary
-    infer: Engine
-    temperature: float
     source: SyntheticPromptSource
-    prompt_stream: np.random.Generator
     seed: int
+    n_features: InitVar[int]
+    infer: InitVar[Engine]
+    temperature: InitVar[float] = 1.0
     rollouts: np.ndarray = field(default_factory=lambda: np.zeros((_N_COLUMNS, 0), dtype=np.int64))
     n_pending: int = 0
     slots: dict[str, np.ndarray] = field(default_factory=lambda: {name: np.zeros(0, dtype) for name, dtype in _SLOTS.items()})
@@ -194,30 +197,14 @@ class SchedulerState:
     tick_clock: int = 0
     next_uid: int = 0
     next_group_uid: int = 0
-    table: ContextTable = field(init=False)  # every spawned prompt's contexts
+    prompt_stream: np.random.Generator = field(init=False)
+    table: ContextTable = field(init=False)
     rollout_uniforms: RolloutUniforms = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.table = ContextTable(self.vocab.size, self.infer, self.temperature)
+    def __post_init__(self, n_features: int, infer: Engine, temperature: float) -> None:
+        self.prompt_stream = np.random.default_rng(np.random.SeedSequence((self.seed & _MASK64, 1)))
+        self.table = ContextTable(all_prompt_ids(self.vocab), n_features, self.vocab.size, infer, temperature)
         self.rollout_uniforms = RolloutUniforms(self.seed)
-
-
-def make_state(
-    seed: int,
-    vocab: Vocabulary,
-    infer: Engine,
-    source: SyntheticPromptSource,
-    temperature: float = 1.0,
-) -> SchedulerState:
-    prompt_stream = np.random.default_rng(np.random.SeedSequence((seed & _MASK64, 1)))
-    return SchedulerState(
-        vocab=vocab,
-        infer=infer,
-        temperature=temperature,
-        source=source,
-        prompt_stream=prompt_stream,
-        seed=seed,
-    )
 
 
 def _seed_words(*values: int) -> np.ndarray:
@@ -404,8 +391,8 @@ def _keep(state: SchedulerState, keep: np.ndarray) -> None:
 
 
 def _spawn_groups(state: SchedulerState, wanted: int) -> int:
-    """Queue the sibling rollouts of up to wanted next prompts of the lookahead (which _load_version has registered,
-    evaluated and filled to the most an iteration spawns) as one block of pending rollouts whose slots take their
+    """Queue the sibling rollouts of up to wanted next prompts of the lookahead (which _load_version has evaluated
+    and filled to the most an iteration spawns) as one block of pending rollouts whose slots take their
     uniforms in one draw; returns how many were spawned, fewer only once the prompt source has run out."""
     groups, lengths = [], []
     while state.lookahead and len(groups) < wanted:
@@ -472,7 +459,6 @@ def _load_version(state: SchedulerState, params: PolicyParams, cfg: BudgetConfig
             break
         state.lookahead.append(drawn)
     drawn_ids = [task.prompt_id for task, _ in state.lookahead]
-    state.table.add(drawn_ids)
     live = dict.fromkeys(state.rollouts[_PROMPT][state.rollouts[_TERMINAL] == 0].tolist() + drawn_ids)
     state.table.load(params, np.concatenate([state.table.rows_of(live), state.probe_rows]))
 
@@ -648,9 +634,7 @@ def train_loop(
     """
     ref = params.copy()
     table = state.table
-    probe_contexts = probe_windows(probes)
-    table.add(probe_contexts[0])
-    probe_rows = state.probe_rows = table.rows(*probe_contexts)
+    probe_rows = state.probe_rows = table.rows(*probe_windows(probes))
     velocity = np.zeros_like(params.weights)
     results: list[tuple[StepReport, LossBreakdown, DiscrepancySample]] = []
     step = run_iteration_baseline if baseline else run_iteration
@@ -660,7 +644,7 @@ def train_loop(
             loss = objective_and_grad(batch, params, ref, objective, table)
         else:
             loss = empty_breakdown(params)
-        sample = measure(params, probes, state.infer, state.temperature, step=report.iteration, table=table, rows=probe_rows)
+        sample = measure(params, probes, table.infer, table.temperature, step=report.iteration, table=table, rows=probe_rows)
         results.append((report, loss, sample))
         if on_step is not None:
             on_step(report, loss, sample)

@@ -81,6 +81,12 @@ def copy_target_range(vocab: Vocabulary, max_len: int) -> int:
     return min((vocab.size - 1) ** k, COPY_PATTERN_POOL)
 
 
+def all_prompt_ids(vocab: Vocabulary) -> list[int]:
+    """Every prompt id sample_prompt can draw at any max_len, ascending: the copy range stops growing at max_len 2."""
+    ranges = {TaskKind.PARITY_MATCH: 2, TaskKind.TARGET_SUM: vocab.size, TaskKind.COPY_PREFIX: copy_target_range(vocab, 2)}
+    return sorted({prompt_id_for(kind, target) for kind, n in ranges.items() for target in range(n)})
+
+
 def sample_prompt(stream: np.random.Generator, vocab: Vocabulary, max_len: int) -> TaskSpec:
     """Draw a task uniformly over kinds and over the kind's parameter range.
 

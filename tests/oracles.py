@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -76,7 +76,7 @@ from mismatchlab.policy import (
     weight_grad,
 )
 from mismatchlab.scheduler import BudgetConfig, StepReport, SyntheticPromptSource
-from mismatchlab.tasks import TaskKind, TaskSpec, prefix_pattern
+from mismatchlab.tasks import TaskKind, TaskSpec, all_prompt_ids, prefix_pattern
 
 
 def _unit_noise_matrix(keys, width, tail_cut, tail_gain):
@@ -319,14 +319,15 @@ class OracleState:
     groups maps each live group's uid to its members, in uid order; its
     terminal members are the rollouts waiting to train. lookahead holds
     drawn prompts not yet spawned; probe_rows, train_loop's probe rows.
+    The prompt stream and the context table are SchedulerState's.
     """
 
     vocab: Vocabulary
-    infer: Engine
-    temperature: float
     source: SyntheticPromptSource | ScriptedPromptSource
-    prompt_stream: np.random.Generator
     seed: int
+    n_features: InitVar[int]
+    infer: InitVar[Engine]
+    temperature: InitVar[float] = 1.0
     infer_pool: list[Rollout] = field(default_factory=list)
     pending: deque[Rollout] = field(default_factory=deque)
     lookahead: deque[tuple[TaskSpec, list[int | None]]] = field(default_factory=deque)
@@ -336,31 +337,26 @@ class OracleState:
     tick_clock: int = 0
     next_uid: int = 0
     next_group_uid: int = 0
-    table: ContextTable = field(init=False)  # every spawned prompt's contexts
+    prompt_stream: np.random.Generator = field(init=False)
+    table: ContextTable = field(init=False)
     rollout_uniforms: UidStreams = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.table = ContextTable(self.vocab.size, self.infer, self.temperature)
+    def __post_init__(self, n_features: int, infer: Engine, temperature: float) -> None:
+        self.prompt_stream = np.random.default_rng(np.random.SeedSequence((self.seed & _MASK64, 1)))
+        self.table = ContextTable(all_prompt_ids(self.vocab), n_features, self.vocab.size, infer, temperature)
         self.rollout_uniforms = UidStreams(self.seed)
 
 
 def oracle_state(
     seed: int,
     vocab: Vocabulary,
+    n_features: int,
     infer: Engine,
     source: SyntheticPromptSource | ScriptedPromptSource,
     temperature: float = 1.0,
 ) -> OracleState:
-    """make_state's inputs, as an OracleState."""
-    prompt_stream = np.random.default_rng(np.random.SeedSequence((seed & _MASK64, 1)))
-    return OracleState(
-        vocab=vocab,
-        infer=infer,
-        temperature=temperature,
-        source=source,
-        prompt_stream=prompt_stream,
-        seed=seed,
-    )
+    """An OracleState of these inputs, as SchedulerState takes them."""
+    return OracleState(vocab=vocab, source=source, seed=seed, n_features=n_features, infer=infer, temperature=temperature)
 
 
 def _spawn_group(state: OracleState, group_cfg: ObjectiveConfig) -> bool:
@@ -371,7 +367,6 @@ def _spawn_group(state: OracleState, group_cfg: ObjectiveConfig) -> bool:
     task, lengths = drawn
     group_uid = state.next_group_uid
     state.next_group_uid += 1
-    state.table.add([task.prompt_id])
     first_row = state.table.prompt_row(task.prompt_id)
     members: list[Rollout] = []
     for target in lengths:
@@ -415,7 +410,6 @@ def _load_version(state: OracleState, params: PolicyParams, cfg: BudgetConfig, g
         state.lookahead.append(drawn)
     live = dict.fromkeys(r.task.prompt_id for queue in (state.infer_pool, state.pending) for r in queue)
     live.update(dict.fromkeys(task.prompt_id for task, _ in state.lookahead))
-    state.table.add(live)
     state.table.load(params, np.concatenate([state.table.rows_of(live), state.probe_rows]))
 
 

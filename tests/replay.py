@@ -15,6 +15,10 @@ Usage, from the repository root:
         writes each run's config, read from TREE's configs/ and patched,
         to OUT/<run>.json, and prints one "<command> <config> <run>" line
         per run.
+    python tests/replay.py header DIR
+        prints the config that the run whose outputs are in DIR embeds
+        (line 1 of metrics.jsonl for train, else the config key of its
+        .json report), as JSON: a config that replays the run.
     python tests/replay.py record [TREE]
         runs the set in-process with TREE's src/ (default: this checkout)
         and prints {fingerprint: {"run/file": sha256}} as JSON: a manifest
@@ -74,10 +78,23 @@ def run_hashes(run: dict, tree: Path, out: Path) -> dict[str, str]:
     }
 
 
+def header(run_dir: Path) -> dict:
+    """The resolved config a run's outputs embed: metrics.jsonl's header line, else its .json report's config key."""
+    metrics = run_dir / "metrics.jsonl"
+    if metrics.exists():
+        doc = json.loads(metrics.read_text(encoding="utf-8").splitlines()[0])
+    else:
+        doc = json.loads(next(run_dir.glob("*.json")).read_text(encoding="utf-8"))
+    return doc["config"]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "configs":
         for run in load_set()["runs"]:
             print(run["command"], write_config(run, Path(argv[1]), Path(argv[2])), run["name"])
+        return 0
+    if len(argv) == 2 and argv[0] == "header":
+        print(json.dumps(header(Path(argv[1]))))
         return 0
     if 1 <= len(argv) <= 2 and argv[0] == "record":
         tree = Path(argv[1]).resolve() if len(argv) == 2 else ROOT

@@ -191,6 +191,40 @@ def test_invalid_objective_values_exit_2_before_any_output(tmp_path, capsys, key
     assert f"objective.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,name,section,key,value",
+    [
+        ("schedule", "schedule_longtail", "schedule", "median", math.nan),
+        ("schedule", "schedule_longtail", "schedule", "sigma", math.inf),
+        ("train", "train_icepop", "policy", "init_scale", -1),
+        ("train", "train_icepop", "objective", "tis_cap", math.inf),
+        ("train", "train_icepop", "mismatch", "scale", math.nan),
+        ("train", "train_icepop", "objective", "kl_coeff", math.nan),
+    ],
+)
+def test_non_finite_numbers_and_a_negative_init_scale_exit_2_before_any_output(
+    tmp_path, capsys, command: str, name: str, section: str, key: str, value: float
+) -> None:
+    cfg = write_config(tmp_path, name, **{section: {key: value}})  # json.dumps writes NaN and Infinity
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,name", [("train", "train_icepop"), ("schedule", "schedule_uniform"), ("compounding", "compounding"), ("sweep", "sweep")]
+)
+@pytest.mark.parametrize("under_file", [False, True])
+def test_an_out_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command: str, name: str, under_file: bool) -> None:
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n", encoding="utf-8")
+    out = blocker / "o" if under_file else blocker
+    assert main([command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(out)]) == 2
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
+    assert f"--out: cannot create directory {out}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section,values", [("objective", {"algo": "grpo"}), ("budget", {"token_budget": 200})])
 def test_rl_loop_compounding_reads_the_objective_and_budget(tmp_path, section: str, values: dict) -> None:
     traces = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,11 @@ def rejected(data: dict) -> str:
         (doc(sweep={"bounds": [[0.5, 5.0], [0.5, "2"]]}), "sweep.bounds[1][1]: expected number, got '2'"),
         (doc(sweep={"bounds": [[0.5, 5.0], [0.5]]}), "sweep.bounds: expected a list of [alpha, beta] pairs"),
         (doc(sweep={"bounds": [[0.5, 5.0], [0.5, 2.0, 3.0]]}), "sweep.bounds: expected a list of [alpha, beta] pairs"),
+        (doc(objective={"tis_cap": math.inf}), "objective.tis_cap: expected a finite number, got inf"),
+        (doc(schedule={"median": math.nan}), "schedule.median: expected a finite number, got nan"),
+        (doc(mismatch={"scale": -math.inf}), "mismatch.scale: expected a finite number, got -inf"),
+        (doc(policy={"temperature": 10**400}), "policy.temperature: expected a finite number, got 1000"),
+        (doc(sweep={"bounds": [[0.5, 5.0], [0.5, math.inf]]}), "sweep.bounds[1][1]: expected a finite number, got inf"),
     ],
 )
 def test_each_annotation_kind_rejects_a_wrong_type(data: dict, message: str) -> None:
@@ -115,6 +121,7 @@ def test_document_shape_and_version_are_checked_first() -> None:
         ("sweep", {"bounds": [[0.5, 5.0]]}, "sweep.bounds: need at least two settings"),
         ("sweep", {"bounds": [[0.5, 5.0], [0.5, 0.9]]}, "sweep.bounds: bounds must satisfy 0 < alpha <= 1 <= beta"),
         ("sweep", {"n_iterations": 0}, "sweep.n_iterations: must be >= 1"),
+        ("policy", {"init_scale": -1}, "policy.init_scale: must be nonnegative"),
     ],
 )
 def test_each_section_checks_its_invariants(section: str, values: dict, message: str) -> None:

@@ -19,13 +19,13 @@ from mismatchlab import (
     NumericError,
     ObjectiveConfig,
     PolicyParams,
+    SchedulerState,
     SyntheticPromptSource,
     Vocabulary,
     compounding_experiment,
     infer_engine,
     init_params,
     make_probes,
-    make_state,
     measure,
     objective_and_grad,
     run_iteration,
@@ -369,7 +369,7 @@ def test_mask_set_monotonicity_on_shared_batch() -> None:
     engine = infer_engine(0.25, 7)
     params = init_params(vocab, n_features=64, init_scale=1.5, seed=9)
     source = SyntheticPromptSource(vocab, max_len=6)
-    state = make_state(9, vocab, engine, source)
+    state = SchedulerState(vocab=vocab, source=source, seed=9, n_features=64, infer=engine)
     _, groups = run_iteration(state, params, BudgetConfig(token_budget=120, infer_capacity=16), ObjectiveConfig(group_size=4))
     wide = objective_and_grad(groups, params, None, ObjectiveConfig(alpha=0.5, beta=5.0, group_size=4), state.table)
     narrow = objective_and_grad(groups, params, None, ObjectiveConfig(alpha=0.5, beta=2.0, group_size=4), state.table)
@@ -435,7 +435,7 @@ def test_clipped_token_entropy_reported_as_tendency() -> None:
     engine = infer_engine(0.22, 7)
     params = init_params(vocab, n_features=512, init_scale=0.3, seed=1234)
     source = SyntheticPromptSource(vocab, max_len=8)
-    state = make_state(1234, vocab, engine, source)
+    state = SchedulerState(vocab=vocab, source=source, seed=1234, n_features=512, infer=engine)
     budget = BudgetConfig(token_budget=440, infer_capacity=48, retention_threshold=3, sync_cost_ticks=8)
     cfg = ObjectiveConfig(group_size=8, learning_rate=24.0)
     from mismatchlab import train_loop

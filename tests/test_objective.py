@@ -17,12 +17,12 @@ from mismatchlab import (
     ObjectiveConfig,
     PolicyParams,
     RolloutBatch,
+    SchedulerState,
     SyntheticPromptSource,
     TaskSpec,
     Vocabulary,
     infer_engine,
     init_params,
-    make_state,
     momentum_update,
     objective_and_grad,
     run_iteration,
@@ -31,7 +31,7 @@ from mismatchlab import (
 )
 from mismatchlab.objective import batch_group_advantages
 from mismatchlab.policy import ContextTable, batched_log_softmax, batched_train_logits, context_rows, feature_rows
-from mismatchlab.tasks import TaskKind
+from mismatchlab.tasks import TaskKind, all_prompt_ids
 from oracles import group_advantages, reference_objective, shifted_rows
 
 DEFAULT_BOUNDS = ObjectiveConfig(alpha=0.5, beta=5.0)
@@ -43,7 +43,7 @@ def make_batch(seed: int, scale: float, vocab_size: int = 8, max_len: int = 5, n
     engine = infer_engine(scale, 7)
     params = init_params(vocab, n_features=n_features, init_scale=0.7, seed=seed)
     source = SyntheticPromptSource(vocab, max_len=max_len)
-    state = make_state(seed, vocab, engine, source)
+    state = SchedulerState(vocab=vocab, source=source, seed=seed, n_features=n_features, infer=engine)
     budget = BudgetConfig(token_budget=30, infer_capacity=8, prompts_per_iteration=3)
     cfg = ObjectiveConfig(group_size=2)
     _, batch = run_iteration(state, params, budget, cfg)
@@ -52,15 +52,16 @@ def make_batch(seed: int, scale: float, vocab_size: int = 8, max_len: int = 5, n
 
 
 def new_table(theta: PolicyParams) -> ContextTable:
-    """An empty context table for theta's vocabulary, at temperature 1."""
-    return ContextTable(theta.vocab_size, infer_engine(0.0, 7), 1.0)
+    """A context table over every task prompt of theta's vocabulary, at theta's features and temperature 1."""
+    prompt_ids = all_prompt_ids(Vocabulary(size=theta.vocab_size))
+    return ContextTable(prompt_ids, theta.n_features, theta.vocab_size, infer_engine(0.0, 7), 1.0)
 
 
 def batch_of(rollouts: list[tuple], advantages, group_size: int, table: ContextTable) -> RolloutBatch:
     """A batch of (prompt id, tokens, lp_infer, lp_train, versions) rollouts, in group order.
 
-    Their prompts are registered in table, and each token's row is that
-    of its rollout's (prev, last) shift.
+    Their prompts must be in table, and each token's row is that of its
+    rollout's (prev, last) shift.
     """
 
     def flat(k: int, dtype) -> np.ndarray:
@@ -69,7 +70,6 @@ def batch_of(rollouts: list[tuple], advantages, group_size: int, table: ContextT
     lengths = np.array([len(r[1]) for r in rollouts], dtype=np.intp)
     prompt_ids = np.array([r[0] for r in rollouts], dtype=np.int64)
     tokens = flat(1, np.int64)
-    table.add(prompt_ids)
     return RolloutBatch(
         group_size=group_size,
         lengths=lengths,
@@ -495,7 +495,7 @@ def carried_batch(seed: int):
     vocab = Vocabulary(size=6)
     params = init_params(vocab, n_features=24, init_scale=0.7, seed=seed)
     source = SyntheticPromptSource(vocab, max_len=9, length_model="lognormal", median=2.0, sigma=1.0)
-    state = make_state(seed, vocab, infer_engine(0.2, 7), source)
+    state = SchedulerState(vocab=vocab, source=source, seed=seed, n_features=24, infer=infer_engine(0.2, 7))
     budget = BudgetConfig(token_budget=10, infer_capacity=6, retention_threshold=10, prompts_per_iteration=2)
     cfg = ObjectiveConfig(group_size=3)
     batches = []
@@ -552,7 +552,7 @@ def test_length_class_sums_equal_each_rollouts_own_sum() -> None:
         rollouts = []
         for n in lengths[g : g + 4]:
             lp_train = rng.normal(-1.5, 0.3, n)
-            rollouts.append((int(rng.integers(100, 104)), rng.integers(0, 6, n).tolist(), (lp_train - rng.normal(0, 2, n)).tolist(),
+            rollouts.append((int(rng.integers(200, 204)), rng.integers(0, 6, n).tolist(), (lp_train - rng.normal(0, 2, n)).tolist(),
                              lp_train.tolist(), [0] * n))
         out = objective_and_grad(batch_of(rollouts, rng.normal(size=4), 4, table), theta, None, cfg, table)
         group_value, end = 0.0, 0

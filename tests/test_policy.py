@@ -21,16 +21,17 @@ from mismatchlab import (
     NumericError,
     ObjectiveConfig,
     PolicyParams,
+    SchedulerState,
     TaskSpec,
     Vocabulary,
     infer_engine,
     init_params,
-    make_state,
     train_engine,
 )
 from mismatchlab import scheduler
 from mismatchlab.discrepancy import delta_and_gap, evaluate_probes, probe_set
 from mismatchlab.policy import (
+    ContextTable,
     _row_max,
     batched_log_softmax,
     batched_train_logits,
@@ -73,10 +74,14 @@ def tick_tokens(params: PolicyParams, ctx: Context, engine, uniforms) -> list[Si
     """One scheduler tick over single-token rollouts at ctx, rollout i drawing with uniforms[i].
 
     Returns each rollout's tokens and, as the iteration's close records
-    them, their log probs under both engines and their versions.
+    them, their log probs under both engines and their versions. ctx's
+    prompt need not be a task prompt: the state's table is rebuilt over
+    that prompt alone.
     """
     task = TaskSpec(TaskKind.PARITY_MATCH, ctx.prompt_id, 0, 1)
-    state = make_state(0, Vocabulary(size=params.vocab_size), engine, ScriptedPromptSource([(task, [1] * len(uniforms))]))
+    state = SchedulerState(vocab=Vocabulary(size=params.vocab_size), source=ScriptedPromptSource([(task, [1] * len(uniforms))]),
+                           seed=0, n_features=params.n_features, infer=engine)
+    state.table = ContextTable([ctx.prompt_id], params.n_features, params.vocab_size, engine, 1.0)
     scheduler._load_version(state, params, BudgetConfig(prompts_per_iteration=1), ObjectiveConfig(group_size=len(uniforms)))
     assert scheduler._spawn_groups(state, 1) == 1
     prev, last = ctx.window()
@@ -185,12 +190,11 @@ def test_tick_count_is_the_cdf_entries_at_or_below_u_clamped(seed: int, vocab_si
     params = PolicyParams(rng.normal(0, 2.0, (16, vocab_size)))
     engine = infer_engine(scale, 7)
     ctx = Context(int(rng.integers(0, 50)), tuple(int(t) for t in rng.integers(0, vocab_size, size=int(rng.integers(0, 3)))))
-    state = make_state(0, Vocabulary(size=vocab_size), engine, ScriptedPromptSource([]))
-    state.table.add([ctx.prompt_id])
-    state.table.load(params)
-    row = state.table.rows([ctx.prompt_id], *([v] for v in ctx.window()))
-    state.table.check(row)
-    cdf = state.table.cdf[row[0]]
+    table = ContextTable([ctx.prompt_id], params.n_features, vocab_size, engine, 1.0)
+    table.load(params)
+    row = table.rows([ctx.prompt_id], *([v] for v in ctx.window()))
+    table.check(row)
+    cdf = table.cdf[row[0]]
     uniforms = np.concatenate([[0.0, 1.0 - 2.0**-53, 1.0, cdf[-1], np.nextafter(cdf[-1], 0.0)], cdf, rng.random(20)])
     tokens = [r.tokens[0] for r in tick_tokens(params, ctx, engine, uniforms)]
     assert tokens == [min(int((cdf <= u).sum()), vocab_size - 1) for u in uniforms]

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from replay import ROOT, fingerprint, load_set, run_hashes
+from mismatchlab import cli, load_config
+from replay import ROOT, fingerprint, header, load_set, run_hashes
 
 REPLAY_SET = load_set()
 
@@ -17,3 +20,15 @@ def test_replay_set_outputs_match_the_manifest(run: dict, tmp_path) -> None:
     pinned = {name: sha for name, sha in REPLAY_SET["manifest"][key].items() if name.split("/")[0] == run["name"]}
     assert pinned, f"the manifest pins no output of {run['name']}"
     assert run_hashes(run, ROOT, tmp_path) == pinned
+
+
+@pytest.mark.parametrize("command,name,patch", [("train", "train_icepop", {"run": {"n_iterations": 2}}),
+                                                ("compounding", "compounding", {"compounding": {"n_steps": 3}})])
+def test_header_reads_back_the_config_a_run_embeds(tmp_path, command: str, name: str, patch: dict) -> None:
+    config = json.loads((ROOT / "configs" / f"{name}.json").read_text(encoding="utf-8"))
+    for section, fields in patch.items():
+        config[section].update(fields)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert header(tmp_path / "out") == load_config(path).to_dict()

@@ -18,13 +18,13 @@ from mismatchlab import (
     BudgetConfig,
     ObjectiveConfig,
     PolicyParams,
+    SchedulerState,
     SyntheticPromptSource,
     TaskSpec,
     Vocabulary,
     infer_engine,
     init_params,
     make_probes,
-    make_state,
     run_iteration,
     run_iteration_baseline,
     train_loop,
@@ -49,9 +49,9 @@ FIXTURE_LENGTHS = [2, 2, 3, 3, 5, 5, 9, 17]
 
 def scripted_state(lengths: list[int], seed: int = 99):
     vocab = Vocabulary(size=8)
-    task = TaskSpec(TaskKind.PARITY_MATCH, 900, 0, max(lengths) + 1)
+    task = TaskSpec(TaskKind.PARITY_MATCH, 100, 0, max(lengths) + 1)
     source = ScriptedPromptSource([(task, list(lengths))])
-    return make_state(seed, vocab, infer_engine(0.0, 7), source)
+    return SchedulerState(vocab=vocab, source=source, seed=seed, n_features=32, infer=infer_engine(0.0, 7))
 
 
 def uids_where(state, mask) -> set[int]:
@@ -181,7 +181,7 @@ def test_fixture_trace_matches_hand_simulation() -> None:
 def test_smallest_instance_single_token_rollout() -> None:
     vocab = Vocabulary(size=8)
     source = SyntheticPromptSource(vocab, max_len=1)
-    state = make_state(5, vocab, infer_engine(0.0, 7), source)
+    state = SchedulerState(vocab=vocab, source=source, seed=5, n_features=32, infer=infer_engine(0.0, 7))
     budget = BudgetConfig(token_budget=1, infer_capacity=1, prompts_per_iteration=1)
     report, _ = run_iteration(state, default_params(), budget, ObjectiveConfig(group_size=8))
     assert report.rollout_ticks == 1
@@ -262,8 +262,9 @@ def test_an_exhausted_source_gives_an_empty_iteration_in_both_modes() -> None:
 
 def test_prompts_drawn_for_an_iteration_that_ends_early_spawn_first_in_the_next(monkeypatch) -> None:
     """The lookahead keeps the source's order and each iteration's cap on spawned prompts."""
-    prompts = [(TaskSpec(TaskKind.PARITY_MATCH, 900 + k, 0, 2), [1, 1]) for k in range(12)]
-    state = make_state(3, Vocabulary(size=8), infer_engine(0.0, 7), ScriptedPromptSource(prompts))
+    prompts = [(TaskSpec(TaskKind.PARITY_MATCH, 300 + k, 0, 2), [1, 1]) for k in range(12)]
+    state = SchedulerState(vocab=Vocabulary(size=8), source=ScriptedPromptSource(prompts), seed=3, n_features=32,
+                           infer=infer_engine(0.0, 7))
     spawned: list[tuple[int, int]] = []  # (iteration, prompt id) of each spawned group
     spawn = scheduler._spawn_groups
 
@@ -284,11 +285,11 @@ def test_prompts_drawn_for_an_iteration_that_ends_early_spawn_first_in_the_next(
         run_iteration(state, params, budget, ObjectiveConfig(group_size=2))
         left_drawn.append([task.prompt_id for task, _ in state.lookahead])
         params = PolicyParams(params.weights, params.version_id + 1)
-    assert [p for _, p in spawned] == list(range(900, 909))
+    assert [p for _, p in spawned] == list(range(300, 309))
     assert [sum(1 for it, _ in spawned if it == i) for i in range(4)] == [1, 3, 2, 3]
-    assert left_drawn == [[901, 902], [], [906], []]
+    assert left_drawn == [[301, 302], [], [306], []]
     firsts = [next(p for it, p in spawned if it == i) for i in range(4)]
-    assert firsts == [900, 901, 904, 906]
+    assert firsts == [300, 301, 304, 306]
 
 
 def test_baseline_tick_cap_counts_the_ticks_of_the_iteration() -> None:
@@ -317,7 +318,8 @@ def test_baseline_matches_the_wave_loop_oracle(lengths, group_size, infer_capaci
     prompts = [(sample_prompt(rng, vocab, 40), row[:group_size]) for row in lengths]
     budget = BudgetConfig(token_budget=1, infer_capacity=infer_capacity, prompts_per_iteration=prompts_per_iteration)
     cfg = ObjectiveConfig(group_size=group_size)
-    states = [make(seed, vocab, infer_engine(0.2, 7), ScriptedPromptSource(prompts)) for make in (make_state, oracle_state)]
+    states = [SchedulerState(vocab=vocab, source=ScriptedPromptSource(prompts), seed=seed, n_features=16, infer=infer_engine(0.2, 7)),
+              oracle_state(seed, vocab, 16, infer_engine(0.2, 7), ScriptedPromptSource(prompts))]
     params = init_params(vocab, n_features=16, init_scale=0.4, seed=seed)
     for _ in range(iterations):
         got_report, got_groups = run_iteration_baseline(states[0], params, budget, cfg)
@@ -388,10 +390,9 @@ def test_array_pool_equals_the_rollout_object_loop(
     """
     vocab = Vocabulary(size=6)
     model = "lognormal" if lognormal else "policy"
-    states = [
-        make(seed, vocab, infer_engine(0.2, 7), SyntheticPromptSource(vocab, max_len=max_len, length_model=model, median=3.0))
-        for make in (make_state, oracle_state)
-    ]
+    source = SyntheticPromptSource(vocab, max_len=max_len, length_model=model, median=3.0)
+    states = [SchedulerState(vocab=vocab, source=source, seed=seed, n_features=16, infer=infer_engine(0.2, 7)),
+              oracle_state(seed, vocab, 16, infer_engine(0.2, 7), source)]
     for state in states:
         state.next_uid = first_uid
     budget = BudgetConfig(
@@ -437,7 +438,7 @@ def test_batch_rows_are_the_table_rows_of_each_rollouts_shift(baseline: bool, le
     vocab = Vocabulary(size=6)
     params = init_params(vocab, n_features=24, init_scale=0.7, seed=3)
     source = SyntheticPromptSource(vocab, max_len=9, length_model=length_model, median=3.0, sigma=1.0)
-    state = make_state(3, vocab, infer_engine(0.2, 7), source)
+    state = SchedulerState(vocab=vocab, source=source, seed=3, n_features=24, infer=infer_engine(0.2, 7))
     budget = BudgetConfig(token_budget=10, infer_capacity=6, retention_threshold=10, prompts_per_iteration=2)
     step = run_iteration_baseline if baseline else run_iteration
     resumed = emitted = 0
@@ -461,7 +462,7 @@ def test_unreachable_budget_hits_tick_cap() -> None:
 def test_train_loop_zero_iterations_is_identity() -> None:
     vocab = Vocabulary(size=8)
     source = SyntheticPromptSource(vocab, max_len=4)
-    state = make_state(3, vocab, infer_engine(0.1, 7), source)
+    state = SchedulerState(vocab=vocab, source=source, seed=3, n_features=32, infer=infer_engine(0.1, 7))
     params = default_params()
     results, final = train_loop(
         0, state, params, BudgetConfig(token_budget=10, infer_capacity=4), ObjectiveConfig(group_size=2, learning_rate=1.0),
@@ -474,7 +475,7 @@ def test_train_loop_zero_iterations_is_identity() -> None:
 def test_train_loop_smoke_thirty_iterations() -> None:
     vocab = Vocabulary(size=8)
     source = SyntheticPromptSource(vocab, max_len=8)
-    state = make_state(1234, vocab, infer_engine(0.22, 7), source)
+    state = SchedulerState(vocab=vocab, source=source, seed=1234, n_features=512, infer=infer_engine(0.22, 7))
     params = init_params(vocab, n_features=512, init_scale=0.3, seed=1234)
     budget = BudgetConfig(token_budget=440, infer_capacity=48, retention_threshold=3, sync_cost_ticks=8)
     results, final = train_loop(
@@ -494,7 +495,7 @@ def test_partitioned_and_baseline_match_on_shared_seed_without_budget_pressure()
     def build(seed: int):
         vocab = Vocabulary(size=8)
         source = SyntheticPromptSource(vocab, max_len=6)
-        state = make_state(seed, vocab, infer_engine(0.0, 7), source)
+        state = SchedulerState(vocab=vocab, source=source, seed=seed, n_features=64, infer=infer_engine(0.0, 7))
         params = init_params(vocab, n_features=64, init_scale=0.4, seed=seed)
         budget = BudgetConfig(
             token_budget=10**9,
@@ -521,7 +522,7 @@ def test_train_loop_replay_is_bit_identical() -> None:
     def run_once():
         vocab = Vocabulary(size=8)
         source = SyntheticPromptSource(vocab, max_len=8)
-        state = make_state(7, vocab, infer_engine(0.22, 7), source)
+        state = SchedulerState(vocab=vocab, source=source, seed=7, n_features=128, infer=infer_engine(0.22, 7))
         params = init_params(vocab, n_features=128, init_scale=0.3, seed=7)
         budget = BudgetConfig(token_budget=200, infer_capacity=24, retention_threshold=3, sync_cost_ticks=8)
         results, final = train_loop(
@@ -549,7 +550,7 @@ def _run_fuzz_case(rng: np.random.Generator) -> None:
     cfg = ObjectiveConfig(group_size=group_size)
     source = SyntheticPromptSource(vocab, max_len=max_len)
     seed = int(rng.integers(0, 10**6))
-    state = make_state(seed, vocab, infer_engine(float(rng.uniform(0, 0.3)), 7), source)
+    state = SchedulerState(vocab=vocab, source=source, seed=seed, n_features=16, infer=infer_engine(float(rng.uniform(0, 0.3)), 7))
     params = init_params(vocab, n_features=16, init_scale=0.4, seed=seed)
 
     with uid_audit() as audit:
@@ -608,7 +609,7 @@ def test_pool_stays_within_capacity_and_only_complete_groups_are_emitted(
     vocab = Vocabulary(size=6)
     model = "lognormal" if lognormal else "policy"
     source = SyntheticPromptSource(vocab, max_len=max_len, length_model=model, median=3.0, sigma=1.0)
-    state = make_state(seed, vocab, infer_engine(0.2, 7), source)
+    state = SchedulerState(vocab=vocab, source=source, seed=seed, n_features=16, infer=infer_engine(0.2, 7))
     params = init_params(vocab, n_features=16, init_scale=0.4, seed=seed)
     budget = BudgetConfig(
         token_budget=token_budget,
@@ -676,7 +677,7 @@ def test_budget_config_invariants() -> None:
 def test_group_slots_hold_only_live_groups_after_a_run() -> None:
     vocab = Vocabulary(size=8)
     source = SyntheticPromptSource(vocab, max_len=64, length_model="lognormal", median=6.0, sigma=1.0)
-    state = make_state(5, vocab, infer_engine(0.2, 7), source)
+    state = SchedulerState(vocab=vocab, source=source, seed=5, n_features=64, infer=infer_engine(0.2, 7))
     params = init_params(vocab, n_features=64, init_scale=0.3, seed=5)
     budget = BudgetConfig(token_budget=60, infer_capacity=12, retention_threshold=1, prompts_per_iteration=4)
     with uid_audit() as audit:
@@ -781,7 +782,7 @@ def _trained_rollouts(monkeypatch, length_model: str, first_uid: int) -> list:
     monkeypatch.setattr(scheduler, "objective_and_grad", recording)
     vocab = Vocabulary(size=8)
     source = SyntheticPromptSource(vocab, max_len=24, length_model=length_model, median=5.0, sigma=1.0)
-    state = make_state(17, vocab, infer_engine(0.2, 7), source)
+    state = SchedulerState(vocab=vocab, source=source, seed=17, n_features=64, infer=infer_engine(0.2, 7))
     state.next_uid = first_uid
     params = init_params(vocab, n_features=64, init_scale=0.3, seed=17)
     budget = BudgetConfig(token_budget=50, infer_capacity=10, retention_threshold=2, prompts_per_iteration=3)
@@ -802,7 +803,8 @@ def test_train_loop_samples_each_rollout_from_its_own_stream(monkeypatch, length
 
 def test_train_loop_results_keep_grad_norm_but_not_grad() -> None:
     vocab = Vocabulary(size=8)
-    state = make_state(11, vocab, infer_engine(0.2, 7), SyntheticPromptSource(vocab, max_len=6))
+    state = SchedulerState(vocab=vocab, source=SyntheticPromptSource(vocab, max_len=6), seed=11, n_features=64,
+                           infer=infer_engine(0.2, 7))
     params = init_params(vocab, n_features=64, init_scale=0.3, seed=11)
     budget = BudgetConfig(token_budget=60, infer_capacity=12, prompts_per_iteration=4)
     seen = []

@@ -12,12 +12,12 @@ from mismatchlab import (
     NumericError,
     ObjectiveConfig,
     PolicyParams,
+    SchedulerState,
     SyntheticPromptSource,
     Vocabulary,
     infer_engine,
     init_params,
     make_probes,
-    make_state,
     measure,
     objective_and_grad,
     run_iteration,
@@ -31,7 +31,7 @@ from mismatchlab.policy import (
     context_rows,
     perturb_logits,
 )
-from mismatchlab.tasks import COPY_PATTERN_POOL
+from mismatchlab.tasks import all_prompt_ids, sample_prompt
 from oracles import block_inference_logits, reference_objective
 
 PROMPT_ID = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), -1, 0, 100, 2**63 - 1]))
@@ -63,14 +63,11 @@ def test_table_rows_equal_direct_path(
 ) -> None:
     rng = np.random.default_rng(seed)
     infer = infer_engine(scale, mismatch_seed)
-    table = ContextTable(vocab_size, infer, temperature)
-    table.add(prompts)
-    for i, version in enumerate(versions):
+    table = ContextTable(prompts + [late_prompt], n_features, vocab_size, infer, temperature)
+    for version in versions:
         weights = rng.normal(size=(n_features, vocab_size)) * 10.0 ** rng.uniform(-2, 2)
         params = PolicyParams(weights, version)
         table.load(params)
-        if i == 0:
-            table.add([late_prompt])  # registered while a version is loaded
         known = prompts + [late_prompt]
         n = 40
         pids = np.asarray(known, dtype=np.int64)[rng.integers(0, len(known), n)]
@@ -136,13 +133,13 @@ def test_restricted_load_equals_the_full_block_composition_on_every_finite_row(
     """Every row equals the oracle at the version last loaded, whichever pass evaluated it.
 
     Per version, a random share of the rows is evaluated by the load's
-    pass and the rest through check, in random chunks; a prompt
-    registered while a version is loaded is evaluated through check only.
+    pass and the rest through check, in random chunks; at the first
+    version the late prompt's block, last in the table, is evaluated
+    through check only.
     """
     rng = np.random.default_rng(seed)
     infer = infer_engine(scale, mismatch_seed)
-    table = ContextTable(vocab_size, infer, 0.8)
-    table.add(prompts)
+    table = ContextTable(prompts + [late_prompt], n_features, vocab_size, infer, 0.8)
     windows = np.arange(-1, vocab_size)
     prev, last = (w.ravel() for w in np.meshgrid(windows, windows, indexing="ij"))
     for i, version in enumerate(versions):
@@ -152,8 +149,6 @@ def test_restricted_load_equals_the_full_block_composition_on_every_finite_row(
         params = PolicyParams(weights, version)
         n_rows = table.feats.shape[0] if i else len(prompts) * prev.size
         table.load(params, np.flatnonzero(rng.random(n_rows) < rng.uniform()))
-        if i == 0:
-            table.add([late_prompt])  # registered while a version is loaded
         known = list(dict.fromkeys(prompts + [late_prompt]))
         pids = np.repeat(np.asarray(known, dtype=np.int64), prev.size)
         every = (pids, np.tile(prev, len(known)), np.tile(last, len(known)))
@@ -174,9 +169,8 @@ def test_restricted_load_equals_the_full_block_composition_on_every_finite_row(
 
 
 def test_rows_reject_unregistered_prompts_and_out_of_range_windows() -> None:
-    table = ContextTable(4, infer_engine(0.1, 7), 1.0)
-    table.add([100])
-    with pytest.raises(ValueError):
+    table = ContextTable([100], 8, 4, infer_engine(0.1, 7), 1.0)
+    with pytest.raises(ValueError, match="prompt outside the table"):
         table.rows([101], [-1], [-1])
     for prev, last in [(-2, 0), (0, 4), (4, 0), (0, -2)]:
         with pytest.raises(ValueError):
@@ -184,16 +178,13 @@ def test_rows_reject_unregistered_prompts_and_out_of_range_windows() -> None:
 
 
 def test_prompt_row_is_the_empty_window_row() -> None:
-    table = ContextTable(5, infer_engine(0.1, 7), 1.0)
-    table.add([9, 7])
-    table.add([-3, 7])
+    table = ContextTable([9, 7, -3, 7], 8, 5, infer_engine(0.1, 7), 1.0)
     for pid in (9, 7, -3):
         assert table.prompt_row(pid) == int(table.rows([pid], [-1], [-1])[0])
 
 
 def test_advance_moves_the_window() -> None:
-    table = ContextTable(5, infer_engine(0.1, 7), 1.0)
-    table.add([7, 9])
+    table = ContextTable([7, 9], 8, 5, infer_engine(0.1, 7), 1.0)
     rows = table.rows([7, 9, 9], [-1, -1, 2], [-1, 3, 4])
     assert table.advance(rows, np.asarray([0, 4, 1])).tolist() == table.rows([7, 9, 9], [-1, 3, 4], [0, 4, 1]).tolist()
 
@@ -201,7 +192,8 @@ def test_advance_moves_the_window() -> None:
 def trained_state(seed: int, scale: float, temperature: float = 1.0):
     vocab = Vocabulary(size=6)
     params = init_params(vocab, n_features=40, init_scale=0.7, seed=seed)
-    state = make_state(seed, vocab, infer_engine(scale, 7), SyntheticPromptSource(vocab, max_len=6), temperature)
+    state = SchedulerState(vocab=vocab, source=SyntheticPromptSource(vocab, max_len=6), seed=seed, n_features=40,
+                           infer=infer_engine(scale, 7), temperature=temperature)
     budget = BudgetConfig(token_budget=40, infer_capacity=8, prompts_per_iteration=3)
     return vocab, params, state, budget
 
@@ -229,16 +221,15 @@ def test_objective_and_measure_through_the_table_match_the_direct_path(scale: fl
 
     probes = make_probes(64, vocab, 4)
     windows = probe_windows(probes)
-    state.table.add(windows[0])
-    direct_sample = measure(params, probes, state.infer, temperature)
+    direct_sample = measure(params, probes, state.table.infer, temperature)
     for rows in (None, state.table.rows(*windows)):
-        table_sample = measure(params, probes, state.infer, temperature, table=state.table, rows=rows)
+        table_sample = measure(params, probes, state.table.infer, temperature, table=state.table, rows=rows)
         assert (table_sample.delta, table_sample.max_token_gap) == (direct_sample.delta, direct_sample.max_token_gap)
 
 
 def visitable_feature_rows(vocab_size: int, n_features: int, infer) -> set[int]:
     """Non-bias feature rows of every window a rollout or probe can reach, over all task prompts."""
-    prompt_ids = [100, 101] + [200 + t for t in range(vocab_size)] + [300 + t for t in range(COPY_PATTERN_POOL)]
+    prompt_ids = all_prompt_ids(Vocabulary(size=vocab_size))
     windows = [(-1, -1)] + [(-1, a) for a in range(vocab_size)] + [(a, b) for a in range(vocab_size) for b in range(vocab_size)]
     pids = [p for p in prompt_ids for _ in windows]
     feats, _, _ = context_rows(pids, [w[0] for _ in prompt_ids for w in windows], [w[1] for _ in prompt_ids for w in windows], n_features, infer, 0)
@@ -262,7 +253,7 @@ def test_overflow_at_a_context_the_run_never_visits_does_not_fail_it() -> None:
     with pytest.raises(NumericError):
         batched_train_logits(params, rows[None, :], 1.0)
 
-    state = make_state(3, vocab, infer, SyntheticPromptSource(vocab, max_len=6))
+    state = SchedulerState(vocab=vocab, source=SyntheticPromptSource(vocab, max_len=6), seed=3, n_features=n_features, infer=infer)
     budget = BudgetConfig(token_budget=40, infer_capacity=8, prompts_per_iteration=3)
     results, _ = train_loop(3, state, params, budget, ObjectiveConfig(group_size=2, learning_rate=0.5), make_probes(32, vocab, 3))
     assert len(results) == 3
@@ -307,11 +298,10 @@ def test_visited_overflow_raises_the_direct_message_from_objective_and_measure()
     messages = [str(objective.value)]
     probes = make_probes(16, vocab, 6)
     windows = probe_windows(probes)
-    state.table.add(windows[0])
     with pytest.raises(NumericError) as direct:
-        measure(bad, probes, state.infer)
+        measure(bad, probes, state.table.infer)
     with pytest.raises(NumericError) as tabled:
-        measure(bad, probes, state.infer, table=state.table, rows=state.table.rows(*windows))
+        measure(bad, probes, state.table.infer, table=state.table, rows=state.table.rows(*windows))
     messages += [str(direct.value), str(tabled.value)]
     assert messages == [direct_message(bad)] * 3
 
@@ -321,8 +311,7 @@ def test_check_raises_on_rows_whose_inference_logits_overflow() -> None:
     vocab = Vocabulary(size=6)
     params = init_params(vocab, n_features=32, init_scale=0.5, seed=3)
     params.weights[:, 0] = 1e307
-    table = ContextTable(vocab.size, infer_engine(0.22, 7), 1.0)
-    table.add([100, 205, 311])
+    table = ContextTable([100, 205, 311], params.n_features, vocab.size, infer_engine(0.22, 7), 1.0)
     table.load(params)
     # Every row's training logits are finite: the whole table raises the inference message.
     with pytest.raises(NumericError, match="inference engine"):
@@ -348,3 +337,40 @@ def test_train_loop_evaluates_each_version_in_one_pass_over_the_rows_it_can_read
     train_loop(n_iterations, state, params, budget, ObjectiveConfig(group_size=2, learning_rate=0.5), make_probes(32, vocab, 8))
     assert [version for version, _, _ in passes] == list(range(n_iterations))
     assert all(rows < table_rows for _, rows, table_rows in passes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vocab_size=st.integers(2, 12), max_len=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_every_prompt_the_tasks_can_draw_is_in_the_universe(vocab_size: int, max_len: int, seed: int) -> None:
+    vocab = Vocabulary(size=vocab_size)
+    universe = all_prompt_ids(vocab)
+    assert universe == sorted(set(universe))
+    stream = np.random.default_rng(seed)
+    drawn = {sample_prompt(stream, vocab, max_len).prompt_id for _ in range(200)}
+    probes = {probe.prompt_id for probe in make_probes(64, vocab, seed, max_len)}
+    assert drawn | probes <= set(universe)
+
+
+def test_the_universe_at_the_shipped_vocabulary() -> None:
+    universe = all_prompt_ids(Vocabulary(size=8))
+    assert universe == [100, 101, *range(200, 208), *range(300, 312)]
+    table = ContextTable(universe, 16, 8, infer_engine(0.2, 7), 1.0)
+    assert table.feats.shape[0] == 22 * 81 == 1782
+
+
+def test_load_rejects_params_of_another_shape() -> None:
+    table = ContextTable([100, 101], 8, 4, infer_engine(0.1, 7), 1.0)
+    with pytest.raises(ValueError, match="9 features, the table 8"):
+        table.load(PolicyParams(np.zeros((9, 4))))
+    with pytest.raises(ValueError, match="vocabulary 5, the table 4"):
+        table.load(PolicyParams(np.zeros((8, 5))))
+    table.load(PolicyParams(np.zeros((8, 4))))
+
+
+def test_a_run_never_changes_the_table_shape() -> None:
+    """The state's table holds every task prompt from construction; a run reads it without adding a row."""
+    vocab, params, state, budget = trained_state(10, 0.2)
+    feats, cdf = state.table.feats, state.table.cdf
+    assert feats.shape[0] == cdf.shape[0] == len(all_prompt_ids(vocab)) * (vocab.size + 1) ** 2
+    train_loop(4, state, params, budget, ObjectiveConfig(group_size=2, learning_rate=0.5), make_probes(32, vocab, 10))
+    assert state.table.feats is feats and state.table.cdf.base is cdf.base
