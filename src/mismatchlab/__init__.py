@@ -43,7 +43,7 @@ from .scheduler import (
     run_iteration_baseline,
     train_loop,
 )
-from .tasks import TaskKind, TaskSpec, prefix_pattern, sample_prompt, verify
+from .tasks import TaskKind, TaskSpec, sample_prompt, verify
 
 __version__ = "0.1.0"
 
@@ -78,7 +78,6 @@ __all__ = [
     "measure",
     "momentum_update",
     "objective_and_grad",
-    "prefix_pattern",
     "run_iteration",
     "run_iteration_baseline",
     "sample_prompt",

@@ -40,6 +40,9 @@ class PolicySection:
     def __post_init__(self) -> None:
         if self.vocab_size < 2:
             raise ConfigError("policy.vocab_size: must be >= 2")
+        if self.vocab_size > 100:
+            raise ConfigError("policy.vocab_size: must be <= 100; above it TARGET_SUM prompt ids (200 + target) "
+                              "collide with COPY_PREFIX ids (300 + pattern)")
         if not 0 <= self.eos_id < self.vocab_size:
             raise ConfigError("policy.eos_id: out of vocabulary range")
         if self.n_features < 1:

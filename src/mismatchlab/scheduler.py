@@ -4,9 +4,11 @@ Time model: one tick generates one token for every active rollout in
 parallel (idealized batched inference); rollout-phase cost is measured
 in ticks and weight sync adds a fixed tick cost per iteration.
 
-One loop, _rollout_loop, runs both kinds of iteration. Each sampled
-prompt spawns a full sibling group into a pending queue, whose members
-the pool admits in order up to its capacity. A tick ends a rollout that
+One loop, _rollout_loop, runs both kinds of iteration. At its start an
+iteration spawns, as one block, the full sibling groups of the prompts it
+draws, so that the pending queue holds prompts_per_iteration whole
+groups; the pool admits pending rollouts in order up to its capacity,
+and whole groups it leaves pending carry over. A tick ends a rollout that
 reaches its token limit, or a policy-length one that samples EOS; it
 turns terminal and leaves the pool. A group is emitted for training once
 every sibling is terminal. Budget-partitioned (C3PO++-style) iterations
@@ -25,8 +27,8 @@ each task kind once, and the emitted groups reach the objective as a
 flat RolloutBatch that carries each token's table row. Ticks, the
 objective and the probe measure read both engines from the state's
 ContextTable, which evaluates in one pass per version every row readable
-then: the windows of the prompts in the pool, the pending queue and the
-prompt lookahead (the only prompts spawn takes), and the probe rows.
+then: the windows of the prompts in the pool and the pending queue, and
+the probe rows.
 
 Each rollout samples with its own uniforms, one per token, so the pool's
 order never perturbs another rollout's tokens. They are the first draws
@@ -41,7 +43,6 @@ end state through PCG64's public state setter.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -80,11 +81,11 @@ _MASK64 = (1 << 64) - 1
 class BudgetConfig:
     """Inputs of the rollout loop; also the experiment config's budget section.
 
-    Spawning stops at prompts_per_iteration prompts per iteration, or
-    when the prompt source runs out. token_budget ends a
-    budget-partitioned iteration; the baseline ignores it. tick_cap is
-    the most ticks one iteration may take, in either mode; the tick
-    beyond it raises TickCapError.
+    Each iteration spawns prompts until the pending queue holds
+    prompts_per_iteration whole groups, or the prompt source runs out.
+    token_budget ends a budget-partitioned iteration; the baseline
+    ignores it. tick_cap is the most ticks one iteration may take, in
+    either mode; the tick beyond it raises TickCapError.
     """
 
     token_budget: int = 440
@@ -169,14 +170,14 @@ _SLOTS = {"uniform": np.float64, "token": np.int64, "context": np.intp, "lp_trai
 
 @dataclass
 class SchedulerState:
-    """The live rollouts as arrays, the prompt lookahead, and the run's counters.
+    """The live rollouts as arrays, and the run's counters.
 
     rollouts holds each live rollout as one column, in uid order: the
     inference pool (the admitted non-terminal ones), the terminal ones
     waiting for their group, and, as the last n_pending, the pending
-    queue. Each owns a block of limit slots in slots, in the same order
-    from slot 0. lookahead holds drawn prompts not yet spawned;
-    probe_rows, train_loop's probe rows. The prompt stream is
+    queue: at most one partly admitted group, then whole groups. Each
+    owns a block of limit slots in slots, in the same order from slot 0.
+    probe_rows are train_loop's probe rows. The prompt stream is
     default_rng(SeedSequence((seed & MASK64, 1))), and the context table,
     of infer at temperature over n_features, holds every prompt the task
     distribution can draw.
@@ -191,7 +192,6 @@ class SchedulerState:
     rollouts: np.ndarray = field(default_factory=lambda: np.zeros((_N_COLUMNS, 0), dtype=np.int64))
     n_pending: int = 0
     slots: dict[str, np.ndarray] = field(default_factory=lambda: {name: np.zeros(0, dtype) for name, dtype in _SLOTS.items()})
-    lookahead: deque[tuple[TaskSpec, list[int | None]]] = field(default_factory=deque)
     probe_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     iteration: int = 0
     tick_clock: int = 0
@@ -390,21 +390,20 @@ def _keep(state: SchedulerState, keep: np.ndarray) -> None:
     state.rollouts = rollouts
 
 
-def _spawn_groups(state: SchedulerState, wanted: int) -> int:
-    """Queue the sibling rollouts of up to wanted next prompts of the lookahead (which _load_version has evaluated
-    and filled to the most an iteration spawns) as one block of pending rollouts whose slots take their
-    uniforms in one draw; returns how many were spawned, fewer only once the prompt source has run out."""
+def _spawn_groups(state: SchedulerState, wanted: int, group_size: int) -> None:
+    """Queue the sibling rollouts of up to wanted prompts drawn from the source, fewer only once it runs out,
+    as one block of pending rollouts whose slots take their uniforms in one draw."""
     groups, lengths = [], []
-    while state.lookahead and len(groups) < wanted:
-        task, targets = state.lookahead.popleft()
+    while len(groups) < wanted and (drawn := state.source.next_prompt(state.prompt_stream, group_size)) is not None:
+        task, targets = drawn
         groups.append((0, state.next_group_uid + len(groups), task.prompt_id, _KIND_CODE[task.kind], task.target, task.max_len,
                        state.table.prompt_row(task.prompt_id), 0, 0, task.max_len, state.vocab.eos_id, 0, 0, 0))
         lengths.append(targets)
     if not groups:
-        return 0
+        return
     target = np.array(lengths, dtype=np.float64).ravel()  # a missing target length is nan
     has_target = ~np.isnan(target)
-    block = np.repeat(np.array(groups, dtype=np.int64).T, target.size // len(groups), axis=1)
+    block = np.repeat(np.array(groups, dtype=np.int64).T, group_size, axis=1)
     block[_UID] = np.arange(state.next_uid, state.next_uid + target.size)
     block[_LIMIT][has_target] = np.maximum(target[has_target], 1)
     block[_END_TOKEN][has_target] = -1
@@ -419,28 +418,17 @@ def _spawn_groups(state: SchedulerState, wanted: int) -> int:
     state.n_pending += target.size
     state.next_uid += target.size
     state.next_group_uid += len(groups)
-    return len(groups)
 
 
-def _refill(
-    state: SchedulerState, cfg: BudgetConfig, group_cfg: ObjectiveConfig, sampled_this_iter: int, pool: np.ndarray
-) -> tuple[int, np.ndarray]:
-    """Admit pending rollouts, in queue order, and sample new prompts while capacity allows; returns the
-    prompts sampled so far and the refilled pool (its columns of state.rollouts). The prompts the free
-    capacity takes spawn as one block, as spawning each after admitting the last one's group would."""
-    while pool.size < cfg.infer_capacity:
-        if state.n_pending:
-            first = state.rollouts.shape[1] - state.n_pending
-            admitted = min(cfg.infer_capacity - pool.size, state.n_pending)
-            pool = np.concatenate([pool, np.arange(first, first + admitted)])
-            state.n_pending -= admitted
-            continue
-        wanted = min(-(-(cfg.infer_capacity - pool.size) // group_cfg.group_size), cfg.prompts_per_iteration - sampled_this_iter)
-        spawned = _spawn_groups(state, wanted) if wanted > 0 else 0
-        if not spawned:
-            break
-        sampled_this_iter += spawned
-    return sampled_this_iter, pool
+def _refill(state: SchedulerState, cfg: BudgetConfig, pool: np.ndarray) -> np.ndarray:
+    """Admit pending rollouts, in queue order, up to the pool's capacity; returns the refilled pool (its
+    columns of state.rollouts)."""
+    admitted = min(cfg.infer_capacity - pool.size, state.n_pending)
+    if not admitted:
+        return pool
+    first = state.rollouts.shape[1] - state.n_pending
+    state.n_pending -= admitted
+    return np.concatenate([pool, np.arange(first, first + admitted)])
 
 
 def _in_pool(state: SchedulerState) -> np.ndarray:
@@ -451,15 +439,11 @@ def _in_pool(state: SchedulerState) -> np.ndarray:
 
 
 def _load_version(state: SchedulerState, params: PolicyParams, cfg: BudgetConfig, group_cfg: ObjectiveConfig) -> None:
-    """Fill the prompt lookahead, then evaluate in one table pass every row readable at params:
-    all windows of the prompts in the pool, the pending queue and the lookahead, and the probe rows."""
-    while len(state.lookahead) < cfg.prompts_per_iteration:
-        drawn = state.source.next_prompt(state.prompt_stream, group_cfg.group_size)
-        if drawn is None:
-            break
-        state.lookahead.append(drawn)
-    drawn_ids = [task.prompt_id for task, _ in state.lookahead]
-    live = dict.fromkeys(state.rollouts[_PROMPT][state.rollouts[_TERMINAL] == 0].tolist() + drawn_ids)
+    """Spawn the iteration's prompts, so that the pending queue holds prompts_per_iteration whole groups unless
+    the source runs out, then evaluate in one table pass every row readable at params: all windows of the
+    prompts of the non-terminal rollouts, and the probe rows."""
+    _spawn_groups(state, cfg.prompts_per_iteration - state.n_pending // group_cfg.group_size, group_cfg.group_size)
+    live = dict.fromkeys(state.rollouts[_PROMPT][state.rollouts[_TERMINAL] == 0].tolist())
     state.table.load(params, np.concatenate([state.table.rows_of(live), state.probe_rows]))
 
 
@@ -565,10 +549,10 @@ def _rollout_loop(state, params_t, cfg, group_cfg, trace, baseline: bool) -> tup
     resumed = int(np.count_nonzero(state.rollouts[_LENGTH][pool]))
     _load_version(state, params_t, cfg, group_cfg)
 
-    counter = ticks = completed = sampled_this_iter = 0
+    counter = ticks = completed = 0
     while baseline or counter < cfg.token_budget:
         if not (baseline and pool.size):
-            sampled_this_iter, pool = _refill(state, cfg, group_cfg, sampled_this_iter, pool)
+            pool = _refill(state, cfg, pool)
         if not pool.size:
             break
         if ticks >= cfg.tick_cap:

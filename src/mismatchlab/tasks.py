@@ -38,11 +38,6 @@ class TaskSpec:
             raise ValueError("max_len must be >= 1")
 
 
-def prefix_length(task: TaskSpec) -> int:
-    """Prescribed-prefix length for COPY_PREFIX tasks (capped by max_len)."""
-    return min(2, task.max_len)
-
-
 # Distinct COPY_PREFIX patterns in the prompt pool; small enough that
 # prompts recur and per-prompt behavior is learnable.
 COPY_PATTERN_POOL = 12
@@ -57,23 +52,6 @@ _PROMPT_ID_BASE = {
 def prompt_id_for(kind: TaskKind, target: int) -> int:
     """Stable prompt identity: equal (kind, target) tasks share a prompt."""
     return _PROMPT_ID_BASE[kind] + target
-
-
-def prefix_pattern(task: TaskSpec, vocab: Vocabulary) -> tuple[int, ...]:
-    """Decode the COPY_PREFIX target payload into non-EOS token ids.
-
-    The target is a base-(size-1) number whose digits map onto the
-    vocabulary with the EOS id skipped, so a pattern can never terminate
-    the rollout early.
-    """
-    base = vocab.size - 1
-    k = prefix_length(task)
-    digits = []
-    value = task.target
-    for _ in range(k):
-        digits.append(value % base)
-        value //= base
-    return tuple(d if d < vocab.eos_id else d + 1 for d in digits)
 
 
 def copy_target_range(vocab: Vocabulary, max_len: int) -> int:
@@ -123,7 +101,8 @@ def verify(kind: TaskKind, targets: np.ndarray, max_lens: np.ndarray, tokens: np
     if kind is TaskKind.TARGET_SUM:
         total = np.bincount(completion, weights=tokens, minlength=lengths.size)
         return (total % vocab.size == targets).astype(np.float64)
-    # prefix_pattern's digits, one prefix position at a time; the padding keeps every read in range.
+    # The target's base-(size - 1) digits, EOS skipped, one prefix position at a time; the padding keeps
+    # every read in range.
     k, starts, padded = np.minimum(2, max_lens), np.cumsum(lengths) - lengths, np.concatenate([tokens, [-1, -1]])
     match = lengths >= k
     for i in range(2):

@@ -11,11 +11,11 @@ about 2^-53 per entry), so the two agree bit for bit.
 The rollout loop over one Rollout object per rollout, with token lists,
 a list pool, a pending deque and a dict of groups: the scheduler keeps
 the same rollouts as columns of arrays, and must equal it bit for bit.
-With it, the scalar verify (the oracle of the batched one), the group
-z-score of one group (of batch_group_advantages), and a scripted prompt
-source for fixtures. The single-pass baseline as its own wave loop,
-which the scheduler runs as its one rollout loop refilling only an empty
-pool.
+With it, the scalar verify (the oracle of the batched one) with the
+COPY_PREFIX pattern it decodes, the group z-score of one group (of
+batch_group_advantages), and a scripted prompt source for fixtures.
+The single-pass baseline as its own wave loop, which the scheduler runs
+as its one rollout loop refilling only an empty pool.
 
 The objective as a loop over rollouts, each token's feature rows hashed
 on the direct path (the package gathers them, and the policy at theta,
@@ -76,7 +76,7 @@ from mismatchlab.policy import (
     weight_grad,
 )
 from mismatchlab.scheduler import BudgetConfig, StepReport, SyntheticPromptSource
-from mismatchlab.tasks import TaskKind, TaskSpec, all_prompt_ids, prefix_pattern
+from mismatchlab.tasks import TaskKind, TaskSpec, all_prompt_ids
 
 
 def _unit_noise_matrix(keys, width, tail_cut, tail_gain):
@@ -141,6 +141,28 @@ class UidStreams:
 
     def draw(self, uid: int, count: int) -> np.ndarray:
         return np.random.default_rng(np.random.SeedSequence((self.seed & _MASK64, 2, uid))).random(count)
+
+
+def prefix_length(task: TaskSpec) -> int:
+    """Prescribed-prefix length for COPY_PREFIX tasks (capped by max_len)."""
+    return min(2, task.max_len)
+
+
+def prefix_pattern(task: TaskSpec, vocab: Vocabulary) -> tuple[int, ...]:
+    """Decode the COPY_PREFIX target payload into non-EOS token ids.
+
+    The target is a base-(size-1) number whose digits map onto the
+    vocabulary with the EOS id skipped, so a pattern can never terminate
+    the rollout early.
+    """
+    base = vocab.size - 1
+    k = prefix_length(task)
+    digits = []
+    value = task.target
+    for _ in range(k):
+        digits.append(value % base)
+        value //= base
+    return tuple(d if d < vocab.eos_id else d + 1 for d in digits)
 
 
 def verify(task: TaskSpec, completion: tuple[int, ...] | list[int], vocab: Vocabulary) -> float:

@@ -200,6 +200,7 @@ def test_invalid_objective_values_exit_2_before_any_output(tmp_path, capsys, key
         ("train", "train_icepop", "objective", "tis_cap", math.inf),
         ("train", "train_icepop", "mismatch", "scale", math.nan),
         ("train", "train_icepop", "objective", "kl_coeff", math.nan),
+        ("train", "train_icepop", "policy", "vocab_size", 101),  # prompt ids would collide
     ],
 )
 def test_non_finite_numbers_and_a_negative_init_scale_exit_2_before_any_output(

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from mismatchlab import Algo, BiasMode, ConfigError, default_config, load_config
+from mismatchlab import Algo, BiasMode, ConfigError, TaskKind, Vocabulary, default_config, load_config
 from mismatchlab.cli import main
 from mismatchlab.config import SCHEMA_VERSION, config_from_dict
+from mismatchlab.tasks import COPY_PATTERN_POOL, all_prompt_ids, prompt_id_for
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -122,10 +123,18 @@ def test_document_shape_and_version_are_checked_first() -> None:
         ("sweep", {"bounds": [[0.5, 5.0], [0.5, 0.9]]}, "sweep.bounds: bounds must satisfy 0 < alpha <= 1 <= beta"),
         ("sweep", {"n_iterations": 0}, "sweep.n_iterations: must be >= 1"),
         ("policy", {"init_scale": -1}, "policy.init_scale: must be nonnegative"),
+        ("policy", {"vocab_size": 101}, "policy.vocab_size: must be <= 100; above it TARGET_SUM prompt ids (200 + target) collide"),
     ],
 )
 def test_each_section_checks_its_invariants(section: str, values: dict, message: str) -> None:
     assert rejected(doc(**{section: values})).startswith(message)
+
+
+def test_the_largest_vocabulary_keeps_every_prompt_id_distinct() -> None:
+    """At vocab_size 100 the TARGET_SUM ids end at 299, below the first COPY_PREFIX id; 101 is rejected above."""
+    vocab = Vocabulary(size=config_from_dict(doc(policy={"vocab_size": 100})).policy.vocab_size)
+    assert prompt_id_for(TaskKind.TARGET_SUM, vocab.size - 1) < prompt_id_for(TaskKind.COPY_PREFIX, 0)
+    assert len(all_prompt_ids(vocab)) == 2 + vocab.size + COPY_PATTERN_POOL  # one id per (kind, target)
 
 
 def test_every_omitted_field_takes_its_default() -> None:

@@ -83,7 +83,7 @@ def tick_tokens(params: PolicyParams, ctx: Context, engine, uniforms) -> list[Si
                            seed=0, n_features=params.n_features, infer=engine)
     state.table = ContextTable([ctx.prompt_id], params.n_features, params.vocab_size, engine, 1.0)
     scheduler._load_version(state, params, BudgetConfig(prompts_per_iteration=1), ObjectiveConfig(group_size=len(uniforms)))
-    assert scheduler._spawn_groups(state, 1) == 1
+    assert state.n_pending == len(uniforms)
     prev, last = ctx.window()
     state.rollouts[scheduler._ROW] = state.table.rows([ctx.prompt_id], [prev], [last])[0]
     state.slots["uniform"][: len(uniforms)] = uniforms

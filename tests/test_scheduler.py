@@ -33,8 +33,13 @@ from mismatchlab.errors import TickCapError
 from mismatchlab import objective, scheduler
 from mismatchlab.scheduler import (
     _BLOCK_DRAWS,
+    _END_TOKEN,
     _GROUP,
+    _KIND,
+    _LIMIT,
+    _MAX_LEN,
     _PROMPT,
+    _TARGET,
     _TERMINAL,
     _UID,
     RolloutUniforms,
@@ -81,6 +86,19 @@ def live_uids(state) -> set[int]:
 
 def in_flight_uids(state) -> set[int]:
     return uids_where(state, pool_mask(state)) | uids_where(state, pending_mask(state)) | waiting_to_train(state)
+
+
+def whole_pending_groups(state, group_size: int) -> list[tuple[TaskSpec, list[int | None]]]:
+    """The whole groups that end the pending queue, each as the source drew it: its task and its members'
+    target lengths (None without one)."""
+    whole = state.rollouts[:, state.rollouts.shape[1] - state.n_pending // group_size * group_size :]
+    groups = []
+    for start in range(0, whole.shape[1], group_size):
+        members = whole[:, start : start + group_size]
+        kind, prompt_id, target, max_len = members[[_KIND, _PROMPT, _TARGET, _MAX_LEN], 0].tolist()
+        targets = [limit if end == -1 else None for limit, end in members[[_LIMIT, _END_TOKEN]].T.tolist()]
+        groups.append((TaskSpec(list(TaskKind)[kind], prompt_id, target, max_len), targets))
+    return groups
 
 
 def split(batch, name: str) -> list[list]:
@@ -261,34 +279,35 @@ def test_an_exhausted_source_gives_an_empty_iteration_in_both_modes() -> None:
 
 
 def test_prompts_drawn_for_an_iteration_that_ends_early_spawn_first_in_the_next(monkeypatch) -> None:
-    """The lookahead keeps the source's order and each iteration's cap on spawned prompts."""
+    """Whole pending groups keep the source's order, and each iteration tops the queue up to its prompts."""
     prompts = [(TaskSpec(TaskKind.PARITY_MATCH, 300 + k, 0, 2), [1, 1]) for k in range(12)]
     state = SchedulerState(vocab=Vocabulary(size=8), source=ScriptedPromptSource(prompts), seed=3, n_features=32,
                            infer=infer_engine(0.0, 7))
-    spawned: list[tuple[int, int]] = []  # (iteration, prompt id) of each spawned group
-    spawn = scheduler._spawn_groups
+    admitted: list[tuple[int, int]] = []  # (iteration, prompt id) of each group as its first member enters the pool
+    seen: set[int] = set()
+    refill = scheduler._refill
 
-    def recording(state, wanted):
-        first = state.next_group_uid
-        queued = spawn(state, wanted)
-        for group_uid in range(first, state.next_group_uid):
-            prompt_id = state.rollouts[_PROMPT][state.rollouts[_GROUP] == group_uid][0]
-            spawned.append((state.iteration, int(prompt_id)))
-        return queued
+    def recording(state, cfg, pool):
+        refilled = refill(state, cfg, pool)
+        for group_uid, prompt_id in state.rollouts[[_GROUP, _PROMPT]][:, refilled[pool.size :]].T.tolist():
+            if group_uid not in seen:
+                seen.add(group_uid)
+                admitted.append((state.iteration, prompt_id))
+        return refilled
 
-    monkeypatch.setattr(scheduler, "_spawn_groups", recording)
+    monkeypatch.setattr(scheduler, "_refill", recording)
     params = default_params()
-    left_drawn = []
-    # A budget of 2 tokens ends an iteration after one group, of 3 after two; 100 lets the cap of 3 end it.
+    left_pending = []
+    # A budget of 2 tokens ends an iteration after one group, of 3 after two; 100 lets the queue of 3 end it.
     for token_budget in (2, 100, 3, 100):
         budget = BudgetConfig(token_budget=token_budget, infer_capacity=2, prompts_per_iteration=3)
         run_iteration(state, params, budget, ObjectiveConfig(group_size=2))
-        left_drawn.append([task.prompt_id for task, _ in state.lookahead])
+        left_pending.append([task.prompt_id for task, _ in whole_pending_groups(state, 2)])
         params = PolicyParams(params.weights, params.version_id + 1)
-    assert [p for _, p in spawned] == list(range(300, 309))
-    assert [sum(1 for it, _ in spawned if it == i) for i in range(4)] == [1, 3, 2, 3]
-    assert left_drawn == [[301, 302], [], [306], []]
-    firsts = [next(p for it, p in spawned if it == i) for i in range(4)]
+    assert [p for _, p in admitted] == list(range(300, 309))
+    assert [sum(1 for it, _ in admitted if it == i) for i in range(4)] == [1, 3, 2, 3]
+    assert left_pending == [[301, 302], [], [306], []]
+    firsts = [next(p for it, p in admitted if it == i) for i in range(4)]
     assert firsts == [300, 301, 304, 306]
 
 
@@ -384,9 +403,11 @@ def test_array_pool_equals_the_rollout_object_loop(
 ) -> None:
     """Iteration by iteration, the pool and the parent's Rollout-object loop (tests/oracles.py) agree bit for bit.
 
-    Reports, emitted batches, tick traces, next_uid, tick_clock and the
-    lookahead are equal after every iteration, and a tick cap raises the
-    same TickCapError at the same tick.
+    Reports, emitted batches, tick traces, tick_clock and the iteration
+    are equal after every iteration, and a tick cap raises the same
+    TickCapError at the same tick. The whole groups that end the pending
+    queue are the oracle's prompt lookahead, spawned: the same prompts
+    and target lengths, the uids after the oracle's next ones.
     """
     vocab = Vocabulary(size=6)
     model = "lognormal" if lognormal else "policy"
@@ -425,10 +446,62 @@ def test_array_pool_equals_the_rollout_object_loop(
         assert got_reward == want_reward or (math.isnan(got_reward) and math.isnan(want_reward))
         assert _pool_batch(got_batch) == _oracle_batch(want_groups)
         assert len(got_batch) == len(want_groups) and got_batch.group_size == group_size
-        for name in ("next_uid", "next_group_uid", "tick_clock", "iteration"):
+        for name in ("tick_clock", "iteration"):
             assert getattr(states[0], name) == getattr(states[1], name)
-        assert list(states[0].lookahead) == list(states[1].lookahead)
+        whole = whole_pending_groups(states[0], group_size)
+        assert whole == list(states[1].lookahead)
+        assert states[0].next_uid == states[1].next_uid + len(whole) * group_size
+        assert states[0].next_group_uid == states[1].next_group_uid + len(whole)
         params = PolicyParams(params.weights + shift, version_id=params.version_id + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    baseline=st.booleans(),
+    lengths=st.lists(st.lists(st.integers(1, 12), min_size=5, max_size=5), max_size=20),
+    token_budget=st.integers(1, 40),
+    infer_capacity=st.integers(1, 20),
+    retention_threshold=st.integers(0, 3),
+    prompts_per_iteration=st.integers(1, 5),
+    group_size=st.integers(2, 5),
+    iterations=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pending_queue_is_one_partly_admitted_group_then_whole_groups(
+    baseline, lengths, token_budget, infer_capacity, retention_threshold, prompts_per_iteration, group_size, iterations, seed,
+) -> None:
+    """After each iteration's spawn the pending queue is at most one partly admitted group, then whole groups:
+    prompts_per_iteration of them unless the source has run out. The spawn's count of whole groups,
+    n_pending // group_size, rests on it."""
+    vocab = Vocabulary(size=6)
+    rng = np.random.default_rng(seed)
+    source = ScriptedPromptSource([(sample_prompt(rng, vocab, 12), row[:group_size]) for row in lengths])
+    state = SchedulerState(vocab=vocab, source=source, seed=seed, n_features=16, infer=infer_engine(0.2, 7))
+    budget = BudgetConfig(token_budget=token_budget, infer_capacity=infer_capacity, retention_threshold=retention_threshold,
+                          prompts_per_iteration=prompts_per_iteration)
+    params = init_params(vocab, n_features=16, init_scale=0.4, seed=seed)
+    load, loads = scheduler._load_version, []
+
+    def checked(state, params, cfg, group_cfg):
+        load(state, params, cfg, group_cfg)
+        groups = state.rollouts[_GROUP]
+        admitted, pending = groups[: groups.size - state.n_pending], groups[groups.size - state.n_pending :]
+        partial = state.n_pending % group_size
+        if partial:
+            assert (pending[:partial] == pending[0]).all()
+            assert (admitted == pending[0]).any() and (groups == pending[0]).sum() == group_size
+        whole = pending[partial:].reshape(-1, group_size)
+        assert (whole == whole[:, :1]).all() and (np.diff(whole[:, 0]) > 0).all()
+        assert not np.isin(whole[:, 0], admitted).any()
+        assert whole.shape[0] == prompts_per_iteration or (whole.shape[0] < prompts_per_iteration and source.cursor == len(lengths))
+        loads.append(whole.shape[0])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler, "_load_version", checked)
+        for _ in range(iterations):
+            scheduler._rollout_loop(state, params, budget, ObjectiveConfig(group_size=group_size), None, baseline)
+            params = PolicyParams(params.weights, params.version_id + 1)
+    assert len(loads) == iterations
 
 
 @pytest.mark.parametrize("baseline", [False, True])

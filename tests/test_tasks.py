@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mismatchlab import TaskKind, TaskSpec, Vocabulary, prefix_pattern, sample_prompt
-from mismatchlab.tasks import copy_target_range, prefix_length, prompt_id_for
+from mismatchlab import TaskKind, TaskSpec, Vocabulary, sample_prompt
+from mismatchlab.tasks import copy_target_range, prompt_id_for
 from mismatchlab.tasks import verify as batched_verify
+from oracles import prefix_length, prefix_pattern
 from oracles import verify as scalar_verify
 
 
