@@ -25,6 +25,7 @@ from .discrepancy import BiasMode
 from .errors import ConfigError
 from .objective import ObjectiveConfig, check_bounds
 from .scheduler import BudgetConfig
+from .tasks import MAX_VOCAB_SIZE
 
 SCHEMA_VERSION = 3
 
@@ -40,8 +41,8 @@ class PolicySection:
     def __post_init__(self) -> None:
         if self.vocab_size < 2:
             raise ConfigError("policy.vocab_size: must be >= 2")
-        if self.vocab_size > 100:
-            raise ConfigError("policy.vocab_size: must be <= 100; above it TARGET_SUM prompt ids (200 + target) "
+        if self.vocab_size > MAX_VOCAB_SIZE:
+            raise ConfigError(f"policy.vocab_size: must be <= {MAX_VOCAB_SIZE}; above it TARGET_SUM prompt ids (200 + target) "
                               "collide with COPY_PREFIX ids (300 + pattern)")
         if not 0 <= self.eos_id < self.vocab_size:
             raise ConfigError("policy.eos_id: out of vocabulary range")

@@ -6,11 +6,11 @@ a fixed probe context set. Because the toy policy's KL is available in
 closed form, so is its gradient, which lets the theorem-aligned dynamics
 experiment construct update bias that provably satisfies the alignment
 assumption and then check the fitted geometric growth bound step by
-step instead of assuming it. The probes are hashed once (probe_set),
-and each parameter state is evaluated once (evaluate_probes, through
-policy.engine_pair); delta, its gradient and the reward gradient read
-that evaluation. fit_affine_trace fits the same growth constants to the
-delta trace of a training run; the runs themselves are set up by the CLI.
+step instead of assuming it. The probes are hashed once, as a
+policy.RowSet (probe_set), and each parameter state, at any version, is
+evaluated once (evaluate_probes); delta, its gradient and the reward
+gradient read that evaluation. fit_affine_trace fits the same growth
+constants to a training run's delta trace; the CLI sets up the runs.
 """
 
 from __future__ import annotations
@@ -30,12 +30,10 @@ from .policy import (
     Engine,
     FixedNoise,
     PolicyParams,
+    RowSet,
     Vocabulary,
     batched_log_softmax,  # noqa: F401  (uncalled: perfbench/child.py wraps the name where discrepancy binds it)
     batched_train_logits,
-    context_rows,
-    engine_pair,
-    fixed_noise,
     inference_slope,
     perturb_logits,  # noqa: F401  (the same)
     weight_grad,
@@ -108,49 +106,35 @@ def probe_windows(probes: list[Context]) -> np.ndarray:
     )
 
 
-class ProbeSet(NamedTuple):
-    """A probe set hashed once (context_rows, fixed_noise) for one engine and temperature, and for params of
-    one shape and version only: the rows of another feature count, or the keys of another version, would be wrong."""
-
-    feats: np.ndarray
-    fixed: FixedNoise
-    keys_version: np.ndarray
-    scale: float
-    temperature: float
-    shape: tuple[int, int]
-    version_id: int
-
-
-def probe_set(probes: list[Context], params: PolicyParams, infer: Engine, temperature: float = 1.0) -> ProbeSet:
-    """The ProbeSet of probes for infer at temperature, at params' shape and version."""
+def probe_set(probes: list[Context], params: PolicyParams, infer: Engine, temperature: float = 1.0) -> RowSet:
+    """The RowSet of the probes' windows for infer at temperature, for params of params' shape at any version."""
     if not probes:
         raise ValueError("probe set must be non-empty")
-    feats, keys_fixed, keys_version = context_rows(*probe_windows(probes), params.n_features, infer, params.version_id)
-    fixed = fixed_noise(keys_fixed, params.vocab_size)
-    return ProbeSet(feats, fixed, keys_version, infer.mismatch_scale, temperature, params.weights.shape, params.version_id)
+    return RowSet(probe_windows(probes), params.n_features, params.vocab_size, infer, temperature)
 
 
 class ProbeEvaluation(NamedTuple):
     """Both engines at a probe set at one params, which delta_and_gap, delta_gradient and
-    _exact_reward_gradient read: engine_pair's outputs, its finite flags checked."""
+    _exact_reward_gradient read: RowSet.engines' outputs, its finite flags checked."""
 
-    probes: ProbeSet
+    probes: RowSet
     train_logits: np.ndarray
     log_probs: np.ndarray
     probs: np.ndarray
     fault_noise: np.ndarray
+    fixed: FixedNoise
 
 
-def evaluate_probes(probes: ProbeSet, params: PolicyParams) -> ProbeEvaluation:
-    """Both engines at the probes at params, once; raises ValueError on params of another shape or
-    version, and NumericError, with the direct path's messages, on non-finite logits."""
-    if (params.weights.shape, params.version_id) != (probes.shape, probes.version_id):
-        raise ValueError(f"params {params.weights.shape} at version {params.version_id}, probes {probes.shape} at {probes.version_id}")
+def evaluate_probes(probes: RowSet, params: PolicyParams) -> ProbeEvaluation:
+    """Both engines at the probes at params, once; raises ValueError on params of another shape, and
+    NumericError, with the direct path's messages, on non-finite logits."""
+    if params.weights.shape != (probes.n_features, probes.vocab_size):
+        raise ValueError(f"params {params.weights.shape}, probes {(probes.n_features, probes.vocab_size)}")
     train_logits = batched_train_logits(params, probes.feats, probes.temperature)
-    log_probs, probs, fault_noise, finite = engine_pair(train_logits, probes.fixed, probes.keys_version, probes.scale)
+    log_probs, probs, fault_noise, finite, fixed = probes.engines(train_logits, params.version_id)
     if not finite.all():  # the training engine is finite: batched_train_logits raised otherwise
         raise NumericError(_NON_FINITE_INFER_LOGITS)
-    return ProbeEvaluation(probes, train_logits, log_probs, probs, fault_noise)
+    return ProbeEvaluation(probes, train_logits, log_probs, probs, fault_noise, fixed)
 
 
 def _delta_and_gap_rows(p_inf, p_tr, lp_inf, lp_tr) -> tuple[float, float]:
@@ -207,14 +191,14 @@ def delta_gradient(evaluation: ProbeEvaluation) -> np.ndarray:
     temperature and the probe count.
     """
     probes = evaluation.probes
-    slope = inference_slope(evaluation.train_logits, probes.fixed, evaluation.fault_noise, probes.scale)
+    slope = inference_slope(evaluation.train_logits, evaluation.fixed, evaluation.fault_noise, probes.infer.mismatch_scale)
     lp_tr, lp_inf = evaluation.log_probs[:, 0], evaluation.log_probs[:, 1]
     p_tr, p_inf = evaluation.probs[:, 0], evaluation.probs[:, 1]
     ratio = lp_inf - lp_tr
     delta_rows = (p_inf * ratio).sum(axis=1, keepdims=True)
     d_s = slope * (p_inf * (ratio - delta_rows)) + p_tr - p_inf
     d_s /= probes.temperature * len(probes.feats)
-    return weight_grad(probes.feats, d_s, probes.shape[0])
+    return weight_grad(probes.feats, d_s, probes.n_features)
 
 
 def _exact_reward_gradient(evaluation: ProbeEvaluation, reward_table: np.ndarray) -> np.ndarray:
@@ -227,7 +211,7 @@ def _exact_reward_gradient(evaluation: ProbeEvaluation, reward_table: np.ndarray
     probes, q = evaluation.probes, evaluation.probs[:, 0]
     baseline = (q * reward_table).sum(axis=1, keepdims=True)
     d_s = q * (reward_table - baseline) / (probes.temperature * len(probes.feats))
-    return weight_grad(probes.feats, d_s, probes.shape[0])
+    return weight_grad(probes.feats, d_s, probes.n_features)
 
 
 def compounding_experiment(

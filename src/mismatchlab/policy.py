@@ -22,15 +22,17 @@ batched implementation. context_rows hashes a batch of contexts into
 feature rows and noise keys; feature_rows and noise_keys, the same
 hashes of one context in plain integer arithmetic, are its bitwise
 reference. engine_pair evaluates both engines from a batch's training
-logits, in one softmax call. A training run feeds it a ContextTable's
-rows: the (prev, last) windows of every prompt the run can draw, per
-parameter version the rows it can read; ticks (inverse-CDF sampling), the
-objective and the probe measure gather them. The compounding experiment,
-which moves weights within one version, feeds it a probe set hashed once
-(discrepancy.ProbeSet). Both raise NumericError on non-finite logits that
-a caller reads. The direct path (context_rows -> batched_train_logits ->
-perturb_logits -> a softmax per engine) is kept as the tests' reference
-and the benchmark's kernel: both equal it bit for bit, with its messages.
+logits, in one softmax call, for a RowSet: a fixed list of contexts
+hashed once, evaluated at any params of one shape. A training run's
+ContextTable is the RowSet of every prompt's (prev, last) windows,
+evaluated per parameter version at the rows the run can read, which
+ticks (inverse-CDF sampling), the objective and the probe measure
+gather. The compounding experiment evaluates the RowSet of its probes
+(discrepancy.probe_set) at each state. Both raise NumericError on
+non-finite logits that a caller reads. The direct path (context_rows ->
+batched_train_logits -> perturb_logits -> a softmax per engine) is kept
+as the tests' reference and the benchmark's kernel: both equal it bit
+for bit, with its messages.
 """
 
 from __future__ import annotations
@@ -317,21 +319,17 @@ def _heavy_normals(keys: np.ndarray, cols: np.ndarray, cuts, gains) -> np.ndarra
 
 
 class FixedNoise(NamedTuple):
-    """The run-fixed mismatch noise of a key batch, drawn where the error reads it.
+    """The run-fixed mismatch noise of a key batch: is_fault marks the fault entries (about 40%), dense holds
+    the persistent dense normals of every entry, and fault the persistent fault normals there, 0 elsewhere.
+    Each is a (rows, width) block, so FixedNoise(*(f[rows] for f in fixed)) is the noise of those rows."""
 
-    fault_at holds the fault entries as ascending flat indices into a
-    (rows, width) block (about 40% of the entries), dense the persistent
-    dense normals of every entry, and fault the persistent fault normals
-    at the fault entries only.
-    """
-
-    fault_at: np.ndarray
+    is_fault: np.ndarray
     dense: np.ndarray
     fault: np.ndarray
 
 
 def _stream_normals(keys: np.ndarray, fault_at: np.ndarray, width: int, fault_xor: int) -> tuple[np.ndarray, np.ndarray]:
-    """(dense normals of keys at every entry, fault normals of keys ^ fault_xor at the fault entries)."""
+    """(dense normals of keys at every entry, fault normals of keys ^ fault_xor at the flat fault entries fault_at)."""
     dense = _heavy_normals(keys[:, None], np.arange(width, dtype=np.uint64), np.uint64(_DENSE_TAIL_CUT), _DENSE_TAIL_GAIN)
     row, col = np.divmod(fault_at, width)
     fault = _heavy_normals(keys[row] ^ np.uint64(fault_xor), col.astype(np.uint64), np.uint64(_FAULT_TAIL_CUT), _FAULT_TAIL_GAIN)
@@ -342,8 +340,11 @@ def fixed_noise(keys_fixed: np.ndarray, width: int) -> FixedNoise:
     """FixedNoise of the persistent keys of a batch of contexts."""
     kf = np.asarray(keys_fixed, dtype=np.uint64)
     bits = _splitmix64_vec((kf ^ np.uint64(_FAULT_XOR))[:, None] + np.arange(width, dtype=np.uint64) * _STRIDE_A)
-    fault_at = np.flatnonzero((bits & np.uint64(0x7FF)) < np.uint64(_FAULT_CUT))
-    return FixedNoise(fault_at, *_stream_normals(kf, fault_at, width, _SECOND_FIXED_XOR))
+    is_fault = (bits & np.uint64(0x7FF)) < np.uint64(_FAULT_CUT)
+    dense, normals = _stream_normals(kf, np.flatnonzero(is_fault), width, _SECOND_FIXED_XOR)
+    fault = np.zeros_like(dense)
+    fault[is_fault] = normals
+    return FixedNoise(is_fault, dense, fault)
 
 
 def inference_error(train_logits: np.ndarray, fixed: FixedNoise, keys_version: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,17 +354,18 @@ def inference_error(train_logits: np.ndarray, fixed: FixedNoise, keys_version: n
     normals of keys_version, the fault stream at the fault entries only.
     The error is dense_weight * dense noise everywhere, plus fault_gain *
     |logit| * fault noise at the fault entries; the fault noise is
-    clipped and returned too, in fault_at order.
+    clipped and returned too, in flat order of the fault entries.
     """
-    error, fault_noise = _stream_normals(np.asarray(keys_version, dtype=np.uint64), fixed.fault_at, train_logits.shape[1], _SECOND_VERSION_XOR)
+    fault_at = np.flatnonzero(fixed.is_fault)
+    error, fault_noise = _stream_normals(np.asarray(keys_version, dtype=np.uint64), fault_at, train_logits.shape[1], _SECOND_VERSION_XOR)
     # In place: each sum is the persistent term plus the version term (addition commutes bit for bit).
     error *= _VERSION_WEIGHT
     error += _PERSISTENT_WEIGHT * fixed.dense
     error *= _DENSE_WEIGHT
     fault_noise *= _VERSION_WEIGHT
-    fault_noise += _PERSISTENT_WEIGHT * fixed.fault
+    fault_noise += _PERSISTENT_WEIGHT * fixed.fault.take(fault_at)
     np.clip(fault_noise, -_FAULT_NOISE_CLIP, _FAULT_NOISE_CLIP, out=fault_noise)
-    error.ravel()[fixed.fault_at] += _FAULT_GAIN * np.abs(train_logits.ravel()[fixed.fault_at]) * fault_noise
+    error.ravel()[fault_at] += _FAULT_GAIN * np.abs(train_logits.take(fault_at)) * fault_noise
     return error, fault_noise
 
 
@@ -375,7 +377,7 @@ def inference_logits(train_logits: np.ndarray, fixed: FixedNoise, keys_version: 
     engine, bit for bit: the training logits themselves, and no noise.
     """
     if scale <= 0.0:
-        return train_logits, np.zeros(fixed.fault_at.size)
+        return train_logits, np.zeros(np.count_nonzero(fixed.is_fault))
     with np.errstate(over="ignore", invalid="ignore"):
         error, fault_noise = inference_error(train_logits, fixed, keys_version)
         error *= scale
@@ -391,7 +393,7 @@ def inference_slope(train_logits: np.ndarray, fixed: FixedNoise, fault_noise: np
     fault entries and 1 elsewhere.
     """
     slope = np.ones_like(train_logits)
-    slope.ravel()[fixed.fault_at] += scale * _FAULT_GAIN * np.sign(train_logits.ravel()[fixed.fault_at]) * fault_noise
+    slope[fixed.is_fault] += scale * _FAULT_GAIN * np.sign(train_logits[fixed.is_fault]) * fault_noise
     return slope
 
 
@@ -446,17 +448,42 @@ def engine_pair(train_logits: np.ndarray, fixed: FixedNoise, keys_version: np.nd
     return log_probs, probs, fault_noise, finite
 
 
-class ContextTable:
+class RowSet:
+    """Both engines at a fixed (3, N) list of (prompt, prev, last) contexts, at any params of one shape.
+
+    The contexts are hashed once into their feature rows, FixedNoise and words; engines hashes the version
+    keys of the rows it evaluates from the words. A row equals its context on the direct path, bit for bit."""
+
+    def __init__(self, contexts, n_features: int, vocab_size: int, infer: Engine, temperature: float) -> None:
+        self.n_features = n_features
+        self.vocab_size = vocab_size
+        self.infer = infer
+        self.temperature = temperature
+        contexts = np.asarray(contexts, dtype=np.int64)
+        self._words = contexts.view(np.uint64)
+        self.feats, keys_fixed, _ = context_rows(*contexts, n_features, infer, 0)
+        self.fixed = fixed_noise(keys_fixed, vocab_size)
+
+    def engines(self, train_logits: np.ndarray, version_id: int, rows=slice(None)):
+        """engine_pair's outputs at the rows, given their scaled training logits at version_id, plus their FixedNoise."""
+        keys = np.full(len(train_logits), _mix(_NOISE_VERSION_TAG, self.infer.mismatch_seed, version_id), dtype=np.uint64)
+        for column in self._words[:, rows]:  # context_rows' per-version chain alone
+            keys = _splitmix64_vec(keys ^ column)
+        fixed = FixedNoise(*(f[rows] for f in self.fixed))
+        return (*engine_pair(train_logits, fixed, keys, self.infer.mismatch_scale), fixed)
+
+
+class ContextTable(RowSet):
     """Both engines at every context of a fixed prompt list, one parameter version at a time.
 
     Within a parameter version the policy is a pure function of the
     context (prompt, prev, last), and a window takes one of (V+1)^2
-    values (a token, or -1 for an empty slot). The table holds one row
-    per window of every prompt it is built over, in a block per prompt
-    that a dict indexes by prompt id; the constructor builds every row's
-    run-fixed half, its feature rows and fixed noise, so the table keeps
-    one shape for the run. The tick records the row each token is
-    sampled at, and the objective gathers by it.
+    values (a token, or -1 for an empty slot). The table is the RowSet of
+    every window of each prompt it is built over, in a block per prompt
+    that a dict indexes by prompt id, so its shape is fixed for the run.
+    It adds the window index (prompt_row, rows, advance) and a cache of
+    the loaded version: the tick records the row each token is sampled
+    at, and the objective gathers by it.
 
     A per-row marker says whether a row holds both engines' log-probs and
     probs and the inference CDF at the loaded params. load(params, rows)
@@ -465,39 +492,24 @@ class ContextTable:
     the one read gate, evaluates the requested rows a pass missed, in one
     more pass, then raises NumericError with the direct path's messages
     if a row's training or inference logits are non-finite; a context
-    the run never reads cannot fail it. A row is bit-identical to its
-    context on the direct path, whichever pass evaluates it and wherever
-    it sits in the table. Not a first-touch table: a pass costs a few
-    hundred microseconds however few its rows, which one pass per
-    version pays once and first-touch evaluation pays on most reads.
+    the run never reads cannot fail it. Not a first-touch table: a pass
+    costs a few hundred microseconds however few its rows, which one pass
+    per version pays once and first-touch evaluation pays on most reads.
     Loaded params must not change in place.
     """
 
     def __init__(self, prompt_ids, n_features: int, vocab_size: int, infer: Engine, temperature: float) -> None:
-        self.n_features = n_features
-        self.vocab_size = vocab_size
-        self.infer = infer
-        self.temperature = temperature
         self.side = vocab_size + 1
         n_windows = self.side * self.side
         prompts = list(dict.fromkeys(int(p) for p in prompt_ids))
         self._first_row = {p: i * n_windows for i, p in enumerate(prompts)}
         self.params: PolicyParams | None = None
         windows = np.arange(n_windows)
-        contexts = np.stack([
+        super().__init__([
             np.repeat(np.asarray(prompts, dtype=np.int64), n_windows),
             np.tile(windows // self.side - 1, len(prompts)),
             np.tile(windows % self.side - 1, len(prompts)),
-        ])
-        # Fixed for the run, per row: the (prompt, prev, last) words, the feature rows,
-        # the fault entries, and the fixed (dense normals, fault normals there, else 0).
-        self._contexts = contexts.view(np.uint64)
-        self.feats, keys_fixed, _ = context_rows(*contexts, n_features, infer, 0)
-        noise = fixed_noise(keys_fixed, vocab_size)
-        self._fault = np.zeros(noise.dense.shape, dtype=bool)
-        self._fault.ravel()[noise.fault_at] = True
-        self._fixed = np.stack([noise.dense, np.zeros(noise.dense.shape)], axis=1)
-        self._fixed[:, 1][self._fault] = noise.fault
+        ], n_features, vocab_size, infer, temperature)
         # Per row, at the loaded params: (lp_train, lp_infer, probs_train, probs_infer,
         # cdf), and its marker: -1 until evaluated, then how many engines have
         # non-finite logits: 0, 1 (inference) or 2 (both; inference reads training).
@@ -579,20 +591,8 @@ class ContextTable:
 
     def _evaluate(self, rows: np.ndarray) -> None:
         """One pass: both engines at the loaded params on distinct rows, written into the table."""
-        params = self.params
-        fault_at = np.flatnonzero(self._fault[rows])
-        fixed = self._fixed[rows]
-        noise = FixedNoise(fault_at, fixed[:, 0], fixed[:, 1].ravel()[fault_at])
         with np.errstate(over="ignore", invalid="ignore"):
-            train_logits = _scaled_train_logits(params.weights, self.feats[rows], self.temperature)
-        keys = self._version_keys(params.version_id, rows)
-        log_probs, probs, _, finite = engine_pair(train_logits, noise, keys, self.infer.mismatch_scale)
+            train_logits = _scaled_train_logits(self.params.weights, self.feats[rows], self.temperature)
+        log_probs, probs, _, finite, _ = self.engines(train_logits, self.params.version_id, rows)
         self._dists[rows] = np.concatenate([log_probs, probs, np.cumsum(probs[:, 1:], axis=2)], axis=1)
         self._status[rows] = (~finite[:, 0]).astype(np.int8) + ~finite[:, 1]
-
-    def _version_keys(self, version_id: int, rows: np.ndarray) -> np.ndarray:
-        """context_rows' per-version noise keys of the given rows, without the other chains."""
-        keys = np.full(rows.size, _mix(_NOISE_VERSION_TAG, self.infer.mismatch_seed, version_id), dtype=np.uint64)
-        for column in self._contexts[:, rows]:
-            keys = _splitmix64_vec(keys ^ column)
-        return keys

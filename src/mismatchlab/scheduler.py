@@ -533,7 +533,7 @@ def _close_iteration(
     return report, batch
 
 
-def _rollout_loop(state, params_t, cfg, group_cfg, trace, baseline: bool) -> tuple[StepReport, RolloutBatch]:
+def _rollout_loop(state, params_t, cfg, group_cfg, baseline: bool) -> tuple[StepReport, RolloutBatch]:
     """The one rollout loop of both kinds of iteration; returns the report and the emitted batch.
 
     Budget-partitioned: refill the pool before every tick, and stop once
@@ -557,16 +557,12 @@ def _rollout_loop(state, params_t, cfg, group_cfg, trace, baseline: bool) -> tup
             break
         if ticks >= cfg.tick_cap:
             raise TickCapError(f"iteration {state.iteration} did not end within budget.tick_cap = {cfg.tick_cap} ticks")
-        n_active = pool.size
         pool, ended = _generate_tick(state, pool, params_t)
         if ended.size:
             counter += int(ended.sum())
             completed += ended.size
         ticks += 1
         state.tick_clock += 1
-        if trace is not None:
-            trace.append({"tick": state.tick_clock, "active": n_active, "completed": ended.size, "counter": counter,
-                          "pool_after": pool.size})
     return _close_iteration(state, group_cfg.group_size, params_t.version_id, ticks, counter, completed, purged, resumed)
 
 
@@ -575,10 +571,9 @@ def run_iteration(
     params_t: PolicyParams,
     cfg: BudgetConfig,
     group_cfg: ObjectiveConfig,
-    trace: list | None = None,
 ) -> tuple[StepReport, RolloutBatch]:
-    """One budget-partitioned iteration; trace, when given, gets one row per tick."""
-    return _rollout_loop(state, params_t, cfg, group_cfg, trace, baseline=False)
+    """One budget-partitioned iteration."""
+    return _rollout_loop(state, params_t, cfg, group_cfg, baseline=False)
 
 
 def run_iteration_baseline(
@@ -588,7 +583,7 @@ def run_iteration_baseline(
     group_cfg: ObjectiveConfig,
 ) -> tuple[StepReport, RolloutBatch]:
     """One single-pass iteration: its prompt batch run to termination, nothing carried over."""
-    return _rollout_loop(state, params_t, cfg, group_cfg, None, baseline=True)
+    return _rollout_loop(state, params_t, cfg, group_cfg, baseline=True)
 
 
 def train_loop(

@@ -47,6 +47,7 @@ _PROMPT_ID_BASE = {
     TaskKind.TARGET_SUM: 200,
     TaskKind.COPY_PREFIX: 300,
 }
+MAX_VOCAB_SIZE = 100  # all_prompt_ids' bound: above it two task kinds share prompt ids
 
 
 def prompt_id_for(kind: TaskKind, target: int) -> int:
@@ -61,6 +62,9 @@ def copy_target_range(vocab: Vocabulary, max_len: int) -> int:
 
 def all_prompt_ids(vocab: Vocabulary) -> list[int]:
     """Every prompt id sample_prompt can draw at any max_len, ascending: the copy range stops growing at max_len 2."""
+    if vocab.size > MAX_VOCAB_SIZE:
+        raise ValueError(f"vocabulary size {vocab.size} > {MAX_VOCAB_SIZE}: TARGET_SUM prompt ids (200 + target) "
+                         "collide with COPY_PREFIX ids (300 + pattern)")
     ranges = {TaskKind.PARITY_MATCH: 2, TaskKind.TARGET_SUM: vocab.size, TaskKind.COPY_PREFIX: copy_target_range(vocab, 2)}
     return sorted({prompt_id_for(kind, target) for kind, n in ranges.items() for target in range(n)})
 

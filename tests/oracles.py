@@ -26,7 +26,8 @@ The probe discrepancy, its gradient and the reward gradient on the
 direct path, each state evaluated anew per call: the probes hashed by
 context_rows, the inference logits by perturb_logits or
 inference_logits, and a separate softmax per engine. The package
-evaluates a probe set hashed once through engine_pair instead.
+hashes the probes once, as a policy.RowSet, and evaluates it at each
+state through engine_pair instead.
 """
 
 from __future__ import annotations

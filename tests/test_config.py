@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from mismatchlab import Algo, BiasMode, ConfigError, TaskKind, Vocabulary, default_config, load_config
+from mismatchlab import (
+    Algo, BiasMode, ConfigError, SchedulerState, SyntheticPromptSource, TaskKind, Vocabulary, default_config, infer_engine, load_config,
+)
 from mismatchlab.cli import main
 from mismatchlab.config import SCHEMA_VERSION, config_from_dict
-from mismatchlab.tasks import COPY_PATTERN_POOL, all_prompt_ids, prompt_id_for
+from mismatchlab.tasks import COPY_PATTERN_POOL, MAX_VOCAB_SIZE, all_prompt_ids, prompt_id_for
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -135,6 +137,15 @@ def test_the_largest_vocabulary_keeps_every_prompt_id_distinct() -> None:
     vocab = Vocabulary(size=config_from_dict(doc(policy={"vocab_size": 100})).policy.vocab_size)
     assert prompt_id_for(TaskKind.TARGET_SUM, vocab.size - 1) < prompt_id_for(TaskKind.COPY_PREFIX, 0)
     assert len(all_prompt_ids(vocab)) == 2 + vocab.size + COPY_PATTERN_POOL  # one id per (kind, target)
+
+
+def test_a_vocabulary_above_the_bound_builds_no_scheduler_state() -> None:
+    """Above MAX_VOCAB_SIZE, TARGET_SUM 100 and COPY_PREFIX 0 would share prompt id 300, and the table a block."""
+    assert MAX_VOCAB_SIZE == 100
+    assert prompt_id_for(TaskKind.TARGET_SUM, 100) == prompt_id_for(TaskKind.COPY_PREFIX, 0) == 300
+    source = SyntheticPromptSource(Vocabulary(size=101), max_len=4)
+    with pytest.raises(ValueError, match="TARGET_SUM prompt ids .* collide with COPY_PREFIX ids"):
+        SchedulerState(vocab=Vocabulary(size=101), source=source, seed=0, n_features=8, infer=infer_engine(0.0, 7))
 
 
 def test_every_omitted_field_takes_its_default() -> None:

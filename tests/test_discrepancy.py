@@ -9,6 +9,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mismatchlab import (
     Algo,
@@ -31,7 +33,7 @@ from mismatchlab import (
     run_iteration,
     train_engine,
 )
-from mismatchlab import discrepancy
+from mismatchlab import discrepancy, policy
 from mismatchlab.cli import cmd_compounding, cmd_sweep
 from mismatchlab.config import (
     CompoundingSection,
@@ -57,7 +59,7 @@ import oracles
 
 
 def evaluation(params, probes, infer, temperature=1.0):
-    """The package's one evaluation of the probes at params, hashed for params' shape and version."""
+    """The package's one evaluation of the probes at params, hashed at params' own version."""
     return evaluate_probes(probe_set(probes, params, infer, temperature), params)
 
 
@@ -250,14 +252,15 @@ def test_theorem_aligned_trace_equals_the_reference_loop_bit_for_bit(monkeypatch
 def test_compounding_hashes_its_probes_once_and_evaluates_each_state_once(monkeypatch) -> None:
     vocab, engine, params, probes = theorem_setup()
     calls = {"context_rows": 0, "fixed_noise": 0, "batched_train_logits": 0}
-    for name in calls:
-        wrapped = getattr(discrepancy, name)
+    # The probes are hashed where policy.RowSet calls the hashes; the states are evaluated where discrepancy binds the logits.
+    for module, name in ((policy, "context_rows"), (policy, "fixed_noise"), (discrepancy, "batched_train_logits")):
+        wrapped = getattr(module, name)
 
         def counted(*args, _name=name, _wrapped=wrapped):
             calls[_name] += 1
             return _wrapped(*args)
 
-        monkeypatch.setattr(discrepancy, name, counted)
+        monkeypatch.setattr(module, name, counted)
     compounding_experiment(params, 0.01, 5, vocab, engine, probes, align_target=1.0, reward_seed=3)
     assert calls == {"context_rows": 1, "fixed_noise": 1, "batched_train_logits": 5 + 1}
 
@@ -280,18 +283,48 @@ def test_probe_evaluation_equals_the_direct_path_oracles_bit_for_bit(temperature
         assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
-def test_probe_set_refuses_params_of_another_version_or_shape() -> None:
+def test_probe_set_serves_another_version_and_refuses_another_shape() -> None:
     vocab, engine, params, probes = theorem_setup()
     hashed = probe_set(probes, params, engine)
     evaluate_probes(hashed, PolicyParams(params.weights + 1.0, params.version_id))
-    others = [
-        PolicyParams(params.weights, params.version_id + 1),
-        PolicyParams(params.weights[:-1], params.version_id),
-        PolicyParams(params.weights[:, :-1], params.version_id),
-    ]
-    for other in others:
+    later = PolicyParams(params.weights, params.version_id + 1)
+    got = evaluate_probes(hashed, later)
+    want = evaluation(later, probes, engine)
+    for name in ("train_logits", "log_probs", "probs", "fault_noise"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    delta_gap = [struct.pack("<d", v) for v in delta_and_gap(got)]
+    assert delta_gap == [struct.pack("<d", v) for v in oracles.delta_and_gap(later, probes, engine)]
+    assert delta_gap != [struct.pack("<d", v) for v in delta_and_gap(evaluate_probes(hashed, params))]
+    for other in (PolicyParams(params.weights[:-1], params.version_id), PolicyParams(params.weights[:, :-1], params.version_id)):
         with pytest.raises(ValueError, match="probes"):
             evaluate_probes(hashed, other)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    vocab_size=st.integers(2, 12),
+    version=st.integers(0, 5),
+    temperature=st.sampled_from([1.0, 0.37]),
+    scale=st.sampled_from([0.0, 0.22]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_probe_set_serves_every_version(vocab_size: int, version: int, temperature: float, scale: float, seed: int) -> None:
+    """Probes hashed once at version 0 evaluate params of any version as the direct path does, bit for bit."""
+    vocab, engine = Vocabulary(size=vocab_size), infer_engine(scale, 7)
+    params_v0 = init_params(vocab, n_features=32, init_scale=1.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    params_v = PolicyParams(params_v0.weights + rng.normal(0.0, 0.3, params_v0.weights.shape), version)
+    probes = make_probes(24, vocab, seed)
+    reward_table = rng.uniform(-1.0, 1.0, size=(len(probes), vocab.size))
+    ev = evaluate_probes(probe_set(probes, params_v0, engine, temperature), params_v)
+    got = delta_and_gap(ev)
+    assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in oracles.delta_and_gap(params_v, probes, engine, temperature)]
+    pairs = [
+        (delta_gradient(ev), oracles.delta_gradient(params_v, probes, engine, temperature)),
+        (_exact_reward_gradient(ev, reward_table), oracles._exact_reward_gradient(params_v, probes, reward_table, temperature)[0]),
+    ]
+    for g, w in pairs:
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_theorem_aligned_zero_scale_is_vacuous() -> None:

@@ -57,19 +57,15 @@ def test_fused_noise_matches_block_composition(rows: int, width: int) -> None:
     fixed = fixed_noise(kf, width)
     error, fault_noise = inference_error(logits, fixed, kv)
     oracle = block_noise_components(kf, kv, width)
-    assert fixed.fault_at.tolist() == np.flatnonzero(oracle[2]).tolist()
+    assert np.flatnonzero(fixed.is_fault).tolist() == np.flatnonzero(oracle[2]).tolist()
     for got, want in ((error, block_error(logits, oracle)), (fault_noise, oracle[1][oracle[2]])):
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
 
-def subset_rows(fixed: FixedNoise, width: int, pick: np.ndarray) -> FixedNoise:
-    """The fixed noise of rows pick (repeats allowed), gathered from a batch's."""
-    faults = np.zeros(fixed.dense.shape, dtype=bool)
-    fault = np.zeros(fixed.dense.shape)
-    faults.ravel()[fixed.fault_at] = True
-    fault.ravel()[fixed.fault_at] = fixed.fault
-    return FixedNoise(np.flatnonzero(faults[pick]), fixed.dense[pick], fault[pick][faults[pick]])
+def subset_rows(fixed: FixedNoise, pick: np.ndarray) -> FixedNoise:
+    """The fixed noise of rows pick (repeats allowed), gathered from a batch's field by field."""
+    return FixedNoise(*(f[pick] for f in fixed))
 
 
 @pytest.mark.parametrize("width", [2, 8, 33])
@@ -82,7 +78,7 @@ def test_split_noise_recomposes_noise_components(width: int) -> None:
         pick = rng.choice(kf.size, size=int(rng.integers(1, 60)))
         kv = rng.integers(0, 2**64, size=pick.size, dtype=np.uint64)
         logits = rng.normal(size=(pick.size, width)) * 10.0 ** rng.uniform(-3, 3, size=(pick.size, 1))
-        split = inference_error(logits, subset_rows(fixed, width, pick), kv)
+        split = inference_error(logits, subset_rows(fixed, pick), kv)
         oracle = block_noise_components(kf[pick], kv, width)
         for reference in (inference_error(logits, fixed_noise(kf[pick], width), kv), (block_error(logits, oracle), oracle[1][oracle[2]])):
             for got, want in zip(split, reference):

@@ -167,14 +167,40 @@ FIXTURE_TRACE_ITER2 = [
 ]
 
 
+@contextlib.contextmanager
+def tick_trace():
+    """One row per scheduler tick run inside, read off _generate_tick.
+
+    tick is state.tick_clock + 1, the tick's number; active and pool_after
+    are the pool sizes into and out of the tick; completed counts the
+    rollouts it ended, and counter sums the lengths of the rollouts ended
+    so far in the iteration.
+    """
+    trace: list[dict] = []
+    tick, counter = scheduler._generate_tick, {}
+
+    def recording(state, pool, params):
+        pool_after, ended = tick(state, pool, params)
+        counter[state.iteration] = counter.get(state.iteration, 0) + int(ended.sum())
+        trace.append({"tick": state.tick_clock + 1, "active": pool.size, "completed": ended.size,
+                      "counter": counter[state.iteration], "pool_after": pool_after.size})
+        return pool_after, ended
+
+    scheduler._generate_tick = recording
+    try:
+        yield trace
+    finally:
+        scheduler._generate_tick = tick
+
+
 def test_fixture_trace_matches_hand_simulation() -> None:
     state = scripted_state(FIXTURE_LENGTHS)
     params = default_params()
     budget = BudgetConfig(token_budget=20, infer_capacity=8, retention_threshold=100, prompts_per_iteration=1)
     cfg = ObjectiveConfig(group_size=8)
 
-    trace1: list[dict] = []
-    report1, groups1 = run_iteration(state, params, budget, cfg, trace=trace1)
+    with tick_trace() as trace1:
+        report1, groups1 = run_iteration(state, params, budget, cfg)
     assert [(r["tick"], r["active"], r["completed"], r["counter"]) for r in trace1] == FIXTURE_TRACE_ITER1
     assert report1.rollout_ticks == 5
     assert report1.trained_tokens == 20
@@ -184,8 +210,8 @@ def test_fixture_trace_matches_hand_simulation() -> None:
     assert report1.emitted_groups == 0 and len(groups1) == 0
 
     params2 = PolicyParams(params.weights, version_id=1)
-    trace2: list[dict] = []
-    report2, groups2 = run_iteration(state, params2, budget, cfg, trace=trace2)
+    with tick_trace() as trace2:
+        report2, groups2 = run_iteration(state, params2, budget, cfg)
     assert [(r["tick"], r["active"], r["completed"], r["counter"]) for r in trace2] == FIXTURE_TRACE_ITER2
     assert report2.rollout_ticks == 12
     assert report2.trained_tokens == 26
@@ -428,12 +454,15 @@ def test_array_pool_equals_the_rollout_object_loop(
     shift = np.random.default_rng(seed).normal(0, 0.3, params.weights.shape)
     for _ in range(iterations):
         outcomes = []
-        for state, loop in zip(states, (scheduler._rollout_loop, _rollout_loop)):
-            trace: list[dict] = []
-            try:
-                outcomes.append((loop(state, params, budget, cfg, trace, baseline), trace))
-            except TickCapError as exc:
-                outcomes.append((str(exc), trace))
+        # The scheduler's ticks are traced by tick_trace, the oracle's by its own loop.
+        loops = (lambda state, trace: scheduler._rollout_loop(state, params, budget, cfg, baseline),
+                 lambda state, trace: _rollout_loop(state, params, budget, cfg, trace, baseline))
+        for state, loop in zip(states, loops):
+            with tick_trace() as trace:
+                try:
+                    outcomes.append((loop(state, trace), trace))
+                except TickCapError as exc:
+                    outcomes.append((str(exc), trace))
         (got, got_trace), (want, want_trace) = outcomes
         assert got_trace == want_trace
         if isinstance(want, str):
@@ -499,7 +528,7 @@ def test_pending_queue_is_one_partly_admitted_group_then_whole_groups(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scheduler, "_load_version", checked)
         for _ in range(iterations):
-            scheduler._rollout_loop(state, params, budget, ObjectiveConfig(group_size=group_size), None, baseline)
+            scheduler._rollout_loop(state, params, budget, ObjectiveConfig(group_size=group_size), baseline)
             params = PolicyParams(params.weights, params.version_id + 1)
     assert len(loads) == iterations
 
@@ -628,8 +657,8 @@ def _run_fuzz_case(rng: np.random.Generator) -> None:
 
     with uid_audit() as audit:
         for iteration in range(int(rng.integers(1, 4))):
-            trace: list[dict] = []
-            report, groups = run_iteration(state, params, budget, cfg, trace=trace)
+            with tick_trace() as trace:
+                report, groups = run_iteration(state, params, budget, cfg)
             # pool capacity at every tick, budget stop at the first crossing
             for i, row in enumerate(trace):
                 assert row["active"] <= budget.infer_capacity
@@ -703,8 +732,8 @@ def test_pool_stays_within_capacity_and_only_complete_groups_are_emitted(
     emitted: list = []
     with uid_audit() as audit:
         for _ in range(iterations):
-            trace: list[dict] = []
-            _, groups = run_iteration(state, params, budget, cfg, trace=trace)
+            with tick_trace() as trace:
+                _, groups = run_iteration(state, params, budget, cfg)
             assert all(row["active"] <= infer_capacity and row["pool_after"] <= infer_capacity for row in trace)
             emitted.append(groups)
             params = PolicyParams(params.weights, version_id=params.version_id + 1)
