@@ -481,9 +481,13 @@ class ContextTable(RowSet):
     values (a token, or -1 for an empty slot). The table is the RowSet of
     every window of each prompt it is built over, in a block per prompt
     that a dict indexes by prompt id, so its shape is fixed for the run.
-    It adds the window index (prompt_row, rows, advance) and a cache of
-    the loaded version: the tick records the row each token is sampled
-    at, and the objective gathers by it.
+    It adds the window index (prompt_row, rows, advance: one gather of a
+    per-row successor base, plus the token) and a cache of the loaded
+    version: the tick records the row each token is sampled at, and the
+    objective gathers by it. readable_rows gives the windows a rollout
+    can reach from (-1, -1): never a token followed by an empty slot,
+    and none that holds the token that ends it (EOS for a rollout without
+    a target length), which it never reads past.
 
     A per-row marker says whether a row holds both engines' log-probs and
     probs and the inference CDF at the loaded params. load(params, rows)
@@ -514,42 +518,28 @@ class ContextTable(RowSet):
         # cdf), and its marker: -1 until evaluated, then how many engines have
         # non-finite logits: 0, 1 (inference) or 2 (both; inference reads training).
         self._dists = np.zeros((self.feats.shape[0], 5, vocab_size))
+        self.lp_train, self.lp_infer, self.probs_train, self.probs_infer, self.cdf = self._dists.transpose(1, 0, 2)
         self._status = np.full(self.feats.shape[0], -1, dtype=np.int8)
-
-    @property
-    def lp_train(self) -> np.ndarray:
-        return self._dists[:, 0]
-
-    @property
-    def lp_infer(self) -> np.ndarray:
-        return self._dists[:, 1]
-
-    @property
-    def probs_train(self) -> np.ndarray:
-        return self._dists[:, 2]
-
-    @property
-    def probs_infer(self) -> np.ndarray:
-        return self._dists[:, 3]
-
-    @property
-    def cdf(self) -> np.ndarray:
-        return self._dists[:, 4]
+        # Per row (prev, last), the row of (last, 0), which advance adds each token to.
+        rows = np.arange(self.feats.shape[0])
+        self._after = rows - rows % n_windows + rows % self.side * self.side + 1
+        # Per end token e (-1 for none) at index e + 1, the windows a rollout can read.
+        prev, last, end = windows // self.side - 1, windows % self.side - 1, np.arange(-1, vocab_size)[:, None]
+        self._readable = ((prev < 0) | (last >= 0)) & ((end < 0) | ((prev != end) & (last != end)))
 
     def prompt_row(self, prompt_id: int) -> int:
         """Row of a prompt's empty window (-1, -1), its first row."""
         return self._first_row[prompt_id]
 
-    def rows_of(self, prompt_ids) -> np.ndarray:
-        """Every row of each given prompt: all its windows."""
-        first = np.fromiter((self._first_row[p] for p in prompt_ids), np.intp)
-        return (first[:, None] + np.arange(self.side * self.side)).ravel()
+    def readable_rows(self, pairs) -> np.ndarray:
+        """The rows a rollout can read, for each (prompt id, end token) pair (-1 for none): every window of
+        the prompt but a token followed by an empty slot, (t, -1), and none that holds the end token."""
+        first, end = np.array([(self._first_row[p], e) for p, e in pairs], dtype=np.intp).reshape(-1, 2).T
+        return (first[:, None] + np.arange(self.side * self.side))[self._readable[end + 1]]
 
     def rows(self, prompt_ids, prev, last) -> np.ndarray:
         """Row of each context (prompt, prev, last): a prompt of the table, -1 <= prev, last < V."""
-        pids = np.asarray(prompt_ids, dtype=np.int64)
-        prev = np.asarray(prev, dtype=np.int64)
-        last = np.asarray(last, dtype=np.int64)
+        pids, prev, last = (np.asarray(a, dtype=np.int64) for a in (prompt_ids, prev, last))
         first = np.fromiter((self._first_row.get(p, -1) for p in pids.tolist()), np.intp, pids.size)
         if (first < 0).any():
             raise ValueError("context of a prompt outside the table")
@@ -559,8 +549,7 @@ class ContextTable(RowSet):
 
     def advance(self, rows: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         """Rows of the contexts at rows once each has generated its token."""
-        window = rows % (self.side * self.side)
-        return rows - window + (window % self.side) * self.side + tokens + 1
+        return self._after[rows] + tokens
 
     def load(self, params: PolicyParams, rows=()) -> None:
         """Load params, unless they are loaded, then evaluate those of rows not yet evaluated, in one pass."""
@@ -582,7 +571,7 @@ class ContextTable(RowSet):
         """Evaluate the rows not yet evaluated, in one pass, then raise NumericError if a row's training
         logits (the direct path's message), or else its inference logits, are non-finite."""
         status = self._status[rows]
-        if status.any():
+        if np.count_nonzero(status):
             if (status < 0).any():
                 self.load(self.params, rows)
                 status = self._status[rows]

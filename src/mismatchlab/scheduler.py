@@ -20,15 +20,20 @@ pool and stops when a refill leaves it empty: capacity-sized waves, and
 nothing carries over. In both, budget.tick_cap bounds an iteration.
 
 Live rollouts are columns of one int64 matrix, and their tokens slots of
-flat per-token arrays, one block of slots per rollout. So a tick is a
-few array operations whatever the pool's width, spawn writes a block of
-rollouts, the close finds complete groups with a bincount and verifies
-each task kind once, and the emitted groups reach the objective as a
-flat RolloutBatch that carries each token's table row. Ticks, the
+flat per-token arrays, one block of slots per rollout. The loop keeps the
+pool's context rows, next slots, stop slots and end tokens as local
+arrays: it reads them with one gather, and writes the rows and lengths
+back, only when the pool changes (a refill admits, or a tick ends
+rollouts). So a tick is about a dozen array operations whatever the
+pool's width; with no end token in the pool it counts down to the
+nearest stop slot instead of testing every rollout. Spawn writes a block
+of rollouts, the close finds complete groups with a bincount and
+verifies each task kind once, and the emitted groups reach the objective
+as a flat RolloutBatch that carries each token's table row. Ticks, the
 objective and the probe measure read both engines from the state's
 ContextTable, which evaluates in one pass per version every row readable
-then: the windows of the prompts in the pool and the pending queue, and
-the probe rows.
+then: the windows that the rollouts of each live (prompt, end token) can
+read, and the probe rows.
 
 Each rollout samples with its own uniforms, one per token, so the pool's
 order never perturbs another rollout's tokens. They are the first draws
@@ -49,29 +54,11 @@ import numpy as np
 
 from .discrepancy import DiscrepancySample, measure, probe_windows
 from .errors import ConfigError, TickCapError
-from .objective import (
-    LossBreakdown,
-    ObjectiveConfig,
-    RolloutBatch,
-    batch_group_advantages,
-    empty_breakdown,
-    momentum_update,
-    objective_and_grad,
-    sgd_update,
-    spans,
-)
-from .policy import (
-    Context,
-    ContextTable,
-    Engine,
-    PolicyParams,
-    Vocabulary,
-    # The direct engine path, no longer called here: perfbench/child.py
-    # wraps these names where each layer binds them.
-    batched_log_softmax,  # noqa: F401
-    batched_train_logits,  # noqa: F401
-    perturb_logits,  # noqa: F401
-)
+from .objective import (LossBreakdown, ObjectiveConfig, RolloutBatch, batch_group_advantages, empty_breakdown, momentum_update,
+                        objective_and_grad, sgd_update, spans)
+from .policy import Context, ContextTable, Engine, PolicyParams, Vocabulary
+# The direct engine path, no longer called here: perfbench/child.py wraps these names where each layer binds them.
+from .policy import batched_log_softmax, batched_train_logits, perturb_logits  # noqa: F401
 from .tasks import TaskKind, TaskSpec, all_prompt_ids, sample_prompt, verify
 
 _MASK64 = (1 << 64) - 1
@@ -440,37 +427,40 @@ def _in_pool(state: SchedulerState) -> np.ndarray:
 
 def _load_version(state: SchedulerState, params: PolicyParams, cfg: BudgetConfig, group_cfg: ObjectiveConfig) -> None:
     """Spawn the iteration's prompts, so that the pending queue holds prompts_per_iteration whole groups unless
-    the source runs out, then evaluate in one table pass every row readable at params: all windows of the
-    prompts of the non-terminal rollouts, and the probe rows."""
+    the source runs out, then evaluate in one table pass every row readable at params: the windows a rollout
+    of each live (prompt, end token) pair can read, and the probe rows."""
     _spawn_groups(state, cfg.prompts_per_iteration - state.n_pending // group_cfg.group_size, group_cfg.group_size)
-    live = dict.fromkeys(state.rollouts[_PROMPT][state.rollouts[_TERMINAL] == 0].tolist())
-    state.table.load(params, np.concatenate([state.table.rows_of(live), state.probe_rows]))
+    live = dict.fromkeys(zip(*state.rollouts[[_PROMPT, _END_TOKEN]].tolist()))
+    state.table.load(params, np.concatenate([state.table.readable_rows(live), state.probe_rows]))
 
 
-def _generate_tick(state: SchedulerState, pool: np.ndarray, params: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
-    """One parallel token for every rollout of the pool, each sampled with the next uniform of its slots from
+def _generate_tick(state: SchedulerState, row: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One parallel token for each rollout at its context row, sampled with the uniform at its next slot from
     the state's context table, read after the table's check (which evaluates any row the version's pass
-    missed). Returns the pool without the rollouts this token made terminal, and their lengths."""
-    table, rollouts, slots = state.table, state.rollouts, state.slots
-    table.load(params)
-    row_of, length_of = rollouts[_ROW], rollouts[_LENGTH]
-    rows = row_of[pool]
-    table.check(rows)
-    length = length_of[pool]
-    at = rollouts[_START][pool] + length
+    missed). Records each token and its row at the slot; returns the tokens and the rows they advance to."""
+    table, slots = state.table, state.slots
+    table.check(row)
     # Inverse CDF: the count of cdf entries <= u is searchsorted(side="right"), clamped at V - 1;
     # the cdf rises, so counting among its first V - 1 entries clamps it.
-    tokens = (table.cdf[:, :-1][rows] <= slots["uniform"][at][:, None]).sum(axis=1)
-    slots["token"][at] = tokens
-    slots["context"][at] = rows
-    row_of[pool] = table.advance(rows, tokens)
-    length += 1
-    length_of[pool] = length
-    ended = (length >= rollouts[_LIMIT][pool]) | (tokens == rollouts[_END_TOKEN][pool])
-    if not ended.any():
-        return pool, length[:0]
-    rollouts[_TERMINAL][pool[ended]] = 1
-    return pool[~ended], length[ended]
+    tokens = (table.cdf[row, :-1] <= slots["uniform"][slot][:, None]).sum(axis=1)
+    slots["token"][slot] = tokens
+    slots["context"][slot] = row
+    return tokens, table.advance(row, tokens)
+
+
+def _write_back(state: SchedulerState, pool: np.ndarray, row: np.ndarray, slot: np.ndarray) -> None:
+    """Store the pool's loop-local context rows and next slots as its rollouts' rows and lengths."""
+    rollouts = state.rollouts
+    rollouts[_ROW][pool] = row
+    rollouts[_LENGTH][pool] = slot - rollouts[_START][pool]
+
+
+def _end_rollouts(state: SchedulerState, pool: np.ndarray, row: np.ndarray, slot: np.ndarray, ended: np.ndarray):
+    """Write the pool back and make its ended rollouts terminal; returns the pool without them, and their lengths."""
+    _write_back(state, pool, row, slot)
+    gone = pool[ended]
+    state.rollouts[_TERMINAL][gone] = 1
+    return pool[~ended], state.rollouts[_LENGTH][gone]
 
 
 def _purge_boundary(state: SchedulerState, cfg: BudgetConfig) -> int:
@@ -550,38 +540,55 @@ def _rollout_loop(state, params_t, cfg, group_cfg, baseline: bool) -> tuple[Step
     _load_version(state, params_t, cfg, group_cfg)
 
     counter = ticks = completed = 0
+    row = None  # the pool's loop-local arrays are read again after a change of the pool
     while baseline or counter < cfg.token_budget:
         if not (baseline and pool.size):
-            pool = _refill(state, cfg, pool)
+            refilled = _refill(state, cfg, pool)
+            if refilled.size > pool.size:
+                if row is not None:
+                    _write_back(state, pool, row, slot)
+                pool, row = refilled, None
         if not pool.size:
             break
+        if row is None:
+            live = state.rollouts.take(pool, axis=1)
+            row, slot, stop = live[_ROW], live[_START] + live[_LENGTH], live[_START] + live[_LIMIT]
+            end = live[_END_TOKEN] if max(live[_END_TOKEN].tolist()) >= 0 else None
+            countdown = min((stop - slot).tolist())  # ticks until the first rollout fills its slots
         if ticks >= cfg.tick_cap:
+            _write_back(state, pool, row, slot)
             raise TickCapError(f"iteration {state.iteration} did not end within budget.tick_cap = {cfg.tick_cap} ticks")
-        pool, ended = _generate_tick(state, pool, params_t)
-        if ended.size:
-            counter += int(ended.sum())
-            completed += ended.size
+        tokens, row = _generate_tick(state, row, slot)
+        slot += 1
         ticks += 1
         state.tick_clock += 1
+        countdown -= 1
+        if end is not None:
+            ended = tokens == end
+            if not countdown:
+                ended |= slot >= stop
+        elif countdown:
+            continue
+        else:
+            ended = slot >= stop
+        if np.count_nonzero(ended):
+            pool, lengths = _end_rollouts(state, pool, row, slot, ended)
+            counter += int(lengths.sum())
+            completed += lengths.size
+            row = None
+    if row is not None:
+        _write_back(state, pool, row, slot)
     return _close_iteration(state, group_cfg.group_size, params_t.version_id, ticks, counter, completed, purged, resumed)
 
 
-def run_iteration(
-    state: SchedulerState,
-    params_t: PolicyParams,
-    cfg: BudgetConfig,
-    group_cfg: ObjectiveConfig,
-) -> tuple[StepReport, RolloutBatch]:
+def run_iteration(state: SchedulerState, params_t: PolicyParams, cfg: BudgetConfig,
+                  group_cfg: ObjectiveConfig) -> tuple[StepReport, RolloutBatch]:
     """One budget-partitioned iteration."""
     return _rollout_loop(state, params_t, cfg, group_cfg, baseline=False)
 
 
-def run_iteration_baseline(
-    state: SchedulerState,
-    params_t: PolicyParams,
-    cfg: BudgetConfig,
-    group_cfg: ObjectiveConfig,
-) -> tuple[StepReport, RolloutBatch]:
+def run_iteration_baseline(state: SchedulerState, params_t: PolicyParams, cfg: BudgetConfig,
+                           group_cfg: ObjectiveConfig) -> tuple[StepReport, RolloutBatch]:
     """One single-pass iteration: its prompt batch run to termination, nothing carried over."""
     return _rollout_loop(state, params_t, cfg, group_cfg, baseline=True)
 

@@ -15,7 +15,9 @@ With it, the scalar verify (the oracle of the batched one) with the
 COPY_PREFIX pattern it decodes, the group z-score of one group (of
 batch_group_advantages), and a scripted prompt source for fixtures.
 The single-pass baseline as its own wave loop, which the scheduler runs
-as its one rollout loop refilling only an empty pool.
+as its one rollout loop refilling only an empty pool. The oracle loop's
+table pass covers every window of its live prompts (rows_of), where the
+scheduler's covers only the windows a rollout can read.
 
 The objective as a loop over rollouts, each token's feature rows hashed
 on the direct path (the package gathers them, and the policy at theta,
@@ -189,6 +191,12 @@ def group_advantages(rewards: list[float] | np.ndarray) -> np.ndarray:
         raise ValueError("advantage normalization needs a group of >= 2 rewards")
     std = float(r.std())
     return (r - r.mean()) / max(std, 1e-6)
+
+
+def rows_of(table: ContextTable, prompt_ids) -> np.ndarray:
+    """Every row of each given prompt: all its windows."""
+    first = np.fromiter((table.prompt_row(p) for p in prompt_ids), np.intp)
+    return (first[:, None] + np.arange(table.side * table.side)).ravel()
 
 
 def shifted_rows(table: ContextTable, lengths, prompt_ids, tokens) -> np.ndarray:
@@ -433,7 +441,7 @@ def _load_version(state: OracleState, params: PolicyParams, cfg: BudgetConfig, g
         state.lookahead.append(drawn)
     live = dict.fromkeys(r.task.prompt_id for queue in (state.infer_pool, state.pending) for r in queue)
     live.update(dict.fromkeys(task.prompt_id for task, _ in state.lookahead))
-    state.table.load(params, np.concatenate([state.table.rows_of(live), state.probe_rows]))
+    state.table.load(params, np.concatenate([rows_of(state.table, live), state.probe_rows]))
 
 
 def _generate_tick(rollouts: list[Rollout], params: PolicyParams, state: OracleState) -> list[Rollout]:

@@ -87,8 +87,13 @@ def tick_tokens(params: PolicyParams, ctx: Context, engine, uniforms) -> list[Si
     prev, last = ctx.window()
     state.rollouts[scheduler._ROW] = state.table.rows([ctx.prompt_id], [prev], [last])[0]
     state.slots["uniform"][: len(uniforms)] = uniforms
-    active, ended = scheduler._generate_tick(state, np.arange(len(uniforms)), params)
-    assert active.size == 0 and ended.tolist() == [1] * len(uniforms)
+    pool = np.arange(len(uniforms))
+    slot = state.rollouts[scheduler._START] + state.rollouts[scheduler._LENGTH]
+    _, row = scheduler._generate_tick(state, state.rollouts[scheduler._ROW], slot)
+    slot += 1
+    ended = slot >= state.rollouts[scheduler._START] + state.rollouts[scheduler._LIMIT]
+    active, lengths = scheduler._end_rollouts(state, pool, row, slot, ended)
+    assert active.size == 0 and lengths.tolist() == [1] * len(uniforms)
     _, batch = scheduler._close_iteration(state, len(uniforms), params.version_id, 1, len(uniforms), len(uniforms), 0, 0)
     return [
         SimpleNamespace(tokens=[token], lp_infer=[lp_infer], lp_train=[lp_train], versions=[version])

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import weakref
 
 import pytest
 
 from mismatchlab import cli, load_config
+from mismatchlab.policy import ContextTable
 from replay import ROOT, fingerprint, header, load_set, run_hashes
 
 REPLAY_SET = load_set()
@@ -20,6 +22,23 @@ def test_replay_set_outputs_match_the_manifest(run: dict, tmp_path) -> None:
     pinned = {name: sha for name, sha in REPLAY_SET["manifest"][key].items() if name.split("/")[0] == run["name"]}
     assert pinned, f"the manifest pins no output of {run['name']}"
     assert run_hashes(run, ROOT, tmp_path) == pinned
+
+
+@pytest.mark.parametrize("run", REPLAY_SET["runs"], ids=lambda run: run["name"])
+def test_replay_set_runs_evaluate_each_version_in_one_table_pass(run: dict, tmp_path, monkeypatch) -> None:
+    """The loop's pass covers every row a version reads: check never backfills a row the pass missed,
+    which would make a second pass at the same params."""
+    evaluate, passes, last = ContextTable._evaluate, [], weakref.WeakKeyDictionary()
+
+    def recording(table, rows):
+        assert last.get(table) is not table.params, "a second table pass at one parameter version"
+        last[table] = table.params
+        passes.append(rows.size)
+        return evaluate(table, rows)
+
+    monkeypatch.setattr(ContextTable, "_evaluate", recording)
+    run_hashes(run, ROOT, tmp_path)
+    assert passes or run["command"] == "compounding"
 
 
 @pytest.mark.parametrize("command,name,patch", [("train", "train_icepop", {"run": {"n_iterations": 2}}),

@@ -36,9 +36,12 @@ from mismatchlab.scheduler import (
     _END_TOKEN,
     _GROUP,
     _KIND,
+    _LENGTH,
     _LIMIT,
     _MAX_LEN,
     _PROMPT,
+    _ROW,
+    _START,
     _TARGET,
     _TERMINAL,
     _UID,
@@ -169,28 +172,34 @@ FIXTURE_TRACE_ITER2 = [
 
 @contextlib.contextmanager
 def tick_trace():
-    """One row per scheduler tick run inside, read off _generate_tick.
+    """One row per scheduler tick run inside, read off _generate_tick and _end_rollouts.
 
     tick is state.tick_clock + 1, the tick's number; active and pool_after
     are the pool sizes into and out of the tick; completed counts the
     rollouts it ended, and counter sums the lengths of the rollouts ended
-    so far in the iteration.
+    so far in the iteration. The loop calls _end_rollouts right after a
+    tick that ends some rollouts, and only then.
     """
     trace: list[dict] = []
-    tick, counter = scheduler._generate_tick, {}
+    tick, end, counter = scheduler._generate_tick, scheduler._end_rollouts, {}
 
-    def recording(state, pool, params):
-        pool_after, ended = tick(state, pool, params)
-        counter[state.iteration] = counter.get(state.iteration, 0) + int(ended.sum())
-        trace.append({"tick": state.tick_clock + 1, "active": pool.size, "completed": ended.size,
-                      "counter": counter[state.iteration], "pool_after": pool_after.size})
-        return pool_after, ended
+    def recording_tick(state, row, slot):
+        generated = tick(state, row, slot)
+        trace.append({"tick": state.tick_clock + 1, "active": row.size, "completed": 0,
+                      "counter": counter.get(state.iteration, 0), "pool_after": row.size})
+        return generated
 
-    scheduler._generate_tick = recording
+    def recording_end(state, pool, row, slot, ended):
+        pool_after, lengths = end(state, pool, row, slot, ended)
+        counter[state.iteration] = counter.get(state.iteration, 0) + int(lengths.sum())
+        trace[-1].update(completed=lengths.size, counter=counter[state.iteration], pool_after=pool_after.size)
+        return pool_after, lengths
+
+    scheduler._generate_tick, scheduler._end_rollouts = recording_tick, recording_end
     try:
         yield trace
     finally:
-        scheduler._generate_tick = tick
+        scheduler._generate_tick, scheduler._end_rollouts = tick, end
 
 
 def test_fixture_trace_matches_hand_simulation() -> None:
@@ -559,6 +568,17 @@ def test_unreachable_budget_hits_tick_cap() -> None:
     budget = BudgetConfig(token_budget=10**5, infer_capacity=2, prompts_per_iteration=1, tick_cap=50)
     with pytest.raises(TickCapError):
         run_iteration(state, default_params(), budget, ObjectiveConfig(group_size=2))
+
+
+def test_a_tick_cap_error_leaves_the_rollouts_written_back() -> None:
+    """The loop keeps the pool's rows and slots in local arrays; it stores them before it raises."""
+    state = scripted_state([3, 10**6])
+    budget = BudgetConfig(token_budget=10**5, infer_capacity=2, prompts_per_iteration=1, tick_cap=50)
+    with pytest.raises(TickCapError):
+        run_iteration(state, default_params(), budget, ObjectiveConfig(group_size=2))
+    assert state.rollouts[_LENGTH].tolist() == [3, 50] and state.rollouts[_TERMINAL].tolist() == [1, 0]
+    tokens = state.slots["token"][state.rollouts[_START, 1] :][:50]
+    assert state.rollouts[_ROW, 1] == state.table.rows([100], tokens[-2:-1], tokens[-1:])[0]
 
 
 def test_train_loop_zero_iterations_is_identity() -> None:

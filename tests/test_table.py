@@ -188,6 +188,50 @@ def test_advance_moves_the_window() -> None:
     rows = table.rows([7, 9, 9], [-1, -1, 2], [-1, 3, 4])
     assert table.advance(rows, np.asarray([0, 4, 1])).tolist() == table.rows([7, 9, 9], [-1, 3, 4], [0, 4, 1]).tolist()
 
+    # Every row x token of the shipped table, against the window arithmetic of its layout: a block of
+    # side^2 rows per prompt, in the order given, and in a block the row of (prev, last) at
+    # (prev + 1) * side + (last + 1).
+    universe = all_prompt_ids(Vocabulary(size=8))
+    table = ContextTable(universe, 16, 8, infer_engine(0.2, 7), 1.0)
+    side = 9
+    rows = np.repeat(np.arange(table.feats.shape[0]), 8)
+    tokens = np.tile(np.arange(8), table.feats.shape[0])
+    prompts = np.asarray(universe)[rows // side**2]
+    prev, last = rows % side**2 // side - 1, rows % side - 1
+    assert rows.size == 1782 * 8
+    assert table.rows(prompts, prev, last).tolist() == rows.tolist()
+    want = rows // side**2 * side**2 + (last + 1) * side + tokens + 1
+    assert table.advance(rows, tokens).tolist() == want.tolist() == table.rows(prompts, last, tokens).tolist()
+
+
+def reachable_rows(table: ContextTable, prompt_id: int, end_token: int) -> set[int]:
+    """The rows reachable from the prompt's empty window through advance, never sampling end_token."""
+    tokens = np.asarray([t for t in range(table.vocab_size) if t != end_token])
+    reached, frontier = set(), {table.prompt_row(prompt_id)}
+    while frontier:
+        reached |= frontier
+        rows = np.repeat(sorted(frontier), tokens.size)
+        frontier = set(table.advance(rows, np.tile(tokens, rows.size // tokens.size)).tolist()) - reached
+    return reached
+
+
+@settings(max_examples=40, deadline=None)
+@given(vocab_size=st.integers(2, 12), eos_ends=st.booleans(), data=st.data())
+def test_readable_rows_are_the_windows_a_rollout_reaches(vocab_size: int, eos_ends: bool, data) -> None:
+    """A prompt's readable rows are the windows reachable from (-1, -1) without sampling its end token (EOS, or
+    none: -1), each once; a pair of prompts gives each prompt's rows, in the order given."""
+    eos = data.draw(st.integers(0, vocab_size - 1))
+    end = eos if eos_ends else -1
+    table = ContextTable([300, 100, 205], 4, vocab_size, infer_engine(0.1, 7), 1.0)
+    prompt = data.draw(st.sampled_from([300, 100, 205]))
+    readable = table.readable_rows({(prompt, end): None}).tolist()
+    assert readable == sorted(set(readable))
+    assert set(readable) == reachable_rows(table, prompt, end)
+    assert len(readable) == 1 + (vocab_size - (end >= 0)) * (vocab_size + 1 - (end >= 0))
+    both = table.readable_rows([(205, end), (100, -1)]).tolist()
+    assert both == table.readable_rows([(205, end)]).tolist() + table.readable_rows([(100, -1)]).tolist()
+    assert table.readable_rows([]).size == 0
+
 
 def trained_state(seed: int, scale: float, temperature: float = 1.0):
     vocab = Vocabulary(size=6)
