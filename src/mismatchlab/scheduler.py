@@ -38,11 +38,12 @@ read, and the probe rows.
 Each rollout samples with its own uniforms, one per token, so the pool's
 order never perturbs another rollout's tokens. They are the first draws
 of its stream default_rng(SeedSequence((seed & MASK64, 2, uid))), bit
-for bit, which defines replay, derived in bulk per block of 4,096 uids:
-seed_sequence_states runs numpy's SeedSequence hash over the block, and
-pcg64_block runs PCG64 over it (128-bit states as uint64 hi/lo pairs) for
-the first 8 uniforms of every uid. Draws past 8 continue from the block's
-end state through PCG64's public state setter.
+for bit, which defines replay. seed_sequence_states runs numpy's
+SeedSequence hash over each block of 4,096 uids at once, and
+pcg64_uniforms gives every draw of a spawn's rollouts in one array pass:
+PCG64's LCG jumps from each stream's seeded state straight to the state
+of each draw (128-bit states as uint64 hi/lo pairs), whatever the
+rollout's length.
 """
 
 from __future__ import annotations
@@ -264,76 +265,81 @@ def seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
 
 
 _UID_BLOCK = 4096  # divides 2**32, so only a uid's low word varies within a block
-# Uniforms of every uid that a block holds: the shipped tasks.max_len, so
-# every rollout of a policy-length run draws from the block alone.
-_BLOCK_DRAWS = 8
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG_DEFAULT_MULTIPLIER_128
-_MULT_HI = np.uint64(_PCG64_MULT >> 64)
-_MULT_LO = np.uint64(_PCG64_MULT & _MASK64)
-_MULT_LO_LIMBS = (np.uint64(_PCG64_MULT & _MASK32), np.uint64((_PCG64_MULT >> 32) & _MASK32))
+_MASK128 = (1 << 128) - 1
+# A jump table's column n holds the hi and lo words of A**n and of C_n = the sum of A**j over j < n, mod 2**128,
+# where A is _PCG64_MULT: n LCG steps take a state s with increment inc to A**n * s + C_n * inc. This one holds
+# column 0 only; pcg64_uniforms grows a table as far as its draws need.
+JUMPS = np.array([[0], [1], [0], [0]], dtype=np.uint64)
+JUMPS.flags.writeable = False
 
 
-def _mulhi_mult_lo(x: np.ndarray) -> np.ndarray:
-    """High 64 bits of x * _MULT_LO for a uint64 array, from 32-bit limbs (no carry is lost)."""
-    x0, x1 = x & np.uint64(_MASK32), x >> np.uint64(32)
-    m0, m1 = _MULT_LO_LIMBS
-    t = x1 * m0 + ((x0 * m0) >> np.uint64(32))
-    u = x0 * m1 + (t & np.uint64(_MASK32))
-    return x1 * m1 + (t >> np.uint64(32)) + (u >> np.uint64(32))
+def _jump_table(jumps: np.ndarray, n: int) -> np.ndarray:
+    """A jump table with at least n columns, jumps or jumps extended. While it has fewer, m of them, it grows by
+    up to m columns: one Python int step from its last column gives A**m and C_m, and A**(m + j) = A**m * A**j,
+    C_(m + j) = C_m + A**m * C_j."""
+    while jumps.shape[1] < n:
+        a_hi, a_lo, c_hi, c_lo = jumps[:, -1].tolist()
+        a, c = a_hi << 64 | a_lo, c_hi << 64 | c_lo
+        a, c = a * _PCG64_MULT & _MASK128, (c + a) & _MASK128
+        a_hi, a_lo, c_hi, c_lo = (np.uint64(w) for w in (a >> 64, a & _MASK64, c >> 64, c & _MASK64))
+        head = jumps[:, : n - jumps.shape[1]]
+        grown = [*_mul128(a_hi, a_lo, head[0], head[1]), *_add128(c_hi, c_lo, *_mul128(a_hi, a_lo, head[2], head[3]))]
+        jumps = np.concatenate([jumps, grown], axis=1)
+    return jumps
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """a * b mod 2**128 for uint64 (hi, lo) arrays; the high word of a_lo * b_lo from 32-bit limbs (no carry is lost)."""
+    a0, a1, b0, b1 = a_lo & _MASK32, a_lo >> 32, b_lo & _MASK32, b_lo >> 32
+    t = a1 * b0 + (a0 * b0 >> 32)
+    u = a0 * b1 + (t & _MASK32)
+    return a1 * b1 + (t >> 32) + (u >> 32) + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
 
 
 def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
     lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < b_lo).astype(np.uint64), lo
+    return a_hi + b_hi + (lo < b_lo), lo
 
 
-def _pcg64_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
-    """state * _PCG64_MULT + inc mod 2**128, the 128-bit state held as uint64 (hi, lo) pairs."""
-    return _add128(_mulhi_mult_lo(lo) + lo * _MULT_HI + hi * _MULT_LO, lo * _MULT_LO, inc_hi, inc_lo)
-
-
-def pcg64_block(seed_states: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first count uniforms of a PCG64 per row of (n, 4) seed words, and the state after them.
+def pcg64_uniforms(seed_states: np.ndarray, counts, jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first counts[i] uniforms of a PCG64 per row i of (n, 4) seed words, concatenated in row order, and
+    the jump table they read: jumps (JUMPS, or a table this function returned), grown as far as they need.
 
     Row i draws what Generator(PCG64) seeded from SeedSequence words
-    seed_states[i] gives with random(count): pcg64_set_seed's
-    arithmetic, then per draw one step, the XSL-RR output and
-    (x >> 11) * 2**-53. The second array holds each row's (state hi,
-    state lo, inc hi, inc lo) words after the draws, from which the
-    PCG64 state setter continues the stream.
+    seed_states[i] gives with random(counts[i]). pcg64_set_seed leaves
+    the state A * x + inc, where x is the seed state plus the increment
+    inc, and each draw steps before its output, so draw k reads the
+    state A**(k + 2) * x + C_(k + 2) * inc. One pass computes it for
+    every (row, k) pair, in 128-bit products on uint64 (hi, lo) words,
+    then the XSL-RR output and (x >> 11) * 2**-53.
     """
+    counts = np.asarray(counts, dtype=np.intp)
+    jumps = _jump_table(jumps, counts.max(initial=0) + 2)
     w0, w1, w2, w3 = np.asarray(seed_states, dtype=np.uint64).T
-    inc_hi = (w2 << np.uint64(1)) | (w3 >> np.uint64(63))
-    inc_lo = (w3 << np.uint64(1)) | np.uint64(1)
-    hi, lo = _pcg64_step(*_add128(w0, w1, inc_hi, inc_lo), inc_hi, inc_lo)
-    uniforms = np.empty((w0.size, count))
-    for k in range(count):
-        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-        x = hi ^ lo
-        rot = hi >> np.uint64(58)
-        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        uniforms[:, k] = (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return uniforms, np.stack([hi, lo, inc_hi, inc_lo], axis=1)
+    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    x_hi, x_lo, inc_hi, inc_lo = np.repeat([*_add128(w0, w1, inc_hi, inc_lo), inc_hi, inc_lo], counts, axis=1)
+    steps = np.arange(2, 2 + counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    a_hi, a_lo, c_hi, c_lo = (words.take(steps) for words in jumps)
+    hi, lo = _add128(*_mul128(a_hi, a_lo, x_hi, x_lo), *_mul128(c_hi, c_lo, inc_hi, inc_lo))
+    x, rot = hi ^ lo, hi >> 58
+    return ((x >> rot | x << (-rot & 63)) >> 11) * 2.0**-53, jumps
 
 
 class RolloutUniforms:
     """The draws of each rollout's stream default_rng(SeedSequence((seed & MASK64, 2, uid))).
 
-    uids are issued in order, so only the current aligned block of uids
-    is kept: its seed states from one seed_sequence_states call, and
-    from one pcg64_block call the first _BLOCK_DRAWS uniforms of every
-    uid and the PCG64 states after them. A rollout that needs more
-    continues its stream from there on one PCG64, set through its public
-    state setter.
+    uids are issued in order, so only the seed states of the current
+    aligned block of uids are kept, from one seed_sequence_states call;
+    pcg64_uniforms jumps each rollout's stream to every draw it needs,
+    through a jump table kept as long as the longest draw so far.
     """
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
-        self._bitgen = np.random.PCG64()
-        self._generator = np.random.Generator(self._bitgen)
         self._block = -1
-        self._uniforms = np.zeros((0, _BLOCK_DRAWS))
-        self._ends = np.zeros((0, 4), dtype=np.uint64)
+        self._states = np.zeros((0, 4), dtype=np.uint64)
+        self._jumps = JUMPS
 
     def draw(self, first_uid: int, counts) -> np.ndarray:
         """The first counts[i] uniforms of uid first_uid + i's stream, as Generator.random gives them,
@@ -344,21 +350,10 @@ class RolloutUniforms:
             split = _UID_BLOCK - offset
             return np.concatenate([self.draw(first_uid, counts[:split]), self.draw(first_uid + split, counts[split:])])
         if block != self._block:
-            self._uniforms, self._ends = pcg64_block(self._block_states(block), _BLOCK_DRAWS)
+            self._states = self._block_states(block)
             self._block = block
-        heads = self._uniforms[offset : offset + counts.size]
-        if counts.max(initial=0) <= _BLOCK_DRAWS:
-            return heads[np.arange(_BLOCK_DRAWS) < counts[:, None]]
-        return np.concatenate([self._stream(offset + i, count) for i, count in enumerate(counts.tolist())])
-
-    def _stream(self, offset: int, count: int) -> np.ndarray:
-        """The first count uniforms of the stream at offset in the current block."""
-        if count <= _BLOCK_DRAWS:
-            return self._uniforms[offset, :count]
-        hi, lo, inc_hi, inc_lo = self._ends[offset].tolist()
-        state = {"state": (hi << 64) | lo, "inc": (inc_hi << 64) | inc_lo}
-        self._bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-        return np.concatenate([self._uniforms[offset], self._generator.random(count - _BLOCK_DRAWS)])
+        uniforms, self._jumps = pcg64_uniforms(self._states[offset : offset + counts.size], counts, self._jumps)
+        return uniforms
 
     def _block_states(self, block: int) -> np.ndarray:
         head = _seed_words(self.seed & _MASK64, 2)

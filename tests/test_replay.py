@@ -15,19 +15,10 @@ REPLAY_SET = load_set()
 
 
 @pytest.mark.parametrize("run", REPLAY_SET["runs"], ids=lambda run: run["name"])
-def test_replay_set_outputs_match_the_manifest(run: dict, tmp_path) -> None:
-    key = fingerprint()
-    if key not in REPLAY_SET["manifest"]:
-        pytest.skip(f"the replay manifest holds no hashes for float-kernel fingerprint {key}")
-    pinned = {name: sha for name, sha in REPLAY_SET["manifest"][key].items() if name.split("/")[0] == run["name"]}
-    assert pinned, f"the manifest pins no output of {run['name']}"
-    assert run_hashes(run, ROOT, tmp_path) == pinned
-
-
-@pytest.mark.parametrize("run", REPLAY_SET["runs"], ids=lambda run: run["name"])
-def test_replay_set_runs_evaluate_each_version_in_one_table_pass(run: dict, tmp_path, monkeypatch) -> None:
-    """The loop's pass covers every row a version reads: check never backfills a row the pass missed,
-    which would make a second pass at the same params."""
+def test_replay_set_runs_evaluate_each_version_once_and_match_the_manifest(run: dict, tmp_path, monkeypatch) -> None:
+    """One run of each case. First, the loop's pass covers every row a version reads: check never backfills
+    a row the pass missed, which would make a second pass at the same params. Then every output file's
+    SHA-256 is the manifest's, on a float-kernel fingerprint that the manifest holds."""
     evaluate, passes, last = ContextTable._evaluate, [], weakref.WeakKeyDictionary()
 
     def recording(table, rows):
@@ -37,8 +28,15 @@ def test_replay_set_runs_evaluate_each_version_in_one_table_pass(run: dict, tmp_
         return evaluate(table, rows)
 
     monkeypatch.setattr(ContextTable, "_evaluate", recording)
-    run_hashes(run, ROOT, tmp_path)
+    hashes = run_hashes(run, ROOT, tmp_path)
     assert passes or run["command"] == "compounding"
+
+    key = fingerprint()
+    if key not in REPLAY_SET["manifest"]:
+        pytest.skip(f"the replay manifest holds no hashes for float-kernel fingerprint {key}")
+    pinned = {name: sha for name, sha in REPLAY_SET["manifest"][key].items() if name.split("/")[0] == run["name"]}
+    assert pinned, f"the manifest pins no output of {run['name']}"
+    assert hashes == pinned
 
 
 @pytest.mark.parametrize("command,name,patch", [("train", "train_icepop", {"run": {"n_iterations": 2}}),

@@ -32,7 +32,7 @@ from mismatchlab import (
 from mismatchlab.errors import TickCapError
 from mismatchlab import objective, scheduler
 from mismatchlab.scheduler import (
-    _BLOCK_DRAWS,
+    JUMPS,
     _END_TOKEN,
     _GROUP,
     _KIND,
@@ -46,11 +46,11 @@ from mismatchlab.scheduler import (
     _TERMINAL,
     _UID,
     RolloutUniforms,
-    pcg64_block,
+    pcg64_uniforms,
     seed_sequence_states,
 )
 from mismatchlab.tasks import TaskKind, sample_prompt
-from oracles import ScriptedPromptSource, _rollout_loop, baseline_wave_loop, oracle_state, shifted_rows
+from oracles import ScriptedPromptSource, UidStreams, _rollout_loop, baseline_wave_loop, oracle_state, shifted_rows
 
 FIXTURE_LENGTHS = [2, 2, 3, 3, 5, 5, 9, 17]
 
@@ -823,7 +823,7 @@ def test_group_slots_hold_only_live_groups_after_a_run() -> None:
         st.integers(0, 2**70),
         st.sampled_from([0, 1, 4095, 4096, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
     ),
-    count=st.sampled_from([1, _BLOCK_DRAWS - 1, _BLOCK_DRAWS, _BLOCK_DRAWS + 1, 512]),
+    count=st.sampled_from([1, 7, 8, 9, 512, 600]),
 )
 def test_rollout_stream_is_the_tuple_seeded_stream(seed: int, uid: int, count: int) -> None:
     want = np.random.default_rng(np.random.SeedSequence((seed & (2**64 - 1), 2, uid)))
@@ -836,6 +836,15 @@ def test_rollout_uniforms_across_block_edges_in_issue_order() -> None:
     for uid in [*range(4090, 4100), *range(2**32 - 3, 2**32 + 3), 2**40, 5]:
         want = np.random.default_rng(np.random.SeedSequence((-5 & (2**64 - 1), 2, uid)))
         assert source.draw(uid, [3]).tobytes() == want.random(3).tobytes()
+
+
+def test_rollout_uniforms_match_numpy_as_the_jump_table_grows() -> None:
+    source, streams = RolloutUniforms(11), UidStreams(11)
+    widths = []
+    for uid, count in enumerate([3, 600, 3], start=4094):
+        assert source.draw(uid, [count]).tobytes() == streams.draw(uid, count).tobytes()
+        widths.append(source._jumps.shape[1])
+    assert widths == [5, 602, 602]
 
 
 class _FixedWords(ISeedSequence):
@@ -853,23 +862,23 @@ WORD = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 1, 2**32 - 1, 2*
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=st.lists(st.tuples(WORD, WORD, WORD, WORD), min_size=1, max_size=6), count=st.integers(1, 12), extra=st.integers(1, 5))
-@example(rows=[(2**64 - 1,) * 4, (0,) * 4, (2**64 - 1, 0, 2**64 - 1, 0)], count=_BLOCK_DRAWS, extra=3)
-def test_pcg64_block_matches_numpy_pcg64(rows, count: int, extra: int) -> None:
-    """First draws against numpy's seeding; the end states continue the stream through the state setter."""
-    uniforms, ends = pcg64_block(np.array(rows, dtype=np.uint64), count)
-    assert uniforms.shape == (len(rows), count) and ends.dtype == np.uint64
-    bitgen = np.random.PCG64()
-    for words, drawn, (hi, lo, inc_hi, inc_lo) in zip(rows, uniforms, ends.tolist()):
-        want = np.random.Generator(np.random.PCG64(_FixedWords(words)))
-        assert drawn.tobytes() == want.random(count).tobytes()
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": (hi << 64) | lo, "inc": (inc_hi << 64) | inc_lo},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        assert np.random.Generator(bitgen).random(extra).tobytes() == want.random(extra).tobytes()
+@given(rows=st.lists(st.tuples(st.tuples(WORD, WORD, WORD, WORD), st.integers(1, 600)), min_size=1, max_size=6),
+       extra=st.integers(1, 5))
+@example(rows=[((2**64 - 1,) * 4, 8), ((0,) * 4, 1), ((2**64 - 1, 0, 2**64 - 1, 0), 600)], extra=3)
+def test_pcg64_uniforms_match_numpy_pcg64(rows, extra: int) -> None:
+    """Each row's first draws against numpy's seeding, the counts mixed in one call; count + extra draws in one
+    call are numpy's count draws and then its next extra."""
+    words = np.array([row for row, _ in rows], dtype=np.uint64)
+    counts = np.array([count for _, count in rows])
+    uniforms, jumps = pcg64_uniforms(words, counts, JUMPS)
+    assert jumps.shape[1] == counts.max() + 2
+    drawn = np.split(uniforms, np.cumsum(counts)[:-1])
+    longer = np.split(pcg64_uniforms(words, counts + extra, jumps)[0], np.cumsum(counts + extra)[:-1])
+    for (row, count), first, more in zip(rows, drawn, longer):
+        want = np.random.Generator(np.random.PCG64(_FixedWords(row)))
+        head = want.random(count)
+        assert first.tobytes() == head.tobytes()
+        assert more.tobytes() == np.concatenate([head, want.random(extra)]).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -887,10 +896,8 @@ def test_seed_sequence_states_match_numpy(data, n_words: int, n_rows: int) -> No
 
 def _stream_oracle(self: RolloutUniforms, first_uid: int, counts) -> np.ndarray:
     """Each rollout's uniforms drawn alone from its own tuple-seeded generator."""
-    return np.concatenate([
-        np.random.default_rng(np.random.SeedSequence((self.seed & (2**64 - 1), 2, first_uid + i))).random(count)
-        for i, count in enumerate(np.asarray(counts).tolist())
-    ])
+    streams = UidStreams(self.seed)
+    return np.concatenate([streams.draw(first_uid + i, count) for i, count in enumerate(np.asarray(counts).tolist())])
 
 
 def _trained_rollouts(monkeypatch, length_model: str, first_uid: int) -> list:
