@@ -14,23 +14,36 @@ from replay import ROOT, fingerprint, header, load_set, run_hashes
 REPLAY_SET = load_set()
 
 
-@pytest.mark.parametrize("run", REPLAY_SET["runs"], ids=lambda run: run["name"])
-def test_replay_set_runs_evaluate_each_version_once_and_match_the_manifest(run: dict, tmp_path, monkeypatch) -> None:
-    """One run of each case. First, the loop's pass covers every row a version reads: check never backfills
-    a row the pass missed, which would make a second pass at the same params. Then every output file's
-    SHA-256 is the manifest's, on a float-kernel fingerprint that the manifest holds."""
-    evaluate, passes, last = ContextTable._evaluate, [], weakref.WeakKeyDictionary()
+@pytest.fixture(scope="module", params=REPLAY_SET["runs"], ids=lambda run: run["name"])
+def replay_run(request, tmp_path_factory) -> tuple[dict, dict, list, list]:
+    """One run of each case, with `ContextTable._evaluate` wrapped: the case, its output hashes, the rows of
+    each table pass, and every pass made a second time at one table's loaded params. Both tests below read
+    this one run."""
+    run, evaluate, passes, repeats, last = request.param, ContextTable._evaluate, [], [], weakref.WeakKeyDictionary()
 
     def recording(table, rows):
-        assert last.get(table) is not table.params, "a second table pass at one parameter version"
+        if last.get(table) is table.params:
+            repeats.append(rows.size)
         last[table] = table.params
         passes.append(rows.size)
         return evaluate(table, rows)
 
-    monkeypatch.setattr(ContextTable, "_evaluate", recording)
-    hashes = run_hashes(run, ROOT, tmp_path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ContextTable, "_evaluate", recording)
+        hashes = run_hashes(run, ROOT, tmp_path_factory.mktemp(run["name"]))
+    return run, hashes, passes, repeats
+
+
+def test_replay_set_runs_evaluate_each_version_in_one_table_pass(replay_run) -> None:
+    """The loop's pass covers every row a version reads: check never backfills a row the pass missed,
+    which would make a second pass at the same params."""
+    run, _, passes, repeats = replay_run
+    assert not repeats, "a second table pass at one parameter version"
     assert passes or run["command"] == "compounding"
 
+
+def test_replay_set_outputs_match_the_manifest(replay_run) -> None:
+    run, hashes, _, _ = replay_run
     key = fingerprint()
     if key not in REPLAY_SET["manifest"]:
         pytest.skip(f"the replay manifest holds no hashes for float-kernel fingerprint {key}")
