@@ -2,12 +2,15 @@
 
 replay_set.json lists the runs. Each is a command, a shipped config, and
 an optional patch that derives a config from it: each patch key names a
-config section, and its fields overwrite that section's. The manifest
-maps a float-kernel fingerprint to the SHA-256 of every output file of
-the set, by "run/file". numpy's CPU dispatch changes the last bits of
-its float kernels, and so the output bytes, which is why the hashes are
-keyed by the fingerprint: a host whose fingerprint the manifest does not
-hold has no pinned bytes.
+config section, and its fields overwrite that section's. Each run also
+lists its behaviour anchors: a value that anchor_values reads off its
+outputs, and the decimals the value is quoted to. The anchors hold on
+every host. The manifest maps a float-kernel fingerprint to the SHA-256
+of every output file of the set, by "run/file". numpy's CPU dispatch
+changes the last bits of its float kernels, and so the output bytes,
+which is why the hashes are keyed by the fingerprint: a host whose
+fingerprint the manifest does not hold has no pinned bytes, but still
+checks the anchors.
 
 Usage, from the repository root:
 
@@ -76,6 +79,34 @@ def run_hashes(run: dict, tree: Path, out: Path) -> dict[str, str]:
         f"{run['name']}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
         for f in sorted((out / run["name"]).iterdir())
     }
+
+
+def _read_jsonl(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def anchor_values(command: str, run_dir: Path) -> dict[str, float]:
+    """The behaviour values a run's outputs report, by anchor name, as perfbench/workloads.py reads them."""
+    if command == "train":
+        rows = _read_jsonl(run_dir / "metrics.jsonl")[1:]
+        first = [r["reward_mean"] for r in rows[:20] if r["reward_mean"] is not None]
+        last = [r["reward_mean"] for r in rows[-20:] if r["reward_mean"] is not None]
+        return {
+            "reward_first20": sum(first) / len(first),
+            "reward_last20": sum(last) / len(last),
+            "delta_first": rows[0]["delta"],
+            "delta_last": rows[-1]["delta"],
+            "delta_peak": max(r["delta"] for r in rows),
+            "zero_grad_iterations": sum(r["grad_norm"] == 0.0 for r in rows),
+        }
+    if command == "schedule":
+        report = json.loads((run_dir / "schedule_report.json").read_text(encoding="utf-8"))
+        return {"speedup_rollout": report["mean_speedup_rollout"], "speedup_end_to_end": report["mean_speedup_end_to_end"]}
+    if command == "compounding":
+        fit = json.loads((run_dir / "compounding_fit.json").read_text(encoding="utf-8"))["fit"]
+        return {"delta_c": fit["delta_c"], "delta_last": _read_jsonl(run_dir / "compounding_trace.jsonl")[-1]["delta"]}
+    table = json.loads((run_dir / "sweep_table.json").read_text(encoding="utf-8"))
+    return {f"final_delta/{s['alpha']}-{s['beta']}": s["final_delta"] for s in table["settings"]}
 
 
 def header(run_dir: Path) -> dict:
