@@ -15,7 +15,9 @@ it at a constant. m_t and the advantage are treated as constants in the
 gradient. It reads a RolloutBatch, the emitted rollouts as flat arrays,
 and pi_train(theta) from the ContextTable row each token was sampled at.
 Aggregation is token-mean within a rollout, mean over the group, mean
-over groups, in that fixed order so results are bit-stable.
+over groups; each rollout's tokens are summed in order, so results are
+bit-stable. Tokens at one table row share its features, so the gradient
+is summed by row, then scattered onto the weights once per row.
 """
 
 from __future__ import annotations
@@ -150,11 +152,6 @@ def empty_breakdown(params: PolicyParams) -> LossBreakdown:
     )
 
 
-def spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Indices of the ranges [starts[i], starts[i] + lengths[i]), concatenated in order."""
-    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(int(lengths.sum()))
-
-
 def batch_group_advantages(rewards: np.ndarray) -> np.ndarray:
     """Group z-scores of every row of a (groups, group size) reward matrix, with a 1e-6 std floor;
     zero-variance groups get zeros."""
@@ -173,21 +170,21 @@ def objective_and_grad(
 ) -> LossBreakdown:
     """Objective value and its exact analytic gradient w.r.t. theta.
 
-    The current-train feature rows, log probs and probs of every token
-    are gathered from the table at theta, by the table row the batch
-    recorded for it, at the table's temperature; the table must hold
-    the batch's prompts. So the value is a pure function of theta given
-    the generation-time fields the batch recorded; that is what the
-    finite-difference checks differentiate. The inputs are not modified
-    (the table only evaluates rows at theta). A calibration ratio that
-    underflows to zero counts as outside any bounds (masked, or zero
-    weight in the unmasked modes). The KL to ref is evaluated only when
-    it enters the objective (kl_coeff > 0); kl_to_ref is nan otherwise.
+    The current-train log probs and probs of every token are gathered
+    from the table at theta, by the table row the batch recorded for it,
+    at the table's temperature; the table must hold the batch's prompts.
+    So the value is a pure function of theta given the generation-time
+    fields the batch recorded; that is what the finite-difference checks
+    differentiate. The inputs are not modified (the table only evaluates
+    rows at theta). A calibration ratio that underflows to zero counts as
+    outside any bounds (masked, or zero weight in the unmasked modes). The
+    KL to ref is evaluated only when it enters the objective
+    (kl_coeff > 0); kl_to_ref is nan otherwise.
 
     Every token of the batch is evaluated at once, each weighted by
-    1 / (groups * group size * rollout length). The value keeps the
-    per-rollout order (each rollout's pairwise token sum, then rollouts
-    in group order, then groups), so results are bit-stable.
+    1 / (groups * group size * rollout length). The value is the sum of
+    the weighted rollouts, each one segment sum of its tokens in order.
+    The gradient and the KL reference are evaluated on distinct rows.
     """
     lengths, group_size = batch.lengths, batch.group_size
     if not lengths.size:
@@ -208,9 +205,10 @@ def objective_and_grad(
     weight = 1.0 / (n_groups * group_size * lengths)[seg]
     table.load(theta)
     table.check(batch.rows)
-    feats, log_probs, probs = table.feats[batch.rows], table.lp_train[batch.rows], table.probs_train[batch.rows]
+    rows, inverse = np.unique(batch.rows, return_inverse=True)
+    log_probs, probs = table.lp_train[rows], table.probs_train[rows]
     flat = np.arange(seg.size)
-    lp_cur = log_probs[flat, tokens]
+    lp_cur = log_probs[inverse, tokens]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite ratios raise just below
         calib = np.exp(lp_old - lp_inf)
         ratio = np.exp(lp_cur - lp_old)
@@ -235,44 +233,30 @@ def objective_and_grad(
     active = unclipped <= clipped
     pg_values = factor * np.where(active, unclipped, clipped)
 
-    # Gradient w.r.t. the scaled logits, then scattered onto the four
-    # active feature rows per position (duplicates counted).
+    # Gradient w.r.t. each token's scaled logits, summed by row in token
+    # order, then added onto each row's four feature rows (duplicates counted).
     coeffs = np.where(active, weight * factor * ratio * advantage / temperature, 0.0)
-    grad_logits = -coeffs[:, None] * probs
+    grad_logits = -coeffs[:, None] * probs[inverse]
     grad_logits[flat, tokens] += coeffs
 
     with_kl = ref is not None and cfg.kl_coeff > 0.0
     kl_values = np.zeros(seg.size)
     if with_kl:
-        ref_log_probs, _ = batched_log_softmax(batched_train_logits(ref, feats, temperature))
+        ref_log_probs, _ = batched_log_softmax(batched_train_logits(ref, table.feats[rows], temperature))
         diff = log_probs - ref_log_probs
-        kl_values = (probs * diff).sum(axis=1)
-        kl_grad = (weight * cfg.kl_coeff / temperature)[:, None] * (probs * (diff - kl_values[:, None]))
-        grad_logits -= kl_grad
-    grad = weight_grad(feats, grad_logits, theta.n_features, lengths)
+        kl_rows = (probs * diff).sum(axis=1)
+        kl_values = kl_rows[inverse]
+        grad_logits -= (weight * cfg.kl_coeff / temperature)[:, None] * (probs * (diff - kl_rows[:, None]))[inverse]
+    row_grad = weight_grad(inverse[:, None], grad_logits, rows.size)
+    grad = weight_grad(table.feats[rows], row_grad, theta.n_features)
 
     token_values = pg_values - cfg.kl_coeff * kl_values
-    # Each rollout's token sum is numpy's pairwise .sum() of its tokens. With the rollouts sorted by
-    # length, each length class is a C-contiguous matrix, whose row sums equal those, bit for bit.
-    order = np.argsort(lengths, kind="stable")
-    starts = np.cumsum(lengths) - lengths
-    by_length, counts = token_values[spans(starts[order], lengths[order])], np.bincount(lengths)
-    class_sums, end = [], 0
-    for length in np.flatnonzero(counts).tolist():
-        class_sums.append(by_length[end : end + counts[length] * length].reshape(-1, length).sum(axis=1))
-        end += counts[length] * length
-    rollout_values = np.empty(lengths.size)
-    rollout_values[order] = np.concatenate(class_sums)
-    rollout_values /= group_size * lengths
-    group_values = np.zeros(n_groups)
-    for member in rollout_values.reshape(n_groups, group_size).T:
-        group_values += member
-    # cumsum adds in order, as a running total over the groups would.
-    objective = float(np.cumsum(group_values)[-1]) / n_groups
+    rollout_values = np.bincount(seg, weights=token_values) / (group_size * lengths)
+    objective = float(rollout_values.sum()) / n_groups
     if not math.isfinite(objective) or not np.isfinite(grad).all():
         raise NumericError("objective or gradient is not finite")
 
-    entropy = -(probs * log_probs).sum(axis=1)
+    entropy = (-(probs * log_probs).sum(axis=1))[inverse]
     n_clipped = int((~kept).sum())
     return LossBreakdown(
         objective_value=objective,

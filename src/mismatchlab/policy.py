@@ -265,28 +265,17 @@ def batched_train_logits(params: PolicyParams, feats: np.ndarray, temperature: f
     return logits
 
 
-def weight_grad(
-    feats: np.ndarray, grad_logits: np.ndarray, n_features: int, lengths: np.ndarray | None = None
-) -> np.ndarray:
+def weight_grad(feats: np.ndarray, grad_logits: np.ndarray, n_features: int) -> np.ndarray:
     """(n_features, vocab) weight gradient from per-row scaled-logit gradients.
 
-    Each row of grad_logits is added onto its four active feature rows
-    (duplicates counted). The rows form consecutive segments of the given
-    lengths (one segment by default), and the additions land segment by
-    segment, then feature slot by slot, then row by row: the order of
-    np.add.at over each slot column of each segment, so the float result
-    is bit-identical to that loop. np.bincount adds in input order.
+    Each row of grad_logits is added onto the feature rows its row of the
+    (N, slots) feats lists (duplicates counted), slot by slot, then row by
+    row: the order of np.add.at over each slot column, which np.bincount
+    keeps, so the float result is bit-identical to that loop.
     """
-    n, width = grad_logits.shape
-    lengths = np.asarray([n] if lengths is None else lengths)
-    seg_len = np.repeat(lengths, lengths)
-    seg_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    # Row i, slot j is addition 4 * start + j * length + (i - start).
-    rank = (3 * seg_start + np.arange(n))[:, None] + np.arange(4) * seg_len[:, None]
-    pair_at = np.empty(4 * n, dtype=np.intp)
-    pair_at[rank.ravel()] = np.arange(4 * n)
-    idx = feats.ravel()[pair_at][:, None] * width + np.arange(width)
-    grad = np.bincount(idx.ravel(), weights=grad_logits[pair_at // 4].ravel(), minlength=n_features * width)
+    width = grad_logits.shape[1]
+    idx = feats.T[:, :, None] * width + np.arange(width)
+    grad = np.bincount(idx.ravel(), weights=np.broadcast_to(grad_logits, idx.shape).ravel(), minlength=n_features * width)
     return grad.reshape(n_features, width)
 
 

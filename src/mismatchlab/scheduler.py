@@ -56,7 +56,7 @@ import numpy as np
 from .discrepancy import DiscrepancySample, measure, probe_windows
 from .errors import ConfigError, TickCapError
 from .objective import (LossBreakdown, ObjectiveConfig, RolloutBatch, batch_group_advantages, empty_breakdown, momentum_update,
-                        objective_and_grad, sgd_update, spans)
+                        objective_and_grad, sgd_update)
 from .policy import Context, ContextTable, Engine, PolicyParams, Vocabulary
 # The direct engine path, no longer called here: perfbench/child.py wraps these names where each layer binds them.
 from .policy import batched_log_softmax, batched_train_logits, perturb_logits  # noqa: F401
@@ -360,6 +360,11 @@ class RolloutUniforms:
         entropy = np.tile(np.concatenate([head, _seed_words(block * _UID_BLOCK)]), (_UID_BLOCK, 1))
         entropy[:, head.size] += np.arange(_UID_BLOCK, dtype=np.uint32)
         return seed_sequence_states(entropy)
+
+
+def spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices of the ranges [starts[i], starts[i] + lengths[i]), concatenated in order."""
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(int(lengths.sum()))
 
 
 def _keep(state: SchedulerState, keep: np.ndarray) -> None:

@@ -213,66 +213,75 @@ def shifted_rows(table: ContextTable, lengths, prompt_ids, tokens) -> np.ndarray
 def reference_objective(batch, theta, ref, cfg, temperature=1.0):
     """Per-rollout loop that the flat objective must reproduce bit for bit.
 
-    Returns (value, grad, per-token arrays by LossBreakdown field, per-token KL).
+    np.add.at adds in input order, as the package's np.bincount does: each
+    token's scaled-logit gradient onto its recorded table row, in token
+    order, then each distinct row (in row order) onto its four feature
+    rows, slot by slot; and each token's value onto its rollout's sum.
+    Returns (value, grad, per-token arrays by LossBreakdown field, per-token KL
+    and scaled-logit gradients).
     """
-    grad = np.zeros_like(theta.weights)
-    parts: dict[str, list[np.ndarray]] = {k: [] for k in ("kept", "surrogate", "calib", "entropy", "logp", "kl")}
-    total = 0.0
+    rows, inverse = np.unique(batch.rows, return_inverse=True)
+    row_grad = np.zeros((rows.size, theta.vocab_size))
+    row_feats = np.zeros((rows.size, 4), dtype=np.intp)
+    rollout_sums = np.zeros(batch.lengths.size)
+    parts: dict[str, list[np.ndarray]] = {k: [] for k in ("kept", "surrogate", "calib", "entropy", "logp", "kl", "grad_logits")}
     n_groups, group_size = len(batch), batch.group_size
+    token_rows = np.split(inverse, np.cumsum(batch.lengths)[:-1])
     tokens, lp_trains, lp_infers = ([part.tolist() for part in np.split(getattr(batch, name), np.cumsum(batch.lengths)[:-1])]
                                     for name in ("tokens", "lp_train", "lp_infer"))
-    for g in range(n_groups):
-        group_value = 0.0
-        for i in range(g * group_size, (g + 1) * group_size):
-            advantage = float(batch.advantages[i])
-            n_tok = int(batch.lengths[i])
-            weight = 1.0 / (n_groups * group_size * n_tok)
-            token_ids = np.asarray(tokens[i])
-            lp_old = np.asarray(lp_trains[i])
-            lp_inf = np.asarray(lp_infers[i])
-            pos = np.arange(n_tok)
-            window = [-1, -1] + tokens[i]
-            feats = np.asarray(
-                [feature_rows(int(batch.prompt_ids[i]), window[t], window[t + 1], theta.n_features) for t in range(n_tok)]
-            )
-            log_probs, probs = batched_log_softmax(batched_train_logits(theta, feats, temperature))
-            lp_cur = log_probs[pos, token_ids]
-            calib = np.exp(lp_old - lp_inf)
-            if cfg.algo is Algo.ICEPOP:
-                kept = (calib >= cfg.alpha) & (calib <= cfg.beta)
-                factor = np.where(kept, calib, 0.0)
-            elif cfg.algo is Algo.GRPO:
-                kept = np.ones(n_tok, dtype=bool)
-                factor = calib
-            else:
-                kept = np.ones(n_tok, dtype=bool)
-                factor = np.minimum(calib, cfg.tis_cap)
-            ratio = np.exp(lp_cur - lp_old)
-            unclipped = ratio * advantage
-            clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * advantage
-            active = unclipped <= clipped
-            pg_values = factor * np.where(active, unclipped, clipped)
-            coeffs = np.where(active, weight * factor * ratio * advantage / temperature, 0.0)
-            grad_logits = -coeffs[:, None] * probs
-            grad_logits[pos, token_ids] += coeffs
-            kl_values = np.zeros(n_tok)
-            if ref is not None:
-                ref_log_probs, _ = batched_log_softmax(batched_train_logits(ref, feats, temperature))
-                diff = log_probs - ref_log_probs
-                kl_values = (probs * diff).sum(axis=1)
-                if cfg.kl_coeff > 0.0:
-                    grad_logits -= (weight * cfg.kl_coeff / temperature) * (probs * (diff - kl_values[:, None]))
-            for j in range(4):
-                np.add.at(grad, feats[:, j], grad_logits)
-            token_values = pg_values - cfg.kl_coeff * kl_values
-            group_value += float(token_values.sum()) / (group_size * n_tok)
-            for key, value in (
-                ("kept", kept), ("surrogate", pg_values), ("calib", calib),
-                ("entropy", -(probs * log_probs).sum(axis=1)), ("logp", lp_cur), ("kl", kl_values),
-            ):
-                parts[key].append(value)
-        total += group_value
-    return total / n_groups, grad, {k: np.concatenate(v) for k, v in parts.items()}
+    for i in range(batch.lengths.size):
+        advantage = float(batch.advantages[i])
+        n_tok = int(batch.lengths[i])
+        weight = 1.0 / (n_groups * group_size * n_tok)
+        token_ids = np.asarray(tokens[i])
+        lp_old = np.asarray(lp_trains[i])
+        lp_inf = np.asarray(lp_infers[i])
+        pos = np.arange(n_tok)
+        window = [-1, -1] + tokens[i]
+        feats = np.asarray(
+            [feature_rows(int(batch.prompt_ids[i]), window[t], window[t + 1], theta.n_features) for t in range(n_tok)]
+        )
+        log_probs, probs = batched_log_softmax(batched_train_logits(theta, feats, temperature))
+        lp_cur = log_probs[pos, token_ids]
+        calib = np.exp(lp_old - lp_inf)
+        if cfg.algo is Algo.ICEPOP:
+            kept = (calib >= cfg.alpha) & (calib <= cfg.beta)
+            factor = np.where(kept, calib, 0.0)
+        elif cfg.algo is Algo.GRPO:
+            kept = np.ones(n_tok, dtype=bool)
+            factor = calib
+        else:
+            kept = np.ones(n_tok, dtype=bool)
+            factor = np.minimum(calib, cfg.tis_cap)
+        ratio = np.exp(lp_cur - lp_old)
+        unclipped = ratio * advantage
+        clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * advantage
+        active = unclipped <= clipped
+        pg_values = factor * np.where(active, unclipped, clipped)
+        coeffs = np.where(active, weight * factor * ratio * advantage / temperature, 0.0)
+        grad_logits = -coeffs[:, None] * probs
+        grad_logits[pos, token_ids] += coeffs
+        kl_values = np.zeros(n_tok)
+        if ref is not None:
+            ref_log_probs, _ = batched_log_softmax(batched_train_logits(ref, feats, temperature))
+            diff = log_probs - ref_log_probs
+            kl_values = (probs * diff).sum(axis=1)
+            if cfg.kl_coeff > 0.0:
+                grad_logits -= (weight * cfg.kl_coeff / temperature) * (probs * (diff - kl_values[:, None]))
+        np.add.at(row_grad, token_rows[i], grad_logits)
+        row_feats[token_rows[i]] = feats
+        np.add.at(rollout_sums, np.full(n_tok, i), pg_values - cfg.kl_coeff * kl_values)
+        for key, value in (
+            ("kept", kept), ("surrogate", pg_values), ("calib", calib),
+            ("entropy", -(probs * log_probs).sum(axis=1)), ("logp", lp_cur), ("kl", kl_values),
+            ("grad_logits", grad_logits),
+        ):
+            parts[key].append(value)
+    grad = np.zeros_like(theta.weights)
+    for j in range(4):
+        np.add.at(grad, row_feats[:, j], row_grad)
+    value = float((rollout_sums / (group_size * batch.lengths)).sum()) / n_groups
+    return value, grad, {k: np.concatenate(v) for k, v in parts.items()}
 
 
 @dataclass

@@ -86,7 +86,7 @@ def _read_jsonl(path: Path) -> list[dict]:
 
 
 def anchor_values(command: str, run_dir: Path) -> dict[str, float]:
-    """The behaviour values a run's outputs report, by anchor name, as perfbench/workloads.py reads them."""
+    """The behaviour values a run's outputs report, by anchor name (perfbench/workloads.py's names where it has one)."""
     if command == "train":
         rows = _read_jsonl(run_dir / "metrics.jsonl")[1:]
         first = [r["reward_mean"] for r in rows[:20] if r["reward_mean"] is not None]

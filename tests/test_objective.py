@@ -533,13 +533,38 @@ def test_flat_objective_matches_per_rollout_loop(seed: int, algo: Algo, kl_coeff
     assert all(getattr(batch, f.name).tobytes() == was.tobytes() for f, was in zip(dataclasses.fields(RolloutBatch)[1:], before))
 
 
-def test_length_class_sums_equal_each_rollouts_own_sum() -> None:
-    """Lengths 1 to 600, several rollouts at 8, 9, 128, 129 and 512: the value folds each rollout's own .sum().
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("algo,kl_coeff", [(Algo.ICEPOP, 0.0), (Algo.GRPO, 0.3)])
+def test_gradient_matches_the_per_rollout_scatter_order(seed: int, algo: Algo, kl_coeff: float) -> None:
+    """The row-space gradient against each rollout's tokens scattered onto their feature rows, rollout by rollout.
+
+    The two add the same terms in another order, so they agree to rounding: within 1e-12 of each entry,
+    or of the largest entry where the terms cancel.
+    """
+    theta_old, batch, table = carried_batch(seed)
+    theta = PolicyParams(theta_old.weights * 1.1, theta_old.version_id)
+    ref = init_params(Vocabulary(size=6), n_features=24, init_scale=0.5, seed=99)
+    cfg = ObjectiveConfig(algo=algo, kl_coeff=kl_coeff, group_size=3)
+    out = objective_and_grad(batch, theta, ref, cfg, table)
+    grad_logits = reference_objective(batch, theta, ref, cfg)[2]["grad_logits"]
+    cuts = np.cumsum(batch.lengths)[:-1]
+    per_rollout_order = np.zeros_like(theta.weights)
+    for feats, part in zip(np.split(table.feats[batch.rows], cuts), np.split(grad_logits, cuts)):
+        for j in range(4):
+            np.add.at(per_rollout_order, feats[:, j], part)
+    assert out.grad.tobytes() != per_rollout_order.tobytes()
+    np.testing.assert_allclose(out.grad, per_rollout_order, rtol=1e-12, atol=1e-12 * np.abs(per_rollout_order).max())
+
+
+def test_value_folds_each_rollouts_tokens_in_order() -> None:
+    """Lengths 1 to 600, several rollouts at 8, 9, 128, 129 and 512: each rollout's value is its tokens added in order.
 
     With kl_coeff 0 the token values are the per-token surrogates, so the
-    objective must be the per-rollout fold of their 1-D sums, bit for bit.
+    objective must be the group's fold of their running sums, bit for bit.
     One group per batch, of four lengths, and unmasked calibration ratios
-    over a few orders of magnitude, so that another summation order shows.
+    over a few orders of magnitude, so that another summation order shows:
+    numpy's pairwise .sum() of each rollout gives another value in some
+    groups.
     """
     vocab = Vocabulary(size=6)
     theta = init_params(vocab, n_features=24, init_scale=0.7, seed=5)
@@ -547,7 +572,7 @@ def test_length_class_sums_equal_each_rollouts_own_sum() -> None:
     lengths = [*range(1, 601), 8, 9, 128, 129, 512, 8, 9, 128, 129, 512]
     lengths = [int(n) for n in rng.permutation(lengths)] + [8, 512]  # 612 rollouts
     cfg = ObjectiveConfig(algo=Algo.GRPO, group_size=4)
-    table = new_table(theta)
+    table, other_order = new_table(theta), 0
     for g in range(0, len(lengths), 4):
         rollouts = []
         for n in lengths[g : g + 4]:
@@ -555,8 +580,14 @@ def test_length_class_sums_equal_each_rollouts_own_sum() -> None:
             rollouts.append((int(rng.integers(200, 204)), rng.integers(0, 6, n).tolist(), (lp_train - rng.normal(0, 2, n)).tolist(),
                              lp_train.tolist(), [0] * n))
         out = objective_and_grad(batch_of(rollouts, rng.normal(size=4), 4, table), theta, None, cfg, table)
-        group_value, end = 0.0, 0
+        group_value, pairwise, end = 0.0, 0.0, 0
         for n in lengths[g : g + 4]:
-            group_value += float(out.per_token_surrogate[end : end + n].sum()) / (4 * n)
+            running = 0.0
+            for value in out.per_token_surrogate[end : end + n].tolist():
+                running += value
+            group_value += running / (4 * n)
+            pairwise += float(out.per_token_surrogate[end : end + n].sum()) / (4 * n)
             end += n
         assert out.objective_value == group_value
+        other_order += out.objective_value != pairwise
+    assert other_order
