@@ -10,7 +10,10 @@ of every output file of the set, by "run/file". numpy's CPU dispatch
 changes the last bits of its float kernels, and so the output bytes,
 which is why the hashes are keyed by the fingerprint: a host whose
 fingerprint the manifest does not hold has no pinned bytes, but still
-checks the anchors.
+checks the anchors. A schedule run also pins "run/batches", the SHA-256
+of every batch it emits for training (see batch_digest): with target
+lengths its report depends on lengths alone, so no output file shows
+its tokens.
 
 Usage, from the repository root:
 
@@ -31,6 +34,7 @@ Usage, from the repository root:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import sys
@@ -67,18 +71,51 @@ def write_config(run: dict, tree: Path, out: Path) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def batch_digest():
+    """Hash every batch that the scheduler's two iteration entry points emit inside: per batch, in emission
+    order, its mode ("budget" or "baseline"), then its per-token tokens, context rows, log probs under both
+    engines and versions. Yields the hashlib object."""
+    from mismatchlab import scheduler
+
+    digest, steps = hashlib.sha256(), {"run_iteration": b"budget", "run_iteration_baseline": b"baseline"}
+
+    def hashing(step, mode):
+        def emit(*args, **kwargs):
+            report, batch = step(*args, **kwargs)
+            digest.update(mode)
+            for name in ("tokens", "rows", "lp_train", "lp_infer", "versions"):
+                digest.update(getattr(batch, name).tobytes())
+            return report, batch
+        return emit
+
+    originals = {name: getattr(scheduler, name) for name in steps}
+    for name, mode in steps.items():
+        setattr(scheduler, name, hashing(originals[name], mode))
+    try:
+        yield digest
+    finally:
+        for name, step in originals.items():
+            setattr(scheduler, name, step)
+
+
 def run_hashes(run: dict, tree: Path, out: Path) -> dict[str, str]:
-    """Run one entry of the set in-process through cli.main; the SHA-256 of each output file by "run/file"."""
+    """Run one entry of the set in-process through cli.main; the SHA-256 of each output file by "run/file",
+    and for a schedule run its batch_digest as "run/batches"."""
     from mismatchlab import cli
 
     path = write_config(run, tree, out)
-    code = cli.main([run["command"], "--config", str(path), "--out", str(out / run["name"])])
+    with batch_digest() as digest:
+        code = cli.main([run["command"], "--config", str(path), "--out", str(out / run["name"])])
     if code != 0:
         raise RuntimeError(f"{run['name']}: {run['command']} exited {code}")
-    return {
+    hashes = {
         f"{run['name']}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
         for f in sorted((out / run["name"]).iterdir())
     }
+    if run["command"] == "schedule":
+        hashes[f"{run['name']}/batches"] = digest.hexdigest()
+    return hashes
 
 
 def _read_jsonl(path: Path) -> list[dict]:

@@ -16,9 +16,9 @@ REPLAY_SET = load_set()
 
 @pytest.fixture(scope="module", params=REPLAY_SET["runs"], ids=lambda run: run["name"])
 def replay_run(request, tmp_path_factory) -> tuple[dict, dict, list, list, dict]:
-    """One run of each case, with `ContextTable._evaluate` wrapped: the case, its output hashes, the rows of
-    each table pass, every pass made a second time at one table's loaded params, and its anchor values.
-    The tests below read this one run."""
+    """One run of each case, with `ContextTable._evaluate` wrapped: the case, its output hashes (with a schedule
+    run's batch digest), the rows of each table pass, every pass made a second time at one table's loaded
+    params, and its anchor values. The tests below read this one run."""
     run, evaluate, passes, repeats, last = request.param, ContextTable._evaluate, [], [], weakref.WeakKeyDictionary()
 
     def recording(table, rows):
