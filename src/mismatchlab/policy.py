@@ -26,8 +26,11 @@ logits, in one softmax call, for a RowSet: a fixed list of contexts
 hashed once, evaluated at any params of one shape. A training run's
 ContextTable is the RowSet of every prompt's (prev, last) windows,
 evaluated per parameter version at the rows the run can read, which
-ticks (inverse-CDF sampling), the objective and the probe measure
-gather. The compounding experiment evaluates the RowSet of its probes
+sampling, the objective and the probe measure gather. Sampling is
+inverse-CDF: a token is the count of the row's first V - 1 inference
+CDF entries at or below its uniform, which the table keeps token-major,
+one (V - 1, rows) array, so one take reads them for a batch of rows.
+The compounding experiment evaluates the RowSet of its probes
 (discrepancy.probe_set) at each state. Both raise NumericError on
 non-finite logits that a caller reads. The direct path (context_rows ->
 batched_train_logits -> perturb_logits -> a softmax per engine) is kept
@@ -479,7 +482,12 @@ class ContextTable(RowSet):
     a target length), which it never reads past.
 
     A per-row marker says whether a row holds both engines' log-probs and
-    probs and the inference CDF at the loaded params. load(params, rows)
+    probs and the inference CDF at the loaded params. The log-probs and
+    probs are (rows, V) views of one (rows, 4, V) block; cdf is its own
+    (V - 1, rows) array, token-major: cdf[k, row] is the sum of the row's
+    first k + 1 inference probs, in order (np.cumsum), so a batch of rows
+    is one take along axis 1. The last running sum is not kept: the
+    count of entries at or below a uniform is clamped at V - 1 anyway. load(params, rows)
     loads params, clearing every marker, and evaluates rows in one pass:
     the rollout loop passes every row the version can read. check(rows),
     the one read gate, evaluates the requested rows a pass missed, in one
@@ -503,11 +511,12 @@ class ContextTable(RowSet):
             np.tile(windows // self.side - 1, len(prompts)),
             np.tile(windows % self.side - 1, len(prompts)),
         ], n_features, vocab_size, infer, temperature)
-        # Per row, at the loaded params: (lp_train, lp_infer, probs_train, probs_infer,
-        # cdf), and its marker: -1 until evaluated, then how many engines have
-        # non-finite logits: 0, 1 (inference) or 2 (both; inference reads training).
-        self._dists = np.zeros((self.feats.shape[0], 5, vocab_size))
-        self.lp_train, self.lp_infer, self.probs_train, self.probs_infer, self.cdf = self._dists.transpose(1, 0, 2)
+        # Per row, at the loaded params: (lp_train, lp_infer, probs_train, probs_infer),
+        # the inference CDF token-major, and its marker: -1 until evaluated, then how many
+        # engines have non-finite logits: 0, 1 (inference) or 2 (both; inference reads training).
+        self._dists = np.zeros((self.feats.shape[0], 4, vocab_size))
+        self.lp_train, self.lp_infer, self.probs_train, self.probs_infer = self._dists.transpose(1, 0, 2)
+        self.cdf = np.zeros((vocab_size - 1, self.feats.shape[0]))
         self._status = np.full(self.feats.shape[0], -1, dtype=np.int8)
         # Per row (prev, last), the row of (last, 0), which advance adds each token to.
         rows = np.arange(self.feats.shape[0])
@@ -556,14 +565,17 @@ class ContextTable(RowSet):
             if missing.any():
                 self._evaluate(np.flatnonzero(missing))
 
-    def check(self, rows: np.ndarray) -> None:
+    def check(self, rows: np.ndarray, ticks: np.ndarray | None = None) -> None:
         """Evaluate the rows not yet evaluated, in one pass, then raise NumericError if a row's training
-        logits (the direct path's message), or else its inference logits, are non-finite."""
+        logits (the direct path's message), or else its inference logits, are non-finite. Given ticks, rows[i]
+        is read at tick ticks[i], and only the reads of the first tick that reads a non-finite row count."""
         status = self._status[rows]
         if np.count_nonzero(status):
             if (status < 0).any():
                 self.load(self.params, rows)
                 status = self._status[rows]
+            if ticks is not None and status.any():
+                status = status[ticks == ticks[status > 0].min()]
             if status.any():
                 raise NumericError(_NON_FINITE_LOGITS if status.max() == 2 else _NON_FINITE_INFER_LOGITS)
 
@@ -572,5 +584,6 @@ class ContextTable(RowSet):
         with np.errstate(over="ignore", invalid="ignore"):
             train_logits = _scaled_train_logits(self.params.weights, self.feats[rows], self.temperature)
         log_probs, probs, _, finite, _ = self.engines(train_logits, self.params.version_id, rows)
-        self._dists[rows] = np.concatenate([log_probs, probs, np.cumsum(probs[:, 1:], axis=2)], axis=1)
+        self._dists[rows] = np.concatenate([log_probs, probs], axis=1)
+        self.cdf[:, rows] = np.cumsum(probs[:, 1, :-1], axis=1).T
         self._status[rows] = (~finite[:, 0]).astype(np.int8) + ~finite[:, 1]

@@ -4,13 +4,13 @@ Time model: one tick generates one token for every active rollout in
 parallel (idealized batched inference); rollout-phase cost is measured
 in ticks and weight sync adds a fixed tick cost per iteration.
 
-One loop, _rollout_loop, runs both kinds of iteration. At its start an
-iteration spawns, as one block, the full sibling groups of the prompts it
-draws, so that the pending queue holds prompts_per_iteration whole
-groups; the pool admits pending rollouts in order up to its capacity,
-and whole groups it leaves pending carry over. A tick ends a rollout that
-reaches its token limit, or a policy-length one that samples EOS; it
-turns terminal and leaves the pool. A group is emitted for training once
+_rollout_loop runs both kinds of iteration. At its start an iteration
+spawns, as one block, the full sibling groups of the prompts it draws,
+so that the pending queue holds prompts_per_iteration whole groups; the
+pool admits pending rollouts in order up to its capacity, and whole
+groups it leaves pending carry over. A tick ends a rollout that reaches
+its token limit, or a policy-length one that samples EOS; it turns
+terminal and leaves the pool. A group is emitted for training once
 every sibling is terminal. Budget-partitioned (C3PO++-style) iterations
 refill before every tick and stop once the completed tokens reach the
 token budget; unfinished rollouts carry over under the updated
@@ -20,20 +20,32 @@ pool and stops when a refill leaves it empty: capacity-sized waves, and
 nothing carries over. In both, budget.tick_cap bounds an iteration.
 
 Live rollouts are columns of one int64 matrix, and their tokens slots of
-flat per-token arrays, one block of slots per rollout. The loop keeps the
-pool's context rows, next slots, stop slots and end tokens as local
-arrays: it reads them with one gather, and writes the rows and lengths
-back, only when the pool changes (a refill admits, or a tick ends
-rollouts). So a tick is about a dozen array operations whatever the
-pool's width; with no end token in the pool it counts down to the
-nearest stop slot instead of testing every rollout. Spawn writes a block
-of rollouts, the close finds complete groups with a bincount and
-verifies each task kind once, and the emitted groups reach the objective
-as a flat RolloutBatch that carries each token's table row. Ticks, the
-objective and the probe measure read both engines from the state's
-ContextTable, which evaluates in one pass per version every row readable
-then: the windows that the rollouts of each live (prompt, end token) can
-read, and the probe rows.
+flat per-token arrays, one block of slots per rollout. An iteration runs
+in one of two loops. With an end token in play (a policy-length rollout,
+which ends on EOS), _tick_loop samples the pool tick by tick: it keeps
+the pool's context rows, next slots, stop slots and end tokens as local
+arrays, reads them with one gather and writes the rows and lengths back
+only when the pool changes, so a tick is about a dozen array operations
+whatever the pool's width. Without one (every rollout has a target
+length), the schedule (each rollout's end tick, and so every admission,
+the budget stop, what carries over and the tick cap) depends on lengths
+alone, and a rollout's tokens only on its own uniforms and the version's
+table. So such an iteration is scheduled first and sampled after.
+_schedule moves the pool from one end event to the next with a heap of
+end ticks, and records the ticks between events as segments; _sample
+then fills every generated slot, each rollout from its row at the start
+of the iteration, in one array step per token position over the rollouts
+still generating (sorted longest first, they form a prefix), and
+finishes the last few in scalar bisect_right steps. The table checks
+every read at its tick, so both loops raise the same errors: a
+NumericError at the first tick that reads a non-finite row, before any
+later tick cap. Spawn writes a block of rollouts, the close finds
+complete groups with a bincount and verifies each task kind once, and
+the emitted groups reach the objective as a flat RolloutBatch that
+carries each token's table row. Sampling, the objective and the probe
+measure read both engines from the state's ContextTable, which evaluates
+in one pass per version every row readable then: the windows that the
+rollouts of each live (prompt, end token) can read, and the probe rows.
 
 Each rollout samples with its own uniforms, one per token, so the pool's
 order never perturbs another rollout's tokens. They are the first draws
@@ -48,8 +60,11 @@ rollout's length.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -407,15 +422,13 @@ def _spawn_groups(state: SchedulerState, wanted: int, group_size: int) -> None:
     state.next_group_uid += len(groups)
 
 
-def _refill(state: SchedulerState, cfg: BudgetConfig, pool: np.ndarray) -> np.ndarray:
-    """Admit pending rollouts, in queue order, up to the pool's capacity; returns the refilled pool (its
-    columns of state.rollouts)."""
-    admitted = min(cfg.infer_capacity - pool.size, state.n_pending)
-    if not admitted:
-        return pool
+def _refill(state: SchedulerState, cfg: BudgetConfig, pool_size: int) -> range:
+    """Admit pending rollouts, in queue order, up to the capacity of a pool of pool_size; returns their
+    columns of state.rollouts."""
+    admitted = min(cfg.infer_capacity - pool_size, state.n_pending)
     first = state.rollouts.shape[1] - state.n_pending
     state.n_pending -= admitted
-    return np.concatenate([pool, np.arange(first, first + admitted)])
+    return range(first, first + admitted)
 
 
 def _in_pool(state: SchedulerState) -> np.ndarray:
@@ -441,8 +454,8 @@ def _generate_tick(state: SchedulerState, row: np.ndarray, slot: np.ndarray) -> 
     table, slots = state.table, state.slots
     table.check(row)
     # Inverse CDF: the count of cdf entries <= u is searchsorted(side="right"), clamped at V - 1;
-    # the cdf rises, so counting among its first V - 1 entries clamps it.
-    tokens = (table.cdf[row, :-1] <= slots["uniform"][slot][:, None]).sum(axis=1)
+    # the cdf rises, so counting among its first V - 1 entries, which the table keeps, clamps it.
+    tokens = (table.cdf.take(row, axis=1) <= slots["uniform"][slot]).sum(axis=0)
     slots["token"][slot] = tokens
     slots["context"][slot] = row
     return tokens, table.advance(row, tokens)
@@ -523,6 +536,158 @@ def _close_iteration(
     return report, batch
 
 
+class _Schedule(NamedTuple):
+    """A target-length iteration as _schedule runs it, by end events alone.
+
+    columns lists every rollout in the pool during the iteration, in
+    admission order (the pool at its start first), and admitted the tick
+    at which each joined it; ended lists those that ended. ticks is the
+    iteration's length, counter the tokens of the ended rollouts, and
+    capped whether the tick after the last one would exceed tick_cap.
+    segments has one (ticks, active, ended, counter) entry per stretch
+    of ticks between end events: its length, the pool's size during it,
+    the rollouts its last tick ends and counter after it.
+    """
+
+    columns: list[int]
+    admitted: list[int]
+    ended: list[int]
+    ticks: int
+    counter: int
+    capped: bool
+    segments: list[tuple[int, int, int, int]]
+
+
+def _schedule(state: SchedulerState, cfg: BudgetConfig, pool: np.ndarray, baseline: bool) -> _Schedule:
+    """The tick loop of a target-length iteration without its tokens: the pool moves from one end event to
+    the next, refills where the tick loop does, and stops where it stops."""
+    rollouts = state.rollouts
+    limit, left = rollouts[_LIMIT].tolist(), (rollouts[_LIMIT] - rollouts[_LENGTH]).tolist()
+    columns, admitted, ended, segments = pool.tolist(), [0] * pool.size, [], []
+    ends = [(left[c], c) for c in columns]  # a heap of (the tick that ends it, its column)
+    heapq.heapify(ends)
+    ticks = counter = 0
+    while baseline or counter < cfg.token_budget:
+        if not (baseline and ends):
+            for c in _refill(state, cfg, len(ends)):
+                columns.append(c)
+                admitted.append(ticks)
+                heapq.heappush(ends, (ticks + left[c], c))
+        if not ends:
+            break
+        if ticks >= cfg.tick_cap:
+            return _Schedule(columns, admitted, ended, ticks, counter, True, segments)
+        until, active = min(ends[0][0], cfg.tick_cap), len(ends)
+        while ends and ends[0][0] == until:
+            c = heapq.heappop(ends)[1]
+            ended.append(c)
+            counter += limit[c]
+        segments.append((until - ticks, active, active - len(ends), counter))
+        ticks = until
+    return _Schedule(columns, admitted, ended, ticks, counter, False, segments)
+
+
+_SCALAR_TAIL = 8  # the sampler's last rollouts finish in scalar steps
+
+
+def _sample(state: SchedulerState, plan: _Schedule) -> None:
+    """Sample every slot that plan's rollouts generated, and write back their rows, lengths and ends.
+
+    Each rollout starts from its row at the start of the iteration, and
+    its tokens depend only on its own uniforms and the loaded table, so
+    the order of sampling is free. The rollouts go longest first, so
+    those still generating at a token position form a prefix: one array
+    step per position samples that prefix, until _SCALAR_TAIL rollouts
+    are left, which finish in bisect_right steps on their rows' CDF
+    lists. Then the table checks every read at its tick (admission tick
+    plus position), so that the NumericError is the tick loop's.
+    """
+    rollouts, slots, table = state.rollouts, state.slots, state.table
+    columns, admitted = np.array(plan.columns, dtype=np.intp), np.array(plan.admitted, dtype=np.int64)
+    first = rollouts[_START][columns] + rollouts[_LENGTH][columns]
+    counts = np.minimum(rollouts[_LIMIT][columns] - rollouts[_LENGTH][columns], plan.ticks - admitted)
+    order = np.argsort(-counts, kind="stable")
+    counts_desc, first_desc, row = counts[order], first[order], rollouts[_ROW][columns[order]]
+    uniform, cdf = slots["uniform"], table.cdf
+    steps = int(counts_desc[_SCALAR_TAIL]) if counts.size > _SCALAR_TAIL else 0
+    if steps:
+        widths = np.searchsorted(-counts_desc, -np.arange(steps))  # rollouts still generating at each position
+        at = first_desc[spans(np.zeros_like(widths), widths)] + np.repeat(np.arange(steps), widths)
+        drawn, tokens, reads = uniform[at], [], []
+        for lo, width in zip((np.cumsum(widths) - widths).tolist(), widths.tolist()):
+            row = row[:width]
+            token = (cdf.take(row, axis=1) <= drawn[lo : lo + width]).sum(axis=0)  # as _generate_tick samples
+            reads.append(row)
+            tokens.append(token)
+            row = table.advance(row, token)
+        slots["token"][at] = np.concatenate(tokens)
+        slots["context"][at] = np.concatenate(reads)
+    lists = {}  # row -> (its cdf entries, the row it advances to on token 0); bisect_right counts the entries <= u
+    for r, lo, hi in zip(row[:_SCALAR_TAIL].tolist(), (first_desc + steps).tolist(), (first_desc + counts_desc).tolist()):
+        tokens, reads = [], []
+        for u in uniform[lo:hi].tolist():
+            if r not in lists:
+                lists[r] = cdf[:, r].tolist(), int(table.advance(r, 0))
+            entries, after = lists[r]
+            reads.append(r)
+            r = after + bisect.bisect_right(entries, u)
+            tokens.append(r - after)
+        slots["token"][lo:hi] = tokens
+        slots["context"][lo:hi] = reads
+    at = spans(first, counts)
+    table.check(slots["context"][at], at - np.repeat(first - admitted, counts))
+    last = (first + counts - 1)[counts > 0]
+    rollouts[_ROW][columns[counts > 0]] = table.advance(slots["context"][last], slots["token"][last])
+    rollouts[_LENGTH][columns] += counts
+    rollouts[_TERMINAL][plan.ended] = 1
+
+
+def _tick_loop(state: SchedulerState, cfg: BudgetConfig, pool: np.ndarray, baseline: bool) -> tuple[int, int, int]:
+    """Run an iteration tick by tick from pool; returns its ticks, counter and completed rollouts.
+
+    Each tick samples one token for every rollout in the pool and ends
+    those that sample their end token or fill their slots.
+    """
+    counter = ticks = completed = 0
+    row = None  # the pool's loop-local arrays are read again after a change of the pool
+    while baseline or counter < cfg.token_budget:
+        if not (baseline and pool.size):
+            admitted = _refill(state, cfg, pool.size)
+            if admitted:
+                if row is not None:
+                    _write_back(state, pool, row, slot)
+                pool, row = np.concatenate([pool, admitted]), None
+        if not pool.size:
+            break
+        if row is None:
+            live = state.rollouts.take(pool, axis=1)
+            row, slot, stop, end = live[_ROW], live[_START] + live[_LENGTH], live[_START] + live[_LIMIT], live[_END_TOKEN]
+            countdown = min((stop - slot).tolist())  # ticks until the first rollout fills its slots
+        if ticks >= cfg.tick_cap:
+            _write_back(state, pool, row, slot)
+            raise _tick_cap_error(state, cfg)
+        tokens, row = _generate_tick(state, row, slot)
+        slot += 1
+        ticks += 1
+        state.tick_clock += 1
+        countdown -= 1
+        ended = tokens == end
+        if not countdown:
+            ended |= slot >= stop
+        if np.count_nonzero(ended):
+            pool, lengths = _end_rollouts(state, pool, row, slot, ended)
+            counter += int(lengths.sum())
+            completed += lengths.size
+            row = None
+    if row is not None:
+        _write_back(state, pool, row, slot)
+    return ticks, counter, completed
+
+
+def _tick_cap_error(state: SchedulerState, cfg: BudgetConfig) -> TickCapError:
+    return TickCapError(f"iteration {state.iteration} did not end within budget.tick_cap = {cfg.tick_cap} ticks")
+
+
 def _rollout_loop(state, params_t, cfg, group_cfg, baseline: bool) -> tuple[StepReport, RolloutBatch]:
     """The one rollout loop of both kinds of iteration; returns the report and the emitted batch.
 
@@ -531,53 +696,24 @@ def _rollout_loop(state, params_t, cfg, group_cfg, baseline: bool) -> tuple[Step
     Baseline: refill only an empty pool, and stop when a refill leaves
     it empty; it starts with an empty pool, so purges and resumes nothing.
     Raises TickCapError on a tick beyond cfg.tick_cap in the iteration.
-    Each entry point calls it directly, so a traced run (perfbench/child.py)
-    times an iteration under one span.
+    An iteration in which no live rollout has an end token is scheduled
+    first and sampled after; any other runs tick by tick. Each entry
+    point calls it directly, so a traced run (perfbench/child.py) times
+    an iteration under one span.
     """
     purged = _purge_boundary(state, cfg)
     pool = np.flatnonzero(_in_pool(state))
     resumed = int(np.count_nonzero(state.rollouts[_LENGTH][pool]))
     _load_version(state, params_t, cfg, group_cfg)
-
-    counter = ticks = completed = 0
-    row = None  # the pool's loop-local arrays are read again after a change of the pool
-    while baseline or counter < cfg.token_budget:
-        if not (baseline and pool.size):
-            refilled = _refill(state, cfg, pool)
-            if refilled.size > pool.size:
-                if row is not None:
-                    _write_back(state, pool, row, slot)
-                pool, row = refilled, None
-        if not pool.size:
-            break
-        if row is None:
-            live = state.rollouts.take(pool, axis=1)
-            row, slot, stop = live[_ROW], live[_START] + live[_LENGTH], live[_START] + live[_LIMIT]
-            end = live[_END_TOKEN] if max(live[_END_TOKEN].tolist()) >= 0 else None
-            countdown = min((stop - slot).tolist())  # ticks until the first rollout fills its slots
-        if ticks >= cfg.tick_cap:
-            _write_back(state, pool, row, slot)
-            raise TickCapError(f"iteration {state.iteration} did not end within budget.tick_cap = {cfg.tick_cap} ticks")
-        tokens, row = _generate_tick(state, row, slot)
-        slot += 1
-        ticks += 1
-        state.tick_clock += 1
-        countdown -= 1
-        if end is not None:
-            ended = tokens == end
-            if not countdown:
-                ended |= slot >= stop
-        elif countdown:
-            continue
-        else:
-            ended = slot >= stop
-        if np.count_nonzero(ended):
-            pool, lengths = _end_rollouts(state, pool, row, slot, ended)
-            counter += int(lengths.sum())
-            completed += lengths.size
-            row = None
-    if row is not None:
-        _write_back(state, pool, row, slot)
+    if state.rollouts[_END_TOKEN].max(initial=-1) < 0:
+        plan = _schedule(state, cfg, pool, baseline)
+        _sample(state, plan)
+        state.tick_clock += plan.ticks
+        if plan.capped:
+            raise _tick_cap_error(state, cfg)
+        ticks, counter, completed = plan.ticks, plan.counter, len(plan.ended)
+    else:
+        ticks, counter, completed = _tick_loop(state, cfg, pool, baseline)
     return _close_iteration(state, group_cfg.group_size, params_t.version_id, ticks, counter, completed, purged, resumed)
 
 

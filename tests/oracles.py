@@ -468,7 +468,7 @@ def _generate_tick(rollouts: list[Rollout], params: PolicyParams, state: OracleS
     table.check(rows)
     u = np.fromiter((r.uniforms[len(r.tokens)] for r in rollouts), np.float64, n)
     # Inverse CDF: the count of cdf entries <= u is searchsorted(side="right").
-    tokens = np.minimum((table.cdf[rows] <= u[:, None]).sum(axis=1), table.vocab_size - 1)
+    tokens = np.minimum((table.cdf[:, rows] <= u).sum(axis=0), table.vocab_size - 1)
     version = params.version_id
     eos = state.vocab.eos_id
     finished: list[Rollout] = []

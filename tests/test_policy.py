@@ -190,7 +190,8 @@ def test_sample_token_replays_inverse_cdf_oracle() -> None:
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), vocab_size=st.integers(2, 9), scale=st.sampled_from([0.0, 0.3, 1.5]))
 def test_tick_count_is_the_cdf_entries_at_or_below_u_clamped(seed: int, vocab_size: int, scale: float) -> None:
-    """The tick's token is min((cdf <= u).sum(), V - 1) of the row's inference CDF, ties and u >= cdf[-1] included."""
+    """The tick's token is min((cdf <= u).sum(), V - 1) of the row's inference CDF, ties and u >= cdf[-1] included;
+    the table holds the CDF's first V - 1 entries, token-major."""
     rng = np.random.default_rng(seed)
     params = PolicyParams(rng.normal(0, 2.0, (16, vocab_size)))
     engine = infer_engine(scale, 7)
@@ -199,7 +200,8 @@ def test_tick_count_is_the_cdf_entries_at_or_below_u_clamped(seed: int, vocab_si
     table.load(params)
     row = table.rows([ctx.prompt_id], *([v] for v in ctx.window()))
     table.check(row)
-    cdf = table.cdf[row[0]]
+    cdf = np.cumsum(table.probs_infer[row[0]])
+    assert table.cdf[:, row[0]].tobytes() == cdf[:-1].tobytes()
     uniforms = np.concatenate([[0.0, 1.0 - 2.0**-53, 1.0, cdf[-1], np.nextafter(cdf[-1], 0.0)], cdf, rng.random(20)])
     tokens = [r.tokens[0] for r in tick_tokens(params, ctx, engine, uniforms)]
     assert tokens == [min(int((cdf <= u).sum()), vocab_size - 1) for u in uniforms]

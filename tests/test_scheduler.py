@@ -29,7 +29,7 @@ from mismatchlab import (
     run_iteration_baseline,
     train_loop,
 )
-from mismatchlab.errors import TickCapError
+from mismatchlab.errors import NumericError, TickCapError
 from mismatchlab import objective, scheduler
 from mismatchlab.scheduler import (
     JUMPS,
@@ -49,6 +49,7 @@ from mismatchlab.scheduler import (
     pcg64_uniforms,
     seed_sequence_states,
 )
+from mismatchlab.policy import _NON_FINITE_INFER_LOGITS, _NON_FINITE_LOGITS, ContextTable
 from mismatchlab.tasks import TaskKind, sample_prompt
 from oracles import ScriptedPromptSource, UidStreams, _rollout_loop, baseline_wave_loop, oracle_state, shifted_rows
 
@@ -172,16 +173,19 @@ FIXTURE_TRACE_ITER2 = [
 
 @contextlib.contextmanager
 def tick_trace():
-    """One row per scheduler tick run inside, read off _generate_tick and _end_rollouts.
+    """One row per scheduler tick run inside, read off _generate_tick and _end_rollouts, and for a scheduled
+    iteration off the segments of _schedule.
 
     tick is state.tick_clock + 1, the tick's number; active and pool_after
     are the pool sizes into and out of the tick; completed counts the
     rollouts it ended, and counter sums the lengths of the rollouts ended
-    so far in the iteration. The loop calls _end_rollouts right after a
-    tick that ends some rollouts, and only then.
+    so far in the iteration. The tick loop calls _end_rollouts right after
+    a tick that ends some rollouts, and only then. A segment of _schedule
+    is a stretch of ticks with one pool whose last tick ends rollouts, or
+    reaches the tick cap.
     """
     trace: list[dict] = []
-    tick, end, counter = scheduler._generate_tick, scheduler._end_rollouts, {}
+    tick, end, schedule, counter = scheduler._generate_tick, scheduler._end_rollouts, scheduler._schedule, {}
 
     def recording_tick(state, row, slot):
         generated = tick(state, row, slot)
@@ -195,11 +199,22 @@ def tick_trace():
         trace[-1].update(completed=lengths.size, counter=counter[state.iteration], pool_after=pool_after.size)
         return pool_after, lengths
 
-    scheduler._generate_tick, scheduler._end_rollouts = recording_tick, recording_end
+    def recording_schedule(state, cfg, pool, baseline):
+        plan = schedule(state, cfg, pool, baseline)
+        number, before = state.tick_clock, 0
+        for ticks, active, ended, after in plan.segments:
+            for _ in range(ticks):
+                number += 1
+                trace.append({"tick": number, "active": active, "completed": 0, "counter": before, "pool_after": active})
+            trace[-1].update(completed=ended, counter=after, pool_after=active - ended)
+            before = after
+        return plan
+
+    scheduler._generate_tick, scheduler._end_rollouts, scheduler._schedule = recording_tick, recording_end, recording_schedule
     try:
         yield trace
     finally:
-        scheduler._generate_tick, scheduler._end_rollouts = tick, end
+        scheduler._generate_tick, scheduler._end_rollouts, scheduler._schedule = tick, end, schedule
 
 
 def test_fixture_trace_matches_hand_simulation() -> None:
@@ -322,13 +337,13 @@ def test_prompts_drawn_for_an_iteration_that_ends_early_spawn_first_in_the_next(
     seen: set[int] = set()
     refill = scheduler._refill
 
-    def recording(state, cfg, pool):
-        refilled = refill(state, cfg, pool)
-        for group_uid, prompt_id in state.rollouts[[_GROUP, _PROMPT]][:, refilled[pool.size :]].T.tolist():
+    def recording(state, cfg, pool_size):
+        columns = refill(state, cfg, pool_size)
+        for group_uid, prompt_id in state.rollouts[[_GROUP, _PROMPT]][:, columns].T.tolist():
             if group_uid not in seen:
                 seen.add(group_uid)
                 admitted.append((state.iteration, prompt_id))
-        return refilled
+        return columns
 
     monkeypatch.setattr(scheduler, "_refill", recording)
     params = default_params()
@@ -579,6 +594,50 @@ def test_a_tick_cap_error_leaves_the_rollouts_written_back() -> None:
     assert state.rollouts[_LENGTH].tolist() == [3, 50] and state.rollouts[_TERMINAL].tolist() == [1, 0]
     tokens = state.slots["token"][state.rollouts[_START, 1] :][:50]
     assert state.rollouts[_ROW, 1] == state.table.rows([100], tokens[-2:-1], tokens[-1:])[0]
+
+
+@pytest.mark.parametrize("kinds", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("tick_cap", [10**6, 3, 1])
+def test_a_scheduled_iteration_raises_the_tick_loops_error(monkeypatch, kinds, tick_cap) -> None:
+    """The first tick that reads a non-finite row raises, with the message of that tick's reads, unless the
+    tick cap comes first; as the tick-by-tick oracle raises.
+
+    Prompt 100's eight rollouts, admitted at tick 0, read rows of the first
+    kind (1: inference logits, 2: training logits non-finite) from their
+    second token on, tick 1; prompt 101's eight, admitted at tick 6, read
+    rows of the other kind from their first, tick 6. The sampler's steps
+    go by position, so they meet prompt 101's read (position 0) before
+    prompt 100's (position 1): step order and tick order disagree. A cap
+    of 3 ticks still runs tick 1; a cap of 1 does not.
+    """
+    evaluate = ContextTable._evaluate
+
+    def poisoned(table, rows):
+        evaluate(table, rows)
+        for prompt_id, kind, skip in ((100, kinds[0], 1), (101, kinds[1], 0)):
+            first = table.prompt_row(prompt_id)
+            bad = rows[(rows >= first + skip) & (rows < first + table.side**2)]
+            table._status[bad] = kind
+            table.cdf[:, bad] = np.nan
+
+    monkeypatch.setattr(ContextTable, "_evaluate", poisoned)
+    vocab = Vocabulary(size=8)
+    prompts = [(TaskSpec(TaskKind.PARITY_MATCH, 100, 0, 7), [6] * 8), (TaskSpec(TaskKind.PARITY_MATCH, 101, 1, 7), [3] * 8)]
+    budget = BudgetConfig(token_budget=10**5, infer_capacity=8, prompts_per_iteration=2, tick_cap=tick_cap)
+    cfg, params = ObjectiveConfig(group_size=8), default_params()
+    raised = []
+    for state, loop in ((SchedulerState(vocab, ScriptedPromptSource(prompts), 5, 32, infer_engine(0.2, 7)),
+                         lambda state: scheduler._rollout_loop(state, params, budget, cfg, False)),
+                        (oracle_state(5, vocab, 32, infer_engine(0.2, 7), ScriptedPromptSource(prompts)),
+                         lambda state: _rollout_loop(state, params, budget, cfg, None, False))):
+        with pytest.raises((NumericError, TickCapError)) as exc:
+            loop(state)
+        raised.append((exc.type, str(exc.value)))
+    assert raised[0] == raised[1]
+    if tick_cap == 1:
+        assert raised[0] == (TickCapError, "iteration 0 did not end within budget.tick_cap = 1 ticks")
+    else:
+        assert raised[0] == (NumericError, _NON_FINITE_INFER_LOGITS if kinds[0] == 1 else _NON_FINITE_LOGITS)
 
 
 def test_train_loop_zero_iterations_is_identity() -> None:

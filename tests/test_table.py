@@ -38,12 +38,13 @@ PROMPT_ID = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63
 
 
 def direct_rows(params, infer, temperature, pids, prev, last):
-    """(feats, lp_train, probs_train, lp_infer, probs_infer, cdf) through the direct path."""
+    """(feats, lp_train, probs_train, lp_infer, probs_infer, cdf) through the direct path; cdf token-major, as the
+    table holds it: the first V - 1 running sums of each row's inference probs, one row per token."""
     feats, keys_fixed, keys_version = context_rows(pids, prev, last, params.n_features, infer, params.version_id)
     train_logits = batched_train_logits(params, feats, temperature)
     lp_infer, probs_infer = batched_log_softmax(perturb_logits(train_logits, keys_fixed, keys_version, infer.mismatch_scale))
     lp_train, probs_train = batched_log_softmax(train_logits)
-    return feats, lp_train, probs_train, lp_infer, probs_infer, np.cumsum(probs_infer, axis=1)
+    return feats, lp_train, probs_train, lp_infer, probs_infer, np.cumsum(probs_infer, axis=1)[:, :-1].T
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,13 +76,13 @@ def test_table_rows_equal_direct_path(
         last = rng.integers(-1, vocab_size, n)
         rows = table.rows(pids, prev, last)
         table.check(rows)
-        got = (table.feats[rows], table.lp_train[rows], table.probs_train[rows], table.lp_infer[rows], table.probs_infer[rows], table.cdf[rows])
+        got = (table.feats[rows], table.lp_train[rows], table.probs_train[rows], table.lp_infer[rows], table.probs_infer[rows], table.cdf[:, rows])
         for g, want in zip(got, direct_rows(params, infer, temperature, pids, prev, last)):
             assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
 
 
 def full_block_rows(params, infer, temperature, pids, prev, last):
-    """(lp_train, probs_train, lp_infer, probs_infer, cdf) with every noise block drawn in full.
+    """(lp_train, probs_train, lp_infer, probs_infer, cdf) with every noise block drawn in full, cdf token-major.
 
     The oracles' composition: both per-version normal blocks at every
     entry, mixed with both persistent blocks, and the fault term masked,
@@ -94,7 +95,7 @@ def full_block_rows(params, infer, temperature, pids, prev, last):
         lp_infer, probs_infer = batched_log_softmax(block_inference_logits(train_logits, keys_fixed, keys_version, infer.mismatch_scale))
     else:
         lp_infer, probs_infer = lp_train, probs_train
-    return lp_train, probs_train, lp_infer, probs_infer, np.cumsum(probs_infer, axis=1)
+    return lp_train, probs_train, lp_infer, probs_infer, np.cumsum(probs_infer, axis=1)[:, :-1].T
 
 
 def read_gate(table: ContextTable, rows: np.ndarray, rng) -> list:
@@ -158,7 +159,7 @@ def test_restricted_load_equals_the_full_block_composition_on_every_finite_row(
         assert overflow or not any(messages)
         finite = np.asarray([m != TRAINING_MESSAGE for m in messages])
         at = rows[finite]
-        got = (table.lp_train[at], table.probs_train[at], table.lp_infer[at], table.probs_infer[at], table.cdf[at])
+        got = (table.lp_train[at], table.probs_train[at], table.lp_infer[at], table.probs_infer[at], table.cdf[:, at])
         with np.errstate(over="ignore", invalid="ignore"):  # a finite row's noise can still overflow
             for not_finite in np.flatnonzero(~finite):
                 with pytest.raises(NumericError):
@@ -415,6 +416,6 @@ def test_a_run_never_changes_the_table_shape() -> None:
     """The state's table holds every task prompt from construction; a run reads it without adding a row."""
     vocab, params, state, budget = trained_state(10, 0.2)
     feats, cdf = state.table.feats, state.table.cdf
-    assert feats.shape[0] == cdf.shape[0] == len(all_prompt_ids(vocab)) * (vocab.size + 1) ** 2
+    assert feats.shape[0] == cdf.shape[1] == len(all_prompt_ids(vocab)) * (vocab.size + 1) ** 2
     train_loop(4, state, params, budget, ObjectiveConfig(group_size=2, learning_rate=0.5), make_probes(32, vocab, 10))
-    assert state.table.feats is feats and state.table.cdf.base is cdf.base
+    assert state.table.feats is feats and state.table.cdf is cdf
