@@ -72,14 +72,15 @@ def _resolved_header(cfg: ExperimentConfig) -> dict:
 
 
 def _train_run(
-    cfg: ExperimentConfig, source: SyntheticPromptSource | None = None, baseline: bool = False, on_step=None
+    cfg: ExperimentConfig, source: SyntheticPromptSource | None = None, baseline: bool = False, on_step=None, probes=None
 ) -> tuple[list, PolicyParams, int]:
     """Train run.n_iterations iterations as cfg sets them up, all seeded by cfg.seed.
 
     The prompts come from source, by default the task distribution up to
-    tasks.max_len. Returns train_loop's results and final parameters, and
-    the tick clock at the end; the scheduler state, which holds the run's
-    context table, is freed on return.
+    tasks.max_len, and the probes are make_probes' for cfg unless given.
+    Returns train_loop's results and final parameters, and the tick clock
+    at the end; the scheduler state, which holds the run's context table,
+    is freed on return.
     """
     vocab = _vocab(cfg)
     infer = infer_engine(cfg.mismatch.scale, cfg.mismatch.seed)
@@ -87,7 +88,8 @@ def _train_run(
     if source is None:
         source = SyntheticPromptSource(vocab, max_len=cfg.tasks.max_len)
     state = SchedulerState(vocab, source, cfg.seed, cfg.policy.n_features, infer, cfg.policy.temperature)
-    probes = make_probes(cfg.run.n_probes, vocab, cfg.seed)
+    if probes is None:
+        probes = make_probes(cfg.run.n_probes, vocab, cfg.seed)
     results, params = train_loop(
         cfg.run.n_iterations, state, params, cfg.budget, cfg.objective, probes, baseline=baseline, on_step=on_step
     )
@@ -155,10 +157,12 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _schedule_one_seed(cfg: ExperimentConfig, seed: int) -> dict:
-    """Budget-partitioned vs baseline run on one shared seed (picklable, as is cfg)."""
+    """Budget-partitioned vs baseline run on one shared seed (picklable, as is cfg). Both modes measure the
+    same probes, frozen Contexts, built once."""
     assert cfg.schedule is not None
     sch = cfg.schedule
     cfg = dataclasses.replace(cfg, seed=seed, run=dataclasses.replace(cfg.run, n_iterations=sch.n_iterations))
+    probes = make_probes(cfg.run.n_probes, _vocab(cfg), seed)
 
     totals = {}
     for mode in ("budget", "baseline"):
@@ -169,7 +173,7 @@ def _schedule_one_seed(cfg: ExperimentConfig, seed: int) -> dict:
             median=sch.median,
             sigma=sch.sigma,
         )
-        results, _, _ = _train_run(cfg, source, baseline=(mode == "baseline"))
+        results, _, _ = _train_run(cfg, source, baseline=(mode == "baseline"), probes=probes)
         rollout_ticks = sum(r[0].rollout_ticks for r in results)
         trained = sum(r[0].trained_tokens for r in results)
         totals[mode] = {
@@ -197,28 +201,38 @@ def _schedule_one_seed(cfg: ExperimentConfig, seed: int) -> dict:
 
 
 def cmd_schedule(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:
+    """Write schedule_report.json: per seed in order, then the mean speedups. On a NumericError or
+    TickCapError the report holds status, error and the seeds done before the failing one, and the
+    error is raised again."""
     if cfg.schedule is None:
         raise ConfigError("schedule command requires a schedule section (length-distribution spec)")
     _make_out_dir(out_dir)
     seeds = cfg.schedule.seeds
-    if jobs > 1:
-        # Imported here: single-process runs skip its import time and memory.
-        from concurrent.futures import ProcessPoolExecutor
+    per_seed: list[dict] = []
+    failure: NumericError | TickCapError | None = None
+    try:
+        if jobs > 1:
+            # Imported here: single-process runs skip its import time and memory.
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
-            per_seed = list(pool.map(_schedule_one_seed, [cfg] * len(seeds), seeds))
-    else:
-        per_seed = [_schedule_one_seed(cfg, seed) for seed in seeds]
-    report = {
-        "schema_version": METRICS_SCHEMA_VERSION,
-        "config": cfg.to_dict(),
-        "per_seed": per_seed,
-        "mean_speedup_rollout": sum(r["speedup_rollout"] for r in per_seed) / len(per_seed),
-        "mean_speedup_end_to_end": sum(r["speedup_end_to_end"] for r in per_seed) / len(per_seed),
-    }
-    (out_dir / "schedule_report.json").write_text(
-        _dumps(report) + "\n", encoding="utf-8"
-    )
+            # map yields in seed order, and cancels the seeds not yet started once one raises.
+            with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
+                per_seed.extend(pool.map(_schedule_one_seed, [cfg] * len(seeds), seeds))
+        else:
+            per_seed.extend(_schedule_one_seed(cfg, seed) for seed in seeds)
+    except (NumericError, TickCapError) as exc:
+        failure = exc
+    report = {"schema_version": METRICS_SCHEMA_VERSION}
+    if failure is not None:
+        report["status"] = "numeric_failure" if isinstance(failure, NumericError) else "tick_cap_exceeded"
+        report["error"] = str(failure)
+    report.update(config=cfg.to_dict(), per_seed=per_seed)
+    if failure is None:
+        report["mean_speedup_rollout"] = sum(r["speedup_rollout"] for r in per_seed) / len(per_seed)
+        report["mean_speedup_end_to_end"] = sum(r["speedup_end_to_end"] for r in per_seed) / len(per_seed)
+    (out_dir / "schedule_report.json").write_text(_dumps(report) + "\n", encoding="utf-8")
+    if failure is not None:
+        raise failure  # main maps it to its message and exit code
     return EXIT_OK
 
 

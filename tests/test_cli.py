@@ -79,6 +79,49 @@ def test_schedule_jobs_do_not_change_the_report(tmp_path) -> None:
     assert reports[0] == reports[1]
 
 
+def test_schedule_builds_its_probes_once_per_seed(tmp_path, monkeypatch) -> None:
+    """Both modes of a seed measure one probe set: two seeds make two make_probes calls, not four."""
+    calls = []
+    make_probes = cli.make_probes
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return make_probes(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_probes", counting)
+    cfg = write_config(tmp_path, "schedule_longtail", schedule={"n_iterations": 1, "max_len": 16, "seeds": [11, 12]})
+    assert main(["schedule", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert [seed for _, _, seed in calls] == [11, 12]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "overrides,code,status,error,seeds_done",
+    [
+        # Seed 11's longest iteration takes 231 ticks, seed 12's 256.
+        ({"budget": {"tick_cap": 240}}, 4, "tick_cap_exceeded", "iteration 0 did not end within budget.tick_cap = 240 ticks",
+         [11]),
+        ({"mismatch": {"scale": 1e308}}, 3, "numeric_failure", "non-finite inference engine logits (mismatch noise overflowed)",
+         []),
+    ],
+)
+def test_schedule_failure_writes_a_report_of_the_seeds_done(tmp_path, capsys, overrides, code, status, error, seeds_done) -> None:
+    """A failing seed ends schedule in a report with status, error and the seeds done before it, in seed order
+    under --jobs 2 too, and the exit code and message of the failure."""
+    cfg = write_config(tmp_path, "schedule_longtail", schedule={"n_iterations": 1, "max_len": 128, "seeds": [11, 12]}, **overrides)
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["schedule", "--config", cfg, "--out", str(out), "--jobs", jobs]) == code
+        assert capsys.readouterr().err.endswith(f": {error}\n")
+        reports.append((out / "schedule_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert (report["status"], report["error"]) == (status, error)
+    assert [r["seed"] for r in report["per_seed"]] == seeds_done
+    assert "mean_speedup_rollout" not in report
+
+
 def test_schedule_starts_no_more_workers_than_seeds(tmp_path, monkeypatch) -> None:
     import concurrent.futures
 
