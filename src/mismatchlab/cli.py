@@ -220,16 +220,15 @@ def cmd_schedule(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:
                 per_seed.extend(pool.map(_schedule_one_seed, [cfg] * len(seeds), seeds))
         else:
             per_seed.extend(_schedule_one_seed(cfg, seed) for seed in seeds)
-    except (NumericError, TickCapError) as exc:
+    except (NumericError, TickCapError) as exc:  # extend keeps the seeds done before the one that raised
         failure = exc
-    report = {"schema_version": METRICS_SCHEMA_VERSION}
-    if failure is not None:
-        report["status"] = "numeric_failure" if isinstance(failure, NumericError) else "tick_cap_exceeded"
-        report["error"] = str(failure)
-    report.update(config=cfg.to_dict(), per_seed=per_seed)
+    report = {"schema_version": METRICS_SCHEMA_VERSION, "config": cfg.to_dict(), "per_seed": per_seed}
     if failure is None:
         report["mean_speedup_rollout"] = sum(r["speedup_rollout"] for r in per_seed) / len(per_seed)
         report["mean_speedup_end_to_end"] = sum(r["speedup_end_to_end"] for r in per_seed) / len(per_seed)
+    else:
+        report["status"] = "numeric_failure" if isinstance(failure, NumericError) else "tick_cap_exceeded"
+        report["error"] = str(failure)
     (out_dir / "schedule_report.json").write_text(_dumps(report) + "\n", encoding="utf-8")
     if failure is not None:
         raise failure  # main maps it to its message and exit code

@@ -486,17 +486,17 @@ class ContextTable(RowSet):
     probs are (rows, V) views of one (rows, 4, V) block; cdf is its own
     (V - 1, rows) array, token-major: cdf[k, row] is the sum of the row's
     first k + 1 inference probs, in order (np.cumsum), so a batch of rows
-    is one take along axis 1. The last running sum is not kept: the
-    count of entries at or below a uniform is clamped at V - 1 anyway. load(params, rows)
-    loads params, clearing every marker, and evaluates rows in one pass:
-    the rollout loop passes every row the version can read. check(rows),
-    the one read gate, evaluates the requested rows a pass missed, in one
-    more pass, then raises NumericError with the direct path's messages
-    if a row's training or inference logits are non-finite; a context
-    the run never reads cannot fail it. Not a first-touch table: a pass
-    costs a few hundred microseconds however few its rows, which one pass
-    per version pays once and first-touch evaluation pays on most reads.
-    Loaded params must not change in place.
+    is one take along axis 1. The last running sum is not kept: the count
+    of entries at or below a uniform is clamped at V - 1 anyway.
+    load(params, rows) loads params, clearing every marker, and evaluates
+    rows in one pass: the rollout loop passes every row the version can
+    read. check(rows), the one read gate, evaluates the requested rows a
+    pass missed, in one more pass, then raises NumericError with the
+    direct path's messages if a row's training or inference logits are
+    non-finite; a context the run never reads cannot fail it. Not a
+    first-touch table: a pass costs a few hundred microseconds however few
+    its rows, which one pass per version pays once and first-touch
+    evaluation pays on most reads. Loaded params must not change in place.
     """
 
     def __init__(self, prompt_ids, n_features: int, vocab_size: int, infer: Engine, temperature: float) -> None:
