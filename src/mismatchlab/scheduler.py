@@ -636,8 +636,9 @@ def _sample(state: SchedulerState, plan: _Schedule) -> None:
         slots["context"][lo:hi] = reads
     at = spans(first, counts)
     table.check(slots["context"][at], at - np.repeat(first - admitted, counts))
-    last = (first + counts - 1)[counts > 0]
-    rollouts[_ROW][columns[counts > 0]] = table.advance(slots["context"][last], slots["token"][last])
+    generated = counts > 0
+    last = (first + counts - 1)[generated]
+    rollouts[_ROW][columns[generated]] = table.advance(slots["context"][last], slots["token"][last])
     rollouts[_LENGTH][columns] += counts
     rollouts[_TERMINAL][plan.ended] = 1
 
