@@ -6,9 +6,11 @@
 # Usage: .github/scripts/compare_outputs.sh BASE_REV
 #
 # Prints a Markdown table, one row per output file: identical, differing, or
-# missing on one side. Both sides run the working tree's replay set, each on
-# its own configs and its own src/. The report never fails: outputs may change
-# on purpose, so it always exits 0.
+# missing on one side. A second table does the same for the digest of the
+# batches each schedule run emits for training ("<run>/batches", see
+# tests/replay.py), which no output file shows. Both sides run the working
+# tree's replay set, each on its own configs and its own src/. The report
+# never fails: outputs may change on purpose, so it always exits 0.
 set -u
 
 base_rev="$1"
@@ -33,8 +35,21 @@ run_side() {
   done < "$out/runs.txt"
 }
 
+# batches_of TREE: one "<run>/batches <sha256>" line per schedule run, from an in-process run of the
+# replay set with TREE's code and configs; no line if that run fails.
+batches_of() {
+  python "$head_dir/tests/replay.py" record "$1" 2> /dev/null | python -c '
+import json, sys
+for hashes in json.load(sys.stdin).values():
+    for key, digest in sorted(hashes.items()):
+        if key.endswith("/batches"):
+            print(key, digest)'
+}
+
 run_side "$work/base" "$work/base_out"
 run_side "$head_dir" "$work/head_out"
+batches_of "$work/base" > "$work/base_batches"
+batches_of "$head_dir" > "$work/head_batches"
 
 echo "### Output bytes against $base_rev"
 echo
@@ -52,6 +67,23 @@ for f in $( (cd "$work/base_out" && find . -mindepth 2 -type f; cd "$work/head_o
     result="differing"
   fi
   echo "| \`$name\` | $result |"
+done
+echo
+echo "| emitted batches | base | head | result |"
+echo "|---|---|---|---|"
+for key in $(cut -d ' ' -f 1 "$work/base_batches" "$work/head_batches" | sort -u); do
+  base="$(grep "^$key " "$work/base_batches" | cut -d ' ' -f 2)"
+  head="$(grep "^$key " "$work/head_batches" | cut -d ' ' -f 2)"
+  if [ -z "$base" ]; then
+    result="missing at base"
+  elif [ -z "$head" ]; then
+    result="missing at head"
+  elif [ "$base" = "$head" ]; then
+    result="identical"
+  else
+    result="differing"
+  fi
+  echo "| \`$key\` | \`${base:0:12}\` | \`${head:0:12}\` | $result |"
 done
 for side in base head; do
   if [ -f "$work/${side}_out/failed" ]; then

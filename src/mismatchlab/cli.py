@@ -71,6 +71,13 @@ def _resolved_header(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _with_failure(doc: dict, failure: NumericError | TickCapError) -> dict:
+    """doc with the status and error message of the failure that ended its command; a status already in doc
+    keeps its place."""
+    status = "numeric_failure" if isinstance(failure, NumericError) else "tick_cap_exceeded"
+    return {**doc, "status": status, "error": str(failure)}
+
+
 def _train_run(
     cfg: ExperimentConfig, source: SyntheticPromptSource | None = None, baseline: bool = False, on_step=None, probes=None
 ) -> tuple[list, PolicyParams, int]:
@@ -134,22 +141,18 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
         except (NumericError, TickCapError) as exc:
             failure = exc
 
-    if failure is None:
-        status = "ok"
-    else:
-        status = "numeric_failure" if isinstance(failure, NumericError) else "tick_cap_exceeded"
     summary = {
         "schema_version": METRICS_SCHEMA_VERSION,
-        "status": status,
+        "status": "ok",
         "config": cfg.to_dict(),
         "iterations_completed": len(rows),
         "final": rows[-1] if rows else None,
     }
-    if status == "ok":
+    if failure is None:
         summary["final_version"] = params.version_id
         summary["tick_clock"] = tick_clock
     else:
-        summary["error"] = str(failure)
+        summary = _with_failure(summary, failure)
     summary_path.write_text(_dumps(summary) + "\n", encoding="utf-8")
     if failure is not None:
         raise failure  # main maps it to its message and exit code
@@ -227,8 +230,7 @@ def cmd_schedule(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:
         report["mean_speedup_rollout"] = sum(r["speedup_rollout"] for r in per_seed) / len(per_seed)
         report["mean_speedup_end_to_end"] = sum(r["speedup_end_to_end"] for r in per_seed) / len(per_seed)
     else:
-        report["status"] = "numeric_failure" if isinstance(failure, NumericError) else "tick_cap_exceeded"
-        report["error"] = str(failure)
+        report = _with_failure(report, failure)
     (out_dir / "schedule_report.json").write_text(_dumps(report) + "\n", encoding="utf-8")
     if failure is not None:
         raise failure  # main maps it to its message and exit code
@@ -284,7 +286,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     additionally evaluated counterfactually on the first setting's
     trajectory (clipped_fraction_shared): on shared batches, the tokens
     clipped by a narrower range are a strict superset of those clipped
-    by a wider one. Each setting replaces the objective's bounds.
+    by a wider one. Each setting replaces the objective's bounds. On a
+    NumericError or TickCapError the table holds status, error and the
+    settings done before the failing one, and the error is raised again.
     """
     if cfg.sweep is None:
         raise ConfigError("sweep command requires a sweep section")
@@ -292,33 +296,41 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     run = dataclasses.replace(cfg.run, n_iterations=cfg.sweep.n_iterations)
     reference_calibrations = []
     rows = []
-    for alpha, beta in cfg.sweep.bounds:
-        objective = dataclasses.replace(cfg.objective, alpha=alpha, beta=beta)
-        results, _, _ = _train_run(dataclasses.replace(cfg, objective=objective, run=run))
-        if not rows:
-            reference_calibrations = [loss.per_token_calibration for _, loss, _ in results]
-        final_reward = next((report.reward_mean for report, _, _ in reversed(results) if report.emitted_groups), math.nan)
-        rows.append(
-            {
-                "alpha": alpha,
-                "beta": beta,
-                "delta": [sample.delta for _, _, sample in results],
-                "grad_norm": [loss.grad_norm for _, loss, _ in results],
-                "clipped_fraction": [loss.clipped_fraction for _, loss, _ in results],
-                "clipped_fraction_shared": [
-                    float(((c < alpha) | (c > beta)).mean()) if c.size else 0.0 for c in reference_calibrations
-                ],
-                "mean_logp": [loss.mean_logp for _, loss, _ in results],
-                "final_delta": results[-1][2].delta if results else 0.0,
-                "final_reward_mean": final_reward,
-            }
-        )
+    failure: NumericError | TickCapError | None = None
+    try:
+        for alpha, beta in cfg.sweep.bounds:
+            objective = dataclasses.replace(cfg.objective, alpha=alpha, beta=beta)
+            results, _, _ = _train_run(dataclasses.replace(cfg, objective=objective, run=run))
+            if not rows:
+                reference_calibrations = [loss.per_token_calibration for _, loss, _ in results]
+            final_reward = next((report.reward_mean for report, _, _ in reversed(results) if report.emitted_groups), math.nan)
+            rows.append(
+                {
+                    "alpha": alpha,
+                    "beta": beta,
+                    "delta": [sample.delta for _, _, sample in results],
+                    "grad_norm": [loss.grad_norm for _, loss, _ in results],
+                    "clipped_fraction": [loss.clipped_fraction for _, loss, _ in results],
+                    "clipped_fraction_shared": [
+                        float(((c < alpha) | (c > beta)).mean()) if c.size else 0.0 for c in reference_calibrations
+                    ],
+                    "mean_logp": [loss.mean_logp for _, loss, _ in results],
+                    "final_delta": results[-1][2].delta if results else 0.0,
+                    "final_reward_mean": final_reward,
+                }
+            )
+    except (NumericError, TickCapError) as exc:
+        failure = exc
     table = {
         "schema_version": METRICS_SCHEMA_VERSION,
         "config": cfg.to_dict(),
         "settings": rows,
     }
+    if failure is not None:
+        table = _with_failure(table, failure)
     (out_dir / "sweep_table.json").write_text(_dumps(table) + "\n", encoding="utf-8")
+    if failure is not None:
+        raise failure  # main maps it to its message and exit code
     return EXIT_OK
 
 

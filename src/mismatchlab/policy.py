@@ -475,7 +475,7 @@ class ContextTable(RowSet):
     that a dict indexes by prompt id, so its shape is fixed for the run.
     It adds the window index (prompt_row, rows, advance: one gather of a
     per-row successor base, plus the token) and a cache of the loaded
-    version: the tick records the row each token is sampled at, and the
+    version: the sampler records the row each token is sampled at, and the
     objective gathers by it. readable_rows gives the windows a rollout
     can reach from (-1, -1): never a token followed by an empty slot,
     and none that holds the token that ends it (EOS for a rollout without

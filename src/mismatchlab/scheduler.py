@@ -20,32 +20,31 @@ pool and stops when a refill leaves it empty: capacity-sized waves, and
 nothing carries over. In both, budget.tick_cap bounds an iteration.
 
 Live rollouts are columns of one int64 matrix, and their tokens slots of
-flat per-token arrays, one block of slots per rollout. An iteration runs
-in one of two loops. With an end token in play (a policy-length rollout,
-which ends on EOS), _tick_loop samples the pool tick by tick: it keeps
-the pool's context rows, next slots, stop slots and end tokens as local
-arrays, reads them with one gather and writes the rows and lengths back
-only when the pool changes, so a tick is about a dozen array operations
-whatever the pool's width. Without one (every rollout has a target
-length), the schedule (each rollout's end tick, and so every admission,
-the budget stop, what carries over and the tick cap) depends on lengths
-alone, and a rollout's tokens only on its own uniforms and the version's
-table. So such an iteration is scheduled first and sampled after.
-_schedule moves the pool from one end event to the next with a heap of
-end ticks, and records the ticks between events as segments; _sample
-then fills every generated slot, each rollout from its row at the start
-of the iteration, in one array step per token position over the rollouts
-still generating (sorted longest first, they form a prefix), and
-finishes the last few in scalar bisect_right steps. The table checks
-every read at its tick, so both loops raise the same errors: a
-NumericError at the first tick that reads a non-finite row, before any
-later tick cap. Spawn writes a block of rollouts, the close finds
-complete groups with a bincount and verifies each task kind once, and
-the emitted groups reach the objective as a flat RolloutBatch that
-carries each token's table row. Sampling, the objective and the probe
-measure read both engines from the state's ContextTable, which evaluates
-in one pass per version every row readable then: the windows that the
-rollouts of each live (prompt, end token) can read, and the probe rows.
+flat per-token arrays, one block of slots per rollout. An iteration reads
+one table version throughout, so a rollout's tokens, and so where it
+ends, depend only on its row at the start of the iteration and its own
+uniforms. Every iteration runs the same three steps. _sample_ahead
+samples each live rollout that has an end token (a policy-length one,
+which ends on EOS) up to its first end token or its last free slot; the
+tokens it sampled are its ticks left, as a target-length rollout's free
+slots are. _schedule then moves the pool from one end event to the next
+with a heap of end ticks, which gives every admission, the budget stop,
+what carries over and the tick cap, and records the ticks between events
+as segments. _sample last samples the slots that the target-length
+rollouts generated, and keeps of a rollout sampled ahead only the tokens
+it generated. _sample_slots is the one sampler: one array step per token
+position over the rollouts still sampling, and the last few in scalar
+bisect_right steps. The table checks every generated read at its tick,
+and no read made ahead past it: the NumericError is that of the first
+tick that reads a non-finite row, before any later tick cap, and a
+context the iteration never reads cannot fail it. Spawn writes a block
+of rollouts, the close finds complete groups with a bincount and
+verifies each task kind once, and the emitted groups reach the objective
+as a flat RolloutBatch that carries each token's table row. Sampling,
+the objective and the probe measure read both engines from the state's
+ContextTable, which evaluates in one pass per version every row readable
+then: the windows that the rollouts of each live (prompt, end token) can
+read, and the probe rows.
 
 Each rollout samples with its own uniforms, one per token, so the pool's
 order never perturbs another rollout's tokens. They are the first draws
@@ -447,35 +446,6 @@ def _load_version(state: SchedulerState, params: PolicyParams, cfg: BudgetConfig
     state.table.load(params, np.concatenate([state.table.readable_rows(live), state.probe_rows]))
 
 
-def _generate_tick(state: SchedulerState, row: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One parallel token for each rollout at its context row, sampled with the uniform at its next slot from
-    the state's context table, read after the table's check (which evaluates any row the version's pass
-    missed). Records each token and its row at the slot; returns the tokens and the rows they advance to."""
-    table, slots = state.table, state.slots
-    table.check(row)
-    # Inverse CDF: the count of cdf entries <= u is searchsorted(side="right"), clamped at V - 1;
-    # the cdf rises, so counting among its first V - 1 entries, which the table keeps, clamps it.
-    tokens = (table.cdf.take(row, axis=1) <= slots["uniform"][slot]).sum(axis=0)
-    slots["token"][slot] = tokens
-    slots["context"][slot] = row
-    return tokens, table.advance(row, tokens)
-
-
-def _write_back(state: SchedulerState, pool: np.ndarray, row: np.ndarray, slot: np.ndarray) -> None:
-    """Store the pool's loop-local context rows and next slots as its rollouts' rows and lengths."""
-    rollouts = state.rollouts
-    rollouts[_ROW][pool] = row
-    rollouts[_LENGTH][pool] = slot - rollouts[_START][pool]
-
-
-def _end_rollouts(state: SchedulerState, pool: np.ndarray, row: np.ndarray, slot: np.ndarray, ended: np.ndarray):
-    """Write the pool back and make its ended rollouts terminal; returns the pool without them, and their lengths."""
-    _write_back(state, pool, row, slot)
-    gone = pool[ended]
-    state.rollouts[_TERMINAL][gone] = 1
-    return pool[~ended], state.rollouts[_LENGTH][gone]
-
-
 def _purge_boundary(state: SchedulerState, cfg: BudgetConfig) -> int:
     """Age carried-over rollouts, purge overextended ones with their groups."""
     rollouts = state.rollouts
@@ -537,7 +507,7 @@ def _close_iteration(
 
 
 class _Schedule(NamedTuple):
-    """A target-length iteration as _schedule runs it, by end events alone.
+    """An iteration as _schedule runs it, by end events alone.
 
     columns lists every rollout in the pool during the iteration, in
     admission order (the pool at its start first), and admitted the tick
@@ -558,11 +528,11 @@ class _Schedule(NamedTuple):
     segments: list[tuple[int, int, int, int]]
 
 
-def _schedule(state: SchedulerState, cfg: BudgetConfig, pool: np.ndarray, baseline: bool) -> _Schedule:
-    """The tick loop of a target-length iteration without its tokens: the pool moves from one end event to
-    the next, refills where the tick loop does, and stops where it stops."""
-    rollouts = state.rollouts
-    limit, left = rollouts[_LIMIT].tolist(), (rollouts[_LIMIT] - rollouts[_LENGTH]).tolist()
+def _schedule(state: SchedulerState, cfg: BudgetConfig, pool: np.ndarray, left: np.ndarray, baseline: bool) -> _Schedule:
+    """The iteration's ticks without their tokens: the pool moves from one end event to the next, refills
+    where a tick-by-tick loop refills and stops where it stops. A rollout ends left[c] ticks after it joins
+    the pool, at its limit or its end token, and counts length + left tokens toward the budget."""
+    total, left = (state.rollouts[_LENGTH] + left).tolist(), left.tolist()
     columns, admitted, ended, segments = pool.tolist(), [0] * pool.size, [], []
     ends = [(left[c], c) for c in columns]  # a heap of (the tick that ends it, its column)
     heapq.heapify(ends)
@@ -581,7 +551,7 @@ def _schedule(state: SchedulerState, cfg: BudgetConfig, pool: np.ndarray, baseli
         while ends and ends[0][0] == until:
             c = heapq.heappop(ends)[1]
             ended.append(c)
-            counter += limit[c]
+            counter += total[c]
         segments.append((until - ticks, active, active - len(ends), counter))
         ticks = until
     return _Schedule(columns, admitted, ended, ticks, counter, False, segments)
@@ -590,40 +560,67 @@ def _schedule(state: SchedulerState, cfg: BudgetConfig, pool: np.ndarray, baseli
 _SCALAR_TAIL = 8  # the sampler's last rollouts finish in scalar steps
 
 
-def _sample(state: SchedulerState, plan: _Schedule) -> None:
-    """Sample every slot that plan's rollouts generated, and write back their rows, lengths and ends.
+def _sample_slots(state: SchedulerState, first: np.ndarray, counts: np.ndarray, row: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Sample from each row[i] up to counts[i] tokens into the slots from first[i] on, stopping right after a
+    token equal to end[i] (-1 for none); returns how many tokens each sampled.
 
-    Each rollout starts from its row at the start of the iteration, and
-    its tokens depend only on its own uniforms and the loaded table, so
-    the order of sampling is free. The rollouts go longest first, so
-    those still generating at a token position form a prefix: one array
-    step per position samples that prefix, until _SCALAR_TAIL rollouts
-    are left, which finish in bisect_right steps on their rows' CDF
-    lists. Then the table checks every read at its tick (admission tick
-    plus position), so that the NumericError is the tick loop's.
+    A rollout's tokens depend only on its own uniforms and the loaded
+    table, so the order of sampling is free. One array step per token
+    position samples the rollouts still sampling, until _SCALAR_TAIL are
+    left, which finish in bisect_right steps on their rows' CDF lists.
+    Without an end token, the rollouts go longest first, so those still
+    sampling form a prefix that narrows only as counts run out, and the
+    slots of every step are gathered at once. With one, each step drops
+    the rollouts that sampled their end token or filled their count. A
+    token is the count of its row's CDF entries at or below its uniform;
+    the table keeps V - 1 of them, which clamps the count.
     """
-    rollouts, slots, table = state.rollouts, state.slots, state.table
-    columns, admitted = np.array(plan.columns, dtype=np.intp), np.array(plan.admitted, dtype=np.int64)
-    first = rollouts[_START][columns] + rollouts[_LENGTH][columns]
-    counts = np.minimum(rollouts[_LIMIT][columns] - rollouts[_LENGTH][columns], plan.ticks - admitted)
-    order = np.argsort(-counts, kind="stable")
-    counts_desc, first_desc, row = counts[order], first[order], rollouts[_ROW][columns[order]]
+    if not counts.size:
+        return counts
+    table, slots = state.table, state.slots
     uniform, cdf = slots["uniform"], table.cdf
-    steps = int(counts_desc[_SCALAR_TAIL]) if counts.size > _SCALAR_TAIL else 0
-    if steps:
-        widths = np.searchsorted(-counts_desc, -np.arange(steps))  # rollouts still generating at each position
-        at = first_desc[spans(np.zeros_like(widths), widths)] + np.repeat(np.arange(steps), widths)
-        drawn, tokens, reads = uniform[at], [], []
+    sampled = counts.copy()
+    ats, reads, tokens = [], [], []
+    if end.max(initial=-1) < 0:
+        who = np.argsort(-counts, kind="stable")
+        first, counts, row, end = first[who], counts[who], row[who], end[who]
+        step = int(counts[_SCALAR_TAIL]) if counts.size > _SCALAR_TAIL else 0
+        widths = np.searchsorted(-counts, -np.arange(step))  # rollouts still sampling at each position
+        at = first[spans(np.zeros_like(widths), widths)] + np.repeat(np.arange(step), widths)
+        ats.append(at)
+        drawn = uniform[at]
         for lo, width in zip((np.cumsum(widths) - widths).tolist(), widths.tolist()):
-            row = row[:width]
-            token = (cdf.take(row, axis=1) <= drawn[lo : lo + width]).sum(axis=0)  # as _generate_tick samples
+            read = row[:width]
+            token = (cdf.take(read, axis=1) <= drawn[lo : lo + width]).sum(axis=0)
+            reads.append(read)
+            tokens.append(token)
+            row = table.advance(read, token)
+    else:
+        step, keep = 0, counts > 0
+        # One column per rollout still sampling: its first slot, count, end token and index.
+        live, row = np.stack([first, counts, end, np.arange(counts.size)])[:, keep], row[keep]
+        while live.shape[1] > _SCALAR_TAIL:
+            at = live[0] + step
+            token = (cdf.take(row, axis=1) <= uniform[at]).sum(axis=0)
+            ats.append(at)
             reads.append(row)
             tokens.append(token)
             row = table.advance(row, token)
+            step += 1
+            ended = (token == live[2]) | (live[1] == step)
+            if np.count_nonzero(ended):
+                sampled[live[3, ended]] = step
+                keep = ~ended
+                live, row = live[:, keep], row[keep]
+        first, counts, end, who = live
+    if tokens:
+        at = np.concatenate(ats)
         slots["token"][at] = np.concatenate(tokens)
         slots["context"][at] = np.concatenate(reads)
     lists = {}  # row -> (its cdf entries, the row it advances to on token 0); bisect_right counts the entries <= u
-    for r, lo, hi in zip(row[:_SCALAR_TAIL].tolist(), (first_desc + steps).tolist(), (first_desc + counts_desc).tolist()):
+    tail = slice(_SCALAR_TAIL)
+    for r, i, lo, hi, e in zip(row[tail].tolist(), who[tail].tolist(), (first[tail] + step).tolist(),
+                               (first[tail] + counts[tail]).tolist(), end[tail].tolist()):
         tokens, reads = [], []
         for u in uniform[lo:hi].tolist():
             if r not in lists:
@@ -632,8 +629,44 @@ def _sample(state: SchedulerState, plan: _Schedule) -> None:
             reads.append(r)
             r = after + bisect.bisect_right(entries, u)
             tokens.append(r - after)
-        slots["token"][lo:hi] = tokens
-        slots["context"][lo:hi] = reads
+            if r - after == e:
+                sampled[i] = step + len(tokens)
+                break
+        slots["token"][lo : lo + len(tokens)] = tokens
+        slots["context"][lo : lo + len(tokens)] = reads
+    return sampled
+
+
+def _sample_ahead(state: SchedulerState) -> np.ndarray:
+    """The ticks each live rollout has left to generate: its free slots, or for a non-terminal one with an
+    end token, as many as it samples, into its slots, up to its first end token or its last free slot."""
+    rollouts = state.rollouts
+    left = rollouts[_LIMIT] - rollouts[_LENGTH]
+    ahead = np.flatnonzero((rollouts[_END_TOKEN] >= 0) & (rollouts[_TERMINAL] == 0))
+    live = rollouts[:, ahead]
+    left[ahead] = _sample_slots(state, live[_START] + live[_LENGTH], left[ahead], live[_ROW], live[_END_TOKEN])
+    return left
+
+
+def _sample(state: SchedulerState, plan: _Schedule, left: np.ndarray) -> None:
+    """Sample the slots that plan's target-length rollouts generated, check every read that plan's rollouts
+    generated, and write back their rows, lengths and ends.
+
+    Each rollout generates min(left, ticks - admitted) tokens, each from
+    its row at the start of the iteration. One with an end token was
+    sampled ahead: the reads it made past its generated tokens are
+    discarded unchecked, so a context the iteration never reads cannot
+    fail it. The table checks the generated reads at their ticks
+    (admission tick plus position), so the NumericError is that of the
+    first tick that reads a non-finite row.
+    """
+    rollouts, slots, table = state.rollouts, state.slots, state.table
+    columns, admitted = np.array(plan.columns, dtype=np.intp), np.array(plan.admitted, dtype=np.int64)
+    live = rollouts[:, columns]
+    first = live[_START] + live[_LENGTH]
+    counts = np.minimum(left[columns], plan.ticks - admitted)
+    later = live[_END_TOKEN] < 0
+    _sample_slots(state, first[later], counts[later], live[_ROW][later], live[_END_TOKEN][later])
     at = spans(first, counts)
     table.check(slots["context"][at], at - np.repeat(first - admitted, counts))
     generated = counts > 0
@@ -641,52 +674,6 @@ def _sample(state: SchedulerState, plan: _Schedule) -> None:
     rollouts[_ROW][columns[generated]] = table.advance(slots["context"][last], slots["token"][last])
     rollouts[_LENGTH][columns] += counts
     rollouts[_TERMINAL][plan.ended] = 1
-
-
-def _tick_loop(state: SchedulerState, cfg: BudgetConfig, pool: np.ndarray, baseline: bool) -> tuple[int, int, int]:
-    """Run an iteration tick by tick from pool; returns its ticks, counter and completed rollouts.
-
-    Each tick samples one token for every rollout in the pool and ends
-    those that sample their end token or fill their slots.
-    """
-    counter = ticks = completed = 0
-    row = None  # the pool's loop-local arrays are read again after a change of the pool
-    while baseline or counter < cfg.token_budget:
-        if not (baseline and pool.size):
-            admitted = _refill(state, cfg, pool.size)
-            if admitted:
-                if row is not None:
-                    _write_back(state, pool, row, slot)
-                pool, row = np.concatenate([pool, admitted]), None
-        if not pool.size:
-            break
-        if row is None:
-            live = state.rollouts.take(pool, axis=1)
-            row, slot, stop, end = live[_ROW], live[_START] + live[_LENGTH], live[_START] + live[_LIMIT], live[_END_TOKEN]
-            countdown = min((stop - slot).tolist())  # ticks until the first rollout fills its slots
-        if ticks >= cfg.tick_cap:
-            _write_back(state, pool, row, slot)
-            raise _tick_cap_error(state, cfg)
-        tokens, row = _generate_tick(state, row, slot)
-        slot += 1
-        ticks += 1
-        state.tick_clock += 1
-        countdown -= 1
-        ended = tokens == end
-        if not countdown:
-            ended |= slot >= stop
-        if np.count_nonzero(ended):
-            pool, lengths = _end_rollouts(state, pool, row, slot, ended)
-            counter += int(lengths.sum())
-            completed += lengths.size
-            row = None
-    if row is not None:
-        _write_back(state, pool, row, slot)
-    return ticks, counter, completed
-
-
-def _tick_cap_error(state: SchedulerState, cfg: BudgetConfig) -> TickCapError:
-    return TickCapError(f"iteration {state.iteration} did not end within budget.tick_cap = {cfg.tick_cap} ticks")
 
 
 def _rollout_loop(state, params_t, cfg, group_cfg, baseline: bool) -> tuple[StepReport, RolloutBatch]:
@@ -697,25 +684,24 @@ def _rollout_loop(state, params_t, cfg, group_cfg, baseline: bool) -> tuple[Step
     Baseline: refill only an empty pool, and stop when a refill leaves
     it empty; it starts with an empty pool, so purges and resumes nothing.
     Raises TickCapError on a tick beyond cfg.tick_cap in the iteration.
-    An iteration in which no live rollout has an end token is scheduled
-    first and sampled after; any other runs tick by tick. Each entry
-    point calls it directly, so a traced run (perfbench/child.py) times
-    an iteration under one span.
+    Every iteration takes one path: its rollouts with an end token are
+    sampled ahead to that token, its ticks are scheduled by end events,
+    and its target-length rollouts are sampled after. Each entry point
+    calls it directly, so a traced run (perfbench/child.py) times an
+    iteration under one span.
     """
     purged = _purge_boundary(state, cfg)
     pool = np.flatnonzero(_in_pool(state))
     resumed = int(np.count_nonzero(state.rollouts[_LENGTH][pool]))
     _load_version(state, params_t, cfg, group_cfg)
-    if state.rollouts[_END_TOKEN].max(initial=-1) < 0:
-        plan = _schedule(state, cfg, pool, baseline)
-        _sample(state, plan)
-        state.tick_clock += plan.ticks
-        if plan.capped:
-            raise _tick_cap_error(state, cfg)
-        ticks, counter, completed = plan.ticks, plan.counter, len(plan.ended)
-    else:
-        ticks, counter, completed = _tick_loop(state, cfg, pool, baseline)
-    return _close_iteration(state, group_cfg.group_size, params_t.version_id, ticks, counter, completed, purged, resumed)
+    left = _sample_ahead(state)
+    plan = _schedule(state, cfg, pool, left, baseline)
+    _sample(state, plan, left)
+    state.tick_clock += plan.ticks
+    if plan.capped:
+        raise TickCapError(f"iteration {state.iteration} did not end within budget.tick_cap = {cfg.tick_cap} ticks")
+    return _close_iteration(state, group_cfg.group_size, params_t.version_id, plan.ticks, plan.counter, len(plan.ended),
+                            purged, resumed)
 
 
 def run_iteration(state: SchedulerState, params_t: PolicyParams, cfg: BudgetConfig,

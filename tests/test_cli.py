@@ -122,6 +122,45 @@ def test_schedule_failure_writes_a_report_of_the_seeds_done(tmp_path, capsys, ov
     assert "mean_speedup_rollout" not in report
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "overrides,code,status,error",
+    [
+        ({"budget": {"tick_cap": 3}}, 4, "tick_cap_exceeded", "iteration 0 did not end within budget.tick_cap = 3 ticks"),
+        ({"mismatch": {"scale": 1e308}}, 3, "numeric_failure", "non-finite inference engine logits (mismatch noise overflowed)"),
+    ],
+)
+def test_sweep_failure_writes_a_table_of_the_settings_done(tmp_path, capsys, overrides, code, status, error) -> None:
+    """A failing setting ends sweep in a table with status, error, its config and the settings done before
+    it (none: each run here fails in its first iteration), and the exit code and message of the failure."""
+    cfg = write_config(tmp_path, "sweep", sweep={"n_iterations": 2}, **overrides)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"{'numeric failure' if code == 3 else 'tick cap exceeded'}: {error}\n"
+    table = json.loads((out / "sweep_table.json").read_text(encoding="utf-8"))
+    assert table == {"schema_version": 1, "config": json.loads(Path(cfg).read_text(encoding="utf-8")), "settings": [],
+                     "status": status, "error": error}
+
+
+def test_sweep_failure_keeps_the_rows_of_the_settings_done(tmp_path, monkeypatch) -> None:
+    """A failure in the second setting leaves the first setting's row as a run without the failure writes it."""
+    cfg = write_config(tmp_path, "sweep", sweep={"n_iterations": 2})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    train_run, runs = cli._train_run, []
+
+    def failing_second(*args, **kwargs):
+        runs.append(len(runs))
+        if len(runs) == 2:
+            raise NumericError("parameter update produced non-finite weights")
+        return train_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_train_run", failing_second)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "failed")]) == 3
+    ok, failed = (json.loads((tmp_path / d / "sweep_table.json").read_text(encoding="utf-8")) for d in ("ok", "failed"))
+    assert failed == {**ok, "settings": ok["settings"][:1], "status": "numeric_failure",
+                      "error": "parameter update produced non-finite weights"}
+
+
 def test_schedule_starts_no_more_workers_than_seeds(tmp_path, monkeypatch) -> None:
     import concurrent.futures
 

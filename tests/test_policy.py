@@ -1,8 +1,8 @@
-"""Policy core: the softmax of both engines, inverse-CDF sampling in the tick, engine mismatch.
+"""Policy core: the softmax of both engines, inverse-CDF sampling, engine mismatch.
 
 Every rule is checked on the batched code the runs execute: one context
 is evaluated on the direct path, and sampling runs through the
-scheduler's tick on the context table.
+scheduler's sampler on the context table.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def straight_line_softmax(params: PolicyParams, ctx: Context, temperature: float
 
 
 def tick_tokens(params: PolicyParams, ctx: Context, engine, uniforms) -> list[SimpleNamespace]:
-    """One scheduler tick over single-token rollouts at ctx, rollout i drawing with uniforms[i].
+    """The scheduler's sampler over single-token rollouts at ctx, rollout i drawing with uniforms[i].
 
     Returns each rollout's tokens and, as the iteration's close records
     them, their log probs under both engines and their versions. ctx's
@@ -84,16 +84,14 @@ def tick_tokens(params: PolicyParams, ctx: Context, engine, uniforms) -> list[Si
     state.table = ContextTable([ctx.prompt_id], params.n_features, params.vocab_size, engine, 1.0)
     scheduler._load_version(state, params, BudgetConfig(prompts_per_iteration=1), ObjectiveConfig(group_size=len(uniforms)))
     assert state.n_pending == len(uniforms)
-    prev, last = ctx.window()
-    state.rollouts[scheduler._ROW] = state.table.rows([ctx.prompt_id], [prev], [last])[0]
+    rollouts = state.rollouts
+    rollouts[scheduler._ROW] = state.table.rows([ctx.prompt_id], *([v] for v in ctx.window()))[0]
     state.slots["uniform"][: len(uniforms)] = uniforms
-    pool = np.arange(len(uniforms))
-    slot = state.rollouts[scheduler._START] + state.rollouts[scheduler._LENGTH]
-    _, row = scheduler._generate_tick(state, state.rollouts[scheduler._ROW], slot)
-    slot += 1
-    ended = slot >= state.rollouts[scheduler._START] + state.rollouts[scheduler._LIMIT]
-    active, lengths = scheduler._end_rollouts(state, pool, row, slot, ended)
-    assert active.size == 0 and lengths.tolist() == [1] * len(uniforms)
+    state.table.check(rollouts[scheduler._ROW])
+    rollouts[scheduler._LENGTH] = scheduler._sample_slots(state, *rollouts[[scheduler._START, scheduler._LIMIT, scheduler._ROW,
+                                                                            scheduler._END_TOKEN]])
+    assert rollouts[scheduler._LENGTH].tolist() == [1] * len(uniforms)
+    rollouts[scheduler._TERMINAL] = 1
     _, batch = scheduler._close_iteration(state, len(uniforms), params.version_id, 1, len(uniforms), len(uniforms), 0, 0)
     return [
         SimpleNamespace(tokens=[token], lp_infer=[lp_infer], lp_train=[lp_train], versions=[version])

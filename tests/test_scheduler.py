@@ -173,34 +173,20 @@ FIXTURE_TRACE_ITER2 = [
 
 @contextlib.contextmanager
 def tick_trace():
-    """One row per scheduler tick run inside, read off _generate_tick and _end_rollouts, and for a scheduled
-    iteration off the segments of _schedule.
+    """One row per scheduler tick run inside, read off the segments of _schedule.
 
     tick is state.tick_clock + 1, the tick's number; active and pool_after
     are the pool sizes into and out of the tick; completed counts the
     rollouts it ended, and counter sums the lengths of the rollouts ended
-    so far in the iteration. The tick loop calls _end_rollouts right after
-    a tick that ends some rollouts, and only then. A segment of _schedule
-    is a stretch of ticks with one pool whose last tick ends rollouts, or
-    reaches the tick cap.
+    so far in the iteration. A segment of _schedule is a stretch of ticks
+    with one pool whose last tick ends rollouts, or reaches the tick cap,
+    whether they end at their limit or at an end token sampled ahead.
     """
     trace: list[dict] = []
-    tick, end, schedule, counter = scheduler._generate_tick, scheduler._end_rollouts, scheduler._schedule, {}
+    schedule = scheduler._schedule
 
-    def recording_tick(state, row, slot):
-        generated = tick(state, row, slot)
-        trace.append({"tick": state.tick_clock + 1, "active": row.size, "completed": 0,
-                      "counter": counter.get(state.iteration, 0), "pool_after": row.size})
-        return generated
-
-    def recording_end(state, pool, row, slot, ended):
-        pool_after, lengths = end(state, pool, row, slot, ended)
-        counter[state.iteration] = counter.get(state.iteration, 0) + int(lengths.sum())
-        trace[-1].update(completed=lengths.size, counter=counter[state.iteration], pool_after=pool_after.size)
-        return pool_after, lengths
-
-    def recording_schedule(state, cfg, pool, baseline):
-        plan = schedule(state, cfg, pool, baseline)
+    def recording_schedule(state, cfg, pool, left, baseline):
+        plan = schedule(state, cfg, pool, left, baseline)
         number, before = state.tick_clock, 0
         for ticks, active, ended, after in plan.segments:
             for _ in range(ticks):
@@ -210,11 +196,11 @@ def tick_trace():
             before = after
         return plan
 
-    scheduler._generate_tick, scheduler._end_rollouts, scheduler._schedule = recording_tick, recording_end, recording_schedule
+    scheduler._schedule = recording_schedule
     try:
         yield trace
     finally:
-        scheduler._generate_tick, scheduler._end_rollouts, scheduler._schedule = tick, end, schedule
+        scheduler._schedule = schedule
 
 
 def test_fixture_trace_matches_hand_simulation() -> None:
@@ -586,7 +572,7 @@ def test_unreachable_budget_hits_tick_cap() -> None:
 
 
 def test_a_tick_cap_error_leaves_the_rollouts_written_back() -> None:
-    """The loop keeps the pool's rows and slots in local arrays; it stores them before it raises."""
+    """The rollouts' rows and lengths are written back before the loop raises."""
     state = scripted_state([3, 10**6])
     budget = BudgetConfig(token_budget=10**5, infer_capacity=2, prompts_per_iteration=1, tick_cap=50)
     with pytest.raises(TickCapError):
@@ -596,48 +582,114 @@ def test_a_tick_cap_error_leaves_the_rollouts_written_back() -> None:
     assert state.rollouts[_ROW, 1] == state.table.rows([100], tokens[-2:-1], tokens[-1:])[0]
 
 
-@pytest.mark.parametrize("kinds", [(1, 2), (2, 1)])
-@pytest.mark.parametrize("tick_cap", [10**6, 3, 1])
-def test_a_scheduled_iteration_raises_the_tick_loops_error(monkeypatch, kinds, tick_cap) -> None:
-    """The first tick that reads a non-finite row raises, with the message of that tick's reads, unless the
-    tick cap comes first; as the tick-by-tick oracle raises.
-
-    Prompt 100's eight rollouts, admitted at tick 0, read rows of the first
-    kind (1: inference logits, 2: training logits non-finite) from their
-    second token on, tick 1; prompt 101's eight, admitted at tick 6, read
-    rows of the other kind from their first, tick 6. The sampler's steps
-    go by position, so they meet prompt 101's read (position 0) before
-    prompt 100's (position 1): step order and tick order disagree. A cap
-    of 3 ticks still runs tick 1; a cap of 1 does not.
-    """
+def poison(monkeypatch, kinds: dict[int, tuple[int, int]]) -> None:
+    """Make every table pass mark non-finite, for each prompt id, its rows past its first skip windows: kinds
+    maps the prompt id to (kind, skip), kind 1 for the inference logits, 2 for the training logits. Their
+    CDFs are nan."""
     evaluate = ContextTable._evaluate
 
     def poisoned(table, rows):
         evaluate(table, rows)
-        for prompt_id, kind, skip in ((100, kinds[0], 1), (101, kinds[1], 0)):
+        for prompt_id, (kind, skip) in kinds.items():
             first = table.prompt_row(prompt_id)
             bad = rows[(rows >= first + skip) & (rows < first + table.side**2)]
             table._status[bad] = kind
             table.cdf[:, bad] = np.nan
 
     monkeypatch.setattr(ContextTable, "_evaluate", poisoned)
-    vocab = Vocabulary(size=8)
-    prompts = [(TaskSpec(TaskKind.PARITY_MATCH, 100, 0, 7), [6] * 8), (TaskSpec(TaskKind.PARITY_MATCH, 101, 1, 7), [3] * 8)]
-    budget = BudgetConfig(token_budget=10**5, infer_capacity=8, prompts_per_iteration=2, tick_cap=tick_cap)
-    cfg, params = ObjectiveConfig(group_size=8), default_params()
-    raised = []
+
+
+def first_iterations(prompts, budget: BudgetConfig) -> list:
+    """The first iteration of the scheduler and of the tick-by-tick oracle on scripted groups of 8: each one's
+    (ticks, trained tokens, completed rollouts), or the type and message of the error it raised."""
+    vocab, cfg, params = Vocabulary(size=8), ObjectiveConfig(group_size=8), default_params()
+    outcomes = []
     for state, loop in ((SchedulerState(vocab, ScriptedPromptSource(prompts), 5, 32, infer_engine(0.2, 7)),
                          lambda state: scheduler._rollout_loop(state, params, budget, cfg, False)),
                         (oracle_state(5, vocab, 32, infer_engine(0.2, 7), ScriptedPromptSource(prompts)),
                          lambda state: _rollout_loop(state, params, budget, cfg, None, False))):
-        with pytest.raises((NumericError, TickCapError)) as exc:
-            loop(state)
-        raised.append((exc.type, str(exc.value)))
-    assert raised[0] == raised[1]
-    if tick_cap == 1:
-        assert raised[0] == (TickCapError, "iteration 0 did not end within budget.tick_cap = 1 ticks")
-    else:
-        assert raised[0] == (NumericError, _NON_FINITE_INFER_LOGITS if kinds[0] == 1 else _NON_FINITE_LOGITS)
+        try:
+            report, _ = loop(state)
+            outcomes.append((report.rollout_ticks, report.trained_tokens, report.completed_rollouts))
+        except (NumericError, TickCapError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+@pytest.mark.parametrize("kinds", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("tick_cap", [10**6, 3, 1])
+def test_a_scheduled_iteration_raises_the_tick_loops_error(monkeypatch, kinds, tick_cap) -> None:
+    """The first tick that reads a non-finite row raises, with the message of that tick's reads, unless the
+    tick cap comes first; as the tick-by-tick oracle raises, for target-length and policy-length rollouts.
+
+    Prompt 100's eight rollouts, admitted at tick 0, read rows of the first
+    kind (1: inference logits, 2: training logits non-finite) from their
+    second token on, tick 1; prompt 101's eight read rows of the other
+    kind from their first. With target lengths 6 and 3, prompt 101's are
+    admitted at tick 6. The sampler's steps go by position, so they meet
+    prompt 101's read (position 0) before prompt 100's (position 1): step
+    order and tick order disagree. Policy-length rollouts end on EOS: one
+    of prompt 100's samples it at tick 0, so prompt 101's join the pool at
+    tick 1, which reads both kinds and raises on the training logits. A
+    cap of 3 ticks still runs tick 1; a cap of 1 does not.
+    """
+    poison(monkeypatch, {100: (kinds[0], 1), 101: (kinds[1], 0)})
+    budget = BudgetConfig(token_budget=10**5, infer_capacity=8, prompts_per_iteration=2, tick_cap=tick_cap)
+    for targets in (([6] * 8, [3] * 8), ([None] * 8, [None] * 8)):
+        prompts = [(TaskSpec(TaskKind.PARITY_MATCH, 100 + i, i, 7), lengths) for i, lengths in enumerate(targets)]
+        got, want = first_iterations(prompts, budget)
+        assert got == want
+        if tick_cap == 1:
+            assert got == (TickCapError, "iteration 0 did not end within budget.tick_cap = 1 ticks")
+        elif targets[0][0] is None:
+            assert got == (NumericError, _NON_FINITE_LOGITS)
+        else:
+            assert got == (NumericError, _NON_FINITE_INFER_LOGITS if kinds[0] == 1 else _NON_FINITE_LOGITS)
+
+
+def test_a_non_finite_row_that_only_the_sample_ahead_reads_raises_nothing(monkeypatch) -> None:
+    """Every row of prompt 101 is non-finite. Its policy-length rollouts wait in the pending queue, and are
+    sampled ahead through those rows, but the budget of 1 token stops the iteration at its first end event,
+    before any of them is admitted: the iteration never reads the rows, so, as in the oracle, they cannot
+    fail it."""
+    poison(monkeypatch, {101: (2, 0)})
+    prompts = [(TaskSpec(TaskKind.PARITY_MATCH, 100 + i, i, 7), [None] * 8) for i in range(2)]
+    sample_ahead, read_ahead = scheduler._sample_ahead, []
+
+    def recording(state):
+        left = sample_ahead(state)
+        ahead = state.rollouts[:, state.rollouts[_PROMPT] == 101]
+        read_ahead.extend(state.table._status[state.slots["context"][ahead[_START]]].tolist())
+        return left
+
+    monkeypatch.setattr(scheduler, "_sample_ahead", recording)
+    budget = BudgetConfig(token_budget=1, infer_capacity=8, prompts_per_iteration=2)
+    got, want = first_iterations(prompts, budget)
+    assert got == want and got[1] >= 1
+    assert read_ahead == [2] * 8
+
+
+def test_sampling_ahead_stops_at_the_end_token(monkeypatch) -> None:
+    """A policy-length rollout is sampled ahead up to its first EOS and no further: no slot after it is
+    written, though its limit is 512."""
+    sentinel, sample_ahead, checked = -7, scheduler._sample_ahead, []
+
+    def recording(state):
+        state.slots["token"][:] = sentinel
+        left = sample_ahead(state)
+        for start, limit, end, n in zip(*state.rollouts[[_START, _LIMIT, _END_TOKEN]].tolist(), left.tolist()):
+            block = state.slots["token"][start : start + limit]
+            assert limit == 512 and sentinel not in block[:n] and (block[n:] == sentinel).all()
+            assert block[n - 1] == end and end not in block[: n - 1]
+            checked.append(n)
+        return left
+
+    monkeypatch.setattr(scheduler, "_sample_ahead", recording)
+    prompts = [(TaskSpec(TaskKind.PARITY_MATCH, 100 + i % 2, i % 2, 512), [None] * 8) for i in range(3)]
+    state = SchedulerState(Vocabulary(size=8), ScriptedPromptSource(prompts), 5, 32, infer_engine(0.2, 7))
+    budget = BudgetConfig(token_budget=10**5, infer_capacity=16, prompts_per_iteration=3)
+    scheduler._rollout_loop(state, default_params(), budget, ObjectiveConfig(group_size=8), False)
+    assert len(checked) == 24 and max(checked) < 512
 
 
 def test_train_loop_zero_iterations_is_identity() -> None:
