@@ -418,10 +418,22 @@ def _pool_batch(batch) -> dict:
     }
 
 
+class EveryOtherSiblingWithoutTarget:
+    """A source's prompts with the target length of every other sibling dropped: each group holds rollouts
+    that end at their target length and rollouts that end on EOS."""
+
+    def __init__(self, source) -> None:
+        self.source = source
+
+    def next_prompt(self, stream, group_size):
+        task, targets = self.source.next_prompt(stream, group_size)
+        return task, [None if i % 2 else n for i, n in enumerate(targets)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     baseline=st.booleans(),
-    lognormal=st.booleans(),
+    length_model=st.sampled_from(["policy", "lognormal", "mixed"]),
     token_budget=st.integers(1, 60),
     infer_capacity=st.integers(1, 20),
     retention_threshold=st.integers(0, 3),
@@ -434,7 +446,7 @@ def _pool_batch(batch) -> dict:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_array_pool_equals_the_rollout_object_loop(
-    baseline, lognormal, token_budget, infer_capacity, retention_threshold, prompts_per_iteration, group_size, max_len,
+    baseline, length_model, token_budget, infer_capacity, retention_threshold, prompts_per_iteration, group_size, max_len,
     tick_cap, first_uid, iterations, seed,
 ) -> None:
     """Iteration by iteration, the pool and the parent's Rollout-object loop (tests/oracles.py) agree bit for bit.
@@ -443,11 +455,15 @@ def test_array_pool_equals_the_rollout_object_loop(
     are equal after every iteration, and a tick cap raises the same
     TickCapError at the same tick. The whole groups that end the pending
     queue are the oracle's prompt lookahead, spawned: the same prompts
-    and target lengths, the uids after the oracle's next ones.
+    and target lengths, the uids after the oracle's next ones. A mixed
+    source puts both kinds of rollout in one group, and so in one
+    iteration's schedule.
     """
     vocab = Vocabulary(size=6)
-    model = "lognormal" if lognormal else "policy"
+    model = "policy" if length_model == "policy" else "lognormal"
     source = SyntheticPromptSource(vocab, max_len=max_len, length_model=model, median=3.0)
+    if length_model == "mixed":
+        source = EveryOtherSiblingWithoutTarget(source)
     states = [SchedulerState(vocab=vocab, source=source, seed=seed, n_features=16, infer=infer_engine(0.2, 7)),
               oracle_state(seed, vocab, 16, infer_engine(0.2, 7), source)]
     for state in states:
