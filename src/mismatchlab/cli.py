@@ -8,6 +8,12 @@ sweep compares masking-bound settings. Every training run, including the
 sweep's settings and compounding's rl_loop mode, is set up from its
 config by one helper, _train_run; a command derives that config with
 dataclasses.replace, so the sections check their own invariants again.
+A run is a fold: train_loop keeps nothing per iteration, so each command
+folds what it writes (rows, sums, lists of scalars) in its on_step. One
+writer, _Output, owns each command's output: the out dir, the JSONL
+header and rows flushed as they land, and the final document, which on a
+NumericError or TickCapError carries status and error before the
+failure goes on to main.
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 tick cap
 exceeded.
 """
@@ -51,43 +57,65 @@ def _dumps(obj) -> str:
     return json.dumps(_sanitize(obj), allow_nan=False)
 
 
-def _make_out_dir(out_dir: Path) -> None:
-    """Create the output directory and its parents; ConfigError if out_dir cannot be a directory."""
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out: cannot create directory {out_dir}: {exc}") from exc
-
-
 def _vocab(cfg: ExperimentConfig) -> Vocabulary:
     return Vocabulary(size=cfg.policy.vocab_size, eos_id=cfg.policy.eos_id)
 
 
-def _resolved_header(cfg: ExperimentConfig) -> dict:
-    return {
-        "schema_version": METRICS_SCHEMA_VERSION,
-        "kind": "header",
-        "config": cfg.to_dict(),
-    }
+class _Output:
+    """The output of one command under out_dir: its final document, and a JSONL file of rows when named.
 
+    Making it creates out_dir and its parents (ConfigError if out_dir
+    cannot be a directory) and writes the rows file's header, doc's
+    config; row() appends a line and flushes it, so the lines written
+    survive a failure. The command fills doc in as its run folds.
+    Leaving the with block writes doc; on a NumericError or TickCapError
+    it writes doc with the failure's status (a status already in doc
+    keeps its place) and error, and lets the failure go on to main,
+    which maps it to its message and exit code.
+    """
 
-def _with_failure(doc: dict, failure: NumericError | TickCapError) -> dict:
-    """doc with the status and error message of the failure that ended its command; a status already in doc
-    keeps its place."""
-    status = "numeric_failure" if isinstance(failure, NumericError) else "tick_cap_exceeded"
-    return {**doc, "status": status, "error": str(failure)}
+    def __init__(self, out_dir: Path, name: str, doc: dict, rows: str | None = None) -> None:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot create directory {out_dir}: {exc}") from exc
+        self._path, self._doc = out_dir / name, doc
+        self._rows = (out_dir / rows).open("w", encoding="utf-8") if rows else None
+        if self._rows:
+            self.row({"schema_version": METRICS_SCHEMA_VERSION, "kind": "header", "config": doc["config"]})
+
+    def __enter__(self) -> _Output:
+        return self
+
+    def row(self, obj: dict) -> None:
+        self._rows.write(_dumps(obj) + "\n")
+        self._rows.flush()
+
+    def __exit__(self, kind, failure, traceback) -> bool:
+        if self._rows:
+            self._rows.close()
+        if kind is None or issubclass(kind, (NumericError, TickCapError)):
+            doc = self._doc
+            if failure is not None:
+                status = "numeric_failure" if isinstance(failure, NumericError) else "tick_cap_exceeded"
+                doc = {**doc, "status": status, "error": str(failure)}
+            self._path.write_text(_dumps(doc) + "\n", encoding="utf-8")
+        return False
 
 
 def _train_run(
     cfg: ExperimentConfig, source: SyntheticPromptSource | None = None, baseline: bool = False, on_step=None, probes=None
-) -> tuple[list, PolicyParams, int]:
+) -> tuple[PolicyParams, int]:
     """Train run.n_iterations iterations as cfg sets them up, all seeded by cfg.seed.
 
     The prompts come from source, by default the task distribution up to
     tasks.max_len, and the probes are make_probes' for cfg unless given.
-    Returns train_loop's results and final parameters, and the tick clock
-    at the end; the scheduler state, which holds the run's context table,
-    is freed on return.
+    train_loop keeps nothing per iteration: on_step gets each one, and
+    is where a caller folds what it writes. The run starts through the
+    module-level name train_loop, so a wrapper bound there (as
+    perfbench/child.py binds one) sees every run start. Returns the
+    final parameters and the tick clock at the end; the scheduler state,
+    which holds the run's context table, is freed on return.
     """
     vocab = _vocab(cfg)
     infer = infer_engine(cfg.mismatch.scale, cfg.mismatch.seed)
@@ -97,10 +125,10 @@ def _train_run(
     state = SchedulerState(vocab, source, cfg.seed, cfg.policy.n_features, infer, cfg.policy.temperature)
     if probes is None:
         probes = make_probes(cfg.run.n_probes, vocab, cfg.seed)
-    results, params = train_loop(
+    params = train_loop(
         cfg.run.n_iterations, state, params, cfg.budget, cfg.objective, probes, baseline=baseline, on_step=on_step
     )
-    return results, params, state.tick_clock
+    return params, state.tick_clock
 
 
 def _metrics_row(cfg: ExperimentConfig, report, loss, sample) -> dict:
@@ -122,41 +150,20 @@ def _metrics_row(cfg: ExperimentConfig, report, loss, sample) -> dict:
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
-    _make_out_dir(out_dir)
-    metrics_path = out_dir / "metrics.jsonl"
-    summary_path = out_dir / "summary.json"
-    written, last = 0, None  # the rows written, and the last of them
-    failure: NumericError | TickCapError | None = None
-    with metrics_path.open("w", encoding="utf-8") as fh:
-        fh.write(_dumps(_resolved_header(cfg)) + "\n")
+    """Write metrics.jsonl, the header then each iteration's row as it lands, and summary.json, which
+    counts the rows and repeats the last; a run without a failure adds the final version and tick clock."""
+    summary = {"schema_version": METRICS_SCHEMA_VERSION, "status": "ok", "config": cfg.to_dict(),
+               "iterations_completed": 0, "final": None}
+    with _Output(out_dir, "summary.json", summary, rows="metrics.jsonl") as out:
 
         def flush_row(report, loss, sample) -> None:
-            nonlocal written, last
-            last = _metrics_row(cfg, report, loss, sample)
-            written += 1
-            fh.write(_dumps(last) + "\n")
-            fh.flush()
+            summary["final"] = _metrics_row(cfg, report, loss, sample)
+            summary["iterations_completed"] += 1
+            out.row(summary["final"])
 
-        try:
-            _, params, tick_clock = _train_run(cfg, on_step=flush_row)
-        except (NumericError, TickCapError) as exc:
-            failure = exc
-
-    summary = {
-        "schema_version": METRICS_SCHEMA_VERSION,
-        "status": "ok",
-        "config": cfg.to_dict(),
-        "iterations_completed": written,
-        "final": last,
-    }
-    if failure is None:
+        params, tick_clock = _train_run(cfg, on_step=flush_row)
         summary["final_version"] = params.version_id
         summary["tick_clock"] = tick_clock
-    else:
-        summary = _with_failure(summary, failure)
-    summary_path.write_text(_dumps(summary) + "\n", encoding="utf-8")
-    if failure is not None:
-        raise failure  # main maps it to its message and exit code
     return EXIT_OK
 
 
@@ -177,14 +184,20 @@ def _schedule_one_seed(cfg: ExperimentConfig, seed: int) -> dict:
             median=sch.median,
             sigma=sch.sigma,
         )
-        results, _, _ = _train_run(cfg, source, baseline=(mode == "baseline"), probes=probes)
-        rollout_ticks = sum(r[0].rollout_ticks for r in results)
-        trained = sum(r[0].trained_tokens for r in results)
+        rollout_ticks = trained = iterations = 0
+
+        def fold(report, loss, sample) -> None:
+            nonlocal rollout_ticks, trained, iterations
+            rollout_ticks += report.rollout_ticks
+            trained += report.trained_tokens
+            iterations += 1
+
+        _train_run(cfg, source, baseline=(mode == "baseline"), on_step=fold, probes=probes)
         totals[mode] = {
             "rollout_ticks": rollout_ticks,
-            "end_to_end_ticks": rollout_ticks + cfg.budget.sync_cost_ticks * len(results),
+            "end_to_end_ticks": rollout_ticks + cfg.budget.sync_cost_ticks * iterations,
             "trained_tokens": trained,
-            "iterations": len(results),
+            "iterations": iterations,
             "ticks_per_trained_token": rollout_ticks / trained if trained else math.inf,
         }
     b, c = totals["baseline"], totals["budget"]
@@ -206,15 +219,13 @@ def _schedule_one_seed(cfg: ExperimentConfig, seed: int) -> dict:
 
 def cmd_schedule(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:
     """Write schedule_report.json: per seed in order, then the mean speedups. On a NumericError or
-    TickCapError the report holds status, error and the seeds done before the failing one, and the
-    error is raised again."""
+    TickCapError the report holds status, error and the seeds done before the failing one."""
     if cfg.schedule is None:
         raise ConfigError("schedule command requires a schedule section (length-distribution spec)")
-    _make_out_dir(out_dir)
     seeds = cfg.schedule.seeds
-    per_seed: list[dict] = []
-    failure: NumericError | TickCapError | None = None
-    try:
+    report = {"schema_version": METRICS_SCHEMA_VERSION, "config": cfg.to_dict(), "per_seed": []}
+    with _Output(out_dir, "schedule_report.json", report):
+        per_seed = report["per_seed"]  # extend keeps the seeds done before one that raises
         if jobs > 1:
             # Imported here: single-process runs skip its import time and memory.
             from concurrent.futures import ProcessPoolExecutor
@@ -224,131 +235,102 @@ def cmd_schedule(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:
                 per_seed.extend(pool.map(_schedule_one_seed, [cfg] * len(seeds), seeds))
         else:
             per_seed.extend(_schedule_one_seed(cfg, seed) for seed in seeds)
-    except (NumericError, TickCapError) as exc:  # extend keeps the seeds done before the one that raised
-        failure = exc
-    report = {"schema_version": METRICS_SCHEMA_VERSION, "config": cfg.to_dict(), "per_seed": per_seed}
-    if failure is None:
         report["mean_speedup_rollout"] = sum(r["speedup_rollout"] for r in per_seed) / len(per_seed)
         report["mean_speedup_end_to_end"] = sum(r["speedup_end_to_end"] for r in per_seed) / len(per_seed)
-    else:
-        report = _with_failure(report, failure)
-    (out_dir / "schedule_report.json").write_text(_dumps(report) + "\n", encoding="utf-8")
-    if failure is not None:
-        raise failure  # main maps it to its message and exit code
     return EXIT_OK
 
 
 def cmd_compounding(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Write compounding_trace.jsonl, the header then each step's sample as it is measured, and
     compounding_fit.json. On a NumericError or TickCapError the trace keeps the steps measured before it,
-    the fit document holds status, error and config in place of the fit, and the error is raised again."""
+    and the fit document holds status, error and config in place of the fit."""
     if cfg.compounding is None:
         raise ConfigError("compounding command requires a compounding section")
-    _make_out_dir(out_dir)
     comp = cfg.compounding
     fit_doc = {"schema_version": METRICS_SCHEMA_VERSION, "config": cfg.to_dict()}
-    failure: NumericError | TickCapError | None = None
-    with (out_dir / "compounding_trace.jsonl").open("w", encoding="utf-8") as fh:
-        fh.write(_dumps(_resolved_header(cfg)) + "\n")
+    with _Output(out_dir, "compounding_fit.json", fit_doc, rows="compounding_trace.jsonl") as out:
 
         def flush_sample(s) -> None:
-            fh.write(_dumps({"step": s.step, "delta": s.delta, "max_token_gap": s.max_token_gap}) + "\n")
+            out.row({"step": s.step, "delta": s.delta, "max_token_gap": s.max_token_gap})
 
-        try:
-            if comp.bias_mode is BiasMode.RL_LOOP:
-                # The run's step size is mu, not the objective's learning rate, because the fit divides by it.
-                objective = dataclasses.replace(cfg.objective, learning_rate=comp.mu)
-                run = dataclasses.replace(cfg.run, n_iterations=comp.n_steps)
-                results, _, _ = _train_run(dataclasses.replace(cfg, objective=objective, run=run),
-                                           on_step=lambda report, loss, sample: flush_sample(sample))
-                fit = fit_affine_trace([s.delta for _, _, s in results], [loss.grad_norm for _, loss, _ in results], comp.mu)
-            else:
-                vocab = _vocab(cfg)
-                infer = infer_engine(cfg.mismatch.scale, cfg.mismatch.seed)
-                params = init_params(vocab, cfg.policy.n_features, cfg.policy.init_scale, cfg.seed)
-                probes = make_probes(cfg.run.n_probes, vocab, cfg.seed)
-                _, fit = compounding_experiment(
-                    params,
-                    comp.mu,
-                    comp.n_steps,
-                    vocab,
-                    infer,
-                    probes,
-                    temperature=cfg.policy.temperature,
-                    align_target=comp.align_target,
-                    reward_seed=comp.reward_seed,
-                    on_sample=flush_sample,
-                )
-            fit_doc["fit"] = dataclasses.asdict(fit)
-        except (NumericError, TickCapError) as exc:
-            failure = exc
-    if failure is not None:
-        fit_doc = _with_failure(fit_doc, failure)
-    (out_dir / "compounding_fit.json").write_text(_dumps(fit_doc) + "\n", encoding="utf-8")
-    if failure is not None:
-        raise failure  # main maps it to its message and exit code
+        if comp.bias_mode is BiasMode.RL_LOOP:
+            deltas, grad_norms = [], []
+
+            def fold(report, loss, sample) -> None:
+                flush_sample(sample)
+                deltas.append(sample.delta)
+                grad_norms.append(loss.grad_norm)
+
+            # The run's step size is mu, not the objective's learning rate, because the fit divides by it.
+            objective = dataclasses.replace(cfg.objective, learning_rate=comp.mu)
+            run = dataclasses.replace(cfg.run, n_iterations=comp.n_steps)
+            _train_run(dataclasses.replace(cfg, objective=objective, run=run), on_step=fold)
+            fit = fit_affine_trace(deltas, grad_norms, comp.mu)
+        else:
+            vocab = _vocab(cfg)
+            infer = infer_engine(cfg.mismatch.scale, cfg.mismatch.seed)
+            params = init_params(vocab, cfg.policy.n_features, cfg.policy.init_scale, cfg.seed)
+            probes = make_probes(cfg.run.n_probes, vocab, cfg.seed)
+            _, fit = compounding_experiment(
+                params,
+                comp.mu,
+                comp.n_steps,
+                vocab,
+                infer,
+                probes,
+                temperature=cfg.policy.temperature,
+                align_target=comp.align_target,
+                reward_seed=comp.reward_seed,
+                on_sample=flush_sample,
+            )
+        fit_doc["fit"] = dataclasses.asdict(fit)
     return EXIT_OK
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Train once per masking-bound setting of sweep.bounds, on shared seeds.
 
-    Each row carries the setting's own training trajectory. Because
-    independently trained runs diverge, per-step mask-set comparisons are
-    additionally evaluated counterfactually on the first setting's
-    trajectory (clipped_fraction_shared, masked as each of its iterations
-    lands, so no calibrations are kept): on shared batches, the tokens
-    clipped by a narrower range are a strict superset of those clipped
-    by a wider one. Each setting replaces the objective's bounds. On a
-    NumericError or TickCapError the table holds status, error and the
-    settings done before the failing one, and the error is raised again.
+    Each row carries the setting's own training trajectory, folded as
+    its iterations land. Because independently trained runs diverge,
+    per-step mask-set comparisons are additionally evaluated
+    counterfactually on the first setting's trajectory
+    (clipped_fraction_shared, masked as each of its iterations lands, so
+    no calibrations are kept): on shared batches, the tokens clipped by
+    a narrower range are a strict superset of those clipped by a wider
+    one. Each setting replaces the objective's bounds. On a NumericError
+    or TickCapError the table holds status, error and the settings done
+    before the failing one.
     """
     if cfg.sweep is None:
         raise ConfigError("sweep command requires a sweep section")
-    _make_out_dir(out_dir)
     run = dataclasses.replace(cfg.run, n_iterations=cfg.sweep.n_iterations)
     bounds = cfg.sweep.bounds
     shared: list[list[float]] = [[] for _ in bounds]  # clipped_fraction_shared of each setting
-
-    def mask_shared(report, loss, sample) -> None:
-        """Mask the first setting's calibrations of an iteration with every setting's bounds, as they land."""
-        c = loss.per_token_calibration
-        for (alpha, beta), column in zip(bounds, shared):
-            column.append(float(((c < alpha) | (c > beta)).mean()) if c.size else 0.0)
-
-    rows = []
-    failure: NumericError | TickCapError | None = None
-    try:
+    table = {"schema_version": METRICS_SCHEMA_VERSION, "config": cfg.to_dict(), "settings": []}
+    with _Output(out_dir, "sweep_table.json", table):
+        settings = table["settings"]
         for alpha, beta in bounds:
+            first = not settings
+            row = {"alpha": alpha, "beta": beta, "delta": [], "grad_norm": [], "clipped_fraction": [],
+                   "clipped_fraction_shared": shared[len(settings)], "mean_logp": [], "final_delta": 0.0,
+                   "final_reward_mean": math.nan}
+
+            def fold(report, loss, sample) -> None:
+                row["delta"].append(sample.delta)
+                row["grad_norm"].append(loss.grad_norm)
+                row["clipped_fraction"].append(loss.clipped_fraction)
+                row["mean_logp"].append(loss.mean_logp)
+                row["final_delta"] = sample.delta
+                if report.emitted_groups:
+                    row["final_reward_mean"] = report.reward_mean
+                if first:  # mask the first setting's calibrations with every setting's bounds
+                    c = loss.per_token_calibration
+                    for (a, b), column in zip(bounds, shared):
+                        column.append(float(((c < a) | (c > b)).mean()) if c.size else 0.0)
+
             objective = dataclasses.replace(cfg.objective, alpha=alpha, beta=beta)
-            results, _, _ = _train_run(dataclasses.replace(cfg, objective=objective, run=run),
-                                       on_step=None if rows else mask_shared)
-            final_reward = next((report.reward_mean for report, _, _ in reversed(results) if report.emitted_groups), math.nan)
-            rows.append(
-                {
-                    "alpha": alpha,
-                    "beta": beta,
-                    "delta": [sample.delta for _, _, sample in results],
-                    "grad_norm": [loss.grad_norm for _, loss, _ in results],
-                    "clipped_fraction": [loss.clipped_fraction for _, loss, _ in results],
-                    "clipped_fraction_shared": shared[len(rows)],
-                    "mean_logp": [loss.mean_logp for _, loss, _ in results],
-                    "final_delta": results[-1][2].delta if results else 0.0,
-                    "final_reward_mean": final_reward,
-                }
-            )
-    except (NumericError, TickCapError) as exc:
-        failure = exc
-    table = {
-        "schema_version": METRICS_SCHEMA_VERSION,
-        "config": cfg.to_dict(),
-        "settings": rows,
-    }
-    if failure is not None:
-        table = _with_failure(table, failure)
-    (out_dir / "sweep_table.json").write_text(_dumps(table) + "\n", encoding="utf-8")
-    if failure is not None:
-        raise failure  # main maps it to its message and exit code
+            _train_run(dataclasses.replace(cfg, objective=objective, run=run), on_step=fold)
+            settings.append(row)
     return EXIT_OK
 
 

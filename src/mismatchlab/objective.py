@@ -119,28 +119,42 @@ class RolloutBatch:
 class LossBreakdown:
     """Objective value, gradient and per-token diagnostics of one batch.
 
-    grad_norm and the other scalars are fixed when the breakdown is
-    built, so they stay when a holder drops the arrays: train_loop sets
-    grad and the four per_token_* arrays to None once its on_step has
-    seen them.
+    train_loop hands each iteration's breakdown to its on_step and keeps
+    none of them, so a caller folds what it writes as the breakdown
+    lands. grad_norm is fixed when the breakdown is built.
     """
 
     objective_value: float
-    per_token_mask_kept: np.ndarray | None
+    per_token_mask_kept: np.ndarray
     clipped_fraction: float
-    grad: np.ndarray | None
+    grad: np.ndarray
     kl_to_ref: float
     token_count: int = 0
     mean_logp: float = 0.0
     entropy_all: float = 0.0
     entropy_clipped: float = math.nan
-    per_token_surrogate: np.ndarray | None = field(default_factory=lambda: np.zeros(0))
-    per_token_calibration: np.ndarray | None = field(default_factory=lambda: np.zeros(0))
-    per_token_entropy: np.ndarray | None = field(default_factory=lambda: np.zeros(0))
+    per_token_surrogate: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    per_token_calibration: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    per_token_entropy: np.ndarray = field(default_factory=lambda: np.zeros(0))
     grad_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
-        self.grad_norm = float(np.linalg.norm(self.grad))
+        self.grad_norm = _norm(self.grad)
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of x. The plain norm squares every entry, so it overflows on a finite x whose
+    entries reach about 1e154; then it is taken of x scaled by its largest |entry|. Raises NumericError
+    if even that norm is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(x))
+        if math.isfinite(norm):
+            return norm
+        scale = float(np.abs(x).max())
+        norm = scale * float(np.linalg.norm(x / scale))
+    if not math.isfinite(norm):
+        raise NumericError("gradient norm is not finite")
+    return norm
 
 
 def empty_breakdown(params: PolicyParams) -> LossBreakdown:

@@ -67,9 +67,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrepancy import DiscrepancySample, measure, probe_windows
+from .discrepancy import measure, probe_windows
 from .errors import ConfigError, TickCapError
-from .objective import (LossBreakdown, ObjectiveConfig, RolloutBatch, batch_group_advantages, empty_breakdown, momentum_update,
+from .objective import (ObjectiveConfig, RolloutBatch, batch_group_advantages, empty_breakdown, momentum_update,
                         objective_and_grad, sgd_update)
 from .policy import Context, ContextTable, Engine, PolicyParams, Vocabulary
 # The direct engine path, no longer called here: perfbench/child.py wraps these names where each layer binds them.
@@ -745,31 +745,28 @@ def train_loop(
     probes: list[Context],
     baseline: bool = False,
     on_step=None,
-) -> tuple[list[tuple[StepReport, LossBreakdown, DiscrepancySample]], PolicyParams]:
-    """Alternate rollout generation, objective/gradient, update, weight sync.
+) -> PolicyParams:
+    """Alternate rollout generation, objective/gradient, update, weight sync; return the final parameters.
 
     The objective config gives the masking bounds, the learning rate,
     the optimizer and its momentum. Resumed rollouts keep their recorded
     token history, so stale tokens retain the version that generated
-    them. on_step, when given, is called with (report, loss, sample) as
-    each iteration lands, with every field of the loss, so callers can
-    flush metrics before a potential numeric failure, and read the
-    per-token arrays.
+    them. A run is a fold: on_step, when given, is called with
+    (report, loss, sample) as each iteration lands, before its update,
+    so a caller flushes metrics before a potential numeric failure and
+    folds what it writes (sums, lists of scalars, per-token arrays)
+    there. The loop keeps nothing per iteration, so what a run holds
+    does not grow with its length.
 
     The rollout ticks, the objective and the probe measure all read the
     state's context table at the iteration's parameters, which the
     table evaluates once. The KL reference is the run's initial
-    parameters. What a run keeps does not grow with the tokens it
-    trained: each result holds the iteration's StepReport and
-    DiscrepancySample, and its LossBreakdown's scalars (grad_norm among
-    them), but its grad and per_token_* arrays are None, dropped once
-    on_step has seen them and the update has applied the gradient.
+    parameters.
     """
     ref = params.copy()
     table = state.table
     probe_rows = state.probe_rows = table.rows(*probe_windows(probes))
     velocity = np.zeros_like(params.weights)
-    results: list[tuple[StepReport, LossBreakdown, DiscrepancySample]] = []
     step = run_iteration_baseline if baseline else run_iteration
     for _ in range(n_iterations):
         report, batch = step(state, params, cfg, objective)
@@ -778,7 +775,6 @@ def train_loop(
         else:
             loss = empty_breakdown(params)
         sample = measure(params, probes, table.infer, table.temperature, step=report.iteration, table=table, rows=probe_rows)
-        results.append((report, loss, sample))
         if on_step is not None:
             on_step(report, loss, sample)
         if batch:
@@ -788,7 +784,7 @@ def train_loop(
                 )
             else:
                 params = sgd_update(params, loss.grad, objective.learning_rate)
-        loss.grad = None
-        loss.per_token_mask_kept = loss.per_token_surrogate = loss.per_token_calibration = loss.per_token_entropy = None
         state.tick_clock += cfg.sync_cost_ticks
-    return results, params
+        # Released here, not when the next iteration rebinds them, so they do not add to its peak.
+        del report, batch, loss, sample
+    return params

@@ -283,6 +283,35 @@ def test_rl_loop_compounding_failure_keeps_the_steps_measured(tmp_path, monkeypa
     assert json.loads((tmp_path / "failed" / "compounding_fit.json").read_text(encoding="utf-8"))["status"] == "numeric_failure"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command,name,overrides",
+    [
+        ("train", "train_icepop", {"run": {"n_iterations": 3}}),
+        ("sweep", "sweep", {"sweep": {"n_iterations": 3}}),
+        ("schedule", "schedule_longtail", {"schedule": {"n_iterations": 3, "max_len": 16, "seeds": [11]}}),
+    ],
+)
+def test_a_finite_gradient_whose_squares_overflow_keeps_a_finite_norm(tmp_path, command, name, overrides) -> None:
+    """At kl_coeff 1e300 the gradient stays finite but its squared entries overflow; its norm, taken scaled,
+    is finite, and the command succeeds without a warning."""
+    cfg = write_config(tmp_path, name, objective={"kl_coeff": 1e300}, **overrides)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    if command == "train":
+        rows = (out / "metrics.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+        norms = [json.loads(line)["grad_norm"] for line in rows]
+        assert json.loads((out / "summary.json").read_text(encoding="utf-8"))["status"] == "ok"
+    elif command == "sweep":
+        table = json.loads((out / "sweep_table.json").read_text(encoding="utf-8"))
+        norms = [n for setting in table["settings"] for n in setting["grad_norm"]]
+    else:
+        report = json.loads((out / "schedule_report.json").read_text(encoding="utf-8"))
+        assert [r["seed"] for r in report["per_seed"]] == [11] and "status" not in report
+        return
+    assert None not in norms and max(norms) > 1e154
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_schedule_rejects_fewer_than_one_job(tmp_path, jobs: str) -> None:
     out = tmp_path / "o"

@@ -477,7 +477,7 @@ def test_clipped_token_entropy_reported_as_tendency() -> None:
     ent_all: list[float] = []
 
     def collect(report, loss, sample) -> None:
-        # The per-token arrays reach on_step; train_loop's results keep only the scalars.
+        # The per-token arrays reach on_step; train_loop keeps nothing per iteration.
         if loss.token_count:
             ent_all.extend(loss.per_token_entropy.tolist())
             ent_clipped.extend(loss.per_token_entropy[~loss.per_token_mask_kept].tolist())

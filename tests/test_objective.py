@@ -29,7 +29,7 @@ from mismatchlab import (
     sgd_update,
     train_engine,
 )
-from mismatchlab.objective import batch_group_advantages
+from mismatchlab.objective import LossBreakdown, batch_group_advantages
 from mismatchlab.policy import ContextTable, batched_log_softmax, batched_train_logits, context_rows, feature_rows
 from mismatchlab.tasks import TaskKind, all_prompt_ids
 from oracles import group_advantages, reference_objective, shifted_rows
@@ -464,6 +464,21 @@ def test_sgd_rejects_non_finite_result() -> None:
     grad = np.full_like(theta.weights, 1e308)
     with pytest.raises(NumericError):
         sgd_update(theta, grad, lr=10.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_grad_norm_of_a_finite_gradient_whose_squares_overflow() -> None:
+    """grad_norm is the plain norm while it is finite, the norm scaled by the largest |entry| past that, and
+    NumericError when even the scaled norm overflows."""
+    def norm(grad) -> float:
+        return LossBreakdown(0.0, np.zeros(0, dtype=bool), 0.0, np.asarray(grad, dtype=np.float64), 0.0).grad_norm
+
+    assert norm([3.0, -4.0]) == 5.0
+    assert norm([]) == 0.0
+    assert norm([3e200, -4e200]) == pytest.approx(5e200, rel=1e-15)
+    assert norm([1e308, 0.0]) == 1e308
+    with pytest.raises(NumericError, match="gradient norm is not finite"):
+        norm([1.5e308, -1.5e308])
 
 
 def test_momentum_update_accumulates_velocity() -> None:

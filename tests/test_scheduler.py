@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -714,9 +715,10 @@ def test_train_loop_zero_iterations_is_identity() -> None:
     source = SyntheticPromptSource(vocab, max_len=4)
     state = SchedulerState(vocab=vocab, source=source, seed=3, n_features=32, infer=infer_engine(0.1, 7))
     params = default_params()
-    results, final = train_loop(
+    results = []
+    final = train_loop(
         0, state, params, BudgetConfig(token_budget=10, infer_capacity=4), ObjectiveConfig(group_size=2, learning_rate=1.0),
-        make_probes(256, vocab, 3),
+        make_probes(256, vocab, 3), on_step=lambda *step: results.append(step),
     )
     assert results == []
     assert final is params
@@ -728,8 +730,10 @@ def test_train_loop_smoke_thirty_iterations() -> None:
     state = SchedulerState(vocab=vocab, source=source, seed=1234, n_features=512, infer=infer_engine(0.22, 7))
     params = init_params(vocab, n_features=512, init_scale=0.3, seed=1234)
     budget = BudgetConfig(token_budget=440, infer_capacity=48, retention_threshold=3, sync_cost_ticks=8)
-    results, final = train_loop(
-        30, state, params, budget, ObjectiveConfig(group_size=8, learning_rate=24.0), make_probes(256, vocab, 1234)
+    results = []
+    final = train_loop(
+        30, state, params, budget, ObjectiveConfig(group_size=8, learning_rate=24.0), make_probes(256, vocab, 1234),
+        on_step=lambda *step: results.append(step),
     )
     assert len(results) == 30
     assert final.version_id > 0
@@ -759,11 +763,11 @@ def test_partitioned_and_baseline_match_on_shared_seed_without_budget_pressure()
     cfg = ObjectiveConfig(group_size=4, learning_rate=5.0)
     probes = make_probes(256, Vocabulary(size=8), 42)
     state_a, params_a, budget = build(42)
-    res_a, fin_a = train_loop(5, state_a, params_a, budget, cfg, probes)
+    rewards_a, rewards_b = [], []
+    fin_a = train_loop(5, state_a, params_a, budget, cfg, probes, on_step=lambda r, *_: rewards_a.append(r.reward_mean))
     state_b, params_b, _ = build(42)
-    res_b, fin_b = train_loop(5, state_b, params_b, budget, cfg, probes, baseline=True)
-    rewards_a = [r[0].reward_mean for r in res_a]
-    rewards_b = [r[0].reward_mean for r in res_b]
+    fin_b = train_loop(5, state_b, params_b, budget, cfg, probes, baseline=True,
+                       on_step=lambda r, *_: rewards_b.append(r.reward_mean))
     assert rewards_a == rewards_b
     assert np.array_equal(fin_a.weights, fin_b.weights)
 
@@ -775,10 +779,12 @@ def test_train_loop_replay_is_bit_identical() -> None:
         state = SchedulerState(vocab=vocab, source=source, seed=7, n_features=128, infer=infer_engine(0.22, 7))
         params = init_params(vocab, n_features=128, init_scale=0.3, seed=7)
         budget = BudgetConfig(token_budget=200, infer_capacity=24, retention_threshold=3, sync_cost_ticks=8)
-        results, final = train_loop(
-            12, state, params, budget, ObjectiveConfig(group_size=4, learning_rate=10.0), make_probes(256, vocab, 7)
+        deltas = []
+        final = train_loop(
+            12, state, params, budget, ObjectiveConfig(group_size=4, learning_rate=10.0), make_probes(256, vocab, 7),
+            on_step=lambda report, loss, sample: deltas.append(sample.delta),
         )
-        return [r[2].delta for r in results], final.weights
+        return deltas, final.weights
 
     d1, w1 = run_once()
     d2, w2 = run_once()
@@ -1105,24 +1111,40 @@ def test_train_loop_samples_each_rollout_from_its_own_stream(monkeypatch, length
 PER_TOKEN = ("per_token_mask_kept", "per_token_surrogate", "per_token_calibration", "per_token_entropy")
 
 
-def test_train_loop_results_keep_grad_norm_but_not_grad() -> None:
-    """on_step sees the gradient and every per-token array; the results keep the scalars and drop the arrays."""
+def _small_run():
     vocab = Vocabulary(size=8)
     state = SchedulerState(vocab=vocab, source=SyntheticPromptSource(vocab, max_len=6), seed=11, n_features=64,
                            infer=infer_engine(0.2, 7))
     params = init_params(vocab, n_features=64, init_scale=0.3, seed=11)
     budget = BudgetConfig(token_budget=60, infer_capacity=12, prompts_per_iteration=4)
-    seen, sizes = [], []
+    return state, params, budget, ObjectiveConfig(group_size=4, learning_rate=1.0), make_probes(256, vocab, 11)
+
+
+def test_on_step_sees_the_grad_and_every_per_token_array() -> None:
+    """on_step sees each iteration's gradient, with its grad_norm, and every per-token array at the loss's
+    token count."""
+    seen, norms, sizes, counts = [], [], [], []
 
     def record(report, loss, sample) -> None:
         seen.append(float(np.linalg.norm(loss.grad)))
+        norms.append(loss.grad_norm)
         sizes.append({getattr(loss, name).size for name in PER_TOKEN})
+        counts.append(loss.token_count)
 
-    results, _ = train_loop(
-        4, state, params, budget, ObjectiveConfig(group_size=4, learning_rate=1.0), make_probes(256, vocab, 11),
-        on_step=record,
-    )
+    train_loop(4, *_small_run(), on_step=record)
     assert any(seen)
-    assert [loss.grad_norm for _, loss, _ in results] == seen
-    assert sizes == [{loss.token_count} for _, loss, _ in results] and any(loss.token_count for _, loss, _ in results)
-    assert all(getattr(loss, name) is None for _, loss, _ in results for name in ("grad", *PER_TOKEN))
+    assert norms == seen
+    assert sizes == [{n} for n in counts] and any(counts)
+
+
+def test_train_loop_keeps_no_iteration() -> None:
+    """A run is a fold: once train_loop returns, every report, loss and sample on_step saw is dead."""
+    refs = []
+
+    def record(report, loss, sample) -> None:
+        refs.extend(weakref.ref(obj) for obj in (report, loss, sample))
+
+    final = train_loop(4, *_small_run(), on_step=record)
+    assert len(refs) == 12
+    assert [ref for ref in refs if ref() is not None] == []
+    assert isinstance(final, PolicyParams) and final.version_id > 0

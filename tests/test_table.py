@@ -300,7 +300,9 @@ def test_overflow_at_a_context_the_run_never_visits_does_not_fail_it() -> None:
 
     state = SchedulerState(vocab=vocab, source=SyntheticPromptSource(vocab, max_len=6), seed=3, n_features=n_features, infer=infer)
     budget = BudgetConfig(token_budget=40, infer_capacity=8, prompts_per_iteration=3)
-    results, _ = train_loop(3, state, params, budget, ObjectiveConfig(group_size=2, learning_rate=0.5), make_probes(32, vocab, 3))
+    results = []
+    train_loop(3, state, params, budget, ObjectiveConfig(group_size=2, learning_rate=0.5), make_probes(32, vocab, 3),
+               on_step=lambda *step: results.append(step))
     assert len(results) == 3
     # The row was never read, so it did not fail the run; checked now, it raises.
     with pytest.raises(NumericError) as checked:
