@@ -9,8 +9,10 @@
 # missing on one side. A second table does the same for the digest of the
 # batches each schedule run emits for training ("<run>/batches", see
 # tests/replay.py), which no output file shows. Both sides run the working
-# tree's replay set, each on its own configs and its own src/. The report
-# never fails: outputs may change on purpose, so it always exits 0.
+# tree's replay set, each on its own configs and its own src/. A last table
+# gives the line count (wc -l) of each src/mismatchlab/*.py at both sides and
+# in total. The report never fails: outputs may change on purpose, so it
+# always exits 0.
 set -u
 
 base_rev="$1"
@@ -85,6 +87,17 @@ for key in $(cut -d ' ' -f 1 "$work/base_batches" "$work/head_batches" | sort -u
   fi
   echo "| \`$key\` | \`${base:0:12}\` | \`${head:0:12}\` | $result |"
 done
+echo
+echo "| source file | base lines | head lines | change |"
+echo "|---|---|---|---|"
+base_total=0 head_total=0
+for name in $( (cd "$work/base/src/mismatchlab" && ls -- *.py; cd "$head_dir/src/mismatchlab" && ls -- *.py) 2> /dev/null | sort -u); do
+  base="$(wc -l 2> /dev/null < "$work/base/src/mismatchlab/$name" || echo 0)"
+  head="$(wc -l 2> /dev/null < "$head_dir/src/mismatchlab/$name" || echo 0)"
+  base_total=$((base_total + base)) head_total=$((head_total + head))
+  echo "| \`$name\` | $base | $head | $((head - base)) |"
+done
+echo "| total | $base_total | $head_total | $((head_total - base_total)) |"
 for side in base head; do
   if [ -f "$work/${side}_out/failed" ]; then
     echo

@@ -61,17 +61,24 @@ def _vocab(cfg: ExperimentConfig) -> Vocabulary:
     return Vocabulary(size=cfg.policy.vocab_size, eos_id=cfg.policy.eos_id)
 
 
+def _open(path: Path):
+    try:
+        return path.open("w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {path}: {exc.strerror or exc}") from exc
+
+
 class _Output:
     """The output of one command under out_dir: its final document, and a JSONL file of rows when named.
 
-    Making it creates out_dir and its parents (ConfigError if out_dir
-    cannot be a directory) and writes the rows file's header, doc's
-    config; row() appends a line and flushes it, so the lines written
-    survive a failure. The command fills doc in as its run folds.
-    Leaving the with block writes doc; on a NumericError or TickCapError
-    it writes doc with the failure's status (a status already in doc
-    keeps its place) and error, and lets the failure go on to main,
-    which maps it to its message and exit code.
+    Making it creates out_dir and its parents and opens both files, or
+    raises a ConfigError and writes neither; then it writes the rows
+    file's header, doc's config. row() appends a line and flushes it, so
+    the lines written survive a failure. The command fills doc in as its
+    run folds. Leaving the with block writes doc; on a NumericError or
+    TickCapError it writes doc with the failure's status (a status
+    already in doc keeps its place) and error, and lets the failure go
+    on to main, which maps it to its message and exit code.
     """
 
     def __init__(self, out_dir: Path, name: str, doc: dict, rows: str | None = None) -> None:
@@ -80,7 +87,13 @@ class _Output:
         except OSError as exc:
             raise ConfigError(f"--out: cannot create directory {out_dir}: {exc}") from exc
         self._path, self._doc = out_dir / name, doc
-        self._rows = (out_dir / rows).open("w", encoding="utf-8") if rows else None
+        self._file = _open(self._path)
+        try:
+            self._rows = _open(out_dir / rows) if rows else None
+        except ConfigError:
+            self._file.close()
+            self._path.unlink()
+            raise
         if self._rows:
             self.row({"schema_version": METRICS_SCHEMA_VERSION, "kind": "header", "config": doc["config"]})
 
@@ -99,7 +112,8 @@ class _Output:
             if failure is not None:
                 status = "numeric_failure" if isinstance(failure, NumericError) else "tick_cap_exceeded"
                 doc = {**doc, "status": status, "error": str(failure)}
-            self._path.write_text(_dumps(doc) + "\n", encoding="utf-8")
+            self._file.write(_dumps(doc) + "\n")
+        self._file.close()
         return False
 
 

@@ -28,23 +28,28 @@ samples each live rollout that has an end token (a policy-length one,
 which ends on EOS) up to its first end token or its last free slot; the
 tokens it sampled are its ticks left, as a target-length rollout's free
 slots are. _schedule then moves the pool from one end event to the next
-with a heap of end ticks, which gives every admission, the budget stop,
-what carries over and the tick cap, and records the ticks between events
-as segments. _sample last samples the slots that the target-length
-rollouts generated, and keeps of a rollout sampled ahead only the tokens
-it generated. _sample_slots is the one sampler: one array step per token
+with a heap of end ticks, which gives every admission (the tick at which
+each rollout joins the pool, one array over the live rollouts), the
+budget stop, what carries over and the tick cap. _sample last finishes
+every token the iteration generated: it samples the slots of the
+target-length rollouts, keeps of a rollout sampled ahead only the tokens
+it generated, checks them, records each one's log probs under both
+engines and its version, writes back the rollouts' rows and lengths, and
+ends those that generated all they had left, so a token keeps the
+version that sampled it even if its iteration hits the tick cap.
+_sample_slots is the one sampler: one array step per token
 position over the rollouts still sampling, and the last few in scalar
 bisect_right steps. The table checks every generated read at its tick,
 and no read made ahead past it: the NumericError is that of the first
 tick that reads a non-finite row, before any later tick cap, and a
 context the iteration never reads cannot fail it. Spawn writes a block
-of rollouts, the close finds complete groups with a bincount and
-verifies each task kind once, and the emitted groups reach the objective
-as a flat RolloutBatch that carries each token's table row. Sampling,
-the objective and the probe measure read both engines from the state's
-ContextTable, which evaluates in one pass per version every row readable
-then: the windows that the rollouts of each live (prompt, end token) can
-read, and the probe rows.
+of rollouts, and the close only emits: it finds complete groups with a
+bincount and verifies each task kind once, and the emitted groups reach
+the objective as a flat RolloutBatch that carries each token's table
+row. Sampling, the objective and the probe measure read both engines
+from the state's ContextTable, which evaluates in one pass per version
+every row readable then: the windows that the rollouts of each live
+(prompt, end token) can read, and the probe rows.
 
 Each rollout samples with its own uniforms, one per token, so the pool's
 order never perturbs another rollout's tokens. They are the first draws
@@ -157,11 +162,10 @@ class SyntheticPromptSource:
 # The columns of SchedulerState.rollouts, one int64 entry per live rollout: its uid and group uid; its
 # task's prompt id, TaskKind code, target and max_len; its context's table row; the start of its block
 # of limit token slots, its length and limit; the token that ends it (EOS without a target length,
-# else -1); its retention period; 1 once terminal; and how many of its tokens have their log probs
-# and version recorded.
-_N_COLUMNS = 14
+# else -1); its retention period; and 1 once terminal.
+_N_COLUMNS = 13
 (_UID, _GROUP, _PROMPT, _KIND, _TARGET, _MAX_LEN, _ROW, _START, _LENGTH, _LIMIT, _END_TOKEN, _RETENTION,
- _TERMINAL, _RECORDED) = range(_N_COLUMNS)
+ _TERMINAL) = range(_N_COLUMNS)
 _KIND_CODE = {kind: code for code, kind in enumerate(TaskKind)}
 # The arrays of SchedulerState.slots, one entry per token slot: its uniform, and once generated the token,
 # the table row of its context, its log probs under both engines and its parameter version.
@@ -418,7 +422,7 @@ def _spawn_groups(state: SchedulerState, wanted: int, group_size: int) -> None:
     while len(groups) < wanted and (drawn := state.source.next_prompt(state.prompt_stream, group_size)) is not None:
         task, targets = drawn
         groups.append((0, state.next_group_uid + len(groups), task.prompt_id, _KIND_CODE[task.kind], task.target, task.max_len,
-                       state.table.prompt_row(task.prompt_id), 0, 0, task.max_len, state.vocab.eos_id, 0, 0, 0))
+                       state.table.prompt_row(task.prompt_id), 0, 0, task.max_len, state.vocab.eos_id, 0, 0))
         lengths.append(targets)
     if not groups:
         return
@@ -439,15 +443,6 @@ def _spawn_groups(state: SchedulerState, wanted: int, group_size: int) -> None:
     state.n_pending += target.size
     state.next_uid += target.size
     state.next_group_uid += len(groups)
-
-
-def _refill(state: SchedulerState, cfg: BudgetConfig, pool_size: int) -> range:
-    """Admit pending rollouts, in queue order, up to the capacity of a pool of pool_size; returns their
-    columns of state.rollouts."""
-    admitted = min(cfg.infer_capacity - pool_size, state.n_pending)
-    first = state.rollouts.shape[1] - state.n_pending
-    state.n_pending -= admitted
-    return range(first, first + admitted)
 
 
 def _in_pool(state: SchedulerState) -> np.ndarray:
@@ -480,24 +475,10 @@ def _purge_boundary(state: SchedulerState, cfg: BudgetConfig) -> int:
     return int(dead.sum())
 
 
-def _close_iteration(
-    state: SchedulerState, group_size: int, params_version: int, ticks: int, trained_tokens: int, completed: int, purged: int,
-    resumed: int,
-) -> tuple[StepReport, RolloutBatch]:
-    """The close of an iteration: record, emit, report, advance the iteration.
-
-    First the log probs and the version of every token generated since
-    the last close are read from the table, which holds the generating
-    version until the next load. Then every group whose siblings are all
-    terminal is emitted, in group order, and leaves state.rollouts.
-    """
+def _close_iteration(state: SchedulerState, group_size: int) -> RolloutBatch:
+    """The close of an iteration: emit, in group order, every group whose siblings are all terminal, as one
+    batch; its rollouts leave state.rollouts."""
     rollouts, slots = state.rollouts, state.slots
-    at = spans(rollouts[_START] + rollouts[_RECORDED], rollouts[_LENGTH] - rollouts[_RECORDED])
-    for engine in ("lp_train", "lp_infer"):
-        slots[engine][at] = getattr(state.table, engine)[slots["context"][at], slots["token"][at]]
-    slots["version"][at] = params_version
-    rollouts[_RECORDED] = rollouts[_LENGTH]
-
     group = rollouts[_GROUP] - rollouts[_GROUP, :1].sum()  # group uids from 0; they rise along the rollouts
     ready = (np.bincount(group, weights=rollouts[_TERMINAL]) == np.bincount(group))[group]
     emitted = rollouts[:, ready]
@@ -515,66 +496,49 @@ def _close_iteration(
                          emitted[_UID], tokens, *(slots[name][at] for name in ("context", "lp_train", "lp_infer", "version")))
     if lengths.size:
         _keep(state, ~ready)
-    emitted_tokens = int(lengths.sum())
-    report = StepReport(
-        iteration=state.iteration, rollout_ticks=ticks, trained_tokens=trained_tokens, purged_rollouts=purged,
-        resumed_rollouts=resumed, completed_rollouts=completed, emitted_groups=len(batch), emitted_tokens=emitted_tokens,
-        stale_token_fraction=int((batch.versions < params_version).sum()) / emitted_tokens if emitted_tokens else 0.0,
-        reward_mean=float(np.mean(rewards)) if lengths.size else math.nan,
-    )
-    state.iteration += 1
-    return report, batch
+    return batch
 
 
 class _Schedule(NamedTuple):
     """An iteration as _schedule runs it, by end events alone.
 
-    columns lists every rollout in the pool during the iteration, in
-    admission order (the pool at its start first), and admitted the tick
-    at which each joined it; ended lists those that ended. ticks is the
+    admitted has one entry per column of state.rollouts: the tick at
+    which that rollout joined the pool (0 for the pool at the start), or
+    -1 if it was not in the pool during the iteration. ticks is the
     iteration's length, counter the tokens of the ended rollouts, and
     capped whether the tick after the last one would exceed tick_cap.
-    segments has one (ticks, active, ended, counter) entry per stretch
-    of ticks between end events: its length, the pool's size during it,
-    the rollouts its last tick ends and counter after it.
     """
 
-    columns: list[int]
-    admitted: list[int]
-    ended: list[int]
+    admitted: np.ndarray
     ticks: int
     counter: int
     capped: bool
-    segments: list[tuple[int, int, int, int]]
 
 
 def _schedule(state: SchedulerState, cfg: BudgetConfig, pool: np.ndarray, left: np.ndarray, baseline: bool) -> _Schedule:
     """The iteration's ticks without their tokens: the pool moves from one end event to the next, refills
     where a tick-by-tick loop refills and stops where it stops. A rollout ends left[c] ticks after it joins
     the pool, at its limit or its end token, and counts length + left tokens toward the budget."""
+    admitted = np.full(left.size, -1, dtype=np.int64)
+    admitted[pool] = 0
     total, left = (state.rollouts[_LENGTH] + left).tolist(), left.tolist()
-    columns, admitted, ended, segments = pool.tolist(), [0] * pool.size, [], []
-    ends = [(left[c], c) for c in columns]  # a heap of (the tick that ends it, its column)
+    ends = [(left[c], c) for c in pool.tolist()]  # a heap of (the tick that ends it, its column)
     heapq.heapify(ends)
-    ticks = counter = 0
+    ticks, counter, capped = 0, 0, False
     while baseline or counter < cfg.token_budget:
-        if not (baseline and ends):
-            for c in _refill(state, cfg, len(ends)):
-                columns.append(c)
-                admitted.append(ticks)
+        if not (baseline and ends):  # admit pending rollouts, in queue order, up to the pool's capacity
+            first, joined = state.rollouts.shape[1] - state.n_pending, min(cfg.infer_capacity - len(ends), state.n_pending)
+            state.n_pending -= joined
+            admitted[first : first + joined] = ticks
+            for c in range(first, first + joined):
                 heapq.heappush(ends, (ticks + left[c], c))
-        if not ends:
+        if not ends or (capped := ticks >= cfg.tick_cap):
             break
-        if ticks >= cfg.tick_cap:
-            return _Schedule(columns, admitted, ended, ticks, counter, True, segments)
-        until, active = min(ends[0][0], cfg.tick_cap), len(ends)
+        until = min(ends[0][0], cfg.tick_cap)
         while ends and ends[0][0] == until:
-            c = heapq.heappop(ends)[1]
-            ended.append(c)
-            counter += total[c]
-        segments.append((until - ticks, active, active - len(ends), counter))
+            counter += total[heapq.heappop(ends)[1]]
         ticks = until
-    return _Schedule(columns, admitted, ended, ticks, counter, False, segments)
+    return _Schedule(admitted, ticks, counter, capped)
 
 
 _SCALAR_TAIL = 8  # the sampler's last rollouts finish in scalar steps
@@ -668,9 +632,10 @@ def _sample_ahead(state: SchedulerState) -> np.ndarray:
     return left
 
 
-def _sample(state: SchedulerState, plan: _Schedule, left: np.ndarray) -> None:
-    """Sample the slots that plan's target-length rollouts generated, check every read that plan's rollouts
-    generated, and write back their rows, lengths and ends.
+def _sample(state: SchedulerState, plan: _Schedule, left: np.ndarray, version: int) -> int:
+    """Finish every token plan's rollouts generated: sample the slots of its target-length rollouts, check
+    every generated read, record each token's log probs under both engines and the version, write back
+    the rollouts' rows and lengths, and end those that generated all of left; returns how many ended.
 
     Each rollout generates min(left, ticks - admitted) tokens, each from
     its row at the start of the iteration. One with an end token was
@@ -678,22 +643,31 @@ def _sample(state: SchedulerState, plan: _Schedule, left: np.ndarray) -> None:
     discarded unchecked, so a context the iteration never reads cannot
     fail it. The table checks the generated reads at their ticks
     (admission tick plus position), so the NumericError is that of the
-    first tick that reads a non-finite row.
+    first tick that reads a non-finite row. The table holds the
+    generating version until the next load, so every token keeps its own
+    version and log probs, also when its rollout carries over or its
+    iteration hits the tick cap.
     """
     rollouts, slots, table = state.rollouts, state.slots, state.table
-    columns, admitted = np.array(plan.columns, dtype=np.intp), np.array(plan.admitted, dtype=np.int64)
+    columns = np.flatnonzero(plan.admitted >= 0)
+    admitted, left = plan.admitted[columns], left[columns]
     live = rollouts[:, columns]
     first = live[_START] + live[_LENGTH]
-    counts = np.minimum(left[columns], plan.ticks - admitted)
+    counts = np.minimum(left, plan.ticks - admitted)
     later = live[_END_TOKEN] < 0
     _sample_slots(state, first[later], counts[later], live[_ROW][later], live[_END_TOKEN][later])
     at = spans(first, counts)
-    table.check(slots["context"][at], at - np.repeat(first - admitted, counts))
+    context, token = slots["context"][at], slots["token"][at]
+    table.check(context, at - np.repeat(first - admitted, counts))
+    slots["lp_train"][at], slots["lp_infer"][at] = table.lp_train[context, token], table.lp_infer[context, token]
+    slots["version"][at] = version
     generated = counts > 0
     last = (first + counts - 1)[generated]
     rollouts[_ROW][columns[generated]] = table.advance(slots["context"][last], slots["token"][last])
     rollouts[_LENGTH][columns] += counts
-    rollouts[_TERMINAL][plan.ended] = 1
+    ended = columns[counts == left]
+    rollouts[_TERMINAL][ended] = 1
+    return ended.size
 
 
 def _rollout_loop(state, params_t, cfg, group_cfg, baseline: bool) -> tuple[StepReport, RolloutBatch]:
@@ -716,12 +690,20 @@ def _rollout_loop(state, params_t, cfg, group_cfg, baseline: bool) -> tuple[Step
     _load_version(state, params_t, cfg, group_cfg)
     left = _sample_ahead(state)
     plan = _schedule(state, cfg, pool, left, baseline)
-    _sample(state, plan, left)
+    completed = _sample(state, plan, left, params_t.version_id)
     state.tick_clock += plan.ticks
     if plan.capped:
         raise TickCapError(f"iteration {state.iteration} did not end within budget.tick_cap = {cfg.tick_cap} ticks")
-    return _close_iteration(state, group_cfg.group_size, params_t.version_id, plan.ticks, plan.counter, len(plan.ended),
-                            purged, resumed)
+    batch = _close_iteration(state, group_cfg.group_size)
+    emitted_tokens = int(batch.lengths.sum())
+    report = StepReport(
+        iteration=state.iteration, rollout_ticks=plan.ticks, trained_tokens=plan.counter, purged_rollouts=purged,
+        resumed_rollouts=resumed, completed_rollouts=completed, emitted_groups=len(batch), emitted_tokens=emitted_tokens,
+        stale_token_fraction=int((batch.versions < params_t.version_id).sum()) / emitted_tokens if emitted_tokens else 0.0,
+        reward_mean=float(np.mean(batch.rewards)) if len(batch) else math.nan,
+    )
+    state.iteration += 1
+    return report, batch
 
 
 def run_iteration(state: SchedulerState, params_t: PolicyParams, cfg: BudgetConfig,

@@ -394,3 +394,44 @@ def test_rl_loop_compounding_reads_the_objective_and_budget(tmp_path, section: s
         assert main(["compounding", "--config", cfg, "--out", str(out)]) == 0
         traces.append((out / "compounding_trace.jsonl").read_text(encoding="utf-8").splitlines()[1:])
     assert traces[0] != traces[1]
+
+
+@pytest.mark.parametrize(
+    "command,name,blocked",
+    [
+        ("train", "train_icepop", "summary.json"),
+        ("train", "train_icepop", "metrics.jsonl"),
+        ("schedule", "schedule_uniform", "schedule_report.json"),
+        ("compounding", "compounding", "compounding_fit.json"),
+        ("compounding", "compounding", "compounding_trace.jsonl"),
+        ("sweep", "sweep", "sweep_table.json"),
+    ],
+)
+def test_an_output_file_that_cannot_be_written_exits_2_before_the_run(
+    tmp_path, capsys, monkeypatch, command: str, name: str, blocked: str
+) -> None:
+    def no_run(*args, **kwargs):
+        pytest.fail("the run started")
+
+    monkeypatch.setattr(cli, "train_loop", no_run)
+    monkeypatch.setattr(cli, "compounding_experiment", no_run)
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    assert main([command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(out)]) == 2
+    assert f"--out: cannot write {out / blocked}: Is a directory" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [blocked] and not any((out / blocked).iterdir())
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        ("schedule", "schedule command requires a schedule section"),
+        ("compounding", "compounding command requires a compounding section"),
+        ("sweep", "sweep command requires a sweep section"),
+    ],
+)
+def test_a_command_without_its_config_section_exits_2_before_any_output(tmp_path, capsys, command: str, message: str) -> None:
+    out = tmp_path / "o"
+    assert main([command, "--config", str(CONFIGS / "train_icepop.json"), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"config error: {message}" in capsys.readouterr().err

@@ -202,3 +202,23 @@ def test_cli_overrides_pass_the_section_checks(tmp_path, capsys) -> None:
     assert main(args + ["--iterations", "0", "--algo", "grpo"]) == 0
     header = json.loads((tmp_path / "o" / "metrics.jsonl").read_text(encoding="utf-8").splitlines()[0])
     assert header["config"]["objective"]["algo"] == "grpo" and header["config"]["run"]["n_iterations"] == 0
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (None, "cannot read config {path}: [Errno 2] No such file or directory"),
+        ("dir", "cannot read config {path}: [Errno 21] Is a directory"),
+        ('{\n  "seed": 1,\n  seed\n}\n', "{path}:3:3: invalid JSON (Expecting property name enclosed in double quotes)"),
+    ],
+)
+def test_an_unreadable_or_invalid_config_exits_2_before_any_output(tmp_path, capsys, content: str | None, message: str) -> None:
+    path = tmp_path / "config.json"
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(content, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"config error: {message.format(path=path)}" in capsys.readouterr().err

@@ -54,6 +54,7 @@ from mismatchlab.discrepancy import (
     probe_set,
 )
 from mismatchlab.policy import batched_train_logits, context_rows
+from mismatchlab.tasks import all_prompt_ids
 
 import oracles
 
@@ -110,6 +111,25 @@ def test_measure_requires_probes() -> None:
     params = init_params(vocab, n_features=16, init_scale=0.5, seed=1)
     with pytest.raises(ValueError):
         measure(params, [], infer_engine(0.1, 7))
+
+
+@pytest.mark.parametrize(
+    "n_probes,scale,temperature,message",
+    [
+        (0, 0.1, 1.0, "probe set must be non-empty"),
+        (8, 0.2, 1.0, "context table is of another engine or temperature"),
+        (8, 0.1, 0.5, "context table is of another engine or temperature"),
+    ],
+)
+def test_measure_on_a_table_requires_probes_and_the_tables_engine_and_temperature(
+    n_probes: int, scale: float, temperature: float, message: str
+) -> None:
+    vocab = Vocabulary(size=8)
+    params = init_params(vocab, n_features=16, init_scale=0.5, seed=1)
+    table = policy.ContextTable(all_prompt_ids(vocab), 16, vocab.size, infer_engine(0.1, 7), 1.0)
+    probes = make_probes(8, vocab, 1)[:n_probes]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        measure(params, probes, infer_engine(scale, 7), temperature, table=table)
 
 
 def test_delta_gradient_matches_finite_differences() -> None:

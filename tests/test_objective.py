@@ -434,6 +434,28 @@ def test_empty_group_and_empty_rollout_fail() -> None:
         objective_and_grad(group, theta, None, ObjectiveConfig(group_size=2), table)
 
 
+@pytest.mark.parametrize(
+    "change,error,message",
+    [
+        ({"group_size": 3}, ValueError, "the batch's rollouts do not form whole groups"),
+        ({"versions": np.array([0, 1])}, ValueError, "token generated by a version newer than theta"),
+        ({"advantages": np.array([math.nan, 1.0])}, NumericError, "group advantages contain non-finite values"),
+    ],
+)
+def test_objective_rejects_partial_groups_newer_versions_and_non_finite_advantages(change: dict, error, message: str) -> None:
+    theta = init_params(Vocabulary(size=6), n_features=16, init_scale=0.4, seed=1)
+    group, table = manual_group(theta, [(1, 1.0, 1.0), (2, 1.0, 1.0)], advantages=[1.0, -1.0])
+    with pytest.raises(error, match=f"^{message}$"):
+        objective_and_grad(dataclasses.replace(group, **change), theta, None, ObjectiveConfig(group_size=2), table)
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (4, 5), (4,), (1, 4, 4)])
+def test_sgd_update_rejects_a_gradient_of_another_shape(shape: tuple) -> None:
+    theta = init_params(Vocabulary(size=4), n_features=4, init_scale=0.3, seed=0)
+    with pytest.raises(ValueError, match="^gradient shape does not match parameters$"):
+        sgd_update(theta, np.zeros(shape), lr=0.5)
+
+
 def test_sgd_update_identity_and_basis_vector() -> None:
     vocab = Vocabulary(size=4)
     theta = init_params(vocab, n_features=4, init_scale=0.3, seed=0)

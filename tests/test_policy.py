@@ -73,10 +73,10 @@ def straight_line_softmax(params: PolicyParams, ctx: Context, temperature: float
 def tick_tokens(params: PolicyParams, ctx: Context, engine, uniforms) -> list[SimpleNamespace]:
     """The scheduler's sampler over single-token rollouts at ctx, rollout i drawing with uniforms[i].
 
-    Returns each rollout's tokens and, as the iteration's close records
-    them, their log probs under both engines and their versions. ctx's
-    prompt need not be a task prompt: the state's table is rebuilt over
-    that prompt alone.
+    Returns each rollout's tokens and, as _sample records them, their
+    log probs under both engines and their versions. ctx's prompt need
+    not be a task prompt: the state's table is rebuilt over that prompt
+    alone.
     """
     task = TaskSpec(TaskKind.PARITY_MATCH, ctx.prompt_id, 0, 1)
     state = SchedulerState(vocab=Vocabulary(size=params.vocab_size), source=ScriptedPromptSource([(task, [1] * len(uniforms))]),
@@ -87,16 +87,21 @@ def tick_tokens(params: PolicyParams, ctx: Context, engine, uniforms) -> list[Si
     rollouts = state.rollouts
     rollouts[scheduler._ROW] = state.table.rows([ctx.prompt_id], *([v] for v in ctx.window()))[0]
     state.slots["uniform"][: len(uniforms)] = uniforms
-    state.table.check(rollouts[scheduler._ROW])
-    rollouts[scheduler._LENGTH] = scheduler._sample_slots(state, *rollouts[[scheduler._START, scheduler._LIMIT, scheduler._ROW,
-                                                                            scheduler._END_TOKEN]])
-    assert rollouts[scheduler._LENGTH].tolist() == [1] * len(uniforms)
-    rollouts[scheduler._TERMINAL] = 1
-    _, batch = scheduler._close_iteration(state, len(uniforms), params.version_id, 1, len(uniforms), len(uniforms), 0, 0)
+    n = len(uniforms)
+    plan = scheduler._Schedule(admitted=np.zeros(n, dtype=np.int64), ticks=1, counter=n, capped=False)
+    assert scheduler._sample(state, plan, rollouts[scheduler._LIMIT] - rollouts[scheduler._LENGTH], params.version_id) == n
+    assert rollouts[scheduler._LENGTH].tolist() == [1] * n
+    slots = (state.slots[name][:n].tolist() for name in ("token", "lp_infer", "lp_train", "version"))
     return [
         SimpleNamespace(tokens=[token], lp_infer=[lp_infer], lp_train=[lp_train], versions=[version])
-        for token, lp_infer, lp_train, version in zip(*(getattr(batch, name).tolist() for name in ("tokens", "lp_infer", "lp_train", "versions")))
+        for token, lp_infer, lp_train, version in zip(*slots)
     ]
+
+
+@pytest.mark.parametrize("weights", [1.0, [1.0, 2.0], np.zeros((2, 2, 2))])
+def test_policy_params_reject_weights_that_are_not_a_matrix(weights) -> None:
+    with pytest.raises(ValueError, match=r"^weights must be a \(n_features, vocab_size\) matrix$"):
+        PolicyParams(weights)
 
 
 def test_zero_weights_give_uniform_distribution() -> None:

@@ -132,9 +132,9 @@ def uid_audit():
         return count
 
     def recording_close(*args, **kwargs):
-        report, batch = close(*args, **kwargs)
+        batch = close(*args, **kwargs)
         audit.trained |= set(batch.uids.tolist())
-        return report, batch
+        return batch
 
     scheduler._purge_boundary, scheduler._close_iteration = recording_purge, recording_close
     try:
@@ -174,27 +174,33 @@ FIXTURE_TRACE_ITER2 = [
 
 @contextlib.contextmanager
 def tick_trace():
-    """One row per scheduler tick run inside, read off the segments of _schedule.
+    """One row per scheduler tick run inside, derived from each plan of _schedule.
 
     tick is state.tick_clock + 1, the tick's number; active and pool_after
     are the pool sizes into and out of the tick; completed counts the
     rollouts it ended, and counter sums the lengths of the rollouts ended
-    so far in the iteration. A segment of _schedule is a stretch of ticks
-    with one pool whose last tick ends rollouts, or reaches the tick cap,
-    whether they end at their limit or at an end token sampled ahead.
+    so far in the iteration. A rollout admitted at tick a with left ticks
+    to generate is active for ticks a + 1 to a + left, up to the plan's
+    last tick, and ends at a + left, at its limit or at an end token
+    sampled ahead, with its length at the start plus left tokens.
     """
     trace: list[dict] = []
     schedule = scheduler._schedule
 
     def recording_schedule(state, cfg, pool, left, baseline):
         plan = schedule(state, cfg, pool, left, baseline)
-        number, before = state.tick_clock, 0
-        for ticks, active, ended, after in plan.segments:
-            for _ in range(ticks):
-                number += 1
-                trace.append({"tick": number, "active": active, "completed": 0, "counter": before, "pool_after": active})
-            trace[-1].update(completed=ended, counter=after, pool_after=active - ended)
-            before = after
+        columns = np.flatnonzero(plan.admitted >= 0)
+        joined = plan.admitted[columns]
+        ends = joined + left[columns]
+        total = state.rollouts[scheduler._LENGTH][columns] + left[columns]
+        n, ended = plan.ticks, ends <= plan.ticks
+        # The pool into tick t is bincount index t - 1 of the running sum of joins less leaves.
+        active = np.cumsum(np.bincount(joined, minlength=n + 1) - np.bincount(np.minimum(ends, n), minlength=n + 1))
+        completed = np.bincount(ends[ended], minlength=n + 1)
+        counter = np.cumsum(np.bincount(ends[ended], weights=total[ended], minlength=n + 1).astype(np.int64))
+        for t in range(1, n + 1):
+            trace.append({"tick": state.tick_clock + t, "active": int(active[t - 1]), "completed": int(completed[t]),
+                          "counter": int(counter[t]), "pool_after": int(active[t - 1] - completed[t])})
         return plan
 
     scheduler._schedule = recording_schedule
@@ -322,17 +328,17 @@ def test_prompts_drawn_for_an_iteration_that_ends_early_spawn_first_in_the_next(
                            infer=infer_engine(0.0, 7))
     admitted: list[tuple[int, int]] = []  # (iteration, prompt id) of each group as its first member enters the pool
     seen: set[int] = set()
-    refill = scheduler._refill
+    schedule = scheduler._schedule
 
-    def recording(state, cfg, pool_size):
-        columns = refill(state, cfg, pool_size)
-        for group_uid, prompt_id in state.rollouts[[_GROUP, _PROMPT]][:, columns].T.tolist():
+    def recording(state, cfg, pool, left, baseline):
+        plan = schedule(state, cfg, pool, left, baseline)  # its rollouts in the pool, in admission order
+        for group_uid, prompt_id in state.rollouts[[_GROUP, _PROMPT]][:, plan.admitted >= 0].T.tolist():
             if group_uid not in seen:
                 seen.add(group_uid)
                 admitted.append((state.iteration, prompt_id))
-        return columns
+        return plan
 
-    monkeypatch.setattr(scheduler, "_refill", recording)
+    monkeypatch.setattr(scheduler, "_schedule", recording)
     params = default_params()
     left_pending = []
     # A budget of 2 tokens ends an iteration after one group, of 3 after two; 100 lets the queue of 3 end it.
@@ -598,6 +604,31 @@ def test_a_tick_cap_error_leaves_the_rollouts_written_back() -> None:
     assert state.rollout_uniforms._jumps.shape[1] == scheduler._DRAW_PASS + 2  # not 10**6 + 2
     tokens = state.slots["token"][state.rollouts[_START, 1] :][:50]
     assert state.rollouts[_ROW, 1] == state.table.rows([100], tokens[-2:-1], tokens[-1:])[0]
+
+
+def test_a_capped_iteration_keeps_its_tokens_version_and_log_probs() -> None:
+    """Tokens generated in an iteration that hits the tick cap keep its version and both engines' log probs
+    at its parameters when a later iteration emits them."""
+    task = TaskSpec(TaskKind.PARITY_MATCH, 100, 0, 9)
+    state = SchedulerState(vocab=Vocabulary(size=8), source=ScriptedPromptSource([(task, [3, 8, None])]), seed=99,
+                           n_features=32, infer=infer_engine(0.3, 7))
+    params, cfg = default_params(), ObjectiveConfig(group_size=3)
+    budget = BudgetConfig(token_budget=10**5, infer_capacity=3, prompts_per_iteration=1, tick_cap=5)
+    with pytest.raises(TickCapError):
+        run_iteration(state, params, budget, cfg)
+    capped = dict(zip(state.rollouts[_UID].tolist(), state.rollouts[_LENGTH].tolist()))
+    assert capped[0] == 3 and capped[1] == 5
+    at_cap = {name: getattr(state.table, name).copy() for name in ("lp_train", "lp_infer")}
+    shift = np.random.default_rng(0).normal(0, 0.3, params.weights.shape)
+    params = PolicyParams(params.weights + shift, version_id=1)
+    _, batch = run_iteration(state, params, dataclasses.replace(budget, tick_cap=100), cfg)
+    assert len(batch) == 1
+    from_cap = np.concatenate([np.arange(n) < capped[uid] for uid, n in zip(batch.uids.tolist(), batch.lengths.tolist())])
+    assert batch.versions.tolist() == np.where(from_cap, 0, 1).tolist()
+    for name in ("lp_train", "lp_infer"):
+        now = getattr(state.table, name)[batch.rows, batch.tokens]
+        assert np.array_equal(getattr(batch, name), np.where(from_cap, at_cap[name][batch.rows, batch.tokens], now))
+        assert not np.array_equal(getattr(batch, name), now)
 
 
 def poison(monkeypatch, kinds: dict[int, tuple[int, int]]) -> None:
