@@ -10,9 +10,11 @@
 # batches each schedule run emits for training ("<run>/batches", see
 # tests/replay.py), which no output file shows. Both sides run the working
 # tree's replay set, each on its own configs and its own src/. A last table
-# gives the line count (wc -l) of each src/mismatchlab/*.py at both sides and
-# in total. The report never fails: outputs may change on purpose, so it
-# always exits 0.
+# gives the line count (wc -l) and the code-line count of each
+# src/mismatchlab/*.py at both sides and in total. A code line holds a token
+# that is neither a comment nor part of a docstring, so a cut made by trimming
+# prose shows in the first count alone. The report never fails: outputs may
+# change on purpose, so it always exits 0.
 set -u
 
 base_rev="$1"
@@ -46,6 +48,35 @@ for hashes in json.load(sys.stdin).values():
     for key, digest in sorted(hashes.items()):
         if key.endswith("/batches"):
             print(key, digest)'
+}
+
+# code_lines DIR: "<file> <code lines>" for each DIR/*.py, counted with ast (the docstrings) and tokenize;
+# a file that does not parse counts 0.
+code_lines() {
+  python - "$1" << 'EOF'
+import ast, io, pathlib, sys, tokenize
+
+prose = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,
+         tokenize.ENDMARKER}
+for path in sorted(pathlib.Path(sys.argv[1]).glob("*.py")):
+    source = path.read_text(encoding="utf-8")
+    try:
+        docstrings = [
+            ((doc.lineno, doc.col_offset), (doc.end_lineno, doc.end_col_offset))
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body
+            for doc in node.body[:1]
+            if isinstance(doc, ast.Expr) and isinstance(doc.value, ast.Constant) and isinstance(doc.value.value, str)
+        ]
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type in prose or (tok.type == tokenize.STRING and any(a <= tok.start and tok.end <= b for a, b in docstrings)):
+                continue
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+        print(path.name, len(lines))
+    except (SyntaxError, tokenize.TokenError):
+        print(path.name, 0)
+EOF
 }
 
 run_side "$work/base" "$work/base_out"
@@ -88,16 +119,22 @@ for key in $(cut -d ' ' -f 1 "$work/base_batches" "$work/head_batches" | sort -u
   echo "| \`$key\` | \`${base:0:12}\` | \`${head:0:12}\` | $result |"
 done
 echo
-echo "| source file | base lines | head lines | change |"
-echo "|---|---|---|---|"
-base_total=0 head_total=0
+code_lines "$work/base/src/mismatchlab" > "$work/base_code"
+code_lines "$head_dir/src/mismatchlab" > "$work/head_code"
+echo "| source file | base lines | head lines | change | base code lines | head code lines | change |"
+echo "|---|---|---|---|---|---|---|"
+base_total=0 head_total=0 base_code_total=0 head_code_total=0
 for name in $( (cd "$work/base/src/mismatchlab" && ls -- *.py; cd "$head_dir/src/mismatchlab" && ls -- *.py) 2> /dev/null | sort -u); do
   base="$(wc -l 2> /dev/null < "$work/base/src/mismatchlab/$name" || echo 0)"
   head="$(wc -l 2> /dev/null < "$head_dir/src/mismatchlab/$name" || echo 0)"
+  base_code="$(grep "^$name " "$work/base_code" | cut -d ' ' -f 2)"
+  head_code="$(grep "^$name " "$work/head_code" | cut -d ' ' -f 2)"
+  base_code="${base_code:-0}" head_code="${head_code:-0}"
   base_total=$((base_total + base)) head_total=$((head_total + head))
-  echo "| \`$name\` | $base | $head | $((head - base)) |"
+  base_code_total=$((base_code_total + base_code)) head_code_total=$((head_code_total + head_code))
+  echo "| \`$name\` | $base | $head | $((head - base)) | $base_code | $head_code | $((head_code - base_code)) |"
 done
-echo "| total | $base_total | $head_total | $((head_total - base_total)) |"
+echo "| total | $base_total | $head_total | $((head_total - base_total)) | $base_code_total | $head_code_total | $((head_code_total - base_code_total)) |"
 for side in base head; do
   if [ -f "$work/${side}_out/failed" ]; then
     echo

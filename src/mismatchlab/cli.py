@@ -13,7 +13,7 @@ folds what it writes (rows, sums, lists of scalars) in its on_step. One
 writer, _Output, owns each command's output: the out dir, the JSONL
 header and rows flushed as they land, and the final document, which on a
 NumericError or TickCapError carries status and error before the
-failure goes on to main.
+failure goes on to main; any other exception removes it.
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 tick cap
 exceeded.
 """
@@ -78,7 +78,8 @@ class _Output:
     run folds. Leaving the with block writes doc; on a NumericError or
     TickCapError it writes doc with the failure's status (a status
     already in doc keeps its place) and error, and lets the failure go
-    on to main, which maps it to its message and exit code.
+    on to main, which maps it to its message and exit code. Any other
+    exception removes the document, so none is left empty, and goes on.
     """
 
     def __init__(self, out_dir: Path, name: str, doc: dict, rows: str | None = None) -> None:
@@ -107,19 +108,22 @@ class _Output:
     def __exit__(self, kind, failure, traceback) -> bool:
         if self._rows:
             self._rows.close()
-        if kind is None or issubclass(kind, (NumericError, TickCapError)):
+        documented = kind is None or issubclass(kind, (NumericError, TickCapError))
+        if documented:
             doc = self._doc
             if failure is not None:
                 status = "numeric_failure" if isinstance(failure, NumericError) else "tick_cap_exceeded"
                 doc = {**doc, "status": status, "error": str(failure)}
             self._file.write(_dumps(doc) + "\n")
         self._file.close()
+        if not documented:
+            self._path.unlink()
         return False
 
 
 def _train_run(
     cfg: ExperimentConfig, source: SyntheticPromptSource | None = None, baseline: bool = False, on_step=None, probes=None
-) -> tuple[PolicyParams, int]:
+) -> PolicyParams:
     """Train run.n_iterations iterations as cfg sets them up, all seeded by cfg.seed.
 
     The prompts come from source, by default the task distribution up to
@@ -128,8 +132,8 @@ def _train_run(
     is where a caller folds what it writes. The run starts through the
     module-level name train_loop, so a wrapper bound there (as
     perfbench/child.py binds one) sees every run start. Returns the
-    final parameters and the tick clock at the end; the scheduler state,
-    which holds the run's context table, is freed on return.
+    final parameters; the scheduler state, which holds the run's context
+    table, is freed on return.
     """
     vocab = _vocab(cfg)
     infer = infer_engine(cfg.mismatch.scale, cfg.mismatch.seed)
@@ -139,10 +143,9 @@ def _train_run(
     state = SchedulerState(vocab, source, cfg.seed, cfg.policy.n_features, infer, cfg.policy.temperature)
     if probes is None:
         probes = make_probes(cfg.run.n_probes, vocab, cfg.seed)
-    params = train_loop(
+    return train_loop(
         cfg.run.n_iterations, state, params, cfg.budget, cfg.objective, probes, baseline=baseline, on_step=on_step
     )
-    return params, state.tick_clock
 
 
 def _metrics_row(cfg: ExperimentConfig, report, loss, sample) -> dict:
@@ -164,19 +167,21 @@ def _metrics_row(cfg: ExperimentConfig, report, loss, sample) -> dict:
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
-    """Write metrics.jsonl, the header then each iteration's row as it lands, and summary.json, which
-    counts the rows and repeats the last; a run without a failure adds the final version and tick clock."""
+    """Write metrics.jsonl, the header then each iteration's row as it lands, and summary.json, which counts the
+    rows and repeats the last; a run without a failure adds the final version and the tick clock: the rows' wall ticks, summed."""
     summary = {"schema_version": METRICS_SCHEMA_VERSION, "status": "ok", "config": cfg.to_dict(),
                "iterations_completed": 0, "final": None}
     with _Output(out_dir, "summary.json", summary, rows="metrics.jsonl") as out:
+        tick_clock = 0
 
         def flush_row(report, loss, sample) -> None:
+            nonlocal tick_clock
+            tick_clock += report.rollout_ticks + cfg.budget.sync_cost_ticks
             summary["final"] = _metrics_row(cfg, report, loss, sample)
             summary["iterations_completed"] += 1
             out.row(summary["final"])
 
-        params, tick_clock = _train_run(cfg, on_step=flush_row)
-        summary["final_version"] = params.version_id
+        summary["final_version"] = _train_run(cfg, on_step=flush_row).version_id
         summary["tick_clock"] = tick_clock
     return EXIT_OK
 
@@ -285,7 +290,7 @@ def cmd_compounding(cfg: ExperimentConfig, out_dir: Path) -> int:
             infer = infer_engine(cfg.mismatch.scale, cfg.mismatch.seed)
             params = init_params(vocab, cfg.policy.n_features, cfg.policy.init_scale, cfg.seed)
             probes = make_probes(cfg.run.n_probes, vocab, cfg.seed)
-            _, fit = compounding_experiment(
+            fit = compounding_experiment(
                 params,
                 comp.mu,
                 comp.n_steps,

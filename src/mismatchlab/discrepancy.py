@@ -28,7 +28,6 @@ from .policy import (
     Context,
     ContextTable,
     Engine,
-    FixedNoise,
     PolicyParams,
     RowSet,
     Vocabulary,
@@ -114,15 +113,14 @@ def probe_set(probes: list[Context], params: PolicyParams, infer: Engine, temper
 
 
 class ProbeEvaluation(NamedTuple):
-    """Both engines at a probe set at one params, which delta_and_gap, delta_gradient and
-    _exact_reward_gradient read: RowSet.engines' outputs, its finite flags checked."""
+    """Both engines at a probe set at one params, which delta_and_gap, delta_gradient and _exact_reward_gradient
+    read: RowSet.engines' outputs, its finite flags checked. delta_gradient reads the probes' noise as probes.fixed."""
 
     probes: RowSet
     train_logits: np.ndarray
     log_probs: np.ndarray
     probs: np.ndarray
     fault_noise: np.ndarray
-    fixed: FixedNoise
 
 
 def evaluate_probes(probes: RowSet, params: PolicyParams) -> ProbeEvaluation:
@@ -131,22 +129,18 @@ def evaluate_probes(probes: RowSet, params: PolicyParams) -> ProbeEvaluation:
     if params.weights.shape != (probes.n_features, probes.vocab_size):
         raise ValueError(f"params {params.weights.shape}, probes {(probes.n_features, probes.vocab_size)}")
     train_logits = batched_train_logits(params, probes.feats, probes.temperature)
-    log_probs, probs, fault_noise, finite, fixed = probes.engines(train_logits, params.version_id)
+    log_probs, probs, fault_noise, finite = probes.engines(train_logits, params.version_id)
     if not finite.all():  # the training engine is finite: batched_train_logits raised otherwise
         raise NumericError(_NON_FINITE_INFER_LOGITS)
-    return ProbeEvaluation(probes, train_logits, log_probs, probs, fault_noise, fixed)
+    return ProbeEvaluation(probes, train_logits, log_probs, probs, fault_noise)
 
 
-def _delta_and_gap_rows(p_inf, p_tr, lp_inf, lp_tr) -> tuple[float, float]:
-    per_probe = (p_inf * (lp_inf - lp_tr)).sum(axis=1)
-    gap = float(np.abs(p_inf - p_tr).max())
-    return float(per_probe.mean()), gap
-
-
-def delta_and_gap(evaluation: ProbeEvaluation) -> tuple[float, float]:
-    """(mean KL(infer || train) over probes, max |p_infer - p_train|)."""
-    lp, p = evaluation.log_probs, evaluation.probs
-    return _delta_and_gap_rows(p[:, 1], p[:, 0], lp[:, 1], lp[:, 0])
+def delta_and_gap(log_probs: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
+    """(mean KL(infer || train) over probes, max |p_infer - p_train|) of (probes, 2, V) log-probs and
+    probs, training engine first: the one delta computation, of a ProbeEvaluation or a table's rows."""
+    p_inf = probs[:, 1]
+    per_probe = (p_inf * (log_probs[:, 1] - log_probs[:, 0])).sum(axis=1)
+    return float(per_probe.mean()), float(np.abs(p_inf - probs[:, 0]).max())
 
 
 def measure(
@@ -158,23 +152,23 @@ def measure(
     table: ContextTable | None = None,
     rows: np.ndarray | None = None,
 ) -> DiscrepancySample:
-    """Probe-set discrepancy of params, recorded as step: evaluated as the compounding experiment evaluates
-    it, or, with a context table (of infer at temperature, holding the probes' prompts), gathered from its
-    rows at params, the same bits. rows, when given, are the probes' rows (ContextTable.rows of
-    probe_windows), built once by a caller that measures the same probes every iteration."""
+    """Probe-set discrepancy of params, recorded as step, by delta_and_gap: of the probes evaluated as the
+    compounding experiment evaluates them, or, with a context table (of infer at temperature, holding the
+    probes' prompts), of their rows gathered once from its dists at params, the same bits. rows, when given,
+    are the probes' rows (ContextTable.rows of probe_windows), built once by a caller that measures them."""
     if table is None:
-        delta, gap = delta_and_gap(evaluate_probes(probe_set(probes, params, infer, temperature), params))
-    else:
-        if not probes:
-            raise ValueError("probe set must be non-empty")
-        if table.infer != infer or table.temperature != temperature:
-            raise ValueError("context table is of another engine or temperature")
-        if rows is None:
-            rows = table.rows(*probe_windows(probes))
-        table.load(params)
-        table.check(rows)
-        delta, gap = _delta_and_gap_rows(table.probs_infer[rows], table.probs_train[rows], table.lp_infer[rows], table.lp_train[rows])
-    return DiscrepancySample(step=step, delta=delta, max_token_gap=gap)
+        evaluation = evaluate_probes(probe_set(probes, params, infer, temperature), params)
+        return DiscrepancySample(step, *delta_and_gap(evaluation.log_probs, evaluation.probs))
+    if not probes:
+        raise ValueError("probe set must be non-empty")
+    if table.infer != infer or table.temperature != temperature:
+        raise ValueError("context table is of another engine or temperature")
+    if rows is None:
+        rows = table.rows(*probe_windows(probes))
+    table.load(params)
+    table.check(rows)
+    dists = table.dists[rows]
+    return DiscrepancySample(step, *delta_and_gap(dists[:, :2], dists[:, 2:]))
 
 
 def delta_gradient(evaluation: ProbeEvaluation) -> np.ndarray:
@@ -191,7 +185,7 @@ def delta_gradient(evaluation: ProbeEvaluation) -> np.ndarray:
     temperature and the probe count.
     """
     probes = evaluation.probes
-    slope = inference_slope(evaluation.train_logits, evaluation.fixed, evaluation.fault_noise, probes.infer.mismatch_scale)
+    slope = inference_slope(evaluation.train_logits, probes.fixed, evaluation.fault_noise, probes.infer.mismatch_scale)
     lp_tr, lp_inf = evaluation.log_probs[:, 0], evaluation.log_probs[:, 1]
     p_tr, p_inf = evaluation.probs[:, 0], evaluation.probs[:, 1]
     ratio = lp_inf - lp_tr
@@ -225,7 +219,7 @@ def compounding_experiment(
     align_target: float = 1.0,
     reward_seed: int = 0,
     on_sample=None,
-) -> tuple[list[DiscrepancySample], DiscrepancyFit]:
+) -> DiscrepancyFit:
     """The theorem-aligned discrepancy-growth experiment: n_steps updates of step size mu from theta_0.
 
     Each update is the exact on-policy gradient of a fixed synthetic
@@ -234,10 +228,12 @@ def compounding_experiment(
     product align_target * delta_t. The parameter version stays fixed,
     so the engine-noise map stays smooth. The constants are fitted from
     the same trace, and the growth bound is then checked step by step.
-    Returns the n_steps + 1 samples, one per parameter state, and the
-    fit; a trace whose delta never leaves zero gives a vacuous fit.
-    on_sample, when given, is called with each sample as it is measured,
-    so a caller keeps the steps done before a NumericError.
+    Returns the fit; a trace whose delta never leaves zero gives a
+    vacuous fit. A step adds no smoothness residual where |g|^2 vanishes
+    or mu^2 |g|^2 underflows to zero. The experiment is a fold that
+    keeps only the deltas the fit reads: on_sample, when given, gets
+    each of the n_steps + 1 samples, one per parameter state, as it is
+    measured, so a caller keeps the steps done before a NumericError.
     """
     rng = np.random.default_rng(np.random.SeedSequence((reward_seed & _MASK64, 4)))
     reward_table = rng.uniform(-1.0, 1.0, size=(len(probes), vocab.size))
@@ -247,22 +243,22 @@ def compounding_experiment(
     dots_drift: list[float] = []
     grad_norms: list[float] = []
     resid_ls: list[float] = []
-    samples: list[DiscrepancySample] = []
+    deltas: list[float] = []
 
-    def record(sample: DiscrepancySample) -> None:
-        samples.append(sample)
+    def record(step: int, delta: float, gap: float) -> None:
+        deltas.append(delta)
         if on_sample is not None:
-            on_sample(sample)
+            on_sample(DiscrepancySample(step=step, delta=delta, max_token_gap=gap))
 
     # The probes are hashed once, and each parameter state is evaluated once:
     # a step's delta_next is the next step's delta_t.
     hashed_probes = probe_set(probes, params, infer, temperature)
     evaluation = evaluate_probes(hashed_probes, params)
-    delta_t, gap_t = delta_and_gap(evaluation)
+    delta_t, gap_t = delta_and_gap(evaluation.log_probs, evaluation.probs)
     for t in range(n_steps):
         grad_delta = delta_gradient(evaluation)
         g_star = _exact_reward_gradient(evaluation, reward_table)
-        record(DiscrepancySample(step=t, delta=delta_t, max_token_gap=gap_t))
+        record(t, delta_t, gap_t)
         # A step that overflows the weights raises NumericError in PolicyParams, as sgd_update does.
         with np.errstate(over="ignore", invalid="ignore"):
             norm_sq = float((grad_delta * grad_delta).sum())
@@ -277,17 +273,17 @@ def compounding_experiment(
             dot_total = float((grad_delta * g_total).sum())
             params = PolicyParams(params.weights + mu * g_total, version_id=params.version_id)
         evaluation = evaluate_probes(hashed_probes, params)
-        delta_next, gap_next = delta_and_gap(evaluation)
+        delta_next, gap_next = delta_and_gap(evaluation.log_probs, evaluation.probs)
         g_sq = grad_norms[-1] ** 2
-        if g_sq > 1e-30:
-            resid_ls.append(2.0 * abs(delta_next - delta_t - mu * dot_total) / (mu * mu * g_sq))
+        quotient = mu * mu * g_sq  # 0.0 where it underflows, at a tiny mu
+        if g_sq > 1e-30 and quotient != 0.0:
+            resid_ls.append(2.0 * abs(delta_next - delta_t - mu * dot_total) / quotient)
         delta_t, gap_t = delta_next, gap_next
 
-    record(DiscrepancySample(step=n_steps, delta=delta_t, max_token_gap=gap_t))
-    deltas = [s.delta for s in samples]
+    record(n_steps, delta_t, gap_t)
 
     if max(deltas) <= 1e-15:
-        return samples, DiscrepancyFit(
+        return DiscrepancyFit(
             eta_hat=0.0, kappa_hat=0.0, delta_c=0.0, growth_holds=True, step_size=mu, grad_bound=max(grad_norms, default=0.0),
             drift_bound=0.0, smoothness=0.0, align_const=0.0, vacuous=True,
         )
@@ -304,7 +300,7 @@ def compounding_experiment(
         for t in range(n_steps)
         if deltas[t] >= delta_c
     )
-    fit = DiscrepancyFit(
+    return DiscrepancyFit(
         eta_hat=eta_hat,
         kappa_hat=kappa_hat,
         delta_c=delta_c,
@@ -315,7 +311,6 @@ def compounding_experiment(
         smoothness=smoothness,
         align_const=align_const,
     )
-    return samples, fit
 
 
 def fit_affine_trace(deltas, grad_norms, mu: float) -> DiscrepancyFit:

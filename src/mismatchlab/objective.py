@@ -244,25 +244,27 @@ def objective_and_grad(
         kept = np.ones(seg.size, dtype=bool)
         factor = np.minimum(calib, cfg.tis_cap)
 
-    unclipped = ratio * advantage
-    clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * advantage
-    active = unclipped <= clipped
-    pg_values = factor * np.where(active, unclipped, clipped)
+    # Overflows here leave non-finite values, which raise NumericError below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        unclipped = ratio * advantage
+        clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * advantage
+        active = unclipped <= clipped
+        pg_values = factor * np.where(active, unclipped, clipped)
 
-    # Gradient w.r.t. each token's scaled logits, summed by row in token
-    # order, then added onto each row's four feature rows (duplicates counted).
-    coeffs = np.where(active, weight * factor * ratio * advantage / temperature, 0.0)
-    grad_logits = -coeffs[:, None] * probs[inverse]
-    grad_logits[flat, tokens] += coeffs
+        # Gradient w.r.t. each token's scaled logits, summed by row in token
+        # order, then added onto each row's four feature rows (duplicates counted).
+        coeffs = np.where(active, weight * factor * ratio * advantage / temperature, 0.0)
+        grad_logits = -coeffs[:, None] * probs[inverse]
+        grad_logits[flat, tokens] += coeffs
 
-    with_kl = ref is not None and cfg.kl_coeff > 0.0
-    kl_values = np.zeros(seg.size)
-    if with_kl:
-        ref_log_probs, _ = batched_log_softmax(batched_train_logits(ref, table.feats[rows], temperature))
-        diff = log_probs - ref_log_probs
-        kl_rows = (probs * diff).sum(axis=1)
-        kl_values = kl_rows[inverse]
-        grad_logits -= (weight * cfg.kl_coeff / temperature)[:, None] * (probs * (diff - kl_rows[:, None]))[inverse]
+        with_kl = ref is not None and cfg.kl_coeff > 0.0
+        kl_values = np.zeros(seg.size)
+        if with_kl:
+            ref_log_probs, _ = batched_log_softmax(batched_train_logits(ref, table.feats[rows], temperature))
+            diff = log_probs - ref_log_probs
+            kl_rows = (probs * diff).sum(axis=1)
+            kl_values = kl_rows[inverse]
+            grad_logits -= (weight * cfg.kl_coeff / temperature)[:, None] * (probs * (diff - kl_rows[:, None]))[inverse]
     row_grad = weight_grad(inverse[:, None], grad_logits, rows.size)
     grad = weight_grad(table.feats[rows], row_grad, theta.n_features)
 

@@ -457,12 +457,12 @@ class RowSet:
         self.fixed = fixed_noise(keys_fixed, vocab_size)
 
     def engines(self, train_logits: np.ndarray, version_id: int, rows=slice(None)):
-        """engine_pair's outputs at the rows, given their scaled training logits at version_id, plus their FixedNoise."""
+        """engine_pair's outputs at the rows, given their scaled training logits at version_id."""
         keys = np.full(len(train_logits), _mix(_NOISE_VERSION_TAG, self.infer.mismatch_seed, version_id), dtype=np.uint64)
         for column in self._words[:, rows]:  # context_rows' per-version chain alone
             keys = _splitmix64_vec(keys ^ column)
         fixed = FixedNoise(*(f[rows] for f in self.fixed))
-        return (*engine_pair(train_logits, fixed, keys, self.infer.mismatch_scale), fixed)
+        return engine_pair(train_logits, fixed, keys, self.infer.mismatch_scale)
 
 
 class ContextTable(RowSet):
@@ -483,7 +483,7 @@ class ContextTable(RowSet):
 
     A per-row marker says whether a row holds both engines' log-probs and
     probs and the inference CDF at the loaded params. The log-probs and
-    probs are (rows, V) views of one (rows, 4, V) block; cdf is its own
+    probs are (rows, V) views of one (rows, 4, V) block, dists; cdf is its own
     (V - 1, rows) array, token-major: cdf[k, row] is the sum of the row's
     first k + 1 inference probs, in order (np.cumsum), so a batch of rows
     is one take along axis 1. The last running sum is not kept: the count
@@ -514,8 +514,8 @@ class ContextTable(RowSet):
         # Per row, at the loaded params: (lp_train, lp_infer, probs_train, probs_infer),
         # the inference CDF token-major, and its marker: -1 until evaluated, then how many
         # engines have non-finite logits: 0, 1 (inference) or 2 (both; inference reads training).
-        self._dists = np.zeros((self.feats.shape[0], 4, vocab_size))
-        self.lp_train, self.lp_infer, self.probs_train, self.probs_infer = self._dists.transpose(1, 0, 2)
+        self.dists = np.zeros((self.feats.shape[0], 4, vocab_size))
+        self.lp_train, self.lp_infer, self.probs_train, self.probs_infer = self.dists.transpose(1, 0, 2)
         self.cdf = np.zeros((vocab_size - 1, self.feats.shape[0]))
         self._status = np.full(self.feats.shape[0], -1, dtype=np.int8)
         # Per row (prev, last), the row of (last, 0), which advance adds each token to.
@@ -583,7 +583,7 @@ class ContextTable(RowSet):
         """One pass: both engines at the loaded params on distinct rows, written into the table."""
         with np.errstate(over="ignore", invalid="ignore"):
             train_logits = _scaled_train_logits(self.params.weights, self.feats[rows], self.temperature)
-        log_probs, probs, _, finite, _ = self.engines(train_logits, self.params.version_id, rows)
-        self._dists[rows] = np.concatenate([log_probs, probs], axis=1)
+        log_probs, probs, _, finite = self.engines(train_logits, self.params.version_id, rows)
+        self.dists[rows] = np.concatenate([log_probs, probs], axis=1)
         self.cdf[:, rows] = np.cumsum(probs[:, 1, :-1], axis=1).T
         self._status[rows] = (~finite[:, 0]).astype(np.int8) + ~finite[:, 1]

@@ -199,7 +199,6 @@ class SchedulerState:
     slots: dict[str, np.ndarray] = field(default_factory=lambda: {name: np.zeros(0, dtype) for name, dtype in _SLOTS.items()})
     probe_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     iteration: int = 0
-    tick_clock: int = 0
     next_uid: int = 0
     next_group_uid: int = 0
     prompt_stream: np.random.Generator = field(init=False)
@@ -691,7 +690,6 @@ def _rollout_loop(state, params_t, cfg, group_cfg, baseline: bool) -> tuple[Step
     left = _sample_ahead(state)
     plan = _schedule(state, cfg, pool, left, baseline)
     completed = _sample(state, plan, left, params_t.version_id)
-    state.tick_clock += plan.ticks
     if plan.capped:
         raise TickCapError(f"iteration {state.iteration} did not end within budget.tick_cap = {cfg.tick_cap} ticks")
     batch = _close_iteration(state, group_cfg.group_size)
@@ -736,9 +734,9 @@ def train_loop(
     them. A run is a fold: on_step, when given, is called with
     (report, loss, sample) as each iteration lands, before its update,
     so a caller flushes metrics before a potential numeric failure and
-    folds what it writes (sums, lists of scalars, per-token arrays)
-    there. The loop keeps nothing per iteration, so what a run holds
-    does not grow with its length.
+    folds what it writes (sums such as the tick clock, lists of scalars,
+    per-token arrays) there. The loop keeps nothing per iteration, so
+    what a run holds does not grow with its length.
 
     The rollout ticks, the objective and the probe measure all read the
     state's context table at the iteration's parameters, which the
@@ -766,7 +764,6 @@ def train_loop(
                 )
             else:
                 params = sgd_update(params, loss.grad, objective.learning_rate)
-        state.tick_clock += cfg.sync_cost_ticks
         # Released here, not when the next iteration rebinds them, so they do not add to its peak.
         del report, batch, loss, sample
     return params

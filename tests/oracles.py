@@ -40,7 +40,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from mismatchlab.discrepancy import _delta_and_gap_rows, probe_windows
+from mismatchlab.discrepancy import probe_windows
 from mismatchlab.errors import NumericError, TickCapError
 from mismatchlab.objective import Algo, ObjectiveConfig, batch_group_advantages
 from mismatchlab.policy import (
@@ -631,7 +631,8 @@ def delta_and_gap(
     infer_logits = perturb_logits(train_logits, keys_fixed, keys_version, infer.mismatch_scale)
     lp_inf, p_inf = batched_log_softmax(infer_logits)
     lp_tr, p_tr = batched_log_softmax(train_logits)
-    return _delta_and_gap_rows(p_inf, p_tr, lp_inf, lp_tr)
+    per_probe = (p_inf * (lp_inf - lp_tr)).sum(axis=1)
+    return float(per_probe.mean()), float(np.abs(p_inf - p_tr).max())
 
 
 def delta_gradient(

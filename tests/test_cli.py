@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from mismatchlab import cli, scheduler
+from mismatchlab import DiscrepancyFit, cli, scheduler
 from mismatchlab.cli import _dumps, main
 from mismatchlab.errors import NumericError
 
@@ -261,6 +262,43 @@ def test_compounding_failure_writes_the_steps_done(tmp_path, capsys, mode, overr
     assert [step["step"] for step in steps] == list(range(steps_done))
     fit = json.loads((out / "compounding_fit.json").read_text(encoding="utf-8"))
     assert fit == {"schema_version": 1, "config": config, "status": status, "error": error}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mu", [1e-170, 1e-163])
+def test_a_tiny_step_size_writes_the_whole_trace_and_fit(tmp_path, mu: float) -> None:
+    """At a tiny mu, mu^2 |g|^2 underflows to zero: those steps add no smoothness residual, and the run
+    exits 0 with every step and a complete fit document."""
+    cfg = write_config(tmp_path, "compounding", compounding={"mu": mu, "n_steps": 3})
+    out = tmp_path / "o"
+    assert main(["compounding", "--config", cfg, "--out", str(out)]) == 0
+    header, *steps = map(json.loads, (out / "compounding_trace.jsonl").read_text(encoding="utf-8").splitlines())
+    assert [step["step"] for step in steps] == [0, 1, 2, 3]
+    doc = json.loads((out / "compounding_fit.json").read_text(encoding="utf-8"))
+    assert doc.keys() == {"schema_version", "config", "fit"} and doc["config"] == header["config"]
+    assert doc["fit"].keys() == {f.name for f in dataclasses.fields(DiscrepancyFit)} and doc["fit"]["step_size"] == mu
+
+
+@pytest.mark.parametrize("failure", [RuntimeError("a fault"), KeyboardInterrupt()])
+def test_an_undocumented_exception_leaves_no_document(tmp_path, monkeypatch, failure: BaseException) -> None:
+    """An exception other than NumericError or TickCapError goes on out of main and removes the document; the
+    rows file keeps the rows flushed before it."""
+    update, calls = scheduler.sgd_update, []
+
+    def failing_second(*args, **kwargs):
+        calls.append(len(calls))
+        if len(calls) == 2:
+            raise failure
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "sgd_update", failing_second)
+    cfg = write_config(tmp_path, "train_icepop", run={"n_iterations": 3})
+    out = tmp_path / "o"
+    with pytest.raises(type(failure)):
+        main(["train", "--config", cfg, "--out", str(out)])
+    assert [p.name for p in out.iterdir()] == ["metrics.jsonl"]
+    header, *rows = map(json.loads, (out / "metrics.jsonl").read_text(encoding="utf-8").splitlines())
+    assert header["kind"] == "header" and [row["iteration"] for row in rows] == [0, 1]
 
 
 def test_rl_loop_compounding_failure_keeps_the_steps_measured(tmp_path, monkeypatch) -> None:

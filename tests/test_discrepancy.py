@@ -45,7 +45,6 @@ from mismatchlab.config import (
     TasksSection,
 )
 from mismatchlab.discrepancy import (
-    _delta_and_gap_rows,
     _exact_reward_gradient,
     delta_and_gap,
     delta_gradient,
@@ -64,11 +63,22 @@ def evaluation(params, probes, infer, temperature=1.0):
     return evaluate_probes(probe_set(probes, params, infer, temperature), params)
 
 
+def delta_gap(ev) -> tuple[float, float]:
+    """delta_and_gap of a probe evaluation."""
+    return delta_and_gap(ev.log_probs, ev.probs)
+
+
+def run_compounding(*args, **kwargs):
+    """compounding_experiment's fit and the samples it streams through on_sample."""
+    samples = []
+    return samples, compounding_experiment(*args, on_sample=samples.append, **kwargs)
+
+
 def test_zero_scale_gives_exactly_zero_delta() -> None:
     vocab = Vocabulary(size=8)
     params = init_params(vocab, n_features=32, init_scale=1.0, seed=4)
     probes = make_probes(64, vocab, 4)
-    delta, gap = delta_and_gap(evaluation(params, probes, infer_engine(0.0, 7)))
+    delta, gap = delta_gap(evaluation(params, probes, infer_engine(0.0, 7)))
     assert delta == 0.0
     assert gap == 0.0
 
@@ -78,7 +88,8 @@ def test_kl_closed_form_pair() -> None:
     p = np.asarray([[0.5, 0.5]])  # inference engine
     q = np.asarray([[0.9, 0.1]])  # training engine
     expected = 0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1)
-    delta, gap = _delta_and_gap_rows(p, q, np.log(p), np.log(q))
+    probs = np.stack([q, p], axis=1)  # (probes, 2, V), training engine first
+    delta, gap = delta_and_gap(np.log(probs), probs)
     assert delta == pytest.approx(expected, abs=1e-15)
     assert gap == pytest.approx(0.4, abs=1e-15)
 
@@ -90,7 +101,7 @@ def test_kl_nonnegative_on_random_draws() -> None:
     for _ in range(250):
         params = PolicyParams(rng.normal(0, 1.5, size=(16, 8)))
         scale = float(rng.uniform(0, 0.4))
-        delta, _ = delta_and_gap(evaluation(params, probes, infer_engine(scale, int(rng.integers(0, 100)))))
+        delta, _ = delta_gap(evaluation(params, probes, infer_engine(scale, int(rng.integers(0, 100)))))
         assert delta >= 0.0
 
 
@@ -146,8 +157,8 @@ def test_delta_gradient_matches_finite_differences() -> None:
             wp[i, j] += h
             wm = params.weights.copy()
             wm[i, j] -= h
-            up, _ = delta_and_gap(evaluation(PolicyParams(wp, params.version_id), probes, engine))
-            dn, _ = delta_and_gap(evaluation(PolicyParams(wm, params.version_id), probes, engine))
+            up, _ = delta_gap(evaluation(PolicyParams(wp, params.version_id), probes, engine))
+            dn, _ = delta_gap(evaluation(PolicyParams(wm, params.version_id), probes, engine))
             fd[i, j] = (up - dn) / (2 * h)
     rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(grad))
     assert rel.max() < 1e-5
@@ -162,9 +173,9 @@ def test_direct_path_raises_when_the_inference_logits_overflow() -> None:
     probes = make_probes(64, vocab, 3)
     feats, _, _ = context_rows(*discrepancy.probe_windows(probes), params.n_features, infer, params.version_id)
     batched_train_logits(params, feats, 1.0)  # the training engine stays finite
-    assert delta_and_gap(evaluation(params, probes, train_engine())) == (0.0, 0.0)
+    assert delta_gap(evaluation(params, probes, train_engine())) == (0.0, 0.0)
     calls = [
-        lambda: delta_and_gap(evaluation(params, probes, infer)),
+        lambda: delta_gap(evaluation(params, probes, infer)),
         lambda: measure(params, probes, infer),
         lambda: delta_gradient(evaluation(params, probes, infer)),
     ]
@@ -183,7 +194,7 @@ def theorem_setup(scale: float = 0.22, seed: int = 11):
 
 def test_theorem_aligned_trace_satisfies_growth_bound() -> None:
     vocab, engine, params, probes = theorem_setup()
-    samples, fit = compounding_experiment(
+    samples, fit = run_compounding(
         params, 0.01, 60, vocab, engine, probes, align_target=1.0, reward_seed=3
     )
     deltas = [s.delta for s in samples]
@@ -260,7 +271,7 @@ def test_theorem_aligned_trace_equals_the_reference_loop_bit_for_bit(monkeypatch
     calls = []
     measured = discrepancy.delta_and_gap
     monkeypatch.setattr(discrepancy, "delta_and_gap", lambda *args: calls.append(1) or measured(*args))
-    samples, fit = compounding_experiment(
+    samples, fit = run_compounding(
         params, 0.01, 5, vocab, engine, probes, align_target=1.0, reward_seed=3
     )
     assert len(calls) == 5 + 1  # each parameter state once
@@ -291,7 +302,7 @@ def test_probe_evaluation_equals_the_direct_path_oracles_bit_for_bit(temperature
     vocab, engine, params, probes = theorem_setup(scale)
     reward_table = np.random.default_rng(5).uniform(-1.0, 1.0, size=(len(probes), vocab.size))
     ev = evaluation(params, probes, engine, temperature)
-    got = delta_and_gap(ev)
+    got = delta_gap(ev)
     want = oracles.delta_and_gap(params, probes, engine, temperature)
     assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
     assert (scale == 0.0) == (got == (0.0, 0.0))
@@ -312,9 +323,9 @@ def test_probe_set_serves_another_version_and_refuses_another_shape() -> None:
     want = evaluation(later, probes, engine)
     for name in ("train_logits", "log_probs", "probs", "fault_noise"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    delta_gap = [struct.pack("<d", v) for v in delta_and_gap(got)]
-    assert delta_gap == [struct.pack("<d", v) for v in oracles.delta_and_gap(later, probes, engine)]
-    assert delta_gap != [struct.pack("<d", v) for v in delta_and_gap(evaluate_probes(hashed, params))]
+    got_bits = [struct.pack("<d", v) for v in delta_gap(got)]
+    assert got_bits == [struct.pack("<d", v) for v in oracles.delta_and_gap(later, probes, engine)]
+    assert got_bits != [struct.pack("<d", v) for v in delta_gap(evaluate_probes(hashed, params))]
     for other in (PolicyParams(params.weights[:-1], params.version_id), PolicyParams(params.weights[:, :-1], params.version_id)):
         with pytest.raises(ValueError, match="probes"):
             evaluate_probes(hashed, other)
@@ -337,7 +348,7 @@ def test_a_probe_set_serves_every_version(vocab_size: int, version: int, tempera
     probes = make_probes(24, vocab, seed)
     reward_table = rng.uniform(-1.0, 1.0, size=(len(probes), vocab.size))
     ev = evaluate_probes(probe_set(probes, params_v0, engine, temperature), params_v)
-    got = delta_and_gap(ev)
+    got = delta_gap(ev)
     assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in oracles.delta_and_gap(params_v, probes, engine, temperature)]
     pairs = [
         (delta_gradient(ev), oracles.delta_gradient(params_v, probes, engine, temperature)),
@@ -349,7 +360,7 @@ def test_a_probe_set_serves_every_version(vocab_size: int, version: int, tempera
 
 def test_theorem_aligned_zero_scale_is_vacuous() -> None:
     vocab, _, params, probes = theorem_setup(scale=0.0)
-    _, fit = compounding_experiment(
+    fit = compounding_experiment(
         params, 0.01, 20, vocab, infer_engine(0.0, 7), probes
     )
     assert fit.vacuous

@@ -250,6 +250,19 @@ def test_degenerate_case_all_algorithms_bit_identical() -> None:
         assert other.clipped_fraction == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("advantage", [-1.0, -2.0])
+def test_an_objective_that_overflows_raises_numeric_error_without_a_warning(advantage: float) -> None:
+    """Recorded log probs 709.5 below the current ones give calibration ratio 1 and an importance ratio of
+    about 1.3e308, finite; times an advantage of -2 it overflows, and at -1 the objective sums to -inf."""
+    params, batch, cfg, table = make_batch(seed=3, scale=0.0)
+    table.load(params)
+    low = table.lp_train[batch.rows, batch.tokens] - 709.5
+    batch = dataclasses.replace(batch, lp_train=low, lp_infer=low.copy(), advantages=np.full_like(batch.advantages, advantage))
+    with pytest.raises(NumericError, match="^objective or gradient is not finite$"):
+        objective_and_grad(batch, params, params.copy(), cfg, table)
+
+
 def test_zero_advantages_give_zero_objective_and_gradient() -> None:
     params, batch, cfg, table = make_batch(seed=4, scale=0.1)
     batch = dataclasses.replace(batch, advantages=np.zeros_like(batch.advantages))

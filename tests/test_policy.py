@@ -284,10 +284,8 @@ def test_mismatch_kl_nondecreasing_in_scale() -> None:
         Context(int(rng.integers(0, 400)), tuple(int(t) for t in rng.integers(0, 16, size=2)))
         for _ in range(60)
     ]
-    means = [
-        delta_and_gap(evaluate_probes(probe_set(contexts, params, infer_engine(scale, 7)), params))[0]
-        for scale in (0.0, 0.01, 0.05, 0.1, 0.2)
-    ]
+    evaluations = [evaluate_probes(probe_set(contexts, params, infer_engine(scale, 7)), params) for scale in (0.0, 0.01, 0.05, 0.1, 0.2)]
+    means = [delta_and_gap(ev.log_probs, ev.probs)[0] for ev in evaluations]
     assert all(b >= a for a, b in zip(means, means[1:]))
     assert means[0] == 0.0
 

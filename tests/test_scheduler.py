@@ -172,11 +172,21 @@ FIXTURE_TRACE_ITER2 = [
 ]
 
 
+@dataclasses.dataclass
+class TickClock:
+    """The ticks a scheduler state has run, which tick_trace advances by each plan's ticks."""
+
+    ticks: int = 0
+
+
 @contextlib.contextmanager
-def tick_trace():
+def tick_trace(clock: TickClock | None = None):
     """One row per scheduler tick run inside, derived from each plan of _schedule.
 
-    tick is state.tick_clock + 1, the tick's number; active and pool_after
+    tick is the tick's number on clock, a fresh one unless given, which
+    each plan then advances by its ticks, so a caller that passes one
+    clock to every iteration of a state numbers its ticks from 1 through
+    the run, as the oracle's clock does; active and pool_after
     are the pool sizes into and out of the tick; completed counts the
     rollouts it ended, and counter sums the lengths of the rollouts ended
     so far in the iteration. A rollout admitted at tick a with left ticks
@@ -185,6 +195,7 @@ def tick_trace():
     sampled ahead, with its length at the start plus left tokens.
     """
     trace: list[dict] = []
+    clock = TickClock() if clock is None else clock
     schedule = scheduler._schedule
 
     def recording_schedule(state, cfg, pool, left, baseline):
@@ -199,8 +210,9 @@ def tick_trace():
         completed = np.bincount(ends[ended], minlength=n + 1)
         counter = np.cumsum(np.bincount(ends[ended], weights=total[ended], minlength=n + 1).astype(np.int64))
         for t in range(1, n + 1):
-            trace.append({"tick": state.tick_clock + t, "active": int(active[t - 1]), "completed": int(completed[t]),
+            trace.append({"tick": clock.ticks + t, "active": int(active[t - 1]), "completed": int(completed[t]),
                           "counter": int(counter[t]), "pool_after": int(active[t - 1] - completed[t])})
+        clock.ticks += n
         return plan
 
     scheduler._schedule = recording_schedule
@@ -216,7 +228,8 @@ def test_fixture_trace_matches_hand_simulation() -> None:
     budget = BudgetConfig(token_budget=20, infer_capacity=8, retention_threshold=100, prompts_per_iteration=1)
     cfg = ObjectiveConfig(group_size=8)
 
-    with tick_trace() as trace1:
+    clock = TickClock()
+    with tick_trace(clock) as trace1:
         report1, groups1 = run_iteration(state, params, budget, cfg)
     assert [(r["tick"], r["active"], r["completed"], r["counter"]) for r in trace1] == FIXTURE_TRACE_ITER1
     assert report1.rollout_ticks == 5
@@ -227,7 +240,7 @@ def test_fixture_trace_matches_hand_simulation() -> None:
     assert report1.emitted_groups == 0 and len(groups1) == 0
 
     params2 = PolicyParams(params.weights, version_id=1)
-    with tick_trace() as trace2:
+    with tick_trace(clock) as trace2:
         report2, groups2 = run_iteration(state, params2, budget, cfg)
     assert [(r["tick"], r["active"], r["completed"], r["counter"]) for r in trace2] == FIXTURE_TRACE_ITER2
     assert report2.rollout_ticks == 12
@@ -314,11 +327,13 @@ def test_an_exhausted_source_gives_an_empty_iteration_in_both_modes() -> None:
     for step in (run_iteration, run_iteration_baseline):
         state = scripted_state([2, 2])
         state.source.cursor = 1  # exhausted
-        report, groups = step(state, default_params(), budget, ObjectiveConfig(group_size=2))
+        clock = TickClock()
+        with tick_trace(clock):
+            report, groups = step(state, default_params(), budget, ObjectiveConfig(group_size=2))
         assert report.rollout_ticks == report.trained_tokens == report.completed_rollouts == 0
         assert len(groups) == 0 and report.emitted_groups == 0
         assert math.isnan(report.reward_mean)
-        assert state.tick_clock == 0 and state.iteration == 1
+        assert clock.ticks == 0 and state.iteration == 1
 
 
 def test_prompts_drawn_for_an_iteration_that_ends_early_spawn_first_in_the_next(monkeypatch) -> None:
@@ -383,8 +398,10 @@ def test_baseline_matches_the_wave_loop_oracle(lengths, group_size, infer_capaci
     states = [SchedulerState(vocab=vocab, source=ScriptedPromptSource(prompts), seed=seed, n_features=16, infer=infer_engine(0.2, 7)),
               oracle_state(seed, vocab, 16, infer_engine(0.2, 7), ScriptedPromptSource(prompts))]
     params = init_params(vocab, n_features=16, init_scale=0.4, seed=seed)
+    clock = TickClock()
     for _ in range(iterations):
-        got_report, got_groups = run_iteration_baseline(states[0], params, budget, cfg)
+        with tick_trace(clock):
+            got_report, got_groups = run_iteration_baseline(states[0], params, budget, cfg)
         want_report, want_groups = baseline_wave_loop(states[1], params, budget, cfg)
         got, want = dataclasses.asdict(got_report), dataclasses.asdict(want_report)
         got_reward, want_reward = got.pop("reward_mean"), want.pop("reward_mean")
@@ -393,7 +410,7 @@ def test_baseline_matches_the_wave_loop_oracle(lengths, group_size, infer_capaci
         want = [(r.uid, r.tokens) for group in want_groups for r in group.rollouts]
         assert len(got_groups) == len(want_groups)
         assert list(zip(got_groups.uids.tolist(), split(got_groups, "tokens"))) == want
-        assert states[0].tick_clock == states[1].tick_clock
+        assert clock.ticks == states[1].tick_clock
         params = PolicyParams(params.weights, version_id=params.version_id + 1)
 
 
@@ -458,13 +475,13 @@ def test_array_pool_equals_the_rollout_object_loop(
 ) -> None:
     """Iteration by iteration, the pool and the parent's Rollout-object loop (tests/oracles.py) agree bit for bit.
 
-    Reports, emitted batches, tick traces, tick_clock and the iteration
-    are equal after every iteration, and a tick cap raises the same
-    TickCapError at the same tick. The whole groups that end the pending
-    queue are the oracle's prompt lookahead, spawned: the same prompts
-    and target lengths, the uids after the oracle's next ones. A mixed
-    source puts both kinds of rollout in one group, and so in one
-    iteration's schedule.
+    Reports, emitted batches, tick traces, the tick clocks (tick_trace's
+    and the oracle's) and the iteration are equal after every iteration,
+    and a tick cap raises the same TickCapError at the same tick. The
+    whole groups that end the pending queue are the oracle's prompt
+    lookahead, spawned: the same prompts and target lengths, the uids
+    after the oracle's next ones. A mixed source puts both kinds of
+    rollout in one group, and so in one iteration's schedule.
     """
     vocab = Vocabulary(size=6)
     model = "policy" if length_model == "policy" else "lognormal"
@@ -485,13 +502,14 @@ def test_array_pool_equals_the_rollout_object_loop(
     cfg = ObjectiveConfig(group_size=group_size)
     params = init_params(vocab, n_features=16, init_scale=0.6, seed=seed)
     shift = np.random.default_rng(seed).normal(0, 0.3, params.weights.shape)
+    clock = TickClock()
     for _ in range(iterations):
         outcomes = []
         # The scheduler's ticks are traced by tick_trace, the oracle's by its own loop.
         loops = (lambda state, trace: scheduler._rollout_loop(state, params, budget, cfg, baseline),
                  lambda state, trace: _rollout_loop(state, params, budget, cfg, trace, baseline))
         for state, loop in zip(states, loops):
-            with tick_trace() as trace:
+            with tick_trace(clock) as trace:
                 try:
                     outcomes.append((loop(state, trace), trace))
                 except TickCapError as exc:
@@ -508,8 +526,7 @@ def test_array_pool_equals_the_rollout_object_loop(
         assert got_reward == want_reward or (math.isnan(got_reward) and math.isnan(want_reward))
         assert _pool_batch(got_batch) == _oracle_batch(want_groups)
         assert len(got_batch) == len(want_groups) and got_batch.group_size == group_size
-        for name in ("tick_clock", "iteration"):
-            assert getattr(states[0], name) == getattr(states[1], name)
+        assert clock.ticks == states[1].tick_clock and states[0].iteration == states[1].iteration
         whole = whole_pending_groups(states[0], group_size)
         assert whole == list(states[1].lookahead)
         assert states[0].next_uid == states[1].next_uid + len(whole) * group_size

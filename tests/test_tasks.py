@@ -67,6 +67,12 @@ def test_equal_tasks_share_prompt_identity() -> None:
         seen[key] = t.prompt_id
 
 
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_a_task_needs_a_positive_max_len(max_len: int) -> None:
+    with pytest.raises(ValueError, match="^max_len must be >= 1$"):
+        TaskSpec(TaskKind.PARITY_MATCH, 100, 0, max_len)
+
+
 def test_parity_match_definitions() -> None:
     vocab = Vocabulary(size=8, eos_id=0)
     even = TaskSpec(TaskKind.PARITY_MATCH, 100, 0, 8)
