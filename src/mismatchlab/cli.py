@@ -188,21 +188,16 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def _schedule_one_seed(cfg: ExperimentConfig, seed: int) -> dict:
     """Budget-partitioned vs baseline run on one shared seed (picklable, as is cfg). Both modes measure the
-    same probes, frozen Contexts, built once."""
+    same probes, frozen Contexts, and draw from the same prompt source, which holds no state (each run's
+    SchedulerState owns its prompt stream): both are built once."""
     assert cfg.schedule is not None
     sch = cfg.schedule
     cfg = dataclasses.replace(cfg, seed=seed, run=dataclasses.replace(cfg.run, n_iterations=sch.n_iterations))
     probes = make_probes(cfg.run.n_probes, _vocab(cfg), seed)
+    source = SyntheticPromptSource(_vocab(cfg), sch.max_len, sch.length_model, sch.median, sch.sigma)
 
     totals = {}
     for mode in ("budget", "baseline"):
-        source = SyntheticPromptSource(
-            _vocab(cfg),
-            max_len=sch.max_len,
-            length_model=sch.length_model,
-            median=sch.median,
-            sigma=sch.sigma,
-        )
         rollout_ticks = trained = iterations = 0
 
         def fold(report, loss, sample) -> None:

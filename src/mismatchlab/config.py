@@ -1,13 +1,16 @@
 """Experiment configuration: a single strict JSON document.
 
-Unknown keys are rejected rather than ignored so typos fail fast, and a
-schema_version field is required; the current schema is 3. Each section
-is a frozen dataclass that checks its own invariants when it is built;
-the objective and budget sections are the engine's ObjectiveConfig and
-BudgetConfig. One parser reads every section from its field
-annotations. The resolved document round-trips losslessly, which is
-what lets a metrics file regenerate byte-identically from its embedded
-header.
+Unknown keys are rejected rather than ignored so typos fail fast, and so
+is a key given twice in one object; a schema_version field is required;
+the current schema is 3. Each section is a frozen dataclass that checks
+its own invariants when it is built; the objective and budget sections
+are the engine's ObjectiveConfig and BudgetConfig. Every seed (seed,
+mismatch.seed, compounding.reward_seed and each of schedule.seeds) is in
+[0, 2**64), so no two seeds of a field give the same run, and a number
+too large for a float is invalid in every field. One parser reads every
+section from its field annotations. The resolved document round-trips
+losslessly, which is what lets a metrics file regenerate byte-identically
+from its embedded header.
 """
 
 from __future__ import annotations
@@ -28,6 +31,12 @@ from .scheduler import BudgetConfig
 from .tasks import MAX_VOCAB_SIZE
 
 SCHEMA_VERSION = 3
+
+
+def _check_seed(seed: int, where: str) -> None:
+    """Raise ConfigError unless 0 <= seed < 2**64: the library folds seeds mod 2**64, so one outside aliases one in."""
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"{where}: must be in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,7 @@ class MismatchSection:
     def __post_init__(self) -> None:
         if self.scale < 0:
             raise ConfigError("mismatch.scale: must be nonnegative")
+        _check_seed(self.seed, "mismatch.seed")
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,8 @@ class ScheduleSection:
             raise ConfigError("schedule.n_iterations: must be >= 1")
         if not self.seeds:
             raise ConfigError("schedule.seeds: must be non-empty")
+        for i, seed in enumerate(self.seeds):
+            _check_seed(seed, f"schedule.seeds[{i}]")
 
 
 @dataclass(frozen=True)
@@ -120,6 +132,7 @@ class CompoundingSection:
             raise ConfigError("compounding.mu: must be positive")
         if self.n_steps < 1:
             raise ConfigError("compounding.n_steps: must be >= 1")
+        _check_seed(self.reward_seed, "compounding.reward_seed")
 
 
 @dataclass(frozen=True)
@@ -153,6 +166,9 @@ class ExperimentConfig:
     schedule: ScheduleSection | None = None
     compounding: CompoundingSection | None = None
     sweep: SweepSection | None = None
+
+    def __post_init__(self) -> None:
+        _check_seed(self.seed, "seed")  # here, so a --seed override, applied with dataclasses.replace, is checked too
 
     def to_dict(self) -> dict:
         """The resolved document: every field, enums as their values, absent sections left out."""
@@ -195,7 +211,7 @@ def _parse(tp, value, where: str):
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{where}: expected {name}, got {value!r}")
     # json.loads reads NaN and Infinity, and an integer too large for a float; none is a finite number.
-    if tp is float and not abs(value) <= sys.float_info.max:
+    if tp is not str and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return tp(value)
 
@@ -212,6 +228,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return _parse(ExperimentConfig, data, "")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, raising ConfigError on a key given twice rather than keeping the last."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"duplicated key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
@@ -219,9 +245,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
+    except ConfigError:
+        raise
+    except ValueError as exc:  # an integer of more digits than int() reads, far too large for a float
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return config_from_dict(data)
 
 

@@ -190,9 +190,7 @@ def delta_gradient(evaluation: ProbeEvaluation) -> np.ndarray:
     p_tr, p_inf = evaluation.probs[:, 0], evaluation.probs[:, 1]
     ratio = lp_inf - lp_tr
     delta_rows = (p_inf * ratio).sum(axis=1, keepdims=True)
-    d_s = slope * (p_inf * (ratio - delta_rows)) + p_tr - p_inf
-    d_s /= probes.temperature * len(probes.feats)
-    return weight_grad(probes.feats, d_s, probes.n_features)
+    return _probe_weight_grad(probes, slope * (p_inf * (ratio - delta_rows)) + p_tr - p_inf)
 
 
 def _exact_reward_gradient(evaluation: ProbeEvaluation, reward_table: np.ndarray) -> np.ndarray:
@@ -202,9 +200,15 @@ def _exact_reward_gradient(evaluation: ProbeEvaluation, reward_table: np.ndarray
     distribution, so the expected advantage is zero per probe and the
     per-probe gradient of E[reward] w.r.t. the scaled logits is q * A.
     """
-    probes, q = evaluation.probes, evaluation.probs[:, 0]
+    q = evaluation.probs[:, 0]
     baseline = (q * reward_table).sum(axis=1, keepdims=True)
-    d_s = q * (reward_table - baseline) / (probes.temperature * len(probes.feats))
+    return _probe_weight_grad(evaluation.probes, q * (reward_table - baseline))
+
+
+def _probe_weight_grad(probes: RowSet, d_s: np.ndarray) -> np.ndarray:
+    """The weight gradient of per-probe scaled-logit gradients d_s (divided in place by the temperature and the
+    probe count), accumulated on each probe's feature rows."""
+    d_s /= probes.temperature * len(probes.feats)
     return weight_grad(probes.feats, d_s, probes.n_features)
 
 
@@ -228,13 +232,17 @@ def compounding_experiment(
     product align_target * delta_t. The parameter version stays fixed,
     so the engine-noise map stays smooth. The constants are fitted from
     the same trace, and the growth bound is then checked step by step.
-    Returns the fit; a trace whose delta never leaves zero gives a
-    vacuous fit. A step adds no smoothness residual where |g|^2 vanishes
-    or mu^2 |g|^2 underflows to zero. The experiment is a fold that
+    Returns the fit, built once: from the vacuous fit's values, which a
+    trace whose delta leaves zero overwrites. A step adds no smoothness
+    residual where |g|^2 vanishes or mu^2 |g|^2 underflows to zero. The
+    experiment is a fold that
     keeps only the deltas the fit reads: on_sample, when given, gets
     each of the n_steps + 1 samples, one per parameter state, as it is
     measured, so a caller keeps the steps done before a NumericError.
+    Raises ValueError if n_steps < 1: there is no step to fit.
     """
+    if n_steps < 1:
+        raise ValueError("compounding experiment needs n_steps >= 1")
     rng = np.random.default_rng(np.random.SeedSequence((reward_seed & _MASK64, 4)))
     reward_table = rng.uniform(-1.0, 1.0, size=(len(probes), vocab.size))
 
@@ -282,34 +290,24 @@ def compounding_experiment(
 
     record(n_steps, delta_t, gap_t)
 
-    if max(deltas) <= 1e-15:
-        return DiscrepancyFit(
-            eta_hat=0.0, kappa_hat=0.0, delta_c=0.0, growth_holds=True, step_size=mu, grad_bound=max(grad_norms, default=0.0),
-            drift_bound=0.0, smoothness=0.0, align_const=0.0, vacuous=True,
-        )
-
-    align_const = min(dots_bias[t] / deltas[t] for t in range(n_steps) if deltas[t] > 1e-15)
-    drift_bound = max(abs(d) for d in dots_drift)
     grad_bound = max(grad_norms)
-    smoothness = max(resid_ls) if resid_ls else 0.0
-    eta_hat = align_const
-    kappa_hat = drift_bound + 0.5 * smoothness * mu * grad_bound**2
-    delta_c = 2.0 * kappa_hat / eta_hat if eta_hat > 0 else math.inf
-    growth_holds = all(
-        deltas[t + 1] >= (1.0 + 0.5 * eta_hat * mu) * deltas[t] - 1e-12
-        for t in range(n_steps)
-        if deltas[t] >= delta_c
-    )
+    vacuous = max(deltas) <= 1e-15
+    eta_hat = kappa_hat = delta_c = drift_bound = smoothness = 0.0  # the vacuous fit's; eta_hat is align_const
+    growth_holds = True
+    if not vacuous:
+        eta_hat = min(dots_bias[t] / deltas[t] for t in range(n_steps) if deltas[t] > 1e-15)
+        drift_bound = max(abs(d) for d in dots_drift)
+        smoothness = max(resid_ls, default=0.0)
+        kappa_hat = drift_bound + 0.5 * smoothness * mu * grad_bound**2
+        delta_c = 2.0 * kappa_hat / eta_hat if eta_hat > 0 else math.inf
+        growth_holds = all(
+            deltas[t + 1] >= (1.0 + 0.5 * eta_hat * mu) * deltas[t] - 1e-12
+            for t in range(n_steps)
+            if deltas[t] >= delta_c
+        )
     return DiscrepancyFit(
-        eta_hat=eta_hat,
-        kappa_hat=kappa_hat,
-        delta_c=delta_c,
-        growth_holds=growth_holds,
-        step_size=mu,
-        grad_bound=grad_bound,
-        drift_bound=drift_bound,
-        smoothness=smoothness,
-        align_const=align_const,
+        eta_hat=eta_hat, kappa_hat=kappa_hat, delta_c=delta_c, growth_holds=growth_holds, step_size=mu,
+        grad_bound=grad_bound, drift_bound=drift_bound, smoothness=smoothness, align_const=eta_hat, vacuous=vacuous,
     )
 
 
@@ -320,40 +318,26 @@ def fit_affine_trace(deltas, grad_norms, mu: float) -> DiscrepancyFit:
     constants: eta_hat = (a - 1) / mu and kappa_hat = -b / mu.
     growth_holds records a > 1, and grad_bound is the largest of the
     run's gradient norms. A trace shorter than three steps, or one whose
-    delta never leaves zero, gives a vacuous fit.
+    delta never leaves zero, gives a vacuous fit. The fit is built once:
+    from the vacuous fit's values, which the affine fit overwrites.
     """
     deltas = np.asarray(deltas, dtype=np.float64)
-    grad_bound = max(grad_norms) if grad_norms else 0.0
-    if deltas.max(initial=0.0) <= 1e-15 or len(deltas) < 3:
-        return DiscrepancyFit(
-            eta_hat=0.0,
-            kappa_hat=0.0,
-            delta_c=0.0,
-            growth_holds=True,
-            step_size=mu,
-            grad_bound=grad_bound,
-            drift_bound=math.nan,
-            smoothness=math.nan,
-            align_const=math.nan,
-            vacuous=True,
-        )
-
-    # Fitted on the trace scaled by a power of two, which is exact:
-    # polyfit squares its columns, which overflows above about 1e154.
-    k = int(np.frexp(deltas.max())[1])
-    scaled = np.ldexp(deltas, -k)
-    a, b = np.polyfit(scaled[:-1], scaled[1:], 1)
-    b = np.ldexp(b, k)
-    eta_hat = (float(a) - 1.0) / mu
-    kappa_hat = -float(b) / mu
+    vacuous = bool(deltas.max(initial=0.0) <= 1e-15 or len(deltas) < 3)
+    eta_hat = kappa_hat = delta_c = 0.0
+    growth_holds = True
+    if not vacuous:
+        # Fitted on the trace scaled by a power of two, which is exact:
+        # polyfit squares its columns, which overflows above about 1e154.
+        k = int(np.frexp(deltas.max())[1])
+        scaled = np.ldexp(deltas, -k)
+        a, b = np.polyfit(scaled[:-1], scaled[1:], 1)
+        b = np.ldexp(b, k)
+        eta_hat = (float(a) - 1.0) / mu
+        kappa_hat = -float(b) / mu
+        delta_c = 2.0 * kappa_hat / eta_hat if eta_hat > 0 else math.inf
+        growth_holds = float(a) > 1.0
     return DiscrepancyFit(
-        eta_hat=eta_hat,
-        kappa_hat=kappa_hat,
-        delta_c=2.0 * kappa_hat / eta_hat if eta_hat > 0 else math.inf,
-        growth_holds=float(a) > 1.0,
-        step_size=mu,
-        grad_bound=grad_bound,
-        drift_bound=math.nan,
-        smoothness=math.nan,
-        align_const=math.nan,
+        eta_hat=eta_hat, kappa_hat=kappa_hat, delta_c=delta_c, growth_holds=growth_holds, step_size=mu,
+        grad_bound=max(grad_norms, default=0.0), drift_bound=math.nan, smoothness=math.nan, align_const=math.nan,
+        vacuous=vacuous,
     )

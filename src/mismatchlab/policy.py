@@ -19,8 +19,9 @@ entries, so a block and any subset give the same bits entry by entry.
 
 The softmax, inverse-CDF sampling and the context hashes each have one
 batched implementation. context_rows hashes a batch of contexts into
-feature rows and noise keys; feature_rows and noise_keys, the same
-hashes of one context in plain integer arithmetic, are its bitwise
+feature rows and noise keys, the per-version keys by version_keys, which
+a RowSet calls alone at each version; feature_rows and noise_keys, the
+same hashes of one context in plain integer arithmetic, are its bitwise
 reference. engine_pair evaluates both engines from a batch's training
 logits, in one softmax call, for a RowSet: a fixed list of contexts
 hashed once, evaluated at any params of one shape. A training run's
@@ -230,20 +231,28 @@ def context_rows(
 
     Batched feature_rows and noise_keys, bit-identical to them on int64
     inputs (-1 marks an empty window slot). The hash chains differ only
-    in a constant prefix and all end in (prompt, prev, last), so the four
-    non-bias chains run as one stacked (5, N) array: the unigram chain
-    (row 0) takes last where the others take prev, and stops there.
+    in a constant prefix and all end in (prompt, prev, last), so the three
+    feature chains and the persistent key's run as one stacked (4, N)
+    array: the unigram chain (row 0) takes last where the others take
+    prev, and stops there. The per-version keys are version_keys'.
     """
     window = np.asarray((prompt_ids, prev, last), dtype=np.int64).view(np.uint64)
-    seed = infer.mismatch_seed
-    prefixes = [_mix(3), _mix(4), _mix(5), _mix(_NOISE_TAG, seed), _mix(_NOISE_VERSION_TAG, seed, version_id)]
+    prefixes = [_mix(3), _mix(4), _mix(5), _mix(_NOISE_TAG, infer.mismatch_seed)]
     h = _splitmix64_vec(np.asarray(prefixes, dtype=np.uint64)[:, None] ^ window[0])
-    h = _splitmix64_vec(h ^ window[[2, 1, 1, 1, 1]])
+    h = _splitmix64_vec(h ^ window[[2, 1, 1, 1]])
     h[1:] = _splitmix64_vec(h[1:] ^ window[2])
     feats = np.empty((window.shape[1], 4), dtype=np.intp)
     feats[:, 0] = _mix(1) % n_features
     feats[:, 1:] = (h[:3] % np.uint64(n_features)).T
-    return feats, h[3], h[4]
+    return feats, h[3], version_keys(window, infer, version_id)
+
+
+def version_keys(window: np.ndarray, infer: Engine, version_id: int) -> np.ndarray:
+    """Per-version noise keys of a (3, N) uint64 window of (prompt, prev, last) words: noise_keys' second, batched."""
+    keys = np.full(window.shape[1], _mix(_NOISE_VERSION_TAG, infer.mismatch_seed, version_id), dtype=np.uint64)
+    for column in window:
+        keys = _splitmix64_vec(keys ^ column)
+    return keys
 
 
 _NON_FINITE_LOGITS = "non-finite logits (corrupted parameters)"
@@ -389,17 +398,13 @@ def inference_slope(train_logits: np.ndarray, fixed: FixedNoise, fault_noise: np
     return slope
 
 
-def check_inference_logits(infer_logits: np.ndarray) -> None:
-    """Raise NumericError if the inference logits are non-finite (the mismatch noise overflowed)."""
-    if not np.isfinite(infer_logits).all():
-        raise NumericError(_NON_FINITE_INFER_LOGITS)
-
-
 def perturb_logits(logits: np.ndarray, keys_fixed: np.ndarray, keys_version: np.ndarray, scale: float) -> np.ndarray:
     """Inference-engine view of a batch of finite training logits: the tests' reference path and the
-    benchmark's kernel, beside engine_pair. Raises NumericError if the error overflows the inference logits."""
+    benchmark's kernel, beside engine_pair. Raises NumericError if the mismatch noise overflows the
+    inference logits, the direct path's one check of them."""
     infer_logits, _ = inference_logits(logits, fixed_noise(keys_fixed, logits.shape[1]), keys_version, scale)
-    check_inference_logits(infer_logits)
+    if not np.isfinite(infer_logits).all():
+        raise NumericError(_NON_FINITE_INFER_LOGITS)
     return infer_logits
 
 
@@ -443,8 +448,8 @@ def engine_pair(train_logits: np.ndarray, fixed: FixedNoise, keys_version: np.nd
 class RowSet:
     """Both engines at a fixed (3, N) list of (prompt, prev, last) contexts, at any params of one shape.
 
-    The contexts are hashed once into their feature rows, FixedNoise and words; engines hashes the version
-    keys of the rows it evaluates from the words. A row equals its context on the direct path, bit for bit."""
+    The contexts are hashed once into their feature rows, FixedNoise and words; engines takes the version_keys
+    of the words of the rows it evaluates. A row equals its context on the direct path, bit for bit."""
 
     def __init__(self, contexts, n_features: int, vocab_size: int, infer: Engine, temperature: float) -> None:
         self.n_features = n_features
@@ -458,11 +463,8 @@ class RowSet:
 
     def engines(self, train_logits: np.ndarray, version_id: int, rows=slice(None)):
         """engine_pair's outputs at the rows, given their scaled training logits at version_id."""
-        keys = np.full(len(train_logits), _mix(_NOISE_VERSION_TAG, self.infer.mismatch_seed, version_id), dtype=np.uint64)
-        for column in self._words[:, rows]:  # context_rows' per-version chain alone
-            keys = _splitmix64_vec(keys ^ column)
-        fixed = FixedNoise(*(f[rows] for f in self.fixed))
-        return engine_pair(train_logits, fixed, keys, self.infer.mismatch_scale)
+        keys = version_keys(self._words[:, rows], self.infer, version_id)
+        return engine_pair(train_logits, FixedNoise(*(f[rows] for f in self.fixed)), keys, self.infer.mismatch_scale)
 
 
 class ContextTable(RowSet):

@@ -53,6 +53,7 @@ from mismatchlab.policy import (
     _FAULT_TAIL_CUT,
     _FAULT_TAIL_GAIN,
     _FAULT_XOR,
+    _NON_FINITE_INFER_LOGITS,
     _PERSISTENT_WEIGHT,
     _SECOND_FIXED_XOR,
     _SECOND_VERSION_XOR,
@@ -68,7 +69,6 @@ from mismatchlab.policy import (
     _splitmix64_vec,
     batched_log_softmax,
     batched_train_logits,
-    check_inference_logits,
     context_rows,
     feature_rows,
     fixed_noise,
@@ -655,7 +655,8 @@ def delta_gradient(
     train_logits = batched_train_logits(params, feats, temperature)
     fixed = fixed_noise(keys_fixed, train_logits.shape[1])
     infer_logits, fault_noise = inference_logits(train_logits, fixed, keys_version, infer.mismatch_scale)
-    check_inference_logits(infer_logits)
+    if not np.isfinite(infer_logits).all():
+        raise NumericError(_NON_FINITE_INFER_LOGITS)
     slope = inference_slope(train_logits, fixed, fault_noise, infer.mismatch_scale)
     lp_inf, p_inf = batched_log_softmax(infer_logits)
     lp_tr, p_tr = batched_log_softmax(train_logits)

@@ -54,6 +54,9 @@ def rejected(data: dict) -> str:
         (doc(schedule={"median": math.nan}), "schedule.median: expected a finite number, got nan"),
         (doc(mismatch={"scale": -math.inf}), "mismatch.scale: expected a finite number, got -inf"),
         (doc(policy={"temperature": 10**400}), "policy.temperature: expected a finite number, got 1000"),
+        (doc(budget={"tick_cap": 10**400}), "budget.tick_cap: expected a finite number, got 1000"),
+        (doc(seed=-(10**400)), "seed: expected a finite number, got -1000"),
+        (doc(schedule={"seeds": [11, 10**400]}), "schedule.seeds[1]: expected a finite number, got 1000"),
         (doc(sweep={"bounds": [[0.5, 5.0], [0.5, math.inf]]}), "sweep.bounds[1][1]: expected a finite number, got inf"),
     ],
 )
@@ -132,6 +135,28 @@ def test_each_section_checks_its_invariants(section: str, values: dict, message:
     assert rejected(doc(**{section: values})).startswith(message)
 
 
+SEED_FIELDS = {
+    "seed": lambda seed: doc(seed=seed),
+    "mismatch.seed": lambda seed: doc(mismatch={"seed": seed}),
+    "compounding.reward_seed": lambda seed: doc(compounding={"reward_seed": seed}),
+    "schedule.seeds[1]": lambda seed: doc(schedule={"seeds": [11, seed]}),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("field", SEED_FIELDS)
+def test_a_seed_outside_64_bits_is_rejected(field: str, seed: int) -> None:
+    """The library folds a seed mod 2**64, so a seed outside [0, 2**64) would run as the seed it aliases."""
+    assert rejected(SEED_FIELDS[field](seed)) == f"{field}: must be in [0, 2**64)"
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("field", SEED_FIELDS)
+def test_every_64_bit_seed_is_accepted_and_round_trips(field: str, seed: int) -> None:
+    cfg = config_from_dict(SEED_FIELDS[field](seed))
+    assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
 def test_the_largest_vocabulary_keeps_every_prompt_id_distinct() -> None:
     """At vocab_size 100 the TARGET_SUM ids end at 299, below the first COPY_PREFIX id; 101 is rejected above."""
     vocab = Vocabulary(size=config_from_dict(doc(policy={"vocab_size": 100})).policy.vocab_size)
@@ -204,12 +229,24 @@ def test_cli_overrides_pass_the_section_checks(tmp_path, capsys) -> None:
     assert header["config"]["objective"]["algo"] == "grpo" and header["config"]["run"]["n_iterations"] == 0
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_override_outside_64_bits_exits_2_before_any_output(tmp_path, capsys, seed: int) -> None:
+    """--seed is applied with dataclasses.replace, so ExperimentConfig checks it as it checks the config's seed."""
+    args = ["train", "--config", str(CONFIGS / "train_icepop.json"), "--out", str(tmp_path / "o"), "--iterations", "1"]
+    assert main(args + ["--seed", str(seed)]) == 2
+    assert not (tmp_path / "o").exists()
+    assert "config error: seed: must be in [0, 2**64)" in capsys.readouterr().err
+    assert main(args + ["--seed", str(seed % 2**64)]) == 0
+
+
 @pytest.mark.parametrize(
     "content,message",
     [
         (None, "cannot read config {path}: [Errno 2] No such file or directory"),
         ("dir", "cannot read config {path}: [Errno 21] Is a directory"),
         ('{\n  "seed": 1,\n  seed\n}\n', "{path}:3:3: invalid JSON (Expecting property name enclosed in double quotes)"),
+        ('{"schema_version": 3, "run": {"n_iterations": 2, "n_iterations": 200}}', "duplicated key 'n_iterations'"),
+        ('{"schema_version": 3, "schema_version": 3}', "duplicated key 'schema_version'"),
     ],
 )
 def test_an_unreadable_or_invalid_config_exits_2_before_any_output(tmp_path, capsys, content: str | None, message: str) -> None:
@@ -222,3 +259,14 @@ def test_an_unreadable_or_invalid_config_exits_2_before_any_output(tmp_path, cap
     assert main(["train", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
     assert f"config error: {message.format(path=path)}" in capsys.readouterr().err
+
+
+def test_an_integer_of_more_digits_than_int_reads_exits_2_before_any_output(tmp_path, capsys) -> None:
+    """json.loads raises a plain ValueError on an integer longer than sys.get_int_max_str_digits() (Python >= 3.11);
+    such a number is far too large for a float, so it is a config error like one that json.loads reads."""
+    path = tmp_path / "config.json"
+    path.write_text('{"schema_version": 3, "seed": 1' + "0" * 5000 + "}", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("config error: ")

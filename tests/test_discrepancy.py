@@ -367,6 +367,16 @@ def test_theorem_aligned_zero_scale_is_vacuous() -> None:
     assert fit.growth_holds
 
 
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_compounding_needs_a_step(n_steps: int) -> None:
+    """The config requires n_steps >= 1, and the library says so at entry rather than failing in the fit."""
+    vocab, engine, params, probes = theorem_setup()
+    samples = []
+    with pytest.raises(ValueError, match=r"^compounding experiment needs n_steps >= 1$"):
+        compounding_experiment(params, 0.01, n_steps, vocab, engine, probes, on_sample=samples.append)
+    assert samples == []
+
+
 def test_rl_loop_mode_fits_affine_recursion(tmp_path) -> None:
     cfg = ExperimentConfig(
         seed=2,
