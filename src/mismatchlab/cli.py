@@ -289,7 +289,6 @@ def cmd_compounding(cfg: ExperimentConfig, out_dir: Path) -> int:
                 params,
                 comp.mu,
                 comp.n_steps,
-                vocab,
                 infer,
                 probes,
                 temperature=cfg.policy.temperature,

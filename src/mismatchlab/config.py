@@ -241,16 +241,15 @@ def _unique_keys(pairs: list) -> dict:
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
     except ConfigError:
         raise
-    except ValueError as exc:  # an integer of more digits than int() reads, far too large for a float
+    # Not UTF-8 text (UnicodeDecodeError), an integer of more digits than int() reads, or nested too deeply.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return config_from_dict(data)
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import NumericError
 from .policy import (
+    _MASK64,
     _NON_FINITE_INFER_LOGITS,
     Context,
     ContextTable,
@@ -37,8 +38,6 @@ from .policy import (
     perturb_logits,  # noqa: F401  (the same)
     weight_grad,
 )
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass
@@ -216,7 +215,6 @@ def compounding_experiment(
     theta_0: PolicyParams,
     mu: float,
     n_steps: int,
-    vocab: Vocabulary,
     infer: Engine,
     probes: list[Context],
     temperature: float = 1.0,
@@ -227,46 +225,46 @@ def compounding_experiment(
     """The theorem-aligned discrepancy-growth experiment: n_steps updates of step size mu from theta_0.
 
     Each update is the exact on-policy gradient of a fixed synthetic
-    reward (drawn from reward_seed over the probes) plus a bias
-    component aligned with the exact discrepancy gradient, with inner
-    product align_target * delta_t. The parameter version stays fixed,
-    so the engine-noise map stays smooth. The constants are fitted from
-    the same trace, and the growth bound is then checked step by step.
-    Returns the fit, built once: from the vacuous fit's values, which a
-    trace whose delta leaves zero overwrites. A step adds no smoothness
-    residual where |g|^2 vanishes or mu^2 |g|^2 underflows to zero. The
-    experiment is a fold that
-    keeps only the deltas the fit reads: on_sample, when given, gets
-    each of the n_steps + 1 samples, one per parameter state, as it is
-    measured, so a caller keeps the steps done before a NumericError.
+    reward (drawn from reward_seed over the probes and theta_0's
+    vocabulary) plus a bias component aligned with the exact discrepancy
+    gradient, with inner product align_target * delta_t. The parameter
+    version stays fixed, so the engine-noise map stays smooth. The
+    constants are fitted from the same trace, and the growth bound is
+    then checked step by step. One loop visits the n_steps + 1 parameter
+    states: it evaluates and measures each once, adds the previous step's
+    smoothness residual (none where |g|^2 vanishes or mu^2 |g|^2
+    underflows to zero), and hands the sample to on_sample, when given,
+    so a caller keeps the steps done before a NumericError. It keeps the
+    fit's running extremes and the deltas the growth check reads. The fit
+    is vacuous, each fitted constant but grad_bound zero, when no step t < n_steps
+    (the steps eta_hat divides by) has delta_t > 1e-15.
     Raises ValueError if n_steps < 1: there is no step to fit.
     """
     if n_steps < 1:
         raise ValueError("compounding experiment needs n_steps >= 1")
     rng = np.random.default_rng(np.random.SeedSequence((reward_seed & _MASK64, 4)))
-    reward_table = rng.uniform(-1.0, 1.0, size=(len(probes), vocab.size))
+    reward_table = rng.uniform(-1.0, 1.0, size=(len(probes), theta_0.vocab_size))
 
     params = theta_0.copy()
-    dots_bias: list[float] = []
-    dots_drift: list[float] = []
-    grad_norms: list[float] = []
-    resid_ls: list[float] = []
-    deltas: list[float] = []
-
-    def record(step: int, delta: float, gap: float) -> None:
-        deltas.append(delta)
-        if on_sample is not None:
-            on_sample(DiscrepancySample(step=step, delta=delta, max_token_gap=gap))
-
-    # The probes are hashed once, and each parameter state is evaluated once:
-    # a step's delta_next is the next step's delta_t.
     hashed_probes = probe_set(probes, params, infer, temperature)
-    evaluation = evaluate_probes(hashed_probes, params)
-    delta_t, gap_t = delta_and_gap(evaluation.log_probs, evaluation.probs)
-    for t in range(n_steps):
+    deltas: list[float] = []
+    eta_hat = math.inf  # the least bias inner product over delta_t of the steps with delta_t > 1e-15
+    grad_bound = drift_bound = smoothness = 0.0
+    for t in range(n_steps + 1):
+        evaluation = evaluate_probes(hashed_probes, params)
+        delta_t, gap_t = delta_and_gap(evaluation.log_probs, evaluation.probs)
+        if t:
+            g_sq = norm**2
+            quotient = mu * mu * g_sq  # 0.0 where it underflows, at a tiny mu
+            if g_sq > 1e-30 and quotient != 0.0:
+                smoothness = max(smoothness, 2.0 * abs(delta_t - deltas[-1] - mu * dot_total) / quotient)
+        deltas.append(delta_t)
+        if on_sample is not None:
+            on_sample(DiscrepancySample(step=t, delta=delta_t, max_token_gap=gap_t))
+        if t == n_steps:
+            break
         grad_delta = delta_gradient(evaluation)
         g_star = _exact_reward_gradient(evaluation, reward_table)
-        record(t, delta_t, gap_t)
         # A step that overflows the weights raises NumericError in PolicyParams, as sgd_update does.
         with np.errstate(over="ignore", invalid="ignore"):
             norm_sq = float((grad_delta * grad_delta).sum())
@@ -275,29 +273,20 @@ def compounding_experiment(
             else:
                 bias = np.zeros_like(grad_delta)
             g_total = g_star + bias
-            dots_bias.append(float((grad_delta * bias).sum()))
-            dots_drift.append(float((grad_delta * g_star).sum()))
-            grad_norms.append(float(np.linalg.norm(g_total)))
+            if delta_t > 1e-15:
+                eta_hat = min(eta_hat, float((grad_delta * bias).sum()) / delta_t)
+            drift_bound = max(drift_bound, abs(float((grad_delta * g_star).sum())))
+            norm = float(np.linalg.norm(g_total))
+            grad_bound = max(grad_bound, norm)
             dot_total = float((grad_delta * g_total).sum())
             params = PolicyParams(params.weights + mu * g_total, version_id=params.version_id)
-        evaluation = evaluate_probes(hashed_probes, params)
-        delta_next, gap_next = delta_and_gap(evaluation.log_probs, evaluation.probs)
-        g_sq = grad_norms[-1] ** 2
-        quotient = mu * mu * g_sq  # 0.0 where it underflows, at a tiny mu
-        if g_sq > 1e-30 and quotient != 0.0:
-            resid_ls.append(2.0 * abs(delta_next - delta_t - mu * dot_total) / quotient)
-        delta_t, gap_t = delta_next, gap_next
 
-    record(n_steps, delta_t, gap_t)
-
-    grad_bound = max(grad_norms)
-    vacuous = max(deltas) <= 1e-15
-    eta_hat = kappa_hat = delta_c = drift_bound = smoothness = 0.0  # the vacuous fit's; eta_hat is align_const
+    vacuous = max(deltas[:-1]) <= 1e-15
+    kappa_hat = delta_c = 0.0
     growth_holds = True
-    if not vacuous:
-        eta_hat = min(dots_bias[t] / deltas[t] for t in range(n_steps) if deltas[t] > 1e-15)
-        drift_bound = max(abs(d) for d in dots_drift)
-        smoothness = max(resid_ls, default=0.0)
+    if vacuous:  # the vacuous fit's values; eta_hat is align_const
+        eta_hat = drift_bound = smoothness = 0.0
+    else:
         kappa_hat = drift_bound + 0.5 * smoothness * mu * grad_bound**2
         delta_c = 2.0 * kappa_hat / eta_hat if eta_hat > 0 else math.inf
         growth_holds = all(

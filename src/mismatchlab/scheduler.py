@@ -76,12 +76,10 @@ from .discrepancy import measure, probe_windows
 from .errors import ConfigError, TickCapError
 from .objective import (ObjectiveConfig, RolloutBatch, batch_group_advantages, empty_breakdown, momentum_update,
                         objective_and_grad, sgd_update)
-from .policy import Context, ContextTable, Engine, PolicyParams, Vocabulary
+from .policy import _MASK64, Context, ContextTable, Engine, PolicyParams, Vocabulary
 # The direct engine path, no longer called here: perfbench/child.py wraps these names where each layer binds them.
 from .policy import batched_log_softmax, batched_train_logits, perturb_logits  # noqa: F401
 from .tasks import TaskKind, TaskSpec, all_prompt_ids, sample_prompt, verify
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)

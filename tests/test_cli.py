@@ -279,6 +279,17 @@ def test_a_tiny_step_size_writes_the_whole_trace_and_fit(tmp_path, mu: float) ->
     assert doc["fit"].keys() == {f.name for f in dataclasses.fields(DiscrepancyFit)} and doc["fit"]["step_size"] == mu
 
 
+def test_a_trace_vacuous_before_its_last_state_exits_0_with_a_vacuous_fit(tmp_path) -> None:
+    """Only the final state's delta passes 1e-15 (9.995e-16, then 1.073e-15): the fit, which divides by the
+    steps before it, is vacuous, and both documents are written."""
+    cfg = write_config(tmp_path, "compounding", mismatch={"scale": 6.6026345502592125e-09}, compounding={"n_steps": 1})
+    out = tmp_path / "o"
+    assert main(["compounding", "--config", cfg, "--out", str(out)]) == 0
+    header, *steps = map(json.loads, (out / "compounding_trace.jsonl").read_text(encoding="utf-8").splitlines())
+    assert [step["step"] for step in steps] == [0, 1] and steps[0]["delta"] <= 1e-15 < steps[1]["delta"]
+    assert json.loads((out / "compounding_fit.json").read_text(encoding="utf-8"))["fit"]["vacuous"] is True
+
+
 @pytest.mark.parametrize("failure", [RuntimeError("a fault"), KeyboardInterrupt()])
 def test_an_undocumented_exception_leaves_no_document(tmp_path, monkeypatch, failure: BaseException) -> None:
     """An exception other than NumericError or TickCapError goes on out of main and removes the document; the

@@ -239,6 +239,9 @@ def test_a_seed_override_outside_64_bits_exits_2_before_any_output(tmp_path, cap
     assert main(args + ["--seed", str(seed % 2**64)]) == 0
 
 
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
 @pytest.mark.parametrize(
     "content,message",
     [
@@ -247,12 +250,24 @@ def test_a_seed_override_outside_64_bits_exits_2_before_any_output(tmp_path, cap
         ('{\n  "seed": 1,\n  seed\n}\n', "{path}:3:3: invalid JSON (Expecting property name enclosed in double quotes)"),
         ('{"schema_version": 3, "run": {"n_iterations": 2, "n_iterations": 200}}', "duplicated key 'n_iterations'"),
         ('{"schema_version": 3, "schema_version": 3}', "duplicated key 'schema_version'"),
+        # UTF-16, as PowerShell's > writes, and a lone 0xff byte: neither is UTF-8 text.
+        pytest.param(b"\xff\xfe{\x00}\x00", f"{{path}}: invalid JSON ({_NOT_UTF8})", id="utf-16"),
+        pytest.param(b"\xff", f"{{path}}: invalid JSON ({_NOT_UTF8})", id="byte-0xff"),
+        pytest.param(
+            '{"schema_version": 3, "seed": ' + "[" * 100_000 + "}",
+            "{path}: invalid JSON (maximum recursion depth exceeded",
+            id="nested-100000-deep",
+        ),
     ],
 )
-def test_an_unreadable_or_invalid_config_exits_2_before_any_output(tmp_path, capsys, content: str | None, message: str) -> None:
+def test_an_unreadable_or_invalid_config_exits_2_before_any_output(
+    tmp_path, capsys, content: str | bytes | None, message: str
+) -> None:
     path = tmp_path / "config.json"
     if content == "dir":
         path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
     elif content is not None:
         path.write_text(content, encoding="utf-8")
     out = tmp_path / "o"

@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mismatchlab import (
@@ -195,7 +195,7 @@ def theorem_setup(scale: float = 0.22, seed: int = 11):
 def test_theorem_aligned_trace_satisfies_growth_bound() -> None:
     vocab, engine, params, probes = theorem_setup()
     samples, fit = run_compounding(
-        params, 0.01, 60, vocab, engine, probes, align_target=1.0, reward_seed=3
+        params, 0.01, 60, engine, probes, align_target=1.0, reward_seed=3
     )
     deltas = [s.delta for s in samples]
     assert not fit.vacuous
@@ -272,7 +272,7 @@ def test_theorem_aligned_trace_equals_the_reference_loop_bit_for_bit(monkeypatch
     measured = discrepancy.delta_and_gap
     monkeypatch.setattr(discrepancy, "delta_and_gap", lambda *args: calls.append(1) or measured(*args))
     samples, fit = run_compounding(
-        params, 0.01, 5, vocab, engine, probes, align_target=1.0, reward_seed=3
+        params, 0.01, 5, engine, probes, align_target=1.0, reward_seed=3
     )
     assert len(calls) == 5 + 1  # each parameter state once
     assert [bits(s) for s in samples] == [bits(s) for s in want_samples]
@@ -292,7 +292,7 @@ def test_compounding_hashes_its_probes_once_and_evaluates_each_state_once(monkey
             return _wrapped(*args)
 
         monkeypatch.setattr(module, name, counted)
-    compounding_experiment(params, 0.01, 5, vocab, engine, probes, align_target=1.0, reward_seed=3)
+    compounding_experiment(params, 0.01, 5, engine, probes, align_target=1.0, reward_seed=3)
     assert calls == {"context_rows": 1, "fixed_noise": 1, "batched_train_logits": 5 + 1}
 
 
@@ -361,10 +361,39 @@ def test_a_probe_set_serves_every_version(vocab_size: int, version: int, tempera
 def test_theorem_aligned_zero_scale_is_vacuous() -> None:
     vocab, _, params, probes = theorem_setup(scale=0.0)
     fit = compounding_experiment(
-        params, 0.01, 20, vocab, infer_engine(0.0, 7), probes
+        params, 0.01, 20, infer_engine(0.0, 7), probes
     )
     assert fit.vacuous
     assert fit.growth_holds
+
+
+# The shipped compounding config's set-up, at a mismatch scale where delta crosses 1e-15 between states.
+EDGE_SCALE = 6.6026345502592125e-09
+
+
+def shipped_compounding_setup():
+    vocab = Vocabulary(size=8)
+    return init_params(vocab, n_features=64, init_scale=0.5, seed=1234), make_probes(64, vocab, 1234)
+
+
+def test_a_trace_whose_only_delta_above_the_threshold_is_the_last_is_vacuous() -> None:
+    """eta_hat divides by the deltas of steps 0..n_steps-1 alone, so vacuity is decided on those: here only the
+    final state's delta passes 1e-15, and the fit is the vacuous one rather than a min() of no step."""
+    params, probes = shipped_compounding_setup()
+    samples, fit = run_compounding(params, 0.01, 1, infer_engine(EDGE_SCALE, 7), probes, reward_seed=3)
+    assert samples[0].delta <= 1e-15 < samples[1].delta
+    assert fit.vacuous and fit.growth_holds
+    assert (fit.eta_hat, fit.kappa_hat, fit.delta_c, fit.drift_bound, fit.smoothness) == (0.0,) * 5
+
+
+@settings(max_examples=30, deadline=None)
+@given(scale=st.floats(6e-9, 7e-9), n_steps=st.integers(1, 3))
+@example(scale=EDGE_SCALE, n_steps=1)
+def test_vacuity_is_decided_on_the_steps_eta_hat_divides_by(scale: float, n_steps: int) -> None:
+    params, probes = shipped_compounding_setup()
+    samples, fit = run_compounding(params, 0.01, n_steps, infer_engine(scale, 7), probes, reward_seed=3)
+    assert fit.vacuous == all(s.delta <= 1e-15 for s in samples[:-1])
+    assert fit.vacuous or math.isfinite(fit.eta_hat)
 
 
 @pytest.mark.parametrize("n_steps", [0, -1])
@@ -373,7 +402,7 @@ def test_compounding_needs_a_step(n_steps: int) -> None:
     vocab, engine, params, probes = theorem_setup()
     samples = []
     with pytest.raises(ValueError, match=r"^compounding experiment needs n_steps >= 1$"):
-        compounding_experiment(params, 0.01, n_steps, vocab, engine, probes, on_sample=samples.append)
+        compounding_experiment(params, 0.01, n_steps, engine, probes, on_sample=samples.append)
     assert samples == []
 
 
