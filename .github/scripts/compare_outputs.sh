@@ -5,8 +5,10 @@
 #
 # Usage: .github/scripts/compare_outputs.sh BASE_REV
 #
-# Prints a Markdown table, one row per output file: identical, differing, or
-# missing on one side. A second table does the same for the digest of the
+# Prints a Markdown table, one row per output file: identical, config only
+# (equal once the embedded config, the JSONL header's or the report's config
+# key, is dropped on both sides, as a config schema change leaves it),
+# differing, or missing on one side. A second table does the same for the digest of the
 # batches each schedule run emits for training ("<run>/batches", see
 # tests/replay.py), which no output file shows. Both sides run the working
 # tree's replay set, each on its own configs and its own src/. A last table
@@ -48,6 +50,22 @@ for hashes in json.load(sys.stdin).values():
     for key, digest in sorted(hashes.items()):
         if key.endswith("/batches"):
             print(key, digest)'
+}
+
+# without_config FILE: FILE with its embedded config dropped: the config key of line 1 of a .jsonl file, or of a
+# .json report; fails on a file that is not JSON.
+without_config() {
+  python - "$1" << 'EOF'
+import json, sys
+
+path = sys.argv[1]
+with open(path, encoding="utf-8") as fh:
+    text = fh.read()
+head, sep, rest = text.partition("\n") if path.endswith(".jsonl") else (text, "", "")
+doc = json.loads(head)
+doc.pop("config", None)
+sys.stdout.write(json.dumps(doc) + sep + rest)
+EOF
 }
 
 # code_lines DIR: "<file> <code lines>" for each DIR/*.py, counted with ast (the docstrings) and tokenize;
@@ -96,6 +114,10 @@ for f in $( (cd "$work/base_out" && find . -mindepth 2 -type f; cd "$work/head_o
     result="missing at head"
   elif cmp -s "$work/base_out/$name" "$work/head_out/$name"; then
     result="identical"
+  elif without_config "$work/base_out/$name" > "$work/base_doc" 2> /dev/null \
+    && without_config "$work/head_out/$name" > "$work/head_doc" 2> /dev/null \
+    && cmp -s "$work/base_doc" "$work/head_doc"; then
+    result="config only"
   else
     result="differing"
   fi

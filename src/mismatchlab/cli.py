@@ -194,7 +194,7 @@ def _schedule_one_seed(cfg: ExperimentConfig, seed: int) -> dict:
     sch = cfg.schedule
     cfg = dataclasses.replace(cfg, seed=seed, run=dataclasses.replace(cfg.run, n_iterations=sch.n_iterations))
     probes = make_probes(cfg.run.n_probes, _vocab(cfg), seed)
-    source = SyntheticPromptSource(_vocab(cfg), sch.max_len, sch.length_model, sch.median, sch.sigma)
+    source = SyntheticPromptSource(_vocab(cfg), cfg.tasks.max_len, sch.length_model, sch.median, sch.sigma)
 
     totals = {}
     for mode in ("budget", "baseline"):
@@ -301,7 +301,7 @@ def cmd_compounding(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
-    """Train once per masking-bound setting of sweep.bounds, on shared seeds.
+    """Train run.n_iterations iterations once per masking-bound setting of sweep.bounds, on shared seeds.
 
     Each row carries the setting's own training trajectory, folded as
     its iterations land. Because independently trained runs diverge,
@@ -316,7 +316,6 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     """
     if cfg.sweep is None:
         raise ConfigError("sweep command requires a sweep section")
-    run = dataclasses.replace(cfg.run, n_iterations=cfg.sweep.n_iterations)
     bounds = cfg.sweep.bounds
     shared: list[list[float]] = [[] for _ in bounds]  # clipped_fraction_shared of each setting
     table = {"schema_version": METRICS_SCHEMA_VERSION, "config": cfg.to_dict(), "settings": []}
@@ -325,7 +324,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         for alpha, beta in bounds:
             first = not settings
             row = {"alpha": alpha, "beta": beta, "delta": [], "grad_norm": [], "clipped_fraction": [],
-                   "clipped_fraction_shared": shared[len(settings)], "mean_logp": [], "final_delta": 0.0,
+                   "clipped_fraction_shared": shared[len(settings)], "mean_logp": [], "final_delta": math.nan,
                    "final_reward_mean": math.nan}
 
             def fold(report, loss, sample) -> None:
@@ -342,7 +341,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
                         column.append(float(((c < a) | (c > b)).mean()) if c.size else 0.0)
 
             objective = dataclasses.replace(cfg.objective, alpha=alpha, beta=beta)
-            _train_run(dataclasses.replace(cfg, objective=objective, run=run), on_step=fold)
+            _train_run(dataclasses.replace(cfg, objective=objective), on_step=fold)
             settings.append(row)
     return EXIT_OK
 

@@ -2,7 +2,7 @@
 
 Unknown keys are rejected rather than ignored so typos fail fast, and so
 is a key given twice in one object; a schema_version field is required;
-the current schema is 3. Each section is a frozen dataclass that checks
+the current schema is 4. Each section is a frozen dataclass that checks
 its own invariants when it is built; the objective and budget sections
 are the engine's ObjectiveConfig and BudgetConfig. Every seed (seed,
 mismatch.seed, compounding.reward_seed and each of schedule.seeds) is in
@@ -30,7 +30,7 @@ from .objective import ObjectiveConfig, check_bounds
 from .scheduler import BudgetConfig
 from .tasks import MAX_VOCAB_SIZE
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _check_seed(seed: int, where: str) -> None:
@@ -100,7 +100,6 @@ class ScheduleSection:
     length_model: str = "lognormal"
     median: float = 32.0
     sigma: float = 1.0
-    max_len: int = 512
     n_iterations: int = 6
     seeds: list[int] = field(default_factory=lambda: [11, 12, 13, 14, 15])
 
@@ -109,8 +108,6 @@ class ScheduleSection:
             raise ConfigError(f"schedule.length_model: unknown model {self.length_model!r}")
         if self.median <= 0 or self.sigma < 0:
             raise ConfigError("schedule.median must be positive and schedule.sigma nonnegative")
-        if self.max_len < 1:
-            raise ConfigError("schedule.max_len: must be >= 1")
         if self.n_iterations < 1:
             raise ConfigError("schedule.n_iterations: must be >= 1")
         if not self.seeds:
@@ -140,7 +137,6 @@ class SweepSection:
     bounds: list[list[float]] = field(
         default_factory=lambda: [[0.5, 5.0], [0.5, 2.0], [0.4, 5.0]]
     )
-    n_iterations: int = 80
 
     def __post_init__(self) -> None:
         if len(self.bounds) < 2:
@@ -149,8 +145,6 @@ class SweepSection:
             if len(pair) != 2:
                 raise ConfigError("sweep.bounds: expected a list of [alpha, beta] pairs")
             check_bounds(*pair, "sweep.bounds")
-        if self.n_iterations < 1:
-            raise ConfigError("sweep.n_iterations: must be >= 1")
 
 
 @dataclass(frozen=True)

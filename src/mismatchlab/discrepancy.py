@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError
+from .objective import _norm
 from .policy import (
     _MASK64,
     _NON_FINITE_INFER_LOGITS,
@@ -40,6 +41,12 @@ from .policy import (
 )
 
 
+def _times_square(c: float, x: float) -> float:
+    """c * x**2 of a finite x >= 0. Above about 1e154, where x**2 overflows (and a float's ** raises
+    OverflowError), it is taken as c * x * x, which c can keep finite."""
+    return c * x**2 if x < 1e154 else c * x * x
+
+
 @dataclass
 class DiscrepancySample:
     """Probe-set discrepancy at one step."""
@@ -55,13 +62,14 @@ class DiscrepancyFit:
 
     delta_c = 2 * kappa_hat / eta_hat is the threshold above which the
     per-step geometric growth bound is asserted; growth_holds records
-    whether every post-threshold step satisfied it.
+    whether every post-threshold step satisfied it, and is None where
+    delta_c is not finite (eta_hat <= 0): no step was checked.
     """
 
     eta_hat: float
     kappa_hat: float
     delta_c: float
-    growth_holds: bool
+    growth_holds: bool | None
     step_size: float
     grad_bound: float
     drift_bound: float
@@ -232,13 +240,16 @@ def compounding_experiment(
     constants are fitted from the same trace, and the growth bound is
     then checked step by step. One loop visits the n_steps + 1 parameter
     states: it evaluates and measures each once, adds the previous step's
-    smoothness residual (none where |g|^2 vanishes or mu^2 |g|^2
+    smoothness residual (none where |g| is below 1e-15 or mu^2 |g|^2
     underflows to zero), and hands the sample to on_sample, when given,
     so a caller keeps the steps done before a NumericError. It keeps the
-    fit's running extremes and the deltas the growth check reads. The fit
-    is vacuous, each fitted constant but grad_bound zero, when no step t < n_steps
-    (the steps eta_hat divides by) has delta_t > 1e-15.
-    Raises ValueError if n_steps < 1: there is no step to fit.
+    fit's running extremes and the deltas the growth check reads. |g| is
+    taken with the train path's scaled norm, and no norm is squared where
+    the square overflows. The fit is vacuous, each fitted constant but
+    grad_bound zero, when no step t < n_steps (the steps eta_hat divides
+    by) has delta_t > 1e-15. Raises ValueError if n_steps < 1: there is
+    no step to fit; NumericError if a gradient norm or a fitted constant
+    other than delta_c is not finite.
     """
     if n_steps < 1:
         raise ValueError("compounding experiment needs n_steps >= 1")
@@ -254,9 +265,8 @@ def compounding_experiment(
         evaluation = evaluate_probes(hashed_probes, params)
         delta_t, gap_t = delta_and_gap(evaluation.log_probs, evaluation.probs)
         if t:
-            g_sq = norm**2
-            quotient = mu * mu * g_sq  # 0.0 where it underflows, at a tiny mu
-            if g_sq > 1e-30 and quotient != 0.0:
+            quotient = _times_square(mu * mu, norm)  # 0.0 where it underflows, at a tiny mu
+            if norm > 1e-15 and quotient != 0.0:
                 smoothness = max(smoothness, 2.0 * abs(delta_t - deltas[-1] - mu * dot_total) / quotient)
         deltas.append(delta_t)
         if on_sample is not None:
@@ -276,7 +286,7 @@ def compounding_experiment(
             if delta_t > 1e-15:
                 eta_hat = min(eta_hat, float((grad_delta * bias).sum()) / delta_t)
             drift_bound = max(drift_bound, abs(float((grad_delta * g_star).sum())))
-            norm = float(np.linalg.norm(g_total))
+            norm = _norm(g_total)
             grad_bound = max(grad_bound, norm)
             dot_total = float((grad_delta * g_total).sum())
             params = PolicyParams(params.weights + mu * g_total, version_id=params.version_id)
@@ -287,13 +297,13 @@ def compounding_experiment(
     if vacuous:  # the vacuous fit's values; eta_hat is align_const
         eta_hat = drift_bound = smoothness = 0.0
     else:
-        kappa_hat = drift_bound + 0.5 * smoothness * mu * grad_bound**2
+        kappa_hat = drift_bound + _times_square(0.5 * smoothness * mu, grad_bound)
         delta_c = 2.0 * kappa_hat / eta_hat if eta_hat > 0 else math.inf
-        growth_holds = all(
-            deltas[t + 1] >= (1.0 + 0.5 * eta_hat * mu) * deltas[t] - 1e-12
-            for t in range(n_steps)
-            if deltas[t] >= delta_c
+        growth_holds = None if not math.isfinite(delta_c) else all(  # None: no threshold, so no step is checked
+            deltas[t + 1] >= (1.0 + 0.5 * eta_hat * mu) * deltas[t] - 1e-12 for t in range(n_steps) if deltas[t] >= delta_c
         )
+    if not all(map(math.isfinite, (eta_hat, kappa_hat, grad_bound, drift_bound, smoothness))):
+        raise NumericError("a fitted growth constant is not finite")
     return DiscrepancyFit(
         eta_hat=eta_hat, kappa_hat=kappa_hat, delta_c=delta_c, growth_holds=growth_holds, step_size=mu,
         grad_bound=grad_bound, drift_bound=drift_bound, smoothness=smoothness, align_const=eta_hat, vacuous=vacuous,

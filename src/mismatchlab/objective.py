@@ -2,10 +2,9 @@
 
 Per token, the surrogate multiplies a calibration factor (computed from
 the two engines' log probabilities recorded at generation time) against
-the clipped importance-weighted advantage, minus an optional exact
-categorical KL penalty to a frozen reference policy:
+the clipped importance-weighted advantage:
 
-    value_t = m_t * min(r_t * A, clip(r_t, 1-eps, 1+eps) * A) - gamma * KL_t
+    value_t = m_t * min(r_t * A, clip(r_t, 1-eps, 1+eps) * A)
 
 where the calibration ratio c_t = pi_train(old) / pi_infer(old) and the
 importance ratio r_t = pi_train(theta) / pi_train(old). The mode decides
@@ -29,13 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .policy import (
-    ContextTable,
-    PolicyParams,
-    batched_log_softmax,
-    batched_train_logits,
-    weight_grad,
-)
+from .policy import ContextTable, PolicyParams, weight_grad
+# The direct engine path, no longer called here: perfbench/child.py wraps these names where each layer binds them.
+from .policy import batched_log_softmax, batched_train_logits  # noqa: F401
 
 
 class Algo(enum.Enum):
@@ -63,7 +58,6 @@ class ObjectiveConfig:
     alpha: float = 0.5
     beta: float = 5.0
     clip_eps: float = 0.2
-    kl_coeff: float = 0.0
     group_size: int = 8
     tis_cap: float = 2.0
     learning_rate: float = 24.0
@@ -74,8 +68,6 @@ class ObjectiveConfig:
         check_bounds(self.alpha, self.beta, "objective")
         if not 0.0 < self.clip_eps < 1.0:
             raise ConfigError("objective.clip_eps: must be in (0, 1)")
-        if self.kl_coeff < 0.0:
-            raise ConfigError("objective.kl_coeff: must be nonnegative")
         if self.group_size < 2:
             raise ConfigError("objective.group_size: must be >= 2")
         if self.tis_cap <= 0.0:
@@ -128,7 +120,6 @@ class LossBreakdown:
     per_token_mask_kept: np.ndarray
     clipped_fraction: float
     grad: np.ndarray
-    kl_to_ref: float
     token_count: int = 0
     mean_logp: float = 0.0
     entropy_all: float = 0.0
@@ -164,7 +155,6 @@ def empty_breakdown(params: PolicyParams) -> LossBreakdown:
         per_token_mask_kept=np.zeros(0, dtype=bool),
         clipped_fraction=0.0,
         grad=np.zeros_like(params.weights),
-        kl_to_ref=0.0,
     )
 
 
@@ -180,7 +170,6 @@ def batch_group_advantages(rewards: np.ndarray) -> np.ndarray:
 def objective_and_grad(
     batch: RolloutBatch,
     theta: PolicyParams,
-    ref: PolicyParams | None,
     cfg: ObjectiveConfig,
     table: ContextTable,
 ) -> LossBreakdown:
@@ -193,14 +182,11 @@ def objective_and_grad(
     fields the batch recorded; that is what the finite-difference checks
     differentiate. The inputs are not modified (the table only evaluates
     rows at theta). A calibration ratio that underflows to zero counts as
-    outside any bounds (masked, or zero weight in the unmasked modes). The
-    KL to ref is evaluated only when it enters the objective
-    (kl_coeff > 0); kl_to_ref is nan otherwise.
+    outside any bounds (masked, or zero weight in the unmasked modes).
 
     Every token of the batch is evaluated at once, each weighted by
     1 / (groups * group size * rollout length). The value is the sum of
     the weighted rollouts, each one segment sum of its tokens in order.
-    The gradient and the KL reference are evaluated on distinct rows.
     """
     lengths, group_size = batch.lengths, batch.group_size
     if not lengths.size:
@@ -256,20 +242,10 @@ def objective_and_grad(
         coeffs = np.where(active, weight * factor * ratio * advantage / temperature, 0.0)
         grad_logits = -coeffs[:, None] * probs[inverse]
         grad_logits[flat, tokens] += coeffs
-
-        with_kl = ref is not None and cfg.kl_coeff > 0.0
-        kl_values = np.zeros(seg.size)
-        if with_kl:
-            ref_log_probs, _ = batched_log_softmax(batched_train_logits(ref, table.feats[rows], temperature))
-            diff = log_probs - ref_log_probs
-            kl_rows = (probs * diff).sum(axis=1)
-            kl_values = kl_rows[inverse]
-            grad_logits -= (weight * cfg.kl_coeff / temperature)[:, None] * (probs * (diff - kl_rows[:, None]))[inverse]
     row_grad = weight_grad(inverse[:, None], grad_logits, rows.size)
     grad = weight_grad(table.feats[rows], row_grad, theta.n_features)
 
-    token_values = pg_values - cfg.kl_coeff * kl_values
-    rollout_values = np.bincount(seg, weights=token_values) / (group_size * lengths)
+    rollout_values = np.bincount(seg, weights=pg_values) / (group_size * lengths)
     objective = float(rollout_values.sum()) / n_groups
     if not math.isfinite(objective) or not np.isfinite(grad).all():
         raise NumericError("objective or gradient is not finite")
@@ -281,7 +257,6 @@ def objective_and_grad(
         per_token_mask_kept=kept,
         clipped_fraction=n_clipped / kept.size,
         grad=grad,
-        kl_to_ref=float(kl_values.mean()) if with_kl else math.nan,
         token_count=int(kept.size),
         mean_logp=float(lp_cur.mean()),
         entropy_all=float(entropy.mean()),

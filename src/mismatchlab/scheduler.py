@@ -738,10 +738,8 @@ def train_loop(
 
     The rollout ticks, the objective and the probe measure all read the
     state's context table at the iteration's parameters, which the
-    table evaluates once. The KL reference is the run's initial
-    parameters.
+    table evaluates once.
     """
-    ref = params.copy()
     table = state.table
     probe_rows = state.probe_rows = table.rows(*probe_windows(probes))
     velocity = np.zeros_like(params.weights)
@@ -749,7 +747,7 @@ def train_loop(
     for _ in range(n_iterations):
         report, batch = step(state, params, cfg, objective)
         if batch:
-            loss = objective_and_grad(batch, params, ref, objective, table)
+            loss = objective_and_grad(batch, params, objective, table)
         else:
             loss = empty_breakdown(params)
         sample = measure(params, probes, table.infer, table.temperature, step=report.iteration, table=table, rows=probe_rows)

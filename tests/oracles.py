@@ -210,21 +210,21 @@ def shifted_rows(table: ContextTable, lengths, prompt_ids, tokens) -> np.ndarray
     return table.rows(prompts, prev, last)
 
 
-def reference_objective(batch, theta, ref, cfg, temperature=1.0):
+def reference_objective(batch, theta, cfg, temperature=1.0):
     """Per-rollout loop that the flat objective must reproduce bit for bit.
 
     np.add.at adds in input order, as the package's np.bincount does: each
     token's scaled-logit gradient onto its recorded table row, in token
     order, then each distinct row (in row order) onto its four feature
     rows, slot by slot; and each token's value onto its rollout's sum.
-    Returns (value, grad, per-token arrays by LossBreakdown field, per-token KL
-    and scaled-logit gradients).
+    Returns (value, grad, per-token arrays by LossBreakdown field and
+    scaled-logit gradients).
     """
     rows, inverse = np.unique(batch.rows, return_inverse=True)
     row_grad = np.zeros((rows.size, theta.vocab_size))
     row_feats = np.zeros((rows.size, 4), dtype=np.intp)
     rollout_sums = np.zeros(batch.lengths.size)
-    parts: dict[str, list[np.ndarray]] = {k: [] for k in ("kept", "surrogate", "calib", "entropy", "logp", "kl", "grad_logits")}
+    parts: dict[str, list[np.ndarray]] = {k: [] for k in ("kept", "surrogate", "calib", "entropy", "logp", "grad_logits")}
     n_groups, group_size = len(batch), batch.group_size
     token_rows = np.split(inverse, np.cumsum(batch.lengths)[:-1])
     tokens, lp_trains, lp_infers = ([part.tolist() for part in np.split(getattr(batch, name), np.cumsum(batch.lengths)[:-1])]
@@ -261,19 +261,12 @@ def reference_objective(batch, theta, ref, cfg, temperature=1.0):
         coeffs = np.where(active, weight * factor * ratio * advantage / temperature, 0.0)
         grad_logits = -coeffs[:, None] * probs
         grad_logits[pos, token_ids] += coeffs
-        kl_values = np.zeros(n_tok)
-        if ref is not None:
-            ref_log_probs, _ = batched_log_softmax(batched_train_logits(ref, feats, temperature))
-            diff = log_probs - ref_log_probs
-            kl_values = (probs * diff).sum(axis=1)
-            if cfg.kl_coeff > 0.0:
-                grad_logits -= (weight * cfg.kl_coeff / temperature) * (probs * (diff - kl_values[:, None]))
         np.add.at(row_grad, token_rows[i], grad_logits)
         row_feats[token_rows[i]] = feats
-        np.add.at(rollout_sums, np.full(n_tok, i), pg_values - cfg.kl_coeff * kl_values)
+        np.add.at(rollout_sums, np.full(n_tok, i), pg_values)
         for key, value in (
             ("kept", kept), ("surrogate", pg_values), ("calib", calib),
-            ("entropy", -(probs * log_probs).sum(axis=1)), ("logp", lp_cur), ("kl", kl_values),
+            ("entropy", -(probs * log_probs).sum(axis=1)), ("logp", lp_cur),
             ("grad_logits", grad_logits),
         ):
             parts[key].append(value)

@@ -66,7 +66,7 @@ def test_each_annotation_kind_rejects_a_wrong_type(data: dict, message: str) -> 
 
 def test_null_is_read_as_none_only_where_the_annotation_allows_it() -> None:
     assert config_from_dict(doc(sweep=None)).sweep is None
-    assert config_from_dict(doc(sweep={"n_iterations": 3})).sweep.n_iterations == 3
+    assert config_from_dict(doc(sweep={"bounds": [[0.5, 2.0], [0.4, 5.0]]})).sweep.bounds == [[0.5, 2.0], [0.4, 5.0]]
     assert rejected(doc(run={"n_probes": None})) == "run.n_probes: expected integer, got None"
 
 
@@ -89,6 +89,10 @@ def test_document_shape_and_version_are_checked_first() -> None:
     v2["schema_version"] = 2
     v2["budget"]["max_total_prompts"] = None
     assert rejected(v2) == f"unsupported schema_version 2; expected {SCHEMA_VERSION}"
+    v3 = json.loads((CONFIGS / "train_icepop.json").read_text(encoding="utf-8"))
+    v3["schema_version"] = 3
+    v3["objective"]["kl_coeff"] = 0.0
+    assert rejected(v3) == f"unsupported schema_version 3; expected {SCHEMA_VERSION}"
 
 
 @pytest.mark.parametrize(
@@ -102,7 +106,6 @@ def test_document_shape_and_version_are_checked_first() -> None:
         ("objective", {"alpha": 1.5}, "objective: bounds must satisfy 0 < alpha <= 1 <= beta"),
         ("objective", {"beta": 0.9}, "objective: bounds must satisfy 0 < alpha <= 1 <= beta"),
         ("objective", {"clip_eps": 1.0}, "objective.clip_eps: must be in (0, 1)"),
-        ("objective", {"kl_coeff": -1}, "objective.kl_coeff: must be nonnegative"),
         ("objective", {"group_size": 1}, "objective.group_size: must be >= 2"),
         ("objective", {"tis_cap": 0}, "objective.tis_cap: must be positive"),
         ("objective", {"learning_rate": -1}, "objective.learning_rate: must be positive"),
@@ -119,14 +122,12 @@ def test_document_shape_and_version_are_checked_first() -> None:
         ("run", {"n_probes": 0}, "run.n_probes: must be >= 1"),
         ("schedule", {"length_model": "uniform"}, "schedule.length_model: unknown model 'uniform'"),
         ("schedule", {"sigma": -1}, "schedule.median must be positive and schedule.sigma nonnegative"),
-        ("schedule", {"max_len": 0}, "schedule.max_len: must be >= 1"),
         ("schedule", {"n_iterations": 0}, "schedule.n_iterations: must be >= 1"),
         ("schedule", {"seeds": []}, "schedule.seeds: must be non-empty"),
         ("compounding", {"mu": 0}, "compounding.mu: must be positive"),
         ("compounding", {"n_steps": 0}, "compounding.n_steps: must be >= 1"),
         ("sweep", {"bounds": [[0.5, 5.0]]}, "sweep.bounds: need at least two settings"),
         ("sweep", {"bounds": [[0.5, 5.0], [0.5, 0.9]]}, "sweep.bounds: bounds must satisfy 0 < alpha <= 1 <= beta"),
-        ("sweep", {"n_iterations": 0}, "sweep.n_iterations: must be >= 1"),
         ("policy", {"init_scale": -1}, "policy.init_scale: must be nonnegative"),
         ("policy", {"vocab_size": 101}, "policy.vocab_size: must be <= 100; above it TARGET_SUM prompt ids (200 + target) collide"),
     ],
@@ -177,12 +178,12 @@ def test_every_omitted_field_takes_its_default() -> None:
     cfg = config_from_dict(doc(schedule={}, compounding={}, sweep={}))
     assert cfg == default_config()
     assert cfg.to_dict() == {
-        "schema_version": 3,
+        "schema_version": 4,
         "seed": 1234,
         "policy": {"vocab_size": 8, "eos_id": 0, "n_features": 512, "init_scale": 0.3, "temperature": 1.0},
         "mismatch": {"scale": 0.22, "seed": 7},
         "objective": {
-            "algo": "icepop", "alpha": 0.5, "beta": 5.0, "clip_eps": 0.2, "kl_coeff": 0.0, "group_size": 8,
+            "algo": "icepop", "alpha": 0.5, "beta": 5.0, "clip_eps": 0.2, "group_size": 8,
             "tis_cap": 2.0, "learning_rate": 24.0, "optimizer": "sgd", "momentum": 0.9,
         },
         "tasks": {"max_len": 8},
@@ -191,9 +192,9 @@ def test_every_omitted_field_takes_its_default() -> None:
             "prompts_per_iteration": 12, "tick_cap": 1_000_000,
         },
         "run": {"n_iterations": 200, "n_probes": 256},
-        "schedule": {"length_model": "lognormal", "median": 32.0, "sigma": 1.0, "max_len": 512, "n_iterations": 6, "seeds": [11, 12, 13, 14, 15]},
+        "schedule": {"length_model": "lognormal", "median": 32.0, "sigma": 1.0, "n_iterations": 6, "seeds": [11, 12, 13, 14, 15]},
         "compounding": {"mu": 0.01, "n_steps": 100, "bias_mode": "theorem_aligned", "align_target": 1.0, "reward_seed": 0},
-        "sweep": {"bounds": [[0.5, 5.0], [0.5, 2.0], [0.4, 5.0]], "n_iterations": 80},
+        "sweep": {"bounds": [[0.5, 5.0], [0.5, 2.0], [0.4, 5.0]]},
     }
     assert "schedule" not in config_from_dict(doc()).to_dict()
 

@@ -474,8 +474,8 @@ def test_mask_set_monotonicity_on_shared_batch() -> None:
     source = SyntheticPromptSource(vocab, max_len=6)
     state = SchedulerState(vocab=vocab, source=source, seed=9, n_features=64, infer=engine)
     _, groups = run_iteration(state, params, BudgetConfig(token_budget=120, infer_capacity=16), ObjectiveConfig(group_size=4))
-    wide = objective_and_grad(groups, params, None, ObjectiveConfig(alpha=0.5, beta=5.0, group_size=4), state.table)
-    narrow = objective_and_grad(groups, params, None, ObjectiveConfig(alpha=0.5, beta=2.0, group_size=4), state.table)
+    wide = objective_and_grad(groups, params, ObjectiveConfig(alpha=0.5, beta=5.0, group_size=4), state.table)
+    narrow = objective_and_grad(groups, params, ObjectiveConfig(alpha=0.5, beta=2.0, group_size=4), state.table)
     clipped_wide = ~wide.per_token_mask_kept
     clipped_narrow = ~narrow.per_token_mask_kept
     assert np.all(clipped_narrow[clipped_wide])  # wide-clipped subset of narrow-clipped
@@ -491,8 +491,8 @@ def sweep_rows(tmp_path, bounds: list, n_iterations: int, learning_rate: float =
         objective=ObjectiveConfig(group_size=8, learning_rate=learning_rate),
         tasks=TasksSection(max_len=8),
         budget=BudgetConfig(token_budget=200, infer_capacity=24, retention_threshold=3, sync_cost_ticks=8),
-        run=RunSection(n_probes=256),
-        sweep=SweepSection(bounds=[list(b) for b in bounds], n_iterations=n_iterations),
+        run=RunSection(n_iterations=n_iterations, n_probes=256),
+        sweep=SweepSection(bounds=[list(b) for b in bounds]),
     )
     assert cmd_sweep(cfg, tmp_path) == 0
     return json.loads((tmp_path / "sweep_table.json").read_text(encoding="utf-8"))["settings"]

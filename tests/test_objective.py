@@ -133,7 +133,7 @@ def masked_by_objective(log_calibrations: list[float], cfg: ObjectiveConfig = DE
     advantages = [1.0 if i % 2 else -1.0 for i in range(len(rollouts))]
     table = new_table(theta)
     group = batch_of(rollouts, advantages, len(rollouts), table)
-    return objective_and_grad(group, theta, None, cfg, table)
+    return objective_and_grad(group, theta, cfg, table)
 
 
 def test_mask_paper_default_bounds() -> None:
@@ -236,11 +236,10 @@ def test_batch_group_advantages_requires_pairs() -> None:
 
 def test_degenerate_case_all_algorithms_bit_identical() -> None:
     params, batch, _, table = make_batch(seed=3, scale=0.0)
-    ref = params.copy()
     results = {}
     for algo in Algo:
         cfg = ObjectiveConfig(algo=algo, group_size=2)
-        results[algo] = objective_and_grad(batch, params, ref, cfg, table)
+        results[algo] = objective_and_grad(batch, params, cfg, table)
     base = results[Algo.ICEPOP]
     assert base.clipped_fraction == 0.0
     for algo in (Algo.GRPO, Algo.TIS):
@@ -260,18 +259,18 @@ def test_an_objective_that_overflows_raises_numeric_error_without_a_warning(adva
     low = table.lp_train[batch.rows, batch.tokens] - 709.5
     batch = dataclasses.replace(batch, lp_train=low, lp_infer=low.copy(), advantages=np.full_like(batch.advantages, advantage))
     with pytest.raises(NumericError, match="^objective or gradient is not finite$"):
-        objective_and_grad(batch, params, params.copy(), cfg, table)
+        objective_and_grad(batch, params, cfg, table)
 
 
 def test_zero_advantages_give_zero_objective_and_gradient() -> None:
     params, batch, cfg, table = make_batch(seed=4, scale=0.1)
     batch = dataclasses.replace(batch, advantages=np.zeros_like(batch.advantages))
-    out = objective_and_grad(batch, params, None, cfg, table)
+    out = objective_and_grad(batch, params, cfg, table)
     assert out.objective_value == 0.0
     assert np.all(out.grad == 0.0)
 
 
-def finite_difference_grad(batch, theta, ref, cfg, table, h=1e-6):
+def finite_difference_grad(batch, theta, cfg, table, h=1e-6):
     fd = np.zeros_like(theta.weights)
     for i in range(theta.weights.shape[0]):
         for j in range(theta.weights.shape[1]):
@@ -279,25 +278,24 @@ def finite_difference_grad(batch, theta, ref, cfg, table, h=1e-6):
             wp[i, j] += h
             wm = theta.weights.copy()
             wm[i, j] -= h
-            up = objective_and_grad(batch, PolicyParams(wp, theta.version_id), ref, cfg, table)
-            dn = objective_and_grad(batch, PolicyParams(wm, theta.version_id), ref, cfg, table)
+            up = objective_and_grad(batch, PolicyParams(wp, theta.version_id), cfg, table)
+            dn = objective_and_grad(batch, PolicyParams(wm, theta.version_id), cfg, table)
             fd[i, j] = (up.objective_value - dn.objective_value) / (2 * h)
     return fd
 
 
-@pytest.mark.parametrize("algo,kl_coeff", [(Algo.ICEPOP, 0.0), (Algo.GRPO, 0.0), (Algo.TIS, 0.0), (Algo.ICEPOP, 0.4)])
+@pytest.mark.parametrize("algo", [Algo.ICEPOP, Algo.GRPO, Algo.TIS])
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**16), scale=st.floats(0.0, 0.5))
 @example(seed=11, scale=0.12)
-def test_gradient_matches_finite_differences(algo: Algo, kl_coeff: float, seed: int, scale: float) -> None:
-    """Each algorithm, with and without the KL term, on random batches and weights."""
+def test_gradient_matches_finite_differences(algo: Algo, seed: int, scale: float) -> None:
+    """Each algorithm, on random batches and weights."""
     params, batch, _, table = make_batch(seed=seed, scale=scale, vocab_size=6, max_len=4, n_features=10)
-    cfg = ObjectiveConfig(algo=algo, kl_coeff=kl_coeff, group_size=2)
+    cfg = ObjectiveConfig(algo=algo, group_size=2)
     rng = np.random.default_rng(seed)
     theta = PolicyParams(params.weights + rng.normal(0, 0.05, params.weights.shape), params.version_id)
-    ref = init_params(Vocabulary(size=6), n_features=10, init_scale=0.5, seed=99)
-    out = objective_and_grad(batch, theta, ref, cfg, table)
-    fd = finite_difference_grad(batch, theta, ref, cfg, table)
+    out = objective_and_grad(batch, theta, cfg, table)
+    fd = finite_difference_grad(batch, theta, cfg, table)
     rel = np.abs(out.grad - fd) / np.maximum(1.0, np.abs(out.grad))
     assert rel.max() < 1e-5
 
@@ -316,7 +314,7 @@ def test_masked_tokens_contribute_exactly_zero_gradient(seed: int, scale: float,
     cfg = ObjectiveConfig(group_size=2)
     # kept token (calib 1) and masked token (calib 0.2 < alpha), both unit ratio
     group, table = manual_group(theta, [(1, 1.0, 1.0), (2, 0.2, 1.0)], advantages=[1.0, -1.0])
-    out = objective_and_grad(group, theta, None, cfg, table)
+    out = objective_and_grad(group, theta, cfg, table)
     assert list(out.per_token_mask_kept) == [True, False]
     assert out.clipped_fraction == 0.5
 
@@ -339,12 +337,12 @@ def test_masked_tokens_contribute_exactly_zero_gradient(seed: int, scale: float,
         return batch_of(rollouts, [1.0, -1.0], 2, table)
 
     base_groups = build(theta)
-    base = objective_and_grad(base_groups, theta, None, cfg, table)
+    base = objective_and_grad(base_groups, theta, cfg, table)
     perturbed = theta.weights.copy()
     for row in private_b:
         perturbed[row, :] += 0.37
     theta_p = PolicyParams(perturbed, theta.version_id)
-    out_p = objective_and_grad(base_groups, theta_p, None, cfg, table)
+    out_p = objective_and_grad(base_groups, theta_p, cfg, table)
     assert abs(out_p.objective_value - base.objective_value) < 1e-12
     for row in private_b:
         assert np.all(base.grad[row, :] == 0.0)
@@ -366,11 +364,11 @@ def test_masked_tokens_contribute_exactly_zero_gradient(seed: int, scale: float,
 
     n_tokens = batch.tokens.size
     forced = data.draw(st.sets(st.integers(0, n_tokens - 1), min_size=1))
-    before = objective_and_grad(with_calibration({k: data.draw(outside) for k in forced}), params, None, cfg, table)
+    before = objective_and_grad(with_calibration({k: data.draw(outside) for k in forced}), params, cfg, table)
     masked = np.flatnonzero(~before.per_token_mask_kept).tolist()
     assert forced <= set(masked)
     moved = {k: data.draw(outside) for k in masked}
-    after = objective_and_grad(with_calibration(moved), params, None, cfg, table)
+    after = objective_and_grad(with_calibration(moved), params, cfg, table)
     assert np.allclose(after.per_token_calibration[masked], list(moved.values()), rtol=1e-9)
     assert np.array_equal(after.per_token_mask_kept, before.per_token_mask_kept)
     assert after.objective_value == before.objective_value
@@ -378,17 +376,16 @@ def test_masked_tokens_contribute_exactly_zero_gradient(seed: int, scale: float,
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**16), scale=st.sampled_from([0.0, 0.05, 0.2, 0.8]), tight=st.booleans(), kl_coeff=st.sampled_from([0.0, 0.3]))
-@example(seed=6, scale=0.2, tight=False, kl_coeff=0.0)
-def test_wide_bounds_reduce_masked_variant_to_unmasked(seed: int, scale: float, tight: bool, kl_coeff: float) -> None:
+@given(seed=st.integers(0, 2**16), scale=st.sampled_from([0.0, 0.05, 0.2, 0.8]), tight=st.booleans())
+@example(seed=6, scale=0.2, tight=False)
+def test_wide_bounds_reduce_masked_variant_to_unmasked(seed: int, scale: float, tight: bool) -> None:
     """Bounds that keep every token make icepop grpo, bit for bit; tight bounds sit exactly on the extreme ratios."""
     params, batch, _, table = make_batch(seed=seed, scale=scale)
     theta = PolicyParams(params.weights * 1.05, params.version_id)
-    ref = init_params(Vocabulary(size=8), n_features=24, init_scale=0.5, seed=99)
-    calib = objective_and_grad(batch, theta, None, ObjectiveConfig(algo=Algo.GRPO, group_size=2), table).per_token_calibration
+    calib = objective_and_grad(batch, theta, ObjectiveConfig(algo=Algo.GRPO, group_size=2), table).per_token_calibration
     alpha, beta = (min(1.0, float(calib.min())), max(1.0, float(calib.max()))) if tight else (1e-12, 1e12)
     icepop, grpo = (
-        objective_and_grad(batch, theta, ref, ObjectiveConfig(algo=algo, alpha=alpha, beta=beta, kl_coeff=kl_coeff, group_size=2), table)
+        objective_and_grad(batch, theta, ObjectiveConfig(algo=algo, alpha=alpha, beta=beta, group_size=2), table)
         for algo in (Algo.ICEPOP, Algo.GRPO)
     )
     assert icepop.per_token_mask_kept.all() and icepop.clipped_fraction == grpo.clipped_fraction == 0.0
@@ -404,7 +401,7 @@ def test_clip_branch_zeroes_gradient_on_both_sides() -> None:
     cfg = ObjectiveConfig(group_size=2, clip_eps=0.2)
     # positive advantage with ratio above 1+eps, negative with ratio below 1-eps
     group, table = manual_group(theta, [(1, 1.0, 1.35), (2, 1.0, 0.7)], advantages=[1.0, -1.0])
-    out = objective_and_grad(group, theta, None, cfg, table)
+    out = objective_and_grad(group, theta, cfg, table)
     assert np.all(out.grad == 0.0)
     # surrogate values take the clipped constants
     assert out.per_token_surrogate == pytest.approx([1.2 * 1.0, 0.8 * -1.0])
@@ -416,8 +413,8 @@ def test_truncated_variant_agrees_with_masked_inside_common_region() -> None:
     specs = [(1, 0.3, 1.0), (2, 0.7, 1.1), (3, 1.9, 0.95), (4, 2.6, 1.0), (5, 6.0, 1.0)]
     group_a, table_a = manual_group(theta, specs, advantages=[1.0, -0.5, 0.5, 1.0, -1.0])
     group_b, table_b = manual_group(theta, specs, advantages=[1.0, -0.5, 0.5, 1.0, -1.0])
-    ice = objective_and_grad(group_a, theta, None, ObjectiveConfig(algo=Algo.ICEPOP, group_size=2), table_a)
-    tis = objective_and_grad(group_b, theta, None, ObjectiveConfig(algo=Algo.TIS, group_size=2, tis_cap=2.0), table_b)
+    ice = objective_and_grad(group_a, theta, ObjectiveConfig(algo=Algo.ICEPOP, group_size=2), table_a)
+    tis = objective_and_grad(group_b, theta, ObjectiveConfig(algo=Algo.TIS, group_size=2, tis_cap=2.0), table_b)
     calib = ice.per_token_calibration
     common = (calib >= 0.5) & (calib <= 2.0)  # [alpha, min(beta, cap)]
     assert common.sum() == 2
@@ -428,7 +425,7 @@ def test_clipped_fraction_counts_masked_tokens() -> None:
     vocab = Vocabulary(size=6)
     theta = init_params(vocab, n_features=16, init_scale=0.4, seed=13)
     group, table = manual_group(theta, [(1, 0.2, 1.0), (2, 1.0, 1.0), (3, 9.0, 1.0), (4, 1.2, 1.0)], advantages=[1.0, -1.0, 0.5, -0.5])
-    out = objective_and_grad(group, theta, None, ObjectiveConfig(group_size=2), table)
+    out = objective_and_grad(group, theta, ObjectiveConfig(group_size=2), table)
     assert out.clipped_fraction == pytest.approx(2 / 4)
     assert out.token_count == 4
 
@@ -438,13 +435,13 @@ def test_empty_group_and_empty_rollout_fail() -> None:
     theta = init_params(vocab, n_features=16, init_scale=0.4, seed=1)
     table = new_table(theta)
     with pytest.raises(ValueError):
-        objective_and_grad(batch_of([], [], 2, table), theta, None, ObjectiveConfig(group_size=2), table)
+        objective_and_grad(batch_of([], [], 2, table), theta, ObjectiveConfig(group_size=2), table)
     group, table = manual_group(theta, [(1, 1.0, 1.0)], advantages=[0.0])
     empty = np.zeros(0)
     group = dataclasses.replace(group, lengths=np.zeros(1, dtype=np.intp), tokens=empty.astype(np.int64), rows=empty.astype(np.intp),
                                 lp_train=empty, lp_infer=empty, versions=empty.astype(np.int64))
     with pytest.raises(ValueError):
-        objective_and_grad(group, theta, None, ObjectiveConfig(group_size=2), table)
+        objective_and_grad(group, theta, ObjectiveConfig(group_size=2), table)
 
 
 @pytest.mark.parametrize(
@@ -459,7 +456,7 @@ def test_objective_rejects_partial_groups_newer_versions_and_non_finite_advantag
     theta = init_params(Vocabulary(size=6), n_features=16, init_scale=0.4, seed=1)
     group, table = manual_group(theta, [(1, 1.0, 1.0), (2, 1.0, 1.0)], advantages=[1.0, -1.0])
     with pytest.raises(error, match=f"^{message}$"):
-        objective_and_grad(dataclasses.replace(group, **change), theta, None, ObjectiveConfig(group_size=2), table)
+        objective_and_grad(dataclasses.replace(group, **change), theta, ObjectiveConfig(group_size=2), table)
 
 
 @pytest.mark.parametrize("shape", [(5, 4), (4, 5), (4,), (1, 4, 4)])
@@ -533,8 +530,6 @@ def test_objective_config_invariants() -> None:
         ObjectiveConfig(group_size=1)
     with pytest.raises(ValueError):
         ObjectiveConfig(clip_eps=1.0)
-    with pytest.raises(ValueError):
-        ObjectiveConfig(kl_coeff=-0.1)
 
 
 def carried_batch(seed: int):
@@ -557,18 +552,17 @@ def carried_batch(seed: int):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("algo,kl_coeff", [(Algo.ICEPOP, 0.0), (Algo.GRPO, 0.0), (Algo.TIS, 0.0), (Algo.ICEPOP, 0.3), (Algo.TIS, 0.3)])
-def test_flat_objective_matches_per_rollout_loop(seed: int, algo: Algo, kl_coeff: float) -> None:
+@pytest.mark.parametrize("algo", [Algo.ICEPOP, Algo.GRPO, Algo.TIS])
+def test_flat_objective_matches_per_rollout_loop(seed: int, algo: Algo) -> None:
     theta_old, batch, table = carried_batch(seed)
     assert (batch.lengths == 1).any()
     assert any(len(set(versions)) > 1 for versions in per_rollout(batch, "versions"))
     theta = PolicyParams(theta_old.weights * 1.1, theta_old.version_id)
-    ref = init_params(Vocabulary(size=6), n_features=24, init_scale=0.5, seed=99)
-    cfg = ObjectiveConfig(algo=algo, kl_coeff=kl_coeff, group_size=3)
+    cfg = ObjectiveConfig(algo=algo, group_size=3)
     before = [getattr(batch, f.name).copy() for f in dataclasses.fields(RolloutBatch)[1:]]
 
-    out = objective_and_grad(batch, theta, ref, cfg, table)
-    value, grad, per_token = reference_objective(batch, theta, ref, cfg)
+    out = objective_and_grad(batch, theta, cfg, table)
+    value, grad, per_token = reference_objective(batch, theta, cfg)
     assert out.objective_value == value
     assert out.grad.tobytes() == grad.tobytes()
     assert out.mean_logp == float(per_token["logp"].mean())
@@ -576,16 +570,12 @@ def test_flat_objective_matches_per_rollout_loop(seed: int, algo: Algo, kl_coeff
     assert out.per_token_surrogate.tobytes() == per_token["surrogate"].tobytes()
     assert out.per_token_calibration.tobytes() == per_token["calib"].tobytes()
     assert out.per_token_entropy.tobytes() == per_token["entropy"].tobytes()
-    if kl_coeff > 0.0:
-        assert out.kl_to_ref == float(per_token["kl"].mean())
-    else:
-        assert math.isnan(out.kl_to_ref)
     assert all(getattr(batch, f.name).tobytes() == was.tobytes() for f, was in zip(dataclasses.fields(RolloutBatch)[1:], before))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("algo,kl_coeff", [(Algo.ICEPOP, 0.0), (Algo.GRPO, 0.3)])
-def test_gradient_matches_the_per_rollout_scatter_order(seed: int, algo: Algo, kl_coeff: float) -> None:
+@pytest.mark.parametrize("algo", [Algo.ICEPOP, Algo.GRPO])
+def test_gradient_matches_the_per_rollout_scatter_order(seed: int, algo: Algo) -> None:
     """The row-space gradient against each rollout's tokens scattered onto their feature rows, rollout by rollout.
 
     The two add the same terms in another order, so they agree to rounding: within 1e-12 of each entry,
@@ -593,10 +583,9 @@ def test_gradient_matches_the_per_rollout_scatter_order(seed: int, algo: Algo, k
     """
     theta_old, batch, table = carried_batch(seed)
     theta = PolicyParams(theta_old.weights * 1.1, theta_old.version_id)
-    ref = init_params(Vocabulary(size=6), n_features=24, init_scale=0.5, seed=99)
-    cfg = ObjectiveConfig(algo=algo, kl_coeff=kl_coeff, group_size=3)
-    out = objective_and_grad(batch, theta, ref, cfg, table)
-    grad_logits = reference_objective(batch, theta, ref, cfg)[2]["grad_logits"]
+    cfg = ObjectiveConfig(algo=algo, group_size=3)
+    out = objective_and_grad(batch, theta, cfg, table)
+    grad_logits = reference_objective(batch, theta, cfg)[2]["grad_logits"]
     cuts = np.cumsum(batch.lengths)[:-1]
     per_rollout_order = np.zeros_like(theta.weights)
     for feats, part in zip(np.split(table.feats[batch.rows], cuts), np.split(grad_logits, cuts)):
@@ -609,8 +598,8 @@ def test_gradient_matches_the_per_rollout_scatter_order(seed: int, algo: Algo, k
 def test_value_folds_each_rollouts_tokens_in_order() -> None:
     """Lengths 1 to 600, several rollouts at 8, 9, 128, 129 and 512: each rollout's value is its tokens added in order.
 
-    With kl_coeff 0 the token values are the per-token surrogates, so the
-    objective must be the group's fold of their running sums, bit for bit.
+    The token values are the per-token surrogates, so the objective must
+    be the group's fold of their running sums, bit for bit.
     One group per batch, of four lengths, and unmasked calibration ratios
     over a few orders of magnitude, so that another summation order shows:
     numpy's pairwise .sum() of each rollout gives another value in some
@@ -629,7 +618,7 @@ def test_value_folds_each_rollouts_tokens_in_order() -> None:
             lp_train = rng.normal(-1.5, 0.3, n)
             rollouts.append((int(rng.integers(200, 204)), rng.integers(0, 6, n).tolist(), (lp_train - rng.normal(0, 2, n)).tolist(),
                              lp_train.tolist(), [0] * n))
-        out = objective_and_grad(batch_of(rollouts, rng.normal(size=4), 4, table), theta, None, cfg, table)
+        out = objective_and_grad(batch_of(rollouts, rng.normal(size=4), 4, table), theta, cfg, table)
         group_value, pairwise, end = 0.0, 0.0, 0
         for n in lengths[g : g + 4]:
             running = 0.0
