@@ -77,6 +77,12 @@ def test_unknown_keys_are_rejected_at_both_levels() -> None:
     )
 
 
+@pytest.mark.parametrize("section,key", [("objective", "kl_coeff"), ("schedule", "max_len"), ("sweep", "n_iterations")])
+def test_the_fields_schema_4_removed_are_unknown_keys(section: str, key: str) -> None:
+    """Schema 4 has no KL penalty, and reads max_len from tasks and the sweep's length from run."""
+    assert rejected(doc(**{section: {key: 1}})) == f"{section}: unknown key(s) ['{key}']"
+
+
 def test_document_shape_and_version_are_checked_first() -> None:
     assert rejected([]) == "config document must be a JSON object"
     assert rejected({"seed": 1}) == "missing required key schema_version"
@@ -205,6 +211,12 @@ def test_shipped_configs_round_trip_through_to_dict(path: Path) -> None:
     data = cfg.to_dict()
     assert json.dumps(data) == json.dumps(json.loads(path.read_text(encoding="utf-8")))  # keys in document order
     assert config_from_dict(json.loads(json.dumps(data))) == cfg
+
+
+def test_shipped_configs_carry_the_lengths_they_ran_with() -> None:
+    """The values schema 3 held in schedule.max_len and sweep.n_iterations, now in tasks and run."""
+    assert [load_config(CONFIGS / f"schedule_{name}.json").tasks.max_len for name in ("longtail", "uniform")] == [512, 512]
+    assert load_config(CONFIGS / "sweep.json").run.n_iterations == 80
 
 
 def test_enums_are_written_as_their_values_and_read_back() -> None:

@@ -406,6 +406,44 @@ def test_compounding_needs_a_step(n_steps: int) -> None:
     assert samples == []
 
 
+def test_a_fit_with_no_threshold_checks_no_step() -> None:
+    """At align_target 0 the bias is zero, so eta_hat is 0 and delta_c infinite: no step is checked, and
+    growth_holds is None, not a bound that held. The fit is not vacuous, since its deltas are above 1e-15."""
+    vocab, engine, params, probes = theorem_setup()
+    samples, fit = run_compounding(params, 0.01, 5, engine, probes, align_target=0.0, reward_seed=3)
+    assert all(s.delta > 1e-15 for s in samples)
+    assert (fit.eta_hat, fit.delta_c, fit.growth_holds, fit.vacuous) == (0.0, math.inf, None, False)
+    assert all(map(math.isfinite, (fit.kappa_hat, fit.grad_bound, fit.drift_bound, fit.smoothness)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_fit_squares_no_gradient_norm_whose_square_overflows() -> None:
+    """At align_target 1e160 |g| is near 1e160, whose square overflows; at mu 1e-170 the step mu |g| stays
+    small, and every fitted constant is finite."""
+    vocab, engine, params, probes = theorem_setup()
+    fit = compounding_experiment(params, 1e-170, 2, engine, probes, align_target=1e160, reward_seed=3)
+    assert 1e154 < fit.grad_bound < math.inf
+    assert all(map(math.isfinite, (fit.eta_hat, fit.kappa_hat, fit.delta_c, fit.drift_bound, fit.smoothness)))
+    assert fit.growth_holds is True and not fit.vacuous
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_fitted_constant_that_is_not_finite_raises_numeric_error() -> None:
+    """At mu 1e-12 the same gradient moves the weights by about 1e148, and a fitted constant is no longer finite."""
+    vocab, engine, params, probes = theorem_setup()
+    samples = []
+    with pytest.raises(NumericError, match="^a fitted growth constant is not finite$"):
+        compounding_experiment(params, 1e-12, 2, engine, probes, align_target=1e160, reward_seed=3, on_sample=samples.append)
+    assert [s.step for s in samples] == [0, 1, 2]
+
+
+def test_times_square_squares_no_norm_whose_square_overflows() -> None:
+    """c * x**2 below 1e154; above it c * x * x, which a small c keeps finite and a zero c keeps 0 (not 0 * inf)."""
+    assert discrepancy._times_square(0.5, 3.0) == 4.5
+    assert discrepancy._times_square(1e-200, 1e160) == pytest.approx(1e120, rel=1e-15)
+    assert discrepancy._times_square(0.0, 1e160) == 0.0
+
+
 def test_rl_loop_mode_fits_affine_recursion(tmp_path) -> None:
     cfg = ExperimentConfig(
         seed=2,

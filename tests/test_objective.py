@@ -551,14 +551,12 @@ def carried_batch(seed: int):
     return params, concat_batches(batches), state.table
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("algo", [Algo.ICEPOP, Algo.GRPO, Algo.TIS])
-def test_flat_objective_matches_per_rollout_loop(seed: int, algo: Algo) -> None:
+def assert_flat_objective_matches_per_rollout_loop(seed: int, cfg: ObjectiveConfig) -> LossBreakdown:
+    """objective_and_grad on carried_batch(seed) against reference_objective, bit for bit; returns the former."""
     theta_old, batch, table = carried_batch(seed)
     assert (batch.lengths == 1).any()
     assert any(len(set(versions)) > 1 for versions in per_rollout(batch, "versions"))
     theta = PolicyParams(theta_old.weights * 1.1, theta_old.version_id)
-    cfg = ObjectiveConfig(algo=algo, group_size=3)
     before = [getattr(batch, f.name).copy() for f in dataclasses.fields(RolloutBatch)[1:]]
 
     out = objective_and_grad(batch, theta, cfg, table)
@@ -571,6 +569,28 @@ def test_flat_objective_matches_per_rollout_loop(seed: int, algo: Algo) -> None:
     assert out.per_token_calibration.tobytes() == per_token["calib"].tobytes()
     assert out.per_token_entropy.tobytes() == per_token["entropy"].tobytes()
     assert all(getattr(batch, f.name).tobytes() == was.tobytes() for f, was in zip(dataclasses.fields(RolloutBatch)[1:], before))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("algo", [Algo.ICEPOP, Algo.GRPO, Algo.TIS])
+def test_flat_objective_matches_per_rollout_loop(seed: int, algo: Algo) -> None:
+    assert_flat_objective_matches_per_rollout_loop(seed, ObjectiveConfig(algo=algo, group_size=3))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("algo", [Algo.ICEPOP, Algo.TIS])
+def test_flat_objective_matches_per_rollout_loop_where_bounds_bind(seed: int, algo: Algo) -> None:
+    """Bounds and a cap near 1, so icepop masks tokens on both sides and tis truncates some: the masked and
+    truncated branches hold bit for bit too, not only the tokens the default bounds keep."""
+    cfg = ObjectiveConfig(algo=algo, alpha=0.9, beta=1.1, tis_cap=1.1, group_size=3)
+    out = assert_flat_objective_matches_per_rollout_loop(seed, cfg)
+    calib = out.per_token_calibration
+    assert (calib < 0.9).any() and (calib > 1.1).any()
+    if algo is Algo.ICEPOP:
+        assert np.array_equal(out.per_token_mask_kept, (calib >= 0.9) & (calib <= 1.1))
+    else:
+        assert out.per_token_mask_kept.all()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
