@@ -2,7 +2,7 @@
 
 Unknown keys are rejected rather than ignored so typos fail fast, and so
 is a key given twice in one object; a schema_version field is required;
-the current schema is 4. Each section is a frozen dataclass that checks
+the current schema is 5. Each section is a frozen dataclass that checks
 its own invariants when it is built; the objective and budget sections
 are the engine's ObjectiveConfig and BudgetConfig. Every seed (seed,
 mismatch.seed, compounding.reward_seed and each of schedule.seeds) is in
@@ -30,7 +30,7 @@ from .objective import ObjectiveConfig, check_bounds
 from .scheduler import BudgetConfig
 from .tasks import MAX_VOCAB_SIZE
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def _check_seed(seed: int, where: str) -> None:

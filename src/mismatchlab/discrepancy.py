@@ -62,8 +62,11 @@ class DiscrepancyFit:
 
     delta_c = 2 * kappa_hat / eta_hat is the threshold above which the
     per-step geometric growth bound is asserted; growth_holds records
-    whether every post-threshold step satisfied it, and is None where
-    delta_c is not finite (eta_hat <= 0): no step was checked.
+    whether every checked step satisfied it. A step is checked if it is
+    past the threshold and the growth the bound predicts for it,
+    0.5 * eta_hat * mu * delta_t, is above the check's 1e-12 tolerance.
+    growth_holds is None where no step was checked: where delta_c is not
+    finite (eta_hat <= 0), or mu is too small for any step to show growth.
     """
 
     eta_hat: float
@@ -299,8 +302,9 @@ def compounding_experiment(
     else:
         kappa_hat = drift_bound + _times_square(0.5 * smoothness * mu, grad_bound)
         delta_c = 2.0 * kappa_hat / eta_hat if eta_hat > 0 else math.inf
-        growth_holds = None if not math.isfinite(delta_c) else all(  # None: no threshold, so no step is checked
-            deltas[t + 1] >= (1.0 + 0.5 * eta_hat * mu) * deltas[t] - 1e-12 for t in range(n_steps) if deltas[t] >= delta_c
+        checked = [t for t in range(n_steps) if deltas[t] >= delta_c and 0.5 * eta_hat * mu * deltas[t] > 1e-12]
+        growth_holds = None if not checked else all(
+            deltas[t + 1] >= (1.0 + 0.5 * eta_hat * mu) * deltas[t] - 1e-12 for t in checked
         )
     if not all(map(math.isfinite, (eta_hat, kappa_hat, grad_bound, drift_bound, smoothness))):
         raise NumericError("a fitted growth constant is not finite")

@@ -61,8 +61,6 @@ class ObjectiveConfig:
     group_size: int = 8
     tis_cap: float = 2.0
     learning_rate: float = 24.0
-    optimizer: str = "sgd"
-    momentum: float = 0.9
 
     def __post_init__(self) -> None:
         check_bounds(self.alpha, self.beta, "objective")
@@ -74,10 +72,6 @@ class ObjectiveConfig:
             raise ConfigError("objective.tis_cap: must be positive")
         if not self.learning_rate > 0.0:
             raise ConfigError("objective.learning_rate: must be positive")
-        if self.optimizer not in ("sgd", "momentum"):
-            raise ConfigError(f"objective.optimizer: unknown optimizer {self.optimizer!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("objective.momentum: must be in [0, 1)")
 
 
 @dataclass(frozen=True, eq=False)

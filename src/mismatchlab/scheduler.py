@@ -74,10 +74,12 @@ import numpy as np
 
 from .discrepancy import measure, probe_windows
 from .errors import ConfigError, TickCapError
-from .objective import (ObjectiveConfig, RolloutBatch, batch_group_advantages, empty_breakdown, momentum_update,
-                        objective_and_grad, sgd_update)
+from .objective import (ObjectiveConfig, RolloutBatch, batch_group_advantages, empty_breakdown, objective_and_grad,
+                        sgd_update)
 from .policy import _MASK64, Context, ContextTable, Engine, PolicyParams, Vocabulary
-# The direct engine path, no longer called here: perfbench/child.py wraps these names where each layer binds them.
+# The direct engine path and the momentum update, no longer called here: perfbench/child.py wraps these names where
+# each layer binds them.
+from .objective import momentum_update  # noqa: F401
 from .policy import batched_log_softmax, batched_train_logits, perturb_logits  # noqa: F401
 from .tasks import TaskKind, TaskSpec, all_prompt_ids, sample_prompt, verify
 
@@ -726,8 +728,8 @@ def train_loop(
 ) -> PolicyParams:
     """Alternate rollout generation, objective/gradient, update, weight sync; return the final parameters.
 
-    The objective config gives the masking bounds, the learning rate,
-    the optimizer and its momentum. Resumed rollouts keep their recorded
+    The objective config gives the masking bounds and the learning rate
+    of the plain gradient step. Resumed rollouts keep their recorded
     token history, so stale tokens retain the version that generated
     them. A run is a fold: on_step, when given, is called with
     (report, loss, sample) as each iteration lands, before its update,
@@ -742,7 +744,6 @@ def train_loop(
     """
     table = state.table
     probe_rows = state.probe_rows = table.rows(*probe_windows(probes))
-    velocity = np.zeros_like(params.weights)
     step = run_iteration_baseline if baseline else run_iteration
     for _ in range(n_iterations):
         report, batch = step(state, params, cfg, objective)
@@ -754,12 +755,7 @@ def train_loop(
         if on_step is not None:
             on_step(report, loss, sample)
         if batch:
-            if objective.optimizer == "momentum":
-                params, velocity = momentum_update(
-                    params, loss.grad, velocity, objective.learning_rate, objective.momentum
-                )
-            else:
-                params = sgd_update(params, loss.grad, objective.learning_rate)
+            params = sgd_update(params, loss.grad, objective.learning_rate)
         # Released here, not when the next iteration rebinds them, so they do not add to its peak.
         del report, batch, loss, sample
     return params

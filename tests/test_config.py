@@ -37,7 +37,7 @@ def rejected(data: dict) -> str:
         (doc(policy={"vocab_size": None}), "policy.vocab_size: expected integer, got None"),
         (doc(policy={"temperature": "1"}), "policy.temperature: expected number, got '1'"),
         (doc(policy={"temperature": False}), "policy.temperature: expected number, got False"),
-        (doc(objective={"optimizer": 1}), "objective.optimizer: expected string, got 1"),
+        (doc(schedule={"length_model": 1}), "schedule.length_model: expected string, got 1"),
         (doc(objective={"algo": "ppo"}), "objective.algo: expected one of ['icepop', 'grpo', 'tis'], got 'ppo'"),
         (doc(compounding={"bias_mode": None}), "compounding.bias_mode: expected one of"),
         (doc(budget={"tick_cap": "5"}), "budget.tick_cap: expected integer, got '5'"),
@@ -77,9 +77,14 @@ def test_unknown_keys_are_rejected_at_both_levels() -> None:
     )
 
 
-@pytest.mark.parametrize("section,key", [("objective", "kl_coeff"), ("schedule", "max_len"), ("sweep", "n_iterations")])
-def test_the_fields_schema_4_removed_are_unknown_keys(section: str, key: str) -> None:
-    """Schema 4 has no KL penalty, and reads max_len from tasks and the sweep's length from run."""
+@pytest.mark.parametrize(
+    "section,key",
+    [("objective", "kl_coeff"), ("schedule", "max_len"), ("sweep", "n_iterations"), ("objective", "optimizer"),
+     ("objective", "momentum")],
+)
+def test_the_fields_schemas_4_and_5_removed_are_unknown_keys(section: str, key: str) -> None:
+    """Schema 4 has no KL penalty, and reads max_len from tasks and the sweep's length from run; schema 5 has no
+    momentum optimizer, so every update is the plain gradient step."""
     assert rejected(doc(**{section: {key: 1}})) == f"{section}: unknown key(s) ['{key}']"
 
 
@@ -99,6 +104,10 @@ def test_document_shape_and_version_are_checked_first() -> None:
     v3["schema_version"] = 3
     v3["objective"]["kl_coeff"] = 0.0
     assert rejected(v3) == f"unsupported schema_version 3; expected {SCHEMA_VERSION}"
+    v4 = json.loads((CONFIGS / "train_icepop.json").read_text(encoding="utf-8"))
+    v4["schema_version"] = 4
+    v4["objective"].update(optimizer="sgd", momentum=0.9)
+    assert rejected(v4) == f"unsupported schema_version 4; expected {SCHEMA_VERSION}"
 
 
 @pytest.mark.parametrize(
@@ -115,8 +124,6 @@ def test_document_shape_and_version_are_checked_first() -> None:
         ("objective", {"group_size": 1}, "objective.group_size: must be >= 2"),
         ("objective", {"tis_cap": 0}, "objective.tis_cap: must be positive"),
         ("objective", {"learning_rate": -1}, "objective.learning_rate: must be positive"),
-        ("objective", {"optimizer": "adam"}, "objective.optimizer: unknown optimizer 'adam'"),
-        ("objective", {"momentum": 1.0}, "objective.momentum: must be in [0, 1)"),
         ("tasks", {"max_len": 0}, "tasks.max_len: must be >= 1"),
         ("budget", {"token_budget": 0}, "budget.token_budget: must be >= 1"),
         ("budget", {"infer_capacity": 0}, "budget.infer_capacity: must be >= 1"),
@@ -184,13 +191,13 @@ def test_every_omitted_field_takes_its_default() -> None:
     cfg = config_from_dict(doc(schedule={}, compounding={}, sweep={}))
     assert cfg == default_config()
     assert cfg.to_dict() == {
-        "schema_version": 4,
+        "schema_version": 5,
         "seed": 1234,
         "policy": {"vocab_size": 8, "eos_id": 0, "n_features": 512, "init_scale": 0.3, "temperature": 1.0},
         "mismatch": {"scale": 0.22, "seed": 7},
         "objective": {
             "algo": "icepop", "alpha": 0.5, "beta": 5.0, "clip_eps": 0.2, "group_size": 8,
-            "tis_cap": 2.0, "learning_rate": 24.0, "optimizer": "sgd", "momentum": 0.9,
+            "tis_cap": 2.0, "learning_rate": 24.0,
         },
         "tasks": {"max_len": 8},
         "budget": {

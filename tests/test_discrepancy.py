@@ -243,8 +243,9 @@ def reference_theorem_aligned(theta_0, mu, n_steps, vocab, infer, probes, temper
     smoothness = max(resid_ls) if resid_ls else 0.0
     kappa_hat = max(abs(d) for d in dots_drift) + 0.5 * smoothness * mu * grad_bound**2
     delta_c = 2.0 * kappa_hat / align_const if align_const > 0 else math.inf
-    growth_holds = all(
-        deltas[t + 1] >= (1.0 + 0.5 * align_const * mu) * deltas[t] - 1e-12 for t in range(n_steps) if deltas[t] >= delta_c
+    checked = [t for t in range(n_steps) if deltas[t] >= delta_c and 0.5 * align_const * mu * deltas[t] > 1e-12]
+    growth_holds = None if not checked else all(
+        deltas[t + 1] >= (1.0 + 0.5 * align_const * mu) * deltas[t] - 1e-12 for t in checked
     )
     fit = DiscrepancyFit(
         eta_hat=align_const,

@@ -7,9 +7,9 @@ import weakref
 
 import pytest
 
-from mismatchlab import cli, load_config
+from mismatchlab import Algo, BiasMode, cli, load_config
 from mismatchlab.policy import ContextTable
-from replay import ROOT, anchor_values, fingerprint, header, load_set, run_hashes
+from replay import ROOT, anchor_values, fingerprint, header, load_set, run_hashes, write_config
 
 REPLAY_SET = load_set()
 
@@ -60,6 +60,15 @@ def test_replay_set_outputs_match_the_manifest(replay_run) -> None:
     pinned = {name: sha for name, sha in REPLAY_SET["manifest"][key].items() if name.split("/")[0] == run["name"]}
     assert pinned, f"the manifest pins no output of {run['name']}"
     assert hashes == pinned
+
+
+def test_the_replay_set_runs_every_objective_and_mode_choice(tmp_path) -> None:
+    """Each value of objective.algo, compounding.bias_mode and schedule.length_model is run by a command that reads
+    it, so its output bytes are pinned: an option that no run reaches fails here."""
+    configs = [(run["command"], load_config(write_config(run, ROOT, tmp_path))) for run in REPLAY_SET["runs"]]
+    assert {cfg.objective.algo for command, cfg in configs if command != "compounding"} == set(Algo)
+    assert {cfg.compounding.bias_mode for command, cfg in configs if command == "compounding"} == set(BiasMode)
+    assert {cfg.schedule.length_model for command, cfg in configs if command == "schedule"} == {"policy", "lognormal"}
 
 
 @pytest.mark.parametrize("command,name,patch", [("train", "train_icepop", {"run": {"n_iterations": 2}}),
