@@ -10,7 +10,10 @@
 # key, is dropped on both sides, as a config schema change leaves it),
 # differing, or missing on one side. A second table does the same for the digest of the
 # batches each schedule run emits for training ("<run>/batches", see
-# tests/replay.py), which no output file shows. Both sides run the working
+# tests/replay.py), which no output file shows, and a third for the digest of
+# the sampled streams of every run that trains ("<run>/tokens": lengths,
+# tokens, rows, versions and rewards, no log probs), which a change that only
+# moves float bits leaves identical. Both sides run the working
 # tree's replay set, each on its own configs and its own src/. A last table
 # gives the line count (wc -l) and the code-line count of each
 # src/mismatchlab/*.py at both sides and in total. A code line holds a token
@@ -41,15 +44,39 @@ run_side() {
   done < "$out/runs.txt"
 }
 
-# batches_of TREE: one "<run>/batches <sha256>" line per schedule run, from an in-process run of the
-# replay set with TREE's code and configs; no line if that run fails.
-batches_of() {
+# digests_of TREE: one "<run>/batches <sha256>" line per schedule run and one "<run>/tokens <sha256>" line per run
+# that trains, from an in-process run of the replay set with TREE's code and configs; no line if that run fails.
+digests_of() {
   python "$head_dir/tests/replay.py" record "$1" 2> /dev/null | python -c '
 import json, sys
-for hashes in json.load(sys.stdin).values():
+record = json.load(sys.stdin)
+for hashes in record["manifest"].values():
     for key, digest in sorted(hashes.items()):
         if key.endswith("/batches"):
-            print(key, digest)'
+            print(key, digest)
+for key, digest in sorted(record["tokens"].items()):
+    print(key, digest)'
+}
+
+# digest_table HEADING SUFFIX: a Markdown table of the "<run>/SUFFIX" digests at base and head.
+digest_table() {
+  local key base head result
+  echo "| $1 | base | head | result |"
+  echo "|---|---|---|---|"
+  for key in $(cut -d ' ' -f 1 "$work/base_digests" "$work/head_digests" | grep "/$2\$" | sort -u); do
+    base="$(grep "^$key " "$work/base_digests" | cut -d ' ' -f 2)"
+    head="$(grep "^$key " "$work/head_digests" | cut -d ' ' -f 2)"
+    if [ -z "$base" ]; then
+      result="missing at base"
+    elif [ -z "$head" ]; then
+      result="missing at head"
+    elif [ "$base" = "$head" ]; then
+      result="identical"
+    else
+      result="differing"
+    fi
+    echo "| \`$key\` | \`${base:0:12}\` | \`${head:0:12}\` | $result |"
+  done
 }
 
 # without_config FILE: FILE with its embedded config dropped: the config key of line 1 of a .jsonl file, or of a
@@ -99,8 +126,8 @@ EOF
 
 run_side "$work/base" "$work/base_out"
 run_side "$head_dir" "$work/head_out"
-batches_of "$work/base" > "$work/base_batches"
-batches_of "$head_dir" > "$work/head_batches"
+digests_of "$work/base" > "$work/base_digests"
+digests_of "$head_dir" > "$work/head_digests"
 
 echo "### Output bytes against $base_rev"
 echo
@@ -124,22 +151,9 @@ for f in $( (cd "$work/base_out" && find . -mindepth 2 -type f; cd "$work/head_o
   echo "| \`$name\` | $result |"
 done
 echo
-echo "| emitted batches | base | head | result |"
-echo "|---|---|---|---|"
-for key in $(cut -d ' ' -f 1 "$work/base_batches" "$work/head_batches" | sort -u); do
-  base="$(grep "^$key " "$work/base_batches" | cut -d ' ' -f 2)"
-  head="$(grep "^$key " "$work/head_batches" | cut -d ' ' -f 2)"
-  if [ -z "$base" ]; then
-    result="missing at base"
-  elif [ -z "$head" ]; then
-    result="missing at head"
-  elif [ "$base" = "$head" ]; then
-    result="identical"
-  else
-    result="differing"
-  fi
-  echo "| \`$key\` | \`${base:0:12}\` | \`${head:0:12}\` | $result |"
-done
+digest_table "emitted batches" batches
+echo
+digest_table "sampled streams" tokens
 echo
 code_lines "$work/base/src/mismatchlab" > "$work/base_code"
 code_lines "$head_dir/src/mismatchlab" > "$work/head_code"

@@ -15,8 +15,9 @@ gradient. It reads a RolloutBatch, the emitted rollouts as flat arrays,
 and pi_train(theta) from the ContextTable row each token was sampled at.
 Aggregation is token-mean within a rollout, mean over the group, mean
 over groups; each rollout's tokens are summed in order, so results are
-bit-stable. Tokens at one table row share its features, so the gradient
-is summed by row, then scattered onto the weights once per row.
+bit-stable. Tokens at one table row share its features and probs, so the
+gradient is summed by row, as sum(c e_token) - sum(c) p_row over the
+row's tokens, then scattered onto the weights once per row.
 """
 
 from __future__ import annotations
@@ -181,6 +182,8 @@ def objective_and_grad(
     Every token of the batch is evaluated at once, each weighted by
     1 / (groups * group size * rollout length). The value is the sum of
     the weighted rollouts, each one segment sum of its tokens in order.
+    The gradient works on the batch's distinct table rows, not its tokens:
+    a row's is sum(c e_token) - sum(c) p_row, both sums in token order.
     """
     lengths, group_size = batch.lengths, batch.group_size
     if not lengths.size:
@@ -201,9 +204,11 @@ def objective_and_grad(
     weight = 1.0 / (n_groups * group_size * lengths)[seg]
     table.load(theta)
     table.check(batch.rows)
-    rows, inverse = np.unique(batch.rows, return_inverse=True)
+    # The distinct rows in row order, and each token's index among them, as np.unique gives them, without a sort.
+    marker = np.zeros(table.feats.shape[0], dtype=bool)
+    marker[batch.rows] = True
+    rows, inverse = np.flatnonzero(marker), (np.cumsum(marker) - 1)[batch.rows]
     log_probs, probs = table.lp_train[rows], table.probs_train[rows]
-    flat = np.arange(seg.size)
     lp_cur = log_probs[inverse, tokens]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite ratios raise just below
         calib = np.exp(lp_old - lp_inf)
@@ -231,12 +236,11 @@ def objective_and_grad(
         active = unclipped <= clipped
         pg_values = factor * np.where(active, unclipped, clipped)
 
-        # Gradient w.r.t. each token's scaled logits, summed by row in token
+        # Gradient w.r.t. each row's scaled logits, its tokens' one-hot and coefficient sums in token
         # order, then added onto each row's four feature rows (duplicates counted).
         coeffs = np.where(active, weight * factor * ratio * advantage / temperature, 0.0)
-        grad_logits = -coeffs[:, None] * probs[inverse]
-        grad_logits[flat, tokens] += coeffs
-    row_grad = weight_grad(inverse[:, None], grad_logits, rows.size)
+        one_hot = np.bincount(inverse * probs.shape[1] + tokens, weights=coeffs, minlength=probs.size)
+        row_grad = one_hot.reshape(probs.shape) - np.bincount(inverse, weights=coeffs, minlength=rows.size)[:, None] * probs
     grad = weight_grad(table.feats[rows], row_grad, theta.n_features)
 
     rollout_values = np.bincount(seg, weights=pg_values) / (group_size * lengths)

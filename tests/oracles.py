@@ -213,15 +213,19 @@ def shifted_rows(table: ContextTable, lengths, prompt_ids, tokens) -> np.ndarray
 def reference_objective(batch, theta, cfg, temperature=1.0):
     """Per-rollout loop that the flat objective must reproduce bit for bit.
 
-    np.add.at adds in input order, as the package's np.bincount does: each
-    token's scaled-logit gradient onto its recorded table row, in token
-    order, then each distinct row (in row order) onto its four feature
-    rows, slot by slot; and each token's value onto its rollout's sum.
-    Returns (value, grad, per-token arrays by LossBreakdown field and
-    scaled-logit gradients).
+    np.add.at adds in input order, as the package's np.bincount does: in
+    token order, each token's coefficient onto its recorded table row's
+    entry at the token and onto the row's coefficient sum. A row's
+    scaled-logit gradient is then sum(c e_token) - sum(c) p_row, and each
+    distinct row (in row order) is added onto its four feature rows, slot
+    by slot; each token's value goes onto its rollout's sum. Returns
+    (value, grad, per-token arrays by LossBreakdown field and each token's
+    own scaled-logit gradient, c (e_token - p)).
     """
     rows, inverse = np.unique(batch.rows, return_inverse=True)
-    row_grad = np.zeros((rows.size, theta.vocab_size))
+    one_hot_sums = np.zeros((rows.size, theta.vocab_size))
+    coeff_sums = np.zeros(rows.size)
+    row_probs = np.zeros((rows.size, theta.vocab_size))
     row_feats = np.zeros((rows.size, 4), dtype=np.intp)
     rollout_sums = np.zeros(batch.lengths.size)
     parts: dict[str, list[np.ndarray]] = {k: [] for k in ("kept", "surrogate", "calib", "entropy", "logp", "grad_logits")}
@@ -261,7 +265,9 @@ def reference_objective(batch, theta, cfg, temperature=1.0):
         coeffs = np.where(active, weight * factor * ratio * advantage / temperature, 0.0)
         grad_logits = -coeffs[:, None] * probs
         grad_logits[pos, token_ids] += coeffs
-        np.add.at(row_grad, token_rows[i], grad_logits)
+        np.add.at(one_hot_sums, (token_rows[i], token_ids), coeffs)
+        np.add.at(coeff_sums, token_rows[i], coeffs)
+        row_probs[token_rows[i]] = probs
         row_feats[token_rows[i]] = feats
         np.add.at(rollout_sums, np.full(n_tok, i), pg_values)
         for key, value in (
@@ -270,6 +276,7 @@ def reference_objective(batch, theta, cfg, temperature=1.0):
             ("grad_logits", grad_logits),
         ):
             parts[key].append(value)
+    row_grad = one_hot_sums - coeff_sums[:, None] * row_probs
     grad = np.zeros_like(theta.weights)
     for j in range(4):
         np.add.at(grad, row_feats[:, j], row_grad)

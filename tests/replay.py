@@ -11,9 +11,12 @@ changes the last bits of its float kernels, and so the output bytes,
 which is why the hashes are keyed by the fingerprint: a host whose
 fingerprint the manifest does not hold has no pinned bytes, but still
 checks the anchors. A schedule run also pins "run/batches", the SHA-256
-of every batch it emits for training (see batch_digest): with target
+of every batch it emits for training (see batch_digests): with target
 lengths its report depends on lengths alone, so no output file shows
-its tokens.
+its tokens. Every run that trains also pins "run/tokens", the SHA-256
+of the sampled numbers of each batch it emits, without the log probs:
+the tokens entry holds these for every fingerprint, since a change of
+reduction order moves float bits but should sample the same stream.
 
 Usage, from the repository root:
 
@@ -27,9 +30,10 @@ Usage, from the repository root:
         .json report), as JSON: a config that replays the run.
     python tests/replay.py record [TREE]
         runs the set in-process with TREE's src/ (default: this checkout)
-        and prints {fingerprint: {"run/file": sha256}} as JSON: a manifest
-        entry. NPY_DISABLE_CPU_FEATURES in the environment selects
-        another dispatch, and so records another fingerprint.
+        and prints {"tokens": {"run/tokens": sha256}, "manifest":
+        {fingerprint: {"run/file": sha256}}} as JSON: the tokens entry and
+        a manifest entry. NPY_DISABLE_CPU_FEATURES in the environment
+        selects another dispatch, and so records another fingerprint.
 """
 
 from __future__ import annotations
@@ -72,20 +76,27 @@ def write_config(run: dict, tree: Path, out: Path) -> Path:
 
 
 @contextlib.contextmanager
-def batch_digest():
-    """Hash every batch that the scheduler's two iteration entry points emit inside: per batch, in emission
-    order, its mode ("budget" or "baseline"), then its per-token tokens, context rows, log probs under both
-    engines and versions. Yields the hashlib object."""
+def batch_digests():
+    """Hash every batch that the scheduler's two iteration entry points emit inside, per batch in emission order.
+    Yields (batches, tokens, emitted): two hashlib objects and a list of the emitted batch sizes. batches takes the
+    batch's mode ("budget" or "baseline"), then its per-token tokens, context rows, log probs under both engines and
+    versions; tokens takes the mode, then the per-rollout lengths, the per-token tokens, context rows and versions, and
+    the per-rollout rewards: every sampled number, and no float that a change of reduction order moves."""
     from mismatchlab import scheduler
 
-    digest, steps = hashlib.sha256(), {"run_iteration": b"budget", "run_iteration_baseline": b"baseline"}
+    batches, tokens, emitted = hashlib.sha256(), hashlib.sha256(), []
+    steps = {"run_iteration": b"budget", "run_iteration_baseline": b"baseline"}
 
     def hashing(step, mode):
         def emit(*args, **kwargs):
             report, batch = step(*args, **kwargs)
-            digest.update(mode)
+            batches.update(mode)
             for name in ("tokens", "rows", "lp_train", "lp_infer", "versions"):
-                digest.update(getattr(batch, name).tobytes())
+                batches.update(getattr(batch, name).tobytes())
+            tokens.update(mode)
+            for name in ("lengths", "tokens", "rows", "versions", "rewards"):
+                tokens.update(getattr(batch, name).tobytes())
+            emitted.append(len(batch))
             return report, batch
         return emit
 
@@ -93,19 +104,20 @@ def batch_digest():
     for name, mode in steps.items():
         setattr(scheduler, name, hashing(originals[name], mode))
     try:
-        yield digest
+        yield batches, tokens, emitted
     finally:
         for name, step in originals.items():
             setattr(scheduler, name, step)
 
 
-def run_hashes(run: dict, tree: Path, out: Path) -> dict[str, str]:
-    """Run one entry of the set in-process through cli.main; the SHA-256 of each output file by "run/file",
-    and for a schedule run its batch_digest as "run/batches"."""
+def run_hashes(run: dict, tree: Path, out: Path) -> tuple[dict[str, str], dict[str, str]]:
+    """Run one entry of the set in-process through cli.main. Returns the SHA-256 of each output file by "run/file",
+    with a schedule run's batches digest as "run/batches"; and, for a run that trains, its tokens digest as
+    "run/tokens" (see batch_digests)."""
     from mismatchlab import cli
 
     path = write_config(run, tree, out)
-    with batch_digest() as digest:
+    with batch_digests() as (batches, tokens, emitted):
         code = cli.main([run["command"], "--config", str(path), "--out", str(out / run["name"])])
     if code != 0:
         raise RuntimeError(f"{run['name']}: {run['command']} exited {code}")
@@ -114,8 +126,8 @@ def run_hashes(run: dict, tree: Path, out: Path) -> dict[str, str]:
         for f in sorted((out / run["name"]).iterdir())
     }
     if run["command"] == "schedule":
-        hashes[f"{run['name']}/batches"] = digest.hexdigest()
-    return hashes
+        hashes[f"{run['name']}/batches"] = batches.hexdigest()
+    return hashes, {f"{run['name']}/tokens": tokens.hexdigest()} if emitted else {}
 
 
 def _read_jsonl(path: Path) -> list[dict]:
@@ -167,11 +179,13 @@ def main(argv: list[str]) -> int:
     if 1 <= len(argv) <= 2 and argv[0] == "record":
         tree = Path(argv[1]).resolve() if len(argv) == 2 else ROOT
         sys.path.insert(0, str(tree / "src"))
-        hashes = {}
+        hashes, tokens = {}, {}
         with tempfile.TemporaryDirectory() as out:
             for run in load_set()["runs"]:
-                hashes.update(run_hashes(run, tree, Path(out)))
-        print(json.dumps({fingerprint(): hashes}, indent=2))
+                run_files, run_tokens = run_hashes(run, tree, Path(out))
+                hashes.update(run_files)
+                tokens.update(run_tokens)
+        print(json.dumps({"tokens": tokens, "manifest": {fingerprint(): hashes}}, indent=2))
         return 0
     print(__doc__, file=sys.stderr)
     return 2

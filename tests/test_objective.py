@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -613,6 +614,37 @@ def test_gradient_matches_the_per_rollout_scatter_order(seed: int, algo: Algo) -
             np.add.at(per_rollout_order, feats[:, j], part)
     assert out.grad.tobytes() != per_rollout_order.tobytes()
     np.testing.assert_allclose(out.grad, per_rollout_order, rtol=1e-12, atol=1e-12 * np.abs(per_rollout_order).max())
+
+
+def test_objective_holds_no_array_of_tokens_by_vocabulary() -> None:
+    """One group of 8 rollouts of 500 tokens of one prompt at V = 32, every token the same: three table rows.
+
+    After a warm-up call, the traced peak of one objective_and_grad call
+    stays below one (tokens, V) float64 array, 1,000 KB: the gradient is
+    summed per distinct row, and the per-token arrays are (tokens,).
+    """
+    vocab = Vocabulary(size=32)
+    theta = init_params(vocab, n_features=64, init_scale=0.7, seed=3)
+    prompt_id = all_prompt_ids(vocab)[0]
+    table = ContextTable([prompt_id], theta.n_features, vocab.size, infer_engine(0.2, 7), 1.0)
+    lengths, prompt_ids, tokens = np.full(8, 500), np.full(8, prompt_id), np.full(8 * 500, 5)
+    rows = shifted_rows(table, lengths, prompt_ids, tokens)
+    assert np.unique(rows).size == 3
+    table.load(theta, rows)
+    batch = RolloutBatch(
+        group_size=8, lengths=lengths, prompt_ids=prompt_ids, rewards=np.zeros(8),
+        advantages=np.random.default_rng(3).normal(size=8), uids=np.arange(8), tokens=tokens, rows=rows,
+        lp_train=table.lp_train[rows, tokens], lp_infer=table.lp_infer[rows, tokens], versions=np.zeros(tokens.size, dtype=np.int64),
+    )
+    cfg = ObjectiveConfig(group_size=8)
+    objective_and_grad(batch, theta, cfg, table)
+    tracemalloc.start()
+    try:
+        objective_and_grad(batch, theta, cfg, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < tokens.size * vocab.size * 8, f"peak {peak / 1024:.0f} KB"
 
 
 def test_value_folds_each_rollouts_tokens_in_order() -> None:

@@ -1,4 +1,5 @@
-"""Every run of the replay set holds its behaviour anchors, and reproduces the manifest's SHA-256 of each output file."""
+"""Every run of the replay set holds its behaviour anchors, samples the streams the tokens entry pins, and reproduces
+the manifest's SHA-256 of each output file."""
 
 from __future__ import annotations
 
@@ -15,10 +16,10 @@ REPLAY_SET = load_set()
 
 
 @pytest.fixture(scope="module", params=REPLAY_SET["runs"], ids=lambda run: run["name"])
-def replay_run(request, tmp_path_factory) -> tuple[dict, dict, list, list, dict]:
+def replay_run(request, tmp_path_factory) -> tuple[dict, dict, dict, list, list, dict]:
     """One run of each case, with `ContextTable._evaluate` wrapped: the case, its output hashes (with a schedule
-    run's batch digest), the rows of each table pass, every pass made a second time at one table's loaded
-    params, and its anchor values. The tests below read this one run."""
+    run's batches digest), its tokens digest, the rows of each table pass, every pass made a second time at one
+    table's loaded params, and its anchor values. The tests below read this one run."""
     run, evaluate, passes, repeats, last = request.param, ContextTable._evaluate, [], [], weakref.WeakKeyDictionary()
 
     def recording(table, rows):
@@ -31,29 +32,36 @@ def replay_run(request, tmp_path_factory) -> tuple[dict, dict, list, list, dict]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ContextTable, "_evaluate", recording)
         out = tmp_path_factory.mktemp(run["name"])
-        hashes = run_hashes(run, ROOT, out)
-    return run, hashes, passes, repeats, anchor_values(run["command"], out / run["name"])
+        hashes, tokens = run_hashes(run, ROOT, out)
+    return run, hashes, tokens, passes, repeats, anchor_values(run["command"], out / run["name"])
 
 
 def test_replay_set_runs_evaluate_each_version_in_one_table_pass(replay_run) -> None:
     """The loop's pass covers every row a version reads: check never backfills a row the pass missed,
     which would make a second pass at the same params."""
-    run, _, passes, repeats, _ = replay_run
+    run, _, _, passes, repeats, _ = replay_run
     assert not repeats, "a second table pass at one parameter version"
     assert passes or run["command"] == "compounding"
 
 
 def test_replay_set_runs_hold_their_anchors(replay_run) -> None:
     """Each anchor within half a unit of the last decimal it is quoted to, on any fingerprint."""
-    run, _, _, _, values = replay_run
+    run, _, _, _, _, values = replay_run
     assert run["anchors"], f"the replay set gives {run['name']} no anchors"
     off = {name: values[name] for name, (want, digits) in run["anchors"].items()
            if not abs(values[name] - want) <= 0.5 * 10.0**-digits + 1e-12}
     assert not off, f"{run['name']} misses its anchors: {off}"
 
 
+def test_replay_set_runs_sample_the_recorded_streams(replay_run) -> None:
+    """Every run that trains emits the lengths, tokens, rows, versions and rewards the tokens entry pins, on any
+    fingerprint: a change that only moves float bits samples the same streams."""
+    run, _, tokens, _, _, _ = replay_run
+    assert tokens == {name: sha for name, sha in REPLAY_SET["tokens"].items() if name.split("/")[0] == run["name"]}
+
+
 def test_replay_set_outputs_match_the_manifest(replay_run) -> None:
-    run, hashes, _, _, _ = replay_run
+    run, hashes, _, _, _, _ = replay_run
     key = fingerprint()
     if key not in REPLAY_SET["manifest"]:
         pytest.skip(f"the replay manifest holds no hashes for float-kernel fingerprint {key}")
