@@ -16,7 +16,9 @@
 # moves float bits leaves identical. Both sides run the working
 # tree's replay set, each on its own configs and its own src/. A last table
 # gives the line count (wc -l) and the code-line count of each
-# src/mismatchlab/*.py at both sides and in total. A code line holds a token
+# src/mismatchlab/*.py at both sides and in total, and the totals of
+# tests/*.py, so that a suite that shrinks or grows shows beside the source
+# it tests. A code line holds a token
 # that is neither a comment nor part of a docstring, so a cut made by trimming
 # prose shows in the first count alone. The report never fails: outputs may
 # change on purpose, so it always exits 0.
@@ -171,6 +173,11 @@ for name in $( (cd "$work/base/src/mismatchlab" && ls -- *.py; cd "$head_dir/src
   echo "| \`$name\` | $base | $head | $((head - base)) | $base_code | $head_code | $((head_code - base_code)) |"
 done
 echo "| total | $base_total | $head_total | $((head_total - base_total)) | $base_code_total | $head_code_total | $((head_code_total - base_code_total)) |"
+base_tests="$(cat "$work/base/tests/"*.py 2> /dev/null | wc -l)"
+head_tests="$(cat "$head_dir/tests/"*.py 2> /dev/null | wc -l)"
+base_tests_code="$(code_lines "$work/base/tests" | awk '{s += $2} END {print s + 0}')"
+head_tests_code="$(code_lines "$head_dir/tests" | awk '{s += $2} END {print s + 0}')"
+echo "| \`tests/\` total | $base_tests | $head_tests | $((head_tests - base_tests)) | $base_tests_code | $head_tests_code | $((head_tests_code - base_tests_code)) |"
 for side in base head; do
   if [ -f "$work/${side}_out/failed" ]; then
     echo

@@ -14,10 +14,9 @@ the same rollouts as columns of arrays, and must equal it bit for bit.
 With it, the scalar verify (the oracle of the batched one) with the
 COPY_PREFIX pattern it decodes, the group z-score of one group (of
 batch_group_advantages), and a scripted prompt source for fixtures.
-The single-pass baseline as its own wave loop, which the scheduler runs
-as its one rollout loop refilling only an empty pool. The oracle loop's
-table pass covers every window of its live prompts (rows_of), where the
-scheduler's covers only the windows a rollout can read.
+The oracle loop's table pass covers every window of its live prompts
+(rows_of), where the scheduler's covers only the windows a rollout can
+read.
 
 The objective as a loop over rollouts, each token's feature rows hashed
 on the direct path (the package gathers them, and the policy at theta,
@@ -589,28 +588,6 @@ def _rollout_loop(state, params_t, cfg, group_cfg, trace, baseline: bool) -> tup
                  "counter": counter, "pool_after": len(state.infer_pool)}
             )
     return _close_iteration(state, params_t.version_id, ticks, counter, completed, purged, resumed)
-
-
-def baseline_wave_loop(state: OracleState, params_t, cfg, group_cfg):
-    """One baseline iteration: spawn the whole prompt batch, then run it to termination in capacity-sized waves.
-
-    Each wave ticks until its longest rollout ends. An empty batch is an
-    empty iteration. Has no tick cap.
-    """
-    for _ in range(cfg.prompts_per_iteration):
-        if not _spawn_group(state, group_cfg):
-            break
-    batch = list(state.pending)
-    state.pending.clear()
-    ticks = 0
-    for start in range(0, len(batch), cfg.infer_capacity):
-        active = batch[start : start + cfg.infer_capacity]
-        while active:
-            if _generate_tick(active, params_t, state):
-                active = [r for r in active if not r.terminal]
-            ticks += 1
-    state.tick_clock += ticks
-    return _close_iteration(state, params_t.version_id, ticks, sum(r.length for r in batch), len(batch), 0, 0)
 
 
 def _probe_rows(

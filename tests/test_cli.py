@@ -171,7 +171,8 @@ def test_sweep_failure_keeps_the_rows_of_the_settings_done(tmp_path, monkeypatch
                       "error": "parameter update produced non-finite weights"}
 
 
-def test_schedule_starts_no_more_workers_than_seeds(tmp_path, monkeypatch) -> None:
+@pytest.mark.parametrize("jobs", ["2", "3"])
+def test_schedule_starts_no_more_workers_than_seeds(tmp_path, monkeypatch, jobs: str) -> None:
     import concurrent.futures
 
     workers = []
@@ -183,7 +184,7 @@ def test_schedule_starts_no_more_workers_than_seeds(tmp_path, monkeypatch) -> No
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
     cfg = write_config(tmp_path, "schedule_longtail", tasks={"max_len": 16}, schedule={"n_iterations": 1, "seeds": [11, 12]})
-    assert main(["schedule", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "3"]) == 0
+    assert main(["schedule", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", jobs]) == 0
     assert workers == [2]
 
 
@@ -432,15 +433,22 @@ def test_an_out_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys, comman
     assert f"--out: cannot create directory {out}" in capsys.readouterr().err
 
 
+def rl_loop_steps(tmp_path: Path, **sections) -> list[str]:
+    """The step lines of a three-step rl_loop compounding run of the shipped config with sections changed."""
+    cfg = write_config(tmp_path, "compounding", compounding={"bias_mode": "rl_loop", "n_steps": 3}, **sections)
+    assert main(["compounding", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    return (tmp_path / "o" / "compounding_trace.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+
+
+@pytest.fixture(scope="module")
+def rl_loop_base(tmp_path_factory) -> list[str]:
+    """rl_loop_steps of the shipped config, shared by the tests that only read it."""
+    return rl_loop_steps(tmp_path_factory.mktemp("base"))
+
+
 @pytest.mark.parametrize("section,values", [("objective", {"algo": "grpo"}), ("budget", {"token_budget": 200})])
-def test_rl_loop_compounding_reads_the_objective_and_budget(tmp_path, section: str, values: dict) -> None:
-    traces = []
-    for name, changed in (("base", {}), ("changed", {section: values})):
-        cfg = write_config(tmp_path / name, "compounding", compounding={"bias_mode": "rl_loop", "n_steps": 3}, **changed)
-        out = tmp_path / name / "o"
-        assert main(["compounding", "--config", cfg, "--out", str(out)]) == 0
-        traces.append((out / "compounding_trace.jsonl").read_text(encoding="utf-8").splitlines()[1:])
-    assert traces[0] != traces[1]
+def test_rl_loop_compounding_reads_the_objective_and_budget(tmp_path, rl_loop_base, section: str, values: dict) -> None:
+    assert rl_loop_steps(tmp_path, **{section: values}) != rl_loop_base
 
 
 @pytest.mark.parametrize(

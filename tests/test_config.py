@@ -91,23 +91,14 @@ def test_the_fields_schemas_4_and_5_removed_are_unknown_keys(section: str, key: 
 def test_document_shape_and_version_are_checked_first() -> None:
     assert rejected([]) == "config document must be a JSON object"
     assert rejected({"seed": 1}) == "missing required key schema_version"
-    v1 = json.loads((CONFIGS / "train_icepop.json").read_text(encoding="utf-8"))
-    v1["schema_version"] = 1
-    v1["budget"]["train_capacity"] = None
-    v1["budget"]["max_total_prompts"] = None
-    assert rejected(v1) == f"unsupported schema_version 1; expected {SCHEMA_VERSION}"
-    v2 = json.loads((CONFIGS / "train_icepop.json").read_text(encoding="utf-8"))
-    v2["schema_version"] = 2
-    v2["budget"]["max_total_prompts"] = None
-    assert rejected(v2) == f"unsupported schema_version 2; expected {SCHEMA_VERSION}"
-    v3 = json.loads((CONFIGS / "train_icepop.json").read_text(encoding="utf-8"))
-    v3["schema_version"] = 3
-    v3["objective"]["kl_coeff"] = 0.0
-    assert rejected(v3) == f"unsupported schema_version 3; expected {SCHEMA_VERSION}"
-    v4 = json.loads((CONFIGS / "train_icepop.json").read_text(encoding="utf-8"))
-    v4["schema_version"] = 4
-    v4["objective"].update(optimizer="sgd", momentum=0.9)
-    assert rejected(v4) == f"unsupported schema_version 4; expected {SCHEMA_VERSION}"
+    # The shipped config as each older schema wrote it: with the fields that schema had.
+    for version, section, fields in ((1, "budget", {"train_capacity": None, "max_total_prompts": None}),
+                                     (2, "budget", {"max_total_prompts": None}), (3, "objective", {"kl_coeff": 0.0}),
+                                     (4, "objective", {"optimizer": "sgd", "momentum": 0.9})):
+        old = json.loads((CONFIGS / "train_icepop.json").read_text(encoding="utf-8"))
+        old["schema_version"] = version
+        old[section].update(fields)
+        assert rejected(old) == f"unsupported schema_version {version}; expected {SCHEMA_VERSION}"
 
 
 @pytest.mark.parametrize(
@@ -135,6 +126,7 @@ def test_document_shape_and_version_are_checked_first() -> None:
         ("run", {"n_probes": 0}, "run.n_probes: must be >= 1"),
         ("schedule", {"length_model": "uniform"}, "schedule.length_model: unknown model 'uniform'"),
         ("schedule", {"sigma": -1}, "schedule.median must be positive and schedule.sigma nonnegative"),
+        ("schedule", {"median": 0}, "schedule.median must be positive and schedule.sigma nonnegative"),
         ("schedule", {"n_iterations": 0}, "schedule.n_iterations: must be >= 1"),
         ("schedule", {"seeds": []}, "schedule.seeds: must be non-empty"),
         ("compounding", {"mu": 0}, "compounding.mu: must be positive"),

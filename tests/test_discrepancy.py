@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from mismatchlab import (
     Algo,
     BudgetConfig,
-    Context,
     DiscrepancyFit,
     DiscrepancySample,
     NumericError,
@@ -74,15 +73,6 @@ def run_compounding(*args, **kwargs):
     return samples, compounding_experiment(*args, on_sample=samples.append, **kwargs)
 
 
-def test_zero_scale_gives_exactly_zero_delta() -> None:
-    vocab = Vocabulary(size=8)
-    params = init_params(vocab, n_features=32, init_scale=1.0, seed=4)
-    probes = make_probes(64, vocab, 4)
-    delta, gap = delta_gap(evaluation(params, probes, infer_engine(0.0, 7)))
-    assert delta == 0.0
-    assert gap == 0.0
-
-
 def test_kl_closed_form_pair() -> None:
     """The probe KL(infer || train) and token gap that delta_and_gap and measure compute."""
     p = np.asarray([[0.5, 0.5]])  # inference engine
@@ -103,18 +93,6 @@ def test_kl_nonnegative_on_random_draws() -> None:
         scale = float(rng.uniform(0, 0.4))
         delta, _ = delta_gap(evaluation(params, probes, infer_engine(scale, int(rng.integers(0, 100)))))
         assert delta >= 0.0
-
-
-def test_measure_carries_loss_diagnostics() -> None:
-    # The loss diagnostics left the sample; what remains is the step and the discrepancy.
-    vocab = Vocabulary(size=8)
-    engine = infer_engine(0.2, 7)
-    params = init_params(vocab, n_features=64, init_scale=0.5, seed=3)
-    probes = make_probes(32, vocab, 3)
-    sample = measure(params, probes, engine, step=5)
-    assert sample.step == 5
-    assert sample.delta > 0.0
-    assert (sample.delta, sample.max_token_gap) == oracles.delta_and_gap(params, probes, engine)
 
 
 def test_measure_requires_probes() -> None:
@@ -307,6 +285,7 @@ def test_probe_evaluation_equals_the_direct_path_oracles_bit_for_bit(temperature
     want = oracles.delta_and_gap(params, probes, engine, temperature)
     assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
     assert (scale == 0.0) == (got == (0.0, 0.0))
+    assert measure(params, probes, engine, temperature, step=5) == DiscrepancySample(5, *want)
     pairs = [
         (delta_gradient(ev), oracles.delta_gradient(params, probes, engine, temperature)),
         (_exact_reward_gradient(ev, reward_table), oracles._exact_reward_gradient(params, probes, reward_table, temperature)[0]),
@@ -552,13 +531,19 @@ def test_sensitivity_sweep_duplicate_setting_is_identical(tmp_path) -> None:
     assert rows[0] == rows[1]
 
 
-def test_sensitivity_sweep_shared_clipping_dominance(tmp_path) -> None:
-    default, narrow = sweep_rows(tmp_path, [(0.5, 5.0), (0.5, 2.0)], 15)
+@pytest.fixture(scope="module")
+def narrowed_sweep(tmp_path_factory) -> list[dict]:
+    """The default bounds, then a narrower beta, over 15 iterations; shared by the tests that only read it."""
+    return sweep_rows(tmp_path_factory.mktemp("sweep"), [(0.5, 5.0), (0.5, 2.0)], 15)
+
+
+def test_sensitivity_sweep_shared_clipping_dominance(narrowed_sweep) -> None:
+    default, narrow = narrowed_sweep
     assert all(n >= d for n, d in zip(narrow["clipped_fraction_shared"], default["clipped_fraction_shared"]))
 
 
-def test_sensitivity_sweep_trains_each_setting_with_its_bounds(tmp_path) -> None:
-    default, narrow = sweep_rows(tmp_path, [(0.5, 5.0), (0.5, 2.0)], 2)
+def test_sensitivity_sweep_trains_each_setting_with_its_bounds(narrowed_sweep) -> None:
+    default, narrow = narrowed_sweep
     # The first iteration trains every setting on the same batch, which the shared column re-masks.
     assert narrow["clipped_fraction"][0] == narrow["clipped_fraction_shared"][0] > default["clipped_fraction"][0]
 

@@ -104,11 +104,29 @@ def test_policy_params_reject_weights_that_are_not_a_matrix(weights) -> None:
         PolicyParams(weights)
 
 
-def test_zero_weights_give_uniform_distribution() -> None:
-    vocab = Vocabulary(size=32)
-    params = PolicyParams(np.zeros((16, vocab.size)))
-    _, probs = evaluate(params, Context(3, (1,)), train_engine())
-    assert np.all(probs == 1.0 / 32)
+def softmax_cases():
+    """(params, context, temperature, tolerance of the probs, of the log probs, frozen probs or None) of each case:
+    the one-hot fixture, zero weights (exactly uniform), and random weights at random temperatures."""
+    params, ctx = one_hot_fixture()
+    # frozen values computed from the oracle at fixture freeze time
+    yield params, ctx, 1.0, 1e-15, 1e-12, [0.07232948812851327, 0.19661193324148185, 0.5344466453885229, 0.19661193324148185]
+    yield PolicyParams(np.zeros((16, 32))), Context(3, (1,)), 1.0, 0.0, 1e-15, None
+    yield PolicyParams(np.zeros((8, 32))), Context(0), 1.0, 0.0, 1e-15, None
+    rng = np.random.default_rng(21)
+    for _ in range(25):
+        params = PolicyParams(rng.normal(0, 1.2, size=(12, 6)))
+        ctx = Context(int(rng.integers(0, 50)), tuple(int(t) for t in rng.integers(0, 6, size=2)))
+        yield params, ctx, float(rng.uniform(0.3, 3.0)), 1e-14, 1e-12, None
+
+
+def test_distribution_and_log_probs_match_the_straight_line_oracle() -> None:
+    for params, ctx, temperature, atol, log_atol, frozen in softmax_cases():
+        oracle = np.array(straight_line_softmax(params, ctx, temperature))
+        log_probs, probs = evaluate(params, ctx, train_engine(), temperature)
+        assert np.abs(probs - oracle).max() <= atol
+        assert np.abs(log_probs - np.log(oracle)).max() <= log_atol
+        if frozen is not None:
+            assert probs == pytest.approx(frozen, abs=1e-15)
 
 
 def test_zero_mismatch_scale_matches_train_engine_bitwise() -> None:
@@ -123,35 +141,6 @@ def test_zero_mismatch_scale_matches_train_engine_bitwise() -> None:
         assert np.array_equal(lp_train, lp_infer)
 
 
-def test_distribution_matches_straight_line_oracle() -> None:
-    params, ctx = one_hot_fixture()
-    oracle = straight_line_softmax(params, ctx)
-    _, probs = evaluate(params, ctx, train_engine())
-    assert np.allclose(probs, oracle, rtol=0, atol=1e-15)
-    # frozen values computed from the oracle at fixture freeze time
-    assert probs == pytest.approx(
-        [0.07232948812851327, 0.19661193324148185, 0.5344466453885229, 0.19661193324148185],
-        abs=1e-15,
-    )
-
-
-def test_distribution_oracle_holds_for_random_weights_and_temperatures() -> None:
-    rng = np.random.default_rng(21)
-    for _ in range(25):
-        params = PolicyParams(rng.normal(0, 1.2, size=(12, 6)))
-        ctx = Context(int(rng.integers(0, 50)), tuple(int(t) for t in rng.integers(0, 6, size=2)))
-        temperature = float(rng.uniform(0.3, 3.0))
-        oracle = straight_line_softmax(params, ctx, temperature)
-        _, probs = evaluate(params, ctx, train_engine(), temperature)
-        assert np.allclose(probs, oracle, rtol=0, atol=1e-14)
-
-
-def test_log_prob_uniform_case() -> None:
-    params = PolicyParams(np.zeros((8, 32)))
-    log_probs, _ = evaluate(params, Context(0), train_engine())
-    assert log_probs[5] == pytest.approx(math.log(1 / 32), abs=1e-15)
-
-
 def test_log_prob_exponentiates_back_to_distribution() -> None:
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -160,13 +149,6 @@ def test_log_prob_exponentiates_back_to_distribution() -> None:
         engine = infer_engine(0.1, 3) if rng.random() < 0.5 else train_engine()
         log_probs, probs = evaluate(params, ctx, engine)
         assert np.abs(np.exp(log_probs) - probs).max() < 1e-12
-
-
-def test_log_prob_matches_oracle_on_fixture() -> None:
-    params, ctx = one_hot_fixture()
-    oracle = straight_line_softmax(params, ctx)
-    log_probs, _ = evaluate(params, ctx, train_engine())
-    assert log_probs[2] == pytest.approx(math.log(oracle[2]), abs=1e-12)
 
 
 def test_sample_token_degenerate_distribution() -> None:

@@ -3,12 +3,12 @@ the manifest's SHA-256 of each output file."""
 
 from __future__ import annotations
 
-import json
 import weakref
+from pathlib import Path
 
 import pytest
 
-from mismatchlab import Algo, BiasMode, cli, load_config
+from mismatchlab import Algo, BiasMode, load_config
 from mismatchlab.policy import ContextTable
 from replay import ROOT, anchor_values, fingerprint, header, load_set, run_hashes, write_config
 
@@ -16,10 +16,11 @@ REPLAY_SET = load_set()
 
 
 @pytest.fixture(scope="module", params=REPLAY_SET["runs"], ids=lambda run: run["name"])
-def replay_run(request, tmp_path_factory) -> tuple[dict, dict, dict, list, list, dict]:
+def replay_run(request, tmp_path_factory) -> tuple[dict, dict, dict, list, list, dict, Path]:
     """One run of each case, with `ContextTable._evaluate` wrapped: the case, its output hashes (with a schedule
     run's batches digest), its tokens digest, the rows of each table pass, every pass made a second time at one
-    table's loaded params, and its anchor values. The tests below read this one run."""
+    table's loaded params, its anchor values, and the directory that holds its config and its outputs (each
+    named after the case). The tests below read this one run."""
     run, evaluate, passes, repeats, last = request.param, ContextTable._evaluate, [], [], weakref.WeakKeyDictionary()
 
     def recording(table, rows):
@@ -33,20 +34,20 @@ def replay_run(request, tmp_path_factory) -> tuple[dict, dict, dict, list, list,
         patch.setattr(ContextTable, "_evaluate", recording)
         out = tmp_path_factory.mktemp(run["name"])
         hashes, tokens = run_hashes(run, ROOT, out)
-    return run, hashes, tokens, passes, repeats, anchor_values(run["command"], out / run["name"])
+    return run, hashes, tokens, passes, repeats, anchor_values(run["command"], out / run["name"]), out
 
 
 def test_replay_set_runs_evaluate_each_version_in_one_table_pass(replay_run) -> None:
     """The loop's pass covers every row a version reads: check never backfills a row the pass missed,
     which would make a second pass at the same params."""
-    run, _, _, passes, repeats, _ = replay_run
+    run, _, _, passes, repeats, _, _ = replay_run
     assert not repeats, "a second table pass at one parameter version"
     assert passes or run["command"] == "compounding"
 
 
 def test_replay_set_runs_hold_their_anchors(replay_run) -> None:
     """Each anchor within half a unit of the last decimal it is quoted to, on any fingerprint."""
-    run, _, _, _, _, values = replay_run
+    run, _, _, _, _, values, _ = replay_run
     assert run["anchors"], f"the replay set gives {run['name']} no anchors"
     off = {name: values[name] for name, (want, digits) in run["anchors"].items()
            if not abs(values[name] - want) <= 0.5 * 10.0**-digits + 1e-12}
@@ -56,12 +57,12 @@ def test_replay_set_runs_hold_their_anchors(replay_run) -> None:
 def test_replay_set_runs_sample_the_recorded_streams(replay_run) -> None:
     """Every run that trains emits the lengths, tokens, rows, versions and rewards the tokens entry pins, on any
     fingerprint: a change that only moves float bits samples the same streams."""
-    run, _, tokens, _, _, _ = replay_run
+    run, _, tokens, _, _, _, _ = replay_run
     assert tokens == {name: sha for name, sha in REPLAY_SET["tokens"].items() if name.split("/")[0] == run["name"]}
 
 
 def test_replay_set_outputs_match_the_manifest(replay_run) -> None:
-    run, hashes, _, _, _, _ = replay_run
+    run, hashes, _, _, _, _, _ = replay_run
     key = fingerprint()
     if key not in REPLAY_SET["manifest"]:
         pytest.skip(f"the replay manifest holds no hashes for float-kernel fingerprint {key}")
@@ -79,13 +80,6 @@ def test_the_replay_set_runs_every_objective_and_mode_choice(tmp_path) -> None:
     assert {cfg.schedule.length_model for command, cfg in configs if command == "schedule"} == {"policy", "lognormal"}
 
 
-@pytest.mark.parametrize("command,name,patch", [("train", "train_icepop", {"run": {"n_iterations": 2}}),
-                                                ("compounding", "compounding", {"compounding": {"n_steps": 3}})])
-def test_header_reads_back_the_config_a_run_embeds(tmp_path, command: str, name: str, patch: dict) -> None:
-    config = json.loads((ROOT / "configs" / f"{name}.json").read_text(encoding="utf-8"))
-    for section, fields in patch.items():
-        config[section].update(fields)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    assert header(tmp_path / "out") == load_config(path).to_dict()
+def test_header_reads_back_the_config_a_run_embeds(replay_run) -> None:
+    run, *_, out = replay_run
+    assert header(out / run["name"]) == load_config(out / f"{run['name']}.json").to_dict()

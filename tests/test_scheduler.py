@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from numpy.random.bit_generator import ISeedSequence
 
 from mismatchlab import (
-    Algo,
     BudgetConfig,
     ObjectiveConfig,
     PolicyParams,
@@ -52,7 +51,7 @@ from mismatchlab.scheduler import (
 )
 from mismatchlab.policy import _NON_FINITE_INFER_LOGITS, _NON_FINITE_LOGITS, ContextTable
 from mismatchlab.tasks import TaskKind, sample_prompt
-from oracles import ScriptedPromptSource, UidStreams, _rollout_loop, baseline_wave_loop, oracle_state, shifted_rows
+from oracles import ScriptedPromptSource, UidStreams, _rollout_loop, oracle_state, shifted_rows
 
 FIXTURE_LENGTHS = [2, 2, 3, 3, 5, 5, 9, 17]
 
@@ -303,14 +302,6 @@ def test_baseline_fixture_runs_single_wave() -> None:
     assert report.stale_token_fraction == 0.0
 
 
-def test_baseline_waves_split_by_capacity() -> None:
-    state = scripted_state([4, 4, 6, 6])
-    budget = BudgetConfig(token_budget=10, infer_capacity=2, prompts_per_iteration=1)
-    report, _ = run_iteration_baseline(state, default_params(), budget, ObjectiveConfig(group_size=4))
-    # wave 1 max(4,4)=4 ticks, wave 2 max(6,6)=6 ticks
-    assert report.rollout_ticks == 10
-
-
 def test_uniform_lengths_remove_the_scheduling_advantage() -> None:
     lengths = [5] * 8
     budget = BudgetConfig(token_budget=40, infer_capacity=8, retention_threshold=10**6, prompts_per_iteration=1)
@@ -370,48 +361,13 @@ def test_prompts_drawn_for_an_iteration_that_ends_early_spawn_first_in_the_next(
 
 
 def test_baseline_tick_cap_counts_the_ticks_of_the_iteration() -> None:
-    # Waves of 4 and 6 ticks: each fits a cap of 8, the iteration's 10 do not.
+    # Waves of max(4, 4) = 4 and max(6, 6) = 6 ticks: each fits a cap of 8, the iteration's 10 do not.
     budget = BudgetConfig(token_budget=10, infer_capacity=2, prompts_per_iteration=1, tick_cap=8)
     with pytest.raises(TickCapError, match="tick_cap = 8 ticks"):
         run_iteration_baseline(scripted_state([4, 4, 6, 6]), default_params(), budget, ObjectiveConfig(group_size=4))
     budget = dataclasses.replace(budget, tick_cap=10)
     report, _ = run_iteration_baseline(scripted_state([4, 4, 6, 6]), default_params(), budget, ObjectiveConfig(group_size=4))
     assert report.rollout_ticks == 10
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    lengths=st.lists(st.lists(st.integers(1, 40), min_size=8, max_size=8), min_size=1, max_size=12),
-    group_size=st.integers(2, 8),
-    infer_capacity=st.integers(1, 20),
-    prompts_per_iteration=st.integers(1, 4),
-    iterations=st.integers(1, 3),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_baseline_matches_the_wave_loop_oracle(lengths, group_size, infer_capacity, prompts_per_iteration, iterations, seed) -> None:
-    """The one loop's baseline mode against the wave loop it replaced, iteration by iteration."""
-    vocab = Vocabulary(size=8)
-    rng = np.random.default_rng(seed)
-    prompts = [(sample_prompt(rng, vocab, 40), row[:group_size]) for row in lengths]
-    budget = BudgetConfig(token_budget=1, infer_capacity=infer_capacity, prompts_per_iteration=prompts_per_iteration)
-    cfg = ObjectiveConfig(group_size=group_size)
-    states = [SchedulerState(vocab=vocab, source=ScriptedPromptSource(prompts), seed=seed, n_features=16, infer=infer_engine(0.2, 7)),
-              oracle_state(seed, vocab, 16, infer_engine(0.2, 7), ScriptedPromptSource(prompts))]
-    params = init_params(vocab, n_features=16, init_scale=0.4, seed=seed)
-    clock = TickClock()
-    for _ in range(iterations):
-        with tick_trace(clock):
-            got_report, got_groups = run_iteration_baseline(states[0], params, budget, cfg)
-        want_report, want_groups = baseline_wave_loop(states[1], params, budget, cfg)
-        got, want = dataclasses.asdict(got_report), dataclasses.asdict(want_report)
-        got_reward, want_reward = got.pop("reward_mean"), want.pop("reward_mean")
-        assert got == want
-        assert got_reward == want_reward or (math.isnan(got_reward) and math.isnan(want_reward))
-        want = [(r.uid, r.tokens) for group in want_groups for r in group.rollouts]
-        assert len(got_groups) == len(want_groups)
-        assert list(zip(got_groups.uids.tolist(), split(got_groups, "tokens"))) == want
-        assert clock.ticks == states[1].tick_clock
-        params = PolicyParams(params.weights, version_id=params.version_id + 1)
 
 
 def _oracle_batch(groups) -> dict:
@@ -604,15 +560,9 @@ def test_batch_rows_are_the_table_rows_of_each_rollouts_shift(baseline: bool, le
     assert (resumed > 0) is not baseline  # only the budget-partitioned mode carries rollouts over
 
 
-def test_unreachable_budget_hits_tick_cap() -> None:
-    state = scripted_state([3, 10**6])
-    budget = BudgetConfig(token_budget=10**5, infer_capacity=2, prompts_per_iteration=1, tick_cap=50)
-    with pytest.raises(TickCapError):
-        run_iteration(state, default_params(), budget, ObjectiveConfig(group_size=2))
-
-
 def test_a_tick_cap_error_leaves_the_rollouts_written_back() -> None:
-    """The rollouts' rows and lengths are written back before the loop raises."""
+    """A budget the rollouts cannot reach hits the tick cap; the rollouts' rows and lengths are written back
+    before the loop raises."""
     state = scripted_state([3, 10**6])
     budget = BudgetConfig(token_budget=10**5, infer_capacity=2, prompts_per_iteration=1, tick_cap=50)
     with pytest.raises(TickCapError):
@@ -840,61 +790,6 @@ def test_train_loop_replay_is_bit_identical() -> None:
     assert np.array_equal(w1, w2)
 
 
-def _run_fuzz_case(rng: np.random.Generator) -> None:
-    vocab = Vocabulary(size=int(rng.integers(4, 9)))
-    group_size = int(rng.integers(2, 5))
-    max_len = int(rng.integers(2, 7))
-    budget = BudgetConfig(
-        token_budget=int(rng.integers(1, 40)),
-        infer_capacity=int(rng.integers(1, 7)),
-        retention_threshold=int(rng.integers(0, 4)),
-        prompts_per_iteration=int(rng.integers(1, 4)),
-        tick_cap=20_000,
-    )
-    cfg = ObjectiveConfig(group_size=group_size)
-    source = SyntheticPromptSource(vocab, max_len=max_len)
-    seed = int(rng.integers(0, 10**6))
-    state = SchedulerState(vocab=vocab, source=source, seed=seed, n_features=16, infer=infer_engine(float(rng.uniform(0, 0.3)), 7))
-    params = init_params(vocab, n_features=16, init_scale=0.4, seed=seed)
-
-    with uid_audit() as audit:
-        for iteration in range(int(rng.integers(1, 4))):
-            with tick_trace() as trace:
-                report, groups = run_iteration(state, params, budget, cfg)
-            # pool capacity at every tick, budget stop at the first crossing
-            for i, row in enumerate(trace):
-                assert row["active"] <= budget.infer_capacity
-                if i < len(trace) - 1:
-                    assert row["counter"] < budget.token_budget or row is trace[-1]
-            for row in trace[:-1]:
-                assert row["counter"] < budget.token_budget
-            if trace:
-                final_row = trace[-1]
-                if report.trained_tokens >= budget.token_budget:
-                    # overshoot bounded by the final tick's completions
-                    prev = trace[-2]["counter"] if len(trace) > 1 else 0
-                    assert prev < budget.token_budget
-                    if final_row["completed"] == 1:
-                        longest = report.trained_tokens - prev
-                        assert report.trained_tokens - budget.token_budget < longest
-            # version monotonicity inside rollouts, purged rollouts never regenerate
-            for versions in split(groups, "versions"):
-                assert versions == sorted(versions)
-            params = PolicyParams(params.weights, version_id=params.version_id + 1)
-
-    # conservation: every spawned rollout is trained, purged, or still in flight
-    in_flight = in_flight_uids(state)
-    accounted = audit.trained | audit.purged | in_flight
-    assert accounted == set(range(state.next_uid))
-    assert not (audit.trained & audit.purged)
-
-
-def test_randomized_scheduler_fuzz() -> None:
-    rng = np.random.default_rng(2024)
-    for _ in range(200):
-        _run_fuzz_case(rng)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     token_budget=st.integers(1, 60),
@@ -905,15 +800,21 @@ def test_randomized_scheduler_fuzz() -> None:
     max_len=st.integers(1, 9),
     lognormal=st.booleans(),
     iterations=st.integers(1, 4),
+    vocab_size=st.integers(4, 8),
+    scale=st.floats(0.0, 0.3),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_pool_stays_within_capacity_and_only_complete_groups_are_emitted(
-    token_budget, infer_capacity, retention_threshold, prompts_per_iteration, group_size, max_len, lognormal, iterations, seed
+    token_budget, infer_capacity, retention_threshold, prompts_per_iteration, group_size, max_len, lognormal, iterations,
+    vocab_size, scale, seed,
 ) -> None:
-    vocab = Vocabulary(size=6)
+    """The scheduler's spec, iteration by iteration: the pool within capacity at every tick, the budget stop at
+    the first tick whose completions reach the budget, versions that never fall inside a rollout, only whole
+    groups emitted, each rollout ended by its end rule, and every spawned uid trained, purged or in flight."""
+    vocab = Vocabulary(size=vocab_size)
     model = "lognormal" if lognormal else "policy"
     source = SyntheticPromptSource(vocab, max_len=max_len, length_model=model, median=3.0, sigma=1.0)
-    state = SchedulerState(vocab=vocab, source=source, seed=seed, n_features=16, infer=infer_engine(0.2, 7))
+    state = SchedulerState(vocab=vocab, source=source, seed=seed, n_features=16, infer=infer_engine(scale, 7))
     params = init_params(vocab, n_features=16, init_scale=0.4, seed=seed)
     budget = BudgetConfig(
         token_budget=token_budget,
@@ -937,9 +838,13 @@ def test_pool_stays_within_capacity_and_only_complete_groups_are_emitted(
             with tick_trace() as trace:
                 _, groups = run_iteration(state, params, budget, cfg)
             assert all(row["active"] <= infer_capacity and row["pool_after"] <= infer_capacity for row in trace)
+            assert all(row["counter"] < token_budget for row in trace[:-1])
+            assert all(versions == sorted(versions) for versions in split(groups, "versions"))
             emitted.append(groups)
             params = PolicyParams(params.weights, version_id=params.version_id + 1)
     in_flight = in_flight_uids(state)
+    assert audit.trained | audit.purged | in_flight == set(range(state.next_uid))
+    assert not audit.trained & (audit.purged | in_flight)
     for batch in emitted:
         assert batch.group_size == group_size and batch.uids.size == len(batch) * group_size
         tokens = split(batch, "tokens")
@@ -947,7 +852,6 @@ def test_pool_stays_within_capacity_and_only_complete_groups_are_emitted(
             # One group: a spawn gives the group_size siblings of each prompt the next uids, from 0.
             assert len(set(uids)) == group_size and uids == list(range(uids[0], uids[0] + group_size))
             assert uids[0] % group_size == 0
-            assert not set(uids) & audit.purged and not set(uids) & in_flight
             for uid, r in zip(uids, tokens[g * group_size : (g + 1) * group_size]):
                 # Terminal by the end rule: a drawn target length is generated exactly; without
                 # one, the rollout stops at its first EOS or at the task's max_len.
@@ -967,15 +871,6 @@ def test_lognormal_lengths_stay_in_range_for_any_valid_sigma() -> None:
     lengths = [n for _ in range(200) for n in source.next_prompt(stream, 8)[1]]
     assert all(type(n) is int and 1 <= n <= 16 for n in lengths)
     assert {1, 16} <= set(lengths)
-
-
-def test_budget_config_invariants() -> None:
-    with pytest.raises(ValueError):
-        BudgetConfig(token_budget=0, infer_capacity=1)
-    with pytest.raises(ValueError):
-        BudgetConfig(token_budget=1, infer_capacity=0)
-    with pytest.raises(ValueError):
-        BudgetConfig(token_budget=1, infer_capacity=1, retention_threshold=-1)
 
 
 def test_group_slots_hold_only_live_groups_after_a_run() -> None:
@@ -1159,40 +1054,40 @@ def test_train_loop_samples_each_rollout_from_its_own_stream(monkeypatch, length
 PER_TOKEN = ("per_token_mask_kept", "per_token_surrogate", "per_token_calibration", "per_token_entropy")
 
 
-def _small_run():
+@pytest.fixture(scope="module")
+def small_run() -> SimpleNamespace:
+    """A four-iteration train_loop run and what its on_step saw: per iteration the gradient's norm, the loss's
+    grad_norm, the sizes of its per-token arrays and its token count, and weak references to the report, loss and
+    sample; with the final params."""
     vocab = Vocabulary(size=8)
     state = SchedulerState(vocab=vocab, source=SyntheticPromptSource(vocab, max_len=6), seed=11, n_features=64,
                            infer=infer_engine(0.2, 7))
     params = init_params(vocab, n_features=64, init_scale=0.3, seed=11)
     budget = BudgetConfig(token_budget=60, infer_capacity=12, prompts_per_iteration=4)
-    return state, params, budget, ObjectiveConfig(group_size=4, learning_rate=1.0), make_probes(256, vocab, 11)
+    run = SimpleNamespace(seen=[], norms=[], sizes=[], counts=[], refs=[])
+
+    def record(report, loss, sample) -> None:
+        run.seen.append(float(np.linalg.norm(loss.grad)))
+        run.norms.append(loss.grad_norm)
+        run.sizes.append({getattr(loss, name).size for name in PER_TOKEN})
+        run.counts.append(loss.token_count)
+        run.refs.extend(weakref.ref(obj) for obj in (report, loss, sample))
+
+    run.final = train_loop(4, state, params, budget, ObjectiveConfig(group_size=4, learning_rate=1.0),
+                           make_probes(256, vocab, 11), on_step=record)
+    return run
 
 
-def test_on_step_sees_the_grad_and_every_per_token_array() -> None:
+def test_on_step_sees_the_grad_and_every_per_token_array(small_run) -> None:
     """on_step sees each iteration's gradient, with its grad_norm, and every per-token array at the loss's
     token count."""
-    seen, norms, sizes, counts = [], [], [], []
-
-    def record(report, loss, sample) -> None:
-        seen.append(float(np.linalg.norm(loss.grad)))
-        norms.append(loss.grad_norm)
-        sizes.append({getattr(loss, name).size for name in PER_TOKEN})
-        counts.append(loss.token_count)
-
-    train_loop(4, *_small_run(), on_step=record)
-    assert any(seen)
-    assert norms == seen
-    assert sizes == [{n} for n in counts] and any(counts)
+    assert any(small_run.seen)
+    assert small_run.norms == small_run.seen
+    assert small_run.sizes == [{n} for n in small_run.counts] and any(small_run.counts)
 
 
-def test_train_loop_keeps_no_iteration() -> None:
+def test_train_loop_keeps_no_iteration(small_run) -> None:
     """A run is a fold: once train_loop returns, every report, loss and sample on_step saw is dead."""
-    refs = []
-
-    def record(report, loss, sample) -> None:
-        refs.extend(weakref.ref(obj) for obj in (report, loss, sample))
-
-    final = train_loop(4, *_small_run(), on_step=record)
-    assert len(refs) == 12
-    assert [ref for ref in refs if ref() is not None] == []
-    assert isinstance(final, PolicyParams) and final.version_id > 0
+    assert len(small_run.refs) == 12
+    assert [ref for ref in small_run.refs if ref() is not None] == []
+    assert isinstance(small_run.final, PolicyParams) and small_run.final.version_id > 0

@@ -193,6 +193,7 @@ def test_advance_moves_the_window() -> None:
     # side^2 rows per prompt, in the order given, and in a block the row of (prev, last) at
     # (prev + 1) * side + (last + 1).
     universe = all_prompt_ids(Vocabulary(size=8))
+    assert universe == [100, 101, *range(200, 208), *range(300, 312)]
     table = ContextTable(universe, 16, 8, infer_engine(0.2, 7), 1.0)
     side = 9
     rows = np.repeat(np.arange(table.feats.shape[0]), 8)
@@ -395,13 +396,6 @@ def test_every_prompt_the_tasks_can_draw_is_in_the_universe(vocab_size: int, max
     drawn = {sample_prompt(stream, vocab, max_len).prompt_id for _ in range(200)}
     probes = {probe.prompt_id for probe in make_probes(64, vocab, seed, max_len)}
     assert drawn | probes <= set(universe)
-
-
-def test_the_universe_at_the_shipped_vocabulary() -> None:
-    universe = all_prompt_ids(Vocabulary(size=8))
-    assert universe == [100, 101, *range(200, 208), *range(300, 312)]
-    table = ContextTable(universe, 16, 8, infer_engine(0.2, 7), 1.0)
-    assert table.feats.shape[0] == 22 * 81 == 1782
 
 
 def test_load_rejects_params_of_another_shape() -> None:
