@@ -109,24 +109,25 @@ def softmax_cases():
     the one-hot fixture, zero weights (exactly uniform), and random weights at random temperatures."""
     params, ctx = one_hot_fixture()
     # frozen values computed from the oracle at fixture freeze time
-    yield params, ctx, 1.0, 1e-15, 1e-12, [0.07232948812851327, 0.19661193324148185, 0.5344466453885229, 0.19661193324148185]
-    yield PolicyParams(np.zeros((16, 32))), Context(3, (1,)), 1.0, 0.0, 1e-15, None
-    yield PolicyParams(np.zeros((8, 32))), Context(0), 1.0, 0.0, 1e-15, None
+    frozen = [0.07232948812851327, 0.19661193324148185, 0.5344466453885229, 0.19661193324148185]
+    yield pytest.param(params, ctx, 1.0, 1e-15, 1e-12, frozen, id="one_hot_fixture")
+    yield pytest.param(PolicyParams(np.zeros((16, 32))), Context(3, (1,)), 1.0, 0.0, 1e-15, None, id="zero_weights_16x32")
+    yield pytest.param(PolicyParams(np.zeros((8, 32))), Context(0), 1.0, 0.0, 1e-15, None, id="zero_weights_8x32")
     rng = np.random.default_rng(21)
-    for _ in range(25):
+    for i in range(25):
         params = PolicyParams(rng.normal(0, 1.2, size=(12, 6)))
         ctx = Context(int(rng.integers(0, 50)), tuple(int(t) for t in rng.integers(0, 6, size=2)))
-        yield params, ctx, float(rng.uniform(0.3, 3.0)), 1e-14, 1e-12, None
+        yield pytest.param(params, ctx, float(rng.uniform(0.3, 3.0)), 1e-14, 1e-12, None, id=f"random_{i}")
 
 
-def test_distribution_and_log_probs_match_the_straight_line_oracle() -> None:
-    for params, ctx, temperature, atol, log_atol, frozen in softmax_cases():
-        oracle = np.array(straight_line_softmax(params, ctx, temperature))
-        log_probs, probs = evaluate(params, ctx, train_engine(), temperature)
-        assert np.abs(probs - oracle).max() <= atol
-        assert np.abs(log_probs - np.log(oracle)).max() <= log_atol
-        if frozen is not None:
-            assert probs == pytest.approx(frozen, abs=1e-15)
+@pytest.mark.parametrize("params, ctx, temperature, atol, log_atol, frozen", softmax_cases())
+def test_distribution_and_log_probs_match_the_straight_line_oracle(params, ctx, temperature, atol, log_atol, frozen) -> None:
+    oracle = np.array(straight_line_softmax(params, ctx, temperature))
+    log_probs, probs = evaluate(params, ctx, train_engine(), temperature)
+    assert np.abs(probs - oracle).max() <= atol
+    assert np.abs(log_probs - np.log(oracle)).max() <= log_atol
+    if frozen is not None:
+        assert probs == pytest.approx(frozen, abs=1e-15)
 
 
 def test_zero_mismatch_scale_matches_train_engine_bitwise() -> None:
