@@ -6,7 +6,7 @@ budget-partitioned rollout scheduler with a single-pass baseline, and a
 discrepancy-dynamics lab, wired together by a seeded batch harness.
 """
 
-from .config import ExperimentConfig, default_config, load_config
+from .config import ExperimentConfig, load_config
 from .discrepancy import (
     BiasMode,
     DiscrepancyFit,
@@ -32,7 +32,6 @@ from .policy import (
     Vocabulary,
     infer_engine,
     init_params,
-    train_engine,
 )
 from .scheduler import (
     BudgetConfig,
@@ -70,7 +69,6 @@ __all__ = [
     "TickCapError",
     "Vocabulary",
     "compounding_experiment",
-    "default_config",
     "infer_engine",
     "init_params",
     "load_config",
@@ -82,7 +80,6 @@ __all__ = [
     "run_iteration_baseline",
     "sample_prompt",
     "sgd_update",
-    "train_engine",
     "train_loop",
     "verify",
 ]

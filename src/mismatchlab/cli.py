@@ -187,9 +187,10 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _schedule_one_seed(cfg: ExperimentConfig, seed: int) -> dict:
-    """Budget-partitioned vs baseline run on one shared seed (picklable, as is cfg). Both modes measure the
-    same probes, frozen Contexts, and draw from the same prompt source, which holds no state (each run's
-    SchedulerState owns its prompt stream): both are built once."""
+    """Budget-partitioned vs baseline run on one shared seed. Both modes measure the same probes, frozen
+    Contexts, and draw from the same prompt source, which holds no state (each run's SchedulerState owns its
+    prompt stream): both are built once. Each iteration of either mode completes a rollout or raises
+    TickCapError, so trained tokens and ticks are positive and no ratio divides by zero."""
     assert cfg.schedule is not None
     sch = cfg.schedule
     cfg = dataclasses.replace(cfg, seed=seed, run=dataclasses.replace(cfg.run, n_iterations=sch.n_iterations))
@@ -212,43 +213,29 @@ def _schedule_one_seed(cfg: ExperimentConfig, seed: int) -> dict:
             "end_to_end_ticks": rollout_ticks + cfg.budget.sync_cost_ticks * iterations,
             "trained_tokens": trained,
             "iterations": iterations,
-            "ticks_per_trained_token": rollout_ticks / trained if trained else math.inf,
+            "ticks_per_trained_token": rollout_ticks / trained,
         }
     b, c = totals["baseline"], totals["budget"]
     return {
         "seed": seed,
         "budget": c,
         "baseline": b,
-        "speedup_rollout": (b["ticks_per_trained_token"] / c["ticks_per_trained_token"])
-        if c["ticks_per_trained_token"] > 0
-        else math.inf,
+        "speedup_rollout": b["ticks_per_trained_token"] / c["ticks_per_trained_token"],
         "speedup_end_to_end": (
-            (b["end_to_end_ticks"] / b["trained_tokens"])
-            / (c["end_to_end_ticks"] / c["trained_tokens"])
-        )
-        if b["trained_tokens"] and c["trained_tokens"]
-        else math.inf,
+            (b["end_to_end_ticks"] / b["trained_tokens"]) / (c["end_to_end_ticks"] / c["trained_tokens"])
+        ),
     }
 
 
-def cmd_schedule(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> int:
+def cmd_schedule(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Write schedule_report.json: per seed in order, then the mean speedups. On a NumericError or
     TickCapError the report holds status, error and the seeds done before the failing one."""
     if cfg.schedule is None:
         raise ConfigError("schedule command requires a schedule section (length-distribution spec)")
-    seeds = cfg.schedule.seeds
     report = {"schema_version": METRICS_SCHEMA_VERSION, "config": cfg.to_dict(), "per_seed": []}
     with _Output(out_dir, "schedule_report.json", report):
         per_seed = report["per_seed"]  # extend keeps the seeds done before one that raises
-        if jobs > 1:
-            # Imported here: single-process runs skip its import time and memory.
-            from concurrent.futures import ProcessPoolExecutor
-
-            # map yields in seed order, and cancels the seeds not yet started once one raises.
-            with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
-                per_seed.extend(pool.map(_schedule_one_seed, [cfg] * len(seeds), seeds))
-        else:
-            per_seed.extend(_schedule_one_seed(cfg, seed) for seed in seeds)
+        per_seed.extend(_schedule_one_seed(cfg, seed) for seed in cfg.schedule.seeds)
         report["mean_speedup_rollout"] = sum(r["speedup_rollout"] for r in per_seed) / len(per_seed)
         report["mean_speedup_end_to_end"] = sum(r["speedup_end_to_end"] for r in per_seed) / len(per_seed)
     return EXIT_OK
@@ -365,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--iterations", type=int, default=None, help="override run.n_iterations")
             p.add_argument("--algo", choices=["icepop", "grpo", "tis"], default=None)
         if name == "schedule":
-            p.add_argument("--jobs", type=int, default=1, help="parallel replicate seeds")
+            # schedule runs its seeds in one process, so only 1 is valid; the flag stays because the
+            # benchmark harness (perfbench/run.py) passes --jobs 1.
+            p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; must be 1")
     return parser
 
 
@@ -380,13 +369,13 @@ def main(argv: list[str] | None = None) -> int:
             cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, n_iterations=args.iterations))
         if getattr(args, "algo", None):
             cfg = dataclasses.replace(cfg, objective=dataclasses.replace(cfg.objective, algo=Algo(args.algo)))
-        if getattr(args, "jobs", 1) < 1:
-            raise ConfigError("--jobs must be >= 1")
+        if getattr(args, "jobs", 1) != 1:
+            raise ConfigError("--jobs must be 1: schedule runs its seeds in one process")
         out_dir = Path(args.out)
         if args.command == "train":
             return cmd_train(cfg, out_dir)
         if args.command == "schedule":
-            return cmd_schedule(cfg, out_dir, jobs=args.jobs)
+            return cmd_schedule(cfg, out_dir)
         if args.command == "compounding":
             return cmd_compounding(cfg, out_dir)
         return cmd_sweep(cfg, out_dir)
@@ -399,7 +388,3 @@ def main(argv: list[str] | None = None) -> int:
     except TickCapError as exc:
         print(f"tick cap exceeded: {exc}", file=sys.stderr)
         return EXIT_TICK_CAP
-
-
-if __name__ == "__main__":
-    sys.exit(main())

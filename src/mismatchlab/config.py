@@ -246,11 +246,3 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return config_from_dict(data)
-
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig(
-        schedule=ScheduleSection(),
-        compounding=CompoundingSection(),
-        sweep=SweepSection(),
-    )

@@ -259,7 +259,7 @@ def compounding_experiment(
     rng = np.random.default_rng(np.random.SeedSequence((reward_seed & _MASK64, 4)))
     reward_table = rng.uniform(-1.0, 1.0, size=(len(probes), theta_0.vocab_size))
 
-    params = theta_0.copy()
+    params = theta_0
     hashed_probes = probe_set(probes, params, infer, temperature)
     deltas: list[float] = []
     eta_hat = math.inf  # the least bias inner product over delta_t of the steps with delta_t > 1e-15

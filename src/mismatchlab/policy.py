@@ -149,9 +149,6 @@ class PolicyParams:
     def vocab_size(self) -> int:
         return self.weights.shape[1]
 
-    def copy(self) -> "PolicyParams":
-        return PolicyParams(self.weights.copy(), self.version_id)
-
 
 def init_params(
     vocab: Vocabulary,
@@ -170,15 +167,11 @@ class Engine:
     """An evaluation engine: the training engine plus a seeded logit error of mismatch_scale.
 
     At mismatch_scale == 0 the engine is the training engine, bit for
-    bit; train_engine() is that engine.
+    bit; Engine() is that engine.
     """
 
     mismatch_scale: float = 0.0
     mismatch_seed: int = 0
-
-
-def train_engine() -> Engine:
-    return Engine()
 
 
 def infer_engine(mismatch_scale: float = 0.0, mismatch_seed: int = 0) -> Engine:

@@ -74,7 +74,6 @@ from mismatchlab.policy import (
     inference_logits,
     inference_slope,
     perturb_logits,
-    train_engine,
     weight_grad,
 )
 from mismatchlab.scheduler import BudgetConfig, StepReport, SyntheticPromptSource
@@ -656,7 +655,7 @@ def _exact_reward_gradient(
     distribution, so the expected advantage is zero per probe and the
     per-probe gradient of E[reward] w.r.t. the scaled logits is q * A.
     """
-    feats, _, _ = _probe_rows(params, probes, train_engine())
+    feats, _, _ = _probe_rows(params, probes, Engine())
     _, q = batched_log_softmax(batched_train_logits(params, feats, temperature))
     baseline = (q * reward_table).sum(axis=1, keepdims=True)
     d_s = q * (reward_table - baseline) / (temperature * len(probes))

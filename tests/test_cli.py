@@ -79,14 +79,19 @@ def test_a_sweep_of_no_iterations_writes_empty_settings(tmp_path) -> None:
     assert [(s["delta"], s["final_delta"], s["final_reward_mean"]) for s in settings] == [([], None, None)] * 3
 
 
-def test_schedule_jobs_do_not_change_the_report(tmp_path) -> None:
-    cfg = write_config(tmp_path, "schedule_longtail", tasks={"max_len": 48}, schedule={"n_iterations": 2, "seeds": [11, 12]})
-    reports = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        assert main(["schedule", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
-        reports.append((out / "schedule_report.json").read_bytes())
-    assert reports[0] == reports[1]
+@pytest.mark.parametrize("jobs,code", [("1", 0), ("0", 2), ("-1", 2), ("2", 2)])
+def test_schedule_accepts_only_one_job(tmp_path, capsys, jobs: str, code: int) -> None:
+    """schedule runs its seeds in one process: --jobs 1 writes the bytes that no flag writes, and any other
+    value is a config error before any output."""
+    cfg = write_config(tmp_path, "schedule_longtail", tasks={"max_len": 16}, schedule={"n_iterations": 1, "seeds": [11, 12]})
+    flagged, plain = tmp_path / "flagged", tmp_path / "plain"
+    assert main(["schedule", "--config", cfg, "--out", str(flagged), "--jobs", jobs]) == code
+    if code:
+        assert not flagged.exists()
+        assert capsys.readouterr().err == "config error: --jobs must be 1: schedule runs its seeds in one process\n"
+    else:
+        assert main(["schedule", "--config", cfg, "--out", str(plain)]) == 0
+        assert (flagged / "schedule_report.json").read_bytes() == (plain / "schedule_report.json").read_bytes()
 
 
 def test_schedule_builds_its_probes_once_per_seed(tmp_path, monkeypatch) -> None:
@@ -116,17 +121,13 @@ def test_schedule_builds_its_probes_once_per_seed(tmp_path, monkeypatch) -> None
     ],
 )
 def test_schedule_failure_writes_a_report_of_the_seeds_done(tmp_path, capsys, overrides, code, status, error, seeds_done) -> None:
-    """A failing seed ends schedule in a report with status, error and the seeds done before it, in seed order
-    under --jobs 2 too, and the exit code and message of the failure."""
+    """A failing seed ends schedule in a report with status, error and the seeds done before it, in seed order,
+    and the exit code and message of the failure."""
     cfg = write_config(tmp_path, "schedule_longtail", tasks={"max_len": 128}, schedule={"n_iterations": 1, "seeds": [11, 12]}, **overrides)
-    reports = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        assert main(["schedule", "--config", cfg, "--out", str(out), "--jobs", jobs]) == code
-        assert capsys.readouterr().err == f"{'numeric failure' if code == 3 else 'tick cap exceeded'}: {error}\n"
-        reports.append((out / "schedule_report.json").read_bytes())
-    assert reports[0] == reports[1]
-    report = json.loads(reports[0])
+    out = tmp_path / "o"
+    assert main(["schedule", "--config", cfg, "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"{'numeric failure' if code == 3 else 'tick cap exceeded'}: {error}\n"
+    report = json.loads((out / "schedule_report.json").read_text(encoding="utf-8"))
     assert (report["status"], report["error"]) == (status, error)
     assert [r["seed"] for r in report["per_seed"]] == seeds_done
     assert "mean_speedup_rollout" not in report
@@ -171,30 +172,28 @@ def test_sweep_failure_keeps_the_rows_of_the_settings_done(tmp_path, monkeypatch
                       "error": "parameter update produced non-finite weights"}
 
 
-@pytest.mark.parametrize("jobs", ["2", "3"])
-def test_schedule_starts_no_more_workers_than_seeds(tmp_path, monkeypatch, jobs: str) -> None:
-    import concurrent.futures
-
-    workers = []
-    pool = concurrent.futures.ProcessPoolExecutor
-
-    def recording(max_workers):
-        workers.append(max_workers)
-        return pool(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
-    cfg = write_config(tmp_path, "schedule_longtail", tasks={"max_len": 16}, schedule={"n_iterations": 1, "seeds": [11, 12]})
-    assert main(["schedule", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", jobs]) == 0
-    assert workers == [2]
-
-
-def test_schedule_runs_on_lognormal_lengths_of_any_valid_sigma(tmp_path) -> None:
-    # sigma 800 draws infinite lengths, which are clamped to tasks.max_len.
-    cfg = write_config(tmp_path, "schedule_longtail", tasks={"max_len": 16}, schedule={"sigma": 800.0, "n_iterations": 2, "seeds": [11]})
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # sigma 800 draws infinite lengths, which are clamped to tasks.max_len.
+        {"schedule": {"sigma": 800.0, "n_iterations": 2, "seeds": [11]}},
+        # A budget of one token and a pool of one rollout: each iteration of either mode still completes a rollout.
+        {"budget": {"token_budget": 1, "infer_capacity": 1}, "schedule": {"n_iterations": 1, "seeds": [11]}},
+        {"budget": {"token_budget": 1, "infer_capacity": 1},
+         "schedule": {"length_model": "policy", "n_iterations": 1, "seeds": [11]}},
+    ],
+    ids=["lognormal-sigma-800", "budget-1-pool-1", "budget-1-pool-1-policy"],
+)
+def test_schedule_ratios_are_finite_at_valid_extremes(tmp_path, overrides: dict) -> None:
+    """The report divides by each mode's trained tokens and ticks, so at any valid config both are positive and
+    every ratio is positive and finite."""
+    cfg = write_config(tmp_path, "schedule_longtail", tasks={"max_len": 16}, **overrides)
     out = tmp_path / "o"
     assert main(["schedule", "--config", cfg, "--out", str(out)]) == 0
-    report = json.loads((out / "schedule_report.json").read_text(encoding="utf-8"))
-    assert report["per_seed"][0]["budget"]["trained_tokens"] > 0
+    (seed,) = json.loads((out / "schedule_report.json").read_text(encoding="utf-8"))["per_seed"]
+    ratios = [seed[mode]["ticks_per_trained_token"] for mode in ("budget", "baseline")]
+    ratios += [seed["speedup_rollout"], seed["speedup_end_to_end"]]
+    assert all(isinstance(r, float) and 0.0 < r < math.inf for r in ratios)
 
 
 def test_compounding_header_replay_is_byte_identical(tmp_path) -> None:
@@ -381,13 +380,6 @@ def test_rl_loop_compounding_failure_keeps_the_steps_measured(tmp_path, monkeypa
     ok, failed = ((tmp_path / d / "compounding_trace.jsonl").read_text(encoding="utf-8").splitlines() for d in ("ok", "failed"))
     assert len(ok) == 5 and failed == ok[:3]
     assert json.loads((tmp_path / "failed" / "compounding_fit.json").read_text(encoding="utf-8"))["status"] == "numeric_failure"
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_schedule_rejects_fewer_than_one_job(tmp_path, jobs: str) -> None:
-    out = tmp_path / "o"
-    assert main(["schedule", "--config", str(CONFIGS / "schedule_longtail.json"), "--out", str(out), "--jobs", jobs]) == 2
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("key,value", [("learning_rate", 0)])

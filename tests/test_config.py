@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 from mismatchlab import (
-    Algo, BiasMode, ConfigError, SchedulerState, SyntheticPromptSource, TaskKind, Vocabulary, default_config, infer_engine, load_config,
+    Algo, BiasMode, ConfigError, SchedulerState, SyntheticPromptSource, TaskKind, Vocabulary, infer_engine, load_config,
 )
 from mismatchlab.cli import main
-from mismatchlab.config import SCHEMA_VERSION, config_from_dict
+from mismatchlab.config import (
+    SCHEMA_VERSION, CompoundingSection, ExperimentConfig, ScheduleSection, SweepSection, config_from_dict,
+)
 from mismatchlab.tasks import COPY_PATTERN_POOL, MAX_VOCAB_SIZE, all_prompt_ids, prompt_id_for
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -181,7 +183,7 @@ def test_a_vocabulary_above_the_bound_builds_no_scheduler_state() -> None:
 
 def test_every_omitted_field_takes_its_default() -> None:
     cfg = config_from_dict(doc(schedule={}, compounding={}, sweep={}))
-    assert cfg == default_config()
+    assert cfg == ExperimentConfig(schedule=ScheduleSection(), compounding=CompoundingSection(), sweep=SweepSection())
     assert cfg.to_dict() == {
         "schema_version": 5,
         "seed": 1234,

@@ -17,6 +17,7 @@ from mismatchlab import (
     BudgetConfig,
     DiscrepancyFit,
     DiscrepancySample,
+    Engine,
     NumericError,
     ObjectiveConfig,
     PolicyParams,
@@ -30,7 +31,6 @@ from mismatchlab import (
     measure,
     objective_and_grad,
     run_iteration,
-    train_engine,
 )
 from mismatchlab import discrepancy, policy
 from mismatchlab.cli import cmd_compounding, cmd_sweep
@@ -151,7 +151,7 @@ def test_direct_path_raises_when_the_inference_logits_overflow() -> None:
     probes = make_probes(64, vocab, 3)
     feats, _, _ = context_rows(*discrepancy.probe_windows(probes), params.n_features, infer, params.version_id)
     batched_train_logits(params, feats, 1.0)  # the training engine stays finite
-    assert delta_gap(evaluation(params, probes, train_engine())) == (0.0, 0.0)
+    assert delta_gap(evaluation(params, probes, Engine())) == (0.0, 0.0)
     calls = [
         lambda: delta_gap(evaluation(params, probes, infer)),
         lambda: measure(params, probes, infer),
@@ -190,7 +190,7 @@ def reference_theorem_aligned(theta_0, mu, n_steps, vocab, infer, probes, temper
     """The theorem-aligned loop on the direct-path oracles, evaluating each parameter state anew at every use."""
     rng = np.random.default_rng(np.random.SeedSequence((reward_seed & ((1 << 64) - 1), 4)))
     reward_table = rng.uniform(-1.0, 1.0, size=(len(probes), vocab.size))
-    params = theta_0.copy()
+    params = theta_0
     deltas, dots_bias, dots_drift, grad_norms, resid_ls, samples = [], [], [], [], [], []
     for t in range(n_steps):
         delta_t, gap_t = oracles.delta_and_gap(params, probes, infer, temperature)
@@ -557,7 +557,8 @@ def test_sensitivity_sweep_needs_two_settings(tmp_path) -> None:
 def test_clipped_token_entropy_reported_as_tendency() -> None:
     # the comparison is reported, not asserted per step: check the default
     # config produces a higher mean entropy among masked-out tokens at 95%
-    # confidence via a normal-approximation two-sample bound
+    # confidence via a normal-approximation two-sample bound. The same run
+    # checks every step's report, loss and sample for sane values.
     vocab = Vocabulary(size=8)
     engine = infer_engine(0.22, 7)
     params = init_params(vocab, n_features=512, init_scale=0.3, seed=1234)
@@ -569,14 +570,21 @@ def test_clipped_token_entropy_reported_as_tendency() -> None:
 
     ent_clipped: list[float] = []
     ent_all: list[float] = []
+    steps = 0
 
     def collect(report, loss, sample) -> None:
+        nonlocal steps
+        steps += 1
+        assert sample.delta >= 0.0
+        assert 0.0 <= report.stale_token_fraction <= 1.0
+        assert np.isfinite(loss.objective_value)
         # The per-token arrays reach on_step; train_loop keeps nothing per iteration.
         if loss.token_count:
             ent_all.extend(loss.per_token_entropy.tolist())
             ent_clipped.extend(loss.per_token_entropy[~loss.per_token_mask_kept].tolist())
 
-    train_loop(60, state, params, budget, cfg, make_probes(256, vocab, 1234), on_step=collect)
+    final = train_loop(60, state, params, budget, cfg, make_probes(256, vocab, 1234), on_step=collect)
+    assert steps == 60 and final.version_id > 0
     assert len(ent_clipped) > 50
     mean_diff = np.mean(ent_clipped) - np.mean(ent_all)
     se = math.sqrt(np.var(ent_clipped) / len(ent_clipped) + np.var(ent_all) / len(ent_all))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mismatchlab import (
     Algo,
     BudgetConfig,
+    Engine,
     NumericError,
     ObjectiveConfig,
     PolicyParams,
@@ -28,7 +29,6 @@ from mismatchlab import (
     objective_and_grad,
     run_iteration,
     sgd_update,
-    train_engine,
 )
 from mismatchlab.objective import LossBreakdown, batch_group_advantages
 from mismatchlab.policy import ContextTable, batched_log_softmax, batched_train_logits, context_rows, feature_rows
@@ -104,7 +104,7 @@ def single_token_rollout(task: TaskSpec, token: int, lp_infer: float, lp_train: 
 
 def first_token_log_probs(theta: PolicyParams, prompt_id: int) -> np.ndarray:
     """Training-engine log probs at a prompt's empty window, on the batched path."""
-    feats, _, _ = context_rows([prompt_id], [-1], [-1], theta.n_features, train_engine(), theta.version_id)
+    feats, _, _ = context_rows([prompt_id], [-1], [-1], theta.n_features, Engine(), theta.version_id)
     return batched_log_softmax(batched_train_logits(theta, feats, 1.0))[0][0]
 
 

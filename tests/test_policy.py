@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from mismatchlab import (
     BudgetConfig,
     Context,
+    Engine,
     NumericError,
     ObjectiveConfig,
     PolicyParams,
@@ -26,7 +27,6 @@ from mismatchlab import (
     Vocabulary,
     infer_engine,
     init_params,
-    train_engine,
 )
 from mismatchlab import scheduler
 from mismatchlab.discrepancy import delta_and_gap, evaluate_probes, probe_set
@@ -123,7 +123,7 @@ def softmax_cases():
 @pytest.mark.parametrize("params, ctx, temperature, atol, log_atol, frozen", softmax_cases())
 def test_distribution_and_log_probs_match_the_straight_line_oracle(params, ctx, temperature, atol, log_atol, frozen) -> None:
     oracle = np.array(straight_line_softmax(params, ctx, temperature))
-    log_probs, probs = evaluate(params, ctx, train_engine(), temperature)
+    log_probs, probs = evaluate(params, ctx, Engine(), temperature)
     assert np.abs(probs - oracle).max() <= atol
     assert np.abs(log_probs - np.log(oracle)).max() <= log_atol
     if frozen is not None:
@@ -136,7 +136,7 @@ def test_zero_mismatch_scale_matches_train_engine_bitwise() -> None:
     rng = np.random.default_rng(5)
     for _ in range(100):
         ctx = Context(int(rng.integers(0, 1000)), tuple(int(t) for t in rng.integers(0, 32, size=rng.integers(0, 3))))
-        lp_train, p_train = evaluate(params, ctx, train_engine())
+        lp_train, p_train = evaluate(params, ctx, Engine())
         lp_infer, p_infer = evaluate(params, ctx, infer_engine(0.0, 7))
         assert np.array_equal(p_train, p_infer)
         assert np.array_equal(lp_train, lp_infer)
@@ -147,7 +147,7 @@ def test_log_prob_exponentiates_back_to_distribution() -> None:
     for _ in range(50):
         params = PolicyParams(rng.normal(0, 1.0, size=(10, 5)))
         ctx = Context(int(rng.integers(0, 40)), tuple(int(t) for t in rng.integers(0, 5, size=1)))
-        engine = infer_engine(0.1, 3) if rng.random() < 0.5 else train_engine()
+        engine = infer_engine(0.1, 3) if rng.random() < 0.5 else Engine()
         log_probs, probs = evaluate(params, ctx, engine)
         assert np.abs(np.exp(log_probs) - probs).max() < 1e-12
 
@@ -158,16 +158,16 @@ def test_sample_token_degenerate_distribution() -> None:
     weights[:, 2] = 250.0
     params = PolicyParams(weights)
     uniforms = np.concatenate([[0.0, 1.0 - 2.0**-53], np.random.default_rng(0).random(198)])
-    rollouts = tick_tokens(params, Context(1, ()), train_engine(), uniforms)
+    rollouts = tick_tokens(params, Context(1, ()), Engine(), uniforms)
     assert all(r.tokens == [2] for r in rollouts)
 
 
 def test_sample_token_replays_inverse_cdf_oracle() -> None:
     params, ctx = one_hot_fixture()
-    _, probs = evaluate(params, ctx, train_engine())
+    _, probs = evaluate(params, ctx, Engine())
     cdf = np.cumsum(probs)
     uniforms = np.random.default_rng(1234).random(50)
-    tokens = [r.tokens[0] for r in tick_tokens(params, ctx, train_engine(), uniforms)]
+    tokens = [r.tokens[0] for r in tick_tokens(params, ctx, Engine(), uniforms)]
     oracle = [min(int(np.searchsorted(cdf, u, side="right")), 3) for u in uniforms]
     assert tokens == oracle
     assert tokens[:12] == [3, 2, 3, 1, 2, 1, 1, 2, 3, 1, 2, 2]
@@ -196,7 +196,7 @@ def test_tick_count_is_the_cdf_entries_at_or_below_u_clamped(seed: int, vocab_si
 
 def test_sample_token_frequencies_within_three_sigma() -> None:
     params, ctx = one_hot_fixture()
-    _, probs = evaluate(params, ctx, train_engine())
+    _, probs = evaluate(params, ctx, Engine())
     n = 100_000
     u = np.random.default_rng(77).random(n)
     # The tick's inverse-CDF rule, which the oracle test above ties the tick to.
@@ -212,7 +212,7 @@ def test_tick_records_both_engines_log_probs_of_its_token() -> None:
     engine = infer_engine(0.15, 7)
     ctx = Context(11, (2, 5))
     lp_infer, probs_infer = evaluate(params, ctx, engine)
-    lp_train, _ = evaluate(params, ctx, train_engine())
+    lp_train, _ = evaluate(params, ctx, Engine())
     uniforms = np.random.default_rng(42).random(20)
     cdf = np.cumsum(probs_infer)
     for u, rollout in zip(uniforms, tick_tokens(params, ctx, engine, uniforms)):

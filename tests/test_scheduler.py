@@ -722,25 +722,6 @@ def test_train_loop_zero_iterations_is_identity() -> None:
     assert final is params
 
 
-def test_train_loop_smoke_thirty_iterations() -> None:
-    vocab = Vocabulary(size=8)
-    source = SyntheticPromptSource(vocab, max_len=8)
-    state = SchedulerState(vocab=vocab, source=source, seed=1234, n_features=512, infer=infer_engine(0.22, 7))
-    params = init_params(vocab, n_features=512, init_scale=0.3, seed=1234)
-    budget = BudgetConfig(token_budget=440, infer_capacity=48, retention_threshold=3, sync_cost_ticks=8)
-    results = []
-    final = train_loop(
-        30, state, params, budget, ObjectiveConfig(group_size=8, learning_rate=24.0), make_probes(256, vocab, 1234),
-        on_step=lambda *step: results.append(step),
-    )
-    assert len(results) == 30
-    assert final.version_id > 0
-    for report, loss, sample in results:
-        assert sample.delta >= 0.0
-        assert 0.0 <= report.stale_token_fraction <= 1.0
-        assert np.isfinite(loss.objective_value)
-
-
 def test_partitioned_and_baseline_match_on_shared_seed_without_budget_pressure() -> None:
     # zero mismatch, effectively infinite budget and retention: identical
     # reward trajectories and final parameters
