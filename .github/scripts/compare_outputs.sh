@@ -14,7 +14,9 @@
 # the sampled streams of every run that trains ("<run>/tokens": lengths,
 # tokens, rows, versions and rewards, no log probs), which a change that only
 # moves float bits leaves identical. Both sides run the working
-# tree's replay set, each on its own configs and its own src/. A last table
+# tree's replay set, each on its own configs and its own src/. A fourth table
+# gives each command's peak RSS (ru_maxrss) at both sides, from one run each,
+# so a move of a few tenths of a MB may be noise. A last table
 # gives the line count (wc -l) and the code-line count of each
 # src/mismatchlab/*.py at both sides and in total, and the totals of
 # tests/*.py, so that a suite that shrinks or grows shows beside the source
@@ -34,13 +36,22 @@ if ! git -C "$head_dir" archive "$base_rev" | tar -x -C "$work/base"; then
   exit 0
 fi
 
-# run_side TREE OUT: the working tree's replay set, with TREE's code and configs.
+# run_side TREE OUT: the working tree's replay set, with TREE's code and configs. Each command's peak RSS
+# (ru_maxrss, KB) goes to OUT/<run>.rss, beside the compared output directories, once the command returns.
 run_side() {
   local tree="$1" out="$2" cmd path cfg
   mkdir -p "$out"
   python "$head_dir/tests/replay.py" configs "$tree" "$out" > "$out/runs.txt"
   while read -r cmd path cfg; do
-    if ! (cd "$tree" && PYTHONPATH=src python -m mismatchlab "$cmd" --config "$path" --out "$out/$cfg" > /dev/null 2>&1); then
+    if ! (cd "$tree" && PYTHONPATH=src python -c '
+import resource, sys
+
+from mismatchlab.cli import main
+
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=fh)
+sys.exit(code)' "$out/$cfg.rss" "$cmd" --config "$path" --out "$out/$cfg" > /dev/null 2>&1); then
       echo "$cfg" >> "$out/failed"
     fi
   done < "$out/runs.txt"
@@ -94,6 +105,32 @@ head, sep, rest = text.partition("\n") if path.endswith(".jsonl") else (text, ""
 doc = json.loads(head)
 doc.pop("config", None)
 sys.stdout.write(json.dumps(doc) + sep + rest)
+EOF
+}
+
+# rss_table: a Markdown table of each replay-set command's peak RSS in MB at base and head, n/a where a side
+# recorded none (its command failed).
+rss_table() {
+  python - "$work/base_out" "$work/head_out" << 'EOF'
+import pathlib, sys
+
+base, head = (pathlib.Path(arg) for arg in sys.argv[1:])
+
+
+def megabytes(path):
+    try:
+        return int(path.read_text(encoding="utf-8")) / 1024
+    except (OSError, ValueError):
+        return None
+
+
+print("| run | base peak RSS (MB) | head peak RSS (MB) | change |")
+print("|---|---|---|---|")
+for name in sorted({path.stem for side in (base, head) for path in side.glob("*.rss")}):
+    b, h = megabytes(base / f"{name}.rss"), megabytes(head / f"{name}.rss")
+    cells = ["n/a" if v is None else f"{v:.2f}" for v in (b, h)]
+    change = "n/a" if b is None or h is None else f"{h - b:+.2f}"
+    print(f"| `{name}` | {cells[0]} | {cells[1]} | {change} |")
 EOF
 }
 
@@ -156,6 +193,8 @@ echo
 digest_table "emitted batches" batches
 echo
 digest_table "sampled streams" tokens
+echo
+rss_table
 echo
 code_lines "$work/base/src/mismatchlab" > "$work/base_code"
 code_lines "$head_dir/src/mismatchlab" > "$work/head_code"

@@ -184,6 +184,10 @@ def objective_and_grad(
     the weighted rollouts, each one segment sum of its tokens in order.
     The gradient works on the batch's distinct table rows, not its tokens:
     a row's is sum(c e_token) - sum(c) p_row, both sums in token order.
+    The value is folded, and the per-token intermediates released, before
+    the scatter onto the feature rows, whose (rows, 4, V) arrays are the
+    call's largest: at the scatter it holds no per-token array that it
+    does not return or still read.
     """
     lengths, group_size = batch.lengths, batch.group_size
     if not lengths.size:
@@ -241,10 +245,10 @@ def objective_and_grad(
         coeffs = np.where(active, weight * factor * ratio * advantage / temperature, 0.0)
         one_hot = np.bincount(inverse * probs.shape[1] + tokens, weights=coeffs, minlength=probs.size)
         row_grad = one_hot.reshape(probs.shape) - np.bincount(inverse, weights=coeffs, minlength=rows.size)[:, None] * probs
-    grad = weight_grad(table.feats[rows], row_grad, theta.n_features)
-
     rollout_values = np.bincount(seg, weights=pg_values) / (group_size * lengths)
     objective = float(rollout_values.sum()) / n_groups
+    del seg, advantage, weight, bad, unclipped, clipped, active, ratio, factor, coeffs, one_hot
+    grad = weight_grad(table.feats[rows], row_grad, theta.n_features)
     if not math.isfinite(objective) or not np.isfinite(grad).all():
         raise NumericError("objective or gradient is not finite")
 

@@ -579,6 +579,6 @@ class ContextTable(RowSet):
         with np.errstate(over="ignore", invalid="ignore"):
             train_logits = _scaled_train_logits(self.params.weights, self.feats[rows], self.temperature)
         log_probs, probs, _, finite = self.engines(train_logits, self.params.version_id, rows)
-        self.dists[rows] = np.concatenate([log_probs, probs], axis=1)
+        self.dists[rows, :2], self.dists[rows, 2:] = log_probs, probs
         self.cdf[:, rows] = np.cumsum(probs[:, 1, :-1], axis=1).T
         self._status[rows] = (~finite[:, 0]).astype(np.int8) + ~finite[:, 1]

@@ -182,6 +182,8 @@ class SchedulerState:
     waiting for their group, and, as the last n_pending, the pending
     queue: at most one partly admitted group, then whole groups. Each
     owns a block of limit slots in slots, in the same order from slot 0.
+    The slot store grows to what the live rollouts' blocks need, to the
+    slot, and never shrinks: its length is the largest need so far.
     probe_rows are train_loop's probe rows. The prompt stream is
     default_rng(SeedSequence((seed & MASK64, 1))), and the context table,
     of infer at temperature over n_features, holds every prompt the task
@@ -434,9 +436,10 @@ def _spawn_groups(state: SchedulerState, wanted: int, group_size: int) -> None:
     end = int(state.rollouts[_START, -1] + state.rollouts[_LIMIT, -1]) if state.rollouts.shape[1] else 0
     block[_START] = end + np.cumsum(block[_LIMIT]) - block[_LIMIT]
     new_end = int(block[_START, -1] + block[_LIMIT, -1])
-    if new_end > state.slots["uniform"].size:
-        grown = max(new_end, 2 * state.slots["uniform"].size)
-        state.slots = {name: np.concatenate([column[:end], np.zeros(grown - end, column.dtype)]) for name, column in state.slots.items()}
+    if new_end > state.slots["uniform"].size:  # to the need, a column at a time: one old column is held beside the new ones
+        for name, column in state.slots.items():
+            state.slots[name] = np.zeros(new_end, column.dtype)
+            state.slots[name][:end] = column[:end]
     state.slots["uniform"][end:new_end] = state.rollout_uniforms.draw(state.next_uid, block[_LIMIT])
     state.rollouts = np.concatenate([state.rollouts, block], axis=1)
     state.n_pending += target.size

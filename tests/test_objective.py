@@ -30,6 +30,7 @@ from mismatchlab import (
     run_iteration,
     sgd_update,
 )
+from mismatchlab import objective
 from mismatchlab.objective import LossBreakdown, batch_group_advantages
 from mismatchlab.policy import ContextTable, batched_log_softmax, batched_train_logits, context_rows, feature_rows
 from mismatchlab.tasks import TaskKind, all_prompt_ids
@@ -634,6 +635,49 @@ def test_objective_holds_no_array_of_tokens_by_vocabulary() -> None:
     finally:
         tracemalloc.stop()
     assert peak < tokens.size * vocab.size * 8, f"peak {peak / 1024:.0f} KB"
+
+
+def test_objective_frees_its_per_token_intermediates_before_the_scatter(monkeypatch) -> None:
+    """12 groups of 8 rollouts, each group of its own prompt, of 1 to 120 uniform tokens at V = 8: 6,047 tokens
+    on 838 table rows, about schedule_longtail's largest batch (6,082 tokens on 803 rows).
+
+    After a warm-up call, the memory held when objective_and_grad calls
+    weight_grad, above the call's start, stays below 9 per-token float64
+    arrays (48,376 bytes each). The call returns or still reads after the
+    scatter lp_cur, calib, pg_values and inverse, 4 arrays, and kept, 1
+    byte a token; and per row, log_probs, probs and row_grad of V words
+    and the gathered feats and rows of 5: 24,302 words at 838 rows, 4.02
+    arrays. With the table's 1,782-byte row marker that is 8.2 arrays.
+    Keeping the released intermediates (seg, advantage, weight, ratio,
+    factor, unclipped, clipped and coeffs, 8 arrays, two bool masks and
+    one_hot) alive across the scatter holds 17.6.
+    """
+    vocab = Vocabulary(size=8)
+    theta = init_params(vocab, n_features=512, init_scale=0.3, seed=11)
+    table, rng, rollouts = new_table(theta), np.random.default_rng(5), []
+    for prompt_id in rng.choice(all_prompt_ids(vocab), 12, replace=False).tolist():
+        for n in rng.integers(1, 121, 8).tolist():
+            lp_train = rng.normal(-1.5, 0.3, n)
+            tokens = rng.integers(0, 8, n).tolist()
+            rollouts.append((prompt_id, tokens, (lp_train - rng.normal(0, 0.3, n)).tolist(), lp_train.tolist(), [0] * n))
+    batch = batch_of(rollouts, rng.normal(size=96), 8, table)
+    assert (batch.tokens.size, np.unique(batch.rows).size) == (6047, 838)
+    scatter, held = objective.weight_grad, []
+
+    def recording_scatter(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return scatter(*args)
+
+    monkeypatch.setattr(objective, "weight_grad", recording_scatter)
+    cfg = ObjectiveConfig(group_size=8)
+    objective_and_grad(batch, theta, cfg, table)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        objective_and_grad(batch, theta, cfg, table)
+    finally:
+        tracemalloc.stop()
+    assert held[-1] - start < 9 * batch.tokens.size * 8, f"held {(held[-1] - start) / 1024:.0f} KB"
 
 
 def test_value_folds_each_rollouts_tokens_in_order() -> None:

@@ -854,14 +854,25 @@ def test_lognormal_lengths_stay_in_range_for_any_valid_sigma() -> None:
     assert {1, 16} <= set(lengths)
 
 
-def test_group_slots_hold_only_live_groups_after_a_run() -> None:
+def test_group_slots_hold_only_live_groups_after_a_run(monkeypatch) -> None:
+    """After a lognormal run, the live rollouts are the in-flight ones, and the slot store is as long as the
+    largest slot end that any spawn reached: it grows to the need, and never shrinks."""
     vocab = Vocabulary(size=8)
     source = SyntheticPromptSource(vocab, max_len=64, length_model="lognormal", median=6.0, sigma=1.0)
     state = SchedulerState(vocab=vocab, source=source, seed=5, n_features=64, infer=infer_engine(0.2, 7))
     params = init_params(vocab, n_features=64, init_scale=0.3, seed=5)
     budget = BudgetConfig(token_budget=60, infer_capacity=12, retention_threshold=1, prompts_per_iteration=4)
+    spawn, ends = scheduler._spawn_groups, []
+
+    def recording_spawn(state, wanted, group_size):
+        spawn(state, wanted, group_size)
+        ends.append(int(state.rollouts[_START, -1] + state.rollouts[_LIMIT, -1]))
+
+    monkeypatch.setattr(scheduler, "_spawn_groups", recording_spawn)
     with uid_audit() as audit:
         train_loop(12, state, params, budget, ObjectiveConfig(group_size=4, learning_rate=1.0), make_probes(256, vocab, 5))
+
+    assert {column.size for column in state.slots.values()} == {max(ends)}
 
     in_flight = in_flight_uids(state)
     assert audit.trained and audit.purged and in_flight
