@@ -15,8 +15,9 @@
 # tokens, rows, versions and rewards, no log probs), which a change that only
 # moves float bits leaves identical. Both sides run the working
 # tree's replay set, each on its own configs and its own src/. A fourth table
-# gives each command's peak RSS (ru_maxrss) at both sides, from one run each,
-# so a move of a few tenths of a MB may be noise. A last table
+# gives each command's peak RSS (ru_maxrss) at both sides, the median of three
+# runs each, so that a move of a few tenths of a MB reads above one run's
+# noise. A last table
 # gives the line count (wc -l) and the code-line count of each
 # src/mismatchlab/*.py at both sides and in total, and the totals of
 # tests/*.py, so that a suite that shrinks or grows shows beside the source
@@ -36,24 +37,32 @@ if ! git -C "$head_dir" archive "$base_rev" | tar -x -C "$work/base"; then
   exit 0
 fi
 
-# run_side TREE OUT: the working tree's replay set, with TREE's code and configs. Each command's peak RSS
-# (ru_maxrss, KB) goes to OUT/<run>.rss, beside the compared output directories, once the command returns.
+# run_side TREE OUT: the working tree's replay set, with TREE's code and configs, each command three times. The
+# first run writes the compared output directory; each run appends its peak RSS (ru_maxrss, KB) to
+# OUT/<run>.rss, one line, once the command returns.
 run_side() {
-  local tree="$1" out="$2" cmd path cfg
+  local tree="$1" out="$2" cmd path cfg run dest
   mkdir -p "$out"
   python "$head_dir/tests/replay.py" configs "$tree" "$out" > "$out/runs.txt"
   while read -r cmd path cfg; do
-    if ! (cd "$tree" && PYTHONPATH=src python -c '
+    for run in 1 2 3; do
+      dest="$out/$cfg"
+      if [ "$run" != 1 ]; then
+        dest="$work/rss_run"
+        rm -rf "$dest"
+      fi
+      if ! (cd "$tree" && PYTHONPATH=src python -c '
 import resource, sys
 
 from mismatchlab.cli import main
 
 code = main(sys.argv[2:])
-with open(sys.argv[1], "w", encoding="utf-8") as fh:
+with open(sys.argv[1], "a", encoding="utf-8") as fh:
     print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=fh)
-sys.exit(code)' "$out/$cfg.rss" "$cmd" --config "$path" --out "$out/$cfg" > /dev/null 2>&1); then
-      echo "$cfg" >> "$out/failed"
-    fi
+sys.exit(code)' "$out/$cfg.rss" "$cmd" --config "$path" --out "$dest" > /dev/null 2>&1) && [ "$run" = 1 ]; then
+        echo "$cfg" >> "$out/failed"
+      fi
+    done
   done < "$out/runs.txt"
 }
 
@@ -108,23 +117,23 @@ sys.stdout.write(json.dumps(doc) + sep + rest)
 EOF
 }
 
-# rss_table: a Markdown table of each replay-set command's peak RSS in MB at base and head, n/a where a side
-# recorded none (its command failed).
+# rss_table: a Markdown table of each replay-set command's peak RSS in MB at base and head, the median of the
+# runs a side recorded, n/a where it recorded none (its command failed).
 rss_table() {
   python - "$work/base_out" "$work/head_out" << 'EOF'
-import pathlib, sys
+import pathlib, statistics, sys
 
 base, head = (pathlib.Path(arg) for arg in sys.argv[1:])
 
 
 def megabytes(path):
     try:
-        return int(path.read_text(encoding="utf-8")) / 1024
-    except (OSError, ValueError):
+        return statistics.median(int(line) for line in path.read_text(encoding="utf-8").split()) / 1024
+    except (OSError, ValueError, statistics.StatisticsError):
         return None
 
 
-print("| run | base peak RSS (MB) | head peak RSS (MB) | change |")
+print("| run | base peak RSS (MB, median of 3) | head peak RSS (MB, median of 3) | change |")
 print("|---|---|---|---|")
 for name in sorted({path.stem for side in (base, head) for path in side.glob("*.rss")}):
     b, h = megabytes(base / f"{name}.rss"), megabytes(head / f"{name}.rss")

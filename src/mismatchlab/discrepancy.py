@@ -146,11 +146,11 @@ def evaluate_probes(probes: RowSet, params: PolicyParams) -> ProbeEvaluation:
 
 
 def delta_and_gap(log_probs: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
-    """(mean KL(infer || train) over probes, max |p_infer - p_train|) of (probes, 2, V) log-probs and
+    """(mean KL(infer || train) over probes, max |p_infer - p_train|) of (2, probes, V) log-probs and
     probs, training engine first: the one delta computation, of a ProbeEvaluation or a table's rows."""
-    p_inf = probs[:, 1]
-    per_probe = (p_inf * (log_probs[:, 1] - log_probs[:, 0])).sum(axis=1)
-    return float(per_probe.mean()), float(np.abs(p_inf - probs[:, 0]).max())
+    p_inf = probs[1]
+    per_probe = (p_inf * (log_probs[1] - log_probs[0])).sum(axis=1)
+    return float(per_probe.mean()), float(np.abs(p_inf - probs[0]).max())
 
 
 def measure(
@@ -164,7 +164,7 @@ def measure(
 ) -> DiscrepancySample:
     """Probe-set discrepancy of params, recorded as step, by delta_and_gap: of the probes evaluated as the
     compounding experiment evaluates them, or, with a context table (of infer at temperature, holding the
-    probes' prompts), of their rows gathered once from its dists at params, the same bits. rows, when given,
+    probes' prompts), of their rows' slots gathered once from its block at params, the same bits. rows, when given,
     are the probes' rows (ContextTable.rows of probe_windows), built once by a caller that measures them."""
     if table is None:
         evaluation = evaluate_probes(probe_set(probes, params, infer, temperature), params)
@@ -176,9 +176,8 @@ def measure(
     if rows is None:
         rows = table.rows(*probe_windows(probes))
     table.load(params)
-    table.check(rows)
-    dists = table.dists[rows]
-    return DiscrepancySample(step, *delta_and_gap(dists[:, :2], dists[:, 2:]))
+    slots = table.check(rows)
+    return DiscrepancySample(step, *delta_and_gap(table.log_probs.take(slots, axis=1), table.probs.take(slots, axis=1)))
 
 
 def delta_gradient(evaluation: ProbeEvaluation) -> np.ndarray:
@@ -196,8 +195,8 @@ def delta_gradient(evaluation: ProbeEvaluation) -> np.ndarray:
     """
     probes = evaluation.probes
     slope = inference_slope(evaluation.train_logits, probes.fixed, evaluation.fault_noise, probes.infer.mismatch_scale)
-    lp_tr, lp_inf = evaluation.log_probs[:, 0], evaluation.log_probs[:, 1]
-    p_tr, p_inf = evaluation.probs[:, 0], evaluation.probs[:, 1]
+    lp_tr, lp_inf = evaluation.log_probs
+    p_tr, p_inf = evaluation.probs
     ratio = lp_inf - lp_tr
     delta_rows = (p_inf * ratio).sum(axis=1, keepdims=True)
     return _probe_weight_grad(probes, slope * (p_inf * (ratio - delta_rows)) + p_tr - p_inf)
@@ -210,7 +209,7 @@ def _exact_reward_gradient(evaluation: ProbeEvaluation, reward_table: np.ndarray
     distribution, so the expected advantage is zero per probe and the
     per-probe gradient of E[reward] w.r.t. the scaled logits is q * A.
     """
-    q = evaluation.probs[:, 0]
+    q = evaluation.probs[0]
     baseline = (q * reward_table).sum(axis=1, keepdims=True)
     return _probe_weight_grad(evaluation.probes, q * (reward_table - baseline))
 

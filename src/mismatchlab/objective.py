@@ -207,12 +207,12 @@ def objective_and_grad(
     advantage = np.repeat(batch.advantages, lengths)
     weight = 1.0 / (n_groups * group_size * lengths)[seg]
     table.load(theta)
-    table.check(batch.rows)
     # The distinct rows in row order, and each token's index among them, as np.unique gives them, without a sort.
     marker = np.zeros(table.feats.shape[0], dtype=bool)
     marker[batch.rows] = True
     rows, inverse = np.flatnonzero(marker), (np.cumsum(marker) - 1)[batch.rows]
-    log_probs, probs = table.lp_train[rows], table.probs_train[rows]
+    slots = table.check(rows)
+    log_probs, probs = table.log_probs[0].take(slots, axis=0), table.probs[0].take(slots, axis=0)
     lp_cur = log_probs[inverse, tokens]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite ratios raise just below
         calib = np.exp(lp_old - lp_inf)

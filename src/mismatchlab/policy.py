@@ -23,14 +23,16 @@ feature rows and noise keys, the per-version keys by version_keys, which
 a RowSet calls alone at each version; feature_rows and noise_keys, the
 same hashes of one context in plain integer arithmetic, are its bitwise
 reference. engine_pair evaluates both engines from a batch's training
-logits, in one softmax call, for a RowSet: a fixed list of contexts
-hashed once, evaluated at any params of one shape. A training run's
-ContextTable is the RowSet of every prompt's (prev, last) windows,
-evaluated per parameter version at the rows the run can read, which
-sampling, the objective and the probe measure gather. Sampling is
-inverse-CDF: a token is the count of the row's first V - 1 inference
-CDF entries at or below its uniform, which the table keeps token-major,
-one (V - 1, rows) array, so one take reads them for a batch of rows.
+logits for a RowSet (a fixed list of contexts hashed once, evaluated at
+any params of one shape), computing each engine's logits where its
+log-probs go and its softmax in place. A training run's ContextTable is
+the RowSet of every prompt's (prev, last) windows; per parameter version
+it holds one block of the rows the run can read, in the order it
+evaluated them, and a map from row to slot, through which sampling, the
+objective and the probe measure gather. Sampling is inverse-CDF: a token
+is the count of the row's first V - 1 inference CDF entries at or below
+its uniform, which the block keeps token-major, one (V - 1, slots)
+array, so one take reads them for a batch of slots.
 The compounding experiment evaluates the RowSet of its probes
 (discrepancy.probe_set) at each state. Both raise NumericError on
 non-finite logits that a caller reads. The direct path (context_rows ->
@@ -252,8 +254,8 @@ _NON_FINITE_LOGITS = "non-finite logits (corrupted parameters)"
 _NON_FINITE_INFER_LOGITS = "non-finite inference engine logits (mismatch noise overflowed)"
 
 
-def _scaled_train_logits(weights: np.ndarray, feats: np.ndarray, temperature: float) -> np.ndarray:
-    logits = weights.take(feats[:, 0], axis=0)
+def _scaled_train_logits(weights: np.ndarray, feats: np.ndarray, temperature: float, out=None) -> np.ndarray:
+    logits = weights.take(feats[:, 0], axis=0, out=out)
     for slot in (1, 2, 3):
         logits += weights.take(feats[:, slot], axis=0)
     if temperature != 1.0:
@@ -284,8 +286,8 @@ def weight_grad(feats: np.ndarray, grad_logits: np.ndarray, n_features: int) -> 
     return grad.reshape(n_features, width)
 
 
-def _heavy_normals(keys: np.ndarray, cols: np.ndarray, cuts, gains) -> np.ndarray:
-    """Heavy-tailed standard normals at (key, column) entries.
+def _heavy_normals(keys: np.ndarray, cols: np.ndarray, cuts, gains, out=None) -> np.ndarray:
+    """Heavy-tailed standard normals at (key, column) entries, into out when given.
 
     keys, cols (uint64), tail cuts and gains broadcast against each
     other, and the result takes their broadcast shape. Box-Muller on two
@@ -293,17 +295,15 @@ def _heavy_normals(keys: np.ndarray, cols: np.ndarray, cuts, gains) -> np.ndarra
     bits of the second. Counter-based: deterministic in (key, column),
     entry by entry, so a block and any subset of its entries give the
     same bits. Computed in place, in the operations of sqrt(-2 log(u1)) *
-    cos(2 pi u2); scaling by 2**-53 is exact, as dividing by 2**53 is.
+    cos(2 pi u2), the second stream drawn once the first is folded into
+    the normals; scaling by 2**-53 is exact, as dividing by 2**53 is.
     """
-    a = _splitmix64_vec(keys + cols * _STRIDE_A)
-    b = _splitmix64_vec((keys ^ np.uint64(_XOR_B)) + cols * _STRIDE_B)
-    a >>= np.uint64(11)
-    normals = a.astype(np.float64)
-    normals += 1.0
+    normals = np.add(_splitmix64_vec(keys + cols * _STRIDE_A) >> np.uint64(11), 1.0, out=out)  # cast, then + 1
     normals *= 2.0**-53
     np.log(normals, out=normals)
     normals *= -2.0
     np.sqrt(normals, out=normals)
+    b = _splitmix64_vec((keys ^ np.uint64(_XOR_B)) + cols * _STRIDE_B)
     angle = (b >> np.uint64(11)).astype(np.float64)
     angle *= 2.0**-53
     angle *= 2.0 * math.pi
@@ -322,9 +322,10 @@ class FixedNoise(NamedTuple):
     fault: np.ndarray
 
 
-def _stream_normals(keys: np.ndarray, fault_at: np.ndarray, width: int, fault_xor: int) -> tuple[np.ndarray, np.ndarray]:
-    """(dense normals of keys at every entry, fault normals of keys ^ fault_xor at the flat fault entries fault_at)."""
-    dense = _heavy_normals(keys[:, None], np.arange(width, dtype=np.uint64), np.uint64(_DENSE_TAIL_CUT), _DENSE_TAIL_GAIN)
+def _stream_normals(keys: np.ndarray, fault_at: np.ndarray, width: int, fault_xor: int, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(dense normals of keys at every entry, into out when given, and fault normals of keys ^ fault_xor at the
+    flat fault entries fault_at)."""
+    dense = _heavy_normals(keys[:, None], np.arange(width, dtype=np.uint64), np.uint64(_DENSE_TAIL_CUT), _DENSE_TAIL_GAIN, out)
     row, col = np.divmod(fault_at, width)
     fault = _heavy_normals(keys[row] ^ np.uint64(fault_xor), col.astype(np.uint64), np.uint64(_FAULT_TAIL_CUT), _FAULT_TAIL_GAIN)
     return dense, fault
@@ -341,8 +342,8 @@ def fixed_noise(keys_fixed: np.ndarray, width: int) -> FixedNoise:
     return FixedNoise(is_fault, dense, fault)
 
 
-def inference_error(train_logits: np.ndarray, fixed: FixedNoise, keys_version: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(error, fault noise): the inference engine's logit error per unit mismatch scale.
+def inference_error(train_logits: np.ndarray, fixed: FixedNoise, keys_version: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(error, fault noise): the inference engine's logit error per unit mismatch scale, the error into out (C-contiguous) when given.
 
     Each noise stream mixes the fixed normals with the per-version
     normals of keys_version, the fault stream at the fault entries only.
@@ -351,7 +352,7 @@ def inference_error(train_logits: np.ndarray, fixed: FixedNoise, keys_version: n
     clipped and returned too, in flat order of the fault entries.
     """
     fault_at = np.flatnonzero(fixed.is_fault)
-    error, fault_noise = _stream_normals(np.asarray(keys_version, dtype=np.uint64), fault_at, train_logits.shape[1], _SECOND_VERSION_XOR)
+    error, fault_noise = _stream_normals(np.asarray(keys_version, dtype=np.uint64), fault_at, train_logits.shape[1], _SECOND_VERSION_XOR, out)
     # In place: each sum is the persistent term plus the version term (addition commutes bit for bit).
     error *= _VERSION_WEIGHT
     error += _PERSISTENT_WEIGHT * fixed.dense
@@ -363,17 +364,19 @@ def inference_error(train_logits: np.ndarray, fixed: FixedNoise, keys_version: n
     return error, fault_noise
 
 
-def inference_logits(train_logits: np.ndarray, fixed: FixedNoise, keys_version: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+def inference_logits(train_logits: np.ndarray, fixed: FixedNoise, keys_version: np.ndarray, scale: float,
+                     out=None) -> tuple[np.ndarray, np.ndarray]:
     """(train_logits + scale * inference_error, its clipped fault noise): the one composition, unchecked.
 
     Computed with numpy's overflow warnings off: the caller checks the
     rows it reads. At scale 0 the inference engine is the training
-    engine, bit for bit: the training logits themselves, and no noise.
+    engine, bit for bit: the training logits themselves, and no noise;
+    otherwise the logits are computed in out, when given.
     """
     if scale <= 0.0:
         return train_logits, np.zeros(np.count_nonzero(fixed.is_fault))
     with np.errstate(over="ignore", invalid="ignore"):
-        error, fault_noise = inference_error(train_logits, fixed, keys_version)
+        error, fault_noise = inference_error(train_logits, fixed, keys_version, out)
         error *= scale
         error += train_logits
     return error, fault_noise
@@ -413,28 +416,32 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return top[:, None]
 
 
-def batched_log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log_probs, probs) rows; exact log-sum-exp, no flooring; a non-finite row warns of nothing."""
+def batched_log_softmax(logits: np.ndarray, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """(log_probs, probs) rows; exact log-sum-exp, no flooring; a non-finite row warns of nothing. out, when given,
+    is the (log_probs, probs) pair of arrays to write, and its log_probs may be logits itself."""
     with np.errstate(over="ignore", invalid="ignore"):
-        shifted = logits - _row_max(logits)
-        probs = np.exp(shifted)
+        shifted = np.subtract(logits, _row_max(logits), out=out[0])
+        probs = np.exp(shifted, out=out[1])
         z = probs.sum(axis=1, keepdims=True)
         probs /= z
         shifted -= np.log(z, out=z)
     return shifted, probs
 
 
-def engine_pair(train_logits: np.ndarray, fixed: FixedNoise, keys_version: np.ndarray, scale: float):
-    """Both engines from the scaled training logits, in one softmax call; checks nothing. Returns (rows, 2, V)
-    log_probs and probs, training engine first; inference_logits' clipped fault noise, which inference_slope
-    reads; and (rows, 2) flags of each engine's finite logits."""
-    # Each row's two engines side by side, so one softmax call covers both.
-    logits = np.empty((train_logits.shape[0], 2, train_logits.shape[1]))
-    logits[:, 0] = train_logits
-    logits[:, 1], fault_noise = inference_logits(train_logits, fixed, keys_version, scale)
-    log_probs, probs = (a.reshape(logits.shape) for a in batched_log_softmax(logits.reshape(-1, logits.shape[2])))
-    finite = np.isfinite(logits)
-    finite = np.ones(logits.shape[:2], dtype=bool) if finite.all() else finite.all(axis=2)
+def engine_pair(train_logits: np.ndarray, fixed: FixedNoise, keys_version: np.ndarray, scale: float, out=None):
+    """Both engines from the scaled training logits; checks nothing. Returns (2, rows, V) log_probs and probs,
+    training engine first, into out's pair of arrays when given, each engine's (rows, V) plane contiguous
+    (train_logits may be out's log_probs[0]); inference_logits' clipped fault noise, which inference_slope
+    reads; and (2, rows) flags of each engine's finite logits."""
+    log_probs, probs = np.empty((2, 2, *train_logits.shape)) if out is None else out
+    # Each engine's logits where its log-probs go, so that its softmax runs in place; the inference logits are
+    # computed there (assigning them to themselves copies nothing).
+    log_probs[0] = train_logits
+    log_probs[1], fault_noise = inference_logits(train_logits, fixed, keys_version, scale, log_probs[1])
+    finite = np.isfinite(log_probs)
+    finite = np.ones(log_probs.shape[:2], dtype=bool) if finite.all() else finite.all(axis=2)
+    for engine_logits, engine_probs in zip(log_probs, probs):
+        batched_log_softmax(engine_logits, (engine_logits, engine_probs))
     return log_probs, probs, fault_noise, finite
 
 
@@ -454,10 +461,10 @@ class RowSet:
         self.feats, keys_fixed, _ = context_rows(*contexts, n_features, infer, 0)
         self.fixed = fixed_noise(keys_fixed, vocab_size)
 
-    def engines(self, train_logits: np.ndarray, version_id: int, rows=slice(None)):
-        """engine_pair's outputs at the rows, given their scaled training logits at version_id."""
+    def engines(self, train_logits: np.ndarray, version_id: int, rows=slice(None), out=None):
+        """engine_pair's outputs at the rows, into out when given, given their scaled training logits at version_id."""
         keys = version_keys(self._words[:, rows], self.infer, version_id)
-        return engine_pair(train_logits, FixedNoise(*(f[rows] for f in self.fixed)), keys, self.infer.mismatch_scale)
+        return engine_pair(train_logits, FixedNoise(*(f[rows] for f in self.fixed)), keys, self.infer.mismatch_scale, out)
 
 
 class ContextTable(RowSet):
@@ -471,27 +478,35 @@ class ContextTable(RowSet):
     It adds the window index (prompt_row, rows, advance: one gather of a
     per-row successor base, plus the token) and a cache of the loaded
     version: the sampler records the row each token is sampled at, and the
-    objective gathers by it. readable_rows gives the windows a rollout
-    can reach from (-1, -1): never a token followed by an empty slot,
-    and none that holds the token that ends it (EOS for a rollout without
-    a target length), which it never reads past.
+    objective gathers by it. The RowSet and the window index are the
+    run-fixed half, built once; only the per-version half, sized to the
+    rows a version reads, changes.
+    readable_rows gives the windows a rollout can reach from (-1, -1):
+    never a token followed by an empty slot, and none that holds the
+    token that ends it (EOS for a rollout without a target length), which
+    it never reads past.
 
-    A per-row marker says whether a row holds both engines' log-probs and
-    probs and the inference CDF at the loaded params. The log-probs and
-    probs are (rows, V) views of one (rows, 4, V) block, dists; cdf is its own
-    (V - 1, rows) array, token-major: cdf[k, row] is the sum of the row's
-    first k + 1 inference probs, in order (np.cumsum), so a batch of rows
-    is one take along axis 1. The last running sum is not kept: the count
-    of entries at or below a uniform is clamped at V - 1 anyway.
-    load(params, rows) loads params, clearing every marker, and evaluates
-    rows in one pass: the rollout loop passes every row the version can
-    read. check(rows), the one read gate, evaluates the requested rows a
-    pass missed, in one more pass, then raises NumericError with the
-    direct path's messages if a row's training or inference logits are
-    non-finite; a context the run never reads cannot fail it. Not a
-    first-touch table: a pass costs a few hundred microseconds however few
-    its rows, which one pass per version pays once and first-touch
-    evaluation pays on most reads. Loaded params must not change in place.
+    The per-version half is one block of slots, one per row evaluated at
+    the loaded params, in the order the passes evaluated them, and the
+    row-to-slot map slot, -1 for a row not evaluated. The block's
+    views: log_probs and probs, (2, slots, V), training engine first;
+    cdf, (V - 1, slots), token-major: cdf[k, slot] is the sum of the
+    slot's first k + 1 inference probs, in order (np.cumsum), so a batch
+    of slots is one take along axis 1 (the last running sum is not kept:
+    the count of entries at or below a uniform is clamped at V - 1
+    anyway); and per slot how many engines have non-finite logits: 0, 1
+    (inference) or 2 (both; inference reads training). load(params, rows)
+    loads params, freeing the block, and evaluates rows in one pass, which
+    writes a new block in place: the rollout loop passes every row the
+    version can read. check(rows), the one read gate, evaluates the
+    requested rows a pass missed, in one more pass that appends their
+    slots, then raises NumericError with the direct path's messages if a
+    row's training or inference logits are non-finite, and otherwise
+    returns the rows' slots; a context the run never reads cannot fail
+    it. Not a first-touch table: a pass costs a few hundred microseconds
+    however few its rows, which one pass per version pays once and
+    first-touch evaluation pays on most reads. Loaded params must not
+    change in place.
     """
 
     def __init__(self, prompt_ids, n_features: int, vocab_size: int, infer: Engine, temperature: float) -> None:
@@ -506,13 +521,8 @@ class ContextTable(RowSet):
             np.tile(windows // self.side - 1, len(prompts)),
             np.tile(windows % self.side - 1, len(prompts)),
         ], n_features, vocab_size, infer, temperature)
-        # Per row, at the loaded params: (lp_train, lp_infer, probs_train, probs_infer),
-        # the inference CDF token-major, and its marker: -1 until evaluated, then how many
-        # engines have non-finite logits: 0, 1 (inference) or 2 (both; inference reads training).
-        self.dists = np.zeros((self.feats.shape[0], 4, vocab_size))
-        self.lp_train, self.lp_infer, self.probs_train, self.probs_infer = self.dists.transpose(1, 0, 2)
-        self.cdf = np.zeros((vocab_size - 1, self.feats.shape[0]))
-        self._status = np.full(self.feats.shape[0], -1, dtype=np.int8)
+        self.slot = np.full(self.feats.shape[0], -1, dtype=np.intp)
+        self._new_block(0)
         # Per row (prev, last), the row of (last, 0), which advance adds each token to.
         rows = np.arange(self.feats.shape[0])
         self._after = rows - rows % n_windows + rows % self.side * self.side + 1
@@ -552,33 +562,49 @@ class ContextTable(RowSet):
             if params.n_features != self.n_features:
                 raise ValueError(f"params have {params.n_features} features, the table {self.n_features}")
             self.params = params
-            self._status.fill(-1)
+            self.slot.fill(-1)
+            self._new_block(0)
         if len(rows):
-            missing = np.zeros(self._status.size, dtype=bool)
+            missing = np.zeros(self.slot.size, dtype=bool)
             missing[np.asarray(rows, dtype=np.intp)] = True
-            missing &= self._status < 0
+            missing &= self.slot < 0
             if missing.any():
                 self._evaluate(np.flatnonzero(missing))
 
-    def check(self, rows: np.ndarray, ticks: np.ndarray | None = None) -> None:
-        """Evaluate the rows not yet evaluated, in one pass, then raise NumericError if a row's training
-        logits (the direct path's message), or else its inference logits, are non-finite. Given ticks, rows[i]
-        is read at tick ticks[i], and only the reads of the first tick that reads a non-finite row count."""
-        status = self._status[rows]
+    def check(self, rows: np.ndarray, ticks: np.ndarray | None = None) -> np.ndarray:
+        """The rows' slots, once the rows not yet evaluated are, in one pass; raises NumericError if a row's
+        training logits (the direct path's message), or else its inference logits, are non-finite. Given ticks,
+        rows[i] is read at tick ticks[i], and only the reads of the first tick that reads a non-finite row count."""
+        slots = self.slot[rows]
+        if np.count_nonzero(slots < 0):
+            self.load(self.params, rows)
+            slots = self.slot[rows]
+        status = self._bad[slots]
         if np.count_nonzero(status):
-            if (status < 0).any():
-                self.load(self.params, rows)
-                status = self._status[rows]
-            if ticks is not None and status.any():
+            if ticks is not None:
                 status = status[ticks == ticks[status > 0].min()]
-            if status.any():
-                raise NumericError(_NON_FINITE_LOGITS if status.max() == 2 else _NON_FINITE_INFER_LOGITS)
+            raise NumericError(_NON_FINITE_LOGITS if status.max() == 2 else _NON_FINITE_INFER_LOGITS)
+        return slots
+
+    def _new_block(self, n: int) -> None:
+        """Point the per-version views at a new block of n slots, in one buffer: log_probs, probs, then the
+        token-major cdf's V - 1 rows and the non-finite counts."""
+        block = np.empty((5 * n, self.vocab_size))
+        self.log_probs, self.probs = block[: 4 * n].reshape(2, 2, n, self.vocab_size)
+        self._tail = block[4 * n :].reshape(self.vocab_size, n)
+        self.cdf, self._bad = self._tail[:-1], self._tail[-1]
 
     def _evaluate(self, rows: np.ndarray) -> None:
-        """One pass: both engines at the loaded params on distinct rows, written into the table."""
+        """One pass: both engines at the loaded params on distinct rows, written in place into a new block after
+        the slots of the old one, which it then frees."""
+        kept, old = self._bad.size, (self.log_probs, self.probs, self._tail)
+        self._new_block(kept + rows.size)
+        self.log_probs[:, :kept], self.probs[:, :kept], self._tail[:, :kept] = old
+        del old
+        log_probs, probs = self.log_probs[:, kept:], self.probs[:, kept:]
         with np.errstate(over="ignore", invalid="ignore"):
-            train_logits = _scaled_train_logits(self.params.weights, self.feats[rows], self.temperature)
-        log_probs, probs, _, finite = self.engines(train_logits, self.params.version_id, rows)
-        self.dists[rows, :2], self.dists[rows, 2:] = log_probs, probs
-        self.cdf[:, rows] = np.cumsum(probs[:, 1, :-1], axis=1).T
-        self._status[rows] = (~finite[:, 0]).astype(np.int8) + ~finite[:, 1]
+            _scaled_train_logits(self.params.weights, self.feats[rows], self.temperature, log_probs[0])
+        finite = self.engines(log_probs[0], self.params.version_id, rows, (log_probs, probs))[3]
+        np.cumsum(probs[1, :, :-1], axis=1, out=self.cdf[:, kept:].T)
+        self._bad[kept:] = (~finite).sum(axis=0)
+        self.slot[rows] = np.arange(kept, kept + rows.size)

@@ -55,7 +55,7 @@ Each rollout samples with its own uniforms, one per token, so the pool's
 order never perturbs another rollout's tokens. They are the first draws
 of its stream default_rng(SeedSequence((seed & MASK64, 2, uid))), bit
 for bit, which defines replay. seed_sequence_states runs numpy's
-SeedSequence hash over each block of 4,096 uids at once, and
+SeedSequence hash over each block of 1,024 uids at once, and
 pcg64_uniforms gives every draw of a spawn's rollouts in array passes of
 at most _DRAW_PASS draws: PCG64's LCG jumps from each stream's state
 straight to the state of each draw (128-bit states as uint64 hi/lo
@@ -282,7 +282,7 @@ def seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
     return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
-_UID_BLOCK = 4096  # divides 2**32, so only a uid's low word varies within a block
+_UID_BLOCK = 1024  # divides 2**32, so only a uid's low word varies within a block
 _DRAW_PASS = 8192  # the most uniforms pcg64_uniforms computes in one array pass
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG_DEFAULT_MULTIPLIER_128
 _MASK128 = (1 << 128) - 1
@@ -368,10 +368,12 @@ class RolloutUniforms:
     """The draws of each rollout's stream default_rng(SeedSequence((seed & MASK64, 2, uid))).
 
     uids are issued in order, so only the seed states of the current
-    aligned block of uids are kept, from one seed_sequence_states call;
-    pcg64_uniforms jumps each rollout's stream to every draw it needs,
-    through a jump table kept as long as the longest draw so far, or one
-    pass.
+    aligned block of _UID_BLOCK uids are kept, from one
+    seed_sequence_states call. A block of 1,024 uids bounds both that
+    call's temporaries and the states kept (32 KB), at the cost of one
+    block computation per 1,024 rollouts. pcg64_uniforms jumps each
+    rollout's stream to every draw it needs, through a jump table kept as
+    long as the longest draw so far, or one pass.
     """
 
     def __init__(self, seed: int) -> None:
@@ -564,7 +566,7 @@ def _sample_slots(state: SchedulerState, first: np.ndarray, counts: np.ndarray, 
     if not counts.size:
         return counts
     table, slots = state.table, state.slots
-    uniform, cdf = slots["uniform"], table.cdf
+    uniform, cdf, slot = slots["uniform"], table.cdf, table.slot
     sampled = counts.copy()
     ats, reads, tokens = [], [], []
     if end.max(initial=-1) < 0:
@@ -577,7 +579,7 @@ def _sample_slots(state: SchedulerState, first: np.ndarray, counts: np.ndarray, 
         drawn = uniform[at]
         for lo, width in zip((np.cumsum(widths) - widths).tolist(), widths.tolist()):
             read = row[:width]
-            token = (cdf.take(read, axis=1) <= drawn[lo : lo + width]).sum(axis=0)
+            token = (cdf.take(slot.take(read), axis=1) <= drawn[lo : lo + width]).sum(axis=0)
             reads.append(read)
             tokens.append(token)
             row = table.advance(read, token)
@@ -587,7 +589,7 @@ def _sample_slots(state: SchedulerState, first: np.ndarray, counts: np.ndarray, 
         live, row = np.stack([first, counts, end, np.arange(counts.size)])[:, keep], row[keep]
         while live.shape[1] > _SCALAR_TAIL:
             at = live[0] + step
-            token = (cdf.take(row, axis=1) <= uniform[at]).sum(axis=0)
+            token = (cdf.take(slot.take(row), axis=1) <= uniform[at]).sum(axis=0)
             ats.append(at)
             reads.append(row)
             tokens.append(token)
@@ -610,7 +612,7 @@ def _sample_slots(state: SchedulerState, first: np.ndarray, counts: np.ndarray, 
         tokens, reads = [], []
         for u in uniform[lo:hi].tolist():
             if r not in lists:
-                lists[r] = cdf[:, r].tolist(), int(table.advance(r, 0))
+                lists[r] = cdf[:, slot[r]].tolist(), int(table.advance(r, 0))
             entries, after = lists[r]
             reads.append(r)
             r = after + bisect.bisect_right(entries, u)
@@ -660,8 +662,8 @@ def _sample(state: SchedulerState, plan: _Schedule, left: np.ndarray, version: i
     _sample_slots(state, first[later], counts[later], live[_ROW][later], live[_END_TOKEN][later])
     at = spans(first, counts)
     context, token = slots["context"][at], slots["token"][at]
-    table.check(context, at - np.repeat(first - admitted, counts))
-    slots["lp_train"][at], slots["lp_infer"][at] = table.lp_train[context, token], table.lp_infer[context, token]
+    read = table.check(context, at - np.repeat(first - admitted, counts))
+    slots["lp_train"][at], slots["lp_infer"][at] = table.log_probs[:, read, token]
     slots["version"][at] = version
     generated = counts > 0
     last = (first + counts - 1)[generated]

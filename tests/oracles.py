@@ -463,10 +463,10 @@ def _generate_tick(rollouts: list[Rollout], params: PolicyParams, state: OracleS
     table.load(params)
     n = len(rollouts)
     rows = np.fromiter((r.row for r in rollouts), np.intp, n)
-    table.check(rows)
+    slots = table.check(rows)
     u = np.fromiter((r.uniforms[len(r.tokens)] for r in rollouts), np.float64, n)
     # Inverse CDF: the count of cdf entries <= u is searchsorted(side="right").
-    tokens = np.minimum((table.cdf[:, rows] <= u).sum(axis=0), table.vocab_size - 1)
+    tokens = np.minimum((table.cdf[:, slots] <= u).sum(axis=0), table.vocab_size - 1)
     version = params.version_id
     eos = state.vocab.eos_id
     finished: list[Rollout] = []
@@ -474,8 +474,8 @@ def _generate_tick(rollouts: list[Rollout], params: PolicyParams, state: OracleS
         rollouts,
         tokens.tolist(),
         table.advance(rows, tokens).tolist(),
-        table.lp_infer[rows, tokens].tolist(),
-        table.lp_train[rows, tokens].tolist(),
+        table.log_probs[1, slots, tokens].tolist(),
+        table.log_probs[0, slots, tokens].tolist(),
     ):
         rollout.tokens.append(token)
         rollout.lp_infer.append(lp_inf)

@@ -78,7 +78,7 @@ def test_kl_closed_form_pair() -> None:
     p = np.asarray([[0.5, 0.5]])  # inference engine
     q = np.asarray([[0.9, 0.1]])  # training engine
     expected = 0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1)
-    probs = np.stack([q, p], axis=1)  # (probes, 2, V), training engine first
+    probs = np.stack([q, p])  # (2, probes, V), training engine first
     delta, gap = delta_and_gap(np.log(probs), probs)
     assert delta == pytest.approx(expected, abs=1e-15)
     assert gap == pytest.approx(0.4, abs=1e-15)

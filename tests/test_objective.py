@@ -257,8 +257,7 @@ def test_an_objective_that_overflows_raises_numeric_error_without_a_warning(unmi
     about 1.3e308, finite; times an advantage of -2 it overflows, and at -1 the objective sums to -inf."""
     params, batch, cfg, table = unmismatched_batch
     table.load(params)
-    table.check(batch.rows)
-    low = table.lp_train[batch.rows, batch.tokens] - 709.5
+    low = table.log_probs[0, table.check(batch.rows), batch.tokens] - 709.5
     batch = dataclasses.replace(batch, lp_train=low, lp_infer=low.copy(), advantages=np.full_like(batch.advantages, advantage))
     with pytest.raises(NumericError, match="^objective or gradient is not finite$"):
         objective_and_grad(batch, params, cfg, table)
@@ -621,10 +620,11 @@ def test_objective_holds_no_array_of_tokens_by_vocabulary() -> None:
     rows = shifted_rows(table, lengths, prompt_ids, tokens)
     assert np.unique(rows).size == 3
     table.load(theta, rows)
+    lp_train, lp_infer = table.log_probs[:, table.check(rows), tokens]
     batch = RolloutBatch(
         group_size=8, lengths=lengths, prompt_ids=prompt_ids, rewards=np.zeros(8),
         advantages=np.random.default_rng(3).normal(size=8), uids=np.arange(8), tokens=tokens, rows=rows,
-        lp_train=table.lp_train[rows, tokens], lp_infer=table.lp_infer[rows, tokens], versions=np.zeros(tokens.size, dtype=np.int64),
+        lp_train=lp_train, lp_infer=lp_infer, versions=np.zeros(tokens.size, dtype=np.int64),
     )
     cfg = ObjectiveConfig(group_size=8)
     objective_and_grad(batch, theta, cfg, table)
@@ -646,8 +646,8 @@ def test_objective_frees_its_per_token_intermediates_before_the_scatter(monkeypa
     arrays (48,376 bytes each). The call returns or still reads after the
     scatter lp_cur, calib, pg_values and inverse, 4 arrays, and kept, 1
     byte a token; and per row, log_probs, probs and row_grad of V words
-    and the gathered feats and rows of 5: 24,302 words at 838 rows, 4.02
-    arrays. With the table's 1,782-byte row marker that is 8.2 arrays.
+    and the gathered feats, rows and slots of 6: 25,140 words at 838 rows,
+    4.16 arrays. With the table's 1,782-byte row marker that is 8.3 arrays.
     Keeping the released intermediates (seg, advantage, weight, ratio,
     factor, unclipped, clipped and coeffs, 8 arrays, two bool masks and
     one_hot) alive across the scatter holds 17.6.

@@ -185,9 +185,9 @@ def test_tick_count_is_the_cdf_entries_at_or_below_u_clamped(seed: int, vocab_si
     table = ContextTable([ctx.prompt_id], params.n_features, vocab_size, engine, 1.0)
     table.load(params)
     row = table.rows([ctx.prompt_id], *([v] for v in ctx.window()))
-    table.check(row)
-    cdf = np.cumsum(table.probs_infer[row[0]])
-    assert table.cdf[:, row[0]].tobytes() == cdf[:-1].tobytes()
+    slot = table.check(row)[0]
+    cdf = np.cumsum(table.probs[1, slot])
+    assert table.cdf[:, slot].tobytes() == cdf[:-1].tobytes()
     uniforms = np.concatenate([[0.0, 1.0 - 2.0**-53, 1.0, cdf[-1], np.nextafter(cdf[-1], 0.0)], cdf, rng.random(20)])
     tokens = [r.tokens[0] for r in tick_tokens(params, ctx, engine, uniforms)]
     assert tokens == [min(int((cdf <= u).sum()), vocab_size - 1) for u in uniforms]

@@ -585,15 +585,15 @@ def test_a_capped_iteration_keeps_its_tokens_version_and_log_probs() -> None:
         run_iteration(state, params, budget, cfg)
     capped = dict(zip(state.rollouts[_UID].tolist(), state.rollouts[_LENGTH].tolist()))
     assert capped[0] == 3 and capped[1] == 5
-    at_cap = {name: getattr(state.table, name).copy() for name in ("lp_train", "lp_infer")}
+    # Each engine's log probs at the cap's version, by row: a row the version did not evaluate reads slot -1.
+    at_cap = dict(zip(("lp_train", "lp_infer"), state.table.log_probs[:, state.table.slot]))
     shift = np.random.default_rng(0).normal(0, 0.3, params.weights.shape)
     params = PolicyParams(params.weights + shift, version_id=1)
     _, batch = run_iteration(state, params, dataclasses.replace(budget, tick_cap=100), cfg)
     assert len(batch) == 1
     from_cap = np.concatenate([np.arange(n) < capped[uid] for uid, n in zip(batch.uids.tolist(), batch.lengths.tolist())])
     assert batch.versions.tolist() == np.where(from_cap, 0, 1).tolist()
-    for name in ("lp_train", "lp_infer"):
-        now = getattr(state.table, name)[batch.rows, batch.tokens]
+    for name, now in zip(("lp_train", "lp_infer"), state.table.log_probs[:, state.table.check(batch.rows), batch.tokens]):
         assert np.array_equal(getattr(batch, name), np.where(from_cap, at_cap[name][batch.rows, batch.tokens], now))
         assert not np.array_equal(getattr(batch, name), now)
 
@@ -609,8 +609,8 @@ def poison(monkeypatch, kinds: dict[int, tuple[int, int]]) -> None:
         for prompt_id, (kind, skip) in kinds.items():
             first = table.prompt_row(prompt_id)
             bad = rows[(rows >= first + skip) & (rows < first + table.side**2)]
-            table._status[bad] = kind
-            table.cdf[:, bad] = np.nan
+            table._bad[table.slot[bad]] = kind
+            table.cdf[:, table.slot[bad]] = np.nan
 
     monkeypatch.setattr(ContextTable, "_evaluate", poisoned)
 
@@ -675,7 +675,7 @@ def test_a_non_finite_row_that_only_the_sample_ahead_reads_raises_nothing(monkey
     def recording(state):
         left = sample_ahead(state)
         ahead = state.rollouts[:, state.rollouts[_PROMPT] == 101]
-        read_ahead.extend(state.table._status[state.slots["context"][ahead[_START]]].tolist())
+        read_ahead.extend(state.table._bad[state.table.slot[state.slots["context"][ahead[_START]]]].tolist())
         return left
 
     monkeypatch.setattr(scheduler, "_sample_ahead", recording)
@@ -905,6 +905,23 @@ def test_rollout_uniforms_across_block_edges_in_issue_order() -> None:
     for uid in [*range(4090, 4100), *range(2**32 - 3, 2**32 + 3), 2**40, 5]:
         want = np.random.default_rng(np.random.SeedSequence((-5 & (2**64 - 1), 2, uid)))
         assert source.draw(uid, [3]).tobytes() == want.random(3).tobytes()
+
+
+def test_a_spawn_across_a_uid_block_edge_draws_each_rollouts_stream() -> None:
+    """A spawn whose uids run past a multiple of the uid block writes into each rollout's slots the first draws of
+    its tuple-seeded stream, bit for bit; the seed states kept are those of one block of 1,024 uids, 32 KB."""
+    vocab = Vocabulary(size=8)
+    source = SyntheticPromptSource(vocab, max_len=24, length_model="lognormal", median=5.0, sigma=1.0)
+    state = SchedulerState(vocab=vocab, source=source, seed=-9, n_features=16, infer=infer_engine(0.2, 7))
+    edge = 3 * scheduler._UID_BLOCK
+    state.next_uid = edge - 5
+    scheduler._spawn_groups(state, 3, 4)
+    uids, starts, limits = state.rollouts[[_UID, _START, _LIMIT]].tolist()
+    assert uids == list(range(edge - 5, edge + 7))
+    for uid, start, limit in zip(uids, starts, limits):
+        want = np.random.default_rng(np.random.SeedSequence((-9 & (2**64 - 1), 2, uid))).random(limit)
+        assert state.slots["uniform"][start : start + limit].tobytes() == want.tobytes()
+    assert state.rollout_uniforms._states.shape == (1024, 4) and state.rollout_uniforms._states.nbytes == 32 * 1024
 
 
 def test_rollout_uniforms_match_numpy_as_the_jump_table_grows() -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,11 @@ from mismatchlab.tasks import all_prompt_ids, sample_prompt
 from oracles import block_inference_logits, reference_objective
 
 PROMPT_ID = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), -1, 0, 100, 2**63 - 1]))
+
+
+def table_rows(table: ContextTable, slots) -> tuple:
+    """(lp_train, probs_train, lp_infer, probs_infer, cdf) of the block's slots, the cdf token-major."""
+    return table.log_probs[0, slots], table.probs[0, slots], table.log_probs[1, slots], table.probs[1, slots], table.cdf[:, slots]
 
 
 def direct_rows(params, infer, temperature, pids, prev, last):
@@ -75,8 +82,7 @@ def test_table_rows_equal_direct_path(
         prev = rng.integers(-1, vocab_size, n)
         last = rng.integers(-1, vocab_size, n)
         rows = table.rows(pids, prev, last)
-        table.check(rows)
-        got = (table.feats[rows], table.lp_train[rows], table.probs_train[rows], table.lp_infer[rows], table.probs_infer[rows], table.cdf[:, rows])
+        got = (table.feats[rows], *table_rows(table, table.check(rows)))
         for g, want in zip(got, direct_rows(params, infer, temperature, pids, prev, last)):
             assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
 
@@ -159,7 +165,7 @@ def test_restricted_load_equals_the_full_block_composition_on_every_finite_row(
         assert overflow or not any(messages)
         finite = np.asarray([m != TRAINING_MESSAGE for m in messages])
         at = rows[finite]
-        got = (table.lp_train[at], table.probs_train[at], table.lp_infer[at], table.probs_infer[at], table.cdf[:, at])
+        got = table_rows(table, table.slot[at])
         with np.errstate(over="ignore", invalid="ignore"):  # a finite row's noise can still overflow
             for not_finite in np.flatnonzero(~finite):
                 with pytest.raises(NumericError):
@@ -363,7 +369,7 @@ def test_check_raises_on_rows_whose_inference_logits_overflow() -> None:
     # Every row's training logits are finite: the whole table raises the inference message.
     with pytest.raises(NumericError, match="inference engine"):
         table.check(np.arange(table.feats.shape[0]))
-    infer_finite = np.isfinite(table.lp_infer).all(axis=1)
+    infer_finite = np.isfinite(table.log_probs[1, table.slot]).all(axis=1)
     assert not infer_finite.all()
     with pytest.raises(NumericError, match="inference engine"):
         table.check(np.flatnonzero(~infer_finite))
@@ -407,10 +413,106 @@ def test_load_rejects_params_of_another_shape() -> None:
     table.load(PolicyParams(np.zeros((8, 4))))
 
 
+def run_fixed_half(table: ContextTable) -> tuple:
+    """The table's arrays of one entry per row, built once: feature rows, fixed noise, successor bases, slot map."""
+    return table.feats, *table.fixed, table._after, table.slot
+
+
 def test_a_run_never_changes_the_table_shape() -> None:
-    """The state's table holds every task prompt from construction; a run reads it without adding a row."""
+    """The state's table holds every task prompt from construction; a run reads it without adding a row: its
+    run-fixed half keeps its arrays, one entry per row."""
     vocab, params, state, budget = trained_state(10, 0.2)
-    feats, cdf = state.table.feats, state.table.cdf
-    assert feats.shape[0] == cdf.shape[1] == len(all_prompt_ids(vocab)) * (vocab.size + 1) ** 2
+    fixed = run_fixed_half(state.table)
+    assert {a.shape[0] for a in fixed} == {len(all_prompt_ids(vocab)) * (vocab.size + 1) ** 2}
     train_loop(4, state, params, budget, ObjectiveConfig(group_size=2, learning_rate=0.5), make_probes(32, vocab, 10))
-    assert state.table.feats is feats and state.table.cdf is cdf
+    assert all(now is before for now, before in zip(run_fixed_half(state.table), fixed))
+
+
+def test_the_block_holds_the_rows_of_the_last_versions_pass(monkeypatch) -> None:
+    """After a run, the per-version block holds the rows of the last version's pass, in pass order, and no other;
+    no per-version array has an entry per table row and token."""
+    vocab, params, state, budget = trained_state(9, 0.2)
+    passes = []
+    evaluate = ContextTable._evaluate
+
+    def recording(table, rows):
+        passes.append(rows.copy())
+        return evaluate(table, rows)
+
+    monkeypatch.setattr(ContextTable, "_evaluate", recording)
+    train_loop(5, state, params, budget, ObjectiveConfig(group_size=2, learning_rate=0.5), make_probes(32, vocab, 9))
+    table, last = state.table, passes[-1]
+    assert len(passes) == 5
+    assert table.log_probs.shape[1] == table.probs.shape[1] == table.cdf.shape[1] == table._bad.size == last.size
+    assert table.slot[last].tolist() == list(range(last.size))
+    assert np.count_nonzero(table.slot >= 0) == last.size < table.feats.shape[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(vocab_size=st.integers(2, 9), scale=st.sampled_from([0.0, 0.22, 1.5]), overflow=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_check_after_a_load_holds_what_one_pass_over_both_holds(vocab_size, scale, overflow, seed) -> None:
+    """load(params, a), then check(b), holds bit for bit what load(params, a | b) holds, row by row, with the rows
+    of b that a missed in slots appended after a's, also when the check raises."""
+    rng = np.random.default_rng(seed)
+    tables = [ContextTable([100, 205], 16, vocab_size, infer_engine(scale, 7), 0.8) for _ in range(2)]
+    weights = rng.normal(size=(16, vocab_size)) * 10.0 ** rng.uniform(-2, 2)
+    if overflow:
+        weights[rng.integers(0, 16, 2)] = 1e308
+    params = PolicyParams(weights, 3)
+    n_rows = tables[0].feats.shape[0]
+    a, b = (np.flatnonzero(rng.random(n_rows) < rng.uniform()) for _ in range(2))
+    both = np.union1d(a, b)
+    tables[0].load(params, a)
+    try:
+        tables[0].check(b)
+    except NumericError:
+        assert overflow
+    tables[1].load(params, both)
+    assert tables[0].slot[a].tolist() == list(range(a.size))
+    assert tables[0].slot[np.setdiff1d(b, a)].tolist() == list(range(a.size, both.size))
+    for table in tables:
+        assert np.flatnonzero(table.slot >= 0).tolist() == both.tolist()
+    got, want = ((*table_rows(table, table.slot[both]), table._bad[table.slot[both]]) for table in tables)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_a_pass_holds_few_temporaries_beside_the_block_it_writes(monkeypatch) -> None:
+    """A table pass over 1,022 rows (14 prompts' readable windows at V = 8): its traced peak above its entry,
+    less the block it leaves allocated, stays below 7 (rows, V) float64 arrays.
+
+    The block is 5 such arrays: both engines' log-probs and probs, V - 1
+    CDF entries and a non-finite flag per row. Beside it the pass holds
+    the fixed noise of its rows and its flat fault indices (about 2.5
+    arrays) and the per-version normals' working set (about 3.4, numpy's
+    buffers of a broadcast add among them): 5.9. Writing the training and
+    inference logits where the log-probs go, and each engine's softmax in
+    place, leaves no (rows, V) logits or softmax output of its own; with
+    them, and the per-version normals beside the inference logits, the
+    pass peaked at 10.95 arrays.
+    """
+    vocab = Vocabulary(size=8)
+    params = init_params(vocab, n_features=512, init_scale=0.3, seed=3)
+    table = ContextTable(all_prompt_ids(vocab), params.n_features, vocab.size, infer_engine(0.22, 7), 1.0)
+    rows = table.readable_rows([(p, -1) for p in all_prompt_ids(vocab)[:14]])
+    assert rows.size == 1022
+    table.load(params, rows)
+    evaluate, held = ContextTable._evaluate, []
+
+    def traced(table, rows):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        evaluate(table, rows)
+        end, peak = tracemalloc.get_traced_memory()
+        held.append((peak - start, end - start))
+
+    monkeypatch.setattr(ContextTable, "_evaluate", traced)
+    tracemalloc.start()
+    try:
+        table.load(PolicyParams(params.weights, 1), rows)
+    finally:
+        tracemalloc.stop()
+    array = rows.size * vocab.size * 8
+    (peak, kept), = held
+    assert peak - kept < 7 * array, f"peak {peak / array:.2f}, kept {kept / array:.2f} arrays"
