@@ -34,19 +34,47 @@ Usage, from the repository root:
         {fingerprint: {"run/file": sha256}}} as JSON: the tokens entry and
         a manifest entry. NPY_DISABLE_CPU_FEATURES in the environment
         selects another dispatch, and so records another fingerprint.
+    python tests/replay.py run TREE RUN OUT
+        runs the set's run RUN once with TREE's src/ and configs/, writing
+        its config and outputs into OUT, and prints one JSON line: its
+        output hashes (with a schedule run's batches digest), its tokens
+        digest and the process's peak RSS (ru_maxrss, KB).
+    python tests/replay.py compare BASE_REV
+        prints a Markdown report of the working tree against BASE_REV. Both
+        sides run this checkout's replay set, each on its own configs/ and
+        src/: each run three times a side, each in a fresh `run` child.
+        Its tables: each output file (identical; config only, equal once
+        both sides drop the config a JSONL header or a report embeds, as a
+        config schema change leaves them; differing; or missing at one
+        side), the batches and tokens digests, each run's peak RSS (the
+        median of three a side), and the lines and code lines of each
+        src/mismatchlab/*.py and of tests/. Outputs may change on purpose,
+        so it always exits 0, and lists the runs that failed at each side.
+    python tests/replay.py lines [DIR ...]
+        prints the lines (wc -l) and code lines of each DIR/*.py and their
+        total (default: src/mismatchlab and tests). A code line holds a
+        token that is neither a comment nor part of a docstring, so a cut
+        made by trimming prose shows in the first count alone.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
+import io
 import json
+import statistics
+import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SET_PATH = Path(__file__).with_name("replay_set.json")
+PACKAGE = Path("src", "mismatchlab")
 
 
 def fingerprint() -> str:
@@ -168,6 +196,147 @@ def header(run_dir: Path) -> dict:
     return doc["config"]
 
 
+def counts(path: Path) -> tuple[int, int]:
+    """A file's lines (wc -l) and code lines, the lines that hold a token which is neither a comment nor part of a
+    docstring: 0 code lines if the file does not parse, and (0, 0) if there is no file."""
+    if not path.is_file():
+        return 0, 0
+    data = path.read_bytes()
+    source = data.decode("utf-8")
+    prose = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    try:
+        docstrings = [
+            ((doc.lineno, doc.col_offset), (doc.end_lineno, doc.end_col_offset))
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body
+            for doc in node.body[:1]
+            if isinstance(doc, ast.Expr) and isinstance(doc.value, ast.Constant) and isinstance(doc.value.value, str)
+        ]
+        code = set()
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type in prose or (tok.type == tokenize.STRING
+                                     and any(a <= tok.start and tok.end <= b for a, b in docstrings)):
+                continue
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    except (SyntaxError, tokenize.TokenError):
+        code = set()
+    return data.count(b"\n"), len(code)
+
+
+def total(paths) -> tuple[int, int]:
+    """The summed counts of paths."""
+    pairs = [counts(path) for path in paths]
+    return sum(lines for lines, _ in pairs), sum(code for _, code in pairs)
+
+
+def markdown(columns: list[str], rows: list[list]) -> None:
+    """Print a Markdown table, then a blank line."""
+    for cells in (columns, ["---"] * len(columns), *rows):
+        print("|", " | ".join(map(str, cells)), "|")
+    print()
+
+
+def config_only(name: str, base: bytes, head: bytes) -> bool:
+    """Whether two copies of output file name are equal once each drops the config it embeds: the config key of a
+    .jsonl file's header line, or of a .json report. Copies that are not JSON objects are not."""
+    def dropped(data: bytes) -> str:
+        text = data.decode("utf-8")
+        first, sep, rest = text.partition("\n") if name.endswith(".jsonl") else (text, "", "")
+        return json.dumps({key: value for key, value in json.loads(first).items() if key != "config"}) + sep + rest
+
+    try:
+        return dropped(base) == dropped(head)
+    except (ValueError, AttributeError):  # not UTF-8, not JSON, or not a JSON object
+        return False
+
+
+def results(base: dict, head: dict, near=lambda *_: False) -> dict[str, str]:
+    """How head's value of each key of either side, in sorted order, compares with base's: missing at base, missing at
+    head, identical, config only (the values differ and near(key, base value, head value) holds) or differing."""
+    found = {}
+    for key in sorted(base.keys() | head.keys()):
+        if key not in base:
+            found[key] = "missing at base"
+        elif key not in head:
+            found[key] = "missing at head"
+        elif base[key] == head[key]:
+            found[key] = "identical"
+        else:
+            found[key] = "config only" if near(key, base[key], head[key]) else "differing"
+    return found
+
+
+def digest_table(heading: str, base: dict[str, str], head: dict[str, str]) -> None:
+    """Print how each digest compares, with the first 12 hex digits of each side's."""
+    def cell(digest: str | None) -> str:
+        return "n/a" if digest is None else f"`{digest[:12]}`"
+
+    markdown([heading, "base", "head", "result"],
+             [[f"`{key}`", cell(base.get(key)), cell(head.get(key)), found]
+              for key, found in results(base, head).items()])
+
+
+class Side(NamedTuple):
+    outputs: dict[str, bytes]  # by "run/file", from each run's first execution
+    digests: dict[str, str]  # "run/batches" and "run/tokens", from each run's first execution
+    rss: dict[str, list[int]]  # each run's peak RSS (ru_maxrss, KB), one per execution that succeeded
+    failed: list[str]  # the runs whose first execution failed
+
+
+def run_side(tree: Path, out: Path) -> Side:
+    """Run each run of this checkout's replay set three times with tree's src/ and configs/, each execution in a fresh
+    `run` child; the first writes its config and outputs into out."""
+    digests, rss, failed = {}, {}, []
+    for run in load_set()["runs"]:
+        for execution in range(3):
+            with tempfile.TemporaryDirectory() as scratch:
+                child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "run", str(tree), run["name"],
+                                        str(out if execution == 0 else scratch)], capture_output=True, text=True)
+            if child.returncode == 0:
+                line = json.loads(child.stdout)
+                rss.setdefault(run["name"], []).append(line["maxrss"])
+                if execution == 0:
+                    digests.update(line["tokens"])
+                    digests.update((key, sha) for key, sha in line["hashes"].items() if key.endswith("/batches"))
+            elif execution == 0:
+                failed.append(run["name"])
+    outputs = {path.relative_to(out).as_posix(): path.read_bytes() for path in out.glob("*/*") if path.is_file()}
+    return Side(outputs, digests, rss, failed)
+
+
+def compare(base_rev: str) -> None:
+    """Print the report of the working tree against base_rev (see the module docstring)."""
+    with tempfile.TemporaryDirectory() as work:
+        base_tree = Path(work, "base")
+        base_tree.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", base_rev], capture_output=True)
+        if archive.returncode or subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive.stdout).returncode:
+            print(f"Could not check out {base_rev}; no byte-identity report.")
+            return
+        base, head = run_side(base_tree, Path(work, "base_out")), run_side(ROOT, Path(work, "head_out"))
+        print(f"### Output bytes against {base_rev}\n")
+        markdown(["output", "result"],
+                 [[f"`{name}`", found] for name, found in results(base.outputs, head.outputs, config_only).items()])
+        for heading, suffix in (("emitted batches", "/batches"), ("sampled streams", "/tokens")):
+            digest_table(heading, *({key: sha for key, sha in side.digests.items() if key.endswith(suffix)}
+                                    for side in (base, head)))
+        rss = []
+        for name in sorted(base.rss.keys() | head.rss.keys()):
+            b, h = (statistics.median(side.rss[name]) / 1024 if name in side.rss else None for side in (base, head))
+            rss.append([f"`{name}`", *("n/a" if mb is None else f"{mb:.2f}" for mb in (b, h)),
+                        "n/a" if b is None or h is None else f"{h - b:+.2f}"])
+        markdown(["run", "base peak RSS (MB, median of 3)", "head peak RSS (MB, median of 3)", "change"], rss)
+        names = sorted({path.name for tree in (base_tree, ROOT) for path in (tree / PACKAGE).glob("*.py")})
+        sizes = [[f"`{name}`", counts(base_tree / PACKAGE / name), counts(ROOT / PACKAGE / name)] for name in names]
+        for label, folder in (("total", PACKAGE), ("`tests/` total", Path("tests"))):
+            sizes.append([label, total((base_tree / folder).glob("*.py")), total((ROOT / folder).glob("*.py"))])
+        markdown(["source file", "base lines", "head lines", "change", "base code lines", "head code lines", "change"],
+                 [[label, b[0], h[0], h[0] - b[0], b[1], h[1], h[1] - b[1]] for label, b, h in sizes])
+    for name, side in (("base", base), ("head", head)):
+        if side.failed:
+            print(f"Commands that failed at {name}: {' '.join(side.failed)}")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "configs":
         for run in load_set()["runs"]:
@@ -186,6 +355,26 @@ def main(argv: list[str]) -> int:
                 hashes.update(run_files)
                 tokens.update(run_tokens)
         print(json.dumps({"tokens": tokens, "manifest": {fingerprint(): hashes}}, indent=2))
+        return 0
+    if len(argv) == 4 and argv[0] == "run":
+        import resource
+
+        tree = Path(argv[1]).resolve()
+        sys.path.insert(0, str(tree / "src"))
+        run = next(entry for entry in load_set()["runs"] if entry["name"] == argv[2])
+        with contextlib.redirect_stdout(sys.stderr):
+            hashes, tokens = run_hashes(run, tree, Path(argv[3]))
+        print(json.dumps({"hashes": hashes, "tokens": tokens,
+                          "maxrss": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+        return 0
+    if len(argv) == 2 and argv[0] == "compare":
+        compare(argv[1])
+        return 0
+    if argv[:1] == ["lines"]:
+        for folder in [Path(arg) for arg in argv[1:]] or [PACKAGE, Path("tests")]:
+            paths = sorted(folder.glob("*.py"))
+            markdown([f"`{folder}/`", "lines", "code lines"],
+                     [[f"`{path.name}`", *counts(path)] for path in paths] + [["total", *total(paths)]])
         return 0
     print(__doc__, file=sys.stderr)
     return 2

@@ -10,7 +10,8 @@ import pytest
 
 from mismatchlab import Algo, BiasMode, load_config
 from mismatchlab.policy import ContextTable
-from replay import ROOT, anchor_values, fingerprint, header, load_set, run_hashes, write_config
+from replay import (ROOT, anchor_values, config_only, counts, digest_table, fingerprint, header, load_set, results,
+                    run_hashes, write_config)
 
 REPLAY_SET = load_set()
 
@@ -83,3 +84,50 @@ def test_the_replay_set_runs_every_objective_and_mode_choice(tmp_path) -> None:
 def test_header_reads_back_the_config_a_run_embeds(replay_run) -> None:
     run, *_, out = replay_run
     assert header(out / run["name"]) == load_config(out / f"{run['name']}.json").to_dict()
+
+
+@pytest.mark.parametrize(("name", "base", "head", "want"), [
+    ("metrics.jsonl", b'{"config": {"seed": 1}, "kind": "header"}\n{"x": 1}\n',
+     b'{"config": {"seed": 2}, "kind": "header"}\n{"x": 1}\n', "config only"),
+    ("summary.json", b'{"config": {"seed": 1}, "x": 1}', b'{"x": 1, "config": {"seed": 2}}', "config only"),
+    ("metrics.jsonl", b'{"config": {"seed": 1}}\n{"x": 1}\n', b'{"config": {"seed": 2}}\n{"x": 2}\n', "differing"),
+    ("summary.json", b'{"config": {"seed": 1}, "x": 1}', b'{"config": {"seed": 2}, "x": 2}', "differing"),
+    ("summary.json", b"[1, 2]", b"[1, 3]", "differing"),
+    ("notes.txt", b"config: 1", b"config: 2", "differing"),
+])
+def test_compare_calls_a_file_config_only_when_only_its_embedded_config_differs(name, base, head, want) -> None:
+    assert results({name: base}, {name: head}, config_only) == {name: want}
+
+
+def test_the_code_line_counter_skips_docstrings_comments_and_blank_lines(tmp_path) -> None:
+    source = tmp_path / "source.py"
+    source.write_text('''"""A module docstring
+over two lines."""
+
+# a comment
+class A:
+    """A class docstring."""
+
+    def f(self, x):  # a trailing comment
+        """A method docstring."""
+        return """a string
+that is code"""
+''', encoding="utf-8")
+    assert counts(source) == (11, 4)
+    source.write_text("def f(:\n    pass\n", encoding="utf-8")
+    assert counts(source) == (2, 0)
+    assert counts(tmp_path / "missing.py") == (0, 0)
+
+
+def test_compare_tables_list_what_one_side_lacks(capsys) -> None:
+    digest_table("emitted batches", {"a/batches": "a" * 64, "b/batches": "b" * 64, "c/batches": "c" * 64},
+                 {"b/batches": "b" * 64, "c/batches": "d" * 64, "d/batches": "e" * 64})
+    assert capsys.readouterr().out.splitlines() == [
+        "| emitted batches | base | head | result |",
+        "| --- | --- | --- | --- |",
+        f"| `a/batches` | `{'a' * 12}` | n/a | missing at head |",
+        f"| `b/batches` | `{'b' * 12}` | `{'b' * 12}` | identical |",
+        f"| `c/batches` | `{'c' * 12}` | `{'d' * 12}` | differing |",
+        f"| `d/batches` | n/a | `{'e' * 12}` | missing at base |",
+        "",
+    ]
