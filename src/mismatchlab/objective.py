@@ -185,9 +185,9 @@ def objective_and_grad(
     The gradient works on the batch's distinct table rows, not its tokens:
     a row's is sum(c e_token) - sum(c) p_row, both sums in token order.
     The value is folded, and the per-token intermediates released, before
-    the scatter onto the feature rows, whose (rows, 4, V) arrays are the
-    call's largest: at the scatter it holds no per-token array that it
-    does not return or still read.
+    the scatter onto the feature rows, which adds in place (weight_grad):
+    at the scatter it holds no per-token array that it does not return or
+    still read.
     """
     lengths, group_size = batch.lengths, batch.group_size
     if not lengths.size:

@@ -277,13 +277,13 @@ def weight_grad(feats: np.ndarray, grad_logits: np.ndarray, n_features: int) -> 
 
     Each row of grad_logits is added onto the feature rows its row of the
     (N, slots) feats lists (duplicates counted), slot by slot, then row by
-    row: the order of np.add.at over each slot column, which np.bincount
-    keeps, so the float result is bit-identical to that loop.
+    row, by np.add.at over each slot column: in place, so its scratch is
+    a slot's column of indices, not a copy of grad_logits per slot.
     """
-    width = grad_logits.shape[1]
-    idx = feats.T[:, :, None] * width + np.arange(width)
-    grad = np.bincount(idx.ravel(), weights=np.broadcast_to(grad_logits, idx.shape).ravel(), minlength=n_features * width)
-    return grad.reshape(n_features, width)
+    grad = np.zeros((n_features, grad_logits.shape[1]))
+    for slot in range(feats.shape[1]):
+        np.add.at(grad, feats[:, slot], grad_logits)
+    return grad
 
 
 def _heavy_normals(keys: np.ndarray, cols: np.ndarray, cuts, gains, out=None) -> np.ndarray:

@@ -57,9 +57,11 @@ of its stream default_rng(SeedSequence((seed & MASK64, 2, uid))), bit
 for bit, which defines replay. seed_sequence_states runs numpy's
 SeedSequence hash over each block of 1,024 uids at once, and
 pcg64_uniforms gives every draw of a spawn's rollouts in array passes of
-at most _DRAW_PASS draws: PCG64's LCG jumps from each stream's state
-straight to the state of each draw (128-bit states as uint64 hi/lo
-pairs), whatever the rollout's length.
+at most _DRAW_PASS (2,048) draws: PCG64's LCG jumps from each stream's
+state straight to the state of each draw (128-bit states as uint64
+hi/lo pairs), whatever the rollout's length. So a pass's temporaries,
+about 24 arrays of its draws, stay near 400 KB, where one pass over a
+long-tail spawn's 4,500 or so draws would hold 0.9 MB.
 """
 
 from __future__ import annotations
@@ -283,7 +285,7 @@ def seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
 
 
 _UID_BLOCK = 1024  # divides 2**32, so only a uid's low word varies within a block
-_DRAW_PASS = 8192  # the most uniforms pcg64_uniforms computes in one array pass
+_DRAW_PASS = 2048  # the most uniforms pcg64_uniforms computes in one array pass
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG_DEFAULT_MULTIPLIER_128
 _MASK128 = (1 << 128) - 1
 # A jump table's column n holds the hi and lo words of A**n and of C_n = the sum of A**j over j < n, mod 2**128,
@@ -340,8 +342,9 @@ def pcg64_uniforms(seed_states: np.ndarray, counts, jumps: np.ndarray) -> tuple[
     128-bit products on uint64 (hi, lo) words, then the XSL-RR output
     and (x >> 11) * 2**-53. A row that a pass leaves unfinished jumps its
     x by the draws it made there, so the next pass counts its steps from
-    its first draw in that pass: neither the temporaries nor the table
-    grow past _DRAW_PASS draws, however long a row is.
+    its first draw in that pass: the temporaries, about 24 arrays of the
+    pass's draws, and the table stop at _DRAW_PASS draws, however long a
+    row or the whole draw is.
     """
     counts = np.asarray(counts, dtype=np.intp)
     jumps = _jump_table(jumps, min(counts.max(initial=0), _DRAW_PASS) + 2)

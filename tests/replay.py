@@ -64,8 +64,6 @@ import contextlib
 import hashlib
 import io
 import json
-import statistics
-import subprocess
 import sys
 import tempfile
 import tokenize
@@ -286,6 +284,8 @@ class Side(NamedTuple):
 def run_side(tree: Path, out: Path) -> Side:
     """Run each run of this checkout's replay set three times with tree's src/ and configs/, each execution in a fresh
     `run` child; the first writes its config and outputs into out."""
+    import subprocess
+
     digests, rss, failed = {}, {}, []
     for run in load_set()["runs"]:
         for execution in range(3):
@@ -306,6 +306,9 @@ def run_side(tree: Path, out: Path) -> Side:
 
 def compare(base_rev: str) -> None:
     """Print the report of the working tree against base_rev (see the module docstring)."""
+    import statistics
+    import subprocess
+
     with tempfile.TemporaryDirectory() as work:
         base_tree = Path(work, "base")
         base_tree.mkdir()

@@ -32,7 +32,7 @@ from mismatchlab import (
 )
 from mismatchlab import objective
 from mismatchlab.objective import LossBreakdown, batch_group_advantages
-from mismatchlab.policy import ContextTable, batched_log_softmax, batched_train_logits, context_rows, feature_rows
+from mismatchlab.policy import ContextTable, batched_log_softmax, batched_train_logits, context_rows, feature_rows, weight_grad
 from mismatchlab.tasks import TaskKind, all_prompt_ids
 from oracles import group_advantages, reference_objective, shifted_rows
 
@@ -637,9 +637,24 @@ def test_objective_holds_no_array_of_tokens_by_vocabulary() -> None:
     assert peak < tokens.size * vocab.size * 8, f"peak {peak / 1024:.0f} KB"
 
 
-def test_objective_frees_its_per_token_intermediates_before_the_scatter(monkeypatch) -> None:
+def long_batch() -> tuple[PolicyParams, ContextTable, RolloutBatch]:
     """12 groups of 8 rollouts, each group of its own prompt, of 1 to 120 uniform tokens at V = 8: 6,047 tokens
-    on 838 table rows, about schedule_longtail's largest batch (6,082 tokens on 803 rows).
+    on 838 table rows, about schedule_longtail's largest batch (6,082 tokens on 803 rows)."""
+    vocab = Vocabulary(size=8)
+    theta = init_params(vocab, n_features=512, init_scale=0.3, seed=11)
+    table, rng, rollouts = new_table(theta), np.random.default_rng(5), []
+    for prompt_id in rng.choice(all_prompt_ids(vocab), 12, replace=False).tolist():
+        for n in rng.integers(1, 121, 8).tolist():
+            lp_train = rng.normal(-1.5, 0.3, n)
+            tokens = rng.integers(0, 8, n).tolist()
+            rollouts.append((prompt_id, tokens, (lp_train - rng.normal(0, 0.3, n)).tolist(), lp_train.tolist(), [0] * n))
+    batch = batch_of(rollouts, rng.normal(size=96), 8, table)
+    assert (batch.tokens.size, np.unique(batch.rows).size) == (6047, 838)
+    return theta, table, batch
+
+
+def test_objective_frees_its_per_token_intermediates_before_the_scatter(monkeypatch) -> None:
+    """long_batch's 6,047 tokens on 838 rows, about schedule_longtail's largest batch.
 
     After a warm-up call, the memory held when objective_and_grad calls
     weight_grad, above the call's start, stays below 9 per-token float64
@@ -652,16 +667,7 @@ def test_objective_frees_its_per_token_intermediates_before_the_scatter(monkeypa
     factor, unclipped, clipped and coeffs, 8 arrays, two bool masks and
     one_hot) alive across the scatter holds 17.6.
     """
-    vocab = Vocabulary(size=8)
-    theta = init_params(vocab, n_features=512, init_scale=0.3, seed=11)
-    table, rng, rollouts = new_table(theta), np.random.default_rng(5), []
-    for prompt_id in rng.choice(all_prompt_ids(vocab), 12, replace=False).tolist():
-        for n in rng.integers(1, 121, 8).tolist():
-            lp_train = rng.normal(-1.5, 0.3, n)
-            tokens = rng.integers(0, 8, n).tolist()
-            rollouts.append((prompt_id, tokens, (lp_train - rng.normal(0, 0.3, n)).tolist(), lp_train.tolist(), [0] * n))
-    batch = batch_of(rollouts, rng.normal(size=96), 8, table)
-    assert (batch.tokens.size, np.unique(batch.rows).size) == (6047, 838)
+    theta, table, batch = long_batch()
     scatter, held = objective.weight_grad, []
 
     def recording_scatter(*args):
@@ -678,6 +684,29 @@ def test_objective_frees_its_per_token_intermediates_before_the_scatter(monkeypa
     finally:
         tracemalloc.stop()
     assert held[-1] - start < 9 * batch.tokens.size * 8, f"held {(held[-1] - start) / 1024:.0f} KB"
+
+
+def test_weight_grad_adds_in_place_on_the_long_batch() -> None:
+    """weight_grad of long_batch's 838 rows at V = 8 onto 512 feature rows, as objective_and_grad calls it.
+
+    After a warm-up call, its traced peak above its entry, its 32 KB
+    result included, stays below one (rows, V) float64 array, 53,632
+    bytes: np.add.at adds each slot's column of feature indices in place.
+    Building a (4, rows, V) index and a copy of the weights per slot, as
+    one bincount needs, peaks at 12.6 arrays.
+    """
+    theta, table, batch = long_batch()
+    rows = np.unique(batch.rows)
+    feats, grad_logits = table.feats[rows], np.random.default_rng(3).normal(size=(rows.size, 8))
+    weight_grad(feats, grad_logits, theta.n_features)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        weight_grad(feats, grad_logits, theta.n_features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < grad_logits.nbytes, f"peak {(peak - start) / 1024:.0f} KB"
 
 
 def test_value_folds_each_rollouts_tokens_in_order() -> None:

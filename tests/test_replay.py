@@ -3,6 +3,8 @@ the manifest's SHA-256 of each output file."""
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -117,6 +119,15 @@ that is code"""
     source.write_text("def f(:\n    pass\n", encoding="utf-8")
     assert counts(source) == (2, 0)
     assert counts(tmp_path / "missing.py") == (0, 0)
+
+
+def test_a_fresh_replay_import_loads_no_module_of_compare_alone() -> None:
+    """statistics and subprocess, which numpy does not load, are imported where compare runs: a `run` child then
+    holds neither, and its peak RSS reads closer to the lab's own."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy, replay; "
+            "print(*{'statistics', 'subprocess'} & sys.modules.keys())")
+    child = subprocess.run([sys.executable, "-c", code, str(ROOT / "tests")], capture_output=True, text=True, check=True)
+    assert child.stdout.split() == []
 
 
 def test_compare_tables_list_what_one_side_lacks(capsys) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -933,17 +934,44 @@ def test_rollout_uniforms_match_numpy_as_the_jump_table_grows() -> None:
     assert widths == [5, 602, 602]
 
 
-@pytest.mark.parametrize("draw_pass", [1, 4, 5, 64])
-def test_rollout_uniforms_in_passes_match_numpy(monkeypatch, draw_pass: int) -> None:
-    """With a small pass, rows that end at a pass edge, straddle one or span several, and empty rows, draw what
-    each uid's tuple-seeded generator draws; the jump table stops at the pass size plus 2 columns."""
+@pytest.mark.parametrize("draw_pass, scale",
+                         [(1, 1), (4, 1), (5, 1), (64, 1), (scheduler._DRAW_PASS, scheduler._DRAW_PASS // 4)])
+def test_rollout_uniforms_in_passes_match_numpy(monkeypatch, draw_pass: int, scale: int) -> None:
+    """With a small pass, or the module's own with the counts scaled to it, rows that end at a pass edge,
+    straddle one or span several, and empty rows, draw what each uid's tuple-seeded generator draws; the jump
+    table stops at the pass size plus 2 columns."""
     monkeypatch.setattr(scheduler, "_DRAW_PASS", draw_pass)
-    counts = [0, 3, 2, 5, 6, 0, 11, 1, 4, 23, 5, 40]
+    counts = [scale * n for n in (0, 3, 2, 5, 6, 0, 11, 1, 4, 23, 5, 40)]
     source, first_uid = RolloutUniforms(-3), 4088  # the uids run into the next block
     want = [np.random.default_rng(np.random.SeedSequence((-3 & (2**64 - 1), 2, first_uid + i))).random(n)
             for i, n in enumerate(counts)]
     assert source.draw(first_uid, counts).tobytes() == np.concatenate(want).tobytes()
     assert source._jumps.shape[1] == min(draw_pass, max(counts)) + 2
+
+
+def test_a_long_draw_holds_one_pass_of_temporaries() -> None:
+    """One draw of 96 rollouts of 5 * _DRAW_PASS // 192 uniforms each, 5,088 at a pass of 2,048: a long-tail
+    spawn's, over 3 passes.
+
+    After a warm-up draw, which grows the jump table and computes the
+    uid block's seed states, the traced peak of one draw above its entry,
+    less the result, stays below 30 float64 arrays of one pass: a pass
+    holds 24.6. One pass over all the draws holds about 20 arrays of the
+    draws, 50 of a pass.
+    """
+    draw_pass = scheduler._DRAW_PASS
+    counts = np.full(96, 5 * draw_pass // 192)
+    assert -(-counts.sum() // draw_pass) >= 3
+    source = RolloutUniforms(7)
+    source.draw(0, counts)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        uniforms = source.draw(96, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start - uniforms.nbytes) / (8 * draw_pass) < 30, f"peak {(peak - start) / 1024:.0f} KB"
 
 
 def test_lognormal_targets_round_as_the_scalar_form() -> None:
