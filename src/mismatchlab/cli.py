@@ -4,10 +4,13 @@ Commands are non-interactive and fully seeded: train writes one JSONL
 metrics row per iteration plus a summary document, schedule compares the
 budget-partitioned scheduler against the single-pass baseline on shared
 seeds, compounding runs the discrepancy-growth dynamics experiment, and
-sweep compares masking-bound settings. Every training run, including the
-sweep's settings and compounding's rl_loop mode, is set up from its
-config by one helper, _train_run; a command derives that config with
-dataclasses.replace, so the sections check their own invariants again.
+sweep compares masking-bound settings. COMMANDS maps each command name
+to its function, for the parser and the dispatch alike. Every run's
+vocabulary, engine, initial params and probes come from one helper,
+_setup, and every training run, including the sweep's settings and
+compounding's rl_loop mode, is set up from its config by one more,
+_train_run; a command derives that config with dataclasses.replace, so
+the sections check their own invariants again.
 A run is a fold: train_loop keeps nothing per iteration, so each command
 folds what it writes (rows, sums, lists of scalars) in its on_step. One
 writer, _Output, owns each command's output: the out dir, the JSONL
@@ -121,28 +124,33 @@ class _Output:
         return False
 
 
-def _train_run(
-    cfg: ExperimentConfig, source: SyntheticPromptSource | None = None, baseline: bool = False, on_step=None, probes=None
-) -> PolicyParams:
-    """Train run.n_iterations iterations as cfg sets them up, all seeded by cfg.seed.
-
-    The prompts come from source, by default the task distribution up to
-    tasks.max_len, and the probes are make_probes' for cfg unless given.
-    train_loop keeps nothing per iteration: on_step gets each one, and
-    is where a caller folds what it writes. The run starts through the
-    module-level name train_loop, so a wrapper bound there (as
-    perfbench/child.py binds one) sees every run start. Returns the
-    final parameters; the scheduler state, which holds the run's context
-    table, is freed on return.
-    """
+def _setup(cfg: ExperimentConfig, probes=None) -> tuple:
+    """(vocabulary, inference engine, initial params, probes) of cfg, all seeded by cfg.seed; the probes are
+    make_probes' unless given. It calls infer_engine, init_params and make_probes by this module's names, where
+    perfbench/child.py and the tests wrap them."""
     vocab = _vocab(cfg)
     infer = infer_engine(cfg.mismatch.scale, cfg.mismatch.seed)
     params = init_params(vocab, cfg.policy.n_features, cfg.policy.init_scale, cfg.seed)
+    return vocab, infer, params, make_probes(cfg.run.n_probes, vocab, cfg.seed) if probes is None else probes
+
+
+def _train_run(
+    cfg: ExperimentConfig, source: SyntheticPromptSource | None = None, baseline: bool = False, on_step=None, probes=None
+) -> PolicyParams:
+    """Train run.n_iterations iterations as cfg and _setup set them up.
+
+    The prompts come from source, by default the task distribution up to
+    tasks.max_len. train_loop keeps nothing per iteration: on_step gets
+    each one, and is where a caller folds what it writes. The run starts
+    through the module-level name train_loop, so a wrapper bound there
+    (as perfbench/child.py binds one) sees every run start. Returns the
+    final parameters; the scheduler state, which holds the run's context
+    table, is freed on return.
+    """
+    vocab, infer, params, probes = _setup(cfg, probes)
     if source is None:
         source = SyntheticPromptSource(vocab, max_len=cfg.tasks.max_len)
     state = SchedulerState(vocab, source, cfg.seed, cfg.policy.n_features, infer, cfg.policy.temperature)
-    if probes is None:
-        probes = make_probes(cfg.run.n_probes, vocab, cfg.seed)
     return train_loop(
         cfg.run.n_iterations, state, params, cfg.budget, cfg.objective, probes, baseline=baseline, on_step=on_step
     )
@@ -268,10 +276,7 @@ def cmd_compounding(cfg: ExperimentConfig, out_dir: Path) -> int:
             _train_run(dataclasses.replace(cfg, objective=objective, run=run), on_step=fold)
             fit = fit_affine_trace(deltas, grad_norms, comp.mu)
         else:
-            vocab = _vocab(cfg)
-            infer = infer_engine(cfg.mismatch.scale, cfg.mismatch.seed)
-            params = init_params(vocab, cfg.policy.n_features, cfg.policy.init_scale, cfg.seed)
-            probes = make_probes(cfg.run.n_probes, vocab, cfg.seed)
+            _, infer, params, probes = _setup(cfg)
             fit = compounding_experiment(
                 params,
                 comp.mu,
@@ -333,6 +338,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
+COMMANDS = {"train": cmd_train, "schedule": cmd_schedule, "compounding": cmd_compounding, "sweep": cmd_sweep}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mismatchlab",
@@ -340,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scheduler comparisons, discrepancy dynamics, masking sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "schedule", "compounding", "sweep"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", required=True, help="output directory for metrics/reports")
@@ -350,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name == "train":
             p.add_argument("--iterations", type=int, default=None, help="override run.n_iterations")
-            p.add_argument("--algo", choices=["icepop", "grpo", "tis"], default=None)
+            p.add_argument("--algo", choices=[a.value for a in Algo], default=None)
         if name == "schedule":
             # schedule runs its seeds in one process, so only 1 is valid; the flag stays because the
             # benchmark harness (perfbench/run.py) passes --jobs 1.
@@ -371,14 +379,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = dataclasses.replace(cfg, objective=dataclasses.replace(cfg.objective, algo=Algo(args.algo)))
         if getattr(args, "jobs", 1) != 1:
             raise ConfigError("--jobs must be 1: schedule runs its seeds in one process")
-        out_dir = Path(args.out)
-        if args.command == "train":
-            return cmd_train(cfg, out_dir)
-        if args.command == "schedule":
-            return cmd_schedule(cfg, out_dir)
-        if args.command == "compounding":
-            return cmd_compounding(cfg, out_dir)
-        return cmd_sweep(cfg, out_dir)
+        return COMMANDS[args.command](cfg, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -164,8 +164,8 @@ def measure(
 ) -> DiscrepancySample:
     """Probe-set discrepancy of params, recorded as step, by delta_and_gap: of the probes evaluated as the
     compounding experiment evaluates them, or, with a context table (of infer at temperature, holding the
-    probes' prompts), of their rows' slots gathered once from its block at params, the same bits. rows, when given,
-    are the probes' rows (ContextTable.rows of probe_windows), built once by a caller that measures them."""
+    probes' prompts) and rows, the probes' rows (ContextTable.rows of probe_windows), of their rows' slots gathered
+    once from its block at params, the same bits."""
     if table is None:
         evaluation = evaluate_probes(probe_set(probes, params, infer, temperature), params)
         return DiscrepancySample(step, *delta_and_gap(evaluation.log_probs, evaluation.probs))
@@ -173,8 +173,6 @@ def measure(
         raise ValueError("probe set must be non-empty")
     if table.infer != infer or table.temperature != temperature:
         raise ValueError("context table is of another engine or temperature")
-    if rows is None:
-        rows = table.rows(*probe_windows(probes))
     table.load(params)
     slots = table.check(rows)
     return DiscrepancySample(step, *delta_and_gap(table.log_probs.take(slots, axis=1), table.probs.take(slots, axis=1)))

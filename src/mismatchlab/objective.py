@@ -7,12 +7,17 @@ the clipped importance-weighted advantage:
     value_t = m_t * min(r_t * A, clip(r_t, 1-eps, 1+eps) * A)
 
 where the calibration ratio c_t = pi_train(old) / pi_infer(old) and the
-importance ratio r_t = pi_train(theta) / pi_train(old). The mode decides
-m_t: the masked variant keeps c_t inside [alpha, beta] and zeroes it
-outside; the unmasked variant uses c_t as-is; the truncated variant caps
-it at a constant. m_t and the advantage are treated as constants in the
-gradient. It reads a RolloutBatch, the emitted rollouts as flat arrays,
-and pi_train(theta) from the ContextTable row each token was sampled at.
+importance ratio r_t = pi_train(theta) / pi_train(old). objective.algo
+decides m_t:
+
+    icepop  m_t = c_t inside [alpha, beta], and 0 outside
+    grpo    m_t = c_t, uncapped: full importance correction, not the
+            uncorrected baseline (m_t = 1)
+    tis     m_t = min(c_t, tis_cap)
+
+m_t and the advantage are treated as constants in the gradient. It reads
+a RolloutBatch, the emitted rollouts as flat arrays, and pi_train(theta)
+from the ContextTable row each token was sampled at.
 Aggregation is token-mean within a rollout, mean over the group, mean
 over groups; each rollout's tokens are summed in order, so results are
 bit-stable. Tokens at one table row share its features and probs, so the

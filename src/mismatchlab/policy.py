@@ -27,8 +27,8 @@ logits for a RowSet (a fixed list of contexts hashed once, evaluated at
 any params of one shape), computing each engine's logits where its
 log-probs go and its softmax in place. A training run's ContextTable is
 the RowSet of every prompt's (prev, last) windows; per parameter version
-it holds one block of the rows the run can read, in the order it
-evaluated them, and a map from row to slot, through which sampling, the
+it holds one block of the rows the run can read, in row order, written
+by one pass, and a map from row to slot, through which sampling, the
 objective and the probe measure gather. Sampling is inverse-CDF: a token
 is the count of the row's first V - 1 inference CDF entries at or below
 its uniform, which the block keeps token-major, one (V - 1, slots)
@@ -487,26 +487,29 @@ class ContextTable(RowSet):
     it never reads past.
 
     The per-version half is one block of slots, one per row evaluated at
-    the loaded params, in the order the passes evaluated them, and the
-    row-to-slot map slot, -1 for a row not evaluated. The block's
-    views: log_probs and probs, (2, slots, V), training engine first;
-    cdf, (V - 1, slots), token-major: cdf[k, slot] is the sum of the
-    slot's first k + 1 inference probs, in order (np.cumsum), so a batch
-    of slots is one take along axis 1 (the last running sum is not kept:
-    the count of entries at or below a uniform is clamped at V - 1
-    anyway); and per slot how many engines have non-finite logits: 0, 1
-    (inference) or 2 (both; inference reads training). load(params, rows)
-    loads params, freeing the block, and evaluates rows in one pass, which
-    writes a new block in place: the rollout loop passes every row the
-    version can read. check(rows), the one read gate, evaluates the
-    requested rows a pass missed, in one more pass that appends their
-    slots, then raises NumericError with the direct path's messages if a
-    row's training or inference logits are non-finite, and otherwise
-    returns the rows' slots; a context the run never reads cannot fail
-    it. Not a first-touch table: a pass costs a few hundred microseconds
-    however few its rows, which one pass per version pays once and
-    first-touch evaluation pays on most reads. Loaded params must not
-    change in place.
+    the loaded params, in row order, and the row-to-slot map slot, -1 for
+    a row not evaluated. The block's views: log_probs and probs, (2,
+    slots, V), training engine first; cdf, (V - 1, slots), token-major:
+    cdf[k, slot] is the sum of the slot's first k + 1 inference probs, in
+    order (np.cumsum), so a batch of slots is one take along axis 1 (the
+    last running sum is not kept: the count of entries at or below a
+    uniform is clamped at V - 1 anyway); and per slot how many engines
+    have non-finite logits: 0, 1 (inference) or 2 (both; inference reads
+    training). A pass writes a new block of exactly the rows it
+    evaluates. load(params, rows) loads params, freeing the block, and
+    evaluates rows in one pass: the rollout loop passes every row the
+    version can read. A load at the loaded params that meets rows not yet
+    evaluated evaluates them with the rows evaluated before, in one pass
+    over both: a row is a pure function of its context and the params, so
+    it keeps its bits, but its slot may move. check(rows), the one read
+    gate, has load evaluate any requested row a pass missed, then raises
+    NumericError with the direct path's messages if a row's training or
+    inference logits are non-finite, and otherwise returns the rows'
+    slots, which hold until the next pass; a context the run never reads
+    cannot fail it. Not a first-touch table: a pass costs a few hundred
+    microseconds however few its rows, which one pass per version pays
+    once and first-touch evaluation pays on most reads. Loaded params must
+    not change in place.
     """
 
     def __init__(self, prompt_ids, n_features: int, vocab_size: int, infer: Engine, temperature: float) -> None:
@@ -555,7 +558,8 @@ class ContextTable(RowSet):
         return self._after[rows] + tokens
 
     def load(self, params: PolicyParams, rows=()) -> None:
-        """Load params, unless they are loaded, then evaluate those of rows not yet evaluated, in one pass."""
+        """Load params, unless they are loaded; then, if rows holds a row not yet evaluated, evaluate it with every row
+        evaluated before, in one pass."""
         if params is not self.params:
             if params.vocab_size != self.vocab_size:
                 raise ValueError(f"params have vocabulary {params.vocab_size}, the table {self.vocab_size}")
@@ -565,16 +569,16 @@ class ContextTable(RowSet):
             self.slot.fill(-1)
             self._new_block(0)
         if len(rows):
-            missing = np.zeros(self.slot.size, dtype=bool)
-            missing[np.asarray(rows, dtype=np.intp)] = True
-            missing &= self.slot < 0
-            if missing.any():
-                self._evaluate(np.flatnonzero(missing))
+            wanted = self.slot >= 0
+            wanted[np.asarray(rows, dtype=np.intp)] = True
+            if np.count_nonzero(wanted) > self._bad.size:
+                self._evaluate(np.flatnonzero(wanted))
 
     def check(self, rows: np.ndarray, ticks: np.ndarray | None = None) -> np.ndarray:
-        """The rows' slots, once the rows not yet evaluated are, in one pass; raises NumericError if a row's
-        training logits (the direct path's message), or else its inference logits, are non-finite. Given ticks,
-        rows[i] is read at tick ticks[i], and only the reads of the first tick that reads a non-finite row count."""
+        """The rows' slots, which hold until the next pass, once load has evaluated the rows not yet evaluated;
+        raises NumericError if a row's training logits (the direct path's message), or else its inference logits,
+        are non-finite. Given ticks, rows[i] is read at tick ticks[i], and only the reads of the first tick that
+        reads a non-finite row count."""
         slots = self.slot[rows]
         if np.count_nonzero(slots < 0):
             self.load(self.params, rows)
@@ -595,16 +599,12 @@ class ContextTable(RowSet):
         self.cdf, self._bad = self._tail[:-1], self._tail[-1]
 
     def _evaluate(self, rows: np.ndarray) -> None:
-        """One pass: both engines at the loaded params on distinct rows, written in place into a new block after
-        the slots of the old one, which it then frees."""
-        kept, old = self._bad.size, (self.log_probs, self.probs, self._tail)
-        self._new_block(kept + rows.size)
-        self.log_probs[:, :kept], self.probs[:, :kept], self._tail[:, :kept] = old
-        del old
-        log_probs, probs = self.log_probs[:, kept:], self.probs[:, kept:]
+        """One pass: both engines at the loaded params on distinct rows in increasing order, written in place into a
+        new block of exactly those rows, which replaces the old one."""
+        self._new_block(rows.size)
         with np.errstate(over="ignore", invalid="ignore"):
-            _scaled_train_logits(self.params.weights, self.feats[rows], self.temperature, log_probs[0])
-        finite = self.engines(log_probs[0], self.params.version_id, rows, (log_probs, probs))[3]
-        np.cumsum(probs[1, :, :-1], axis=1, out=self.cdf[:, kept:].T)
-        self._bad[kept:] = (~finite).sum(axis=0)
-        self.slot[rows] = np.arange(kept, kept + rows.size)
+            _scaled_train_logits(self.params.weights, self.feats[rows], self.temperature, self.log_probs[0])
+        finite = self.engines(self.log_probs[0], self.params.version_id, rows, (self.log_probs, self.probs))[3]
+        np.cumsum(self.probs[1, :, :-1], axis=1, out=self.cdf.T)
+        self._bad[:] = (~finite).sum(axis=0)
+        self.slot[rows] = np.arange(rows.size)

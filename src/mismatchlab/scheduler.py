@@ -47,9 +47,10 @@ of rollouts, and the close only emits: it finds complete groups with a
 bincount and verifies each task kind once, and the emitted groups reach
 the objective as a flat RolloutBatch that carries each token's table
 row. Sampling, the objective and the probe measure read both engines
-from the state's ContextTable, which evaluates in one pass per version
-every row readable then: the windows that the rollouts of each live
-(prompt, end token) can read, and the probe rows.
+from the state's ContextTable, which evaluates in one pass per version,
+into one block in row order, every row readable then: the windows that
+the rollouts of each live (prompt, end token) can read, and the probe
+rows.
 
 Each rollout samples with its own uniforms, one per token, so the pool's
 order never perturbs another rollout's tokens. They are the first draws

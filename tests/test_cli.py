@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mismatchlab import DiscrepancyFit, cli, scheduler
+from mismatchlab import Algo, DiscrepancyFit, cli, scheduler
 from mismatchlab.cli import _dumps, main
 from mismatchlab.errors import NumericError
 
@@ -45,6 +45,17 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path, command: str, flag
         main([command, "--config", str(CONFIGS / "schedule_longtail.json"), "--out", str(tmp_path / "o"), flag, "3"])
     assert exc.value.code == 2
     assert not (tmp_path / "o").exists()
+
+
+def test_algo_accepts_exactly_the_objective_algorithms(tmp_path, capsys) -> None:
+    """--algo takes each value of Algo, and rejects any other name, listing Algo's values as its choices."""
+    parser = cli.build_parser()
+    flags = ["train", "--config", "c.json", "--out", str(tmp_path / "o"), "--algo"]
+    assert [parser.parse_args([*flags, algo.value]).algo for algo in Algo] == [algo.value for algo in Algo]
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*flags, "ppo"])
+    assert exc.value.code == 2
+    assert f"(choose from {', '.join(algo.value for algo in Algo)})" in capsys.readouterr().err.replace("'", "")
 
 
 def test_train_seed_and_iterations_flags_reach_the_run(tmp_path) -> None:

@@ -118,7 +118,8 @@ def test_measure_on_a_table_requires_probes_and_the_tables_engine_and_temperatur
     table = policy.ContextTable(all_prompt_ids(vocab), 16, vocab.size, infer_engine(0.1, 7), 1.0)
     probes = make_probes(8, vocab, 1)[:n_probes]
     with pytest.raises(ValueError, match=f"^{message}$"):
-        measure(params, probes, infer_engine(scale, 7), temperature, table=table)
+        measure(params, probes, infer_engine(scale, 7), temperature, table=table,
+                rows=table.rows(*discrepancy.probe_windows(probes)))
 
 
 def test_delta_gradient_matches_finite_differences() -> None:

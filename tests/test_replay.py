@@ -3,6 +3,7 @@ the manifest's SHA-256 of each output file."""
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 import weakref
@@ -12,8 +13,8 @@ import pytest
 
 from mismatchlab import Algo, BiasMode, load_config
 from mismatchlab.policy import ContextTable
-from replay import (ROOT, anchor_values, config_only, counts, digest_table, fingerprint, header, load_set, results,
-                    run_hashes, write_config)
+from replay import (ROOT, RUN_CHILD, anchor_values, config_only, counts, digest_table, fingerprint, header, load_set,
+                    results, run_hashes, write_config)
 
 REPLAY_SET = load_set()
 
@@ -128,6 +129,17 @@ def test_a_fresh_replay_import_loads_no_module_of_compare_alone() -> None:
             "print(*{'statistics', 'subprocess'} & sys.modules.keys())")
     child = subprocess.run([sys.executable, "-c", code, str(ROOT / "tests")], capture_output=True, text=True, check=True)
     assert child.stdout.split() == []
+
+
+def test_a_run_child_writes_what_the_run_writes_in_process(tmp_path) -> None:
+    """compare's `run` child, which imports replay and calls main(["run", ...]), prints the output hashes of a run
+    of the set that run_hashes computes in-process, its tokens digest and its peak RSS."""
+    run = next(entry for entry in REPLAY_SET["runs"] if entry["name"] == "compounding")
+    child = subprocess.run([sys.executable, "-c", RUN_CHILD, str(ROOT / "tests"), str(ROOT), run["name"],
+                            str(tmp_path / "child")], capture_output=True, text=True, check=True)
+    line = json.loads(child.stdout)
+    assert (line["hashes"], line["tokens"]) == run_hashes(run, ROOT, tmp_path / "in_process")
+    assert line["maxrss"] > 0
 
 
 def test_compare_tables_list_what_one_side_lacks(capsys) -> None:
