@@ -173,6 +173,8 @@ def measure(
         raise ValueError("probe set must be non-empty")
     if table.infer != infer or table.temperature != temperature:
         raise ValueError("context table is of another engine or temperature")
+    if rows is None:
+        raise ValueError("measure on a context table needs rows, the probes' table rows")
     table.load(params)
     slots = table.check(rows)
     return DiscrepancySample(step, *delta_and_gap(table.log_probs.take(slots, axis=1), table.probs.take(slots, axis=1)))

@@ -105,8 +105,8 @@ def _mix(*values: int) -> int:
 
 
 def _splitmix64_vec(x: np.ndarray) -> np.ndarray:
-    """splitmix64 of every entry of a uint64 array, into one new array (plus one scratch array)."""
-    x = x + np.uint64(_GOLDEN)
+    """splitmix64 of every entry of a uint64 array, in place (plus one scratch array): callers pass a temporary."""
+    x += np.uint64(_GOLDEN)
     shifted = x >> np.uint64(30)
     x ^= shifted
     x *= np.uint64(0xBF58476D1CE4E5B9)
@@ -286,6 +286,14 @@ def weight_grad(feats: np.ndarray, grad_logits: np.ndarray, n_features: int) -> 
     return grad
 
 
+def _mixed_keys(keys: np.ndarray, cols: np.ndarray, stride: np.uint64) -> np.ndarray:
+    """splitmix64 of keys + cols * stride at the broadcast shape of keys and cols, in a copy of the keys at that
+    shape. numpy buffers each broadcast operand of a ufunc, so adding the broadcast keys would hold the sum and
+    two buffers of its size; the add into the copy buffers only cols * stride, and the hash runs in place."""
+    x = np.broadcast_to(keys, np.broadcast(keys, cols).shape).copy()
+    return _splitmix64_vec(np.add(x, cols * stride, out=x))
+
+
 def _heavy_normals(keys: np.ndarray, cols: np.ndarray, cuts, gains, out=None) -> np.ndarray:
     """Heavy-tailed standard normals at (key, column) entries, into out when given.
 
@@ -296,20 +304,22 @@ def _heavy_normals(keys: np.ndarray, cols: np.ndarray, cuts, gains, out=None) ->
     entry by entry, so a block and any subset of its entries give the
     same bits. Computed in place, in the operations of sqrt(-2 log(u1)) *
     cos(2 pi u2), the second stream drawn once the first is folded into
-    the normals; scaling by 2**-53 is exact, as dividing by 2**53 is.
+    the normals, and its tail flags read before its angle bits are
+    shifted down in place; scaling by 2**-53 is exact, as dividing by
+    2**53 is.
     """
-    normals = np.add(_splitmix64_vec(keys + cols * _STRIDE_A) >> np.uint64(11), 1.0, out=out)  # cast, then + 1
+    normals = np.add(_mixed_keys(keys, cols, _STRIDE_A) >> np.uint64(11), 1.0, out=out)  # cast, then + 1
     normals *= 2.0**-53
     np.log(normals, out=normals)
     normals *= -2.0
     np.sqrt(normals, out=normals)
-    b = _splitmix64_vec((keys ^ np.uint64(_XOR_B)) + cols * _STRIDE_B)
-    angle = (b >> np.uint64(11)).astype(np.float64)
+    b = _mixed_keys(keys ^ np.uint64(_XOR_B), cols, _STRIDE_B)
+    tail = (b & np.uint64(0x7FF)) < cuts
+    angle = np.right_shift(b, np.uint64(11), out=b).astype(np.float64)
     angle *= 2.0**-53
     angle *= 2.0 * math.pi
     normals *= np.cos(angle, out=angle)
-    b &= np.uint64(0x7FF)
-    return np.multiply(normals, gains, out=normals, where=b < cuts)
+    return np.multiply(normals, gains, out=normals, where=tail)
 
 
 class FixedNoise(NamedTuple):
@@ -326,8 +336,8 @@ def _stream_normals(keys: np.ndarray, fault_at: np.ndarray, width: int, fault_xo
     """(dense normals of keys at every entry, into out when given, and fault normals of keys ^ fault_xor at the
     flat fault entries fault_at)."""
     dense = _heavy_normals(keys[:, None], np.arange(width, dtype=np.uint64), np.uint64(_DENSE_TAIL_CUT), _DENSE_TAIL_GAIN, out)
-    row, col = np.divmod(fault_at, width)
-    fault = _heavy_normals(keys[row] ^ np.uint64(fault_xor), col.astype(np.uint64), np.uint64(_FAULT_TAIL_CUT), _FAULT_TAIL_GAIN)
+    fault = _heavy_normals(keys[fault_at // width] ^ np.uint64(fault_xor), (fault_at % width).astype(np.uint64),
+                           np.uint64(_FAULT_TAIL_CUT), _FAULT_TAIL_GAIN)
     return dense, fault
 
 

@@ -60,9 +60,11 @@ SeedSequence hash over each block of 1,024 uids at once, and
 pcg64_uniforms gives every draw of a spawn's rollouts in array passes of
 at most _DRAW_PASS (2,048) draws: PCG64's LCG jumps from each stream's
 state straight to the state of each draw (128-bit states as uint64
-hi/lo pairs), whatever the rollout's length. So a pass's temporaries,
-about 24 arrays of its draws, stay near 400 KB, where one pass over a
-long-tail spawn's 4,500 or so draws would hold 0.9 MB.
+hi/lo pairs), whatever the rollout's length. Each of a pass's two
+128-bit products works in place on operands made for it once the one
+before it is done, so a pass's temporaries, about 12 arrays of its
+draws, stay near 190 KB, where one pass over a long-tail spawn's 4,500
+or so draws would hold 0.4 MB.
 """
 
 from __future__ import annotations
@@ -134,22 +136,15 @@ class StepReport:
     reward_mean: float = math.nan
 
 
+@dataclass(eq=False)
 class SyntheticPromptSource:
     """Endless sampled tasks; optionally draws a target length per rollout."""
 
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        max_len: int,
-        length_model: str = "policy",
-        median: float = 32.0,
-        sigma: float = 1.0,
-    ) -> None:
-        self.vocab = vocab
-        self.max_len = max_len
-        self.length_model = length_model
-        self.median = median
-        self.sigma = sigma
+    vocab: Vocabulary
+    max_len: int
+    length_model: str = "policy"
+    median: float = 32.0
+    sigma: float = 1.0
 
     def next_prompt(
         self, stream: np.random.Generator, group_size: int
@@ -305,18 +300,29 @@ def _jump_table(jumps: np.ndarray, n: int) -> np.ndarray:
         a, c = a_hi << 64 | a_lo, c_hi << 64 | c_lo
         a, c = a * _PCG64_MULT & _MASK128, (c + a) & _MASK128
         a_hi, a_lo, c_hi, c_lo = (np.uint64(w) for w in (a >> 64, a & _MASK64, c >> 64, c & _MASK64))
-        head = jumps[:, : n - jumps.shape[1]]
+        head = jumps[:, : n - jumps.shape[1]].copy()  # _mul128 overwrites it
         grown = [*_mul128(a_hi, a_lo, head[0], head[1]), *_add128(c_hi, c_lo, *_mul128(a_hi, a_lo, head[2], head[3]))]
         jumps = np.concatenate([jumps, grown], axis=1)
     return jumps
 
 
 def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    """a * b mod 2**128 for uint64 (hi, lo) arrays; the high word of a_lo * b_lo from 32-bit limbs (no carry is lost)."""
-    a0, a1, b0, b1 = a_lo & _MASK32, a_lo >> 32, b_lo & _MASK32, b_lo >> 32
-    t = a1 * b0 + (a0 * b0 >> 32)
-    u = a0 * b1 + (t & _MASK32)
-    return a1 * b1 + (t >> 32) + (u >> 32) + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
+    """a * b mod 2**128 for uint64 (hi, lo) arrays, in place: the array operands are overwritten, the high word
+    is written into a_lo, and the low word and three scratch arrays are new. The high word of a_lo * b_lo comes
+    from 32-bit limbs (no carry is lost)."""
+    a_hi *= b_lo  # the cross terms a_hi * b_lo and a_lo * b_hi
+    np.multiply(a_lo, b_hi, out=b_hi)
+    lo, a0, b0 = a_lo * b_lo, a_lo & _MASK32, b_lo & _MASK32
+    a_lo >>= 32  # a1
+    b_lo >>= 32  # b1
+    t = a_lo * b0
+    t += np.right_shift(np.multiply(a0, b0, out=b0), 32, out=b0)
+    a0 *= b_lo
+    a0 += np.bitwise_and(t, _MASK32, out=b0)  # u
+    a_lo *= b_lo
+    for term in (np.right_shift(t, 32, out=t), np.right_shift(a0, 32, out=a0), a_hi, b_hi):
+        a_lo += term
+    return a_lo, lo
 
 
 def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
@@ -324,10 +330,12 @@ def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
     return a_hi + b_hi + (lo < b_lo), lo
 
 
-def _jump(jumps: np.ndarray, steps: np.ndarray, x_hi, x_lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
-    """The states steps[i] LCG steps after state x[i] with increment inc[i], by the jump table's columns."""
-    a_hi, a_lo, c_hi, c_lo = (words.take(steps) for words in jumps)
-    return _add128(*_mul128(a_hi, a_lo, x_hi, x_lo), *_mul128(c_hi, c_lo, inc_hi, inc_lo))
+def _jump(jumps: np.ndarray, steps: np.ndarray, repeats, x_hi, x_lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """The states steps[j] LCG steps after state x[i] with increment inc[i], row i repeated repeats[i] times, by the
+    jump table's columns. Each product takes its operands as new arrays (_mul128 overwrites them) once the one
+    before it is done."""
+    return _add128(*_mul128(*(words.take(steps) for words in jumps[:2]), x_hi.repeat(repeats), x_lo.repeat(repeats)),
+                   *_mul128(*(words.take(steps) for words in jumps[2:]), inc_hi.repeat(repeats), inc_lo.repeat(repeats)))
 
 
 def pcg64_uniforms(seed_states: np.ndarray, counts, jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,9 +351,12 @@ def pcg64_uniforms(seed_states: np.ndarray, counts, jumps: np.ndarray) -> tuple[
     128-bit products on uint64 (hi, lo) words, then the XSL-RR output
     and (x >> 11) * 2**-53. A row that a pass leaves unfinished jumps its
     x by the draws it made there, so the next pass counts its steps from
-    its first draw in that pass: the temporaries, about 24 arrays of the
-    pass's draws, and the table stop at _DRAW_PASS draws, however long a
-    row or the whole draw is.
+    its first draw in that pass: the temporaries and the table stop at
+    _DRAW_PASS draws, however long a row or the whole draw is. A pass
+    peaks at its second product, at about 12 arrays of its draws: its
+    steps, the first product's two words, and the four operands that
+    _mul128 overwrites and the four arrays it allocates; its output words
+    are released before the next pass starts.
     """
     counts = np.asarray(counts, dtype=np.intp)
     jumps = _jump_table(jumps, min(counts.max(initial=0), _DRAW_PASS) + 2)
@@ -359,12 +370,13 @@ def pcg64_uniforms(seed_states: np.ndarray, counts, jumps: np.ndarray) -> tuple[
         first = np.minimum(np.maximum(edges, lo), hi)  # row i's draws in this pass are first[i] to first[i + 1]
         drawn = np.diff(first)
         steps = np.arange(lo + 2, hi + 2) - np.repeat(first[:-1], drawn)
-        pass_hi, pass_lo = _jump(jumps, steps, *np.repeat([x_hi, x_lo, inc_hi, inc_lo], drawn, axis=1))
+        pass_hi, pass_lo = _jump(jumps, steps, drawn, x_hi, x_lo, inc_hi, inc_lo)
         x, rot = pass_hi ^ pass_lo, pass_hi >> 58
         uniforms[lo:hi] = ((x >> rot | x << (-rot & 63)) >> 11) * 2.0**-53
+        del pass_hi, pass_lo, x, rot  # here, so that the next pass's products do not hold them beside their own
         if hi < uniforms.size:  # the row of draw hi continues in the next pass
             r = slice(i := int(np.searchsorted(edges, hi, side="right")) - 1, i + 1)
-            x_hi[r], x_lo[r] = _jump(jumps, drawn[r], x_hi[r], x_lo[r], inc_hi[r], inc_lo[r])
+            x_hi[r], x_lo[r] = _jump(jumps, drawn[r], 1, x_hi[r], x_lo[r], inc_hi[r], inc_lo[r])
     return uniforms, jumps
 
 
@@ -745,7 +757,9 @@ def train_loop(
     so a caller flushes metrics before a potential numeric failure and
     folds what it writes (sums such as the tick clock, lists of scalars,
     per-token arrays) there. The loop keeps nothing per iteration, so
-    what a run holds does not grow with its length.
+    what a run holds does not grow with its length: it releases the
+    emitted batch as soon as the objective has read it, before the probe
+    measure, and the report, loss and sample after the update.
 
     The rollout ticks, the objective and the probe measure all read the
     state's context table at the iteration's parameters, which the
@@ -756,15 +770,13 @@ def train_loop(
     step = run_iteration_baseline if baseline else run_iteration
     for _ in range(n_iterations):
         report, batch = step(state, params, cfg, objective)
-        if batch:
-            loss = objective_and_grad(batch, params, objective, table)
-        else:
-            loss = empty_breakdown(params)
+        loss = objective_and_grad(batch, params, objective, table) if batch else empty_breakdown(params)
+        del batch  # read by the objective alone, so released before the probe measure
         sample = measure(params, probes, table.infer, table.temperature, step=report.iteration, table=table, rows=probe_rows)
         if on_step is not None:
             on_step(report, loss, sample)
-        if batch:
+        if loss.token_count:  # an emitted batch, which has a token; the placeholder counts none
             params = sgd_update(params, loss.grad, objective.learning_rate)
         # Released here, not when the next iteration rebinds them, so they do not add to its peak.
-        del report, batch, loss, sample
+        del report, loss, sample
     return params

@@ -47,7 +47,8 @@ Usage, from the repository root:
         both sides drop the config a JSONL header or a report embeds, as a
         config schema change leaves them; differing; or missing at one
         side), the batches and tokens digests, each run's peak RSS (the
-        median of three a side), and the lines and code lines of each
+        median of three a side, and whether every head execution read
+        below every base one), and the lines and code lines of each
         src/mismatchlab/*.py and of tests/. Outputs may change on purpose,
         so it always exits 0, and lists the runs that failed at each side.
     python tests/replay.py lines [DIR ...]
@@ -274,6 +275,22 @@ def digest_table(heading: str, base: dict[str, str], head: dict[str, str]) -> No
               for key, found in results(base, head).items()])
 
 
+def rss_table(base: dict[str, list[int]], head: dict[str, list[int]]) -> None:
+    """Print each run's median peak RSS a side, in MB, its change, and whether every head execution read below every
+    base one: then every pairing of a base and a head execution reads head lower."""
+    import statistics
+
+    rows = []
+    for name in sorted(base.keys() | head.keys()):
+        b, h = (statistics.median(side[name]) / 1024 if name in side else None for side in (base, head))
+        both = b is not None and h is not None
+        below = ("yes" if max(head[name]) < min(base[name]) else "no") if both else "n/a"
+        rows.append([f"`{name}`", *("n/a" if mb is None else f"{mb:.2f}" for mb in (b, h)),
+                     f"{h - b:+.2f}" if both else "n/a", below])
+    markdown(["run", "base peak RSS (MB, median of 3)", "head peak RSS (MB, median of 3)", "change",
+              "every head run below every base run"], rows)
+
+
 class Side(NamedTuple):
     outputs: dict[str, bytes]  # by "run/file", from each run's first execution
     digests: dict[str, str]  # "run/batches" and "run/tokens", from each run's first execution
@@ -314,7 +331,6 @@ def run_side(tree: Path, out: Path) -> Side:
 
 def compare(base_rev: str) -> None:
     """Print the report of the working tree against base_rev (see the module docstring)."""
-    import statistics
     import subprocess
 
     with tempfile.TemporaryDirectory() as work:
@@ -331,12 +347,7 @@ def compare(base_rev: str) -> None:
         for heading, suffix in (("emitted batches", "/batches"), ("sampled streams", "/tokens")):
             digest_table(heading, *({key: sha for key, sha in side.digests.items() if key.endswith(suffix)}
                                     for side in (base, head)))
-        rss = []
-        for name in sorted(base.rss.keys() | head.rss.keys()):
-            b, h = (statistics.median(side.rss[name]) / 1024 if name in side.rss else None for side in (base, head))
-            rss.append([f"`{name}`", *("n/a" if mb is None else f"{mb:.2f}" for mb in (b, h)),
-                        "n/a" if b is None or h is None else f"{h - b:+.2f}"])
-        markdown(["run", "base peak RSS (MB, median of 3)", "head peak RSS (MB, median of 3)", "change"], rss)
+        rss_table(base.rss, head.rss)
         names = sorted({path.name for tree in (base_tree, ROOT) for path in (tree / PACKAGE).glob("*.py")})
         sizes = [[f"`{name}`", counts(base_tree / PACKAGE / name), counts(ROOT / PACKAGE / name)] for name in names]
         for label, folder in (("total", PACKAGE), ("`tests/` total", Path("tests"))):

@@ -103,23 +103,25 @@ def test_measure_requires_probes() -> None:
 
 
 @pytest.mark.parametrize(
-    "n_probes,scale,temperature,message",
+    "n_probes,scale,temperature,with_rows,message",
     [
-        (0, 0.1, 1.0, "probe set must be non-empty"),
-        (8, 0.2, 1.0, "context table is of another engine or temperature"),
-        (8, 0.1, 0.5, "context table is of another engine or temperature"),
+        (0, 0.1, 1.0, True, "probe set must be non-empty"),
+        (8, 0.2, 1.0, True, "context table is of another engine or temperature"),
+        (8, 0.1, 0.5, True, "context table is of another engine or temperature"),
+        (8, 0.1, 1.0, False, "measure on a context table needs rows, the probes' table rows"),
     ],
 )
 def test_measure_on_a_table_requires_probes_and_the_tables_engine_and_temperature(
-    n_probes: int, scale: float, temperature: float, message: str
+    n_probes: int, scale: float, temperature: float, with_rows: bool, message: str
 ) -> None:
+    """A table call without rows names the missing argument; the direct path takes none."""
     vocab = Vocabulary(size=8)
     params = init_params(vocab, n_features=16, init_scale=0.5, seed=1)
     table = policy.ContextTable(all_prompt_ids(vocab), 16, vocab.size, infer_engine(0.1, 7), 1.0)
     probes = make_probes(8, vocab, 1)[:n_probes]
+    rows = table.rows(*discrepancy.probe_windows(probes)) if with_rows else None
     with pytest.raises(ValueError, match=f"^{message}$"):
-        measure(params, probes, infer_engine(scale, 7), temperature, table=table,
-                rows=table.rows(*discrepancy.probe_windows(probes)))
+        measure(params, probes, infer_engine(scale, 7), temperature, table=table, rows=rows)
 
 
 def test_delta_gradient_matches_finite_differences() -> None:

@@ -659,13 +659,18 @@ def test_objective_frees_its_per_token_intermediates_before_the_scatter(monkeypa
     After a warm-up call, the memory held when objective_and_grad calls
     weight_grad, above the call's start, stays below 9 per-token float64
     arrays (48,376 bytes each). The call returns or still reads after the
-    scatter lp_cur, calib, pg_values and inverse, 4 arrays, and kept, 1
-    byte a token; and per row, log_probs, probs and row_grad of V words
-    and the gathered feats, rows and slots of 6: 25,140 words at 838 rows,
-    4.16 arrays. With the table's 1,782-byte row marker that is 8.3 arrays.
-    Keeping the released intermediates (seg, advantage, weight, ratio,
-    factor, unclipped, clipped and coeffs, 8 arrays, two bool masks and
-    one_hot) alive across the scatter holds 17.6.
+    scatter calib, pg_values and inverse, 3 arrays, and kept and the
+    overflow flags, 1 byte a token each; and per row, probs and row_grad
+    of V words and the gathered feats, rows and slots of 6: 18,436 words
+    at 838 rows, 3.05 arrays. With the table's 1,782-byte row marker that
+    is 6.3 arrays (6.4 traced). Keeping the released intermediates alive
+    across the scatter holds 17.6.
+
+    The call's traced peak above its start stays below 11 arrays (9.2):
+    each term is computed in place where it can be and released after its
+    last use, and the rows' log-probs and probs are gathered only where
+    they are read, after the per-token terms are freed. With every
+    intermediate alive until the scatter, the call peaked at 18.5.
     """
     theta, table, batch = long_batch()
     scatter, held = objective.weight_grad, []
@@ -681,9 +686,12 @@ def test_objective_frees_its_per_token_intermediates_before_the_scatter(monkeypa
     try:
         start = tracemalloc.get_traced_memory()[0]
         objective_and_grad(batch, theta, cfg, table)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert held[-1] - start < 9 * batch.tokens.size * 8, f"held {(held[-1] - start) / 1024:.0f} KB"
+    array = batch.tokens.size * 8
+    assert held[-1] - start < 9 * array, f"held {(held[-1] - start) / array:.2f} arrays"
+    assert peak - start < 11 * array, f"peak {(peak - start) / array:.2f} arrays"
 
 
 def test_weight_grad_adds_in_place_on_the_long_batch() -> None:

@@ -14,7 +14,7 @@ import pytest
 from mismatchlab import Algo, BiasMode, load_config
 from mismatchlab.policy import ContextTable
 from replay import (ROOT, RUN_CHILD, anchor_values, config_only, counts, digest_table, fingerprint, header, load_set,
-                    results, run_hashes, write_config)
+                    results, rss_table, run_hashes, write_config)
 
 REPLAY_SET = load_set()
 
@@ -152,5 +152,22 @@ def test_compare_tables_list_what_one_side_lacks(capsys) -> None:
         f"| `b/batches` | `{'b' * 12}` | `{'b' * 12}` | identical |",
         f"| `c/batches` | `{'c' * 12}` | `{'d' * 12}` | differing |",
         f"| `d/batches` | n/a | `{'e' * 12}` | missing at base |",
+        "",
+    ]
+
+
+def test_the_rss_table_says_whether_every_head_run_read_below_every_base_run(capsys) -> None:
+    """Medians in MB of ru_maxrss KB, the change, and "yes" only when the slowest head execution read below the
+    fastest base one: a tie with a base execution is "no", and a run that one side lacks is "n/a"."""
+    rss_table({"a": [2048, 2100, 2200], "b": [2048, 2048, 2048], "c": [1024]},
+              {"a": [1900, 2000, 2047], "b": [2048, 1000, 1000], "d": [512]})
+    assert capsys.readouterr().out.splitlines() == [
+        "| run | base peak RSS (MB, median of 3) | head peak RSS (MB, median of 3) | change | "
+        "every head run below every base run |",
+        "| --- | --- | --- | --- | --- |",
+        "| `a` | 2.05 | 1.95 | -0.10 | yes |",
+        "| `b` | 2.00 | 0.98 | -1.02 | no |",
+        "| `c` | 1.00 | n/a | n/a | n/a |",
+        "| `d` | n/a | 0.50 | n/a | n/a |",
         "",
     ]

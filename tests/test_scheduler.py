@@ -955,9 +955,14 @@ def test_a_long_draw_holds_one_pass_of_temporaries() -> None:
 
     After a warm-up draw, which grows the jump table and computes the
     uid block's seed states, the traced peak of one draw above its entry,
-    less the result, stays below 30 float64 arrays of one pass: a pass
-    holds 24.6. One pass over all the draws holds about 20 arrays of the
-    draws, 50 of a pass.
+    less the result, stays below 17 float64 arrays of one pass: a pass
+    holds 11.5, at its second 128-bit product: the pass's steps, the
+    first product's two words, the four operands that the product
+    overwrites and the four arrays it allocates. With the products
+    allocating every intermediate, all four jump words taken and all four
+    state words repeated before either product, and the last pass's
+    output words alive into the next, a pass held 24.6. One pass over all
+    the draws holds about 20 arrays of the draws, 50 of a pass.
     """
     draw_pass = scheduler._DRAW_PASS
     counts = np.full(96, 5 * draw_pass // 192)
@@ -971,7 +976,7 @@ def test_a_long_draw_holds_one_pass_of_temporaries() -> None:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - start - uniforms.nbytes) / (8 * draw_pass) < 30, f"peak {(peak - start) / 1024:.0f} KB"
+    assert (peak - start - uniforms.nbytes) / (8 * draw_pass) < 17, f"peak {(peak - start) / 1024:.0f} KB"
 
 
 def test_lognormal_targets_round_as_the_scalar_form() -> None:
@@ -1095,13 +1100,14 @@ PER_TOKEN = ("per_token_mask_kept", "per_token_surrogate", "per_token_calibratio
 def small_run() -> SimpleNamespace:
     """A four-iteration train_loop run and what its on_step saw: per iteration the gradient's norm, the loss's
     grad_norm, the sizes of its per-token arrays and its token count, and weak references to the report, loss and
-    sample; with the final params."""
+    sample; with the final params. Also a weak reference to each batch, taken where scheduler binds
+    objective_and_grad, and at each probe measure whether any of those batches is alive."""
     vocab = Vocabulary(size=8)
     state = SchedulerState(vocab=vocab, source=SyntheticPromptSource(vocab, max_len=6), seed=11, n_features=64,
                            infer=infer_engine(0.2, 7))
     params = init_params(vocab, n_features=64, init_scale=0.3, seed=11)
     budget = BudgetConfig(token_budget=60, infer_capacity=12, prompts_per_iteration=4)
-    run = SimpleNamespace(seen=[], norms=[], sizes=[], counts=[], refs=[])
+    run = SimpleNamespace(seen=[], norms=[], sizes=[], counts=[], refs=[], batches=[], alive_at_measure=[])
 
     def record(report, loss, sample) -> None:
         run.seen.append(float(np.linalg.norm(loss.grad)))
@@ -1110,8 +1116,21 @@ def small_run() -> SimpleNamespace:
         run.counts.append(loss.token_count)
         run.refs.extend(weakref.ref(obj) for obj in (report, loss, sample))
 
-    run.final = train_loop(4, state, params, budget, ObjectiveConfig(group_size=4, learning_rate=1.0),
-                           make_probes(256, vocab, 11), on_step=record)
+    objective_and_grad, measure = scheduler.objective_and_grad, scheduler.measure
+
+    def recording_objective(batch, *args):
+        run.batches.append(weakref.ref(batch))
+        return objective_and_grad(batch, *args)
+
+    def recording_measure(*args, **kwargs):
+        run.alive_at_measure.append(any(ref() is not None for ref in run.batches))
+        return measure(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(scheduler, "objective_and_grad", recording_objective)
+        m.setattr(scheduler, "measure", recording_measure)
+        run.final = train_loop(4, state, params, budget, ObjectiveConfig(group_size=4, learning_rate=1.0),
+                               make_probes(256, vocab, 11), on_step=record)
     return run
 
 
@@ -1121,6 +1140,12 @@ def test_on_step_sees_the_grad_and_every_per_token_array(small_run) -> None:
     assert any(small_run.seen)
     assert small_run.norms == small_run.seen
     assert small_run.sizes == [{n} for n in small_run.counts] and any(small_run.counts)
+
+
+def test_the_batch_is_freed_once_the_objective_has_read_it(small_run) -> None:
+    """train_loop releases each emitted batch right after the objective: no batch is alive at any probe measure."""
+    assert small_run.batches and len(small_run.alive_at_measure) == 4
+    assert small_run.alive_at_measure == [False] * 4
 
 
 def test_train_loop_keeps_no_iteration(small_run) -> None:
