@@ -148,6 +148,12 @@ def _norm(x: np.ndarray) -> float:
     return norm
 
 
+def _finite(*arrays: np.ndarray) -> bool:
+    """np.isfinite(a).all() for every array, without a mask: NaN propagates through min and max, and an
+    infinity is one of them."""
+    return all(math.isfinite(v) for a in arrays for v in (a.min(initial=0.0), a.max(initial=0.0)))
+
+
 def empty_breakdown(params: PolicyParams) -> LossBreakdown:
     """Placeholder for iterations that emitted no trainable groups."""
     return LossBreakdown(
@@ -194,22 +200,27 @@ def objective_and_grad(
     clipped one, the coefficients over the token weights) and released
     after its last use; the rows' probs and log probs are gathered from
     the table only where they are read, once the per-token terms are
-    freed. So it peaks at about 9 arrays of one word a token above its
-    entry (9.2 on 6,047 tokens over 838 rows), at the entropy or the
-    coefficients. The value is folded before the scatter onto the feature
-    rows, which adds in place (weight_grad): at the scatter it holds no
-    per-token array that it does not return or still read.
+    freed, and each row's entropy scales its log probs in place, before
+    its gradient scales its probs in place. So it peaks at about 8 arrays
+    of one word a token above its entry (8.1 on 6,047 tokens over 838
+    rows), at the row gradient. The value is folded before the scatter
+    onto the feature rows, which adds in place (weight_grad): at the
+    scatter it holds no per-token array that it does not return or still
+    read. A check reads its arrays' min and max, so on valid input it
+    allocates nothing, and a mask is built only where it is kept (the
+    IcePop mask, in one array) or on the raise path, to name the first
+    offender.
     """
     lengths, group_size = batch.lengths, batch.group_size
     if not lengths.size:
         raise ValueError("objective needs at least one prompt group")
     if group_size < 1 or lengths.size % group_size:
         raise ValueError("the batch's rollouts do not form whole groups")
-    if (lengths < 1).any():
+    if lengths.min() < 1:
         raise ValueError("empty rollout in prompt group")
-    if (batch.versions > theta.version_id).any():
+    if batch.versions.max(initial=theta.version_id) > theta.version_id:
         raise ValueError("token generated by a version newer than theta")
-    if not np.isfinite(batch.advantages).all():
+    if not _finite(batch.advantages):
         raise NumericError("group advantages contain non-finite values")
 
     n_groups, tokens, lp_old, lp_inf = len(batch), batch.tokens, batch.lp_train, batch.lp_infer
@@ -224,15 +235,16 @@ def objective_and_grad(
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite ratios raise just below
         calib = np.exp(lp_old - lp_inf)
         np.exp(np.subtract(ratio, lp_old, out=ratio), out=ratio)
-    bad = ~(np.isfinite(calib) & np.isfinite(ratio))
-    if bad.any():
+    if not _finite(calib, ratio):
         # Report the first offending rollout, calibration before ratio.
+        bad = ~(np.isfinite(calib) & np.isfinite(ratio))
         in_first = np.repeat(np.arange(lengths.size) == np.searchsorted(np.cumsum(lengths), bad.argmax(), "right"), lengths)
         which = "calibration" if not np.isfinite(calib[in_first]).all() else "importance"
         raise NumericError(f"{which} ratio overflow")
     kept, factor = np.ones(tokens.size, dtype=bool), calib  # grpo: every token kept, c uncapped
     if cfg.algo is Algo.ICEPOP:
-        kept = (calib >= cfg.alpha) & (calib <= cfg.beta)
+        kept = calib >= cfg.alpha
+        kept &= calib <= cfg.beta
         factor = np.where(kept, calib, 0.0)
     elif cfg.algo is Algo.TIS:
         factor = np.minimum(calib, cfg.tis_cap)
@@ -257,19 +269,22 @@ def objective_and_grad(
         coeffs *= ratio
         coeffs *= advantage
         coeffs /= table.temperature
-        coeffs[~active] = 0.0
+        coeffs[np.logical_not(active, out=active)] = 0.0
         del factor, ratio, advantage, active
-        probs = table.probs[0].take(slots, axis=0)
+    # Each row's entropy reads its probs, which its gradient, sum(c e_token) - sum(c) p_row, then scales in place.
+    probs, entropy = table.probs[0].take(slots, axis=0), table.log_probs[0].take(slots, axis=0)
+    entropy = -np.multiply(entropy, probs, out=entropy).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
         row_grad = np.bincount(inverse * probs.shape[1] + tokens, weights=coeffs, minlength=probs.size).reshape(probs.shape)
-        row_grad -= np.bincount(inverse, weights=coeffs, minlength=rows.size)[:, None] * probs
-    del coeffs
+        row_grad -= np.multiply(probs, np.bincount(inverse, weights=coeffs, minlength=rows.size)[:, None], out=probs)
+    del coeffs, probs
     rollout_values = np.bincount(np.repeat(np.arange(lengths.size), lengths), weights=pg_values) / (group_size * lengths)
     objective = float(rollout_values.sum()) / n_groups
     grad = weight_grad(table.feats[rows], row_grad, theta.n_features)
     if not math.isfinite(objective) or not np.isfinite(grad).all():
         raise NumericError("objective or gradient is not finite")
 
-    entropy = (-(probs * table.log_probs[0].take(slots, axis=0)).sum(axis=1))[inverse]
+    entropy = entropy[inverse]
     n_clipped = kept.size - int(np.count_nonzero(kept))
     return LossBreakdown(
         objective_value=objective,

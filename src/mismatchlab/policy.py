@@ -416,12 +416,13 @@ def perturb_logits(logits: np.ndarray, keys_fixed: np.ndarray, keys_version: np.
 
 def _row_max(x: np.ndarray) -> np.ndarray:
     """x.max(axis=1, keepdims=True) bit for bit, column by column (numpy reduces short rows slowly);
-    rows whose maximum is a zero (+0.0 ties -0.0) or a NaN take max(axis=1) itself."""
+    rows whose maximum is a zero (+0.0 ties -0.0) or a NaN take max(axis=1) itself. The check for such rows
+    reads a count and a max, so it allocates nothing; their mask is built only when one is present."""
     top = x[:, 0].copy()
     for column in range(1, x.shape[1]):
         np.maximum(top, x[:, column], out=top)
-    tied = (top == 0.0) | np.isnan(top)
-    if tied.any():
+    if np.count_nonzero(top) < top.size or np.isnan(top.max(initial=-np.inf)):
+        tied = (top == 0.0) | np.isnan(top)
         top[tied] = x[tied].max(axis=1)
     return top[:, None]
 
@@ -564,8 +565,11 @@ class ContextTable(RowSet):
         return first + (prev + 1) * self.side + (last + 1)
 
     def advance(self, rows: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-        """Rows of the contexts at rows once each has generated its token."""
-        return self._after[rows] + tokens
+        """Rows of the contexts at rows once each has generated its token: one gather, which the tokens are
+        added to in place."""
+        after = self._after.take(rows)
+        after += tokens
+        return after
 
     def load(self, params: PolicyParams, rows=()) -> None:
         """Load params, unless they are loaded; then, if rows holds a row not yet evaluated, evaluate it with every row
@@ -588,9 +592,10 @@ class ContextTable(RowSet):
         """The rows' slots, which hold until the next pass, once load has evaluated the rows not yet evaluated;
         raises NumericError if a row's training logits (the direct path's message), or else its inference logits,
         are non-finite. Given ticks, rows[i] is read at tick ticks[i], and only the reads of the first tick that
-        reads a non-finite row count."""
+        reads a non-finite row count. The check for rows not yet evaluated reads the slots' min, so it allocates
+        no mask."""
         slots = self.slot[rows]
-        if np.count_nonzero(slots < 0):
+        if slots.min(initial=0) < 0:
             self.load(self.params, rows)
             slots = self.slot[rows]
         status = self._bad[slots]
@@ -616,5 +621,5 @@ class ContextTable(RowSet):
             _scaled_train_logits(self.params.weights, self.feats[rows], self.temperature, self.log_probs[0])
         finite = self.engines(self.log_probs[0], self.params.version_id, rows, (self.log_probs, self.probs))[3]
         np.cumsum(self.probs[1, :, :-1], axis=1, out=self.cdf.T)
-        self._bad[:] = (~finite).sum(axis=0)
+        self._bad[:] = np.logical_not(finite, out=finite).sum(axis=0)
         self.slot[rows] = np.arange(rows.size)

@@ -611,10 +611,11 @@ def _sample_slots(state: SchedulerState, first: np.ndarray, counts: np.ndarray, 
             tokens.append(token)
             row = table.advance(row, token)
             step += 1
-            ended = (token == live[2]) | (live[1] == step)
+            ended = token == live[2]
+            ended |= live[1] == step
             if np.count_nonzero(ended):
                 sampled[live[3, ended]] = step
-                keep = ~ended
+                keep = np.logical_not(ended, out=ended)
                 live, row = live[:, keep], row[keep]
         first, counts, end, who = live
     if tokens:

@@ -94,9 +94,10 @@ def verify(kind: TaskKind, targets: np.ndarray, max_lens: np.ndarray, tokens: np
            vocab: Vocabulary) -> np.ndarray:
     """Binary rewards of completions of one task kind, given flat with their lengths, and their tasks'
     targets and max_lens: 1.0 where a completion satisfies its task. Raises ValueError on the first
-    token, in that order, outside the vocabulary."""
-    outside = (tokens < 0) | (tokens >= vocab.size)
-    if outside.any():
+    token, in that order, outside the vocabulary. The check reads the tokens' min and max, so it allocates
+    nothing; the mask that finds the first offender is built only to raise."""
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab.size):
+        outside = (tokens < 0) | (tokens >= vocab.size)
         raise ValueError(f"completion token {tokens[outside.argmax()]} outside vocabulary")
     completion = np.repeat(np.arange(lengths.size), lengths)
     if kind is TaskKind.PARITY_MATCH:

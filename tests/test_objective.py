@@ -451,9 +451,16 @@ def test_empty_group_and_empty_rollout_fail() -> None:
         ({"group_size": 3}, ValueError, "the batch's rollouts do not form whole groups"),
         ({"versions": np.array([0, 1])}, ValueError, "token generated by a version newer than theta"),
         ({"advantages": np.array([math.nan, 1.0])}, NumericError, "group advantages contain non-finite values"),
+        ({"advantages": np.array([1.0, math.inf])}, NumericError, "group advantages contain non-finite values"),
+        ({"advantages": np.array([-math.inf, 1.0])}, NumericError, "group advantages contain non-finite values"),
+        # Recorded log probs of -1000 overflow a ratio: the importance one where both engines recorded it, the
+        # calibration one where only the inference engine did. The first offending rollout names the ratio.
+        ({"lp_train": np.array([-1.0, -1000.0]), "lp_infer": np.array([-1.0, -1000.0])}, NumericError, "importance ratio overflow"),
+        ({"lp_train": np.array([-1.0, -1.0]), "lp_infer": np.array([-1.0, -1000.0])}, NumericError, "calibration ratio overflow"),
+        ({"lp_train": np.array([-1000.0, -1.0]), "lp_infer": np.array([-1000.0, -1000.0])}, NumericError, "importance ratio overflow"),
     ],
 )
-def test_objective_rejects_partial_groups_newer_versions_and_non_finite_advantages(change: dict, error, message: str) -> None:
+def test_objective_rejects_partial_groups_newer_versions_and_non_finite_inputs(change: dict, error, message: str) -> None:
     theta = init_params(Vocabulary(size=6), n_features=16, init_scale=0.4, seed=1)
     group, table = manual_group(theta, [(1, 1.0, 1.0), (2, 1.0, 1.0)], advantages=[1.0, -1.0])
     with pytest.raises(error, match=f"^{message}$"):
@@ -657,20 +664,22 @@ def test_objective_frees_its_per_token_intermediates_before_the_scatter(monkeypa
     """long_batch's 6,047 tokens on 838 rows, about schedule_longtail's largest batch.
 
     After a warm-up call, the memory held when objective_and_grad calls
-    weight_grad, above the call's start, stays below 9 per-token float64
+    weight_grad, above the call's start, stays below 8 per-token float64
     arrays (48,376 bytes each). The call returns or still reads after the
-    scatter calib, pg_values and inverse, 3 arrays, and kept and the
-    overflow flags, 1 byte a token each; and per row, probs and row_grad
-    of V words and the gathered feats, rows and slots of 6: 18,436 words
-    at 838 rows, 3.05 arrays. With the table's 1,782-byte row marker that
-    is 6.3 arrays (6.4 traced). Keeping the released intermediates alive
-    across the scatter holds 17.6.
+    scatter calib, pg_values and inverse, 3 arrays, and kept, 1 byte a
+    token; and per row, row_grad of V words, the entropy of one and the
+    gathered feats, rows and slots of 6: 12,570 words at 838 rows, 2.08
+    arrays. With the table's 1,782-byte row marker that is 5.24 arrays
+    (5.30 traced). Keeping the released intermediates alive across the
+    scatter holds 17.6; keeping probs and an overflow mask, 6.4.
 
-    The call's traced peak above its start stays below 11 arrays (9.2):
+    The call's traced peak above its start stays below 10 arrays (8.1):
     each term is computed in place where it can be and released after its
     last use, and the rows' log-probs and probs are gathered only where
-    they are read, after the per-token terms are freed. With every
-    intermediate alive until the scatter, the call peaked at 18.5.
+    they are read, after the per-token terms are freed, and scaled in
+    place there. With every intermediate alive until the scatter, the call
+    peaked at 18.5; with the entropy's and the row gradient's products in
+    arrays of their own, at 9.2.
     """
     theta, table, batch = long_batch()
     scatter, held = objective.weight_grad, []
@@ -690,8 +699,8 @@ def test_objective_frees_its_per_token_intermediates_before_the_scatter(monkeypa
     finally:
         tracemalloc.stop()
     array = batch.tokens.size * 8
-    assert held[-1] - start < 9 * array, f"held {(held[-1] - start) / array:.2f} arrays"
-    assert peak - start < 11 * array, f"peak {(peak - start) / array:.2f} arrays"
+    assert held[-1] - start < 8 * array, f"held {(held[-1] - start) / array:.2f} arrays"
+    assert peak - start < 10 * array, f"peak {(peak - start) / array:.2f} arrays"
 
 
 def test_weight_grad_adds_in_place_on_the_long_batch() -> None:

@@ -8,6 +8,7 @@ scheduler's sampler on the context table.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -246,6 +247,30 @@ def test_log_softmax_equals_the_row_max_reference_on_signed_zeros_infinities_and
     got, want = batched_log_softmax(logits), max_axis_log_softmax(logits)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    # One special row among rows of finite nonzero maxima, so that each half of the tie check must find it
+    # alone: a maximum of -0.0 beside +0.0 (the column-by-column max picks the other zero from 9 columns
+    # on), and NaNs of both signs (it picks the other NaN).
+    for special in ([-0.0, 0.0], [-np.nan, np.nan]):
+        rows = rng.normal(size=(64, width)) + 5.0
+        rows[7] = -1.0
+        rows[7, :2] = special[:width]
+        assert _row_max(rows).tobytes() == rows.max(axis=1, keepdims=True).tobytes()
+
+
+def test_row_max_builds_no_mask_on_rows_without_ties() -> None:
+    """_row_max of a (4096, 8) array without a zero or NaN maximum, after a warm-up call: its traced peak
+    above its start stays below its 32 KB result plus 2 KB (1.0 KB), as the check for ties reads a count
+    and a max. A tie mask built on every call peaks 12.7 KB above the result."""
+    x = np.random.default_rng(0).normal(size=(4096, 8))
+    _row_max(x)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _row_max(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < x.shape[0] * 8 + 2048, f"peak {(peak - start) / 1024:.1f} KB above the result"
 
 
 def test_distribution_normalization_invariant() -> None:

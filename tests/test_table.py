@@ -213,6 +213,24 @@ def test_advance_moves_the_window() -> None:
     assert table.advance(rows, tokens).tolist() == want.tolist() == table.rows(prompts, last, tokens).tolist()
 
 
+def test_advance_holds_one_row_sized_array() -> None:
+    """advance on 4,096 rows, after a warm-up call: its traced peak above its start stays below 1.5 int64
+    arrays of the rows' size (1.0), as the tokens are added in place to the gathered successor rows. A
+    gather and a sum of their own peak at 2.0."""
+    table = ContextTable(all_prompt_ids(Vocabulary(size=8)), 16, 8, infer_engine(0.2, 7), 1.0)
+    rng = np.random.default_rng(1)
+    rows, tokens = rng.integers(0, table.feats.shape[0], 4096), rng.integers(0, 8, 4096)
+    table.advance(rows, tokens)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table.advance(rows, tokens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 1.5 * rows.nbytes, f"peak {(peak - start) / rows.nbytes:.2f} arrays"
+
+
 def reachable_rows(table: ContextTable, prompt_id: int, end_token: int) -> set[int]:
     """The rows reachable from the prompt's empty window through advance, never sampling end_token."""
     tokens = np.asarray([t for t in range(table.vocab_size) if t != end_token])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,9 +196,9 @@ def test_batched_verify_reads_eos_at_every_position() -> None:
                     assert verify(task, completion, vocab) == scalar_verify(task, completion, vocab)
 
 
-def test_batched_verify_raises_the_scalar_error_on_the_first_token_outside_the_vocabulary() -> None:
+@pytest.mark.parametrize("completions,first", [([[1, 2], [3, -1, 9], [12]], -1), ([[1, 2], [3, 9, -1], [-4]], 9)])
+def test_batched_verify_raises_the_scalar_error_on_the_first_token_outside_the_vocabulary(completions, first) -> None:
     vocab = Vocabulary(size=8)
-    completions = [[1, 2], [3, -1, 9], [12]]
     task = TaskSpec(TaskKind.TARGET_SUM, 203, 3, 8)
     with pytest.raises(ValueError) as want:
         for completion in completions:
@@ -204,4 +206,27 @@ def test_batched_verify_raises_the_scalar_error_on_the_first_token_outside_the_v
     for kind in TaskKind:
         with pytest.raises(ValueError) as got:
             batched_verify(kind, np.full(3, 3), np.full(3, 8), np.array([t for c in completions for t in c]), np.array([2, 3, 1]), vocab)
-        assert str(got.value) == str(want.value) == "completion token -1 outside vocabulary"
+        assert str(got.value) == str(want.value) == f"completion token {first} outside vocabulary"
+
+
+def test_verify_builds_no_token_mask_to_check_the_vocabulary() -> None:
+    """PARITY_MATCH on 1,024 completions of 8 in-range tokens, after a warm-up call.
+
+    The traced peak above the call's start stays below its own arrays,
+    147,456 bytes (each token's completion index, its non-EOS flag and
+    that flag as a float64 weight, and the counts), plus 4 KB (147,992):
+    the vocabulary check reads the tokens' min and max. An out-of-range
+    mask built on every call peaks at 156,280.
+    """
+    vocab = Vocabulary(size=8)
+    tokens, lengths = np.random.default_rng(2).integers(0, vocab.size, 8192), np.full(1024, 8)
+    args = (TaskKind.PARITY_MATCH, np.zeros(1024, dtype=np.int64), np.full(1024, 8), tokens, lengths, vocab)
+    batched_verify(*args)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        batched_verify(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 18 * tokens.size + 4096, f"peak {peak - start} bytes"
