@@ -9,7 +9,8 @@
 # second recorded fingerprint on such a host, and runs tests/test_replay.py,
 # then the tests that check a package kernel against its oracle
 # (tests/test_hashing.py, tests/test_table.py, tests/test_objective.py,
-# tests/test_policy.py and tests/test_tasks.py), so that a kernel and its
+# tests/test_policy.py, tests/test_tasks.py and tests/test_discrepancy.py,
+# whose probe evaluation runs the table's engines), so that a kernel and its
 # oracle taking different dispatch paths fail here.
 # Where the manifest lacks the fingerprint, that test skips its byte comparison
 # and still checks the anchors; the script then prints a ::warning:: naming the
@@ -29,4 +30,5 @@ if ! python -c 'import sys; sys.path.insert(0, "tests"); from replay import load
   echo "::warning::tests/replay_set.json records no output hashes for float-kernel fingerprint $fingerprint, so tests/test_replay.py skips its byte comparison"
 fi
 PYTHONPATH=src python -m pytest -q -rs -p no:cacheprovider tests/test_replay.py \
-  tests/test_hashing.py tests/test_table.py tests/test_objective.py tests/test_policy.py tests/test_tasks.py
+  tests/test_hashing.py tests/test_table.py tests/test_objective.py tests/test_policy.py tests/test_tasks.py \
+  tests/test_discrepancy.py

@@ -124,7 +124,7 @@ def probe_set(probes: list[Context], params: PolicyParams, infer: Engine, temper
 
 class ProbeEvaluation(NamedTuple):
     """Both engines at a probe set at one params, which delta_and_gap, delta_gradient and _exact_reward_gradient
-    read: RowSet.engines' outputs, its finite flags checked. delta_gradient reads the probes' noise as probes.fixed."""
+    read: RowSet.engines' outputs at logits it found finite. delta_gradient reads the probes' noise as probes.fixed."""
 
     probes: RowSet
     train_logits: np.ndarray
@@ -135,12 +135,13 @@ class ProbeEvaluation(NamedTuple):
 
 def evaluate_probes(probes: RowSet, params: PolicyParams) -> ProbeEvaluation:
     """Both engines at the probes at params, once; raises ValueError on params of another shape, and
-    NumericError, with the direct path's messages, on non-finite logits."""
+    NumericError, with the direct path's messages, on non-finite logits: batched_train_logits checks the
+    training engine's, so non-finite counts from RowSet.engines are the inference engine's."""
     if params.weights.shape != (probes.n_features, probes.vocab_size):
         raise ValueError(f"params {params.weights.shape}, probes {(probes.n_features, probes.vocab_size)}")
     train_logits = batched_train_logits(params, probes.feats, probes.temperature)
-    log_probs, probs, fault_noise, finite = probes.engines(train_logits, params.version_id)
-    if not finite.all():  # the training engine is finite: batched_train_logits raised otherwise
+    log_probs, probs, fault_noise, counts = probes.engines(train_logits, params.version_id)
+    if counts is not None:
         raise NumericError(_NON_FINITE_INFER_LOGITS)
     return ProbeEvaluation(probes, train_logits, log_probs, probs, fault_noise)
 

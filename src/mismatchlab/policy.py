@@ -22,19 +22,20 @@ batched implementation. context_rows hashes a batch of contexts into
 feature rows and noise keys, the per-version keys by version_keys, which
 a RowSet calls alone at each version; feature_rows and noise_keys, the
 same hashes of one context in plain integer arithmetic, are its bitwise
-reference. engine_pair evaluates both engines from a batch's training
-logits for a RowSet (a fixed list of contexts hashed once, evaluated at
-any params of one shape), computing each engine's logits where its
-log-probs go and its softmax in place. A training run's ContextTable is
-the RowSet of every prompt's (prev, last) windows; per parameter version
-it holds one block of the rows the run can read, in row order, written
-by one pass, and a map from row to slot, through which sampling, the
-objective and the probe measure gather. Sampling is inverse-CDF: a token
-is the count of the row's first V - 1 inference CDF entries at or below
-its uniform, which the block keeps token-major, one (V - 1, slots)
-array, so one take reads them for a batch of slots.
-The compounding experiment evaluates the RowSet of its probes
-(discrepancy.probe_set) at each state. Both raise NumericError on
+reference. A RowSet is a fixed list of contexts hashed once; its one
+method, engines, evaluates both engines at any params of one shape from
+the rows' training logits: each engine's logits where its log-probs go,
+then one softmax over both, in place. It checks the logits by their min
+and max and counts a row's non-finite engines only when that check
+fails. A training run's ContextTable is the RowSet of every prompt's
+(prev, last) windows; per parameter version it holds one block of the
+rows the run can read, in row order, written by one pass, and a map from
+row to slot, through which sampling, the objective and the probe measure
+gather. Sampling is inverse-CDF: a token is the count of the row's first
+V - 1 inference CDF entries at or below its uniform, which the block
+keeps token-major, one (V - 1, slots) array, so one take reads them for
+a batch of slots. The compounding experiment evaluates the RowSet of its
+probes (discrepancy.probe_set) at each state. Both raise NumericError on
 non-finite logits that a caller reads. The direct path (context_rows ->
 batched_train_logits -> perturb_logits -> a softmax per engine) is kept
 as the tests' reference and the benchmark's kernel: both equal it bit
@@ -344,7 +345,7 @@ def _stream_normals(keys: np.ndarray, fault_at: np.ndarray, width: int, fault_xo
 def fixed_noise(keys_fixed: np.ndarray, width: int) -> FixedNoise:
     """FixedNoise of the persistent keys of a batch of contexts."""
     kf = np.asarray(keys_fixed, dtype=np.uint64)
-    bits = _splitmix64_vec((kf ^ np.uint64(_FAULT_XOR))[:, None] + np.arange(width, dtype=np.uint64) * _STRIDE_A)
+    bits = _mixed_keys((kf ^ np.uint64(_FAULT_XOR))[:, None], np.arange(width, dtype=np.uint64), _STRIDE_A)
     is_fault = (bits & np.uint64(0x7FF)) < np.uint64(_FAULT_CUT)
     dense, normals = _stream_normals(kf, np.flatnonzero(is_fault), width, _SECOND_FIXED_XOR)
     fault = np.zeros_like(dense)
@@ -406,7 +407,7 @@ def inference_slope(train_logits: np.ndarray, fixed: FixedNoise, fault_noise: np
 
 def perturb_logits(logits: np.ndarray, keys_fixed: np.ndarray, keys_version: np.ndarray, scale: float) -> np.ndarray:
     """Inference-engine view of a batch of finite training logits: the tests' reference path and the
-    benchmark's kernel, beside engine_pair. Raises NumericError if the mismatch noise overflows the
+    benchmark's kernel, beside RowSet.engines. Raises NumericError if the mismatch noise overflows the
     inference logits, the direct path's one check of them."""
     infer_logits, _ = inference_logits(logits, fixed_noise(keys_fixed, logits.shape[1]), keys_version, scale)
     if not np.isfinite(infer_logits).all():
@@ -439,28 +440,12 @@ def batched_log_softmax(logits: np.ndarray, out=(None, None)) -> tuple[np.ndarra
     return shifted, probs
 
 
-def engine_pair(train_logits: np.ndarray, fixed: FixedNoise, keys_version: np.ndarray, scale: float, out=None):
-    """Both engines from the scaled training logits; checks nothing. Returns (2, rows, V) log_probs and probs,
-    training engine first, into out's pair of arrays when given, each engine's (rows, V) plane contiguous
-    (train_logits may be out's log_probs[0]); inference_logits' clipped fault noise, which inference_slope
-    reads; and (2, rows) flags of each engine's finite logits."""
-    log_probs, probs = np.empty((2, 2, *train_logits.shape)) if out is None else out
-    # Each engine's logits where its log-probs go, so that its softmax runs in place; the inference logits are
-    # computed there (assigning them to themselves copies nothing).
-    log_probs[0] = train_logits
-    log_probs[1], fault_noise = inference_logits(train_logits, fixed, keys_version, scale, log_probs[1])
-    finite = np.isfinite(log_probs)
-    finite = np.ones(log_probs.shape[:2], dtype=bool) if finite.all() else finite.all(axis=2)
-    for engine_logits, engine_probs in zip(log_probs, probs):
-        batched_log_softmax(engine_logits, (engine_logits, engine_probs))
-    return log_probs, probs, fault_noise, finite
-
-
 class RowSet:
     """Both engines at a fixed (3, N) list of (prompt, prev, last) contexts, at any params of one shape.
 
-    The contexts are hashed once into their feature rows, FixedNoise and words; engines takes the version_keys
-    of the words of the rows it evaluates. A row equals its context on the direct path, bit for bit."""
+    The contexts are hashed once into their feature rows, FixedNoise and words; engines, the one evaluation of
+    both engines, takes the version_keys of the words of the rows it evaluates. A row equals its context on the
+    direct path, bit for bit."""
 
     def __init__(self, contexts, n_features: int, vocab_size: int, infer: Engine, temperature: float) -> None:
         self.n_features = n_features
@@ -473,9 +458,24 @@ class RowSet:
         self.fixed = fixed_noise(keys_fixed, vocab_size)
 
     def engines(self, train_logits: np.ndarray, version_id: int, rows=slice(None), out=None):
-        """engine_pair's outputs at the rows, into out when given, given their scaled training logits at version_id."""
+        """Both engines at the rows from their scaled training logits at version_id; raises nothing. Returns
+        (2, rows, V) log_probs and probs, training engine first, into out's pair of C-contiguous arrays when given
+        (train_logits may be out's log_probs[0]); inference_logits' clipped fault noise, which inference_slope
+        reads; and None if every logit is finite, else per row how many engines have non-finite logits: 0, 1
+        (inference) or 2 (both; inference reads training)."""
+        log_probs, probs = np.empty((2, 2, *train_logits.shape)) if out is None else out
+        # Each engine's logits where its log-probs go, so that one softmax over both planes runs in place; the
+        # inference logits are computed there (assigning them to themselves copies nothing).
+        log_probs[0] = train_logits
         keys = version_keys(self._words[:, rows], self.infer, version_id)
-        return engine_pair(train_logits, FixedNoise(*(f[rows] for f in self.fixed)), keys, self.infer.mismatch_scale, out)
+        fixed = FixedNoise(*(f[rows] for f in self.fixed))
+        log_probs[1], fault_noise = inference_logits(train_logits, fixed, keys, self.infer.mismatch_scale, log_probs[1])
+        # A min and a max allocate nothing, and either is non-finite if any logit is (a NaN propagates).
+        finite = np.isfinite(log_probs.min()) and np.isfinite(log_probs.max())
+        counts = None if finite else np.count_nonzero(~np.isfinite(log_probs).all(axis=2), axis=0)
+        stacked = log_probs.reshape(-1, self.vocab_size)
+        batched_log_softmax(stacked, (stacked, probs.reshape(stacked.shape)))
+        return log_probs, probs, fault_noise, counts
 
 
 class ContextTable(RowSet):
@@ -504,11 +504,11 @@ class ContextTable(RowSet):
     cdf[k, slot] is the sum of the slot's first k + 1 inference probs, in
     order (np.cumsum), so a batch of slots is one take along axis 1 (the
     last running sum is not kept: the count of entries at or below a
-    uniform is clamped at V - 1 anyway); and per slot how many engines
-    have non-finite logits: 0, 1 (inference) or 2 (both; inference reads
-    training). A pass writes a new block of exactly the rows it
-    evaluates. load(params, rows) loads params, freeing the block, and
-    evaluates rows in one pass: the rollout loop passes every row the
+    uniform is clamped at V - 1 anyway). A pass writes a new block of
+    exactly the rows it evaluates; only a pass that meets a non-finite
+    logit also keeps, per slot, how many engines have non-finite logits,
+    which check reads. load(params, rows) loads params, freeing the block,
+    and evaluates rows in one pass: the rollout loop passes every row the
     version can read. A load at the loaded params that meets rows not yet
     evaluated evaluates them with the rows evaluated before, in one pass
     over both: a row is a pure function of its context and the params, so
@@ -585,7 +585,7 @@ class ContextTable(RowSet):
         if len(rows):
             wanted = self.slot >= 0
             wanted[np.asarray(rows, dtype=np.intp)] = True
-            if np.count_nonzero(wanted) > self._bad.size:
+            if np.count_nonzero(wanted) > self.cdf.shape[1]:
                 self._evaluate(np.flatnonzero(wanted))
 
     def check(self, rows: np.ndarray, ticks: np.ndarray | None = None) -> np.ndarray:
@@ -593,13 +593,12 @@ class ContextTable(RowSet):
         raises NumericError if a row's training logits (the direct path's message), or else its inference logits,
         are non-finite. Given ticks, rows[i] is read at tick ticks[i], and only the reads of the first tick that
         reads a non-finite row count. The check for rows not yet evaluated reads the slots' min, so it allocates
-        no mask."""
+        no mask, and after a clean pass the slots are all it gathers."""
         slots = self.slot[rows]
         if slots.min(initial=0) < 0:
             self.load(self.params, rows)
             slots = self.slot[rows]
-        status = self._bad[slots]
-        if np.count_nonzero(status):
+        if self._bad is not None and np.count_nonzero(status := self._bad[slots]):
             if ticks is not None:
                 status = status[ticks == ticks[status > 0].min()]
             raise NumericError(_NON_FINITE_LOGITS if status.max() == 2 else _NON_FINITE_INFER_LOGITS)
@@ -607,11 +606,13 @@ class ContextTable(RowSet):
 
     def _new_block(self, n: int) -> None:
         """Point the per-version views at a new block of n slots, in one buffer: log_probs, probs, then the
-        token-major cdf's V - 1 rows and the non-finite counts."""
-        block = np.empty((5 * n, self.vocab_size))
-        self.log_probs, self.probs = block[: 4 * n].reshape(2, 2, n, self.vocab_size)
-        self._tail = block[4 * n :].reshape(self.vocab_size, n)
-        self.cdf, self._bad = self._tail[:-1], self._tail[-1]
+        token-major cdf's V - 1 rows. The per-slot non-finite counts, _bad, are None until a pass that meets a
+        non-finite logit sets them."""
+        planes = 4 * n * self.vocab_size
+        block = np.empty(planes + (self.vocab_size - 1) * n)
+        self.log_probs, self.probs = block[:planes].reshape(2, 2, n, self.vocab_size)
+        self.cdf = block[planes:].reshape(self.vocab_size - 1, n)
+        self._bad = None
 
     def _evaluate(self, rows: np.ndarray) -> None:
         """One pass: both engines at the loaded params on distinct rows in increasing order, written in place into a
@@ -619,7 +620,6 @@ class ContextTable(RowSet):
         self._new_block(rows.size)
         with np.errstate(over="ignore", invalid="ignore"):
             _scaled_train_logits(self.params.weights, self.feats[rows], self.temperature, self.log_probs[0])
-        finite = self.engines(self.log_probs[0], self.params.version_id, rows, (self.log_probs, self.probs))[3]
+        self._bad = self.engines(self.log_probs[0], self.params.version_id, rows, (self.log_probs, self.probs))[3]
         np.cumsum(self.probs[1, :, :-1], axis=1, out=self.cdf.T)
-        self._bad[:] = np.logical_not(finite, out=finite).sum(axis=0)
         self.slot[rows] = np.arange(rows.size)

@@ -28,7 +28,7 @@ direct path, each state evaluated anew per call: the probes hashed by
 context_rows, the inference logits by perturb_logits or
 inference_logits, and a separate softmax per engine. The package
 hashes the probes once, as a policy.RowSet, and evaluates it at each
-state through engine_pair instead.
+state through RowSet.engines instead.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from mismatchlab import NumericError, infer_engine
 from mismatchlab.policy import (
     FixedNoise,
+    RowSet,
     batched_log_softmax,
     context_rows,
-    engine_pair,
     feature_rows,
     fixed_noise,
     inference_error,
@@ -85,6 +85,15 @@ def test_split_noise_recomposes_noise_components(width: int) -> None:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def random_row_set(rng, rows: int, width: int, scale: float, version: int) -> tuple[RowSet, np.ndarray, np.ndarray]:
+    """A RowSet of rows random (prompt, prev, last) contexts at vocabulary width, and its persistent and
+    per-version noise keys at version, hashed on the direct path."""
+    contexts = rng.integers(-(2**63), 2**63, size=(3, rows), dtype=np.int64)
+    infer = infer_engine(scale, int(rng.integers(-(2**63), 2**63)))
+    _, kf, kv = context_rows(*contexts, 16, infer, version)
+    return RowSet(contexts, 16, width, infer, 1.0), kf, kv
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     rows=st.integers(1, 256),
@@ -97,17 +106,16 @@ def test_split_noise_recomposes_noise_components(width: int) -> None:
 def test_direct_inference_logits_and_slope_match_the_block_oracle(rows, width, max_exponent, scale, overflow, seed) -> None:
     """perturb_logits, and delta_gradient's inference log-probs and slope: finite rows bit for bit, overflowing rows raise."""
 
-    def logits_and_slope(logits, kf, kv, scale):
-        """engine_pair's inference log-probs and the slope of its fault noise, checked as evaluate_probes checks them."""
-        fixed = fixed_noise(kf, logits.shape[1])
-        log_probs, _, fault_noise, finite = engine_pair(logits, fixed, kv, scale)
-        if not finite.all():
+    def logits_and_slope(logits, at):
+        """RowSet.engines' inference log-probs at rows at and the slope of its fault noise, checked as
+        evaluate_probes checks them."""
+        log_probs, _, fault_noise, counts = row_set.engines(logits, 5, at)
+        if counts is not None:
             raise NumericError("non-finite inference engine logits (mismatch noise overflowed)")
-        return log_probs[1], inference_slope(logits, fixed, fault_noise, scale)
+        return log_probs[1], inference_slope(logits, subset_rows(row_set.fixed, at), fault_noise, scale)
 
     rng = np.random.default_rng(seed)
-    kf = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
-    kv = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
+    row_set, kf, kv = random_row_set(rng, rows, width, scale, 5)
     logits = rng.normal(size=(rows, width)) * 10.0 ** rng.uniform(-3, max(-3.0, max_exponent), size=(rows, 1))
     if overflow:
         hit = rng.random(rows) < 0.5
@@ -120,14 +128,15 @@ def test_direct_inference_logits_and_slope_match_the_block_oracle(rows, width, m
     if finite.any():
         at = np.flatnonzero(finite)
         got = perturb_logits(logits[at], kf[at], kv[at], scale)
-        got_logits, got_slope = logits_and_slope(logits[at], kf[at], kv[at], scale)
+        got_logits, got_slope = logits_and_slope(logits[at], at)
         want_log_probs, _ = batched_log_softmax(want[at])
         for g, w in ((got, want[at]), (got_logits, want_log_probs), (got_slope, want_slope[at])):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     for row in np.flatnonzero(~finite):
-        for direct in (perturb_logits, logits_and_slope):
-            with pytest.raises(NumericError, match="non-finite inference engine logits"):
-                direct(logits[row : row + 1], kf[row : row + 1], kv[row : row + 1], scale)
+        with pytest.raises(NumericError, match="non-finite inference engine logits"):
+            perturb_logits(logits[row : row + 1], kf[row : row + 1], kv[row : row + 1], scale)
+        with pytest.raises(NumericError, match="non-finite inference engine logits"):
+            logits_and_slope(logits[row : row + 1], np.asarray([row]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -136,30 +145,41 @@ def test_direct_inference_logits_and_slope_match_the_block_oracle(rows, width, m
     width=st.integers(2, 33),
     scale=st.sampled_from([0.0, 0.05, 0.22, 1.5]),
     overflow=st.booleans(),
+    ties=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_engine_pair_equals_inference_logits_and_a_softmax_per_engine(rows, width, scale, overflow, seed) -> None:
-    """Each engine's softmax, computed in place where its logits were, is that engine's own softmax, bit for bit,
-    with its finite flags."""
+def test_engines_equal_inference_logits_and_a_softmax_per_engine(rows, width, scale, overflow, ties, seed) -> None:
+    """One softmax over both engines' planes, computed in place where their logits were, is each engine's own
+    softmax, bit for bit; the non-finite counts are returned exactly when a logit is non-finite, and count the
+    engines with non-finite logits per row."""
     rng = np.random.default_rng(seed)
-    kf = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
-    kv = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
+    row_set, kf, kv = random_row_set(rng, rows, width, scale, 9)
     logits = rng.normal(size=(rows, width)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1))
+    if ties:
+        # Rows whose maximum is +0.0, -0.0 or NaN, which _row_max takes from max(axis=1): in the training plane,
+        # and so in the inference plane at scale 0, and a NaN in the inference plane at every scale.
+        hit = rng.random(rows) < 0.5
+        logits[hit] = -np.abs(logits[hit])
+        logits[hit, rng.integers(0, width)] = rng.choice([0.0, -0.0, np.nan], size=int(hit.sum()))
     if overflow:
         # Huge finite training logits overflow the inference engine; infinite ones overflow both.
         hit = rng.random(rows) < 0.5
         logits[hit, rng.integers(0, width)] = rng.choice([-1e307, 1e307, 4e307, np.inf, -np.inf], size=int(hit.sum()))
-    fixed = fixed_noise(kf, width)
-    log_probs, probs, fault_noise, finite = engine_pair(logits, fixed, kv, scale)
-    infer_logits, want_fault_noise = inference_logits(logits, fixed, kv, scale)
+    log_probs, probs, fault_noise, counts = row_set.engines(logits, 9)
+    infer_logits, want_fault_noise = inference_logits(logits, fixed_noise(kf, width), kv, scale)
     assert fault_noise.tobytes() == want_fault_noise.tobytes()
+    non_finite = np.zeros(rows, dtype=np.intp)
     for engine, engine_logits in enumerate((logits, infer_logits)):
         want_log_probs, want_probs = batched_log_softmax(engine_logits)
         for got, want in ((log_probs[engine], want_log_probs), (probs[engine], want_probs)):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
-        assert finite[engine].tolist() == np.isfinite(engine_logits).all(axis=1).tolist()
-    assert overflow or finite.all()
+        non_finite += ~np.isfinite(engine_logits).all(axis=1)
+    if non_finite.any():
+        assert counts.tolist() == non_finite.tolist()
+    else:
+        assert counts is None
+    assert overflow or ties or counts is None
 
 
 @settings(max_examples=100, deadline=None)

@@ -602,11 +602,13 @@ def test_a_capped_iteration_keeps_its_tokens_version_and_log_probs() -> None:
 def poison(monkeypatch, kinds: dict[int, tuple[int, int]]) -> None:
     """Make every table pass mark non-finite, for each prompt id, its rows past its first skip windows: kinds
     maps the prompt id to (kind, skip), kind 1 for the inference logits, 2 for the training logits. Their
-    CDFs are nan."""
+    CDFs are nan. The pass keeps non-finite counts, as a pass that meets a non-finite logit does."""
     evaluate = ContextTable._evaluate
 
     def poisoned(table, rows):
         evaluate(table, rows)
+        if table._bad is None:
+            table._bad = np.zeros(rows.size, dtype=np.intp)
         for prompt_id, (kind, skip) in kinds.items():
             first = table.prompt_row(prompt_id)
             bad = rows[(rows >= first + skip) & (rows < first + table.side**2)]

@@ -162,7 +162,7 @@ def test_restricted_load_equals_the_full_block_composition_on_every_finite_row(
         rows = table.rows(*every)
         assert sorted(rows.tolist()) == list(range(table.feats.shape[0]))
         messages = read_gate(table, rows, rng)
-        assert table.slot[np.flatnonzero(table.slot >= 0)].tolist() == list(range(table._bad.size))
+        assert table.slot[np.flatnonzero(table.slot >= 0)].tolist() == list(range(table.cdf.shape[1]))
         assert overflow or not any(messages)
         finite = np.asarray([m != TRAINING_MESSAGE for m in messages])
         at = rows[finite]
@@ -229,6 +229,29 @@ def test_advance_holds_one_row_sized_array() -> None:
     finally:
         tracemalloc.stop()
     assert peak - start < 1.5 * rows.nbytes, f"peak {(peak - start) / rows.nbytes:.2f} arrays"
+
+
+def test_a_check_of_a_clean_block_holds_only_the_slots_it_returns() -> None:
+    """check on 8,192 reads of a clean 1,022-row block (14 prompts' readable windows at V = 8), after a warm-up
+    call: its traced peak above its start stays below 1.5 intp arrays of the reads (1.0, the slots it returns),
+    as a clean pass keeps no non-finite counts to gather. A gather of a count per slot peaks at 2.0."""
+    vocab = Vocabulary(size=8)
+    params = init_params(vocab, n_features=512, init_scale=0.3, seed=3)
+    table = ContextTable(all_prompt_ids(vocab), params.n_features, vocab.size, infer_engine(0.22, 7), 1.0)
+    rows = table.readable_rows([(p, -1) for p in all_prompt_ids(vocab)[:14]])
+    assert rows.size == 1022
+    table.load(params, rows)
+    reads = np.random.default_rng(2).choice(rows, 8192)
+    table.check(reads)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        slots = table.check(reads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert slots.tolist() == table.slot[reads].tolist()
+    assert peak - start < 1.5 * reads.nbytes, f"peak {(peak - start) / reads.nbytes:.2f} arrays"
 
 
 def reachable_rows(table: ContextTable, prompt_id: int, end_token: int) -> set[int]:
@@ -462,7 +485,8 @@ def test_the_block_holds_the_rows_of_the_last_versions_pass(monkeypatch) -> None
     train_loop(5, state, params, budget, ObjectiveConfig(group_size=2, learning_rate=0.5), make_probes(32, vocab, 9))
     table, last = state.table, passes[-1]
     assert len(passes) == 5
-    assert table.log_probs.shape[1] == table.probs.shape[1] == table.cdf.shape[1] == table._bad.size == last.size
+    assert table.log_probs.shape[1] == table.probs.shape[1] == table.cdf.shape[1] == last.size
+    assert table._bad is None  # a clean pass keeps no non-finite counts
     assert table.slot[last].tolist() == list(range(last.size))
     assert np.count_nonzero(table.slot >= 0) == last.size < table.feats.shape[0]
 
@@ -490,25 +514,28 @@ def test_a_check_after_a_load_holds_what_one_pass_over_both_holds(vocab_size, sc
     tables[1].load(params, both)
     for table in tables:
         assert np.flatnonzero(table.slot >= 0).tolist() == both.tolist()
-        assert table.slot[np.flatnonzero(table.slot >= 0)].tolist() == list(range(table._bad.size))
-    got, want = ((*table_rows(table, table.slot[both]), table._bad[table.slot[both]]) for table in tables)
+        assert table.slot[np.flatnonzero(table.slot >= 0)].tolist() == list(range(table.cdf.shape[1]))
+    # Each block holds the rows of a | b in row order, so its non-finite counts, if any, are those rows'.
+    got, want = ((*table_rows(table, table.slot[both]), table._bad) for table in tables)
     for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
+        assert g is w is None or g.tobytes() == w.tobytes()
 
 
 def test_a_pass_holds_few_temporaries_beside_the_block_it_writes(monkeypatch) -> None:
     """A table pass over 1,022 rows (14 prompts' readable windows at V = 8): its traced peak above its entry,
     less the block it leaves allocated, stays below 6.2 (rows, V) float64 arrays.
 
-    The block is 5 such arrays: both engines' log-probs and probs, V - 1
-    CDF entries and a non-finite flag per row. Beside it the pass holds
+    The block is 4.875 such arrays: both engines' log-probs and probs,
+    and V - 1 CDF entries per row; a clean pass keeps no non-finite
+    counts, and checks the logits by their min and max, which allocate
+    nothing, before one softmax over both engines. Beside it the pass holds
     the fixed noise of its rows, its flat fault indices and its keys
     (about 2.8 arrays) and the per-version normals' working set: the
     hashed key grid, into which the keys are copied so that the add
     buffers no broadcast key operand, and the hash's scratch (about 2.2):
     5.06. Adding into a broadcast sum, and hashing into a new array, the
     working set held 3.4 (5.9 in all). Writing the training and inference
-    logits where the log-probs go, and each engine's softmax in place,
+    logits where the log-probs go, and the softmax in place over both,
     leaves no (rows, V) logits or softmax output of its own; with them,
     and the per-version normals beside the inference logits, the pass
     peaked at 10.95 arrays.
